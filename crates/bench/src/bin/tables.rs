@@ -3,12 +3,12 @@
 //! ```text
 //! cargo run -p hope-bench --release --bin tables            # all
 //! cargo run -p hope-bench --release --bin tables -- e1 e6   # selected
-//! cargo run -p hope-bench --release --bin tables -- --json out.json e15
+//! cargo run -p hope-bench --release --bin tables -- --json out.json e16
 //! ```
 //!
 //! `--json <path>` additionally writes the selected tables as a JSON
 //! array of experiment objects (see [`hope_bench::tables_to_json`]) —
-//! the format of the checked-in `BENCH_e15.json`.
+//! the format of the checked-in `BENCH_e15.json` … `BENCH_e21.json`.
 
 use hope_bench::{table_for, tables_to_json, EXPERIMENT_IDS};
 

@@ -30,7 +30,7 @@ pub struct E1Row {
 /// Run Figure 1 once; returns the Worker's completion in virtual ms.
 pub fn run_pessimistic(rtt_ms: u64, start_line: i64) -> (RunReport, f64) {
     let topo = paper_topology(ms(rtt_ms) / 2);
-    let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
     let printer = ProcessId(1);
     sim.spawn("worker", move |ctx| {
         worker_pessimistic(ctx, printer, 1234, PAGE_SIZE)
@@ -44,7 +44,7 @@ pub fn run_pessimistic(rtt_ms: u64, start_line: i64) -> (RunReport, f64) {
 /// Run Figure 2 once; returns the Worker's completion in virtual ms.
 pub fn run_optimistic(rtt_ms: u64, start_line: i64) -> (RunReport, f64) {
     let topo = paper_topology(ms(rtt_ms) / 2);
-    let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
     let printer = ProcessId(1);
     let wart = ProcessId(2);
     sim.spawn("worker", move |ctx| {

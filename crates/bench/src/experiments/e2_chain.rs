@@ -31,7 +31,7 @@ pub struct E2Row {
 
 fn run_chain(k: u64, rtt_ms: u64, optimistic: bool) -> f64 {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(rtt_ms) / 2));
-    let mut sim = Simulation::new(SimConfig::with_seed(7).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(7).with_topology(topo));
     let server = ProcessId(1);
     let client = sim.spawn("client", move |ctx| {
         let mut x: i64 = 1;

@@ -32,7 +32,7 @@ pub struct E4Row {
 /// pre-drawn pattern says so. Returns (completion, rollbacks).
 fn run_once(k: usize, rtt_ms: u64, pattern: Vec<bool>, optimistic: bool) -> (f64, u64) {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(rtt_ms) / 2));
-    let mut sim = Simulation::new(SimConfig::with_seed(13).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(13).with_topology(topo));
     let server = ProcessId(1);
     let client = sim.spawn("client", move |ctx| {
         let mut x: i64 = 1;

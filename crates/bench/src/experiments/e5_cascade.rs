@@ -32,7 +32,7 @@ pub struct E5Row {
 pub fn run_chain(n: usize) -> RunReport {
     assert!(n >= 1);
     let topo = Topology::uniform(LatencyModel::Fixed(ms(1)));
-    let mut sim = Simulation::new(SimConfig::with_seed(3).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(3).with_topology(topo));
     // P0: origin — guesses, then sends the token (speculatively) to P1.
     sim.spawn("origin", move |ctx| {
         let x = ctx.aid_init()?;

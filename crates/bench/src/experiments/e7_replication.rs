@@ -34,7 +34,7 @@ pub struct E7Row {
 
 fn run(clients: usize, keys: usize, writes: u64, optimistic: bool, seed: u64) -> (f64, u64, u64) {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(5)));
-    let mut sim = Simulation::new(SimConfig::with_seed(seed).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(seed).with_topology(topo));
     let primary = ProcessId(clients as u32);
     for c in 0..clients {
         sim.spawn(format!("client{c}"), move |ctx| {

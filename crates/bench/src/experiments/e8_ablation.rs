@@ -32,9 +32,9 @@ pub fn worst_case_chain(
     let topo = Topology::uniform(LatencyModel::Fixed(ms(1)));
     let mut sim = Simulation::new(
         SimConfig::with_seed(17)
-            .topology(topo)
-            .rollback_overhead(rollback_overhead)
-            .tracking_overhead(tracking_overhead),
+            .with_topology(topo)
+            .with_rollback_overhead(rollback_overhead)
+            .with_tracking_overhead(tracking_overhead),
     );
     let server = ProcessId(1);
     let client = sim.spawn("client", move |ctx| {
@@ -62,8 +62,8 @@ pub fn best_case_chain(k: u64, tracking_overhead: VirtualDuration) -> f64 {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(15)));
     let mut sim = Simulation::new(
         SimConfig::with_seed(17)
-            .topology(topo)
-            .tracking_overhead(tracking_overhead),
+            .with_topology(topo)
+            .with_tracking_overhead(tracking_overhead),
     );
     let server = ProcessId(1);
     let client = sim.spawn("client", move |ctx| {

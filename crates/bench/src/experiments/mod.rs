@@ -11,10 +11,8 @@ pub mod e11_numeric;
 pub mod e12_tms;
 pub mod e13_coedit;
 pub mod e14_costmodel;
-pub mod e15_depset;
 pub mod e16_chaos;
 pub mod e17_mc;
-pub mod e18_sharding;
 pub mod e19_memory;
 pub mod e1_callstream;
 pub mod e20_dpor;

@@ -18,16 +18,16 @@
 //! | E12 | §7 truth maintenance (ref \[12\]) | [`experiments::e12_tms`] |
 //! | E13 | §7 co-operative work (ref \[5\]) | [`experiments::e13_coedit`] |
 //! | E14 | cost-model calibration | [`experiments::e14_costmodel`] |
-//! | E15 | DepSet vs BTreeSet hot paths | [`experiments::e15_depset`] |
 //! | E16 | chaos: throughput vs fault rate | [`experiments::e16_chaos`] |
 //! | E17 | model checking: DPOR reduction, schedule-complete verdicts | [`experiments::e17_mc`] |
-//! | E18 | sharded-engine scaling: steps/s vs cores | [`experiments::e18_sharding`] |
 //! | E19 | memory vs commit horizon (fossil collection) | [`experiments::e19_memory`] |
 //! | E20 | full DPOR + symmetry ladder, Simulation-layer exhaustion | [`experiments::e20_dpor`] |
 //! | E21 | deny-storm admission control: governor off vs on | [`experiments::e21_governor`] |
 //!
 //! (E9, the theorem suite, runs under `cargo test` — see `tests/theorems.rs`
-//! at the workspace root.)
+//! at the workspace root. E15 and E18 are retired; `BENCH_e15.json` and
+//! EXPERIMENTS.md keep their records. E22, the host-time benchmark, is the
+//! separate `benchmark/` package.)
 //!
 //! Run `cargo run -p hope-bench --release --bin tables` to print all
 //! tables, or pass experiment ids (`e1 e6 …`) to select. The Criterion
@@ -44,8 +44,8 @@ pub use table::{fmt_ms, fmt_pct, tables_to_json, Table};
 
 /// All experiment ids known to the `tables` binary, in order.
 pub const EXPERIMENT_IDS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21",
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e16",
+    "e17", "e19", "e20", "e21",
 ];
 
 /// Produce the table for one experiment id.
@@ -68,10 +68,8 @@ pub fn table_for(id: &str) -> Table {
         "e12" => experiments::e12_tms::table(),
         "e13" => experiments::e13_coedit::table(),
         "e14" => experiments::e14_costmodel::table(),
-        "e15" => experiments::e15_depset::table(),
         "e16" => experiments::e16_chaos::table(),
         "e17" => experiments::e17_mc::table(),
-        "e18" => experiments::e18_sharding::table(),
         "e19" => experiments::e19_memory::table(),
         "e20" => experiments::e20_dpor::table(),
         "e21" => experiments::e21_governor::table(),

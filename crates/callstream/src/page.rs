@@ -173,7 +173,7 @@ mod tests {
     }
 
     fn run_pessimistic(start_line: i64, topo: Topology) -> hope_runtime::RunReport {
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
         let printer = ProcessId(1);
         sim.spawn("worker", move |ctx| {
             worker_pessimistic(ctx, printer, 1234, PAGE_SIZE)
@@ -183,7 +183,7 @@ mod tests {
     }
 
     fn run_optimistic(start_line: i64, topo: Topology) -> hope_runtime::RunReport {
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
         let printer = ProcessId(1);
         let wart = ProcessId(2);
         sim.spawn("worker", move |ctx| {

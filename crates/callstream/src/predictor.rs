@@ -170,7 +170,7 @@ mod tests {
         // learns the new level, and hits again.
         let topo = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_millis(5)));
         let server = hope_runtime::ProcessId(1);
-        let mut sim = Simulation::new(SimConfig::with_seed(2).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(2).with_topology(topo));
         sim.spawn("client", move |ctx| {
             let mut predictor = LastValuePredictor::with_stride(1);
             let mut seen = Vec::new();

@@ -95,7 +95,7 @@ mod tests {
         let server = ProcessId(1);
 
         // Optimistic client: two dependent calls, both predicted right.
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo.clone()));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo.clone()));
         let client = sim.spawn("client", move |ctx| {
             let a = stream_call(ctx, server, Value::Int(3), Value::Int(6))?;
             let b = stream_call(ctx, server, a.clone(), Value::Int(12))?;
@@ -110,7 +110,7 @@ mod tests {
         let opt_time = opt.finish_time(client).unwrap();
 
         // Pessimistic client: same calls, synchronous.
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
         let client = sim.spawn("client", move |ctx| {
             let a = sync_call(ctx, server, Value::Int(3))?;
             let b = sync_call(ctx, server, a.clone())?;
@@ -139,7 +139,7 @@ mod tests {
     fn wrong_prediction_rolls_back_to_truth() {
         let topo = Topology::uniform(LatencyModel::Fixed(ms(10)));
         let server = ProcessId(1);
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
         sim.spawn("client", move |ctx| {
             let a = stream_call(ctx, server, Value::Int(3), Value::Int(999))?;
             ctx.output(format!("result={a}"))?;
@@ -159,7 +159,7 @@ mod tests {
     fn chained_calls_with_one_miss() {
         let topo = Topology::uniform(LatencyModel::Fixed(ms(10)));
         let server = ProcessId(1);
-        let mut sim = Simulation::new(SimConfig::with_seed(1).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(1).with_topology(topo));
         sim.spawn("client", move |ctx| {
             let a = stream_call(ctx, server, Value::Int(1), Value::Int(2))?; // right
             let b = stream_call(ctx, server, a.clone(), Value::Int(5))?; // wrong (4)

@@ -32,7 +32,7 @@ pub fn run_session(
     seed: u64,
     insert_bias: f64,
 ) -> SessionOutcome {
-    let mut sim = Simulation::new(SimConfig::with_seed(seed).topology(topology));
+    let mut sim = Simulation::new(SimConfig::with_seed(seed).with_topology(topology));
     let sequencer = ProcessId(editors as u32);
     let total_versions = editors as u64 * edits;
     for i in 0..editors {

@@ -9,19 +9,14 @@
 //! produced; embedding runtimes act on those effects (restore checkpoints,
 //! commit output, drop ghost messages).
 //!
-//! ## Sharded storage
+//! ## Storage
 //!
-//! Records are partitioned by **owner process** into [`crate::shard`]
-//! shards; the engine keeps per-id directories mapping every AID and
-//! interval to its owning shard. The sequential transitions below are
-//! oblivious to the partitioning — they run the same statements in the same
-//! order whatever the shard count, so a 1-shard and an N-shard engine are
-//! bit-identical in every observable (the differential suite in
-//! `tests/sharded_differential.rs` holds them side by side). In sequential
-//! mode the only trace of sharding is [`Engine::tracking_stats`], which
-//! counts dependence-tracking updates that crossed an ownership boundary.
-//! [`Engine::run_phase`] additionally executes per-shard op scripts on real
-//! worker threads with batched cross-shard queues — see the method docs.
+//! §5 treats AID and interval state as global control variables, and so
+//! does the engine: one id-ordered vector of live AID records, one of live
+//! interval records, and one process table indexed by pid. Ids are dense
+//! and never reused, so a record is addressed by `id - base`, where the
+//! base is the commit horizon below which
+//! [`collect_fossils`](Engine::collect_fossils) has reclaimed storage.
 //!
 //! ## Fidelity notes
 //!
@@ -57,10 +52,6 @@ use crate::effect::Effect;
 use crate::error::{Error, Result};
 use crate::ids::{AidId, IntervalId, ProcessId};
 use crate::interval::{Checkpoint, Interval, IntervalStatus, IntervalView};
-use crate::shard::{
-    run_shard_script, CrossShardMsg, DrainOrder, EngineShard, Loc, OpAid, PhaseReport, Proc,
-    ResolvedOp, ShardOp, SnapAid, TrackingStats, WorkerCtx, NO_SHARD,
-};
 use crate::tag::{ReceiveOutcome, Tag};
 
 /// Result of [`Engine::guess`].
@@ -151,6 +142,22 @@ enum Task {
     Rollback(IntervalId),
 }
 
+/// Per-process interval bookkeeping (the paper's per-process history).
+#[derive(Debug, Clone, Default)]
+struct Proc {
+    /// Live intervals, chronological. Rollback truncates a suffix; fossil
+    /// collection truncates a definite prefix.
+    history: Vec<IntervalId>,
+    /// Total intervals ever discarded from this process (for stats/tests).
+    discarded: u64,
+    /// Definite intervals reclaimed from the front of `history` by fossil
+    /// collection. Added to `history.len()` wherever a position in the
+    /// *full* live history is needed (interval `seq` numbers), so a
+    /// collecting engine assigns exactly the values an uncollected twin
+    /// would.
+    collected: u64,
+}
+
 /// The HOPE semantics engine. See the module-level documentation above.
 ///
 /// # Examples
@@ -177,16 +184,11 @@ enum Task {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Per-owner-process record stores. A 1-shard engine (the default) is
-    /// the unsharded engine of earlier revisions with one level of
-    /// directory indirection.
-    shards: Vec<EngineShard>,
-    /// AID directory: id `aid_base + i` lives on shard `aid_dir[i].shard`
-    /// at per-shard ordinal `aid_dir[i].ord`. Ids below `aid_base` were
-    /// reclaimed by fossil collection (ids are never reused; "recycling"
-    /// reclaims storage, not numbers — in-flight tags would otherwise
-    /// alias).
-    aid_dir: Vec<Loc>,
+    /// Live AID records in id order: id `aid_base + i` is `aids[i]`. Ids
+    /// below `aid_base` were reclaimed by fossil collection (ids are never
+    /// reused; "recycling" reclaims storage, not numbers — in-flight tags
+    /// would otherwise alias).
+    aids: Vec<Aid>,
     aid_base: u64,
     /// Reclaimed AIDs that were *denied*: a late `guess` or inbound tag
     /// naming one must still answer `AlreadyFalse`/ghost exactly as an
@@ -194,34 +196,22 @@ pub struct Engine {
     /// affirmed. Affirm-heavy workloads keep this near-empty; it is the
     /// only per-fossil state retained.
     fossil_denied: BTreeSet<AidId>,
-    /// Interval directory, like `aid_dir`. Sentinel entries
-    /// ([`Loc::SENTINEL`]) mark phase-lease slots whose guess never
-    /// created an interval (answered `AlreadyFalse`, or deferred and
-    /// allocated past the leases at the drain); they answer
-    /// [`Error::UnknownInterval`] forever.
-    itv_dir: Vec<Loc>,
+    /// Live interval records in id order, like `aids`.
+    intervals: Vec<Interval>,
     interval_base: u64,
-    /// `pid.0 → shard index`. Pids are dense, so this doubles as the
-    /// process registry.
-    proc_shard: Vec<u32>,
-    next_pid: u32,
+    /// Process records, indexed by pid (pids are dense).
+    procs: Vec<Proc>,
     stats: EngineStats,
-    tracking: TrackingStats,
-    /// Whether any interval-directory sentinel holes exist (phase leases
-    /// are upper bounds; see `itv_dir`). [`Engine::interval_count`] counts
-    /// holes, so it is only comparable between engines driven through the
-    /// same mode.
-    itv_holes: bool,
     check_invariants: bool,
 }
 
 /// Where an id lands relative to the commit horizon.
 enum Slot {
-    /// Alive in some shard's store (address via the directory).
+    /// Alive in the store.
     Live,
-    /// At or below the horizon: reclaimed by fossil collection.
+    /// Below the horizon: reclaimed by fossil collection.
     Fossil,
-    /// Never allocated by this engine (or a phase-lease hole).
+    /// Never allocated by this engine.
     Unknown,
 }
 
@@ -232,49 +222,20 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Create an empty single-shard engine. Invariant checking (Lemma 5.1
-    /// symmetry and the Theorem 5.1 prefix-subset property after every
-    /// transition) is on in debug builds and off in release builds by
-    /// default.
+    /// Create an empty engine. Invariant checking (Lemma 5.1 symmetry and
+    /// the Theorem 5.1 prefix-subset property after every transition) is on
+    /// in debug builds and off in release builds by default.
     pub fn new() -> Self {
-        Engine::with_shards(1)
-    }
-
-    /// Create an empty engine with `n` shards (clamped to at least 1).
-    ///
-    /// Processes are assigned to shards round-robin by
-    /// [`register_process`](Engine::register_process) (or explicitly by
-    /// [`register_process_on`](Engine::register_process_on)); each shard
-    /// owns the AID and interval records of the processes it hosts. Shard
-    /// count does not change any observable behaviour of the sequential
-    /// API — only [`tracking_stats`](Engine::tracking_stats) and the
-    /// [`run_phase`](Engine::run_phase) parallelism depend on it.
-    pub fn with_shards(n: usize) -> Self {
-        let n = n.max(1);
         Engine {
-            shards: (0..n).map(|_| EngineShard::new()).collect(),
-            aid_dir: Vec::new(),
+            aids: Vec::new(),
             aid_base: 0,
             fossil_denied: BTreeSet::new(),
-            itv_dir: Vec::new(),
+            intervals: Vec::new(),
             interval_base: 0,
-            proc_shard: Vec::new(),
-            next_pid: 0,
+            procs: Vec::new(),
             stats: EngineStats::default(),
-            tracking: TrackingStats::default(),
-            itv_holes: false,
             check_invariants: cfg!(debug_assertions),
         }
-    }
-
-    /// Number of shards the stores are partitioned into.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Cross-shard tracking-traffic counters (see [`TrackingStats`]).
-    pub fn tracking_stats(&self) -> TrackingStats {
-        self.tracking
     }
 
     // ------------------------------------------------------------------
@@ -284,7 +245,7 @@ impl Engine {
     fn aid_slot(&self, x: AidId) -> Slot {
         if x.0 < self.aid_base {
             Slot::Fossil
-        } else if ((x.0 - self.aid_base) as usize) < self.aid_dir.len() {
+        } else if ((x.0 - self.aid_base) as usize) < self.aids.len() {
             Slot::Live
         } else {
             Slot::Unknown
@@ -294,12 +255,8 @@ impl Engine {
     fn itv_slot(&self, a: IntervalId) -> Slot {
         if a.0 < self.interval_base {
             Slot::Fossil
-        } else if ((a.0 - self.interval_base) as usize) < self.itv_dir.len() {
-            if self.itv_dir[(a.0 - self.interval_base) as usize].shard == NO_SHARD {
-                Slot::Unknown
-            } else {
-                Slot::Live
-            }
+        } else if ((a.0 - self.interval_base) as usize) < self.intervals.len() {
+            Slot::Live
         } else {
             Slot::Unknown
         }
@@ -309,41 +266,30 @@ impl Engine {
     /// ever hold references to live AIDs (IDO members are undecided, DOM
     /// owners likewise).
     fn aid_ref(&self, x: AidId) -> &Aid {
-        let loc = self.aid_dir[(x.0 - self.aid_base) as usize];
-        let sh = &self.shards[loc.shard as usize];
-        &sh.aids[(loc.ord - sh.aid_collected) as usize]
+        &self.aids[(x.0 - self.aid_base) as usize]
     }
 
     fn aid_mut(&mut self, x: AidId) -> &mut Aid {
-        let loc = self.aid_dir[(x.0 - self.aid_base) as usize];
-        let sh = &mut self.shards[loc.shard as usize];
-        &mut sh.aids[(loc.ord - sh.aid_collected) as usize]
+        &mut self.aids[(x.0 - self.aid_base) as usize]
     }
 
     /// Live interval record. Panics on fossils/unknowns: internal callers
     /// only reach intervals above the horizon (DOM members are
     /// speculative, histories are truncated at collection time).
     fn itv_ref(&self, a: IntervalId) -> &Interval {
-        let loc = self.itv_dir[(a.0 - self.interval_base) as usize];
-        let sh = &self.shards[loc.shard as usize];
-        &sh.intervals[(loc.ord - sh.itv_collected) as usize]
+        &self.intervals[(a.0 - self.interval_base) as usize]
     }
 
     fn itv_mut(&mut self, a: IntervalId) -> &mut Interval {
-        let loc = self.itv_dir[(a.0 - self.interval_base) as usize];
-        let sh = &mut self.shards[loc.shard as usize];
-        &mut sh.intervals[(loc.ord - sh.itv_collected) as usize]
+        &mut self.intervals[(a.0 - self.interval_base) as usize]
     }
 
-    /// The process record for `pid`, on whichever shard hosts it.
     fn proc_ref(&self, pid: ProcessId) -> Option<&Proc> {
-        let si = *self.proc_shard.get(pid.0 as usize)?;
-        self.shards[si as usize].procs.get(&pid)
+        self.procs.get(pid.0 as usize)
     }
 
     fn proc_mut(&mut self, pid: ProcessId) -> Option<&mut Proc> {
-        let si = *self.proc_shard.get(pid.0 as usize)?;
-        self.shards[si as usize].procs.get_mut(&pid)
+        self.procs.get_mut(pid.0 as usize)
     }
 
     /// Decision state of a reclaimed AID — exactly what an uncollected
@@ -364,37 +310,10 @@ impl Engine {
         self.check_invariants = on;
     }
 
-    /// Register a new process and return its id. Processes are assigned to
-    /// shards round-robin; a single-shard engine hosts everything on shard
-    /// 0.
+    /// Register a new process and return its id.
     pub fn register_process(&mut self) -> ProcessId {
-        let shard = (self.next_pid as usize) % self.shards.len();
-        self.register_process_on(shard)
-    }
-
-    /// Register a new process on a specific shard (for embeddings and
-    /// benchmarks that want explicit placement).
-    ///
-    /// # Panics
-    ///
-    /// If `shard >= self.shard_count()`.
-    pub fn register_process_on(&mut self, shard: usize) -> ProcessId {
-        assert!(
-            shard < self.shards.len(),
-            "shard {shard} out of range (engine has {})",
-            self.shards.len()
-        );
-        let pid = ProcessId(self.next_pid);
-        self.next_pid += 1;
-        self.proc_shard.push(shard as u32);
-        self.shards[shard].procs.insert(
-            pid,
-            Proc {
-                history: Vec::new(),
-                discarded: 0,
-                collected: 0,
-            },
-        );
+        let pid = ProcessId(self.procs.len() as u32);
+        self.procs.push(Proc::default());
         pid
     }
 
@@ -402,49 +321,35 @@ impl Engine {
     ///
     /// `creator` is recorded for traces only; *any* process may subsequently
     /// apply primitives to the AID (§4: "Any process in the system can apply
-    /// HOPE primitives to any assumption identifier"). The record is owned
-    /// by the creator's shard (shard 0 for an unregistered creator).
+    /// HOPE primitives to any assumption identifier").
     pub fn aid_init(&mut self, creator: ProcessId) -> AidId {
-        let id = AidId(self.aid_base + self.aid_dir.len() as u64);
-        let si = self
-            .proc_shard
-            .get(creator.0 as usize)
-            .copied()
-            .unwrap_or(0) as usize;
-        let sh = &mut self.shards[si];
-        let ord = sh.aid_collected + sh.aids.len() as u64;
-        self.aid_dir.push(Loc {
-            shard: si as u32,
-            ord,
-        });
-        sh.aids.push(Aid::new(id, creator));
+        let id = AidId(self.aid_base + self.aids.len() as u64);
+        self.aids.push(Aid::new(id, creator));
         id
     }
 
     /// Number of AIDs created so far, including reclaimed fossils.
     pub fn aid_count(&self) -> usize {
-        (self.aid_base as usize) + self.aid_dir.len()
+        (self.aid_base as usize) + self.aids.len()
     }
 
-    /// Number of interval ids allocated so far (live, definite, rolled back
-    /// and reclaimed fossils — plus, after [`run_phase`](Engine::run_phase),
-    /// any unused phase-lease holes). Comparable between engines only when
-    /// both were driven through the same mode.
+    /// Number of intervals created so far (live, definite, rolled back and
+    /// reclaimed fossils).
     pub fn interval_count(&self) -> usize {
-        (self.interval_base as usize) + self.itv_dir.len()
+        (self.interval_base as usize) + self.intervals.len()
     }
 
     /// Number of AIDs currently held in live storage (above the commit
     /// horizon). This — not [`aid_count`](Engine::aid_count) — is what
     /// bounds memory on a long run with fossil collection.
     pub fn live_aid_count(&self) -> usize {
-        self.shards.iter().map(|s| s.aids.len()).sum()
+        self.aids.len()
     }
 
     /// Number of intervals currently held in live storage (above the
     /// commit horizon).
     pub fn live_interval_count(&self) -> usize {
-        self.shards.iter().map(|s| s.intervals.len()).sum()
+        self.intervals.len()
     }
 
     /// The interval commit horizon: every interval with a smaller id is
@@ -480,16 +385,10 @@ impl Engine {
     /// never finalize anything on their own, so some environment-level
     /// agent must eventually issue definite decisions.
     pub fn open_aids(&self) -> Vec<AidId> {
-        // Fossils are decided by construction, so iterating the live
-        // directory (in id order, as the unsharded engine scanned its
-        // store) answers exactly what a full scan of an uncollected engine
-        // would.
-        self.aid_dir
+        // Fossils are decided by construction, so scanning the live store
+        // answers exactly what a full scan of an uncollected engine would.
+        self.aids
             .iter()
-            .map(|loc| {
-                let sh = &self.shards[loc.shard as usize];
-                &sh.aids[(loc.ord - sh.aid_collected) as usize]
-            })
             .filter(|a| a.state == AidState::Undecided && !a.consumed)
             .map(|a| a.id)
             .collect()
@@ -714,26 +613,15 @@ impl Engine {
         };
         ido.union_with(&guessed);
 
-        let id = IntervalId(self.interval_base + self.itv_dir.len() as u64);
-        let home = self.proc_shard[pid.0 as usize];
-        let count_crossings = self.shards.len() > 1;
+        let id = IntervalId(self.interval_base + self.intervals.len() as u64);
         for x in &ido {
-            // In a distributed deployment a DOM registration on a foreign
-            // shard is one tracking message; count it (satellite of the
-            // sharding work — excluded from determinism fingerprints).
-            if count_crossings && self.aid_dir[(x.0 - self.aid_base) as usize].shard != home {
-                self.tracking.cross_shard_messages += 1;
-            }
             self.aid_mut(x).dom.insert(id);
         }
         let ido_empty = ido.is_empty();
         let proc = self.proc_mut(pid).expect("validated above");
         let seq = proc.collected as usize + proc.history.len();
         proc.history.push(id);
-        let sh = &mut self.shards[home as usize];
-        let ord = sh.itv_collected + sh.intervals.len() as u64;
-        self.itv_dir.push(Loc { shard: home, ord });
-        sh.intervals.push(Interval {
+        self.intervals.push(Interval {
             id,
             pid,
             ps,
@@ -985,487 +873,59 @@ impl Engine {
     pub fn collect_fossils(&mut self) -> FossilSweep {
         // Interval horizon: min over processes of the first speculative
         // interval's id; a fully definite process imposes no bound.
-        let total = self.interval_base + self.itv_dir.len() as u64;
+        let total = self.interval_base + self.intervals.len() as u64;
         let mut horizon = total;
-        for sh in &self.shards {
-            for proc in sh.procs.values() {
-                let frontier = proc
-                    .history
-                    .iter()
-                    .copied()
-                    .find(|&a| self.itv_ref(a).status == IntervalStatus::Speculative)
-                    .map_or(total, |a| a.0);
-                horizon = horizon.min(frontier);
-            }
+        for proc in &self.procs {
+            let frontier = proc
+                .history
+                .iter()
+                .copied()
+                .find(|&a| self.itv_ref(a).status == IntervalStatus::Speculative)
+                .map_or(total, |a| a.0);
+            horizon = horizon.min(frontier);
         }
         let n_itv = (horizon - self.interval_base) as usize;
-        let mut reclaimed_itvs = 0u64;
         if n_itv > 0 {
-            for sh in &mut self.shards {
-                for proc in sh.procs.values_mut() {
-                    // History ids are strictly increasing, so the
-                    // collectable entries form a prefix.
-                    let keep = proc
-                        .history
-                        .iter()
-                        .position(|&a| a.0 >= horizon)
-                        .unwrap_or(proc.history.len());
-                    proc.history.drain(..keep);
-                    proc.collected += keep as u64;
-                }
+            for proc in &mut self.procs {
+                // History ids are strictly increasing, so the collectable
+                // entries form a prefix.
+                let keep = proc
+                    .history
+                    .iter()
+                    .position(|&a| a.0 >= horizon)
+                    .unwrap_or(proc.history.len());
+                proc.history.drain(..keep);
+                proc.collected += keep as u64;
             }
-            // Per-shard record counts in the directory prefix (sentinel
-            // holes have no record to drop). Each shard's store is sorted
-            // by id, so its members of the prefix are a store prefix.
-            let mut per = vec![0usize; self.shards.len()];
-            for loc in &self.itv_dir[..n_itv] {
-                if loc.shard != NO_SHARD {
-                    per[loc.shard as usize] += 1;
-                }
-            }
-            for (si, &n) in per.iter().enumerate() {
-                if n > 0 {
-                    let sh = &mut self.shards[si];
-                    debug_assert!(sh.intervals[..n]
-                        .iter()
-                        .all(|i| i.status != IntervalStatus::Speculative));
-                    sh.intervals.drain(..n);
-                    sh.itv_collected += n as u64;
-                    reclaimed_itvs += n as u64;
-                }
-            }
-            self.itv_dir.drain(..n_itv);
+            debug_assert!(self.intervals[..n_itv]
+                .iter()
+                .all(|i| i.status != IntervalStatus::Speculative));
+            self.intervals.drain(..n_itv);
             self.interval_base = horizon;
-            self.stats.fossil_intervals += reclaimed_itvs;
+            self.stats.fossil_intervals += n_itv as u64;
         }
 
         // AID horizon: the leading run of definitively decided AIDs.
-        let mut n_aid = 0usize;
-        let mut newly_denied: Vec<AidId> = Vec::new();
-        for loc in &self.aid_dir {
-            let sh = &self.shards[loc.shard as usize];
-            let a = &sh.aids[(loc.ord - sh.aid_collected) as usize];
-            if a.state == AidState::Undecided {
-                break;
-            }
-            if a.state == AidState::Denied {
-                newly_denied.push(a.id);
-            }
-            n_aid += 1;
-        }
-        self.fossil_denied.extend(newly_denied);
+        let n_aid = self
+            .aids
+            .iter()
+            .position(|a| a.state == AidState::Undecided)
+            .unwrap_or(self.aids.len());
         if n_aid > 0 {
-            let mut per = vec![0usize; self.shards.len()];
-            for loc in &self.aid_dir[..n_aid] {
-                per[loc.shard as usize] += 1;
-            }
-            for (si, &n) in per.iter().enumerate() {
-                if n > 0 {
-                    let sh = &mut self.shards[si];
-                    sh.aids.drain(..n);
-                    sh.aid_collected += n as u64;
+            for a in self.aids.drain(..n_aid) {
+                if a.state == AidState::Denied {
+                    self.fossil_denied.insert(a.id);
                 }
             }
-            self.aid_dir.drain(..n_aid);
             self.aid_base += n_aid as u64;
             self.stats.fossil_aids += n_aid as u64;
         }
         self.post_check();
         FossilSweep {
-            intervals: reclaimed_itvs,
+            intervals: n_itv as u64,
             aids: n_aid as u64,
             interval_horizon: self.interval_base,
             aid_horizon: self.aid_base,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // phase execution — per-shard worker threads, batched cross-shard
-    // queues, quiescent-point drain
-    // ------------------------------------------------------------------
-
-    /// Execute one **phase**: per-shard op scripts on (up to) `workers`
-    /// scoped worker threads, each owning its shard exclusively, with all
-    /// cross-shard tracking traffic batched into per-shard-pair FIFO
-    /// queues and drained — in deterministic `order` — at the quiescent
-    /// point that ends the phase.
-    ///
-    /// During a phase **no assumption changes state**: every
-    /// `affirm`/`deny`/`free_of` defers to the drain (where the full
-    /// sequential cascade machinery replays it), so workers can trust a
-    /// pre-phase decision snapshot and run `aid_init` and `guess` entirely
-    /// shard-locally. The one guess step that touches foreign shards —
-    /// registering the new interval in a remote AID's `DOM` — is emitted as
-    /// a queue message instead of taking the remote shard's store inline
-    /// (the §7 promise). A guess naming a speculatively-affirmed AID also
-    /// defers (Equations 10–14 need the affirmer's interval), as does every
-    /// later op of a process once one of its ops deferred, preserving
-    /// per-process program order.
-    ///
-    /// Id allocation is deterministic: each shard gets a contiguous lease
-    /// of AID and interval ids (shard 0's block first), so the records a
-    /// worker creates are independent of worker count and thread timing —
-    /// the whole phase is bit-identical for any `workers`, and committed
-    /// outcomes for single-decider workloads are invariant under `order`
-    /// (property-tested in `tests/sharded_differential.rs`).
-    ///
-    /// `scripts[i]` runs on shard `i` and may only name processes hosted
-    /// there. [`OpAid::Id`] must reference pre-phase AIDs;
-    /// [`OpAid::New`]`(k)` references the `k`-th `AidInit` of the *same*
-    /// script. Validation happens before any state changes, so an `Err`
-    /// leaves the engine untouched.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::UnknownProcess`] for an op naming an unregistered process.
-    /// * [`Error::UnknownAid`] for an [`OpAid::Id`] not allocated before
-    ///   the phase.
-    /// * [`Error::EmptyGuess`] for a guess naming no AIDs.
-    ///
-    /// # Panics
-    ///
-    /// On structural misuse (driver bugs, not data-dependent conditions):
-    /// `scripts.len() != self.shard_count()`, `order.len() !=
-    /// self.shard_count()`, an op submitted to a shard that does not host
-    /// its process, or an [`OpAid::New`]`(k)` preceding its `AidInit`.
-    pub fn run_phase(
-        &mut self,
-        scripts: Vec<Vec<ShardOp>>,
-        workers: usize,
-        order: &DrainOrder,
-    ) -> Result<PhaseReport> {
-        let nshards = self.shards.len();
-        assert_eq!(
-            scripts.len(),
-            nshards,
-            "run_phase needs one script per shard"
-        );
-        assert_eq!(order.len(), nshards, "drain order must cover every shard");
-
-        // --- validate and size the id leases (no state changes yet) ---
-        let pre_next_aid = self.aid_base + self.aid_dir.len() as u64;
-        let mut aid_lease = vec![0u64; nshards]; // exact: AidInit count
-        let mut itv_lease = vec![0u64; nshards]; // upper bound: Guess count
-        let mut total_ops = 0u64;
-        for (si, script) in scripts.iter().enumerate() {
-            let mut inits = 0u64;
-            for op in script {
-                total_ops += 1;
-                let pid = op.pid();
-                match self.proc_shard.get(pid.0 as usize) {
-                    None => return Err(Error::UnknownProcess(pid)),
-                    Some(&owner) => assert_eq!(
-                        owner as usize, si,
-                        "op for {pid} submitted to shard {si}, which does not host it"
-                    ),
-                }
-                match op {
-                    ShardOp::AidInit { .. } => inits += 1,
-                    ShardOp::Guess { aids, .. } => {
-                        if aids.is_empty() {
-                            return Err(Error::EmptyGuess);
-                        }
-                        for &a in aids {
-                            Self::check_opaid(a, inits, pre_next_aid)?;
-                        }
-                        itv_lease[si] += 1;
-                    }
-                    ShardOp::Affirm { aid, .. }
-                    | ShardOp::Deny { aid, .. }
-                    | ShardOp::FreeOf { aid, .. } => Self::check_opaid(*aid, inits, pre_next_aid)?,
-                }
-            }
-            aid_lease[si] = inits;
-        }
-
-        // --- id leases: contiguous ascending blocks, shard 0 first ---
-        // AID leases are exact, so the directory entries written here are
-        // final; interval leases are upper bounds, filled (or left as
-        // sentinel holes) after the workers join.
-        let mut aid_lease_start = vec![0u64; nshards];
-        let mut next_aid = pre_next_aid;
-        for si in 0..nshards {
-            aid_lease_start[si] = next_aid;
-            let ord0 = self.shards[si].aid_collected + self.shards[si].aids.len() as u64;
-            for k in 0..aid_lease[si] {
-                self.aid_dir.push(Loc {
-                    shard: si as u32,
-                    ord: ord0 + k,
-                });
-            }
-            next_aid += aid_lease[si];
-        }
-        let mut itv_lease_start = vec![0u64; nshards];
-        let mut itv_start_ord = vec![0u64; nshards];
-        let mut next_itv = self.interval_base + self.itv_dir.len() as u64;
-        for si in 0..nshards {
-            itv_lease_start[si] = next_itv;
-            itv_start_ord[si] =
-                self.shards[si].itv_collected + self.shards[si].intervals.len() as u64;
-            for _ in 0..itv_lease[si] {
-                self.itv_dir.push(Loc::SENTINEL);
-            }
-            next_itv += itv_lease[si];
-        }
-
-        // --- pre-phase decision snapshot (valid all phase: decisions
-        // defer, so no AID changes state while workers run) ---
-        let snapshot: Vec<SnapAid> = self.aid_dir[..(pre_next_aid - self.aid_base) as usize]
-            .iter()
-            .map(|loc| {
-                let sh = &self.shards[loc.shard as usize];
-                let a = &sh.aids[(loc.ord - sh.aid_collected) as usize];
-                SnapAid {
-                    state: a.state,
-                    spec_affirmed: a.spec_affirmed_by.is_some(),
-                }
-            })
-            .collect();
-
-        self.tracking.phases += 1;
-
-        // --- execute: each worker owns a disjoint set of shards ---
-        let aid_base = self.aid_base;
-        let mut outs: Vec<Option<crate::shard::WorkerOut>> = (0..nshards).map(|_| None).collect();
-        {
-            let Engine {
-                shards,
-                aid_dir,
-                fossil_denied,
-                ..
-            } = self;
-            let aid_dir: &[Loc] = aid_dir;
-            let fossil_denied: &BTreeSet<AidId> = fossil_denied;
-            let snapshot: &[SnapAid] = &snapshot;
-            let scripts: &[Vec<ShardOp>] = &scripts;
-            let aid_lease_start: &[u64] = &aid_lease_start;
-            let itv_lease_start: &[u64] = &itv_lease_start;
-            let make_ctx = move |si: usize| WorkerCtx {
-                shard_idx: si,
-                nshards,
-                aid_base,
-                aid_dir,
-                snapshot,
-                snapshot_end: pre_next_aid,
-                fossil_denied,
-                aid_lease_start: aid_lease_start[si],
-                itv_lease_start: itv_lease_start[si],
-            };
-            let w = workers.max(1).min(nshards.max(1));
-            if w <= 1 {
-                // Same code path as the threaded branch, minus the spawn:
-                // worker-count 1 and worker-count N produce byte-identical
-                // WorkerOuts because each shard's execution is a function
-                // of (shard state, snapshot, script) only.
-                for (si, shard) in shards.iter_mut().enumerate() {
-                    outs[si] = Some(run_shard_script(shard, &make_ctx(si), &scripts[si]));
-                }
-            } else {
-                let mut buckets: Vec<Vec<(usize, &mut EngineShard)>> =
-                    (0..w).map(|_| Vec::new()).collect();
-                for (si, shard) in shards.iter_mut().enumerate() {
-                    buckets[si % w].push((si, shard));
-                }
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = buckets
-                        .into_iter()
-                        .map(|bucket| {
-                            scope.spawn(move || {
-                                bucket
-                                    .into_iter()
-                                    .map(|(si, shard)| {
-                                        (si, run_shard_script(shard, &make_ctx(si), &scripts[si]))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        for (si, out) in h.join().expect("phase worker panicked") {
-                            outs[si] = Some(out);
-                        }
-                    }
-                });
-            }
-        }
-
-        // --- post-join bookkeeping, in shard-index order ---
-        let mut effects: Vec<Effect> = Vec::new();
-        let mut busy_ns = vec![0u64; nshards];
-        let mut deferred_total = 0u64;
-        let mut queues: Vec<Vec<Vec<CrossShardMsg>>> = Vec::with_capacity(nshards);
-        for (si, out) in outs.into_iter().enumerate() {
-            let out = out.expect("every shard ran");
-            debug_assert_eq!(out.created_aids, aid_lease[si]);
-            for (k, &id) in out.created_itvs.iter().enumerate() {
-                self.itv_dir[(id.0 - self.interval_base) as usize] = Loc {
-                    shard: si as u32,
-                    ord: itv_start_ord[si] + k as u64,
-                };
-            }
-            if (out.created_itvs.len() as u64) < itv_lease[si] {
-                self.itv_holes = true;
-            }
-            self.stats.guesses += out.guesses;
-            self.stats.failed_guesses += out.failed_guesses;
-            self.stats.finalized += out.finalized;
-            deferred_total += out.deferred;
-            busy_ns[si] = out.busy_ns;
-            effects.extend(out.effects);
-            queues.push(out.queues);
-        }
-        self.tracking.deferred_ops += deferred_total;
-
-        // --- quiescent-point drain: deterministic (order, then source
-        // shard, then FIFO) application of the batched traffic.
-        // Lemma 5.1 symmetry is intentionally broken mid-drain (DomInserts
-        // still queued), so invariant checking pauses until the end.
-        let t_drain = std::time::Instant::now();
-        let saved_checks = self.check_invariants;
-        self.check_invariants = false;
-        let mut cross_msgs = 0u64;
-        let mut flushes = 0u64;
-        let mut max_depth = 0u64;
-        for &dst in order.dsts() {
-            for src_queues in queues.iter_mut() {
-                let batch = std::mem::take(&mut src_queues[dst]);
-                if batch.is_empty() {
-                    continue;
-                }
-                flushes += 1;
-                max_depth = max_depth.max(batch.len() as u64);
-                for msg in batch {
-                    match msg {
-                        CrossShardMsg::DomInsert { aid, interval } => {
-                            cross_msgs += 1;
-                            self.apply_dom_insert(aid, interval, &mut effects);
-                        }
-                        CrossShardMsg::Deferred(op) => self.apply_deferred(op, &mut effects),
-                    }
-                }
-            }
-        }
-        self.check_invariants = saved_checks;
-        self.post_check();
-        let drain_ns = t_drain.elapsed().as_nanos() as u64;
-
-        self.tracking.cross_shard_messages += cross_msgs;
-        self.tracking.batch_flushes += flushes;
-        self.tracking.max_queue_depth = self.tracking.max_queue_depth.max(max_depth);
-        Ok(PhaseReport {
-            effects,
-            ops: total_ops,
-            deferred_ops: deferred_total,
-            cross_shard_messages: cross_msgs,
-            batch_flushes: flushes,
-            max_queue_depth: max_depth,
-            busy_ns,
-            drain_ns,
-        })
-    }
-
-    /// Validate one phase-script AID reference (see
-    /// [`run_phase`](Engine::run_phase) for the rules).
-    fn check_opaid(a: OpAid, inits_so_far: u64, pre_next_aid: u64) -> Result<()> {
-        match a {
-            OpAid::New(k) => {
-                assert!(
-                    (k as u64) < inits_so_far,
-                    "OpAid::New({k}) precedes its AidInit in the shard script"
-                );
-                Ok(())
-            }
-            OpAid::Id(x) => {
-                if x.0 >= pre_next_aid {
-                    Err(Error::UnknownAid(x))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Drain-time handler for a batched cross-shard DOM registration:
-    /// worker-created interval `b` holds `x` in its IDO; complete the
-    /// Lemma 5.1 symmetry against `x`'s *current* state, which earlier
-    /// drain steps may have changed since the worker ran.
-    fn apply_dom_insert(&mut self, x: AidId, b: IntervalId, effects: &mut Vec<Effect>) {
-        // The target interval may already have rolled back during this
-        // drain (do_rollback's DOM withdrawal of an unregistered edge was
-        // a no-op; the stale insert must simply not happen).
-        if !matches!(self.itv_slot(b), Slot::Live)
-            || self.itv_ref(b).status != IntervalStatus::Speculative
-        {
-            return;
-        }
-        let mut wl = VecDeque::new();
-        let state = match self.aid_slot(x) {
-            Slot::Live => self.aid_ref(x).state,
-            // Unreachable today (collection never runs mid-drain), but a
-            // fossil is just a decided AID.
-            Slot::Fossil => self.fossil_aid_state(x),
-            Slot::Unknown => unreachable!("validated before the phase ran"),
-        };
-        match state {
-            AidState::Undecided => {
-                let spec_by = self.aid_ref(x).spec_affirmed_by;
-                match spec_by {
-                    Some(af) => {
-                        // A drain-step affirm dissolved x (Eq. 10–14); the
-                        // late dependent swaps x for the affirmer's IDO.
-                        let mut a_ido = self.itv_ref(af).ido.clone();
-                        a_ido.remove(&x);
-                        for y in &a_ido {
-                            self.aid_mut(y).dom.insert(b);
-                        }
-                        let itv = self.itv_mut(b);
-                        itv.ido.remove(&x);
-                        itv.ido.union_with(&a_ido);
-                        if itv.ido.is_empty() {
-                            wl.push_back(Task::Finalize(b));
-                        }
-                    }
-                    None => {
-                        // The common case: complete the symmetry.
-                        self.aid_mut(x).dom.insert(b);
-                    }
-                }
-            }
-            AidState::Affirmed => {
-                // Decided affirmatively by an earlier drain step: the
-                // dependence is already discharged.
-                let itv = self.itv_mut(b);
-                itv.ido.remove(&x);
-                if itv.ido.is_empty() {
-                    wl.push_back(Task::Finalize(b));
-                }
-            }
-            AidState::Denied => {
-                // Decided negatively: b is built on a false assumption.
-                wl.push_back(Task::Rollback(b));
-            }
-        }
-        self.drain(&mut wl, effects);
-    }
-
-    /// Drain-time replay of a deferred op through the full sequential
-    /// engine. Pre-phase validation makes every error unreachable except
-    /// [`Error::AidConsumed`], which means an earlier drain step (another
-    /// decider, or a cascade) settled the AID first — the op loses the
-    /// one-shot race, exactly as it would have under any sequential
-    /// interleaving.
-    fn apply_deferred(&mut self, op: ResolvedOp, effects: &mut Vec<Effect>) {
-        let res = match op {
-            ResolvedOp::Guess { pid, aids, ps } => self
-                .guess(pid, &aids, ps)
-                .map(|(_outcome, fx)| effects.extend(fx)),
-            ResolvedOp::Affirm { pid, aid } => self.affirm(pid, aid).map(|fx| effects.extend(fx)),
-            ResolvedOp::Deny { pid, aid } => self.deny(pid, aid).map(|fx| effects.extend(fx)),
-            ResolvedOp::FreeOf { pid, aid } => self.free_of(pid, aid).map(|fx| effects.extend(fx)),
-        };
-        match res {
-            Ok(()) | Err(Error::AidConsumed(_)) => {}
-            Err(e) => unreachable!("deferred op failed after pre-phase validation: {e}"),
         }
     }
 
@@ -1575,15 +1035,7 @@ impl Engine {
         aid.spec_affirmed_by = None;
         aid.consumed = true;
         let dom = std::mem::take(&mut aid.dom);
-        let x_home = self.aid_dir[(x.0 - self.aid_base) as usize].shard;
-        let count_crossings = self.shards.len() > 1;
         for b in &dom {
-            // Discharging a dependent hosted elsewhere is one cascade
-            // notification across the ownership boundary.
-            if count_crossings && self.itv_dir[(b.0 - self.interval_base) as usize].shard != x_home
-            {
-                self.tracking.cross_shard_messages += 1;
-            }
             let itv = self.itv_mut(b);
             itv.ido.remove(&x);
             if itv.ido.is_empty() {
@@ -1602,13 +1054,7 @@ impl Engine {
         aid.spec_denied_by = None;
         aid.consumed = true;
         let dom = std::mem::take(&mut aid.dom);
-        let x_home = self.aid_dir[(x.0 - self.aid_base) as usize].shard;
-        let count_crossings = self.shards.len() > 1;
         for b in &dom {
-            if count_crossings && self.itv_dir[(b.0 - self.interval_base) as usize].shard != x_home
-            {
-                self.tracking.cross_shard_messages += 1;
-            }
             wl.push_back(Task::Rollback(b));
         }
     }
@@ -1681,8 +1127,6 @@ impl Engine {
         self.stats.rolled_back_intervals += discarded.len() as u64;
         self.stats.rollback_events += 1;
         let checkpoint = self.itv_ref(a).ps;
-        let home = self.proc_shard[pid.0 as usize];
-        let count_crossings = self.shards.len() > 1;
 
         // Unwind latest-first, as an implementation would.
         for &c in discarded.iter().rev() {
@@ -1695,11 +1139,6 @@ impl Engine {
             // Withdraw from every DOM set (keeps Lemma 5.1 symmetric).
             let ido = self.itv_ref(c).ido.clone();
             for x in &ido {
-                // Withdrawing from a DOM hosted elsewhere is one tracking
-                // message across the ownership boundary.
-                if count_crossings && self.aid_dir[(x.0 - self.aid_base) as usize].shard != home {
-                    self.tracking.cross_shard_messages += 1;
-                }
                 self.aid_mut(x).dom.remove(&c);
             }
             // Speculative affirms become conservative definite denies
@@ -1760,95 +1199,88 @@ impl Engine {
     /// engine bug, not caller misuse).
     pub fn verify_invariants(&self) -> std::result::Result<(), String> {
         // 1 + 3: interval-side checks.
-        for sh in &self.shards {
-            for itv in &sh.intervals {
-                match itv.status {
-                    IntervalStatus::Speculative => {
-                        if itv.ido.is_empty() {
-                            return Err(format!("{} speculative with empty IDO", itv.id));
-                        }
-                        for x in &itv.ido {
-                            if !self.aid_ref(x).dom.contains(&itv.id) {
-                                return Err(format!(
-                                    "Lemma 5.1: {} ∈ {}.IDO but {} ∉ {}.DOM",
-                                    x, itv.id, itv.id, x
-                                ));
-                            }
+        for itv in &self.intervals {
+            match itv.status {
+                IntervalStatus::Speculative => {
+                    if itv.ido.is_empty() {
+                        return Err(format!("{} speculative with empty IDO", itv.id));
+                    }
+                    for x in &itv.ido {
+                        if !self.aid_ref(x).dom.contains(&itv.id) {
+                            return Err(format!(
+                                "Lemma 5.1: {} ∈ {}.IDO but {} ∉ {}.DOM",
+                                x, itv.id, itv.id, x
+                            ));
                         }
                     }
-                    IntervalStatus::Definite | IntervalStatus::RolledBack => {
-                        for ash in &self.shards {
-                            for aid in &ash.aids {
-                                if aid.dom.contains(&itv.id) {
-                                    return Err(format!(
-                                        "{} is {:?} but present in {}.DOM",
-                                        itv.id, itv.status, aid.id
-                                    ));
-                                }
-                            }
+                }
+                IntervalStatus::Definite | IntervalStatus::RolledBack => {
+                    for aid in &self.aids {
+                        if aid.dom.contains(&itv.id) {
+                            return Err(format!(
+                                "{} is {:?} but present in {}.DOM",
+                                itv.id, itv.status, aid.id
+                            ));
                         }
                     }
                 }
             }
         }
         // 1: AID-side symmetry.
-        for sh in &self.shards {
-            for aid in &sh.aids {
-                for a in &aid.dom {
-                    let itv = self.itv_ref(a);
-                    if !itv.ido.contains(&aid.id) {
-                        return Err(format!(
-                            "Lemma 5.1: {} ∈ {}.DOM but {} ∉ {}.IDO",
-                            a, aid.id, aid.id, a
-                        ));
-                    }
-                    if itv.status != IntervalStatus::Speculative {
-                        return Err(format!("{} in {}.DOM is not speculative", a, aid.id));
-                    }
-                }
-                if aid.state == AidState::Denied && !aid.dom.is_empty() {
-                    return Err(format!("denied {} has non-empty DOM", aid.id));
-                }
-                if aid.state == AidState::Affirmed && !aid.dom.is_empty() {
-                    return Err(format!("affirmed {} has non-empty DOM", aid.id));
-                }
-                if aid.spec_affirmed_by.is_some() && !aid.dom.is_empty() {
+        for aid in &self.aids {
+            for a in &aid.dom {
+                let itv = self.itv_ref(a);
+                if !itv.ido.contains(&aid.id) {
                     return Err(format!(
-                        "speculatively affirmed {} has direct dependents (Eq. 10–14 \
-                         dissolve dependence permanently)",
-                        aid.id
+                        "Lemma 5.1: {} ∈ {}.DOM but {} ∉ {}.IDO",
+                        a, aid.id, aid.id, a
                     ));
                 }
+                if itv.status != IntervalStatus::Speculative {
+                    return Err(format!("{} in {}.DOM is not speculative", a, aid.id));
+                }
+            }
+            if aid.state == AidState::Denied && !aid.dom.is_empty() {
+                return Err(format!("denied {} has non-empty DOM", aid.id));
+            }
+            if aid.state == AidState::Affirmed && !aid.dom.is_empty() {
+                return Err(format!("affirmed {} has non-empty DOM", aid.id));
+            }
+            if aid.spec_affirmed_by.is_some() && !aid.dom.is_empty() {
+                return Err(format!(
+                    "speculatively affirmed {} has direct dependents (Eq. 10–14 \
+                     dissolve dependence permanently)",
+                    aid.id
+                ));
             }
         }
         // 2 + 3: per-process history checks.
-        for sh in &self.shards {
-            for (pid, proc) in &sh.procs {
-                let mut seen_speculative = false;
-                let mut prev: Option<&Interval> = None;
-                for &a in &proc.history {
-                    let itv = self.itv_ref(a);
-                    if itv.status == IntervalStatus::RolledBack {
-                        return Err(format!("rolled-back {} still in {}'s history", a, pid));
-                    }
-                    if itv.status == IntervalStatus::Speculative {
-                        seen_speculative = true;
-                    } else if seen_speculative {
+        for (i, proc) in self.procs.iter().enumerate() {
+            let pid = ProcessId(i as u32);
+            let mut seen_speculative = false;
+            let mut prev: Option<&Interval> = None;
+            for &a in &proc.history {
+                let itv = self.itv_ref(a);
+                if itv.status == IntervalStatus::RolledBack {
+                    return Err(format!("rolled-back {} still in {}'s history", a, pid));
+                }
+                if itv.status == IntervalStatus::Speculative {
+                    seen_speculative = true;
+                } else if seen_speculative {
+                    return Err(format!(
+                        "definite {} follows a speculative interval in {}'s history",
+                        a, pid
+                    ));
+                }
+                if let Some(p) = prev {
+                    if !p.ido.is_subset(&itv.ido) {
                         return Err(format!(
-                            "definite {} follows a speculative interval in {}'s history",
-                            a, pid
+                            "prefix-subset: {}.IDO ⊄ {}.IDO in {}'s history",
+                            p.id, itv.id, pid
                         ));
                     }
-                    if let Some(p) = prev {
-                        if !p.ido.is_subset(&itv.ido) {
-                            return Err(format!(
-                                "prefix-subset: {}.IDO ⊄ {}.IDO in {}'s history",
-                                p.id, itv.id, pid
-                            ));
-                        }
-                    }
-                    prev = Some(itv);
                 }
+                prev = Some(itv);
             }
         }
         Ok(())

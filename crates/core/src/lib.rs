@@ -74,7 +74,6 @@ mod engine;
 mod error;
 mod ids;
 mod interval;
-mod shard;
 mod tag;
 
 pub mod depset;
@@ -91,5 +90,4 @@ pub use error::{Error, Result};
 pub use ids::{AidId, IntervalId, ProcessId};
 pub use interval::{Checkpoint, IntervalStatus, IntervalView};
 pub use observer::{Action, DecideKind, NullObserver, RuntimeObserver};
-pub use shard::{DrainOrder, OpAid, PhaseReport, ShardOp, TrackingStats};
 pub use tag::{ReceiveOutcome, Tag};

@@ -80,7 +80,7 @@ fn chunk_config(p: &Problem, i: usize) -> ChunkConfig {
 
 /// Run the problem on the given topology, optimistically or not.
 pub fn run(problem: &Problem, topology: Topology, seed: u64, optimistic: bool) -> JacobiOutcome {
-    let mut sim = Simulation::new(SimConfig::with_seed(seed).topology(topology));
+    let mut sim = Simulation::new(SimConfig::with_seed(seed).with_topology(topology));
     for i in 0..problem.n_chunks {
         let cfg = chunk_config(problem, i);
         if optimistic {

@@ -297,7 +297,7 @@ mod tests {
     fn uncontended_optimistic_writes_commit_and_hide_latency() {
         let primary = ProcessId(1);
         let run = |optimistic: bool| {
-            let mut sim = Simulation::new(SimConfig::with_seed(2).topology(topo()));
+            let mut sim = Simulation::new(SimConfig::with_seed(2).with_topology(topo()));
             let client = sim.spawn("client", move |ctx| {
                 let mut rep = Replica::new(primary);
                 for i in 0..5 {
@@ -337,7 +337,7 @@ mod tests {
     #[test]
     fn conflicting_writers_converge() {
         let primary = ProcessId(2);
-        let mut sim = Simulation::new(SimConfig::with_seed(3).topology(topo()));
+        let mut sim = Simulation::new(SimConfig::with_seed(3).with_topology(topo()));
         for idx in 0..2u32 {
             sim.spawn(format!("client{idx}"), move |ctx| {
                 let mut rep = Replica::new(primary);
@@ -382,7 +382,7 @@ mod tests {
         // reads observe the new value (from the local cache), and the
         // guarantee survives commitment.
         let primary = ProcessId(1);
-        let mut sim = Simulation::new(SimConfig::with_seed(6).topology(topo()));
+        let mut sim = Simulation::new(SimConfig::with_seed(6).with_topology(topo()));
         sim.spawn("client", move |ctx| {
             let mut rep = Replica::new(primary);
             rep.write_optimistic(ctx, "k", Value::Int(1))?;
@@ -414,7 +414,7 @@ mod tests {
         // transactions; all-or-nothing certification means the final
         // versions of the pair advance in lock-step.
         let primary = ProcessId(2);
-        let mut sim = Simulation::new(SimConfig::with_seed(12).topology(topo()));
+        let mut sim = Simulation::new(SimConfig::with_seed(12).with_topology(topo()));
         for c in 0..2u32 {
             sim.spawn(format!("client{c}"), move |ctx| {
                 let mut rep = Replica::new(primary);
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn multi_key_write_uncontended_commits_first_try() {
         let primary = ProcessId(1);
-        let mut sim = Simulation::new(SimConfig::with_seed(3).topology(topo()));
+        let mut sim = Simulation::new(SimConfig::with_seed(3).with_topology(topo()));
         sim.spawn("client", move |ctx| {
             let mut rep = Replica::new(primary);
             let ok = rep.write_many_optimistic(
@@ -574,7 +574,7 @@ mod tests {
     #[test]
     fn notices_propagate_to_other_replicas() {
         let primary = ProcessId(2);
-        let mut sim = Simulation::new(SimConfig::with_seed(4).topology(topo()));
+        let mut sim = Simulation::new(SimConfig::with_seed(4).with_topology(topo()));
         sim.spawn("writer", move |ctx| {
             let mut rep = Replica::new(primary);
             rep.write_optimistic(ctx, "k", Value::Int(9))?;

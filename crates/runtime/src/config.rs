@@ -80,15 +80,6 @@ pub struct SimConfig {
     /// AIDs that were concurrently decided. Off by default: it keeps a
     /// vector clock per process and inspects every action.
     pub detect_races: bool,
-    /// Number of storage shards the semantics engine is built with
-    /// ([`hope_core::Engine::with_shards`]). Sharding is transparent to
-    /// every committed observable — the sharded-vs-unsharded differential
-    /// suite asserts [`RunReport::fingerprint`](crate::RunReport) equality
-    /// across shard counts — and only changes which shard's store each
-    /// process's records live in, plus the cross-shard traffic counters
-    /// reported (and fingerprint-masked) in
-    /// [`RunStats::tracking`](crate::RunStats). Default 1.
-    pub engine_shards: usize,
     /// The fault schedule, if any (see [`FaultPlan`]). `None` gives the
     /// perfect substrate: exactly-once delivery, no kills. Fault verdicts
     /// draw from a dedicated RNG stream seeded by the *plan's* seed, so
@@ -122,24 +113,6 @@ impl SimConfig {
             ..SimConfig::default()
         }
     }
-
-    /// Replace the topology.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
-
-    /// Replace the rollback overhead.
-    pub fn rollback_overhead(mut self, d: VirtualDuration) -> Self {
-        self.rollback_overhead = d;
-        self
-    }
-
-    /// Replace the per-message tracking overhead.
-    pub fn tracking_overhead(mut self, d: VirtualDuration) -> Self {
-        self.tracking_overhead = d;
-        self
-    }
 }
 
 impl Default for SimConfig {
@@ -157,7 +130,6 @@ impl Default for SimConfig {
             trace: false,
             commit_at_quiescence: false,
             detect_races: false,
-            engine_shards: 1,
             faults: None,
             ack_timeout: VirtualDuration::from_millis(50),
             ack_backoff_cap: VirtualDuration::from_millis(400),
@@ -193,22 +165,22 @@ impl SimConfig {
         self
     }
 
-    /// Replace the topology (alias of [`SimConfig::topology`], for
-    /// builder-chain symmetry with the other `with_*` methods).
-    pub fn with_topology(self, topology: Topology) -> Self {
-        self.topology(topology)
+    /// Replace the topology.
+    pub fn with_topology(mut self, topology: Topology) -> Self {
+        self.topology = topology;
+        self
     }
 
-    /// Replace the rollback overhead (alias of
-    /// [`SimConfig::rollback_overhead`]).
-    pub fn with_rollback_overhead(self, d: VirtualDuration) -> Self {
-        self.rollback_overhead(d)
+    /// Replace the rollback overhead.
+    pub fn with_rollback_overhead(mut self, d: VirtualDuration) -> Self {
+        self.rollback_overhead = d;
+        self
     }
 
-    /// Replace the per-message tracking overhead (alias of
-    /// [`SimConfig::tracking_overhead`]).
-    pub fn with_tracking_overhead(self, d: VirtualDuration) -> Self {
-        self.tracking_overhead(d)
+    /// Replace the per-message tracking overhead.
+    pub fn with_tracking_overhead(mut self, d: VirtualDuration) -> Self {
+        self.tracking_overhead = d;
+        self
     }
 
     /// Replace the scheduler-event hard stop.
@@ -233,13 +205,6 @@ impl SimConfig {
     /// [`SimConfig::fossil_collection`]).
     pub fn with_fossil_collection(mut self, on: bool) -> Self {
         self.fossil_collection = on;
-        self
-    }
-
-    /// Replace the engine shard count (see [`SimConfig::engine_shards`]).
-    /// Clamped to at least 1.
-    pub fn with_engine_shards(mut self, n: usize) -> Self {
-        self.engine_shards = n.max(1);
         self
     }
 
@@ -276,7 +241,6 @@ mod tests {
         assert!(c.max_events > 0);
         assert!(c.max_journal_entries > 0);
         assert!(!c.fossil_collection);
-        assert_eq!(c.engine_shards, 1);
         assert!(c.faults.is_none());
         assert!(c.ack_timeout < c.ack_backoff_cap);
         assert!(c.governor.is_none());
@@ -284,10 +248,19 @@ mod tests {
 
     #[test]
     fn builder_methods() {
+        let plan = FaultPlan::new(11).drop_rate(0.2);
         let c = SimConfig::with_seed(9)
-            .topology(Topology::coast_to_coast())
-            .rollback_overhead(VirtualDuration::from_micros(50))
-            .tracking_overhead(VirtualDuration::from_nanos(10));
+            .with_topology(Topology::coast_to_coast())
+            .with_rollback_overhead(VirtualDuration::from_micros(50))
+            .with_tracking_overhead(VirtualDuration::from_nanos(10))
+            .with_max_events(123)
+            .with_max_virtual_time(VirtualTime::from_nanos(999))
+            .with_max_journal_entries(77)
+            .with_fossil_collection(true)
+            .with_ack_timeout(VirtualDuration::from_millis(20))
+            .with_ack_backoff_cap(VirtualDuration::from_millis(80))
+            .with_faults(plan.clone())
+            .with_governor(GovernorConfig::default().with_window(32));
         assert_eq!(c.seed, 9);
         assert_eq!(c.rollback_overhead, VirtualDuration::from_micros(50));
         assert_eq!(c.tracking_overhead, VirtualDuration::from_nanos(10));
@@ -296,27 +269,7 @@ mod tests {
             c.topology.sample(0, 1, &mut rng),
             VirtualDuration::from_millis(15)
         );
-    }
-
-    #[test]
-    fn with_builder_methods() {
-        let plan = FaultPlan::new(11).drop_rate(0.2);
-        let c = SimConfig::with_seed(4)
-            .with_topology(Topology::coast_to_coast())
-            .with_rollback_overhead(VirtualDuration::from_micros(5))
-            .with_tracking_overhead(VirtualDuration::from_nanos(1))
-            .with_max_events(123)
-            .with_max_virtual_time(VirtualTime::from_nanos(999))
-            .with_max_journal_entries(77)
-            .with_fossil_collection(true)
-            .with_ack_timeout(VirtualDuration::from_millis(20))
-            .with_ack_backoff_cap(VirtualDuration::from_millis(80))
-            .with_engine_shards(4)
-            .with_faults(plan.clone())
-            .with_governor(GovernorConfig::default().with_window(32));
         assert_eq!(c.max_events, 123);
-        assert_eq!(c.engine_shards, 4);
-        assert_eq!(SimConfig::default().with_engine_shards(0).engine_shards, 1);
         assert_eq!(c.max_virtual_time, VirtualTime::from_nanos(999));
         assert_eq!(c.max_journal_entries, 77);
         assert!(c.fossil_collection);

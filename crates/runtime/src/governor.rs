@@ -210,7 +210,7 @@ impl GovernorConfig {
 /// trace is available as
 /// [`RunReport::governor_transitions`](crate::RunReport::governor_transitions)
 /// and is a pure function of `(seed, config)` — the determinism suite pins
-/// that across reruns, engine shard counts, and fossil collection.
+/// that across reruns and fossil collection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModeTransition {
     /// The guessing process.

@@ -483,30 +483,6 @@ mod tests {
         assert!(collected.completeness.is_exhausted());
     }
 
-    /// Sharding the engine must be invisible to the model checker: the
-    /// sequential path keeps control flow and id allocation identical for
-    /// any shard count, so the schedule tree, its choice points, and every
-    /// outcome fingerprint match a 1-shard run — and the search still
-    /// exhausts. This is what licenses running `check_scenario` on sharded
-    /// configurations without a single-shard restriction.
-    #[test]
-    fn sharded_engine_preserves_schedule_tree_and_outcomes() {
-        let run = |shards: usize| {
-            check_scenario(&SimMcConfig::default(), move || {
-                two_sender_race(SimConfig::with_seed(7).with_engine_shards(shards))
-            })
-        };
-        let single = run(1);
-        for shards in [2, 4] {
-            let sharded = run(shards);
-            assert_eq!(single.schedules, sharded.schedules);
-            assert_eq!(single.choice_points, sharded.choice_points);
-            assert_eq!(single.max_depth, sharded.max_depth);
-            assert_eq!(single.outcomes, sharded.outcomes);
-            assert!(sharded.completeness.is_exhausted());
-        }
-    }
-
     /// The optimism governor must be invisible to every model-checked
     /// verdict: its holds and conservative waits ride ordinary
     /// epoch-guarded wakes (realizable events), so while the *schedule

@@ -402,7 +402,6 @@ impl Simulation {
         }
         let mut stats = sh.stats;
         stats.engine = sh.engine.stats();
-        stats.tracking = sh.engine.tracking_stats();
         stats.memory.live_intervals = sh.engine.live_interval_count() as u64;
         stats.memory.live_aids = sh.engine.live_aid_count() as u64;
         stats.memory.interval_horizon = sh.engine.interval_horizon();
@@ -587,7 +586,7 @@ mod tests {
     fn ping_pong_accumulates_latency() {
         let mut sim = Simulation::new(
             SimConfig::with_seed(3)
-                .topology(Topology::uniform(hope_sim::LatencyModel::Fixed(ms(10)))),
+                .with_topology(Topology::uniform(hope_sim::LatencyModel::Fixed(ms(10)))),
         );
         let ponger = hope_core::ProcessId(1);
         let pinger = sim.spawn("pinger", move |ctx| {
@@ -743,7 +742,7 @@ mod tests {
         let overhead = ms(7);
         let run = |with_overhead: bool| {
             let cfg = if with_overhead {
-                SimConfig::default().rollback_overhead(overhead)
+                SimConfig::default().with_rollback_overhead(overhead)
             } else {
                 SimConfig::default()
             };
@@ -774,12 +773,12 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let mut sim = Simulation::new(SimConfig::with_seed(99).topology(Topology::uniform(
-                hope_sim::LatencyModel::Uniform {
+            let mut sim = Simulation::new(SimConfig::with_seed(99).with_topology(
+                Topology::uniform(hope_sim::LatencyModel::Uniform {
                     lo: ms(1),
                     hi: ms(5),
-                },
-            )));
+                }),
+            ));
             let consumer = hope_core::ProcessId(1);
             sim.spawn("producer", move |ctx| {
                 for _ in 0..10 {

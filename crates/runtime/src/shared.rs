@@ -171,7 +171,7 @@ impl Shared {
         let net_rng = SimRng::new(config.seed).fork(u64::MAX);
         let fault_seed = config.faults.as_ref().map_or(config.seed, |p| p.seed());
         let fault_rng = SimRng::new(fault_seed).fork(0xFA17);
-        let mut engine = Engine::with_shards(config.engine_shards.max(1));
+        let mut engine = Engine::new();
         engine.set_invariant_checking(config.check_engine_invariants);
         let race_detector = config.detect_races.then(RaceDetector::new);
         let governor = config.governor.clone().map(Governor::new);
@@ -787,7 +787,7 @@ mod tests {
     use hope_sim::{Topology, VirtualDuration};
 
     fn shared_with_procs(n: usize) -> Shared {
-        let mut s = Shared::new(SimConfig::default().topology(Topology::lan()));
+        let mut s = Shared::new(SimConfig::default().with_topology(Topology::lan()));
         for i in 0..n {
             let pid = s.engine.register_process();
             s.procs.push(ProcShared {
@@ -903,7 +903,7 @@ mod tests {
         use hope_sim::FaultPlan;
         let mut s = Shared::new(
             SimConfig::default()
-                .topology(Topology::lan())
+                .with_topology(Topology::lan())
                 .with_faults(FaultPlan::new(12).drop_rate(0.5).dupe_rate(0.5)),
         );
         for i in 0..2 {

@@ -10,7 +10,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use hope_analysis::dynamic::RaceReport;
-use hope_core::{EngineStats, ProcessId, TrackingStats};
+use hope_core::{EngineStats, ProcessId};
 use hope_sim::VirtualTime;
 
 use crate::governor::{GovernorStats, ModeTransition};
@@ -61,19 +61,11 @@ pub struct RunStats {
     pub outputs_discarded: u64,
     /// Engine counters (guesses, affirms, denies, finalizations, …).
     pub engine: EngineStats,
-    /// Cross-shard tracking-traffic counters from the sharded engine
-    /// (boundary crossings, batch flushes, queue depth; all zero on a
-    /// 1-shard engine). Contention diagnostics only: they vary with
-    /// [`SimConfig::engine_shards`](crate::SimConfig) while every
-    /// committed observable stays identical, so — like the DepSet
-    /// cow/spill deltas — they are excluded from
-    /// [`RunReport::fingerprint`].
-    pub tracking: TrackingStats,
     /// `Shared`-state lock acquisitions made by process-side [`Ctx`]
     /// (crate::Ctx) calls over the whole run. The Ctx hot path takes the
     /// lock once per primitive (not once per sub-step); the regression
     /// suite pins that with this counter. Diagnostics only, excluded from
-    /// [`RunReport::fingerprint`] alongside the other contention counters.
+    /// [`RunReport::fingerprint`] like the DepSet cow/spill deltas.
     pub ctx_lock_acquisitions: u64,
     /// Fault-injection counters (all zero without a
     /// [`FaultPlan`](hope_sim::FaultPlan)).
@@ -81,8 +73,7 @@ pub struct RunStats {
     /// Optimism-governor counters (all zero without
     /// [`SimConfig::with_governor`](crate::SimConfig::with_governor)).
     /// Control-plane diagnostics only: the governor reshapes *when*
-    /// optimism is spent, not *what* commits, so — like
-    /// [`tracking`](RunStats::tracking) — these are excluded from
+    /// optimism is spent, not *what* commits, so these are excluded from
     /// [`RunReport::fingerprint`].
     pub governor: GovernorStats,
     /// End-of-run memory footprint: what fossil collection left live (see
@@ -349,16 +340,13 @@ impl RunReport {
         let mut stats = self.stats;
         stats.memory.depset_cow_copies = 0;
         stats.memory.depset_spills = 0;
-        // Contention counters vary with the shard count (and lock strategy)
-        // while committed observables must not: the sharded-vs-unsharded
-        // differential asserts fingerprint equality across engine_shards,
-        // so these are masked exactly like the DepSet deltas above.
-        stats.tracking = TrackingStats::default();
+        // The lock count follows the lock strategy while committed
+        // observables must not, so it is masked like the DepSet deltas.
         stats.ctx_lock_acquisitions = 0;
         // Governor counters are control-plane state: governor-on and
         // governor-off runs must agree on every committed observable while
         // these legitimately differ, and the transparency oracle compares
-        // runs across that config change. Masked like the tracking stats.
+        // runs across that config change.
         stats.governor = GovernorStats::default();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!(
@@ -401,8 +389,8 @@ impl RunReport {
     /// The optimism governor's mode-transition trace in virtual-time
     /// order, if [`SimConfig::with_governor`](crate::SimConfig) was set
     /// (empty otherwise). A pure function of `(seed, config)`: the
-    /// determinism suite pins it identical across reruns, engine shard
-    /// counts, and fossil collection. Like the trace, it is not part of
+    /// determinism suite pins it identical across reruns and fossil
+    /// collection. Like the trace, it is not part of
     /// [`RunReport::fingerprint`].
     pub fn governor_transitions(&self) -> &[ModeTransition] {
         &self.gov_transitions

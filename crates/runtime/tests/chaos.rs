@@ -89,7 +89,7 @@ fn run_chaos(seed: u64, n_procs: u32, commit: bool) -> RunReport {
         lo: VirtualDuration::from_micros(100 + rng.next_u64() % 500),
         hi: VirtualDuration::from_millis(2 + rng.next_u64() % 5),
     });
-    let mut cfg = SimConfig::with_seed(seed).topology(topo);
+    let mut cfg = SimConfig::with_seed(seed).with_topology(topo);
     if commit {
         cfg = cfg.commit_at_quiescence();
     }

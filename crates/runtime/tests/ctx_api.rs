@@ -1,6 +1,7 @@
 //! Integration tests for the full `Ctx` API surface, including the parts
 //! the in-crate scenario tests don't reach: non-blocking receives,
-//! selective receives, journaled queries, and replay behaviour of each.
+//! selective receives, journaled queries, and replay behaviour of each —
+//! plus the hot-path lock discipline: one `Shared` lock per live primitive.
 
 use hope_core::AidId;
 use hope_runtime::{MsgKind, ProcessId, SimConfig, Simulation, Value};
@@ -246,7 +247,7 @@ fn replaying_flag_is_visible_only_during_replay() {
 #[test]
 fn self_send_is_delivered_immediately() {
     let mut sim = Simulation::new(
-        SimConfig::default().topology(Topology::uniform(LatencyModel::Fixed(ms(50)))),
+        SimConfig::default().with_topology(Topology::uniform(LatencyModel::Fixed(ms(50)))),
     );
     let me = ProcessId(0);
     sim.spawn("loner", move |ctx| {
@@ -525,4 +526,57 @@ fn second_rollback_during_restoration_hold_replays_cleanly() {
     assert_eq!(report.output_lines(), vec!["outer=false inner=false"]);
     assert!(report.stats().rollback_events >= 2, "{report}");
     assert!(report.stats().replays >= 2, "{report}");
+}
+
+// ---------------------------------------------------------------------
+// Ctx hot-path lock discipline (pinned)
+// ---------------------------------------------------------------------
+
+/// Every live primitive takes the `Shared` lock exactly once. The body
+/// below issues 4 × 50 = 200 non-blocking primitives and nothing else; the
+/// pre-audit hot path (budget check and primitive each locking separately)
+/// would report ≥ 400 acquisitions, so the 220 ceiling pins the fix.
+#[test]
+fn ctx_takes_one_lock_per_live_primitive() {
+    let mut sim = Simulation::new(SimConfig::with_seed(1));
+    sim.spawn("counter", |ctx| {
+        for _ in 0..50 {
+            let aid = ctx.aid_init()?;
+            ctx.guess(aid)?;
+            ctx.affirm(aid)?;
+            ctx.output("line")?;
+        }
+        Ok(())
+    });
+    let report = sim.run();
+    assert!(report.errors().is_empty(), "{:?}", report.errors());
+    let locks = report.stats().ctx_lock_acquisitions;
+    assert!(
+        (200..=220).contains(&locks),
+        "expected one Shared lock per live primitive (200 primitives, \
+         small scheduler slack), measured {locks}"
+    );
+}
+
+/// The lock counter is diagnostics, not semantics: it must not perturb the
+/// determinism fingerprint (twin runs of the same seed already share a
+/// count, but the fingerprint must also ignore it entirely, like the
+/// DepSet cow/spill deltas).
+#[test]
+fn lock_counter_is_excluded_from_fingerprint() {
+    let run = || {
+        let mut sim = Simulation::new(SimConfig::with_seed(5));
+        sim.spawn("p", |ctx| {
+            let aid = ctx.aid_init()?;
+            ctx.guess(aid)?;
+            ctx.affirm(aid)?;
+            ctx.output("done")?;
+            Ok(())
+        });
+        sim.run()
+    };
+    let a = run();
+    let b = run();
+    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert!(a.stats().ctx_lock_acquisitions > 0);
 }

@@ -11,8 +11,8 @@
 //!    fingerprint is bit-identical to the governor-off run: enabling the
 //!    feature on a healthy system costs exactly one branch per guess.
 //! 3. **Determinism** — the mode-transition trace is a pure function of
-//!    `(seed, config)`: identical across reruns, across 1/2/4 engine
-//!    shards, and invariant under fossil collection (proptest-driven).
+//!    `(seed, config)`: identical across reruns and invariant under
+//!    fossil collection (proptest-driven).
 //!
 //! The fault-space half of the transparency claim (committed outputs
 //! governor-on ≡ governor-off under seeded fault plans) lives in
@@ -215,12 +215,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The mode-transition trace is a pure function of `(seed, config)`:
-    /// rerunning the same configuration reproduces it bit-for-bit, engine
-    /// sharding (1/2/4) does not reorder or rename a single transition,
-    /// and fossil collection — which truncates the very journals whose
-    /// suffix lengths feed the damage EWMA — never perturbs it either,
-    /// because damage is charged at rollback time, not read back from
-    /// retained journals.
+    /// rerunning the same configuration reproduces it bit-for-bit, and
+    /// fossil collection — which truncates the very journals whose suffix
+    /// lengths feed the damage EWMA — never perturbs it either, because
+    /// damage is charged at rollback time, not read back from retained
+    /// journals.
     #[test]
     fn transition_trace_is_pure_function_of_seed_and_config(
         seed in 0u64..500,
@@ -241,12 +240,6 @@ proptest! {
         let (rerun, rerun_trace) = trace_of(cfg(), 24, deny_rounds);
         prop_assert_eq!(&ref_trace, &rerun_trace, "rerun diverged");
         prop_assert_eq!(reference.fingerprint(), rerun.fingerprint());
-        for shards in [2usize, 4] {
-            let (twin, twin_trace) =
-                trace_of(cfg().with_engine_shards(shards), 24, deny_rounds);
-            prop_assert_eq!(&ref_trace, &twin_trace, "diverged at {} shards", shards);
-            prop_assert_eq!(reference.fingerprint(), twin.fingerprint());
-        }
         let (collected, collected_trace) =
             trace_of(cfg().with_fossil_collection(true), 24, deny_rounds);
         prop_assert_eq!(&ref_trace, &collected_trace, "fossil collection diverged");

@@ -43,6 +43,6 @@ mod topology;
 pub use event::EventQueue;
 pub use faults::{FaultPlan, Kill, LinkVerdict, Partition};
 pub use latency::{CpuModel, LatencyModel};
-pub use rng::{drain_permutation, SimRng};
+pub use rng::SimRng;
 pub use time::{VirtualDuration, VirtualTime};
 pub use topology::{NodeId, Topology};

@@ -111,20 +111,6 @@ impl SimRng {
     }
 }
 
-/// A seeded uniform permutation of `0..n` (Fisher–Yates), for deterministic
-/// shard-drain ordering: the sharded engine's quiescent-point drain takes a
-/// destination-shard order, and a simulation that randomizes it must do so
-/// reproducibly from its master seed so the same seed replays the same run
-/// bit-for-bit.
-pub fn drain_permutation(rng: &mut SimRng, n: usize) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        let j = rng.index(i + 1);
-        perm.swap(i, j);
-    }
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,23 +192,5 @@ mod tests {
     #[should_panic(expected = "empty range")]
     fn empty_range_panics() {
         SimRng::new(1).range_u64(5, 5);
-    }
-
-    #[test]
-    fn drain_permutation_is_a_seeded_permutation() {
-        let mut r1 = SimRng::new(77);
-        let mut r2 = SimRng::new(77);
-        let p1 = drain_permutation(&mut r1, 8);
-        let p2 = drain_permutation(&mut r2, 8);
-        assert_eq!(p1, p2, "same seed, same order");
-        let mut sorted = p1.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..8).collect::<Vec<_>>());
-        assert!(drain_permutation(&mut r1, 0).is_empty());
-        assert_eq!(drain_permutation(&mut r1, 1), vec![0]);
-        // Different seeds eventually shuffle differently.
-        let mut r3 = SimRng::new(78);
-        let distinct = (0..8).any(|_| drain_permutation(&mut r3, 8) != p1);
-        assert!(distinct);
     }
 }

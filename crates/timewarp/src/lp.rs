@@ -219,7 +219,7 @@ mod tests {
         let mut topo = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_millis(1)));
         // Driver 2 → LP0 is slow: its early-timestamped event arrives late.
         topo.set_link(2, 0, LatencyModel::Fixed(VirtualDuration::from_millis(50)));
-        let mut sim = Simulation::new(SimConfig::with_seed(5).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(5).with_topology(topo));
         let cfg = LpConfig {
             lps: vec![ProcessId(0)],
             senders: vec![ProcessId(1), ProcessId(2)],

@@ -73,7 +73,7 @@ pub fn run_phold_with(
     commit: bool,
 ) -> PholdReport {
     assert!(n_lps > 0, "need at least one LP");
-    let mut cfg_sim = SimConfig::with_seed(seed).topology(topology);
+    let mut cfg_sim = SimConfig::with_seed(seed).with_topology(topology);
     if commit {
         cfg_sim = cfg_sim.commit_at_quiescence();
     }

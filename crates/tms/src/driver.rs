@@ -28,7 +28,7 @@ pub fn run_tms(
     seed: u64,
 ) -> TmsOutcome {
     let n = assumption_lists.len();
-    let mut sim = Simulation::new(SimConfig::with_seed(seed).topology(topology));
+    let mut sim = Simulation::new(SimConfig::with_seed(seed).with_topology(topology));
     let judge_pid = ProcessId(n as u32);
     let max_rounds = assumption_lists.iter().map(Vec::len).max().unwrap_or(0) as u64;
     for (i, assumptions) in assumption_lists.iter().enumerate() {

@@ -41,7 +41,7 @@ fn busy_world(seed: u64) -> RunReport {
         lo: ms(1),
         hi: ms(9),
     });
-    let mut sim = Simulation::new(SimConfig::with_seed(seed).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(seed).with_topology(topo));
     let server = ProcessId(2);
     for c in 0..2u32 {
         sim.spawn(format!("client{c}"), move |ctx| {

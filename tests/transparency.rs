@@ -41,7 +41,7 @@ fn chain_run(
     optimistic: bool,
 ) -> RunReport {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(latency_ms)));
-    let mut sim = Simulation::new(SimConfig::with_seed(99).topology(topo));
+    let mut sim = Simulation::new(SimConfig::with_seed(99).with_topology(topo));
     let server = ProcessId(1);
     let f = server_fn(which);
     sim.spawn("client", move |ctx| {
@@ -109,7 +109,7 @@ fn replication_oracle_final_state_matches_serial_certification() {
         let writes = 1 + rng.index(5) as u64;
         let optimistic = trial % 2 == 0;
         let topo = Topology::uniform(LatencyModel::Fixed(ms(3)));
-        let mut sim = Simulation::new(SimConfig::with_seed(trial as u64).topology(topo));
+        let mut sim = Simulation::new(SimConfig::with_seed(trial as u64).with_topology(topo));
         let primary = ProcessId(clients as u32);
         for c in 0..clients {
             sim.spawn(format!("client{c}"), move |ctx| {

@@ -1,13 +1,12 @@
-//! **E17 — model checking: DPOR reduction and schedule-complete
+//! **E17 — model checking: the reduction and schedule-complete
 //! verdicts**: what exhaustive exploration costs and what sampling missed.
 //!
-//! Three explorations of the same schedule spaces, per corpus:
+//! Two explorations of the same schedule spaces, per corpus:
 //!
 //! * **naive** — every interleaving, no canonical-state cache, no
 //!   reduction: the raw size of the space;
-//! * **stateful** — canonical-state memoization only;
-//! * **dpor** — the full reduction (cache + sleep sets + persistent
-//!   singletons), the configuration every consumer uses.
+//! * **reduced** — canonical-state cache + sleep sets + persistent
+//!   singletons, the configuration every consumer uses.
 //!
 //! Each corpus row also compares the *schedule-complete* pristine verdict
 //! (does any schedule run to full finalization?) against the sampled
@@ -19,7 +18,7 @@
 //!
 //! The two-process 7⁴ corpus is the honest place to measure reduction:
 //! its programs actually interleave. The 7³ corpus is single-process —
-//! exactly one schedule per program — so its naive/dpor ratio is 1 by
+//! exactly one schedule per program — so its naive/reduced ratio is 1 by
 //! construction and is reported only as a baseline.
 
 use hope_core::machine::{Event, Machine};
@@ -43,13 +42,11 @@ pub struct E17Row {
     pub programs: usize,
     /// Transitions over all programs, naive exploration.
     pub naive_transitions: u64,
-    /// Transitions, canonical-state cache only.
-    pub stateful_transitions: u64,
-    /// Transitions, full DPOR.
-    pub dpor_transitions: u64,
-    /// Canonical states, full DPOR.
-    pub dpor_states: u64,
-    /// naive / dpor transition ratio.
+    /// Transitions, reduced exploration.
+    pub reduced_transitions: u64,
+    /// Canonical states, reduced exploration.
+    pub reduced_states: u64,
+    /// naive / reduced transition ratio.
     pub prune_ratio: f64,
     /// Programs with a pristine schedule (schedule-complete verdict).
     pub pristine_full: usize,
@@ -98,12 +95,12 @@ fn explore(program: &Program, mode: Mode) -> McReport {
     report
 }
 
-/// Explore every program in `programs` under all three modes and compare
+/// Explore every program in `programs` under both modes and compare
 /// full-space verdicts against sampled ones.
 ///
 /// # Panics
 ///
-/// Panics if any mode disagrees with another on a verdict, if sampling
+/// Panics if the two modes disagree on a verdict, if sampling
 /// finds a pristine schedule the full space lacks, or if any program
 /// exceeds the exploration budget.
 pub fn measure_corpus(corpus: &str, programs: &[Program]) -> E17Row {
@@ -111,9 +108,8 @@ pub fn measure_corpus(corpus: &str, programs: &[Program]) -> E17Row {
         corpus: corpus.to_string(),
         programs: programs.len(),
         naive_transitions: 0,
-        stateful_transitions: 0,
-        dpor_transitions: 0,
-        dpor_states: 0,
+        reduced_transitions: 0,
+        reduced_states: 0,
         prune_ratio: 0.0,
         pristine_full: 0,
         pristine_sampled: 0,
@@ -121,26 +117,15 @@ pub fn measure_corpus(corpus: &str, programs: &[Program]) -> E17Row {
     };
     for program in programs {
         let naive = explore(program, Mode::Naive);
-        let stateful = explore(program, Mode::Stateful);
-        let dpor = explore(program, Mode::Dpor);
-        // The three modes are three traversals of one space: they must
-        // agree on everything observable.
-        let full_pristine = dpor.pristine_witness.is_some();
+        let reduced = explore(program, Mode::SleepSet);
+        // The two modes are two traversals of one space: they must agree
+        // on everything observable.
+        let full_pristine = reduced.pristine_witness.is_some();
         assert_eq!(naive.pristine_witness.is_some(), full_pristine, "{program}");
-        assert_eq!(
-            stateful.pristine_witness.is_some(),
-            full_pristine,
-            "{program}"
-        );
-        assert_eq!(
-            naive.distinct_outputs(),
-            dpor.distinct_outputs(),
-            "{program}"
-        );
+        assert_eq!(naive.outputs(), reduced.outputs(), "{program}");
         row.naive_transitions += naive.transitions as u64;
-        row.stateful_transitions += stateful.transitions as u64;
-        row.dpor_transitions += dpor.transitions as u64;
-        row.dpor_states += dpor.states as u64;
+        row.reduced_transitions += reduced.transitions as u64;
+        row.reduced_states += reduced.states as u64;
         let sampled = sampled_pristine(program);
         assert!(
             full_pristine || !sampled,
@@ -150,7 +135,7 @@ pub fn measure_corpus(corpus: &str, programs: &[Program]) -> E17Row {
         row.pristine_sampled += usize::from(sampled);
         row.sampling_missed += usize::from(full_pristine && !sampled);
     }
-    row.prune_ratio = row.naive_transitions as f64 / row.dpor_transitions.max(1) as f64;
+    row.prune_ratio = row.naive_transitions as f64 / row.reduced_transitions.max(1) as f64;
     row
 }
 
@@ -212,8 +197,7 @@ fn push_row(t: &mut Table, r: &E17Row) {
         r.corpus.clone(),
         r.programs.to_string(),
         r.naive_transitions.to_string(),
-        r.stateful_transitions.to_string(),
-        r.dpor_transitions.to_string(),
+        r.reduced_transitions.to_string(),
         format!("{:.1}x", r.prune_ratio),
         r.pristine_full.to_string(),
         r.pristine_sampled.to_string(),
@@ -225,13 +209,12 @@ fn push_row(t: &mut Table, r: &E17Row) {
 /// generated corpus.
 pub fn table() -> Table {
     let mut t = Table::new(
-        "E17: schedule-space exploration (naive vs stateful vs DPOR) and full-vs-sampled verdicts",
+        "E17: schedule-space exploration (naive vs reduced) and full-vs-sampled verdicts",
         &[
             "corpus",
             "programs",
             "naive trans",
-            "stateful trans",
-            "dpor trans",
+            "reduced trans",
             "prune",
             "pristine (full)",
             "pristine (13 scheds)",
@@ -243,19 +226,19 @@ pub fn table() -> Table {
     let rg = measure_corpus("generated 2x4x2 (40 seeds)", &corpus_generated(40));
     assert!(
         r4.prune_ratio >= 2.0,
-        "DPOR must prune the two-process envelope at least 2x: {:.2}",
+        "the reduction must prune the two-process envelope at least 2x: {:.2}",
         r4.prune_ratio
     );
     push_row(&mut t, &r3);
     push_row(&mut t, &r4);
     push_row(&mut t, &rg);
-    t.note("prune = naive transitions / DPOR transitions; asserted >= 2x on the 7^4 corpus");
+    t.note("prune = naive transitions / reduced transitions; asserted >= 2x on the 7^4 corpus");
     t.note(
         "7^3 programs are single-process (exactly one schedule), so their ratio is 1x by \
          construction — the row is the no-concurrency baseline",
     );
     t.note(
-        "verdicts: all three modes agree per program; sampling (round-robin + 12 seeded \
+        "verdicts: both modes agree per program; sampling (round-robin + 12 seeded \
          schedules, the pre-hope-mc agreement suite) never finds a pristine schedule the \
          full space lacks (asserted). On these small envelopes sampling happens to find \
          every pristine program too — the last column counts where it would not have, \
@@ -272,8 +255,7 @@ mod tests {
     fn generated_corpus_modes_agree_and_reduce() {
         let r = measure_corpus("gen smoke", &corpus_generated(8));
         assert_eq!(r.programs, 8);
-        assert!(r.dpor_transitions <= r.stateful_transitions);
-        assert!(r.stateful_transitions <= r.naive_transitions);
+        assert!(r.reduced_transitions <= r.naive_transitions);
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub mod e16_chaos;
 pub mod e17_mc;
 pub mod e19_memory;
 pub mod e1_callstream;
-pub mod e20_dpor;
+pub mod e20_sim_mc;
 pub mod e21_governor;
 pub mod e2_chain;
 pub mod e3_arithmetic;

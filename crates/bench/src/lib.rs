@@ -19,9 +19,9 @@
 //! | E13 | §7 co-operative work (ref \[5\]) | [`experiments::e13_coedit`] |
 //! | E14 | cost-model calibration | [`experiments::e14_costmodel`] |
 //! | E16 | chaos: throughput vs fault rate | [`experiments::e16_chaos`] |
-//! | E17 | model checking: DPOR reduction, schedule-complete verdicts | [`experiments::e17_mc`] |
+//! | E17 | model checking: naive vs reduced, schedule-complete verdicts | [`experiments::e17_mc`] |
 //! | E19 | memory vs commit horizon (fossil collection) | [`experiments::e19_memory`] |
-//! | E20 | full DPOR + symmetry ladder, Simulation-layer exhaustion | [`experiments::e20_dpor`] |
+//! | E20 | Simulation-layer schedule exhaustion | [`experiments::e20_sim_mc`] |
 //! | E21 | deny-storm admission control: governor off vs on | [`experiments::e21_governor`] |
 //!
 //! (E9, the theorem suite, runs under `cargo test` — see `tests/theorems.rs`
@@ -71,7 +71,7 @@ pub fn table_for(id: &str) -> Table {
         "e16" => experiments::e16_chaos::table(),
         "e17" => experiments::e17_mc::table(),
         "e19" => experiments::e19_memory::table(),
-        "e20" => experiments::e20_dpor::table(),
+        "e20" => experiments::e20_sim_mc::table(),
         "e21" => experiments::e21_governor::table(),
         other => panic!("unknown experiment id {other:?} (known: {EXPERIMENT_IDS:?})"),
     }

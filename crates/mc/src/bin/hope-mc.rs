@@ -4,19 +4,16 @@
 //! usage: hope-mc [OPTIONS] <FILE | ->
 //!        hope-mc [OPTIONS] --generate SEED,PROCS,LEN,AIDS
 //!
-//! Explores every inequivalent interleaving of the program (full
-//! Flanagan–Godefroid DPOR: canonical-state memoization + sleep sets +
-//! dynamic backtracking sets + symmetry reduction) and reports whether
-//! any schedule finalizes pristinely, whether all completed schedules
-//! commit the same outcome, and what the reduction pruned. Over-budget
-//! runs report the fraction of the reduced space they covered.
+//! Explores every inequivalent interleaving of the program
+//! (canonical-state memoization + sleep sets + persistent singletons)
+//! and reports whether any schedule finalizes pristinely, whether all
+//! completed schedules commit the same outcome, and what the reduction
+//! pruned. Over-budget runs report the fraction of the reduced space they
+//! covered.
 //!
 //! options:
 //!   --json             machine-readable report on stdout
-//!   --naive            no cache, no reduction (comparator)
-//!   --stateful         canonical-state cache only
-//!   --sleepset         cache + sleep sets + persistent singletons (PR-5)
-//!   --dpor             full FG DPOR without symmetry reduction
+//!   --naive            no cache, no reduction (the oracle)
 //!   --max-states N     state budget (default 200000)
 //!   --max-depth N      per-branch depth bound (default 2000)
 //!   --quiet            verdict line only
@@ -50,8 +47,8 @@ enum Source {
 }
 
 fn usage() -> &'static str {
-    "usage: hope-mc [--json] [--quiet] [--naive|--stateful|--sleepset|--dpor] \
-     [--max-states N] [--max-depth N] <FILE | - | --generate S,P,L,A>"
+    "usage: hope-mc [--json] [--quiet] [--naive] [--max-states N] [--max-depth N] \
+     <FILE | - | --generate S,P,L,A>"
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -65,9 +62,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--json" => json = true,
             "--quiet" => quiet = true,
             "--naive" => cfg.mode = Mode::Naive,
-            "--stateful" => cfg.mode = Mode::Stateful,
-            "--sleepset" => cfg.mode = Mode::SleepSet,
-            "--dpor" => cfg.mode = Mode::Dpor,
             "--max-states" => {
                 let v = it.next().ok_or("--max-states needs a value")?;
                 cfg.max_states = v.parse().map_err(|_| format!("bad --max-states `{v}`"))?;
@@ -138,10 +132,7 @@ fn load(source: &Source) -> Result<Program, String> {
 fn mode_name(mode: Mode) -> &'static str {
     match mode {
         Mode::Naive => "naive",
-        Mode::Stateful => "stateful",
-        Mode::SleepSet => "sleepset",
-        Mode::Dpor => "dpor",
-        Mode::DporSym => "dpor+sym",
+        Mode::SleepSet => "reduced",
     }
 }
 
@@ -168,7 +159,6 @@ fn render_json(r: &McReport, mode: Mode) -> String {
     let _ = writeln!(out, "  \"cache_hits\": {},", r.cache_hits);
     let _ = writeln!(out, "  \"sleep_pruned\": {},", r.sleep_pruned);
     let _ = writeln!(out, "  \"singleton_states\": {},", r.singleton_states);
-    let _ = writeln!(out, "  \"sym_group\": {},", r.sym_group);
     let _ = writeln!(out, "  \"frontier_remaining\": {},", r.frontier_remaining);
     let _ = writeln!(
         out,

@@ -25,50 +25,32 @@
 use std::collections::BTreeMap;
 
 use hope_core::machine::{Event, Machine, Msg};
-use hope_core::program::{Program, Stmt};
+use hope_core::program::Stmt;
 use hope_core::{AidId, AidState, IntervalId, IntervalStatus, ProcessId};
 
 /// Schedule-independent name for a live interval: `(process index,
 /// position in that process's live engine history)`.
 type CanonRef = (u64, u64);
 
-/// A process renaming: `perm[p]` is the canonical index assigned to
-/// original process `p`. The identity permutation reproduces the plain
-/// (non-symmetry) encodings exactly.
-pub type ProcPerm = Vec<usize>;
-
-/// Order-independent renaming tables for one machine state, under a
-/// process permutation.
+/// Order-independent renaming tables for one machine state.
 struct Names {
     intervals: BTreeMap<IntervalId, CanonRef>,
     procs: BTreeMap<ProcessId, u64>,
-    /// `perm[p]` = canonical index of original process `p`; statements
-    /// that name processes by *program index* (only `Send { to }`) are
-    /// renamed through this.
-    perm: ProcPerm,
 }
 
 impl Names {
-    fn build_perm(m: &Machine, perm: &[usize]) -> Self {
+    fn build(m: &Machine) -> Self {
         let mut intervals = BTreeMap::new();
         let mut procs = BTreeMap::new();
-        for (p, &cname) in perm.iter().enumerate().take(m.process_count()) {
+        for p in 0..m.process_count() {
             let pid = m.pid(p);
-            procs.insert(pid, cname as u64);
+            procs.insert(pid, p as u64);
             let history = m.engine().history(pid).expect("machine process");
             for (i, &a) in history.iter().enumerate() {
-                intervals.insert(a, (cname as u64, i as u64));
+                intervals.insert(a, (p as u64, i as u64));
             }
         }
-        Names {
-            intervals,
-            procs,
-            perm: perm.to_vec(),
-        }
-    }
-
-    fn send_target(&self, to: usize) -> u64 {
-        self.perm[to] as u64
+        Names { intervals, procs }
     }
 
     fn interval(&self, a: IntervalId) -> CanonRef {
@@ -119,7 +101,7 @@ impl Enc {
         }
     }
 
-    fn stmt(&mut self, s: Stmt, names: &Names) {
+    fn stmt(&mut self, s: Stmt) {
         match s {
             Stmt::Guess(x) => {
                 self.tag(0);
@@ -140,7 +122,7 @@ impl Enc {
             Stmt::Compute => self.tag(4),
             Stmt::Send { to } => {
                 self.tag(5);
-                self.u(names.send_target(to));
+                self.u(to as u64);
             }
             Stmt::Recv => self.tag(6),
         }
@@ -183,7 +165,7 @@ impl Enc {
             }
             Event::Skipped { stmt } => {
                 self.tag(8);
-                self.stmt(*stmt, names);
+                self.stmt(*stmt);
             }
             Event::Resumed { at_pc } => {
                 self.tag(9);
@@ -212,23 +194,8 @@ fn aid_state_tag(s: AidState) -> u8 {
     }
 }
 
-/// Original process indices listed in canonical order: element `c` is the
-/// original index renamed to canonical slot `c`.
-fn canonical_order(perm: &[usize]) -> Vec<usize> {
-    let mut inv = vec![0usize; perm.len()];
-    for (p, &c) in perm.iter().enumerate() {
-        inv[c] = p;
-    }
-    inv
-}
-
-/// The identity permutation on `n` processes.
-pub fn identity(n: usize) -> ProcPerm {
-    (0..n).collect()
-}
-
 fn encode_histories(e: &mut Enc, m: &Machine, names: &Names) {
-    for p in canonical_order(&names.perm) {
+    for p in 0..m.process_count() {
         let h = m.history(p);
         e.u(h.states().len() as u64);
         for rec in h.states() {
@@ -272,21 +239,12 @@ fn encode_aids(e: &mut Enc, m: &Machine, names: &Names, with_control: bool) {
 /// visited-cache key: two states with equal keys have identical futures
 /// and identical verdict-relevant pasts (rollback/ghost/skip sins).
 pub fn state_key(m: &Machine) -> Vec<u8> {
-    state_key_perm(m, &identity(m.process_count()))
-}
-
-/// [`state_key`] with every process reference renamed through `perm` and
-/// processes encoded in canonical (`perm`-image) order. With the identity
-/// permutation this is byte-identical to [`state_key`]; with a program
-/// symmetry it produces the key the machine would have if the symmetric
-/// processes had been swapped from the start.
-pub fn state_key_perm(m: &Machine, perm: &[usize]) -> Vec<u8> {
-    let names = Names::build_perm(m, perm);
+    let names = Names::build(m);
     let engine = m.engine();
     let mut e = Enc::default();
     e.u(m.process_count() as u64);
     encode_aids(&mut e, m, &names, true);
-    for p in canonical_order(perm) {
+    for p in 0..m.process_count() {
         let pid = m.pid(p);
         e.u(m.pc(p) as u64);
         let history = engine.history(pid).expect("machine process");
@@ -346,16 +304,11 @@ pub fn state_key_perm(m: &Machine, perm: &[usize]) -> Vec<u8> {
 /// decisions taken, computes, send targets, delivered-message senders,
 /// and the final decision state of every AID.
 pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
-    commit_fingerprint_perm(m, &identity(m.process_count()))
-}
-
-/// [`commit_fingerprint`] renamed through `perm` (see [`state_key_perm`]).
-pub fn commit_fingerprint_perm(m: &Machine, perm: &[usize]) -> Vec<u8> {
-    let names = Names::build_perm(m, perm);
+    let names = Names::build(m);
     let mut e = Enc::default();
     e.u(m.process_count() as u64);
     encode_aids(&mut e, m, &names, false);
-    for p in canonical_order(perm) {
+    for p in 0..m.process_count() {
         e.flag(m.poll(p) == hope_core::machine::StepOutcome::Done);
         let visible: Vec<&hope_core::machine::StateRecord> = m
             .history(p)
@@ -396,7 +349,7 @@ pub fn commit_fingerprint_perm(m: &Machine, perm: &[usize]) -> Vec<u8> {
                 Event::Recv { .. } => e.tag(6),
                 Event::Skipped { stmt } => {
                     e.tag(8);
-                    e.stmt(*stmt, &names);
+                    e.stmt(*stmt);
                 }
                 Event::GhostDropped { .. } | Event::Resumed { .. } => unreachable!("filtered"),
                 _ => e.tag(255),
@@ -417,111 +370,10 @@ pub fn commit_fingerprint_perm(m: &Machine, perm: &[usize]) -> Vec<u8> {
     e.0
 }
 
-/// Beyond this many processes the n! symmetry search is not attempted
-/// and only the identity is returned (still a sound subgroup).
-const MAX_SYM_PROCS: usize = 6;
-
-/// `Send` targets renamed through `perm`; all other statements (including
-/// AID variables, which index a global pre-allocated AID array shared by
-/// every process) are position-independent.
-fn rename_stmt(s: Stmt, perm: &[usize]) -> Stmt {
-    match s {
-        Stmt::Send { to } => Stmt::Send { to: perm[to] },
-        other => other,
-    }
-}
-
-/// The program's symmetry group: every permutation `perm` of process
-/// indices such that renaming send targets maps each process's code onto
-/// the code of the process it is renamed to —
-/// `rename(code[p], perm) == code[perm[p]]` for all `p`.
-///
-/// Such a permutation is an automorphism of the whole transition system:
-/// AIDs are global and fixed, so permuting process identities of any
-/// reachable state yields a reachable state with a bijectively
-/// corresponding future. The result always contains the identity, and is
-/// closed under composition and inverse (a subgroup of S_n), which is
-/// what makes min-over-orbit canonicalization sound.
-pub fn symmetries(program: &Program) -> Vec<ProcPerm> {
-    let n = program.code.len();
-    if n > MAX_SYM_PROCS {
-        return vec![identity(n)];
-    }
-    let mut found = Vec::new();
-    let mut perm = identity(n);
-    permute(&mut perm, 0, &mut |perm| {
-        let ok = (0..n).all(|p| {
-            let renamed: Vec<Stmt> = program.code[p]
-                .iter()
-                .map(|&s| rename_stmt(s, perm))
-                .collect();
-            renamed == program.code[perm[p]]
-        });
-        if ok {
-            found.push(perm.to_vec());
-        }
-    });
-    found.sort_unstable();
-    found
-}
-
-/// Enumerate permutations of `perm[at..]` in place (simple swap recursion;
-/// n ≤ [`MAX_SYM_PROCS`]).
-fn permute(perm: &mut [usize], at: usize, visit: &mut impl FnMut(&[usize])) {
-    if at == perm.len() {
-        visit(perm);
-        return;
-    }
-    for i in at..perm.len() {
-        perm.swap(at, i);
-        permute(perm, at + 1, visit);
-        perm.swap(at, i);
-    }
-}
-
-/// Symmetry-canonical state key: the lexicographically smallest
-/// [`state_key_perm`] over `perms`, together with the permutation that
-/// produced it. Two states relatable by a program symmetry in `perms`
-/// collapse to the same key; the returned permutation translates per-state
-/// bookkeeping (backtrack sets, done sets, footprint summaries) between
-/// the concrete state and its canonical representative.
-///
-/// # Panics
-///
-/// Panics if `perms` is empty (callers pass at least the identity).
-pub fn sym_state_key(m: &Machine, perms: &[ProcPerm]) -> (Vec<u8>, ProcPerm) {
-    let mut best: Option<(Vec<u8>, &ProcPerm)> = None;
-    for perm in perms {
-        let key = state_key_perm(m, perm);
-        match &best {
-            Some((b, _)) if *b <= key => {}
-            _ => best = Some((key, perm)),
-        }
-    }
-    let (key, perm) = best.expect("perms contains at least the identity");
-    (key, perm.clone())
-}
-
-/// Symmetry-canonical committed-outcome fingerprint: the smallest
-/// [`commit_fingerprint_perm`] over `perms`. Verdict-agreement comparisons
-/// between symmetry-reduced and unreduced explorations must compare
-/// outcome sets modulo the symmetry group — this is the canonical form
-/// both sides map into.
-///
-/// # Panics
-///
-/// Panics if `perms` is empty (callers pass at least the identity).
-pub fn sym_commit_fingerprint(m: &Machine, perms: &[ProcPerm]) -> Vec<u8> {
-    perms
-        .iter()
-        .map(|perm| commit_fingerprint_perm(m, perm))
-        .min()
-        .expect("perms contains at least the identity")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_core::program::Program;
 
     fn machine_after(program: &Program, schedule: &[usize]) -> Machine {
         let mut m = Machine::new(program.clone());
@@ -573,82 +425,6 @@ mod tests {
         let ab = machine_after(&program, &[0, 1]);
         let ba = machine_after(&program, &[1, 0]);
         assert_ne!(state_key(&ab), state_key(&ba));
-    }
-
-    #[test]
-    fn symmetries_finds_swappable_twins() {
-        // Identical code, no sends: both orders of the two processes.
-        let twins: Program = "process P0:\n guess(x0)\nprocess P1:\n guess(x0)\n"
-            .parse()
-            .unwrap();
-        assert_eq!(symmetries(&twins), vec![vec![0, 1], vec![1, 0]]);
-        // Different code: identity only.
-        let distinct: Program = "process P0:\n guess(x0)\nprocess P1:\n affirm(x0)\n"
-            .parse()
-            .unwrap();
-        assert_eq!(symmetries(&distinct), vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn symmetries_respects_send_targets() {
-        // A ring: P0→P1→P0 with identical shapes. Swapping is a symmetry
-        // because send targets rename onto each other.
-        let ring: Program = "process P0:\n send(P1)\n recv\nprocess P1:\n send(P0)\n recv\n"
-            .parse()
-            .unwrap();
-        assert_eq!(symmetries(&ring).len(), 2);
-        // Both send to a fixed third process: swapping P0/P1 is a
-        // symmetry, moving P2 is not.
-        let fanin: Program =
-            "process P0:\n send(P2)\nprocess P1:\n send(P2)\nprocess P2:\n recv\n recv\n"
-                .parse()
-                .unwrap();
-        assert_eq!(symmetries(&fanin), vec![vec![0, 1, 2], vec![1, 0, 2]]);
-    }
-
-    #[test]
-    fn sym_keys_collapse_mirrored_schedules() {
-        let twins: Program =
-            "process P0:\n guess(x0)\n compute\nprocess P1:\n guess(x0)\n compute\n"
-                .parse()
-                .unwrap();
-        let perms = symmetries(&twins);
-        // P0 ahead of P1 vs P1 ahead of P0: plain keys differ, symmetry
-        // keys collapse, and the minimizing perms differ accordingly.
-        let a = machine_after(&twins, &[0]);
-        let b = machine_after(&twins, &[1]);
-        assert_ne!(state_key(&a), state_key(&b));
-        let (ka, pa) = sym_state_key(&a, &perms);
-        let (kb, pb) = sym_state_key(&b, &perms);
-        assert_eq!(ka, kb);
-        assert_ne!(pa, pb);
-    }
-
-    #[test]
-    fn identity_perm_reproduces_plain_encodings() {
-        let program: Program =
-            "process P0:\n send(P1)\n guess(x0)\nprocess P1:\n recv\n affirm(x0)\n"
-                .parse()
-                .unwrap();
-        let m = machine_after(&program, &[0, 1, 0, 1]);
-        let id = identity(2);
-        assert_eq!(state_key(&m), state_key_perm(&m, &id));
-        assert_eq!(commit_fingerprint(&m), commit_fingerprint_perm(&m, &id));
-    }
-
-    #[test]
-    fn sym_commit_fingerprints_agree_across_mirrored_completions() {
-        let twins: Program =
-            "process P0:\n guess(x0)\n compute\nprocess P1:\n guess(x0)\n compute\n"
-                .parse()
-                .unwrap();
-        let perms = symmetries(&twins);
-        let a = machine_after(&twins, &[0, 0, 1, 1]);
-        let b = machine_after(&twins, &[1, 1, 0, 0]);
-        assert_eq!(
-            sym_commit_fingerprint(&a, &perms),
-            sym_commit_fingerprint(&b, &perms)
-        );
     }
 
     #[test]

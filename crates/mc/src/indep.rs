@@ -80,75 +80,6 @@ impl Footprint {
     }
 }
 
-/// Union of the footprints of every transition one process executed
-/// inside an explored subtree — the per-canonical-state cache record the
-/// full-DPOR engine replays on re-arrivals, so races between the *current*
-/// DFS stack and transitions buried in an already-explored subtree still
-/// insert their backtrack points (the stateful-DPOR soundness fix).
-///
-/// A union is coarser than the individual footprints, which only ever
-/// *adds* backtrack points; to avoid losing depth information the replay
-/// inserts at every dependent stack frame, not just the deepest.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct Summary {
-    /// Union of the transitions' write sets.
-    pub writes: BTreeSet<AidId>,
-    /// Union of the transitions' read sets.
-    pub reads: BTreeSet<AidId>,
-    /// Union of the transitions' process sets.
-    pub procs: BTreeSet<usize>,
-    /// Every mailbox some summarized transition appended to.
-    pub sends: BTreeSet<usize>,
-}
-
-impl Summary {
-    /// Fold one transition's footprint into the summary.
-    pub fn absorb(&mut self, fp: &Footprint) {
-        self.writes.extend(fp.writes.iter().copied());
-        self.reads.extend(fp.reads.iter().copied());
-        self.procs.extend(fp.procs.iter().copied());
-        if let Some(t) = fp.send_to {
-            self.sends.insert(t);
-        }
-    }
-
-    /// Fold another subtree summary into this one.
-    pub fn merge(&mut self, other: &Summary) {
-        self.writes.extend(other.writes.iter().copied());
-        self.reads.extend(other.reads.iter().copied());
-        self.procs.extend(other.procs.iter().copied());
-        self.sends.extend(other.sends.iter().copied());
-    }
-
-    /// The summary with every process index renamed through `map`
-    /// (`map[p]` replaces `p`). AID sets are symmetry-invariant — program
-    /// symmetries permute processes over a globally shared AID array.
-    pub fn rename(&self, map: &[usize]) -> Summary {
-        Summary {
-            writes: self.writes.clone(),
-            reads: self.reads.clone(),
-            procs: self.procs.iter().map(|&p| map[p]).collect(),
-            sends: self.sends.iter().map(|&t| map[t]).collect(),
-        }
-    }
-
-    /// Conservative dependence against a single step's footprint: the
-    /// negation of [`Footprint::independent`] lifted to the union.
-    pub fn dependent(&self, fp: &Footprint) -> bool {
-        self.procs.iter().any(|p| fp.procs.contains(p))
-            || self
-                .writes
-                .iter()
-                .any(|x| fp.writes.contains(x) || fp.reads.contains(x))
-            || self.reads.iter().any(|x| fp.writes.contains(x))
-            || self
-                .sends
-                .iter()
-                .any(|t| fp.procs.contains(t) || fp.send_to == Some(*t))
-            || fp.send_to.is_some_and(|t| self.procs.contains(&t))
-    }
-}
-
 enum Decision {
     Affirm(AidId),
     Deny(AidId),

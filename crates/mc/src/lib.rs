@@ -9,38 +9,28 @@
 //! either [`Completeness::Exhausted`] — the claim now quantifies over the
 //! full schedule space — or an explicit [`Completeness::BudgetExceeded`].
 //!
-//! Four cooperating reductions keep the space tractable without losing
+//! Two cooperating reductions keep the space tractable without losing
 //! any reachable terminal state:
 //!
 //! 1. **Canonical-state memoization** ([`mod@canon`]): states reached by
 //!    commuting independent steps are renamed onto schedule-independent
 //!    coordinates and cached, so each inequivalent state is expanded once.
-//! 2. **Sleep sets**: after exploring step `a` from a state, sibling
-//!    branches need not re-run `a`-first interleavings of independent
-//!    steps; independence comes from engine-derived footprints
-//!    (same-AID contact, DOM/IDO interaction, rollback victims, mailbox
-//!    order — see `indep`).
-//! 3. **Dynamic backtracking sets** (full Flanagan–Godefroid DPOR, the
-//!    `dpor` engine): each state explores a single seed transition — the
-//!    persistent singleton when one is provable, else the first enabled
-//!    process — and further transitions only when a discovered race
-//!    inserts a backtrack point at the deepest state where the racing
-//!    pair was co-enabled. Cache hits replay per-process subtree
-//!    footprint summaries so races crossing a cut subtree still insert.
-//! 4. **Symmetry reduction** ([`Mode::DporSym`], the default): states are
-//!    canonicalized modulo the program's process-renaming automorphisms
-//!    ([`canon::symmetries`]), collapsing mirrored interleavings of
-//!    program-identical processes. Outcome sets are recorded
-//!    orbit-closed, so reports compare directly across modes.
+//! 2. **Sleep sets and persistent singletons**: after exploring step `a`
+//!    from a state, sibling branches need not re-run `a`-first
+//!    interleavings of independent steps, and a step proven invisible to
+//!    every other process is scheduled alone, without branching.
+//!    Independence comes from engine-derived footprints (same-AID
+//!    contact, DOM/IDO interaction, rollback victims, mailbox order — see
+//!    `indep`).
 //!
-//! All reductions preserve every reachable *terminal* state (and the
-//! sin flags that decide pristineness travel inside the canonical state),
-//! so every verdict this crate reports — "some schedule finalizes
-//! pristinely", "no schedule can finalize", "all schedules commit the
-//! same outputs" — holds over the unreduced space. A [`Mode::Naive`]
-//! comparator (plain bounded DFS, no cache, no reduction) and the PR-5
-//! [`Mode::SleepSet`] baseline exist so the test-suite can cross-check
-//! verdicts and the E20 experiment can measure what each rung buys.
+//! Both preserve every reachable *terminal* state (and the sin flags that
+//! decide pristineness travel inside the canonical state), so every
+//! verdict this crate reports — "some schedule finalizes pristinely", "no
+//! schedule can finalize", "all schedules commit the same outputs" —
+//! holds over the unreduced space. [`Mode::SleepSet`] applies both and is
+//! the default; [`Mode::Naive`] (plain bounded DFS, no cache, no
+//! reduction) is the oracle the test-suite holds it to and the E17
+//! experiment measures it against.
 //!
 //! ```
 //! use hope_core::program::Program;
@@ -66,7 +56,6 @@ use hope_core::observer::RuntimeObserver;
 use hope_core::program::Program;
 
 pub mod canon;
-mod dpor;
 mod indep;
 
 pub use canon::commit_fingerprint;
@@ -77,28 +66,19 @@ use indep::invisible_singleton;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
     /// Plain bounded DFS over the full interleaving tree: no state cache,
-    /// no reduction. The comparator for measuring what DPOR buys; its
+    /// no reduction. The oracle the reduced search is checked against; its
     /// `transitions` count is the naive interleaving cost.
     Naive,
-    /// Canonical-state memoization only (no sleep sets, no persistent
-    /// singletons). Isolates how much the cache alone prunes.
-    Stateful,
-    /// The PR-5 baseline: memoization + sleep sets + persistent
-    /// singletons, with every enabled transition explored at every state.
+    /// The reduced search, and the default: canonical-state memoization +
+    /// sleep sets + persistent singletons, with every non-sleeping enabled
+    /// transition explored at every state.
     SleepSet,
-    /// Full Flanagan–Godefroid DPOR: memoization + sleep sets + per-state
-    /// *dynamic backtracking sets* grown from discovered races, with
-    /// persistent singletons only seeding the initial backtrack choice.
-    Dpor,
-    /// [`Mode::Dpor`] plus symmetry reduction over process renamings that
-    /// preserve program text. The default.
-    DporSym,
 }
 
 /// Budget and strategy for one [`check`] run.
 #[derive(Debug, Clone)]
 pub struct McConfig {
-    /// Stop after this many states (canonical states in `Stateful`/`Dpor`,
+    /// Stop after this many states (canonical states in `SleepSet`,
     /// visited nodes in `Naive`).
     pub max_states: usize,
     /// Prune any branch deeper than this many steps (guards against
@@ -115,7 +95,7 @@ impl Default for McConfig {
         McConfig {
             max_states: 200_000,
             max_depth: 2_000,
-            mode: Mode::DporSym,
+            mode: Mode::SleepSet,
             max_witnesses: 16,
         }
     }
@@ -197,12 +177,9 @@ pub struct McReport {
     /// Up to `max_witnesses` terminal schedules for replay.
     pub witnesses: Vec<TerminalWitness>,
     /// Pending-but-unexplored transitions left behind when a budget
-    /// stopped the run (a lower bound: races not yet discovered could
-    /// have demanded more). `0` when [`Completeness::Exhausted`].
+    /// stopped the run (a lower bound: their subtrees were never
+    /// counted). `0` when [`Completeness::Exhausted`].
     pub frontier_remaining: usize,
-    /// Size of the symmetry group used for canonicalization (`1` unless
-    /// [`Mode::DporSym`] found nontrivial program automorphisms).
-    pub sym_group: usize,
     outputs: BTreeSet<Vec<u8>>,
 }
 
@@ -237,8 +214,7 @@ impl McReport {
     /// consumers log this instead of a bare boolean, so a run that died
     /// at 98% reads differently from one that died at 3%. A budget-ended
     /// run always reports strictly below `1.0`: the frontier is a lower
-    /// bound and can be 0 when the budget died before any race was
-    /// discovered, so at least one pending unit is charged.
+    /// bound and can be 0, so at least one pending unit is charged.
     pub fn explored_fraction(&self) -> f64 {
         if self.completeness.is_exhausted() {
             return 1.0;
@@ -247,8 +223,8 @@ impl McReport {
         self.states as f64 / total as f64
     }
 
-    /// An empty report assuming exhaustion, filled in by the explorers.
-    pub(crate) fn empty(sym_group: usize) -> McReport {
+    /// An empty report assuming exhaustion, filled in by the explorer.
+    fn empty() -> McReport {
         McReport {
             completeness: Completeness::Exhausted,
             states: 0,
@@ -261,7 +237,6 @@ impl McReport {
             pristine_witness: None,
             witnesses: Vec::new(),
             frontier_remaining: 0,
-            sym_group,
             outputs: BTreeSet::new(),
         }
     }
@@ -296,6 +271,9 @@ fn is_pristine(m: &Machine) -> bool {
 
 struct Explorer {
     cfg: McConfig,
+    /// `cfg.mode == Mode::SleepSet`: cache states, prune with sleep sets
+    /// and persistent singletons. `false` is the naive oracle.
+    reduce: bool,
     visited: BTreeMap<Vec<u8>, BTreeSet<usize>>,
     path: Vec<usize>,
     report: McReport,
@@ -344,10 +322,7 @@ impl Explorer {
         // Visited-state handling. Terminals are cached too, so each
         // inequivalent terminal is counted and recorded exactly once.
         let mut state_key = Vec::new();
-        let explored_before: BTreeSet<usize> = if self.cfg.mode == Mode::Naive {
-            self.report.states += 1;
-            BTreeSet::new()
-        } else {
+        let explored_before: BTreeSet<usize> = if self.reduce {
             state_key = canon::state_key(m);
             match self.visited.get(&state_key) {
                 Some(done) => {
@@ -363,6 +338,9 @@ impl Explorer {
                     BTreeSet::new()
                 }
             }
+        } else {
+            self.report.states += 1;
+            BTreeSet::new()
         };
 
         if enabled.is_empty() {
@@ -375,42 +353,32 @@ impl Explorer {
             return;
         }
 
-        // Persistent singleton: a provably invisible step needs no
-        // branching — and by persistence, no sibling either.
-        let candidates: Vec<usize> = if self.cfg.mode == Mode::SleepSet {
-            match invisible_singleton(m, &enabled) {
+        let (allowed, footprints) = if self.reduce {
+            // Persistent singleton: a provably invisible step needs no
+            // branching — and by persistence, no sibling either.
+            let candidates = match invisible_singleton(m, &enabled) {
                 Some(p) => {
                     self.report.singleton_states += 1;
                     vec![p]
                 }
                 None => enabled,
-            }
-        } else {
-            enabled
-        };
-
-        // Sleep-set filter: steps whose `candidate`-first interleavings a
-        // sibling branch already covers.
-        let allowed: Vec<usize> = if self.cfg.mode == Mode::SleepSet {
+            };
+            // Sleep-set filter: steps whose `candidate`-first interleavings
+            // a sibling branch already covers.
             let before = candidates.len();
             let kept: Vec<usize> = candidates
                 .into_iter()
                 .filter(|p| !sleep.contains(p))
                 .collect();
             self.report.sleep_pruned += before - kept.len();
-            kept
-        } else {
-            candidates
-        };
-
-        let footprints: BTreeMap<usize, indep::Footprint> = if self.cfg.mode == Mode::SleepSet {
-            allowed
+            let footprints: BTreeMap<usize, indep::Footprint> = kept
                 .iter()
                 .chain(sleep.iter())
                 .map(|&p| (p, indep::footprint(m, p)))
-                .collect()
+                .collect();
+            (kept, footprints)
         } else {
-            BTreeMap::new()
+            (enabled, BTreeMap::new())
         };
 
         let mut taken: Vec<usize> = Vec::new();
@@ -418,7 +386,7 @@ impl Explorer {
             if explored_before.contains(&p) {
                 continue;
             }
-            if self.cfg.mode != Mode::Naive {
+            if self.reduce {
                 // Mark pre-order so cycles (rollback livelocks) cut off.
                 self.visited.entry(state_key.clone()).or_default().insert(p);
             }
@@ -432,7 +400,7 @@ impl Explorer {
             let mut child = m.clone();
             child.step(p).expect("machine-built programs cannot err");
             self.report.transitions += 1;
-            let child_sleep: Vec<usize> = if self.cfg.mode == Mode::SleepSet {
+            let child_sleep: Vec<usize> = if self.reduce {
                 let fp_p = &footprints[&p];
                 sleep
                     .iter()
@@ -451,7 +419,7 @@ impl Explorer {
             self.path.push(p);
             self.explore(&child, child_sleep, depth + 1);
             self.path.pop();
-            if self.cfg.mode == Mode::SleepSet {
+            if self.reduce {
                 taken.push(p);
             }
         }
@@ -466,15 +434,13 @@ impl Explorer {
 /// pristine witness schedule if one exists, and the set of committed
 /// outcomes across all completed terminals.
 pub fn check(program: &Program, cfg: &McConfig) -> McReport {
-    if matches!(cfg.mode, Mode::Dpor | Mode::DporSym) {
-        return dpor::explore(program, cfg);
-    }
     let machine = Machine::new(program.clone());
     let mut explorer = Explorer {
         cfg: cfg.clone(),
+        reduce: cfg.mode == Mode::SleepSet,
         visited: BTreeMap::new(),
         path: Vec::new(),
-        report: McReport::empty(1),
+        report: McReport::empty(),
         stopped: false,
     };
     explorer.explore(&machine, Vec::new(), 0);
@@ -538,213 +504,96 @@ mod tests {
         assert!(r.completed_terminals > 0);
     }
 
-    #[test]
-    fn naive_and_dpor_agree_on_verdicts() {
-        for seed in 0..60u64 {
-            let p = Program::generate(seed, 2, 3, 2);
-            let dpor = check(&p, &McConfig::default());
-            let naive = check(
-                &p,
-                &McConfig {
-                    mode: Mode::Naive,
-                    ..McConfig::default()
-                },
-            );
-            if !dpor.completeness.is_exhausted() || !naive.completeness.is_exhausted() {
-                continue;
-            }
-            assert_eq!(
-                dpor.pristine_witness.is_some(),
-                naive.pristine_witness.is_some(),
-                "seed {seed}: pristine disagreement\n{p}"
-            );
-            assert_eq!(
-                dpor.outputs, naive.outputs,
-                "seed {seed}: committed outcomes disagree\n{p}"
-            );
-            assert_eq!(
-                dpor.deadlock_terminals > 0,
-                naive.deadlock_terminals > 0,
-                "seed {seed}: deadlock disagreement\n{p}"
-            );
-            assert!(dpor.transitions <= naive.transitions, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn invisible_sends_do_not_forge_happens_before_edges() {
-        // Regression: both processes race on affirm(x1), but the only HB
-        // path from P0's affirm to P1's is affirm → send(P1) → recv —
-        // and that send is a proven-invisible singleton (single-sender
-        // append onto a non-empty queue; the recv pops the *earlier*
-        // message). If the vector-clock join treats the invisible send as
-        // a real dependence, the forged edge filters out the affirm race
-        // and DPOR silently drops the schedule where P1 decides x1 first.
-        let p = parse(
-            "process P0:\n recv\n send(P1)\n affirm(x1)\n send(P1)\n\
-             process P1:\n send(P0)\n recv\n affirm(x1)\n send(P0)\n",
-        );
-        let naive = check(
-            &p,
+    fn naive(p: &Program) -> McReport {
+        check(
+            p,
             &McConfig {
                 mode: Mode::Naive,
                 ..McConfig::default()
             },
-        );
-        let dpor = check(
-            &p,
-            &McConfig {
-                mode: Mode::Dpor,
-                ..McConfig::default()
-            },
-        );
-        assert!(naive.completeness.is_exhausted());
-        assert!(dpor.completeness.is_exhausted());
-        assert_eq!(naive.distinct_outputs(), 2, "{naive:?}");
-        assert_eq!(dpor.outputs, naive.outputs, "{p}");
-        assert!(dpor.states < naive.states, "reduction must survive the fix");
+        )
     }
 
     #[test]
-    fn stateful_and_dpor_agree_and_dpor_is_no_larger() {
-        for seed in 100..140u64 {
-            let p = Program::generate(seed, 3, 3, 2);
-            let dpor = check(&p, &McConfig::default());
-            let stateful = check(
-                &p,
-                &McConfig {
-                    mode: Mode::Stateful,
-                    ..McConfig::default()
-                },
-            );
-            if !dpor.completeness.is_exhausted() || !stateful.completeness.is_exhausted() {
-                continue;
-            }
-            assert_eq!(dpor.outputs, stateful.outputs, "seed {seed}\n{p}");
-            assert_eq!(
-                dpor.pristine_witness.is_some(),
-                stateful.pristine_witness.is_some(),
-                "seed {seed}\n{p}"
-            );
-            assert!(dpor.states <= stateful.states, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn all_five_modes_agree_on_generated_programs() {
-        let modes = [
-            Mode::Naive,
-            Mode::Stateful,
-            Mode::SleepSet,
-            Mode::Dpor,
-            Mode::DporSym,
+    fn reduced_and_naive_agree_on_generated_programs() {
+        // (seeds, processes, statements per process, AIDs). The reduced
+        // search must reach exactly the oracle's committed outcomes, agree
+        // on whether a pristine schedule and a deadlock exist, and never
+        // take more steps. Only programs the oracle cannot finish are
+        // skipped.
+        let corpora = [
+            (0..60u64, 2, 3, 2),
+            (0..30, 2, 4, 2),
+            (100..140, 3, 3, 2),
+            (0..320, 3, 3, 3),
         ];
-        for seed in 0..30u64 {
-            let p = Program::generate(seed, 2, 4, 2);
-            let reports: Vec<McReport> = modes
-                .iter()
-                .map(|&mode| {
-                    check(
-                        &p,
-                        &McConfig {
-                            mode,
-                            ..McConfig::default()
-                        },
-                    )
-                })
-                .collect();
-            if reports.iter().any(|r| !r.completeness.is_exhausted()) {
-                continue;
-            }
-            let base = &reports[0];
-            for (r, &mode) in reports.iter().zip(&modes).skip(1) {
+        for (seeds, procs, len, aids) in corpora {
+            let mut compared = 0;
+            for seed in seeds.clone() {
+                let p = Program::generate(seed, procs, len, aids);
+                let base = naive(&p);
+                if !base.completeness.is_exhausted() {
+                    continue;
+                }
+                compared += 1;
+                let reduced = check(&p, &McConfig::default());
+                assert!(reduced.completeness.is_exhausted(), "seed {seed}\n{p}");
                 assert_eq!(
-                    r.pristine_witness.is_some(),
+                    reduced.outputs, base.outputs,
+                    "seed {seed}: committed outcomes disagree\n{p}"
+                );
+                assert_eq!(
+                    reduced.pristine_witness.is_some(),
                     base.pristine_witness.is_some(),
-                    "seed {seed}, mode {mode:?}: pristine disagreement\n{p}"
-                );
-                // Outputs are orbit-closed under symmetry reduction and a
-                // naive exploration's output set is orbit-closed by
-                // construction, so the sets compare directly.
-                assert_eq!(
-                    r.outputs, base.outputs,
-                    "seed {seed}, mode {mode:?}: committed outcomes disagree\n{p}"
+                    "seed {seed}: pristine disagreement\n{p}"
                 );
                 assert_eq!(
-                    r.deadlock_terminals > 0,
+                    reduced.deadlock_terminals > 0,
                     base.deadlock_terminals > 0,
-                    "seed {seed}, mode {mode:?}: deadlock disagreement\n{p}"
+                    "seed {seed}: deadlock disagreement\n{p}"
                 );
+                assert!(reduced.transitions <= base.transitions, "seed {seed}");
             }
+            assert!(
+                compared * 10 >= seeds.count() * 9,
+                "{procs}x{len}x{aids}: the oracle finished only {compared} programs"
+            );
         }
     }
 
     #[test]
-    fn symmetry_reduces_twin_programs() {
-        // Two program-identical processes racing on a shared AID: every
-        // state has a mirror, so DporSym must visit strictly fewer states
-        // than Dpor while agreeing on the verdict.
+    fn default_mode_finds_all_eight_outcomes_of_the_pr11_program() {
+        // The generated 3x3 program on which the removed DPOR modes (then
+        // the default) reported 6 of the 8 committed outcomes.
+        let seed = 23u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(620);
+        let p = Program::generate(seed, 3, 3, 3);
+        let oracle = naive(&p);
+        let reduced = check(&p, &McConfig::default());
+        assert!(oracle.completeness.is_exhausted());
+        assert!(reduced.completeness.is_exhausted());
+        assert_eq!(oracle.distinct_outputs(), 8, "{p}");
+        assert_eq!(reduced.outputs, oracle.outputs, "{p}");
+    }
+
+    #[test]
+    fn invisible_sends_do_not_forge_happens_before_edges() {
+        // Both processes race on affirm(x1), and the only path from P0's
+        // affirm to P1's runs affirm → send(P1) → recv, where the send is a
+        // proven-invisible singleton (single-sender append onto a
+        // non-empty queue; the recv pops the *earlier* message). A
+        // reduction that reads that send as ordering the two affirms drops
+        // the schedule where P1 decides x1 first.
         let p = parse(
-            "process P0:\n guess(x0)\n compute\n affirm(x0)\n\
-             process P1:\n guess(x0)\n compute\n affirm(x0)\n",
+            "process P0:\n recv\n send(P1)\n affirm(x1)\n send(P1)\n\
+             process P1:\n send(P0)\n recv\n affirm(x1)\n send(P0)\n",
         );
-        let dpor = check(
-            &p,
-            &McConfig {
-                mode: Mode::Dpor,
-                ..McConfig::default()
-            },
-        );
-        let sym = check(&p, &McConfig::default());
-        assert!(dpor.completeness.is_exhausted());
-        assert!(sym.completeness.is_exhausted());
-        assert_eq!(sym.sym_group, 2);
-        assert!(
-            sym.states < dpor.states,
-            "symmetry bought nothing: {} vs {}",
-            sym.states,
-            dpor.states
-        );
-        assert_eq!(sym.outputs, dpor.outputs);
-        assert_eq!(
-            sym.pristine_witness.is_some(),
-            dpor.pristine_witness.is_some()
-        );
-    }
-
-    #[test]
-    fn dpor_explores_no_more_than_sleepset_on_the_envelope() {
-        // Aggregate over the 2-process envelope: dynamic backtracking
-        // sets must beat (or match) the PR-5 persistent-singleton
-        // baseline overall — this is the E20 headline, pinned here in
-        // miniature.
-        let mut sleepset_total = 0usize;
-        let mut dpor_total = 0usize;
-        for seed in 0..40u64 {
-            let p = Program::generate(seed, 2, 3, 2);
-            let ss = check(
-                &p,
-                &McConfig {
-                    mode: Mode::SleepSet,
-                    ..McConfig::default()
-                },
-            );
-            let d = check(
-                &p,
-                &McConfig {
-                    mode: Mode::Dpor,
-                    ..McConfig::default()
-                },
-            );
-            assert!(ss.completeness.is_exhausted());
-            assert!(d.completeness.is_exhausted());
-            sleepset_total += ss.transitions;
-            dpor_total += d.transitions;
-        }
-        assert!(
-            dpor_total <= sleepset_total,
-            "full DPOR regressed: {dpor_total} vs {sleepset_total} transitions"
-        );
+        let oracle = naive(&p);
+        let reduced = check(&p, &McConfig::default());
+        assert!(oracle.completeness.is_exhausted());
+        assert!(reduced.completeness.is_exhausted());
+        assert_eq!(oracle.distinct_outputs(), 2, "{oracle:?}");
+        assert_eq!(reduced.outputs, oracle.outputs, "{p}");
+        assert!(reduced.states < oracle.states, "the reduction must reduce");
     }
 
     #[test]

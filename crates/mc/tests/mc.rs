@@ -103,3 +103,55 @@ fn envelope_shapes_are_covered() {
         random_is_subset_of_exhaustive(&one);
     }
 }
+
+/// The `hope-mc` binary has one reduced mode and its `--naive` oracle: the
+/// flags of the removed modes are usage errors, and the JSON report names
+/// the mode it ran under exactly these keys.
+#[test]
+fn cli_rejects_removed_mode_flags() {
+    let run = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_hope-mc"))
+            .args(args)
+            .output()
+            .expect("hope-mc runs")
+    };
+    for flag in ["--stateful", "--sleepset", "--dpor"] {
+        let out = run(&[flag, "--generate", "3,2,3,2"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+        assert!(err.contains("[--naive] [--max-states N]"), "{err}");
+    }
+    for (extra, mode) in [(None, "reduced"), (Some("--naive"), "naive")] {
+        let mut args = vec!["--json", "--generate", "3,2,3,2"];
+        args.extend(extra);
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0));
+        let json = String::from_utf8_lossy(&out.stdout);
+        // Every quoted string of the report: its keys in order, plus the
+        // two string values.
+        let quoted: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
+        assert_eq!(
+            quoted,
+            [
+                "verdict",
+                "exhausted",
+                "mode",
+                mode,
+                "states",
+                "transitions",
+                "cache_hits",
+                "sleep_pruned",
+                "singleton_states",
+                "frontier_remaining",
+                "explored_fraction",
+                "completed_terminals",
+                "deadlock_terminals",
+                "distinct_outputs",
+                "pristine_schedule",
+                "proves_no_pristine_schedule",
+            ],
+            "{json}"
+        );
+    }
+}

@@ -217,7 +217,7 @@ pub fn chaos_sweep(
 /// makes, so sweeping it samples distinct schedules of the same program.
 /// This is deliberately a *sampled* complement to the `hope-mc` model
 /// checker: machine programs are plain data and can be forked state-by-
-/// state for exhaustive DPOR exploration, but a [`Simulation`]'s process
+/// state for exhaustive exploration, but a [`Simulation`]'s process
 /// bodies are closures that cannot be cloned mid-run, so the runtime's
 /// schedule coverage comes from seeds. Programs whose committed output is
 /// schedule-dependent by design (racing outputs with no HOPE protocol

@@ -8,8 +8,7 @@
 //! real crate cannot be fetched. `std::sync::mpsc` is single-consumer, so a
 //! plain re-export cannot satisfy crossbeam's `Receiver: Clone`; instead the
 //! shim implements a small mutex-plus-condvar MPMC queue and reuses the
-//! standard library's channel error vocabulary (`SendError`, `RecvError`,
-//! `TryRecvError`).
+//! standard library's channel error vocabulary (`SendError`, `RecvError`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -17,7 +16,7 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-pub use std::sync::mpsc::{RecvError, RecvTimeoutError, SendError, TryRecvError};
+pub use std::sync::mpsc::{RecvError, SendError};
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -126,16 +125,6 @@ impl<T> Receiver<T> {
                 .unwrap_or_else(PoisonError::into_inner);
         }
     }
-
-    /// Dequeue the next message without blocking.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.lock();
-        match state.queue.pop_front() {
-            Some(value) => Ok(value),
-            None if state.senders == 0 => Err(TryRecvError::Disconnected),
-            None => Err(TryRecvError::Empty),
-        }
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -177,7 +166,6 @@ mod tests {
         let (tx, rx) = unbounded::<u8>();
         drop(tx);
         assert!(rx.recv().is_err());
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
         let (tx, rx) = unbounded::<u8>();
         drop(rx);
         assert!(tx.send(1).is_err());

@@ -25,11 +25,6 @@ impl<T> Mutex<T> {
     pub fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -39,21 +34,6 @@ impl<T: ?Sized> Mutex<T> {
     /// panicked is recovered, matching parking_lot semantics.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Attempt to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(g),
-            Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutably borrow the protected value (no locking needed: `&mut self`
-    /// proves exclusive access).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -78,16 +58,6 @@ mod tests {
         let m = Mutex::new(1);
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn try_lock_contended() {
-        let m = Mutex::new(0);
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! * [`analysis`] (`hope-analysis`) — static speculation-flow analysis and
 //!   lints over machine programs, plus the `hope-lint` binary; statically
 //!   doomed programs can be rejected before they run.
-//! * [`mc`] (`hope-mc`) — a DPOR exhaustive scheduler over the abstract
+//! * [`mc`] (`hope-mc`) — a reduced exhaustive scheduler over the abstract
 //!   machine, plus the `hope-mc` binary: verdicts over *every*
 //!   inequivalent schedule of a small program, not a sampled handful.
 //! * [`sim`] (`hope-sim`) — the deterministic distributed-system substrate

@@ -16,7 +16,7 @@
 //! after the last commit and would inflate the clock).
 
 use hope_recovery::{run_app_optimistic, run_stable_store};
-use hope_runtime::{FaultPlan, ProcessId, SimConfig, Simulation};
+use hope_runtime::{Committed, FaultPlan, ProcessId, SimConfig, Simulation};
 use hope_sim::{LatencyModel, Topology};
 
 use super::{completion_ms, ms, us};
@@ -39,7 +39,7 @@ pub struct E16Row {
     pub rollbacks: u64,
 }
 
-fn run(drop_rate: f64, steps: u64, seed: u64) -> (f64, Vec<String>, E16Row) {
+fn run(drop_rate: f64, steps: u64, seed: u64) -> (f64, Committed, E16Row) {
     let topo = Topology::uniform(LatencyModel::Fixed(ms(2)));
     let mut config = SimConfig::with_seed(seed).with_topology(topo);
     if drop_rate > 0.0 {
@@ -54,11 +54,6 @@ fn run(drop_rate: f64, steps: u64, seed: u64) -> (f64, Vec<String>, E16Row) {
     let report = sim.run();
     assert!(report.errors().is_empty(), "{report}");
     let completion = completion_ms(&report, app);
-    let lines: Vec<String> = report
-        .output_lines()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
     let row = E16Row {
         drop_rate,
         completion_ms: completion,
@@ -67,7 +62,7 @@ fn run(drop_rate: f64, steps: u64, seed: u64) -> (f64, Vec<String>, E16Row) {
         timeout_denies: report.stats().faults.timeout_denies,
         rollbacks: report.stats().rollback_events,
     };
-    (completion, lines, row)
+    (completion, report.committed(), row)
 }
 
 /// Measure one drop-rate point with `steps` application steps, asserting

@@ -24,7 +24,7 @@
 //!   (asserted per row, not assumed).
 
 use hope_recovery::{run_app_optimistic, run_stable_store};
-use hope_runtime::{FaultPlan, GovernorConfig, ProcessId, SimConfig, Simulation};
+use hope_runtime::{Committed, FaultPlan, GovernorConfig, ProcessId, SimConfig, Simulation};
 use hope_sim::{LatencyModel, Topology, VirtualTime};
 
 use super::{completion_ms, ms};
@@ -111,7 +111,7 @@ struct RunOut {
     held: u64,
     converted: u64,
     transitions: u64,
-    lines: Vec<String>,
+    committed: Committed,
 }
 
 fn run(storm: Storm, governed: bool, steps: u64, seed: u64) -> RunOut {
@@ -160,11 +160,7 @@ fn run(storm: Storm, governed: bool, steps: u64, seed: u64) -> RunOut {
         held: g.held,
         converted: g.converted,
         transitions: g.transitions,
-        lines: report
-            .output_lines()
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
+        committed: report.committed(),
     }
 }
 
@@ -175,7 +171,7 @@ pub fn measure(storm: Storm, steps: u64, seed: u64) -> E21Row {
     let off = run(storm, false, steps, seed);
     let on = run(storm, true, steps, seed);
     assert_eq!(
-        off.lines, on.lines,
+        off.committed, on.committed,
         "governor changed committed outputs under {:?}",
         storm
     );

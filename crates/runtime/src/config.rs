@@ -48,9 +48,13 @@ pub struct SimConfig {
     /// runs keep complete histories for tracing and post-mortems.
     pub fossil_collection: bool,
     /// Run the engine's O(intervals × AIDs) structural invariant check
-    /// after every transition. Invaluable when debugging a protocol,
-    /// ruinous for long simulations; the engine's own test suite covers
-    /// the invariants, so this defaults to off.
+    /// ([`hope_core::Engine::verify_invariants`]) after every transition
+    /// and panic on a violation. Invaluable when debugging a protocol,
+    /// ruinous for long simulations, so this defaults to off. It is a
+    /// dimension of the transparency lattices (`tests/chaos_equivalence.rs`,
+    /// [`crate::mc`]), which is where the invariants are held under every
+    /// combination of fossil collection, governor, race detection, tracing
+    /// and faults.
     pub check_engine_invariants: bool,
     /// Record a human-readable execution trace (primitive calls, message
     /// deliveries, ghost drops, rollbacks, output commits), available as
@@ -100,8 +104,8 @@ pub struct SimConfig {
     /// sites whose recent deny rate × damage estimate crosses the
     /// configured pressure thresholds. `None` (the default) admits every
     /// guess immediately — the ungoverned semantics. Transparent to
-    /// committed outputs by construction; the
-    /// [`governor_sweep`](crate::chaos::governor_sweep) oracle asserts it.
+    /// committed outputs by construction; [`chaos::sweep`](crate::chaos::sweep)
+    /// over governor-on variants asserts it.
     pub governor: Option<GovernorConfig>,
 }
 

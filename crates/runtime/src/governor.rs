@@ -27,8 +27,8 @@
 //! wait wake-ups ride the ordinary epoch-guarded [`Wake`] events, so
 //! [`mc::check_scenario`](crate::mc::check_scenario) exhaustion and
 //! [`FaultPlan`](hope_sim::FaultPlan) replay stay sound with the governor
-//! enabled. [`chaos::governor_sweep`](crate::chaos::governor_sweep) turns
-//! the transparency claim into an executable oracle.
+//! enabled. [`chaos::sweep`](crate::chaos::sweep) over governor-on variants
+//! turns the transparency claim into an executable oracle.
 //!
 //! [`Wake`]: crate::SimConfig
 //!
@@ -63,6 +63,15 @@ pub const DEFAULT_GUESS_SITE: u32 = 0;
 /// from program guesses.
 pub const RELIABLE_SEND_SITE: u32 = u32::MAX;
 
+/// Hysteresis: a mode is left only when pressure falls below
+/// `entry_threshold * DEMOTE_PERMILLE / 1000`, so a site oscillating
+/// around a threshold does not flap.
+pub const DEMOTE_PERMILLE: u64 = 500;
+
+/// Damage estimate (journal entries) for sites with no matching prior,
+/// until observed rollbacks correct it.
+pub const DEFAULT_DAMAGE: u64 = 1;
+
 /// Admission-control state machine position of one guess site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GovernorMode {
@@ -94,7 +103,7 @@ impl std::fmt::Display for GovernorMode {
 /// admitted guess**: the deny rate over the sliding window (per-mille)
 /// times the site's damage estimate (journal entries, EWMA-corrected from
 /// observed truncations, seeded by [`priors`](GovernorConfig::priors) or
-/// [`default_damage`](GovernorConfig::default_damage)), divided by 1000. A
+/// [`DEFAULT_DAMAGE`]), divided by 1000. A
 /// site whose guesses are denied 50% of the time and cost 4 discarded
 /// journal entries each sits at pressure 2000.
 #[derive(Debug, Clone, PartialEq)]
@@ -109,10 +118,6 @@ pub struct GovernorConfig {
     pub throttle_pressure: u64,
     /// Enter [`GovernorMode::Conservative`] at or above this pressure.
     pub break_pressure: u64,
-    /// Hysteresis: a mode is left only when pressure falls below
-    /// `entry_threshold * demote_permille / 1000`, so a site oscillating
-    /// around a threshold does not flap.
-    pub demote_permille: u64,
     /// The virtual-time hold a [`GovernorMode::Throttled`] site inserts
     /// before each admitted guess.
     pub hold: VirtualDuration,
@@ -120,9 +125,6 @@ pub struct GovernorConfig {
     /// optimistically as a half-open probe (0 disables probing; the site
     /// then recovers only through outcomes observed on converted waits).
     pub probe_after: u32,
-    /// Damage estimate (journal entries) for sites with no matching prior,
-    /// until observed rollbacks correct it.
-    pub default_damage: u64,
     /// Static per-site damage priors from the analyzer
     /// ([`hope_analysis::cost::site_priors`]); matched by
     /// `(process index, site id)`.
@@ -136,10 +138,8 @@ impl Default for GovernorConfig {
             min_samples: 8,
             throttle_pressure: 400,
             break_pressure: 1600,
-            demote_permille: 500,
             hold: VirtualDuration::from_millis(2),
             probe_after: 8,
-            default_damage: 1,
             priors: Vec::new(),
         }
     }
@@ -168,14 +168,6 @@ impl GovernorConfig {
         self
     }
 
-    /// Replace the hysteresis ratio (per-mille of the entry threshold a
-    /// site must fall below to demote).
-    #[must_use]
-    pub fn with_demote_permille(mut self, permille: u64) -> Self {
-        self.demote_permille = permille;
-        self
-    }
-
     /// Replace the throttled hold duration.
     #[must_use]
     pub fn with_hold(mut self, hold: VirtualDuration) -> Self {
@@ -187,13 +179,6 @@ impl GovernorConfig {
     #[must_use]
     pub fn with_probe_after(mut self, n: u32) -> Self {
         self.probe_after = n;
-        self
-    }
-
-    /// Replace the fallback damage estimate.
-    #[must_use]
-    pub fn with_default_damage(mut self, entries: u64) -> Self {
-        self.default_damage = entries.max(1);
         self
     }
 
@@ -314,7 +299,7 @@ impl Governor {
                 .priors
                 .iter()
                 .find(|p| p.process == pid.0 && p.site == site)
-                .map_or(cfg.default_damage, |p| p.damage)
+                .map_or(DEFAULT_DAMAGE, |p| p.damage)
                 .max(1);
             SiteState {
                 mode: GovernorMode::Optimistic,
@@ -339,17 +324,13 @@ impl Governor {
     /// [`ModeTransition`] if it changed.
     fn eval(&mut self, key: (ProcessId, u32), at: VirtualTime) {
         let cfg_min = self.cfg.min_samples;
-        let (throttle, brk, demote) = (
-            self.cfg.throttle_pressure,
-            self.cfg.break_pressure,
-            self.cfg.demote_permille,
-        );
+        let (throttle, brk) = (self.cfg.throttle_pressure, self.cfg.break_pressure);
         let s = self.sites.get_mut(&key).expect("observed site exists");
         if s.window.len() < cfg_min {
             return;
         }
         let p = Self::pressure(s);
-        let exit = |entry: u64| entry.saturating_mul(demote) / 1000;
+        let exit = |entry: u64| entry.saturating_mul(DEMOTE_PERMILLE) / 1000;
         let to = match s.mode {
             GovernorMode::Optimistic => {
                 if p >= brk {
@@ -531,10 +512,8 @@ mod tests {
             .with_window(0)
             .with_min_samples(0)
             .with_thresholds(1, 2)
-            .with_demote_permille(250)
             .with_hold(VirtualDuration::from_millis(7))
             .with_probe_after(5)
-            .with_default_damage(0)
             .with_priors(vec![SitePrior {
                 process: 1,
                 site: 2,
@@ -543,10 +522,8 @@ mod tests {
         assert_eq!(c.window, 1);
         assert_eq!(c.min_samples, 1);
         assert_eq!((c.throttle_pressure, c.break_pressure), (1, 2));
-        assert_eq!(c.demote_permille, 250);
         assert_eq!(c.hold, VirtualDuration::from_millis(7));
         assert_eq!(c.probe_after, 5);
-        assert_eq!(c.default_damage, 1, "clamped to at least one entry");
         assert_eq!(c.priors.len(), 1);
     }
 

@@ -72,18 +72,18 @@ mod signal;
 mod stats;
 mod value;
 
-pub use chaos::{chaos_sweep, committed_outputs, governor_sweep, ChaosFailure, ChaosOutcome};
+pub use chaos::{knob_lattice, sweep, VariantRun};
 pub use config::SimConfig;
 pub use ctx::Ctx;
 pub use governor::{
     GovernorConfig, GovernorMode, GovernorStats, ModeTransition, DEFAULT_GUESS_SITE,
     RELIABLE_SEND_SITE,
 };
-pub use mc::{check_scenario, SimCompleteness, SimMcConfig, SimMcReport, SimOutcome};
+pub use mc::{check_scenario, SimCompleteness, SimMcConfig, SimMcReport};
 pub use message::{Message, MsgKind};
 pub use scheduler::Simulation;
 pub use signal::{Hope, Signal};
-pub use stats::{CrashReason, FaultStats, MemoryStats, OutputLine, RunReport, RunStats};
+pub use stats::{Committed, CrashReason, FaultStats, MemoryStats, OutputLine, RunReport, RunStats};
 pub use value::Value;
 
 // Re-export the identifier types users need to talk about processes and

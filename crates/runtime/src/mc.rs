@@ -13,7 +13,7 @@
 //! # Search strategy
 //!
 //! Process bodies are closures whose control state cannot be forked
-//! mid-run (see [`crate::chaos`]), so the search is stateless in the
+//! mid-run, so the search is stateless in the
 //! CHESS style: each schedule re-executes the scenario from scratch under
 //! a [`ScheduleOracle`] that replays a recorded prefix of choices and
 //! defaults to the first alternative beyond it. After each run the driver
@@ -41,10 +41,10 @@
 //!
 //! Fire times are clamped monotone when the oracle picks out of deadline
 //! order (see `Shared::next_event`), so every explored schedule
-//! corresponds to a genuine latency assignment. Outcome fingerprints
-//! deliberately exclude virtual-time values for the same reason.
+//! corresponds to a genuine latency assignment. Outcomes are compared as
+//! [`Committed`] values, which exclude virtual time for the same reason.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use hope_core::{AidState, ProcessId};
@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 use crate::oracle::ScheduleOracle;
 use crate::scheduler::Simulation;
 use crate::shared::{EventKind, ProcState, Shared};
-use crate::stats::RunReport;
+use crate::stats::Committed;
 
 /// Budget for [`check_scenario`].
 #[derive(Debug, Clone)]
@@ -91,41 +91,6 @@ impl SimCompleteness {
     }
 }
 
-/// What one schedule committed, with timing deliberately excluded: the
-/// oracle re-times events (see `Shared::next_event`), so only
-/// schedule-independent facts — which lines were committed by whom, who
-/// finished — are comparable across schedules.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct SimOutcome {
-    /// Committed output lines per process, in commit order.
-    pub outputs: BTreeMap<ProcessId, Vec<String>>,
-    /// Processes whose body returned an error, with the error text.
-    pub errors: BTreeMap<ProcessId, String>,
-    /// Processes that panicked or were killed without recovery.
-    pub crashed: Vec<ProcessId>,
-    /// Processes still blocked or down at the end of the run.
-    pub unfinished: Vec<ProcessId>,
-    /// The run stopped at `max_events`/`max_virtual_time` instead of
-    /// quiescing (always a red flag under model checking).
-    pub hit_limits: bool,
-}
-
-impl SimOutcome {
-    fn of(report: &RunReport) -> Self {
-        let mut outputs: BTreeMap<ProcessId, Vec<String>> = BTreeMap::new();
-        for o in report.outputs() {
-            outputs.entry(o.process).or_default().push(o.line.clone());
-        }
-        SimOutcome {
-            outputs,
-            errors: report.errors().clone(),
-            crashed: report.crash_reasons().keys().copied().collect(),
-            unfinished: report.unfinished().to_vec(),
-            hit_limits: report.hit_limits(),
-        }
-    }
-}
-
 /// Result of [`check_scenario`].
 #[derive(Debug, Clone)]
 pub struct SimMcReport {
@@ -135,8 +100,10 @@ pub struct SimMcReport {
     pub choice_points: usize,
     /// Deepest number of branching choice points in any single run.
     pub max_depth: usize,
-    /// Every distinct committed outcome observed.
-    pub outcomes: BTreeSet<SimOutcome>,
+    /// Every distinct committed outcome observed. [`Committed`] carries no
+    /// virtual-time value, which is what makes it comparable here: the
+    /// oracle re-times events (see `Shared::next_event`).
+    pub outcomes: BTreeSet<Committed>,
     /// Whether the reduced schedule space was exhausted.
     pub completeness: SimCompleteness,
     /// On budget exhaustion: a lower bound on the unexplored branches
@@ -269,7 +236,7 @@ pub fn check_scenario(cfg: &SimMcConfig, scenario: impl Fn() -> Simulation) -> S
         if report.hit_limits() {
             limit_runs += 1;
         }
-        outcomes.insert(SimOutcome::of(&report));
+        outcomes.insert(report.committed());
         let fanout = std::mem::take(&mut trail.lock().fanout);
         choice_points += fanout.len();
         max_depth = max_depth.max(fanout.len());
@@ -325,6 +292,7 @@ pub fn check_scenario(cfg: &SimMcConfig, scenario: impl Fn() -> Simulation) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{knob_lattice, sweep};
     use crate::config::SimConfig;
     use crate::value::Value;
     use hope_sim::VirtualDuration;
@@ -464,87 +432,140 @@ mod tests {
         assert!(quiesced >= 1, "some schedule must quiesce: {report:?}");
     }
 
-    /// Model checking composes with fossil collection: collection is
-    /// transparent (it reclaims storage, never outcomes), so the explored
-    /// schedule tree and outcome set must be bit-identical with it on.
-    #[test]
-    fn fossil_collection_preserves_schedule_tree_and_outcomes() {
-        let run = |fossil: bool| {
-            check_scenario(&SimMcConfig::default(), move || {
-                two_sender_race(SimConfig::with_seed(7).with_fossil_collection(fossil))
-            })
-        };
-        let plain = run(false);
-        let collected = run(true);
-        assert_eq!(plain.schedules, collected.schedules);
-        assert_eq!(plain.choice_points, collected.choice_points);
-        assert_eq!(plain.max_depth, collected.max_depth);
-        assert_eq!(plain.outcomes, collected.outcomes);
-        assert!(collected.completeness.is_exhausted());
+    /// The schedule-space scenario of the knob lattice: a strict ping-pong
+    /// guesser/verifier loop — one event in flight at a time, so the
+    /// checker can exhaust it — long enough to cross the scheduler's
+    /// 256-event fossil sweep, guessing every fourth round (so a guess is
+    /// open when the sweep lands, and the invariant-checking cells stay
+    /// cheap) with the second and third guesses denied (see the lattice
+    /// test for what that does to the governor), raced at the very end by
+    /// one late message: the guesser's "done" against the verifier's
+    /// timer, which gives the outcome set two members.
+    fn raced_long_loop(config: SimConfig) -> Simulation {
+        const ROUNDS: i64 = 136;
+        let mut sim = Simulation::new(config);
+        let verifier = ProcessId(1);
+        sim.spawn("guesser", move |ctx| {
+            let mut i = ctx.restore()?.map_or(0, |v| v.expect_int());
+            while i < ROUNDS {
+                ctx.checkpoint(Value::Int(i))?;
+                if i % 4 == 3 {
+                    let aid = ctx.aid_init()?;
+                    ctx.send(verifier, Value::Int(aid.index() as i64))?;
+                    if !ctx.guess(aid)? {
+                        // Denied: the verifier sends no credit.
+                        ctx.output(format!("round {i} denied"))?;
+                        i += 1;
+                        continue;
+                    }
+                } else {
+                    ctx.send(verifier, Value::Int(-1))?;
+                }
+                // Wait (speculating, on a guess round) for the credit.
+                ctx.recv()?;
+                i += 1;
+            }
+            ctx.send(verifier, Value::Int(-1))?;
+            ctx.output("guesser done")?;
+            Ok(())
+        });
+        let guesser = ProcessId(0);
+        sim.spawn("verifier", move |ctx| {
+            let mut seen = ctx.restore()?.map_or(0, |v| v.expect_int());
+            while seen < ROUNDS {
+                ctx.checkpoint(Value::Int(seen))?;
+                let aid = ctx.recv()?.payload.expect_int();
+                if seen == 7 || seen == 11 {
+                    ctx.deny(hope_core::AidId::from_index(aid as u64))?;
+                } else {
+                    if aid >= 0 {
+                        ctx.affirm(hope_core::AidId::from_index(aid as u64))?;
+                    }
+                    ctx.send(guesser, Value::Unit)?;
+                }
+                seen += 1;
+            }
+            ctx.compute(ms(1))?;
+            match ctx.try_recv()? {
+                Some(_) => ctx.output("done arrived before the timer")?,
+                None => {
+                    ctx.recv()?;
+                    ctx.output("done arrived after the timer")?;
+                }
+            }
+            Ok(())
+        });
+        sim
     }
 
-    /// The optimism governor must be invisible to every model-checked
-    /// verdict: its holds and conservative waits ride ordinary
-    /// epoch-guarded wakes (realizable events), so while the *schedule
-    /// tree* legitimately changes shape (held guesses add wake events),
-    /// the **outcome set** — committed outputs, errors, crashes,
-    /// unfinished processes — must be identical to the ungoverned run, and
-    /// the search must still exhaust. This is the model-checked half of
-    /// the transparency claim (`chaos::governor_sweep` is the fault-space
-    /// half).
-    #[test]
-    fn governor_preserves_outcome_set() {
-        // Three guess rounds with the middle one denied: real deny
-        // pressure, so the aggressive governor (throttle from the first
-        // observed outcome, conservative after the deny) exercises holds
-        // *and* converted waits across the explored schedules.
-        let scenario = |gov: Option<crate::governor::GovernorConfig>| {
-            move || {
-                let mut cfg = SimConfig::with_seed(5);
-                cfg.governor = gov.clone();
-                let mut sim = Simulation::new(cfg);
-                let verifier = ProcessId(1);
-                sim.spawn("guesser", move |ctx| {
-                    for round in 0..3 {
-                        let aid = ctx.aid_init()?;
-                        ctx.send(verifier, Value::Int(aid.index() as i64))?;
-                        if ctx.guess(aid)? {
-                            ctx.output(format!("round {round}: yes"))?;
-                        } else {
-                            ctx.output(format!("round {round}: no"))?;
-                        }
-                    }
-                    Ok(())
-                });
-                sim.spawn("verifier", |ctx| {
-                    for round in 0..3 {
-                        let m = ctx.recv()?;
-                        let aid = hope_core::AidId::from_index(m.payload.expect_int() as u64);
-                        if round == 1 {
-                            ctx.deny(aid)?;
-                        } else {
-                            ctx.affirm(aid)?;
-                        }
-                    }
-                    Ok(())
-                });
-                sim
-            }
-        };
-        let plain = check_scenario(&SimMcConfig::default(), scenario(None));
+    /// The one schedule-space lattice: every combination of the knobs that
+    /// claim to be transparent ([`knob_lattice`]) must leave the exhaustive
+    /// outcome set of `raced_long_loop` exactly as the plain run has it.
+    /// Knobs that add no events (fossil collection, race detection,
+    /// tracing, invariant checking) must also leave the schedule *tree*
+    /// bit-identical; the governor's conservative waits and probes ride
+    /// ordinary epoch-guarded wakes, so it may reshape the tree and is held
+    /// to the outcome set only — hence two tests, the 16 `governed` cells
+    /// and the 16 others. Each cell first goes through [`sweep`] under the
+    /// default schedule, whose counters prove it engaged: collection
+    /// reclaimed, the governor converted and probed, the trace filled.
+    fn schedule_space_lattice(governed: bool) {
+        let base = SimConfig::with_seed(7);
+        // One-sample window: the first deny trips the breaker; the next
+        // guess is converted to a wait and denied too (no credit races the
+        // waiter's wake-up, so the tree stays small); the one after is
+        // the half-open probe whose affirm demotes the site.
         let gov = crate::governor::GovernorConfig::default()
-            .with_window(4)
+            .with_window(1)
             .with_min_samples(1)
-            .with_thresholds(0, 900)
-            .with_hold(ms(1));
-        let governed = check_scenario(&SimMcConfig::default(), scenario(Some(gov)));
+            .with_thresholds(400, 900)
+            .with_probe_after(2);
+        let mut cells = knob_lattice(&base, &gov);
+        cells.retain(|(_, cfg)| cfg.governor.is_some() == governed);
+        let runs = sweep(base.clone(), cells.clone(), raced_long_loop);
+        let plain = check_scenario(&SimMcConfig::default(), || raced_long_loop(base.clone()));
         assert!(plain.completeness.is_exhausted(), "{plain:?}");
-        assert!(governed.completeness.is_exhausted(), "{governed:?}");
-        assert_eq!(
-            plain.outcomes, governed.outcomes,
-            "the governor may reshape schedules, never outcomes"
-        );
-        assert!(plain.agreed() && governed.agreed());
+        assert_eq!(plain.outcomes.len(), 2, "the late race must show");
+        // The default schedule is one of the explored ones.
+        assert!(plain
+            .outcomes
+            .contains(&raced_long_loop(base.clone()).run().committed()));
+        for ((label, cfg), run) in cells.iter().zip(&runs) {
+            let (mem, g) = (run.stats.memory, run.stats.governor);
+            assert!(
+                !cfg.fossil_collection
+                    || mem.reclaimed_intervals > 0 && mem.reclaimed_journal_entries > 0,
+                "`{label}`: collection never engaged: {mem:?}"
+            );
+            assert!(
+                !governed || g.converted > 0 && g.probes > 0,
+                "`{label}`: governor never acted: {g:?}"
+            );
+            assert_eq!(run.trace_lines > 0, cfg.trace, "`{label}`: trace");
+            let cell = check_scenario(&SimMcConfig::default(), || raced_long_loop(cfg.clone()));
+            assert!(cell.completeness.is_exhausted(), "`{label}`: {cell:?}");
+            assert_eq!(
+                cell.outcomes, plain.outcomes,
+                "`{label}` changed the outcome set"
+            );
+            if !governed {
+                assert_eq!(
+                    (cell.schedules, cell.choice_points, cell.max_depth),
+                    (plain.schedules, plain.choice_points, plain.max_depth),
+                    "`{label}` adds no events, so it must not reshape the schedule tree"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn knob_lattice_preserves_schedule_tree_and_outcomes() {
+        schedule_space_lattice(false);
+    }
+
+    #[test]
+    fn governed_knob_lattice_preserves_outcome_set() {
+        schedule_space_lattice(true);
     }
 
     /// The budget path: a scenario with more schedules than allowed

@@ -168,27 +168,6 @@ pub struct FaultStats {
     pub ghosts_from_faults: u64,
 }
 
-impl FaultStats {
-    /// Accumulate `other` into `self` (used by chaos sweeps to aggregate
-    /// counters across runs).
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.drops += other.drops;
-        self.dupes += other.dupes;
-        self.dupes_suppressed += other.dupes_suppressed;
-        self.delay_spikes += other.delay_spikes;
-        self.lost_to_down += other.lost_to_down;
-        self.acks += other.acks;
-        self.ack_drops += other.ack_drops;
-        self.reliable_sends += other.reliable_sends;
-        self.retries += other.retries;
-        self.timeout_denies += other.timeout_denies;
-        self.crash_denies += other.crash_denies;
-        self.kills += other.kills;
-        self.restarts += other.restarts;
-        self.ghosts_from_faults += other.ghosts_from_faults;
-    }
-}
-
 /// Why a process died, surfaced through [`RunReport::crash_reasons`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -226,6 +205,27 @@ impl fmt::Display for CrashReason {
             }
         }
     }
+}
+
+/// What a run committed, with every virtual-time value deliberately
+/// excluded: faults, schedules and transparent knobs move *when* lines
+/// commit (and the model checker re-times events outright), never *what*
+/// commits. This is the only projection of a [`RunReport`] that may be
+/// compared **across** configurations; replays of **one** configuration
+/// compare [`RunReport::fingerprint`] instead.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Committed {
+    /// Committed output lines per process, in commit order.
+    pub outputs: BTreeMap<ProcessId, Vec<String>>,
+    /// Processes whose body returned an error, with the error text.
+    pub errors: BTreeMap<ProcessId, String>,
+    /// Processes that panicked or were killed without recovery.
+    pub crashed: Vec<ProcessId>,
+    /// Processes still blocked or down at the end of the run.
+    pub unfinished: Vec<ProcessId>,
+    /// The run stopped at `max_events`/`max_virtual_time` instead of
+    /// quiescing.
+    pub hit_limits: bool,
 }
 
 /// The result of [`Simulation::run`](crate::Simulation::run).
@@ -324,6 +324,24 @@ impl RunReport {
     /// use this to assert *why* a process died, not just that it did.
     pub fn crash_reasons(&self) -> &BTreeMap<ProcessId, CrashReason> {
         &self.crashes
+    }
+
+    /// What this run committed (see [`Committed`]): the value the
+    /// transparency oracles ([`chaos::sweep`](crate::chaos::sweep),
+    /// [`mc::check_scenario`](crate::mc::check_scenario)) compare across
+    /// fault plans, schedules and knob settings.
+    pub fn committed(&self) -> Committed {
+        let mut outputs: BTreeMap<ProcessId, Vec<String>> = BTreeMap::new();
+        for o in &self.outputs {
+            outputs.entry(o.process).or_default().push(o.line.clone());
+        }
+        Committed {
+            outputs,
+            errors: self.errors.clone(),
+            crashed: self.crashes.keys().copied().collect(),
+            unfinished: self.unfinished.clone(),
+            hit_limits: self.hit_limits,
+        }
     }
 
     /// A deterministic digest of everything observable about the run —
@@ -533,28 +551,5 @@ mod tests {
             CrashReason::JournalOverflow { limit: 64 }.to_string(),
             "journal grew past 64 live entries"
         );
-    }
-
-    #[test]
-    fn fault_stats_merge_accumulates() {
-        let mut a = FaultStats {
-            drops: 1,
-            retries: 2,
-            reliable_sends: 5,
-            ..FaultStats::default()
-        };
-        let b = FaultStats {
-            drops: 3,
-            kills: 1,
-            restarts: 1,
-            reliable_sends: 7,
-            ..FaultStats::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.drops, 4);
-        assert_eq!(a.retries, 2);
-        assert_eq!(a.kills, 1);
-        assert_eq!(a.restarts, 1);
-        assert_eq!(a.reliable_sends, 12);
     }
 }

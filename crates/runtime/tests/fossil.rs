@@ -10,7 +10,9 @@
 //! and fault statistics are bit-identical with collection on or off.
 
 use hope_core::AidId;
-use hope_runtime::{ProcessId, RunReport, SimConfig, Simulation, Value};
+use hope_runtime::{
+    Committed, FaultStats, ProcessId, RunReport, SimConfig, Simulation, Value, VirtualTime,
+};
 use hope_sim::{FaultPlan, LatencyModel, Topology, VirtualDuration};
 
 fn us(v: u64) -> VirtualDuration {
@@ -61,16 +63,20 @@ fn fast_lan(seed: u64) -> SimConfig {
     SimConfig::with_seed(seed).with_topology(Topology::uniform(LatencyModel::Fixed(us(50))))
 }
 
-/// Everything the oracle compares across collection on/off. Memory
-/// counters are deliberately excluded — they are the one thing collection
-/// is *supposed* to change.
-fn visible_outcome(r: &RunReport) -> (Vec<String>, u64, u64, u64, String) {
+/// Everything the oracle compares across collection on/off: collection
+/// is transparent to more than what commits, so on top of `committed()`
+/// this holds the rollback, replay, ghost and fault counters and the end
+/// time equal. Memory counters are deliberately excluded — they are the
+/// one thing collection is *supposed* to change.
+fn visible_outcome(r: &RunReport) -> (Committed, u64, u64, u64, FaultStats, VirtualTime) {
+    let s = r.stats();
     (
-        r.output_lines().iter().map(|s| s.to_string()).collect(),
-        r.stats().rollback_events,
-        r.stats().replays,
-        r.stats().ghosts_dropped,
-        format!("{:?}", r.stats().faults),
+        r.committed(),
+        s.rollback_events,
+        s.replays,
+        s.ghosts_dropped,
+        s.faults,
+        r.end_time(),
     )
 }
 
@@ -110,11 +116,6 @@ fn collection_is_transparent_on_the_fault_free_run() {
     let off = open_loop(fast_lan(11), ITERS).run();
     assert!(on.completed() && off.completed(), "{on}\n{off}");
     assert_eq!(visible_outcome(&on), visible_outcome(&off));
-    assert_eq!(
-        on.end_time(),
-        off.end_time(),
-        "collection cost virtual time"
-    );
     // The off run kept everything; the on run reclaimed most of it.
     assert_eq!(off.stats().memory.reclaimed_intervals, 0);
     assert!(on.stats().memory.reclaimed_intervals > 0);
@@ -194,7 +195,7 @@ fn crash_restart_replays_from_the_horizon_snapshot() {
     assert_eq!(visible_outcome(&faulty_on), visible_outcome(&faulty_off));
     // …and the committed lines match the fault-free run (the chaos
     // equivalence property, now compatible with truncated journals).
-    assert_eq!(faulty_on.output_lines(), clean.output_lines());
+    assert_eq!(faulty_on.committed(), clean.committed());
     // The restart actually exercised the truncated-prefix path.
     assert!(
         faulty_on.stats().memory.reclaimed_journal_entries > 0,

@@ -1,16 +1,22 @@
-//! The chaos equivalence sweep: committed outputs are fault-independent.
+//! The fault-space transparency lattice: what a run commits depends on
+//! neither the faults injected nor any knob that claims to be transparent.
 //!
-//! For three representative applications — a core reliable pipeline (the
-//! E5 cascade shape), optimistic recovery (E10) and primary-copy
-//! replication (E7) — this suite runs the program fault-free and under
-//! hundreds of seeded [`FaultPlan`]s mixing message drops, duplication,
-//! delay spikes, temporary partitions and crash-restart kills, asserting
-//! via [`chaos_sweep`]:
+//! Everything here goes through the one oracle, [`sweep`]: a fault-free,
+//! all-knobs-off reference run, and per variant the assertions that
+//! `committed()` equals the reference's (Theorem 6.2's irrevocable effects
+//! are fault-independent) and that the variant replays bit-identically
+//! under its seed (any failure is a deterministic repro). The variants are
 //!
-//! * committed outputs are identical to the fault-free run (Theorem 6.2's
-//!   irrevocable effects are fault-independent), and
-//! * every faulty configuration replays bit-identically under its seed
-//!   (any failure is a deterministic repro).
+//! * three representative applications — a core reliable pipeline (the E5
+//!   cascade shape), optimistic recovery (E10) and primary-copy replication
+//!   (E7) — under hundreds of seeded [`FaultPlan`]s mixing message drops,
+//!   duplication, delay spikes, temporary partitions and crash-restart
+//!   kills; and
+//! * a checkpointing guesser/verifier loop under every combination of
+//!   fossil collection, the optimism governor, race detection, tracing and
+//!   engine invariant checking ([`knob_lattice`]), fault-free and under
+//!   the same kind of plans — each cell asserting that what it turns on
+//!   actually fired.
 //!
 //! Scenario obligations (see `hope_runtime::chaos`): committed values are
 //! derived from payloads/pre-fault state (never post-rollback
@@ -20,8 +26,8 @@
 use hope_recovery::{run_app_optimistic, run_stable_store};
 use hope_replication::{run_primary, Replica};
 use hope_runtime::{
-    chaos_sweep, governor_sweep, ChaosOutcome, FaultPlan, GovernorConfig, ProcessId, SimConfig,
-    Simulation, Value,
+    knob_lattice, sweep, FaultPlan, FaultStats, GovernorConfig, ProcessId, SimConfig, Simulation,
+    Value, VariantRun,
 };
 use hope_sim::{LatencyModel, SimRng, Topology, VirtualDuration, VirtualTime};
 use proptest::prelude::*;
@@ -134,14 +140,16 @@ fn replication_scenario(cfg: SimConfig) -> Simulation {
     sim
 }
 
-/// Fossil-collection scenario: a checkpointing open loop (the E19 shape,
+/// Knob-lattice scenario: a checkpointing open loop (the E19 shape,
 /// shortened). Both processes use the [`Ctx::restore`]/[`Ctx::checkpoint`]
 /// protocol, so fossil collection truncates their journal prefixes
 /// mid-run and any crash-restart replays from the horizon snapshot
 /// instead of step zero. Announcements ride `send_reliable` (kills and
-/// drops may lose them) and committed lines are fixed strings.
+/// drops may lose them) and committed lines are fixed strings. 66
+/// iterations are 266 scheduler events fault-free: every run, however
+/// benign its plan, crosses the scheduler's 256-event fossil sweep.
 fn checkpointed_loop_scenario(cfg: SimConfig) -> Simulation {
-    const ITERS: i64 = 60;
+    const ITERS: i64 = 66;
     let mut sim = Simulation::new(cfg);
     let verifier = ProcessId(1);
     sim.spawn("guesser", move |ctx| {
@@ -177,158 +185,183 @@ fn checkpointed_loop_scenario(cfg: SimConfig) -> Simulation {
     sim
 }
 
-fn sweep(
+/// `cfg` under `plan_for_seed(s, procs)` for every seed, labelled
+/// `"<cell> / plan <s>"`.
+fn under_plans(
+    cell: &str,
+    cfg: &SimConfig,
+    procs: u32,
+    seeds: impl IntoIterator<Item = u64>,
+) -> Vec<(String, SimConfig)> {
+    let variant = |s| {
+        let plan = plan_for_seed(s, procs);
+        (format!("{cell} / plan {s}"), cfg.clone().with_faults(plan))
+    };
+    seeds.into_iter().map(variant).collect()
+}
+
+/// Sum one fault counter over `runs`.
+fn total(runs: &[VariantRun], counter: fn(&FaultStats) -> u64) -> u64 {
+    runs.iter().map(|r| counter(&r.stats.faults)).sum()
+}
+
+/// One application under seeded plans, all knobs off; returns the runs for
+/// the caller's own engagement assertions.
+fn app_sweep(
     scenario: impl Fn(SimConfig) -> Simulation,
     procs: u32,
     seeds: std::ops::Range<u64>,
-) -> ChaosOutcome {
-    let outcome = chaos_sweep(
-        base_config(11),
-        seeds.map(|s| plan_for_seed(s, procs)),
+) -> Vec<VariantRun> {
+    let base = base_config(11);
+    let runs = sweep(
+        base.clone(),
+        under_plans("plain", &base, procs, seeds),
         scenario,
     );
-    outcome.assert_ok();
     assert!(
-        outcome.faults.drops + outcome.faults.dupes + outcome.faults.kills > 0,
-        "the sweep must actually inject faults: {:?}",
-        outcome.faults
+        total(&runs, |f| f.drops + f.dupes + f.kills) > 0,
+        "the sweep must actually inject faults"
     );
-    outcome
+    runs
 }
 
 // The three acceptance sweeps: ≥ 200 seeded plans across three scenarios.
 
 #[test]
 fn pipeline_sweep_70_plans() {
-    let outcome = sweep(pipeline_scenario, 3, 0..70);
-    assert!(outcome.faults.kills > 0, "{:?}", outcome.faults);
-    assert!(outcome.faults.retries > 0, "{:?}", outcome.faults);
+    let runs = app_sweep(pipeline_scenario, 3, 0..70);
+    assert!(total(&runs, |f| f.kills) > 0);
     // The retry-pressure signal the governor consumes: every retry is a
     // re-attempt of some first send, so `retries / reliable_sends` is a
     // well-defined per-send pressure ratio. Under these mixed plans it
     // must be strictly positive (faults force retransmissions) yet
     // bounded — each send retries finitely under the backoff cap.
-    assert!(outcome.faults.reliable_sends > 0, "{:?}", outcome.faults);
-    let pressure = outcome.faults.retries as f64 / outcome.faults.reliable_sends as f64;
+    let retries = total(&runs, |f| f.retries);
+    let sends = total(&runs, |f| f.reliable_sends);
     assert!(
-        pressure > 0.0 && pressure < 50.0,
-        "implausible retry pressure {pressure}: {:?}",
-        outcome.faults
+        retries > 0 && sends > 0,
+        "{retries} retries of {sends} sends"
     );
+    let pressure = retries as f64 / sends as f64;
+    assert!(pressure < 50.0, "implausible retry pressure {pressure}");
 }
 
 #[test]
 fn recovery_sweep_70_plans() {
-    let outcome = sweep(recovery_scenario, 2, 1000..1070);
-    assert!(outcome.faults.restarts > 0, "{:?}", outcome.faults);
+    let runs = app_sweep(recovery_scenario, 2, 1000..1070);
+    assert!(total(&runs, |f| f.restarts) > 0);
 }
 
 #[test]
 fn replication_sweep_70_plans() {
-    let outcome = sweep(replication_scenario, 3, 2000..2070);
-    assert!(outcome.faults.kills > 0, "{:?}", outcome.faults);
+    let runs = app_sweep(replication_scenario, 3, 2000..2070);
+    assert!(total(&runs, |f| f.kills) > 0);
 }
 
-/// The checkpointing scenario under crash-restart plans, with collection
-/// live under the kills and with it off: every plan commits the fault-free
-/// outputs, and the two sweeps share one baseline.
-fn fossil_on_off_sweep(seeds: std::ops::Range<u64>) {
-    let plans = || seeds.clone().map(|s| plan_for_seed(s, 2));
-    let on = chaos_sweep(
-        base_config(11).with_fossil_collection(true),
-        plans(),
-        checkpointed_loop_scenario,
-    );
-    on.assert_ok();
-    assert!(
-        on.faults.kills > 0 && on.faults.restarts > 0,
-        "the sweep must exercise crash-restart: {:?}",
-        on.faults
-    );
-    let off = chaos_sweep(base_config(11), plans(), checkpointed_loop_scenario);
-    off.assert_ok();
-    assert_eq!(
-        on.baseline, off.baseline,
-        "fossil collection changed committed outputs"
-    );
-}
-
-/// The fossil-collection sweep: crash-restart kills while collection is
-/// actively truncating journal prefixes. Committed outputs must match the
-/// fault-free run under every plan (chaos_sweep asserts it), and the
-/// whole sweep's baseline must match the identical sweep with collection
-/// off — replay-from-horizon is observationally invisible.
-#[test]
-#[ignore = "431 s in debug; run in CI with --release -- --ignored"]
-fn slow_fossil_collection_sweep_70_plans() {
-    fossil_on_off_sweep(3000..3070);
-    // Collection must actually engage, or the sweep proves nothing: check
-    // a representative faulty run reclaimed engine records and journal
-    // prefixes mid-flight.
-    let r = checkpointed_loop_scenario(
-        base_config(11)
-            .with_fossil_collection(true)
-            .with_faults(plan_for_seed(3001, 2)),
-    )
-    .run();
-    let mem = r.stats().memory;
-    assert!(
-        mem.reclaimed_intervals > 0 && mem.reclaimed_journal_entries > 0,
-        "collection never engaged: {mem:?}"
-    );
-}
-
-/// The governor transparency sweep: with the admission governor enabled —
-/// tuned aggressively enough that drops and kills push sites into
-/// Throttled and Conservative — committed outputs must stay bit-identical
-/// to the governor-off run under every one of 70 seeded plans mixing
-/// drops, duplication, delay spikes, temporary partitions and
-/// crash-restart kills ([`governor_sweep`] compares the paired runs per
-/// plan, fault-free config included). Degradation changes *when* guesses
-/// run, never *what* commits.
-#[test]
-#[ignore = "124 s in debug; run in CI with --release -- --ignored"]
-fn slow_governor_equivalence_sweep_70_plans() {
+/// The fault-space knob lattice over `checkpointed_loop_scenario`: for
+/// every [`knob_lattice`] cell that `pick` selects, the cell's config
+/// fault-free and under each seeded plan must commit what the plain
+/// fault-free run commits. A cell proves that only if what it turns on
+/// fired, so each asserts its own engagement: drops injected and
+/// crash-restart exercised; records and journal prefixes reclaimed on
+/// *every* run with collection on (replay-from-horizon under the kills
+/// included); guesses held or converted under the plans with the governor
+/// on — tuned so that drops and kills push sites into Throttled and
+/// Conservative; a non-empty trace on every traced run. (Race detection
+/// and invariant checking have no counter: one reports, the other panics.)
+fn lattice(pick: impl Fn(&str) -> bool, seeds: impl IntoIterator<Item = u64>) {
+    let seeds: Vec<u64> = seeds.into_iter().collect();
     let gov = GovernorConfig::default()
         .with_window(8)
         .with_min_samples(2)
         .with_thresholds(200, 1200)
         .with_hold(ms(1));
-    let outcome = governor_sweep(
-        base_config(11).with_governor(gov),
-        (4000..4070).map(|s| plan_for_seed(s, 2)),
-        checkpointed_loop_scenario,
-    );
-    outcome.assert_ok();
-    assert_eq!(outcome.plans, 70);
-    assert!(
-        outcome.faults.drops > 0 && outcome.faults.kills > 0,
-        "the sweep must actually inject faults: {:?}",
-        outcome.faults
-    );
-    // The sweep proves nothing if the governor never leaves Optimistic:
-    // check a representative hostile plan actually throttled or converted.
-    let r = checkpointed_loop_scenario(
-        base_config(11)
-            .with_governor(
-                GovernorConfig::default()
-                    .with_window(8)
-                    .with_min_samples(2)
-                    .with_thresholds(200, 1200)
-                    .with_hold(ms(1)),
-            )
-            .with_faults(plan_for_seed(4003, 2)),
-    )
-    .run();
-    let g = r.stats().governor;
-    assert!(
-        g.held + g.converted > 0 && g.transitions > 0,
-        "governor never engaged under a hostile plan: {g:?}"
-    );
+    let mut cells = knob_lattice(&base_config(11), &gov);
+    cells.retain(|(cell, _)| pick(cell));
+    let mut variants = Vec::new();
+    for (cell, cfg) in &cells {
+        variants.push((format!("{cell} / fault-free"), cfg.clone()));
+        variants.extend(under_plans(cell, cfg, 2, seeds.iter().copied()));
+    }
+    let runs = sweep(base_config(11), variants, checkpointed_loop_scenario);
+    for ((cell, cfg), runs) in cells.iter().zip(runs.chunks(1 + seeds.len())) {
+        let faulty = &runs[1..];
+        let injected = |counter| total(faulty, counter) > 0;
+        assert!(
+            injected(|f| f.drops) && injected(|f| f.kills) && injected(|f| f.restarts),
+            "`{cell}` must inject drops and crash-restarts"
+        );
+        for r in runs {
+            let mem = r.stats.memory;
+            assert!(
+                !cfg.fossil_collection
+                    || mem.reclaimed_intervals > 0 && mem.reclaimed_journal_entries > 0,
+                "`{}`: collection never engaged: {mem:?}",
+                r.label
+            );
+            assert_eq!(r.trace_lines > 0, cfg.trace, "`{}`: trace", r.label);
+        }
+        if cfg.governor.is_some() {
+            let acted: u64 = faulty
+                .iter()
+                .map(|r| r.stats.governor.held + r.stats.governor.converted)
+                .sum();
+            assert!(acted > 0, "`{cell}`: the governor never held or converted");
+        }
+    }
+}
+
+const ALL_ON: &str = "fossil+governor+races+trace+invariants";
+
+/// Plans with a crash-restart under which the *ungoverned* loop stays under
+/// ~500 events (17 is the hostile one: some 60 drops, 70 timeout denies).
+/// Invariant checking is quadratic in live intervals: with collection and
+/// governor both off it is affordable only on these — the 70-plan ranges
+/// hold plans that run to 12,000 events ungoverned.
+const SHORT_PLANS: [u64; 6] = [9, 12, 17, 38, 69, 106];
+
+/// Tier-1's slice of the lattice, fault-free and under plan 17. Invariant
+/// checking costs ~8× the rest of a debug-build run, so tier-1 crosses the
+/// other four knobs fully and adds it alone and all-on: 18 cells. All 32
+/// run under `--ignored` below and, fault-free over every schedule, in
+/// `hope_runtime::mc`.
+#[test]
+fn knob_lattice_smoke() {
+    let pick = |cell: &str| !cell.contains("invariants") || cell == "invariants" || cell == ALL_ON;
+    lattice(pick, [17]);
+}
+
+/// The 70-plan cells (CI: `--release -- --ignored`): collection on/off ×
+/// governor on/off with the observers all off, and everything on at once,
+/// over both 70-plan ranges (3000.. was the fossil sweep's, 4000.. the
+/// governor sweep's).
+fn is_70_plan_cell(cell: &str) -> bool {
+    ["plain", "fossil", "governor", "fossil+governor", ALL_ON].contains(&cell)
+}
+
+#[test]
+#[ignore = "minutes in debug; run in CI with --release -- --ignored"]
+fn slow_knob_lattice_70_plans_from_3000() {
+    lattice(is_70_plan_cell, 3000..3070);
+}
+
+#[test]
+#[ignore = "minutes in debug; run in CI with --release -- --ignored"]
+fn slow_knob_lattice_70_plans_from_4000() {
+    lattice(is_70_plan_cell, 4000..4070);
+}
+
+/// All 32 cells, fault-free and under every short plan: each knob
+/// *combination* under faults, invariants checked after every transition
+/// in half of them.
+#[test]
+#[ignore = "minutes in debug; run in CI with --release -- --ignored"]
+fn slow_knob_lattice_all_cells() {
+    lattice(|_| true, SHORT_PLANS);
 }
 
 /// A quick deterministic smoke (also run by CI's chaos step): a handful of
-/// hostile plans per scenario.
+/// hostile plans per scenario, and collection on/off under the same plans.
 #[test]
 fn chaos_smoke() {
     for (scenario, procs) in [
@@ -336,10 +369,9 @@ fn chaos_smoke() {
         (recovery_scenario, 2),
         (replication_scenario, 3),
     ] {
-        sweep(scenario, procs, 42..48);
+        app_sweep(scenario, procs, 42..48);
     }
-    // Tier-1's fossil-transparency check; the 70-plan sweep is `#[ignore]`d.
-    fossil_on_off_sweep(42..48);
+    lattice(|cell| cell == "plain" || cell == "fossil", 42..48);
 }
 
 proptest! {
@@ -361,7 +393,8 @@ proptest! {
             .drop_rate(drop)
             .dupe_rate(dupe)
             .kill(victim, at_step, Some(ms(downtime_ms)));
-        let outcome = chaos_sweep(base_config(11), [plan], recovery_scenario);
-        prop_assert!(outcome.is_ok(), "{:?}", outcome.failures);
+        let base = base_config(11);
+        let variant = ("random plan".to_string(), base.clone().with_faults(plan));
+        sweep(base, [variant], recovery_scenario);
     }
 }

@@ -15,25 +15,6 @@ fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
 }
 
-fn fingerprint(r: &RunReport) -> String {
-    format!(
-        "end={} events={} sent={} delivered={} ghosts={} rollbacks={} replays={} \
-         released={} discarded={} guesses={} finalized={} outputs={:?}",
-        r.end_time(),
-        r.events(),
-        r.stats().messages_sent,
-        r.stats().messages_delivered,
-        r.stats().ghosts_dropped,
-        r.stats().rollback_events,
-        r.stats().replays,
-        r.stats().outputs_released,
-        r.stats().outputs_discarded,
-        r.stats().engine.guesses,
-        r.stats().engine.finalized,
-        r.output_lines(),
-    )
-}
-
 fn busy_world(seed: u64) -> RunReport {
     // Random latencies, random denials, random payloads: if anything in
     // the runtime is schedule-dependent, this surfaces it.
@@ -71,20 +52,24 @@ fn busy_world(seed: u64) -> RunReport {
 #[test]
 fn identical_seeds_are_bit_identical() {
     for seed in [0, 1, 7, 123456789] {
-        let a = fingerprint(&busy_world(seed));
-        let b = fingerprint(&busy_world(seed));
-        assert_eq!(a, b, "seed {seed} diverged across runs");
+        let (a, b) = (busy_world(seed), busy_world(seed));
+        assert_eq!(a.fingerprint(), b.fingerprint(), "seed {seed} diverged");
     }
 }
 
 #[test]
 fn different_seeds_differ_somewhere() {
-    let prints: Vec<String> = (0..4).map(|s| fingerprint(&busy_world(s))).collect();
-    let distinct: std::collections::BTreeSet<&String> = prints.iter().collect();
+    use std::collections::BTreeSet;
+    let worlds: Vec<RunReport> = (0..4).map(busy_world).collect();
+    let prints: BTreeSet<u64> = worlds.iter().map(RunReport::fingerprint).collect();
     assert!(
-        distinct.len() >= 2,
+        prints.len() >= 2,
         "4 different seeds produced identical worlds — randomness is not wired through"
     );
+    // The seed moves latencies, mispredictions and rollbacks — never what
+    // the verified call streams finally commit.
+    let committed: BTreeSet<_> = worlds.iter().map(RunReport::committed).collect();
+    assert_eq!(committed.len(), 1, "{committed:?}");
 }
 
 #[test]
@@ -132,7 +117,7 @@ fn rollback_storms_are_reproducible() {
                 |_| {},
             )
         });
-        fingerprint(&sim.run())
+        sim.run().fingerprint()
     };
     assert_eq!(run(5), run(5));
     assert_eq!(run(6), run(6));

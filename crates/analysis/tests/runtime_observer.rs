@@ -7,12 +7,11 @@
 //! on a hand-built decided-AID-reuse schedule while staying silent on the
 //! paper's well-behaved Call Streaming example.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hope_analysis::{RaceDetector, RaceKind};
 use hope_core::{AidId, ProcessId, RuntimeObserver};
 use hope_runtime::{SimConfig, Simulation, Value, VirtualDuration};
-use parking_lot::Mutex;
 
 fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
@@ -22,7 +21,7 @@ fn attach(sim: &mut Simulation) -> Arc<Mutex<RaceDetector>> {
     let detector = Arc::new(Mutex::new(RaceDetector::new()));
     let hook = detector.clone();
     sim.set_observer(move |pid, action, effects| {
-        hook.lock().observe(pid, action, effects);
+        hook.lock().unwrap().observe(pid, action, effects);
     });
     detector
 }
@@ -61,7 +60,7 @@ fn detector_fires_on_decided_aid_reuse() {
     let report = sim.run();
     assert!(report.completed(), "{report}");
 
-    let detector = detector.lock();
+    let detector = detector.lock().unwrap();
     let reuse: Vec<_> = detector
         .races()
         .iter()
@@ -103,7 +102,7 @@ fn detector_is_silent_on_the_call_streaming_example() {
         report.output_lines(),
         vec!["summary printed on current page"]
     );
-    let detector = detector.lock();
+    let detector = detector.lock().unwrap();
     assert!(detector.races().is_empty(), "{:?}", detector.races());
 }
 
@@ -140,7 +139,7 @@ fn rollback_reexecution_is_ordered_but_ghosts_are_reported() {
     assert!(report.completed(), "{report}");
     assert_eq!(report.output_lines(), vec!["saw false"]);
 
-    let detector = detector.lock();
+    let detector = detector.lock().unwrap();
     assert!(
         !detector
             .races()

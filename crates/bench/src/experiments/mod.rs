@@ -2,7 +2,7 @@
 //!
 //! Each module exposes a `table()` function producing the default
 //! [`Table`](crate::Table) printed by the `tables` binary, plus
-//! parameterized `run` helpers the Criterion benches and tests reuse. The
+//! parameterized `run` helpers its tests reuse. The
 //! experiment ids (E1…E10) are indexed in `DESIGN.md` and their outcomes
 //! recorded in `EXPERIMENTS.md`.
 

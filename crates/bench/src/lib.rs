@@ -30,8 +30,8 @@
 //! separate `benchmark/` package.)
 //!
 //! Run `cargo run -p hope-bench --release --bin tables` to print all
-//! tables, or pass experiment ids (`e1 e6 …`) to select. The Criterion
-//! benches under `benches/` measure host-time costs of the same scenarios.
+//! tables, or pass experiment ids (`e1 e6 …`) to select. Host-time costs
+//! are E22's to measure.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -14,19 +14,17 @@
 //!    buffers speculative output and discards it on rollback, but it cannot
 //!    un-write your files.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use crossbeam_channel::{Receiver, Sender};
 use hope_core::{
-    Action, AidId, AidState, Checkpoint, DecideKind, Error, ProcessId, ReceiveOutcome,
+    Action, AidId, AidState, Checkpoint, DecideKind, Effect, Error, ProcessId, ReceiveOutcome,
 };
 use hope_sim::{VirtualDuration, VirtualTime};
-use parking_lot::{Mutex, MutexGuard};
 
+use crate::baton::Baton;
 use crate::governor::{Admission, DEFAULT_GUESS_SITE, RELIABLE_SEND_SITE};
 use crate::journal::Entry;
 use crate::message::{Message, MsgKind};
-use crate::scheduler::ResumeSignal;
 use crate::shared::{EventKind, ProcState, Shared};
 use crate::signal::{Hope, Signal};
 use crate::stats::CrashReason;
@@ -40,10 +38,9 @@ use crate::value::Value;
 #[derive(Debug)]
 pub struct Ctx {
     shared: Arc<Mutex<Shared>>,
+    baton: Arc<Baton>,
     idx: usize,
     pid: ProcessId,
-    resume_rx: Receiver<ResumeSignal>,
-    yield_tx: Sender<()>,
     replay_len: usize,
     cursor: usize,
 }
@@ -51,23 +48,21 @@ pub struct Ctx {
 impl Ctx {
     pub(crate) fn new(
         shared: Arc<Mutex<Shared>>,
+        baton: Arc<Baton>,
         idx: usize,
-        resume_rx: Receiver<ResumeSignal>,
-        yield_tx: Sender<()>,
         replay_len: usize,
     ) -> Self {
         let (pid, base) = {
-            let sh = shared.lock();
+            let sh = Shared::lock(&shared);
             // Fossil collection may have reclaimed a journal prefix; replay
             // resumes at the surviving snapshot, not at step zero.
             (sh.procs[idx].pid, sh.procs[idx].journal.base())
         };
         Ctx {
             shared,
+            baton,
             idx,
             pid,
-            resume_rx,
-            yield_tx,
             replay_len,
             cursor: base,
         }
@@ -110,7 +105,7 @@ impl Ctx {
     /// a real multi-core runtime would see; the regression suite pins the
     /// one-lock-per-primitive invariant against this counter.
     fn lock(&self) -> MutexGuard<'_, Shared> {
-        let mut sh = self.shared.lock();
+        let mut sh = Shared::lock(&self.shared);
         sh.stats.ctx_lock_acquisitions += 1;
         sh
     }
@@ -178,17 +173,13 @@ impl Ctx {
             let mut sh = self.lock();
             sh.procs[self.idx].state = state;
         }
-        let _ = self.yield_tx.send(());
-        match self.resume_rx.recv() {
-            Ok(ResumeSignal::Go) => {
-                let sh = self.lock();
-                if sh.procs[self.idx].rollback_pending {
-                    Err(Signal::Rollback)
-                } else {
-                    Ok(())
-                }
-            }
-            Ok(ResumeSignal::Shutdown) | Err(_) => Err(Signal::Shutdown),
+        if !self.baton.pass(self.idx) {
+            return Err(Signal::Shutdown);
+        }
+        if self.lock().procs[self.idx].rollback_pending {
+            Err(Signal::Rollback)
+        } else {
+            Ok(())
         }
     }
 
@@ -341,63 +332,7 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn try_affirm(&mut self, aid: AidId) -> Hope<bool> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Affirm { aid: a, applied } if a == aid => return Ok(applied),
-                other => self.diverged("affirm", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let result = sh.engine.affirm(self.pid, aid);
-        let pid = self.pid;
-        let applied = !matches!(result, Err(Error::AidConsumed(_)));
-        sh.trace(|| {
-            format!(
-                "{pid}: affirm({aid}){}",
-                if applied {
-                    ""
-                } else {
-                    " [already decided: no-op]"
-                }
-            )
-        });
-        sh.procs[self.idx]
-            .journal
-            .push(Entry::Affirm { aid, applied });
-        let rolled = match result {
-            Ok(fx) => {
-                let rolled = sh.apply_effects(self.idx, &fx);
-                sh.observe(
-                    pid,
-                    &Action::Affirm {
-                        aid,
-                        speculative: fx.iter().any(|e| {
-                            matches!(e, hope_core::Effect::SpeculativelyAffirmed { aid: a, .. }
-                                     if *a == aid)
-                        }),
-                    },
-                    &fx,
-                );
-                rolled
-            }
-            Err(Error::AidConsumed(_)) => {
-                sh.observe(
-                    pid,
-                    &Action::SkippedDecide {
-                        aid,
-                        kind: DecideKind::Affirm,
-                    },
-                    &[],
-                );
-                false
-            }
-            Err(e) => panic!("engine rejected affirm: {e}"),
-        };
-        drop(sh);
-        if rolled {
-            return Err(Signal::Rollback);
-        }
-        Ok(applied)
+        self.decide(aid, DecideKind::Affirm)
     }
 
     /// `deny(x)`: assert the assumption was wrong, rolling back every
@@ -408,7 +343,7 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn deny(&mut self, aid: AidId) -> Hope<()> {
-        self.primitive(aid, Prim::Deny)
+        self.decide(aid, DecideKind::Deny).map(|_| ())
     }
 
     /// `free_of(x)`: assert this computation is not, and never will be,
@@ -419,76 +354,77 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn free_of(&mut self, aid: AidId) -> Hope<()> {
-        self.primitive(aid, Prim::FreeOf)
+        self.decide(aid, DecideKind::FreeOf).map(|_| ())
     }
 
-    fn primitive(&mut self, aid: AidId, prim: Prim) -> Hope<()> {
+    /// The one decide path. `Ok(false)`: the AID was already decided and
+    /// the call was a recorded no-op (which happens legitimately in code
+    /// re-executed after a conservative decision).
+    fn decide(&mut self, aid: AidId, kind: DecideKind) -> Hope<bool> {
         if let Some(e) = self.replay_next() {
-            match (&e, prim) {
-                (Entry::Deny(a), Prim::Deny) | (Entry::FreeOf(a), Prim::FreeOf) if *a == aid => {
-                    return Ok(());
+            match (&e, kind) {
+                (Entry::Affirm { aid: a, applied }, DecideKind::Affirm) if *a == aid => {
+                    return Ok(*applied);
                 }
-                _ => self.diverged(prim.name(), &e),
+                (Entry::Deny(a), DecideKind::Deny) | (Entry::FreeOf(a), DecideKind::FreeOf)
+                    if *a == aid =>
+                {
+                    return Ok(true);
+                }
+                _ => self.diverged(kind.name(), &e),
             }
         }
         let mut sh = self.live()?;
-        let result = match prim {
-            Prim::Deny => sh.engine.deny(self.pid, aid),
-            Prim::FreeOf => sh.engine.free_of(self.pid, aid),
+        let result = match kind {
+            DecideKind::Affirm => sh.engine.affirm(self.pid, aid),
+            DecideKind::Deny => sh.engine.deny(self.pid, aid),
+            DecideKind::FreeOf => sh.engine.free_of(self.pid, aid),
         };
-        let entry = match prim {
-            Prim::Deny => Entry::Deny(aid),
-            Prim::FreeOf => Entry::FreeOf(aid),
-        };
+        let applied = !matches!(result, Err(Error::AidConsumed(_)));
         let pid = self.pid;
-        let skipped = matches!(result, Err(Error::AidConsumed(_)));
         sh.trace(|| {
             format!(
                 "{pid}: {}({aid}){}",
-                prim.name(),
-                if skipped {
-                    " [already decided: no-op]"
-                } else {
+                kind.name(),
+                if applied {
                     ""
+                } else {
+                    " [already decided: no-op]"
                 }
             )
         });
-        sh.procs[self.idx].journal.push(entry);
+        sh.procs[self.idx].journal.push(match kind {
+            DecideKind::Affirm => Entry::Affirm { aid, applied },
+            DecideKind::Deny => Entry::Deny(aid),
+            DecideKind::FreeOf => Entry::FreeOf(aid),
+        });
         let rolled = match result {
             Ok(fx) => {
                 let rolled = sh.apply_effects(self.idx, &fx);
-                let action = match prim {
-                    Prim::Deny => Action::Deny {
-                        aid,
-                        speculative: fx.iter().any(|e| {
-                            matches!(e, hope_core::Effect::SpeculativelyDenied { aid: a, .. }
-                                     if *a == aid)
-                        }),
-                    },
-                    Prim::FreeOf => Action::FreeOf { aid },
+                let speculative = fx.iter().any(|e| match (kind, e) {
+                    (DecideKind::Affirm, Effect::SpeculativelyAffirmed { aid: a, .. })
+                    | (DecideKind::Deny, Effect::SpeculativelyDenied { aid: a, .. }) => *a == aid,
+                    _ => false,
+                });
+                let action = match kind {
+                    DecideKind::Affirm => Action::Affirm { aid, speculative },
+                    DecideKind::Deny => Action::Deny { aid, speculative },
+                    DecideKind::FreeOf => Action::FreeOf { aid },
                 };
                 sh.observe(pid, &action, &fx);
                 rolled
             }
-            // Re-application after a conservative decision: recorded no-op.
             Err(Error::AidConsumed(_)) => {
-                sh.observe(
-                    pid,
-                    &Action::SkippedDecide {
-                        aid,
-                        kind: prim.kind(),
-                    },
-                    &[],
-                );
+                sh.observe(pid, &Action::SkippedDecide { aid, kind }, &[]);
                 false
             }
-            Err(e) => panic!("engine rejected {}: {e}", prim.name()),
+            Err(e) => panic!("engine rejected {}: {e}", kind.name()),
         };
         drop(sh);
         if rolled {
             return Err(Signal::Rollback);
         }
-        Ok(())
+        Ok(applied)
     }
 
     /// `true` if this process currently depends on undecided assumptions.
@@ -876,73 +812,12 @@ impl Ctx {
                 other => self.diverged("try_recv", &other),
             }
         }
-        // One lock for the whole scan: ghost drops stay under the same
-        // guard instead of re-acquiring per mailbox entry.
         let mut sh = self.live()?;
-        loop {
-            let first = sh.procs[self.idx]
-                .mailbox
-                .iter()
-                .find(|(_, m)| pred(m))
-                .map(|(k, _)| *k);
-            match first {
-                None => {
-                    sh.procs[self.idx].journal.push(Entry::Flag(false));
-                    return Ok(None);
-                }
-                Some(k) => {
-                    let m = sh.procs[self.idx]
-                        .mailbox
-                        .remove(&k)
-                        .expect("key just observed");
-                    let pos = sh.procs[self.idx].journal.len() as u64;
-                    let (outcome, fx) = sh
-                        .engine
-                        .implicit_guess(self.pid, &m.tag, Checkpoint(pos))
-                        .expect("receive on engine-owned ids");
-                    match outcome {
-                        ReceiveOutcome::Ghost(denied) => {
-                            sh.stats.ghosts_dropped += 1;
-                            if sh.fault_denied.contains(&denied) {
-                                sh.stats.faults.ghosts_from_faults += 1;
-                            }
-                            let pid = self.pid;
-                            sh.trace(|| {
-                                format!("{pid}: ghost m{} dropped ({denied} denied)", m.id)
-                            });
-                            sh.observe(
-                                pid,
-                                &Action::GhostDropped {
-                                    msg: m.id,
-                                    from: m.from,
-                                    denied,
-                                },
-                                &[],
-                            );
-                            continue;
-                        }
-                        ReceiveOutcome::Clean | ReceiveOutcome::Speculative(_) => {
-                            sh.procs[self.idx]
-                                .journal
-                                .push(Entry::Recv(Box::new(m.clone())));
-                            let rolled = sh.apply_effects(self.idx, &fx);
-                            let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
-                            sh.observe(
-                                self.pid,
-                                &Action::Recv {
-                                    msg: m.id,
-                                    from: m.from,
-                                    speculative,
-                                },
-                                &fx,
-                            );
-                            debug_assert!(!rolled, "a receive cannot roll back its receiver");
-                            return Ok(Some(m));
-                        }
-                    }
-                }
-            }
+        let got = self.take_deliverable(&mut sh, pred);
+        if got.is_none() {
+            sh.procs[self.idx].journal.push(Entry::Flag(false));
         }
+        Ok(got)
     }
 
     /// A synchronous remote procedure call: sends a request and blocks for
@@ -1002,87 +877,69 @@ impl Ctx {
                 other => self.diverged("recv", &other),
             }
         }
-        // One lock per wake-up: the guard is held across ghost drops and
-        // released only to park when nothing deliverable is queued.
+        // One lock per wake-up, released only to park when nothing
+        // deliverable is queued.
         let mut sh = self.live()?;
         loop {
-            let chosen = sh.procs[self.idx]
-                .mailbox
-                .iter()
-                .find(|(_, m)| pred(m))
-                .map(|(k, _)| *k);
-            match chosen {
-                Some(k) => {
-                    let m = sh.procs[self.idx]
-                        .mailbox
-                        .remove(&k)
-                        .expect("key just observed");
-                    let pos = sh.procs[self.idx].journal.len() as u64;
-                    let (outcome, fx) = sh
-                        .engine
-                        .implicit_guess(self.pid, &m.tag, Checkpoint(pos))
-                        .expect("receive on engine-owned ids");
-                    match outcome {
-                        ReceiveOutcome::Ghost(denied) => {
-                            sh.stats.ghosts_dropped += 1;
-                            if sh.fault_denied.contains(&denied) {
-                                sh.stats.faults.ghosts_from_faults += 1;
-                            }
-                            let pid = self.pid;
-                            sh.trace(|| {
-                                format!("{pid}: ghost m{} dropped ({denied} denied)", m.id)
-                            });
-                            sh.observe(
-                                pid,
-                                &Action::GhostDropped {
-                                    msg: m.id,
-                                    from: m.from,
-                                    denied,
-                                },
-                                &[],
-                            );
-                            // keep scanning: the ghost is gone for good
-                            continue;
-                        }
-                        ReceiveOutcome::Clean | ReceiveOutcome::Speculative(_) => {
-                            let pid = self.pid;
-                            sh.trace(|| {
-                                format!(
-                                    "{pid}: recv m{} from {}{}",
-                                    m.id,
-                                    m.from,
-                                    if matches!(outcome, ReceiveOutcome::Speculative(_)) {
-                                        " [speculative]"
-                                    } else {
-                                        ""
-                                    }
-                                )
-                            });
-                            sh.procs[self.idx]
-                                .journal
-                                .push(Entry::Recv(Box::new(m.clone())));
-                            let rolled = sh.apply_effects(self.idx, &fx);
-                            let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
-                            sh.observe(
-                                self.pid,
-                                &Action::Recv {
-                                    msg: m.id,
-                                    from: m.from,
-                                    speculative,
-                                },
-                                &fx,
-                            );
-                            debug_assert!(!rolled, "a receive cannot roll back its receiver");
-                            return Ok(m);
-                        }
-                    }
-                }
-                None => {
-                    drop(sh);
-                    self.park(ProcState::BlockedRecv)?;
-                    sh = self.lock();
-                }
+            if let Some(m) = self.take_deliverable(&mut sh, pred) {
+                return Ok(m);
             }
+            drop(sh);
+            self.park(ProcState::BlockedRecv)?;
+            sh = self.lock();
+        }
+    }
+
+    /// The one receive path: take delivery of the first queued message
+    /// satisfying `pred` (implicit guess of its tag, journal, effects,
+    /// observer), dropping for good every ghost met on the way. `None`
+    /// means nothing deliverable is queued. The caller's guard is held
+    /// across the whole scan instead of re-acquired per mailbox entry.
+    fn take_deliverable(
+        &self,
+        sh: &mut Shared,
+        pred: &dyn Fn(&Message) -> bool,
+    ) -> Option<Message> {
+        let pid = self.pid;
+        loop {
+            let mailbox = &mut sh.procs[self.idx].mailbox;
+            let key = *mailbox.iter().find(|(_, m)| pred(m))?.0;
+            let m = mailbox.remove(&key).expect("key just observed");
+            let (msg, from) = (m.id, m.from);
+            let pos = sh.procs[self.idx].journal.len() as u64;
+            let (outcome, fx) = sh
+                .engine
+                .implicit_guess(pid, &m.tag, Checkpoint(pos))
+                .expect("receive on engine-owned ids");
+            if let ReceiveOutcome::Ghost(denied) = outcome {
+                sh.stats.ghosts_dropped += 1;
+                if sh.fault_denied.contains(&denied) {
+                    sh.stats.faults.ghosts_from_faults += 1;
+                }
+                sh.trace(|| format!("{pid}: ghost m{msg} dropped ({denied} denied)"));
+                sh.observe(pid, &Action::GhostDropped { msg, from, denied }, &[]);
+                continue;
+            }
+            let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
+            sh.trace(|| {
+                let mark = if speculative { " [speculative]" } else { "" };
+                format!("{pid}: recv m{msg} from {from}{mark}")
+            });
+            sh.procs[self.idx]
+                .journal
+                .push(Entry::Recv(Box::new(m.clone())));
+            let rolled = sh.apply_effects(self.idx, &fx);
+            sh.observe(
+                pid,
+                &Action::Recv {
+                    msg,
+                    from,
+                    speculative,
+                },
+                &fx,
+            );
+            debug_assert!(!rolled, "a receive cannot roll back its receiver");
+            return Some(m);
         }
     }
 }
@@ -1098,28 +955,6 @@ fn backoff_deadline(
 ) -> VirtualDuration {
     let shift = (attempt - 1).min(16);
     timeout.saturating_mul(1u64 << shift).min(cap)
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Prim {
-    Deny,
-    FreeOf,
-}
-
-impl Prim {
-    fn name(self) -> &'static str {
-        match self {
-            Prim::Deny => "deny",
-            Prim::FreeOf => "free_of",
-        }
-    }
-
-    fn kind(self) -> DecideKind {
-        match self {
-            Prim::Deny => DecideKind::Deny,
-            Prim::FreeOf => DecideKind::FreeOf,
-        }
-    }
 }
 
 #[cfg(test)]

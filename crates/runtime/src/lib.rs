@@ -58,6 +58,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod baton;
 pub mod chaos;
 mod config;
 mod ctx;

@@ -45,11 +45,10 @@
 //! [`Committed`] values, which exclude virtual time for the same reason.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hope_core::{AidState, ProcessId};
 use hope_sim::VirtualTime;
-use parking_lot::Mutex;
 
 use crate::oracle::ScheduleOracle;
 use crate::scheduler::Simulation;
@@ -145,6 +144,10 @@ struct Trail {
     fanout: Vec<usize>,
 }
 
+/// Only [`ReplayOracle::choose`] and [`check_scenario`] take the trail's
+/// lock, both on the scheduler thread, and neither can panic under it.
+const TRAIL_UNPOISONED: &str = "no panic under the trail lock";
+
 struct ReplayOracle {
     trail: Arc<Mutex<Trail>>,
 }
@@ -201,7 +204,7 @@ impl ScheduleOracle for ReplayOracle {
             0 => None,
             1 => Some(ready[0]),
             n => {
-                let mut tr = self.trail.lock();
+                let mut tr = self.trail.lock().expect(TRAIL_UNPOISONED);
                 let k = tr.fanout.len();
                 let pick = tr.prescribed.get(k).copied().unwrap_or(0).min(n - 1);
                 tr.fanout.push(n);
@@ -237,7 +240,7 @@ pub fn check_scenario(cfg: &SimMcConfig, scenario: impl Fn() -> Simulation) -> S
             limit_runs += 1;
         }
         outcomes.insert(report.committed());
-        let fanout = std::mem::take(&mut trail.lock().fanout);
+        let fanout = std::mem::take(&mut trail.lock().expect(TRAIL_UNPOISONED).fanout);
         choice_points += fanout.len();
         max_depth = max_depth.max(fanout.len());
 

@@ -2,9 +2,13 @@
 //!
 //! Processes execute on dedicated OS threads, but **never concurrently**:
 //! the scheduler resumes exactly one process at a time and waits for it to
-//! park (classic coroutine-via-thread discrete-event simulation). All
-//! scheduling decisions depend only on virtual time, sequence numbers and
-//! the master seed, so every run is bit-for-bit reproducible.
+//! park (classic coroutine-via-thread discrete-event simulation). Control
+//! changes hands through one [`Baton`], created per run: a turn word plus
+//! `std::thread::park`/`unpark`. The threads are started one at a time, each
+//! checking in through the baton before the next is spawned, so not even
+//! thread start-up overlaps anything. All scheduling decisions depend only
+//! on virtual time, sequence numbers and the master seed, so every run is
+//! bit-for-bit reproducible.
 //!
 //! Rollback never rewinds the virtual clock — exactly as in the real world,
 //! a denied assumption wastes the time spent computing under it, and the
@@ -14,14 +18,13 @@
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crossbeam_channel::{unbounded, Receiver, Sender};
 use hope_core::ProcessId;
 use hope_sim::{VirtualDuration, VirtualTime};
-use parking_lot::Mutex;
 
+use crate::baton::Baton;
 use crate::config::SimConfig;
 use crate::ctx::Ctx;
 use crate::journal::Journal;
@@ -29,16 +32,6 @@ use crate::message::Mailbox;
 use crate::shared::{EventKind, ObserverSlot, ProcShared, ProcState, Shared};
 use crate::signal::{Hope, Signal};
 use crate::stats::{CrashReason, RunReport};
-
-/// What the scheduler tells a parked process thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResumeSignal {
-    /// Continue (the parked operation re-checks its condition and the
-    /// rollback-pending flag).
-    Go,
-    /// The simulation is over; unwind and exit the thread.
-    Shutdown,
-}
 
 type Body = Arc<dyn Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static>;
 
@@ -112,7 +105,7 @@ impl Simulation {
         name: impl Into<String>,
         body: impl Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static,
     ) -> ProcessId {
-        let mut sh = self.shared.lock();
+        let mut sh = Shared::lock(&self.shared);
         let pid = sh.engine.register_process();
         let seed = sh.config.seed;
         let idx = sh.procs.len();
@@ -157,20 +150,20 @@ impl Simulation {
     /// use std::sync::Arc;
     /// use hope_core::{NullObserver, RuntimeObserver};
     /// use hope_runtime::{SimConfig, Simulation};
-    /// use parking_lot::Mutex;
+    /// use std::sync::Mutex;
     ///
     /// let mut sim = Simulation::new(SimConfig::with_seed(1));
     /// let observer = Arc::new(Mutex::new(NullObserver));
     /// let hook = observer.clone();
     /// sim.set_observer(move |pid, action, effects| {
-    ///     hook.lock().observe(pid, action, effects);
+    ///     hook.lock().unwrap().observe(pid, action, effects);
     /// });
     /// ```
     pub fn set_observer(
         &mut self,
         observer: impl FnMut(ProcessId, &hope_core::Action, &[hope_core::Effect]) + Send + 'static,
     ) {
-        self.shared.lock().observer = ObserverSlot(Some(Box::new(observer)));
+        Shared::lock(&self.shared).observer = ObserverSlot(Some(Box::new(observer)));
     }
 
     /// Install a schedule oracle that overrides earliest-deadline dispatch
@@ -178,7 +171,7 @@ impl Simulation {
     /// the model checker, whose oracles preserve the realizability
     /// invariants documented on `Shared::next_event`.
     pub(crate) fn set_schedule_oracle(&mut self, oracle: Box<dyn crate::oracle::ScheduleOracle>) {
-        self.shared.lock().sched_oracle = crate::oracle::SchedOracleSlot(Some(oracle));
+        Shared::lock(&self.shared).sched_oracle = crate::oracle::SchedOracleSlot(Some(oracle));
     }
 
     /// Run the simulation until quiescence (no events left, or every
@@ -191,27 +184,23 @@ impl Simulation {
             hope_core::depset::spills_total(),
         );
         let n = bodies.len();
-        let mut resume_txs: Vec<Sender<ResumeSignal>> = Vec::with_capacity(n);
-        let mut yield_rxs: Vec<Receiver<()>> = Vec::with_capacity(n);
+        let baton = Arc::new(Baton::new());
         let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(n);
 
         for (idx, body) in bodies.iter().enumerate() {
-            let (rtx, rrx) = unbounded::<ResumeSignal>();
-            let (ytx, yrx) = unbounded::<()>();
-            let sh = shared.clone();
-            let body = body.clone();
-            let name = shared.lock().procs[idx].name.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("hope-{name}"))
-                .spawn(move || process_wrapper(sh, idx, body, rrx, ytx))
-                .expect("spawn process thread");
-            resume_txs.push(rtx);
-            yield_rxs.push(yrx);
-            handles.push(handle);
+            let (sh, body, bt) = (shared.clone(), body.clone(), baton.clone());
+            let name = Shared::lock(&shared).procs[idx].name.clone();
+            let spawn = || {
+                std::thread::Builder::new()
+                    .name(format!("hope-{name}"))
+                    .spawn(move || process_wrapper(sh, idx, body, bt))
+                    .expect("spawn process thread")
+            };
+            handles.push(baton.start(idx, spawn));
         }
 
         {
-            let mut sh = shared.lock();
+            let mut sh = Shared::lock(&shared);
             for idx in 0..n {
                 sh.schedule_wake(idx, VirtualTime::ZERO);
             }
@@ -219,14 +208,13 @@ impl Simulation {
 
         let resume = |proc: usize| {
             {
-                let mut sh = shared.lock();
+                let mut sh = Shared::lock(&shared);
                 sh.procs[proc].state = ProcState::Running;
             }
-            let _ = resume_txs[proc].send(ResumeSignal::Go);
-            if yield_rxs[proc].recv().is_err() {
+            if !baton.resume(proc, handles[proc].thread()) {
                 // The thread died without yielding: machinery bug or a
-                // crash already recorded by the wrapper.
-                let mut sh = shared.lock();
+                // crash already recorded before it left.
+                let mut sh = Shared::lock(&shared);
                 if sh.procs[proc].state == ProcState::Running {
                     sh.procs[proc].state = ProcState::Crashed;
                     sh.procs[proc].crash = Some(CrashReason::Panic(
@@ -252,7 +240,7 @@ impl Simulation {
         let mut hit_limits = false;
         loop {
             let step = {
-                let mut sh = shared.lock();
+                let mut sh = Shared::lock(&shared);
                 // A Finished process can still be rolled back (its last
                 // intervals may be speculative), so quiescence requires
                 // both: everyone finished AND no rollback awaiting resume.
@@ -315,7 +303,7 @@ impl Simulation {
                     // the surviving speculation (see the SimConfig docs);
                     // its cascades may schedule new work, so keep looping.
                     let committed = {
-                        let mut sh = shared.lock();
+                        let mut sh = Shared::lock(&shared);
                         sh.config.commit_at_quiescence && sh.quiescence_commit()
                     };
                     if committed {
@@ -327,7 +315,7 @@ impl Simulation {
             match ev {
                 EventKind::Wake { proc, epoch } => {
                     let live = {
-                        let sh = shared.lock();
+                        let sh = Shared::lock(&shared);
                         sh.procs[proc].wake_epoch == epoch
                             && !matches!(sh.procs[proc].state, ProcState::Crashed | ProcState::Down)
                     };
@@ -337,7 +325,7 @@ impl Simulation {
                 }
                 EventKind::Deliver { msg } => {
                     let resume_target = {
-                        let mut sh = shared.lock();
+                        let mut sh = Shared::lock(&shared);
                         sh.handle_delivery(msg)
                     };
                     if let Some(p) = resume_target {
@@ -345,37 +333,35 @@ impl Simulation {
                     }
                 }
                 EventKind::Ack { aid } => {
-                    let mut sh = shared.lock();
+                    let mut sh = Shared::lock(&shared);
                     sh.pending_system = sh.pending_system.saturating_sub(1);
                     sh.ack_fire(aid);
                 }
                 EventKind::AckTimeout { aid } => {
-                    let mut sh = shared.lock();
+                    let mut sh = Shared::lock(&shared);
                     sh.pending_system = sh.pending_system.saturating_sub(1);
                     sh.timeout_fire(aid);
                 }
                 EventKind::Restart { proc } => {
-                    let mut sh = shared.lock();
+                    let mut sh = Shared::lock(&shared);
                     sh.pending_system = sh.pending_system.saturating_sub(1);
                     sh.restart_fire(proc);
                 }
             }
             if events.is_multiple_of(FOSSIL_SWEEP_PERIOD) {
-                let mut sh = shared.lock();
+                let mut sh = Shared::lock(&shared);
                 if sh.config.fossil_collection {
                     sh.fossil_sweep();
                 }
             }
         }
 
-        for tx in &resume_txs {
-            let _ = tx.send(ResumeSignal::Shutdown);
-        }
+        baton.shutdown(handles.iter().map(JoinHandle::thread));
         for h in handles {
             let _ = h.join();
         }
 
-        let mut sh = shared.lock();
+        let mut sh = Shared::lock(&shared);
         let mut outputs = std::mem::take(&mut sh.outputs);
         outputs.sort_by_key(|o| (o.time, o.process));
         let mut finish_times = BTreeMap::new();
@@ -446,97 +432,73 @@ impl Simulation {
 }
 
 /// Per-process thread: runs (and on rollback, re-runs) the body.
-fn process_wrapper(
-    shared: Arc<Mutex<Shared>>,
-    idx: usize,
-    body: Body,
-    resume_rx: Receiver<ResumeSignal>,
-    yield_tx: Sender<()>,
-) {
+fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Arc<Baton>) {
+    // However this thread leaves, the scheduler is not left waiting on it.
+    let _guard = baton.return_on_exit(idx);
+    // Check in with `Baton::start`, then wait for the first turn.
+    if !baton.pass(idx) {
+        return;
+    }
+    // One iteration per attempt at the body: the first run, or a rollback's
+    // re-execution (which may also revive a body that had finished).
     loop {
-        // Wait for the scheduler to start (or, after a completed run of the
-        // body, to restart us because of a rollback).
-        match resume_rx.recv() {
-            Ok(ResumeSignal::Go) => {}
-            Ok(ResumeSignal::Shutdown) | Err(_) => return,
+        let (replay_len, charge_overhead) = {
+            let mut sh = Shared::lock(&shared);
+            let mut charge = VirtualDuration::ZERO;
+            if sh.procs[idx].rollback_pending {
+                // This body run is a rollback-induced re-execution.
+                sh.stats.replays += 1;
+                sh.procs[idx].rollback_pending = false;
+                charge = sh.config.rollback_overhead;
+            }
+            (sh.procs[idx].journal.len(), charge)
+        };
+        if !charge_overhead.is_zero() {
+            // Charge checkpoint-restoration cost as an inline hold
+            // before re-executing.
+            {
+                let mut sh = Shared::lock(&shared);
+                sh.procs[idx].state = ProcState::Holding;
+                let at = sh.now + charge_overhead;
+                sh.schedule_wake(idx, at);
+            }
+            if !baton.pass(idx) {
+                return;
+            }
+            // A deeper rollback may have struck while we were holding
+            // for the restoration charge: its truncation invalidates
+            // the replay length captured above, and the extra rollback
+            // deserves its own replay count and restoration charge.
+            // Start the restart over from the (now shorter) journal.
+            if Shared::lock(&shared).procs[idx].rollback_pending {
+                continue;
+            }
         }
-        loop {
-            let (replay_len, charge_overhead) = {
-                let mut sh = shared.lock();
-                let mut charge = VirtualDuration::ZERO;
-                if sh.procs[idx].rollback_pending {
-                    // This body run is a rollback-induced re-execution.
-                    sh.stats.replays += 1;
-                    sh.procs[idx].rollback_pending = false;
-                    charge = sh.config.rollback_overhead;
-                }
-                (sh.procs[idx].journal.len(), charge)
-            };
-            if !charge_overhead.is_zero() {
-                // Charge checkpoint-restoration cost as an inline hold
-                // before re-executing.
-                {
-                    let mut sh = shared.lock();
-                    sh.procs[idx].state = ProcState::Holding;
-                    let at = sh.now + charge_overhead;
-                    sh.schedule_wake(idx, at);
-                }
-                let _ = yield_tx.send(());
-                match resume_rx.recv() {
-                    Ok(ResumeSignal::Go) => {}
-                    Ok(ResumeSignal::Shutdown) | Err(_) => return,
-                }
-                // A deeper rollback may have struck while we were holding
-                // for the restoration charge: its truncation invalidates
-                // the replay length captured above, and the extra rollback
-                // deserves its own replay count and restoration charge.
-                // Start the restart over from the (now shorter) journal.
-                let rolled_again = {
-                    let sh = shared.lock();
-                    sh.procs[idx].rollback_pending
-                };
-                if rolled_again {
-                    continue;
-                }
+        let mut ctx = Ctx::new(shared.clone(), baton.clone(), idx, replay_len);
+        match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+            Ok(Ok(())) => {
+                let mut sh = Shared::lock(&shared);
+                sh.procs[idx].state = ProcState::Finished;
+                let now = sh.now;
+                sh.procs[idx].finish_time = Some(now);
             }
-            let mut ctx = Ctx::new(
-                shared.clone(),
-                idx,
-                resume_rx.clone(),
-                yield_tx.clone(),
-                replay_len,
-            );
-            let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-            match outcome {
-                Ok(Ok(())) => {
-                    {
-                        let mut sh = shared.lock();
-                        sh.procs[idx].state = ProcState::Finished;
-                        let now = sh.now;
-                        sh.procs[idx].finish_time = Some(now);
-                    }
-                    let _ = yield_tx.send(());
-                    break; // back to the outer wait (rollback may revive us)
-                }
-                Ok(Err(Signal::Rollback)) => {
-                    // The rollback-pending flag (set by apply_effects for
-                    // the victim, including self-rollbacks) is observed at
-                    // the top of this loop, which counts the replay and
-                    // charges the configured restoration overhead.
-                    continue; // re-execute the body (replay + live)
-                }
-                Ok(Err(Signal::Shutdown)) => return,
-                Err(panic) => {
-                    let msg = panic_message(panic);
-                    {
-                        let mut sh = shared.lock();
-                        sh.procs[idx].state = ProcState::Crashed;
-                        sh.procs[idx].crash = Some(CrashReason::Panic(msg));
-                    }
-                    let _ = yield_tx.send(());
-                    return;
-                }
+            // The rollback-pending flag (set by apply_effects for the
+            // victim, including self-rollbacks) is observed at the top of
+            // this loop, which counts the replay and charges the
+            // configured restoration overhead.
+            Ok(Err(Signal::Rollback)) => continue, // replay + live
+            // Shutdown, or a crash `Ctx` already recorded: just leave.
+            Ok(Err(Signal::Shutdown)) => return,
+            Err(panic) => {
+                let mut sh = Shared::lock(&shared);
+                sh.procs[idx].state = ProcState::Crashed;
+                sh.procs[idx].crash = Some(CrashReason::Panic(panic_message(panic)));
             }
+        }
+        // Finished or crashed. A crash is final; a finished body comes back
+        // only if a rollback revives it.
+        if !baton.pass(idx) {
+            return;
         }
     }
 }

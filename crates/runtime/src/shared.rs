@@ -1,11 +1,13 @@
 //! The scheduler-shared state: engine, processes, event queue, network.
 //!
-//! Exactly one process thread runs at any moment (the scheduler enforces a
-//! strict rendezvous), so the single [`parking_lot::Mutex`] around
-//! [`Shared`] is uncontended; it exists to satisfy the borrow checker
-//! across threads, not to provide parallelism.
+//! Exactly one thread runs at any moment — the scheduler, or the process
+//! it passed the [`Baton`](crate::baton::Baton) to — so the single
+//! [`std::sync::Mutex`] around [`Shared`] is uncontended; it exists to
+//! satisfy the borrow checker across threads, not to provide parallelism.
+//! Every acquisition goes through [`Shared::lock`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hope_analysis::dynamic::RaceDetector;
 use hope_core::{Action, AidId, AidState, Effect, Engine, IntervalId, ProcessId, RuntimeObserver};
@@ -167,6 +169,15 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Lock the shared state, recovering it if the mutex is poisoned. A
+    /// process body may panic while holding the guard (a `Ctx` assert such
+    /// as `checkpoint` without `restore`, a replay divergence); that panic
+    /// is caught and reported as *that process's* crash, and everyone else
+    /// keeps running on the state as the panicking primitive left it.
+    pub(crate) fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+        shared.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     pub(crate) fn new(config: SimConfig) -> Self {
         let net_rng = SimRng::new(config.seed).fork(u64::MAX);
         let fault_seed = config.faults.as_ref().map_or(config.seed, |p| p.seed());

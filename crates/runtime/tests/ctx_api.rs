@@ -13,7 +13,7 @@ fn ms(v: u64) -> VirtualDuration {
 
 #[test]
 fn try_recv_returns_none_when_empty_and_some_when_queued() {
-    let mut sim = Simulation::new(SimConfig::default());
+    let mut sim = Simulation::new(SimConfig::default().traced());
     let receiver = ProcessId(0);
     sim.spawn("receiver", |ctx| {
         // Nothing queued yet.
@@ -33,6 +33,9 @@ fn try_recv_returns_none_when_empty_and_some_when_queued() {
     let report = sim.run();
     assert!(report.completed(), "{report}");
     assert_eq!(report.output_lines(), vec!["try_recv exercised"]);
+    // One trace line per primitive call: a successful `try_recv` is a `recv`.
+    let recvs = |t: &&String| t.contains("P0: recv m") && t.contains("from P1");
+    assert_eq!(report.trace().iter().filter(recvs).count(), 1);
 }
 
 #[test]

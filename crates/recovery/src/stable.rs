@@ -60,7 +60,11 @@ pub fn decode_log_entry(v: &Value) -> Option<(AidId, u64)> {
 ///
 /// Propagates runtime [`Signal`](hope_runtime::Signal)s.
 pub fn run_stable_store(ctx: &mut Ctx, flush_time: VirtualDuration) -> Hope<()> {
+    // Stateless, so the snapshot is `Unit`: it only marks where a rolled
+    // back store (it receives the application's speculative tags) resumes.
+    ctx.restore()?;
     loop {
+        ctx.checkpoint(Value::Unit)?;
         let msg = ctx.recv()?;
         let Some((aid, seq)) = decode_log_entry(&msg.payload) else {
             continue;

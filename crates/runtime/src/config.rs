@@ -42,8 +42,7 @@ pub struct SimConfig {
     /// ([`hope_core::Engine::collect_fossils`]) and truncate each
     /// checkpointing process's journal prefix back to its newest safe
     /// [`Ctx::checkpoint`](crate::Ctx::checkpoint) snapshot — bounding
-    /// memory on open-ended runs and letting crash-restart replay from the
-    /// snapshot instead of step zero. Collection is *transparent*: it never
+    /// memory on open-ended runs. Collection is *transparent*: it never
     /// changes committed outputs, only storage. Off by default so short
     /// runs keep complete histories for tracing and post-mortems.
     pub fossil_collection: bool,

@@ -2,8 +2,13 @@
 //!
 //! A process body is a closure `Fn(&mut Ctx) -> Hope<()>`. Everything the
 //! body learns about the world comes through `Ctx`, which journals each
-//! interaction so that rollback can re-execute the body deterministically
-//! (see [`journal`](crate::journal)). The obligations on a body are:
+//! interaction so that a restart can re-execute the body deterministically
+//! (see [`journal`](crate::journal)). Every restart — a rollback, a
+//! crash-restart, the revival of a finished body — takes one path: the body
+//! is called again and `Ctx` replays the journal from the newest
+//! [`Ctx::checkpoint`] the truncation left, whose state [`Ctx::restore`]
+//! hands the body; a body that never checkpoints replays from the journal's
+//! first live entry. The obligations on a body are:
 //!
 //! 1. **Determinism given `Ctx` results** — no host clocks, no global
 //!    mutable state, no `rand` calls outside [`Ctx::random_u64`].
@@ -52,11 +57,16 @@ impl Ctx {
         idx: usize,
         replay_len: usize,
     ) -> Self {
-        let (pid, base) = {
+        let (pid, start) = {
             let sh = Shared::lock(&shared);
-            // Fossil collection may have reclaimed a journal prefix; replay
-            // resumes at the surviving snapshot, not at step zero.
-            (sh.procs[idx].pid, sh.procs[idx].journal.base())
+            let p = &sh.procs[idx];
+            // The one resume point of every restart: the newest surviving
+            // snapshot. Rollback and fossil upkeep keep `snapshots` inside
+            // `base()..replay_len`; a body that never checkpointed, or lost
+            // every snapshot to the truncation, replays from `base()`.
+            let start = p.snapshots.last().copied().unwrap_or(p.journal.base());
+            debug_assert!(p.journal.base() <= start && start <= replay_len);
+            (p.pid, start)
         };
         Ctx {
             shared,
@@ -64,7 +74,7 @@ impl Ctx {
             idx,
             pid,
             replay_len,
-            cursor: base,
+            cursor: start,
         }
     }
 
@@ -206,7 +216,9 @@ impl Ctx {
         // Mirror the journal's AidInit entries so a fault kill can deny
         // this process's open assumptions without scanning the journal
         // (whose prefix fossil collection may have reclaimed).
-        sh.procs[self.idx].own_aids.push((pos, aid));
+        let own = &mut sh.procs[self.idx].own_aids;
+        debug_assert!(own.last().is_none_or(|&(p, _)| p < pos));
+        own.push((pos, aid));
         Ok(aid)
     }
 
@@ -449,27 +461,30 @@ impl Ctx {
     }
 
     // ------------------------------------------------------------------
-    // truncation-safe resume (snapshot/restore protocol)
+    // resume points (snapshot/restore protocol)
     // ------------------------------------------------------------------
 
     /// Declare this body **restorable** and fetch its resume state, if any.
     ///
     /// Must be the body's *first* `Ctx` call. Together with
-    /// [`checkpoint`](Ctx::checkpoint) this is the opt-in protocol that
-    /// lets fossil collection reclaim journal prefixes: a restorable body
-    /// re-executed after a rollback or a crash-restart replays from its
-    /// newest safe snapshot instead of from step zero.
+    /// [`checkpoint`](Ctx::checkpoint) this is the opt-in protocol for
+    /// re-entering a body mid-way: every restart of a restorable body — a
+    /// rollback, a crash-restart, the revival of a finished body — replays
+    /// from its newest surviving snapshot instead of from step zero, and
+    /// fossil collection may reclaim the journal prefix below a snapshot
+    /// the commit horizon has passed.
     ///
-    /// * On a fresh journal this records a marker and returns `None`: run
-    ///   the body's initialization.
-    /// * After fossil collection has truncated the journal's prefix back to
-    ///   a snapshot, re-execution returns `Some(state)` — the exact
-    ///   [`Value`] the corresponding [`checkpoint`](Ctx::checkpoint)
-    ///   recorded. Rebuild your state from it and proceed to the statement
+    /// * On a fresh journal, and on a restart whose rollback truncated
+    ///   below every snapshot, this records (or replays) a marker and
+    ///   returns `None`: run the body's initialization.
+    /// * Otherwise it returns `Some(state)` — the exact [`Value`] recorded
+    ///   by the newest [`checkpoint`](Ctx::checkpoint) still in the
+    ///   journal. Rebuild your state from it and proceed to the statement
     ///   *after* that checkpoint call; the journal replays the rest.
     ///
-    /// Bodies that never call this simply keep their whole journal — fossil
-    /// collection still reclaims engine records, just not their journals.
+    /// Bodies that never call this replay their whole journal on every
+    /// restart and keep all of it — fossil collection still reclaims
+    /// engine records, just not their journals.
     ///
     /// # Errors
     ///
@@ -477,17 +492,19 @@ impl Ctx {
     pub fn restore(&mut self) -> Hope<Option<Value>> {
         if self.cursor < self.replay_len {
             let mut sh = self.lock();
-            let base = sh.procs[self.idx].journal.base();
+            // Nothing live has run yet, so the newest snapshot is still
+            // the position `Ctx::new` started this attempt at.
+            let at_start = sh.procs[self.idx].snapshots.last() == Some(&self.cursor);
             let e = sh.procs[self.idx]
                 .journal
                 .get(self.cursor)
                 .expect("replay cursor within journal")
                 .clone();
             match e {
-                // The reclaimed-prefix case: replay begins at the snapshot
-                // itself. Peek, don't consume — the body's own `checkpoint`
-                // call at the top of its loop replays this entry.
-                Entry::Snapshot(v) if self.cursor == base => {
+                // Replay begins at a snapshot. Peek, don't consume — the
+                // body's own `checkpoint` call at the top of its loop
+                // replays this entry.
+                Entry::Snapshot(v) if at_start => {
                     sh.procs[self.idx].restorable = true;
                     return Ok(Some(v));
                 }
@@ -513,12 +530,19 @@ impl Ctx {
     /// Record a resumable snapshot of the body's state.
     ///
     /// Call at a point the body can reconstruct itself from `state` alone —
-    /// typically the top of its main loop. Once the engine's commit horizon
-    /// passes this point, fossil collection may truncate everything before
-    /// the snapshot; a later re-execution then resumes here via
-    /// [`restore`](Ctx::restore). Cheap enough to call every iteration:
-    /// one journal entry per call, and superseded snapshots are reclaimed
-    /// with the prefix they close over.
+    /// typically the top of its main loop. A snapshot is a resume point
+    /// twice over. A rollback (or crash-restart) whose truncation leaves it
+    /// the newest one in the journal restarts the body here, via
+    /// [`restore`](Ctx::restore), and replays only what follows it — so
+    /// `state` must rebuild the body *mid-speculation*: everything later
+    /// code reads that earlier code computed, answers of still-open guesses
+    /// included. And once the engine's commit horizon passes this point,
+    /// fossil collection may truncate everything before the snapshot.
+    ///
+    /// One journal entry per call, holding `state`: cheap enough to call
+    /// every iteration when the state is a counter, quadratic in memory
+    /// when the state itself grows with every iteration. Superseded
+    /// snapshots are reclaimed with the prefix they close over.
     ///
     /// # Errors
     ///
@@ -527,8 +551,8 @@ impl Ctx {
     /// # Panics
     ///
     /// Panics if the body did not call [`restore`](Ctx::restore) first:
-    /// a truncated journal must resume *somewhere*, and only `restore`
-    /// gives it an entry point.
+    /// a restart must resume *somewhere*, and only `restore` gives it an
+    /// entry point.
     pub fn checkpoint(&mut self, state: impl Into<Value>) -> Hope<()> {
         let state = state.into();
         if let Some(e) = self.replay_next() {
@@ -546,7 +570,9 @@ impl Ctx {
         );
         let pos = sh.procs[self.idx].journal.len();
         sh.procs[self.idx].journal.push(Entry::Snapshot(state));
-        sh.procs[self.idx].snapshots.push(pos);
+        let snapshots = &mut sh.procs[self.idx].snapshots;
+        debug_assert!(snapshots.last().is_none_or(|&p| p < pos));
+        snapshots.push(pos);
         Ok(())
     }
 

@@ -6,25 +6,35 @@
 //! and randomness reads, sends, computes, outputs) flows through
 //! [`Ctx`](crate::Ctx) and is journaled. A checkpoint (`A.PS`, Equation 1)
 //! is just a journal position. Rollback truncates the journal at the failed
-//! guess and re-executes the body from the top; journaled entries are
-//! *replayed* — returned without side effects — so the deterministic body
-//! reaches the guess point in the same state, where the re-issued guess now
-//! returns `false` (Equation 24).
+//! guess and restarts the body; journaled entries are *replayed* — returned
+//! without side effects — so the deterministic body reaches the guess point
+//! in the same state, where the re-issued guess now returns `false`
+//! (Equation 24).
 //!
 //! This places one obligation on process bodies: **determinism given `Ctx`
 //! results**. All time, randomness and communication must go through `Ctx`.
+//!
+//! # Where replay starts
+//!
+//! Every restart — rollback, a deeper rollback during the restoration
+//! hold, crash-restart, the revival of a finished body — replays from the
+//! newest [`Entry::Snapshot`] the truncation left in the journal, as in
+//! Mezzina–Tiezzi–Yoshida's checkpoint/rollback calculus, where a rollback
+//! returns to the *last* checkpoint and re-runs nothing earlier. The
+//! snapshot's [`Value`] is what lets the body re-enter mid-way (the frame
+//! state of a deoptimization point): [`Ctx::restore`](crate::Ctx::restore)
+//! hands it over and only the entries after it are replayed. A body that
+//! never calls [`Ctx::checkpoint`](crate::Ctx::checkpoint), or whose
+//! snapshots were all in the truncated suffix, replays from `base()`.
 //!
 //! # Prefix truncation (fossil collection)
 //!
 //! Journal positions are **absolute** — they never shift. When the engine's
 //! commit horizon guarantees no rollback can ever reach back past a
 //! journaled [`Entry::Snapshot`], the prefix before it can be reclaimed
-//! with [`Journal::truncate_prefix`]: live storage shrinks, `base()` rises,
-//! and replay (after a rollback *or* a crash-restart) starts at the
-//! snapshot instead of at step zero. Bodies opt in via
-//! [`Ctx::restore`](crate::Ctx::restore) /
-//! [`Ctx::checkpoint`](crate::Ctx::checkpoint); a body that never
-//! checkpoints simply keeps its whole journal.
+//! with [`Journal::truncate_prefix`]: live storage shrinks and `base()`
+//! rises to that snapshot, which stays the oldest resume point. A body that
+//! never checkpoints simply keeps its whole journal.
 
 use hope_core::AidId;
 use hope_sim::VirtualDuration;
@@ -75,16 +85,15 @@ pub(crate) enum Entry {
     /// re-executions after a rollback into the loop — reuses the same
     /// number, which is what makes receiver-side deduplication sound.
     ReliableSeq(u64),
-    /// `restore()` found no snapshot to resume from (the journal still
-    /// starts at step zero). Always the first entry of a restorable body's
-    /// journal; fossil collection may later replace the prefix up to some
-    /// [`Entry::Snapshot`], after which `restore()` replays that snapshot
-    /// instead of this marker.
+    /// `restore()` found no snapshot to resume from. Always the first
+    /// entry of a restorable body's journal, and where replay starts while
+    /// no [`Entry::Snapshot`] survives; fossil collection may later reclaim
+    /// it with the prefix below some snapshot.
     Restore,
-    /// `checkpoint(state)` recorded the body's resumable state. A journal
-    /// prefix may be truncated exactly at a snapshot: re-execution then
-    /// resumes here via [`Ctx::restore`](crate::Ctx::restore) rather than
-    /// replaying from step zero.
+    /// `checkpoint(state)` recorded the body's resumable state. The newest
+    /// one in the journal is where a restart's replay begins, via
+    /// [`Ctx::restore`](crate::Ctx::restore); a journal prefix may be
+    /// truncated exactly at one.
     Snapshot(Value),
 }
 
@@ -142,7 +151,8 @@ impl Journal {
         self.entries.len()
     }
 
-    /// Absolute position of the oldest live entry. Replay starts here.
+    /// Absolute position of the oldest live entry: where replay starts
+    /// when no snapshot survives.
     pub(crate) fn base(&self) -> usize {
         self.base
     }

@@ -445,13 +445,29 @@ mod tests {
     /// one late message: the guesser's "done" against the verifier's
     /// timer, which gives the outcome set two members.
     fn raced_long_loop(config: SimConfig) -> Simulation {
+        raced_long_loop_with(config, true)
+    }
+
+    /// `checkpointing: false` is the twin whose bodies make no
+    /// `restore`/`checkpoint` call: every restart replays from step zero.
+    fn raced_long_loop_with(config: SimConfig, checkpointing: bool) -> Simulation {
         const ROUNDS: i64 = 136;
+        let resume = move |ctx: &mut crate::Ctx| {
+            let snapshot = if checkpointing { ctx.restore()? } else { None };
+            Ok(snapshot.map_or(0, |v| v.expect_int()))
+        };
+        let checkpoint = move |ctx: &mut crate::Ctx, i: i64| {
+            if checkpointing {
+                ctx.checkpoint(Value::Int(i))?;
+            }
+            Ok(())
+        };
         let mut sim = Simulation::new(config);
         let verifier = ProcessId(1);
         sim.spawn("guesser", move |ctx| {
-            let mut i = ctx.restore()?.map_or(0, |v| v.expect_int());
+            let mut i = resume(ctx)?;
             while i < ROUNDS {
-                ctx.checkpoint(Value::Int(i))?;
+                checkpoint(ctx, i)?;
                 if i % 4 == 3 {
                     let aid = ctx.aid_init()?;
                     ctx.send(verifier, Value::Int(aid.index() as i64))?;
@@ -474,9 +490,9 @@ mod tests {
         });
         let guesser = ProcessId(0);
         sim.spawn("verifier", move |ctx| {
-            let mut seen = ctx.restore()?.map_or(0, |v| v.expect_int());
+            let mut seen = resume(ctx)?;
             while seen < ROUNDS {
-                ctx.checkpoint(Value::Int(seen))?;
+                checkpoint(ctx, seen)?;
                 let aid = ctx.recv()?.payload.expect_int();
                 if seen == 7 || seen == 11 {
                     ctx.deny(hope_core::AidId::from_index(aid as u64))?;
@@ -569,6 +585,49 @@ mod tests {
     #[test]
     fn governed_knob_lattice_preserves_outcome_set() {
         schedule_space_lattice(true);
+    }
+
+    /// Checkpoint transparency: a snapshot is the resume point of every
+    /// restart, so taking snapshots must change nothing but how much is
+    /// replayed. Over every schedule the twin without them has the same
+    /// tree and the same outcome set; under crash-restart plans — either
+    /// process killed at each of 64 consecutive steps and back before the
+    /// next message reaches it, delay spikes re-timing the credits — it
+    /// commits the same lines after the same events, virtual time,
+    /// rollbacks and restarts.
+    #[test]
+    fn checkpoints_are_transparent_to_the_raced_long_loop() {
+        let base = SimConfig::with_seed(7);
+        let exhaust = |checkpointing| {
+            let r = check_scenario(&SimMcConfig::default(), || {
+                raced_long_loop_with(base.clone(), checkpointing)
+            });
+            assert!(r.completeness.is_exhausted(), "{r:?}");
+            (r.outcomes, r.schedules, r.choice_points, r.max_depth)
+        };
+        assert_eq!(exhaust(true), exhaust(false));
+
+        // Runs the kill itself rolled back (a third rollback, after the
+        // two scripted denies) and that still ran to completion.
+        let mut recovered = 0;
+        for (victim, step) in (0..2).flat_map(|v| (10..74).map(move |s| (v, s))) {
+            let plan = hope_sim::FaultPlan::new(step)
+                .delay_spikes(0.2, ms(1 + step % 3))
+                .kill(victim, step, Some(VirtualDuration::from_micros(10)));
+            let run = |checkpointing| {
+                let cfg = base.clone().with_faults(plan.clone());
+                let r = raced_long_loop_with(cfg, checkpointing).run();
+                let s = r.stats();
+                let restarts = (s.rollback_events, s.replays, s.faults);
+                (r.committed(), r.events(), r.end_time(), restarts)
+            };
+            let with = run(true);
+            assert_eq!(with, run(false), "P{victim} killed at step {step}");
+            let (committed, .., (rollbacks, _, faults)) = with;
+            assert_eq!(faults.restarts, 1);
+            recovered += u32::from(rollbacks > 2 && committed.unfinished.is_empty());
+        }
+        assert!(recovered >= 4, "{recovered}");
     }
 
     /// The budget path: a scenario with more schedules than allowed

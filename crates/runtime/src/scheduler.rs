@@ -15,6 +15,15 @@
 //! re-execution (journal replay + live pessimistic branch) proceeds from
 //! the moment the deny arrived. This is what makes the Call Streaming
 //! latency measurements meaningful.
+//!
+//! There is one restart path. Whatever ended an attempt at a body — a
+//! rollback, a deeper rollback during the restoration hold, a fault kill's
+//! restart, a deny reviving a finished body — `process_wrapper` counts the
+//! replay, charges [`SimConfig::rollback_overhead`](crate::SimConfig) and
+//! calls the body again with a fresh [`Ctx`], which resumes at the newest
+//! snapshot the truncation left in the journal (see
+//! [`journal`](crate::journal)); replay length is the distance from that
+//! checkpoint, not from step zero.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -460,10 +460,10 @@ impl Shared {
         }
     }
 
-    /// Bring a killed process back up: crash-restart recovery. The body
-    /// re-runs from the top with the surviving journal prefix replayed
-    /// (free and deterministic); the engine already treated the lost
-    /// suffix as a rollback when the kill's denies cascaded.
+    /// Bring a killed process back up: crash-restart recovery. If the
+    /// kill's denies rolled it back, the body restarts like any rollback
+    /// victim — replaying its surviving journal from the newest snapshot
+    /// (free and deterministic); a fully definite victim just resumes.
     pub(crate) fn restart_fire(&mut self, proc: usize) {
         if self.procs[proc].state != ProcState::Down {
             return;
@@ -714,9 +714,13 @@ impl Shared {
                     }
                     // Keep the journal mirrors in step with the truncation:
                     // AidInit and Snapshot entries in the discarded suffix
-                    // are gone (re-execution re-records live ones).
-                    self.procs[victim].own_aids.retain(|&(p, _)| p < pos);
-                    self.procs[victim].snapshots.retain(|&p| p < pos);
+                    // are gone (re-execution re-records live ones). Both
+                    // mirrors ascend by position, so the cut is a suffix.
+                    let v = &mut self.procs[victim];
+                    v.own_aids
+                        .truncate(v.own_aids.partition_point(|&(p, _)| p < pos));
+                    v.snapshots
+                        .truncate(v.snapshots.partition_point(|&p| p < pos));
                     self.procs[victim].finish_time = None;
                     // The pending flag is observed (and cleared) by the
                     // victim's wrapper when the re-execution begins; for the

@@ -1,7 +1,7 @@
 //! The fault-space transparency lattice: what a run commits depends on
 //! neither the faults injected nor any knob that claims to be transparent.
 //!
-//! Everything here goes through the one oracle, [`sweep`]: a fault-free,
+//! Nearly everything here goes through the one oracle, [`sweep`]: a fault-free,
 //! all-knobs-off reference run, and per variant the assertions that
 //! `committed()` equals the reference's (Theorem 6.2's irrevocable effects
 //! are fault-independent) and that the variant replays bit-identically
@@ -11,20 +11,25 @@
 //!   cascade shape), optimistic recovery (E10) and primary-copy replication
 //!   (E7) — under hundreds of seeded [`FaultPlan`]s mixing message drops,
 //!   duplication, delay spikes, temporary partitions and crash-restart
-//!   kills; and
-//! * a checkpointing guesser/verifier loop under every combination of
+//!   kills;
+//! * a checkpointing guesser/verifier loop, and the recovery pipeline
+//!   (whose bodies checkpoint every step), under every combination of
 //!   fossil collection, the optimism governor, race detection, tracing and
 //!   engine invariant checking ([`knob_lattice`]), fault-free and under
 //!   the same kind of plans — each cell asserting that what it turns on
-//!   actually fired.
+//!   actually fired; and
+//! * the recovery pipeline against its twin without checkpoints — the one
+//!   comparison made directly, because a snapshot is only where a restart
+//!   resumes and the twins must agree in more than `committed()`.
 //!
 //! Scenario obligations (see `hope_runtime::chaos`): committed values are
 //! derived from payloads/pre-fault state (never post-rollback
 //! randomness), loss-sensitive messages ride `send_reliable`, and kills
 //! always restart (a permanent crash trivially loses output).
 
-use hope_recovery::{run_app_optimistic, run_stable_store};
+use hope_recovery::{decode_log_entry, log_entry, run_app_optimistic, run_stable_store};
 use hope_replication::{run_primary, Replica};
+use hope_runtime::mc::{check_scenario, SimMcConfig};
 use hope_runtime::{
     knob_lattice, sweep, FaultPlan, FaultStats, GovernorConfig, ProcessId, SimConfig, Simulation,
     Value, VariantRun,
@@ -101,14 +106,58 @@ fn pipeline_scenario(cfg: SimConfig) -> Simulation {
     sim
 }
 
-/// Recovery scenario (E10): optimistic logging to a stable store.
+/// Recovery scenario (E10): optimistic logging to a stable store. Both
+/// bodies checkpoint once per step, so every rollback and restart resumes
+/// at its newest surviving snapshot.
 fn recovery_scenario(cfg: SimConfig) -> Simulation {
+    recovery_pipeline(cfg, 8)
+}
+
+fn recovery_pipeline(cfg: SimConfig, steps: u64) -> Simulation {
     let mut sim = Simulation::new(cfg);
     let store = ProcessId(1);
     sim.spawn("app", move |ctx| {
-        run_app_optimistic(ctx, store, 8, VirtualDuration::from_micros(200))
+        run_app_optimistic(ctx, store, steps, VirtualDuration::from_micros(200))
     });
     sim.spawn("store", move |ctx| run_stable_store(ctx, ms(5)));
+    sim
+}
+
+/// The recovery pipeline long enough that every run crosses the
+/// scheduler's 256-event fossil sweep: the knob lattice's second scenario.
+fn long_recovery_scenario(cfg: SimConfig) -> Simulation {
+    recovery_pipeline(cfg, 60)
+}
+
+/// [`recovery_pipeline`]'s twin: `run_app_optimistic` and the optimistic
+/// path of `run_stable_store` with their `restore`/`checkpoint` calls
+/// removed and nothing else changed, so every restart replays from step
+/// zero.
+fn uncheckpointed_recovery_pipeline(cfg: SimConfig, steps: u64) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    let store = ProcessId(1);
+    sim.spawn("app", move |ctx| {
+        for seq in 0..steps {
+            loop {
+                let aid = ctx.aid_init()?;
+                ctx.send_reliable(store, log_entry(aid, seq))?;
+                if ctx.guess(aid)? {
+                    break;
+                }
+            }
+            ctx.output(format!("step {seq} committed"))?;
+            ctx.compute(VirtualDuration::from_micros(200))?;
+        }
+        Ok(())
+    });
+    sim.spawn("store", move |ctx| loop {
+        let msg = ctx.recv()?;
+        let Some((aid, _)) = decode_log_entry(&msg.payload) else {
+            continue;
+        };
+        ctx.compute(ms(5))?;
+        ctx.affirm(aid)?;
+    });
     sim
 }
 
@@ -258,8 +307,62 @@ fn replication_sweep_70_plans() {
     assert!(total(&runs, |f| f.kills) > 0);
 }
 
-/// The fault-space knob lattice over `checkpointed_loop_scenario`: for
-/// every [`knob_lattice`] cell that `pick` selects, the cell's config
+/// Checkpoint transparency on the lossy pipeline: a snapshot is where a
+/// restart resumes, so the twin that takes none must differ only in how
+/// much it replays. Under the recovery sweep's plans and under plain 30%
+/// loss both commit the same lines after the same events, virtual time,
+/// rollbacks and restarts; over the schedule space of `check_scenario`
+/// both have the same schedule tree and outcome set.
+#[test]
+fn checkpoints_are_transparent_to_the_lossy_pipeline() {
+    let plans = (1000..1030)
+        .map(|s| plan_for_seed(s, 2))
+        .chain((0..10).map(|s| FaultPlan::new(s).drop_rate(0.3)));
+    let mut replays = 0;
+    for plan in plans {
+        let observe = |sim: Simulation| {
+            let r = sim.run();
+            let s = r.stats();
+            let restarts = (s.rollback_events, s.replays, s.faults);
+            (r.committed(), r.events(), r.end_time(), restarts)
+        };
+        let cfg = base_config(11).with_faults(plan.clone());
+        let with = observe(recovery_pipeline(cfg.clone(), 20));
+        let without = observe(uncheckpointed_recovery_pipeline(cfg, 20));
+        assert_eq!(with, without, "plan {}", plan.seed());
+        replays += with.3 .1;
+    }
+    assert!(replays > 1000, "the plans must roll back: {replays}");
+
+    // Each entry's ack races its retransmission deadline, so the schedule
+    // tree is wide: one step inside a 12 ms horizon (room for one timeout
+    // deny and its retransmission) is exhausted; two steps are not within
+    // any affordable budget, so there the first 1024 schedules of the
+    // depth-first order — the same schedules iff the trees agree on them
+    // — must coincide.
+    let explore = |steps, horizon_ms, max_schedules| {
+        let cfg = base_config(11)
+            .with_ack_timeout(ms(10))
+            .with_max_virtual_time(VirtualTime::ZERO + ms(horizon_ms));
+        let tree = |scenario: fn(SimConfig, u64) -> Simulation| {
+            let r = check_scenario(&SimMcConfig { max_schedules }, || {
+                scenario(cfg.clone(), steps)
+            });
+            let shape = (r.schedules, r.choice_points, r.max_depth);
+            (r.outcomes, shape, r.completeness, r.frontier_remaining)
+        };
+        let with = tree(recovery_pipeline);
+        assert_eq!(with, tree(uncheckpointed_recovery_pipeline));
+        with
+    };
+    let (outcomes, _, completeness, _) = explore(1, 12, 4096);
+    assert!(completeness.is_exhausted() && outcomes.len() > 1);
+    let (_, (schedules, ..), ..) = explore(2, 15, 1024);
+    assert_eq!(schedules, 1024);
+}
+
+/// The fault-space knob lattice over `scenario` (a two-process one whose
+/// bodies checkpoint): for every [`knob_lattice`] cell that `pick` selects, the cell's config
 /// fault-free and under each seeded plan must commit what the plain
 /// fault-free run commits. A cell proves that only if what it turns on
 /// fired, so each asserts its own engagement: drops injected and
@@ -269,7 +372,11 @@ fn replication_sweep_70_plans() {
 /// on — tuned so that drops and kills push sites into Throttled and
 /// Conservative; a non-empty trace on every traced run. (Race detection
 /// and invariant checking have no counter: one reports, the other panics.)
-fn lattice(pick: impl Fn(&str) -> bool, seeds: impl IntoIterator<Item = u64>) {
+fn lattice(
+    scenario: impl Fn(SimConfig) -> Simulation,
+    pick: impl Fn(&str) -> bool,
+    seeds: impl IntoIterator<Item = u64>,
+) {
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let gov = GovernorConfig::default()
         .with_window(8)
@@ -283,7 +390,7 @@ fn lattice(pick: impl Fn(&str) -> bool, seeds: impl IntoIterator<Item = u64>) {
         variants.push((format!("{cell} / fault-free"), cfg.clone()));
         variants.extend(under_plans(cell, cfg, 2, seeds.iter().copied()));
     }
-    let runs = sweep(base_config(11), variants, checkpointed_loop_scenario);
+    let runs = sweep(base_config(11), variants, scenario);
     for ((cell, cfg), runs) in cells.iter().zip(runs.chunks(1 + seeds.len())) {
         let faulty = &runs[1..];
         let injected = |counter| total(faulty, counter) > 0;
@@ -328,7 +435,8 @@ const SHORT_PLANS: [u64; 6] = [9, 12, 17, 38, 69, 106];
 #[test]
 fn knob_lattice_smoke() {
     let pick = |cell: &str| !cell.contains("invariants") || cell == "invariants" || cell == ALL_ON;
-    lattice(pick, [17]);
+    lattice(checkpointed_loop_scenario, pick, [17]);
+    lattice(long_recovery_scenario, pick, [17]);
 }
 
 /// The 70-plan cells (CI: `--release -- --ignored`): collection on/off ×
@@ -342,13 +450,13 @@ fn is_70_plan_cell(cell: &str) -> bool {
 #[test]
 #[ignore = "minutes in debug; run in CI with --release -- --ignored"]
 fn slow_knob_lattice_70_plans_from_3000() {
-    lattice(is_70_plan_cell, 3000..3070);
+    lattice(checkpointed_loop_scenario, is_70_plan_cell, 3000..3070);
 }
 
 #[test]
 #[ignore = "minutes in debug; run in CI with --release -- --ignored"]
 fn slow_knob_lattice_70_plans_from_4000() {
-    lattice(is_70_plan_cell, 4000..4070);
+    lattice(checkpointed_loop_scenario, is_70_plan_cell, 4000..4070);
 }
 
 /// All 32 cells, fault-free and under every short plan: each knob
@@ -357,7 +465,8 @@ fn slow_knob_lattice_70_plans_from_4000() {
 #[test]
 #[ignore = "minutes in debug; run in CI with --release -- --ignored"]
 fn slow_knob_lattice_all_cells() {
-    lattice(|_| true, SHORT_PLANS);
+    lattice(checkpointed_loop_scenario, |_| true, SHORT_PLANS);
+    lattice(long_recovery_scenario, |_| true, SHORT_PLANS);
 }
 
 /// A quick deterministic smoke (also run by CI's chaos step): a handful of
@@ -371,7 +480,11 @@ fn chaos_smoke() {
     ] {
         app_sweep(scenario, procs, 42..48);
     }
-    lattice(|cell| cell == "plain" || cell == "fossil", 42..48);
+    lattice(
+        checkpointed_loop_scenario,
+        |cell| cell == "plain" || cell == "fossil",
+        42..48,
+    );
 }
 
 proptest! {

@@ -139,47 +139,6 @@ pub fn rank_with(program: &Program, flow: &Flow, weights: &CostWeights) -> Vec<S
     out
 }
 
-/// A per-site damage prior in the form the runtime's optimism governor
-/// consumes (`hope_runtime::GovernorConfig::with_priors`): the process's
-/// index doubles as its runtime `ProcessId` when processes are spawned in
-/// program order, and the guess statement's index is the **site** id to
-/// pass to `Ctx::guess_at`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SitePrior {
-    /// The guessing process's index (= runtime `ProcessId` under
-    /// program-order spawning).
-    pub process: u32,
-    /// The `guess` statement's index within that process (the site id).
-    pub site: u32,
-    /// The statically ranked damage score ([`SpeculationCost::damage`]).
-    pub damage: u64,
-}
-
-/// The static damage ranks of `program` as runtime-consumable priors, one
-/// per `guess` site, under the default [`CostWeights`]. A site guessing
-/// several AIDs keeps the largest damage (any of the assumptions opens the
-/// exposure). Sorted by `(process, site)` ascending — deterministic for a
-/// fixed program.
-pub fn site_priors(program: &Program) -> Vec<SitePrior> {
-    let mut out: Vec<SitePrior> = Vec::new();
-    for c in rank(program) {
-        let (process, site) = (c.proc as u32, c.stmt_idx as u32);
-        match out
-            .iter_mut()
-            .find(|p| p.process == process && p.site == site)
-        {
-            Some(p) => p.damage = p.damage.max(c.damage),
-            None => out.push(SitePrior {
-                process,
-                site,
-                damage: c.damage,
-            }),
-        }
-    }
-    out.sort_by_key(|p| (p.process, p.site));
-    out
-}
-
 /// Render a ranking as one line per speculation plus a summary line.
 pub fn render_rank_text(costs: &[SpeculationCost]) -> String {
     let mut out = String::new();
@@ -337,30 +296,6 @@ mod tests {
             vec![Stmt::Recv, Stmt::Compute],
         ]);
         assert!(rank(&wide)[0].damage > rank(&narrow)[0].damage);
-    }
-
-    #[test]
-    fn site_priors_key_by_process_and_site() {
-        let program = Program::new(vec![
-            vec![Stmt::Guess(0), Stmt::Compute, Stmt::Affirm(0)],
-            vec![Stmt::Guess(1), Stmt::Affirm(1)],
-        ]);
-        let priors = site_priors(&program);
-        assert_eq!(priors.len(), 2);
-        assert_eq!((priors[0].process, priors[0].site), (0, 0));
-        assert_eq!((priors[1].process, priors[1].site), (1, 0));
-        // The priors carry the same damage numbers the ranking reports.
-        for c in rank(&program) {
-            let p = priors
-                .iter()
-                .find(|p| (p.process, p.site) == (c.proc as u32, c.stmt_idx as u32))
-                .unwrap();
-            assert_eq!(p.damage, c.damage);
-        }
-        assert_eq!(
-            site_priors(&Program::new(vec![vec![Stmt::Compute]])),
-            vec![]
-        );
     }
 
     #[test]

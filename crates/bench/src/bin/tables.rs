@@ -8,7 +8,8 @@
 //!
 //! `--json <path>` additionally writes the selected tables as a JSON
 //! array of experiment objects (see [`hope_bench::tables_to_json`]) —
-//! the format of the checked-in `BENCH_e15.json` … `BENCH_e21.json`.
+//! the format of the checked-in `BENCH_e16.json`, `BENCH_e19.json` and
+//! `BENCH_e21.json`.
 
 use hope_bench::{table_for, tables_to_json, EXPERIMENT_IDS};
 

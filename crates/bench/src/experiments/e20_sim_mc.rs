@@ -7,9 +7,9 @@
 //! [`Exhausted`](hope_runtime::SimCompleteness): the outcome set is proven
 //! complete, not sampled.
 //!
-//! `BENCH_e20.json` additionally records the `hope-mc` mode ladder E20
-//! timed before the DPOR and symmetry modes were removed (EXPERIMENTS.md
-//! E20); E17 is the machine-program reduction table.
+//! EXPERIMENTS.md (E20) quotes the `hope-mc` mode ladder E20 timed before
+//! the DPOR and symmetry modes were removed; E17 is the machine-program
+//! reduction table.
 
 use std::time::Instant;
 

@@ -25,9 +25,9 @@
 //! | E21 | deny-storm admission control: governor off vs on | [`experiments::e21_governor`] |
 //!
 //! (E9, the theorem suite, runs under `cargo test` — see `tests/theorems.rs`
-//! at the workspace root. E15 and E18 are retired; `BENCH_e15.json` and
-//! EXPERIMENTS.md keep their records. E22, the host-time benchmark, is the
-//! separate `benchmark/` package.)
+//! at the workspace root. E15 and E18 are retired; EXPERIMENTS.md keeps
+//! their records. E22, the host-time benchmark, is the separate
+//! `benchmark/` package.)
 //!
 //! Run `cargo run -p hope-bench --release --bin tables` to print all
 //! tables, or pass experiment ids (`e1 e6 …`) to select. Host-time costs

@@ -1116,12 +1116,12 @@ impl Engine {
             }
             IntervalStatus::Speculative => {}
         }
-        let pid = self.itv_ref(a).pid;
+        let (pid, seq) = (self.itv_ref(a).pid, self.itv_ref(a).seq);
         let proc = self.proc_mut(pid).expect("interval has valid pid");
-        let pos = match proc.history.iter().position(|&i| i == a) {
-            Some(p) => p,
-            None => return, // already truncated by an earlier event
-        };
+        // `seq` counts from the start of the full history, `collected` of
+        // which fossil collection took from the front.
+        let pos = seq - proc.collected as usize;
+        debug_assert_eq!(proc.history.get(pos), Some(&a), "speculative {a}");
         let discarded = proc.history.split_off(pos);
         proc.discarded += discarded.len() as u64;
         self.stats.rolled_back_intervals += discarded.len() as u64;

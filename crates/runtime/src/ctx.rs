@@ -46,35 +46,25 @@ pub struct Ctx {
     baton: Arc<Baton>,
     idx: usize,
     pid: ProcessId,
-    replay_len: usize,
-    cursor: usize,
+    /// Journal positions still to replay before the body runs live.
+    replay: std::ops::Range<usize>,
 }
 
 impl Ctx {
+    /// `replay`: the journal range `Shared::begin_attempt` answered.
     pub(crate) fn new(
         shared: Arc<Mutex<Shared>>,
         baton: Arc<Baton>,
         idx: usize,
-        replay_len: usize,
+        replay: std::ops::Range<usize>,
     ) -> Self {
-        let (pid, start) = {
-            let sh = Shared::lock(&shared);
-            let p = &sh.procs[idx];
-            // The one resume point of every restart: the newest surviving
-            // snapshot. Rollback and fossil upkeep keep `snapshots` inside
-            // `base()..replay_len`; a body that never checkpointed, or lost
-            // every snapshot to the truncation, replays from `base()`.
-            let start = p.snapshots.last().copied().unwrap_or(p.journal.base());
-            debug_assert!(p.journal.base() <= start && start <= replay_len);
-            (p.pid, start)
-        };
+        let pid = Shared::lock(&shared).procs[idx].pid;
         Ctx {
             shared,
             baton,
             idx,
             pid,
-            replay_len,
-            cursor: start,
+            replay,
         }
     }
 
@@ -88,7 +78,7 @@ impl Ctx {
     /// Useful only for diagnostics; bodies must behave identically either
     /// way.
     pub fn replaying(&self) -> bool {
-        self.cursor < self.replay_len
+        !self.replay.is_empty()
     }
 
     /// `true` when this run has a fault schedule installed
@@ -121,18 +111,10 @@ impl Ctx {
     }
 
     fn replay_next(&mut self) -> Option<Entry> {
-        if self.cursor >= self.replay_len {
-            return None;
-        }
+        let pos = self.replay.next()?;
         let sh = self.lock();
-        let e = sh.procs[self.idx]
-            .journal
-            .get(self.cursor)
-            .expect("replay cursor within journal")
-            .clone();
-        drop(sh);
-        self.cursor += 1;
-        Some(e)
+        let e = sh.procs[self.idx].journal.get(pos).cloned();
+        Some(e.expect("replay cursor within journal"))
     }
 
     /// Acquire the lock for a **live** (non-replay) primitive, enforcing the
@@ -160,8 +142,7 @@ impl Ctx {
         if sh.procs[self.idx].journal.live_len() >= limit {
             let pid = self.pid;
             sh.trace(|| format!("{pid}: journal limit ({limit} live entries) exceeded"));
-            sh.procs[self.idx].state = ProcState::Crashed;
-            sh.procs[self.idx].crash = Some(CrashReason::JournalOverflow { limit });
+            sh.crash(self.idx, CrashReason::JournalOverflow { limit });
             return Err(Signal::Shutdown);
         }
         Ok(sh)
@@ -174,15 +155,12 @@ impl Ctx {
              deterministic given Ctx results",
             self.pid,
             got.kind(),
-            self.cursor - 1,
+            self.replay.start - 1,
         )
     }
 
     fn park(&mut self, state: ProcState) -> Hope<()> {
-        {
-            let mut sh = self.lock();
-            sh.procs[self.idx].state = state;
-        }
+        self.lock().set_state(self.idx, state);
         if !self.baton.pass(self.idx) {
             return Err(Signal::Shutdown);
         }
@@ -211,14 +189,7 @@ impl Ctx {
         }
         let mut sh = self.live()?;
         let aid = sh.engine.aid_init(self.pid);
-        let pos = sh.procs[self.idx].journal.len();
         sh.procs[self.idx].journal.push(Entry::AidInit(aid));
-        // Mirror the journal's AidInit entries so a fault kill can deny
-        // this process's open assumptions without scanning the journal
-        // (whose prefix fossil collection may have reclaimed).
-        let own = &mut sh.procs[self.idx].own_aids;
-        debug_assert!(own.last().is_none_or(|&(p, _)| p < pos));
-        own.push((pos, aid));
         Ok(aid)
     }
 
@@ -233,26 +204,20 @@ impl Ctx {
     /// [`Signal::Rollback`]/[`Signal::Shutdown`] propagated from the
     /// runtime.
     pub fn guess(&mut self, aid: AidId) -> Hope<bool> {
-        self.guess_inner(aid, DEFAULT_GUESS_SITE)
+        self.guess_at(aid, DEFAULT_GUESS_SITE)
     }
 
     /// [`Ctx::guess`] with an explicit **guess site** id for the optimism
     /// governor (see [`crate::governor`]): sites are the granularity at
     /// which the governor tracks deny pressure and throttles or
-    /// de-speculates. The analyzer's statement indices
-    /// ([`hope_analysis::cost::site_priors`]) are the intended vocabulary,
-    /// letting its static damage ranks seed the per-site damage estimates.
-    /// Without a governor configured, behaves exactly like [`Ctx::guess`].
+    /// de-speculates. Without a governor configured, behaves exactly like
+    /// [`Ctx::guess`].
     ///
     /// # Errors
     ///
     /// [`Signal::Rollback`]/[`Signal::Shutdown`] propagated from the
     /// runtime.
     pub fn guess_at(&mut self, aid: AidId, site: u32) -> Hope<bool> {
-        self.guess_inner(aid, site)
-    }
-
-    fn guess_inner(&mut self, aid: AidId, site: u32) -> Hope<bool> {
         if let Some(e) = self.replay_next() {
             match e {
                 Entry::Guess { aid: a, value } if a == aid => return Ok(value),
@@ -490,40 +455,31 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn restore(&mut self) -> Hope<Option<Value>> {
-        if self.cursor < self.replay_len {
-            let mut sh = self.lock();
-            // Nothing live has run yet, so the newest snapshot is still
-            // the position `Ctx::new` started this attempt at.
-            let at_start = sh.procs[self.idx].snapshots.last() == Some(&self.cursor);
-            let e = sh.procs[self.idx]
-                .journal
-                .get(self.cursor)
-                .expect("replay cursor within journal")
-                .clone();
-            match e {
+        if !self.replay.is_empty() {
+            let pos = self.replay.start;
+            let sh = self.lock();
+            let journal = &sh.procs[self.idx].journal;
+            // Nothing live has run yet, so the resume point is still the
+            // position this attempt started at.
+            let at_start = journal.resume_point() == pos;
+            let e = journal.get(pos).cloned();
+            drop(sh);
+            match e.expect("replay cursor within journal") {
                 // Replay begins at a snapshot. Peek, don't consume — the
                 // body's own `checkpoint` call at the top of its loop
                 // replays this entry.
-                Entry::Snapshot(v) if at_start => {
-                    sh.procs[self.idx].restorable = true;
-                    return Ok(Some(v));
-                }
+                Entry::Snapshot(v) if at_start => return Ok(Some(v)),
                 Entry::Restore => {
-                    sh.procs[self.idx].restorable = true;
-                    drop(sh);
-                    self.cursor += 1;
+                    self.replay.next();
                     return Ok(None);
                 }
                 other => {
-                    drop(sh);
-                    self.cursor += 1;
+                    self.replay.next();
                     self.diverged("restore", &other)
                 }
             }
         }
-        let mut sh = self.live()?;
-        sh.procs[self.idx].restorable = true;
-        sh.procs[self.idx].journal.push(Entry::Restore);
+        self.live()?.procs[self.idx].journal.push(Entry::Restore);
         Ok(None)
     }
 
@@ -563,16 +519,12 @@ impl Ctx {
         }
         let mut sh = self.live()?;
         assert!(
-            sh.procs[self.idx].restorable,
+            sh.procs[self.idx].journal.is_restorable(),
             "{}: Ctx::checkpoint requires the body to call Ctx::restore first \
              (the truncation-safe resume protocol needs an entry point)",
             self.pid
         );
-        let pos = sh.procs[self.idx].journal.len();
         sh.procs[self.idx].journal.push(Entry::Snapshot(state));
-        let snapshots = &mut sh.procs[self.idx].snapshots;
-        debug_assert!(snapshots.last().is_none_or(|&p| p < pos));
-        snapshots.push(pos);
         Ok(())
     }
 
@@ -725,7 +677,7 @@ impl Ctx {
             attempt += 1;
             let aid = self.aid_init()?;
             self.send_reliable_attempt(to, seq, aid, attempt, payload.clone())?;
-            if self.guess_inner(aid, RELIABLE_SEND_SITE)? {
+            if self.guess_at(aid, RELIABLE_SEND_SITE)? {
                 return Ok(seq);
             }
             // Denied (timeout, or a fault kill): re-execution replayed the

@@ -5,10 +5,9 @@
 //! cascades can do more rollback work than the optimism saves. This module
 //! closes the loop the cost model opened: a per-site admission controller
 //! that watches a sliding window of recent deny/affirm outcomes and the
-//! rollback damage they caused (seeded by the static
-//! [`hope_analysis::cost`] damage ranks, corrected online by observed
-//! truncation work), and drives a deterministic three-state machine per
-//! guess site:
+//! rollback damage they caused (an estimate that starts at
+//! [`DEFAULT_DAMAGE`] and is corrected online by observed truncation
+//! work), and drives a deterministic three-state machine per guess site:
 //!
 //! * [`GovernorMode::Optimistic`] — admit guesses immediately (the
 //!   ungoverned behaviour);
@@ -44,7 +43,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use hope_analysis::cost::SitePrior;
 use hope_core::{AidId, AidState, ProcessId};
 use hope_sim::{VirtualDuration, VirtualTime};
 
@@ -52,9 +50,7 @@ use crate::shared::Shared;
 
 /// The site id [`Ctx::guess`](crate::Ctx::guess) reports to the governor.
 /// Programs that want per-site control use
-/// [`Ctx::guess_at`](crate::Ctx::guess_at) with their own ids (the static
-/// analyzer's statement indices, via [`hope_analysis::cost::site_priors`],
-/// are the intended vocabulary).
+/// [`Ctx::guess_at`](crate::Ctx::guess_at) with their own ids.
 pub const DEFAULT_GUESS_SITE: u32 = 0;
 
 /// The reserved site id of the "delivered" guesses inside
@@ -68,8 +64,8 @@ pub const RELIABLE_SEND_SITE: u32 = u32::MAX;
 /// around a threshold does not flap.
 pub const DEMOTE_PERMILLE: u64 = 500;
 
-/// Damage estimate (journal entries) for sites with no matching prior,
-/// until observed rollbacks correct it.
+/// Every site's damage estimate (journal entries) until observed
+/// rollbacks correct it.
 pub const DEFAULT_DAMAGE: u64 = 1;
 
 /// Admission-control state machine position of one guess site.
@@ -102,8 +98,7 @@ impl std::fmt::Display for GovernorMode {
 /// Pressure is measured in **milli-entries of expected rollback damage per
 /// admitted guess**: the deny rate over the sliding window (per-mille)
 /// times the site's damage estimate (journal entries, EWMA-corrected from
-/// observed truncations, seeded by [`priors`](GovernorConfig::priors) or
-/// [`DEFAULT_DAMAGE`]), divided by 1000. A
+/// observed truncations from [`DEFAULT_DAMAGE`]), divided by 1000. A
 /// site whose guesses are denied 50% of the time and cost 4 discarded
 /// journal entries each sits at pressure 2000.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,10 +120,6 @@ pub struct GovernorConfig {
     /// optimistically as a half-open probe (0 disables probing; the site
     /// then recovers only through outcomes observed on converted waits).
     pub probe_after: u32,
-    /// Static per-site damage priors from the analyzer
-    /// ([`hope_analysis::cost::site_priors`]); matched by
-    /// `(process index, site id)`.
-    pub priors: Vec<SitePrior>,
 }
 
 impl Default for GovernorConfig {
@@ -140,7 +131,6 @@ impl Default for GovernorConfig {
             break_pressure: 1600,
             hold: VirtualDuration::from_millis(2),
             probe_after: 8,
-            priors: Vec::new(),
         }
     }
 }
@@ -179,14 +169,6 @@ impl GovernorConfig {
     #[must_use]
     pub fn with_probe_after(mut self, n: u32) -> Self {
         self.probe_after = n;
-        self
-    }
-
-    /// Install static damage priors (see
-    /// [`hope_analysis::cost::site_priors`]).
-    #[must_use]
-    pub fn with_priors(mut self, priors: Vec<SitePrior>) -> Self {
-        self.priors = priors;
         self
     }
 }
@@ -294,19 +276,11 @@ impl Governor {
 
     fn site_mut(&mut self, pid: ProcessId, site: u32) -> &mut SiteState {
         let cfg = &self.cfg;
-        self.sites.entry((pid, site)).or_insert_with(|| {
-            let damage = cfg
-                .priors
-                .iter()
-                .find(|p| p.process == pid.0 && p.site == site)
-                .map_or(DEFAULT_DAMAGE, |p| p.damage)
-                .max(1);
-            SiteState {
-                mode: GovernorMode::Optimistic,
-                window: VecDeque::with_capacity(cfg.window),
-                damage_milli: damage.saturating_mul(1000),
-                since_probe: 0,
-            }
+        self.sites.entry((pid, site)).or_insert_with(|| SiteState {
+            mode: GovernorMode::Optimistic,
+            window: VecDeque::with_capacity(cfg.window),
+            damage_milli: DEFAULT_DAMAGE * 1000,
+            since_probe: 0,
         })
     }
 
@@ -513,18 +487,12 @@ mod tests {
             .with_min_samples(0)
             .with_thresholds(1, 2)
             .with_hold(VirtualDuration::from_millis(7))
-            .with_probe_after(5)
-            .with_priors(vec![SitePrior {
-                process: 1,
-                site: 2,
-                damage: 9,
-            }]);
+            .with_probe_after(5);
         assert_eq!(c.window, 1);
         assert_eq!(c.min_samples, 1);
         assert_eq!((c.throttle_pressure, c.break_pressure), (1, 2));
         assert_eq!(c.hold, VirtualDuration::from_millis(7));
         assert_eq!(c.probe_after, 5);
-        assert_eq!(c.priors.len(), 1);
     }
 
     #[test]
@@ -600,26 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn priors_seed_damage_and_rollbacks_correct_it() {
-        let cfg = tight().with_priors(vec![SitePrior {
-            process: 0,
-            site: 5,
-            damage: 10,
-        }]);
-        let mut gov = Governor::new(cfg);
+    fn damage_starts_at_the_default_and_rollbacks_correct_it() {
+        let mut gov = Governor::new(tight());
         let pid = ProcessId(0);
         gov.admit(pid, 5);
-        assert_eq!(gov.sites[&(pid, 5)].damage_milli, 10_000);
-        gov.admit(pid, 6);
-        assert_eq!(
-            gov.sites[&(pid, 6)].damage_milli,
-            1000,
-            "no prior → default damage"
-        );
-        // Observed damage of 2 entries pulls the EWMA toward 2000.
-        gov.charge_damage(&[(pid, 5)], 2, VirtualTime::ZERO);
-        assert_eq!(gov.sites[&(pid, 5)].damage_milli, (30_000 + 2000) / 4);
-        assert_eq!(gov.stats.rollback_damage, 2);
+        assert_eq!(gov.sites[&(pid, 5)].damage_milli, DEFAULT_DAMAGE * 1000);
+        // Observed damage of 6 entries pulls the EWMA toward 6000.
+        gov.charge_damage(&[(pid, 5)], 6, VirtualTime::ZERO);
+        assert_eq!(gov.sites[&(pid, 5)].damage_milli, (3000 + 6000) / 4);
+        assert_eq!(gov.stats.rollback_damage, 6);
     }
 
     #[test]

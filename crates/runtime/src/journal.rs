@@ -26,13 +26,14 @@
 //! hands it over and only the entries after it are replayed. A body that
 //! never calls [`Ctx::checkpoint`](crate::Ctx::checkpoint), or whose
 //! snapshots were all in the truncated suffix, replays from `base()`.
+//! [`Journal::resume_point`] answers from the journal's own index.
 //!
 //! # Prefix truncation (fossil collection)
 //!
 //! Journal positions are **absolute** — they never shift. When the engine's
 //! commit horizon guarantees no rollback can ever reach back past a
 //! journaled [`Entry::Snapshot`], the prefix before it can be reclaimed
-//! with [`Journal::truncate_prefix`]: live storage shrinks and `base()`
+//! with [`Journal::reclaim_prefix`]: live storage shrinks and `base()`
 //! rises to that snapshot, which stays the oldest resume point. A body that
 //! never checkpoints simply keeps its whole journal.
 
@@ -124,18 +125,28 @@ impl Entry {
 ///
 /// Positions are **absolute**: entry `i` keeps the index it was pushed at
 /// for the journal's whole lifetime, so `Checkpoint` tokens stay valid
-/// across [prefix truncation](Journal::truncate_prefix). Only
+/// across [prefix reclamation](Journal::reclaim_prefix). Only
 /// `base() ..= len()` is live storage.
+///
+/// It indexes itself: [`push`](Journal::push) notes where the `AidInit`,
+/// `Snapshot` and `Restore` entries are, `truncate` and `reclaim_prefix`
+/// cut that index with the entries, and nothing outside mirrors or scans.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Journal {
     entries: Vec<Entry>,
     /// Absolute position of `entries[0]`: everything below was reclaimed by
     /// fossil collection.
     base: usize,
-    /// Total entries ever truncated by rollback (for statistics).
-    pub(crate) truncated_entries: u64,
     /// Total prefix entries reclaimed by fossil collection.
     pub(crate) reclaimed_entries: u64,
+    /// `(position, aid)` of the `AidInit` entries, ascending, minus those
+    /// `forget_decided_aids` dropped. Outlives prefix reclamation: a kill
+    /// must still find an open AID whose entry is gone.
+    aids: Vec<(usize, AidId)>,
+    /// Positions of the live `Snapshot` entries, ascending.
+    snapshots: Vec<usize>,
+    /// Position of the `Restore` entry, while rollback has not cut it.
+    restore_at: Option<usize>,
 }
 
 impl Journal {
@@ -151,14 +162,43 @@ impl Journal {
         self.entries.len()
     }
 
-    /// Absolute position of the oldest live entry: where replay starts
-    /// when no snapshot survives.
+    /// Absolute position of the oldest live entry.
     pub(crate) fn base(&self) -> usize {
         self.base
     }
 
+    /// Where every restart's replay begins: the newest snapshot, else `base()`.
+    pub(crate) fn resume_point(&self) -> usize {
+        self.snapshots.last().copied().unwrap_or(self.base)
+    }
+
+    /// The body called `Ctx::restore`, so it has a resume entry point.
+    pub(crate) fn is_restorable(&self) -> bool {
+        self.restore_at.is_some()
+    }
+
+    /// The AIDs this body created, in journal order, open ones at least.
+    pub(crate) fn created_aids(&self) -> impl Iterator<Item = AidId> + '_ {
+        self.aids.iter().map(|&(_, a)| a)
+    }
+
+    /// Keep in the AID index only what `undecided` accepts. A kill only
+    /// denies undecided AIDs, so this bounds the index on long runs.
+    pub(crate) fn forget_decided_aids(&mut self, mut undecided: impl FnMut(AidId) -> bool) {
+        self.aids.retain(|&(_, a)| undecided(a));
+    }
+
+    /// Append `e`: entry first, then its index slot (allocation order
+    /// shows in `pipeline_lossy`'s peak RSS, see EXPERIMENTS.md E22 "PR 15").
     pub(crate) fn push(&mut self, e: Entry) {
+        let pos = self.len();
         self.entries.push(e);
+        match self.entries.last() {
+            Some(&Entry::AidInit(aid)) => self.aids.push((pos, aid)),
+            Some(Entry::Snapshot(_)) => self.snapshots.push(pos),
+            Some(Entry::Restore) => self.restore_at = Some(pos),
+            _ => {}
+        }
     }
 
     /// The entry at absolute position `i` (`None` below `base()` or past
@@ -176,21 +216,30 @@ impl Journal {
         if k >= self.entries.len() {
             return Vec::new();
         }
-        let suffix = self.entries.split_off(k);
-        self.truncated_entries += suffix.len() as u64;
-        suffix
+        // Both indexes ascend by position, so the cut is a suffix.
+        self.aids
+            .truncate(self.aids.partition_point(|&(p, _)| p < pos));
+        self.snapshots
+            .truncate(self.snapshots.partition_point(|&p| p < pos));
+        self.restore_at = self.restore_at.filter(|&p| p < pos);
+        self.entries.split_off(k)
     }
 
-    /// Reclaim every entry below absolute position `new_base`, returning
-    /// how many were dropped. The caller must guarantee no rollback or
-    /// replay will ever need them — i.e. `new_base` is the position of a
-    /// [`Entry::Snapshot`] at or below the process's speculative frontier.
-    pub(crate) fn truncate_prefix(&mut self, new_base: usize) -> usize {
+    /// Fossil collection: no rollback can rewind this process below
+    /// `safe`, so reclaim everything below the newest snapshot at or below
+    /// it — which becomes `base()`, the oldest resume point — and return
+    /// how many entries went. Without such a snapshot nothing does.
+    pub(crate) fn reclaim_prefix(&mut self, safe: usize) -> usize {
+        let kept = self.snapshots.partition_point(|&s| s <= safe);
+        let Some(&new_base) = self.snapshots[..kept].last() else {
+            return 0;
+        };
         let n = new_base.saturating_sub(self.base).min(self.entries.len());
         if n > 0 {
             self.entries.drain(..n);
             self.base += n;
             self.reclaimed_entries += n as u64;
+            self.snapshots.drain(..kept - 1);
         }
         n
     }
@@ -211,10 +260,9 @@ mod tests {
         let cut = j.truncate(1);
         assert_eq!(cut, vec![Entry::Rand(2), Entry::Rand(3)]);
         assert_eq!(j.len(), 1);
-        assert_eq!(j.truncated_entries, 2);
         // Truncating beyond the end is a no-op.
         assert!(j.truncate(5).is_empty());
-        assert_eq!(j.truncated_entries, 2);
+        assert_eq!(j.len(), 1);
     }
 
     #[test]
@@ -224,7 +272,7 @@ mod tests {
         j.push(Entry::Rand(1));
         j.push(Entry::Snapshot(Value::Int(7)));
         j.push(Entry::Rand(2));
-        assert_eq!(j.truncate_prefix(2), 2);
+        assert_eq!(j.reclaim_prefix(2), 2);
         assert_eq!(j.base(), 2);
         assert_eq!(j.len(), 4, "absolute end does not move");
         assert_eq!(j.live_len(), 2);
@@ -235,10 +283,59 @@ mod tests {
         assert_eq!(j.reclaimed_entries, 2);
         // Idempotent at the same base; rollback still truncates the suffix
         // at absolute positions.
-        assert_eq!(j.truncate_prefix(2), 0);
+        assert_eq!(j.reclaim_prefix(3), 0);
         let cut = j.truncate(3);
         assert_eq!(cut, vec![Entry::Rand(2)]);
         assert_eq!(j.len(), 3);
+    }
+
+    #[test]
+    fn index_follows_truncate_and_reclaim_prefix() {
+        let aid = AidId::from_index;
+        let mut j = Journal::default();
+        assert_eq!((j.resume_point(), j.is_restorable()), (0, false));
+        // Restore, then AIDs 4..8 at odd positions, snapshots at 2, 4, 6.
+        j.push(Entry::Restore);
+        for i in 0..3 {
+            j.push(Entry::AidInit(aid(4 + i)));
+            j.push(Entry::Snapshot(Value::Int(i as i64)));
+        }
+        j.push(Entry::AidInit(aid(7)));
+        assert_eq!((j.resume_point(), j.is_restorable()), (6, true));
+        // Rollback to position 5 cuts entries 5.. and their index slots.
+        assert_eq!(j.truncate(5).len(), 3);
+        assert_eq!(j.resume_point(), 4);
+        assert_eq!(j.created_aids().collect::<Vec<_>>(), [aid(4), aid(5)]);
+        // A frontier at 3 reclaims up to the snapshot at 2, no further; the
+        // AID created below it is still on record, its entry is not.
+        assert_eq!((j.reclaim_prefix(3), j.base(), j.resume_point()), (2, 2, 4));
+        assert_eq!(j.reclaim_prefix(1), 0, "no snapshot at or below 1 is left");
+        assert_eq!(j.created_aids().collect::<Vec<_>>(), [aid(4), aid(5)]);
+        // Losing every snapshot above the base leaves the base itself.
+        j.truncate(3);
+        assert_eq!((j.resume_point(), j.len(), j.is_restorable()), (2, 3, true));
+        assert_eq!(j.created_aids().collect::<Vec<_>>(), [aid(4)]);
+        // Without snapshots replay starts at `base()`, and a rollback that
+        // takes the `Restore` entry takes the resume protocol with it.
+        let mut j = Journal::default();
+        j.push(Entry::Rand(1));
+        j.push(Entry::Restore);
+        assert_eq!((j.resume_point(), j.is_restorable()), (0, true));
+        j.truncate(1);
+        assert_eq!((j.resume_point(), j.is_restorable()), (0, false));
+        assert_eq!(j.reclaim_prefix(1), 0);
+    }
+
+    #[test]
+    fn forget_decided_aids_keeps_order() {
+        let mut j = Journal::default();
+        for i in 0..6 {
+            j.push(Entry::AidInit(AidId::from_index(i)));
+        }
+        j.forget_decided_aids(|a| a.index() % 3 != 1);
+        let left: Vec<u64> = j.created_aids().map(|a| a.index()).collect();
+        assert_eq!(left, [0, 2, 3, 5]);
+        assert_eq!(j.len(), 6, "only the index shrinks");
     }
 
     #[test]

@@ -27,12 +27,11 @@
 //! The raw ready set is reduced before it counts as a choice point, so the
 //! enumeration covers only *realizable, inequivalent* orders:
 //!
-//! - **No-op events auto-drain.** Stale wakes (superseded epoch, or the
-//!   process is crashed/down), deliveries to permanently crashed
-//!   processes, acks and retransmission deadlines whose assumption is
-//!   already decided, and restarts of non-down processes all dispatch
-//!   without recording a choice — they change no state, so ordering them
-//!   is irrelevant.
+//! - **No-op events auto-drain.** Whatever `Shared::is_stale` says the
+//!   scheduler would drop (stale wakes, acks and deadlines of decided
+//!   assumptions, restarts of processes that are up) and deliveries to
+//!   permanently crashed processes dispatch without recording a choice —
+//!   they change no state, so ordering them is irrelevant.
 //! - **Per-link FIFO heads.** Only the earliest pending delivery on each
 //!   directed link is eligible: the production network never reorders a
 //!   link (`link_last` clamping), so a non-head delivery firing first is
@@ -47,7 +46,7 @@
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
-use hope_core::{AidState, ProcessId};
+use hope_core::ProcessId;
 use hope_sim::VirtualTime;
 
 use crate::oracle::ScheduleOracle;
@@ -155,20 +154,12 @@ struct ReplayOracle {
 /// An event that provably changes no state when dispatched now, so
 /// ordering it against anything is irrelevant and it drains for free.
 fn is_noop(sh: &Shared, ev: &EventKind) -> bool {
-    match *ev {
-        EventKind::Wake { proc, epoch } => {
-            sh.procs[proc].wake_epoch != epoch
-                || matches!(sh.procs[proc].state, ProcState::Crashed | ProcState::Down)
-        }
-        // Only a *permanently* crashed destination makes a delivery a sure
-        // loss. A `Down` process may restart first, so ordering a delivery
-        // against its `Restart` stays a genuine choice.
-        EventKind::Deliver { ref msg } => sh.procs[sh.idx_of(msg.to)].state == ProcState::Crashed,
-        EventKind::Ack { aid } | EventKind::AckTimeout { aid } => {
-            sh.engine.aid_state(aid).ok() != Some(AidState::Undecided)
-        }
-        EventKind::Restart { proc } => sh.procs[proc].state != ProcState::Down,
-    }
+    // Only a *permanently* crashed destination makes a delivery a sure
+    // loss. A `Down` process may restart first, so ordering a delivery
+    // against its `Restart` stays a genuine choice.
+    sh.is_stale(ev)
+        || matches!(ev, EventKind::Deliver { msg }
+            if sh.procs[sh.idx_of(msg.to)].state == ProcState::Crashed)
 }
 
 /// The reduced ready set: seqs eligible to fire next, in deadline order.

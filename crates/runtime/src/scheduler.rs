@@ -6,9 +6,14 @@
 //! changes hands through one [`Baton`], created per run: a turn word plus
 //! `std::thread::park`/`unpark`. The threads are started one at a time, each
 //! checking in through the baton before the next is spawned, so not even
-//! thread start-up overlaps anything. All scheduling decisions depend only
-//! on virtual time, sequence numbers and the master seed, so every run is
-//! bit-for-bit reproducible.
+//! thread start-up overlaps anything.
+//!
+//! The scheduler thread decides nothing. [`Simulation::run`] loops: lock,
+//! `Shared::step` (the machine's transition function, one event per call,
+//! see [`shared`](crate::shared)), unlock, pass the baton to the process
+//! `step` named, if any. Every decision in there depends only on virtual
+//! time, sequence numbers and the master seed, so every run is bit-for-bit
+//! reproducible.
 //!
 //! Rollback never rewinds the virtual clock — exactly as in the real world,
 //! a denied assumption wastes the time spent computing under it, and the
@@ -18,27 +23,24 @@
 //!
 //! There is one restart path. Whatever ended an attempt at a body — a
 //! rollback, a deeper rollback during the restoration hold, a fault kill's
-//! restart, a deny reviving a finished body — `process_wrapper` counts the
-//! replay, charges [`SimConfig::rollback_overhead`](crate::SimConfig) and
-//! calls the body again with a fresh [`Ctx`], which resumes at the newest
-//! snapshot the truncation left in the journal (see
-//! [`journal`](crate::journal)); replay length is the distance from that
-//! checkpoint, not from step zero.
+//! restart, a deny reviving a finished body — `process_wrapper` asks
+//! `Shared::begin_attempt`, which counts the replay and charges
+//! [`SimConfig::rollback_overhead`](crate::SimConfig), and calls the body
+//! again with a fresh [`Ctx`], which resumes at the journal's
+//! [resume point](crate::journal): replay length is the distance from the
+//! newest surviving checkpoint, not from step zero.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use hope_core::ProcessId;
-use hope_sim::{VirtualDuration, VirtualTime};
+use hope_sim::VirtualTime;
 
 use crate::baton::Baton;
 use crate::config::SimConfig;
 use crate::ctx::Ctx;
-use crate::journal::Journal;
-use crate::message::Mailbox;
-use crate::shared::{EventKind, ObserverSlot, ProcShared, ProcState, Shared};
+use crate::shared::{ObserverSlot, ProcState, Shared, Step};
 use crate::signal::{Hope, Signal};
 use crate::stats::{CrashReason, RunReport};
 
@@ -114,29 +116,8 @@ impl Simulation {
         name: impl Into<String>,
         body: impl Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static,
     ) -> ProcessId {
-        let mut sh = Shared::lock(&self.shared);
-        let pid = sh.engine.register_process();
-        let seed = sh.config.seed;
-        let idx = sh.procs.len();
-        debug_assert_eq!(pid.0 as usize, idx, "engine assigns dense pids");
-        sh.procs.push(ProcShared {
-            pid,
-            name: name.into(),
-            state: ProcState::Holding,
-            mailbox: Mailbox::new(),
-            journal: Journal::default(),
-            rollback_pending: false,
-            wake_epoch: 0,
-            rng: hope_sim::SimRng::new(seed).fork(idx as u64),
-            finish_time: None,
-            crash: None,
-            next_reliable: 0,
-            own_aids: Vec::new(),
-            snapshots: Vec::new(),
-            restorable: false,
-        });
         self.bodies.push(Arc::new(body));
-        pid
+        Shared::lock(&self.shared).add_process(name.into())
     }
 
     /// Number of spawned processes.
@@ -215,152 +196,22 @@ impl Simulation {
             }
         }
 
-        let resume = |proc: usize| {
-            {
-                let mut sh = Shared::lock(&shared);
-                sh.procs[proc].state = ProcState::Running;
-            }
+        // One lock per event: `Shared::step` is the whole transition. The
+        // guard is gone before the baton changes hands.
+        loop {
+            let step = Shared::lock(&shared).step();
+            let proc = match step {
+                Step::Resume(proc) => proc,
+                Step::Continue => continue,
+                Step::Done => break,
+            };
             if !baton.resume(proc, handles[proc].thread()) {
-                // The thread died without yielding: machinery bug or a
+                // The thread died without yielding: machinery bug, or a
                 // crash already recorded before it left.
                 let mut sh = Shared::lock(&shared);
                 if sh.procs[proc].state == ProcState::Running {
-                    sh.procs[proc].state = ProcState::Crashed;
-                    sh.procs[proc].crash = Some(CrashReason::Panic(
-                        "process thread exited without yielding".to_string(),
-                    ));
-                }
-            }
-        };
-
-        // Holds one popped `EventKind` by value for the instant before it
-        // runs — indirection would buy nothing here.
-        #[allow(clippy::large_enum_variant)]
-        enum Step {
-            Run(EventKind),
-            Quiesced,
-            Limits,
-        }
-        // Fossil-collection cadence: sweeping is transparent (it can only
-        // reclaim storage, never change outputs), so any period works; 256
-        // keeps the amortized cost per event negligible.
-        const FOSSIL_SWEEP_PERIOD: u64 = 256;
-        let mut events: u64 = 0;
-        let mut hit_limits = false;
-        loop {
-            let step = {
-                let mut sh = Shared::lock(&shared);
-                // A Finished process can still be rolled back (its last
-                // intervals may be speculative), so quiescence requires
-                // both: everyone finished AND no rollback awaiting resume.
-                let all_done = sh
-                    .procs
-                    .iter()
-                    .all(|p| matches!(p.state, ProcState::Finished | ProcState::Crashed));
-                let any_pending = sh.procs.iter().any(|p| p.rollback_pending);
-                // Acks, retransmission deadlines and restarts still change
-                // outcomes after every body has returned; drain them first.
-                if all_done && !any_pending && sh.pending_system == 0 {
-                    Step::Quiesced
-                } else {
-                    match sh.next_event() {
-                        None => Step::Quiesced,
-                        Some((t, ev)) => {
-                            if t > sh.config.max_virtual_time {
-                                Step::Limits
-                            } else {
-                                events += 1;
-                                if events > sh.config.max_events {
-                                    Step::Limits
-                                } else {
-                                    if t > sh.now {
-                                        sh.now = t;
-                                    }
-                                    // Process faults fire between events:
-                                    // "crash at the Nth scheduler step"
-                                    // means just before the Nth dispatch.
-                                    let kills: Vec<(usize, Option<VirtualDuration>)> = sh
-                                        .config
-                                        .faults
-                                        .as_ref()
-                                        .map(|plan| {
-                                            plan.kills_at(events)
-                                                .map(|k| (k.node as usize, k.restart_after))
-                                                .collect()
-                                        })
-                                        .unwrap_or_default();
-                                    for (victim, restart_after) in kills {
-                                        if victim < sh.procs.len() {
-                                            sh.kill_process(victim, restart_after);
-                                        }
-                                    }
-                                    Step::Run(ev)
-                                }
-                            }
-                        }
-                    }
-                }
-            };
-            let ev = match step {
-                Step::Run(ev) => ev,
-                Step::Limits => {
-                    hit_limits = true;
-                    break;
-                }
-                Step::Quiesced => {
-                    // Optionally let the definite external observer settle
-                    // the surviving speculation (see the SimConfig docs);
-                    // its cascades may schedule new work, so keep looping.
-                    let committed = {
-                        let mut sh = Shared::lock(&shared);
-                        sh.config.commit_at_quiescence && sh.quiescence_commit()
-                    };
-                    if committed {
-                        continue;
-                    }
-                    break;
-                }
-            };
-            match ev {
-                EventKind::Wake { proc, epoch } => {
-                    let live = {
-                        let sh = Shared::lock(&shared);
-                        sh.procs[proc].wake_epoch == epoch
-                            && !matches!(sh.procs[proc].state, ProcState::Crashed | ProcState::Down)
-                    };
-                    if live {
-                        resume(proc);
-                    }
-                }
-                EventKind::Deliver { msg } => {
-                    let resume_target = {
-                        let mut sh = Shared::lock(&shared);
-                        sh.handle_delivery(msg)
-                    };
-                    if let Some(p) = resume_target {
-                        resume(p);
-                    }
-                }
-                EventKind::Ack { aid } => {
-                    let mut sh = Shared::lock(&shared);
-                    sh.pending_system = sh.pending_system.saturating_sub(1);
-                    sh.ack_fire(aid);
-                }
-                EventKind::AckTimeout { aid } => {
-                    let mut sh = Shared::lock(&shared);
-                    sh.pending_system = sh.pending_system.saturating_sub(1);
-                    sh.timeout_fire(aid);
-                }
-                EventKind::Restart { proc } => {
-                    let mut sh = Shared::lock(&shared);
-                    sh.pending_system = sh.pending_system.saturating_sub(1);
-                    sh.restart_fire(proc);
-                }
-            }
-            if events.is_multiple_of(FOSSIL_SWEEP_PERIOD) {
-                let mut sh = Shared::lock(&shared);
-                if sh.config.fossil_collection {
-                    sh.fossil_sweep();
+                    let reason = "process thread exited without yielding";
+                    sh.crash(proc, CrashReason::Panic(reason.to_string()));
                 }
             }
         }
@@ -369,74 +220,8 @@ impl Simulation {
         for h in handles {
             let _ = h.join();
         }
-
         let mut sh = Shared::lock(&shared);
-        let mut outputs = std::mem::take(&mut sh.outputs);
-        outputs.sort_by_key(|o| (o.time, o.process));
-        let mut finish_times = BTreeMap::new();
-        let mut unfinished = Vec::new();
-        let mut errors = BTreeMap::new();
-        let mut crashes = BTreeMap::new();
-        for p in &sh.procs {
-            match p.state {
-                ProcState::Finished => {
-                    if let Some(t) = p.finish_time {
-                        finish_times.insert(p.pid, t);
-                    }
-                }
-                ProcState::Crashed => {
-                    let reason = p
-                        .crash
-                        .clone()
-                        .unwrap_or_else(|| CrashReason::Panic("crashed".to_string()));
-                    errors.insert(p.pid, reason.to_string());
-                    crashes.insert(p.pid, reason);
-                }
-                _ => unfinished.push(p.pid),
-            }
-        }
-        let mut stats = sh.stats;
-        stats.engine = sh.engine.stats();
-        stats.memory.live_intervals = sh.engine.live_interval_count() as u64;
-        stats.memory.live_aids = sh.engine.live_aid_count() as u64;
-        stats.memory.interval_horizon = sh.engine.interval_horizon();
-        stats.memory.aid_horizon = sh.engine.aid_horizon();
-        stats.memory.reclaimed_intervals = stats.engine.fossil_intervals;
-        stats.memory.reclaimed_aids = stats.engine.fossil_aids;
-        stats.memory.fossil_denied = sh.engine.fossil_denied_count() as u64;
-        for p in &sh.procs {
-            stats.memory.live_journal_entries += p.journal.live_len() as u64;
-            stats.memory.reclaimed_journal_entries += p.journal.reclaimed_entries;
-        }
-        stats.memory.depset_cow_copies =
-            hope_core::depset::cow_copies_total().saturating_sub(depset_base.0);
-        stats.memory.depset_spills =
-            hope_core::depset::spills_total().saturating_sub(depset_base.1);
-        let gov_transitions = match sh.governor.as_mut() {
-            Some(g) => {
-                stats.governor = g.stats;
-                std::mem::take(&mut g.transitions)
-            }
-            None => Vec::new(),
-        };
-        RunReport {
-            end_time: sh.now,
-            events,
-            hit_limits,
-            outputs,
-            stats,
-            finish_times,
-            unfinished,
-            errors,
-            crashes,
-            trace: std::mem::take(&mut sh.trace_log),
-            races: sh
-                .race_detector
-                .take()
-                .map(|d| d.into_races())
-                .unwrap_or_default(),
-            gov_transitions,
-        }
+        sh.report(depset_base)
     }
 }
 
@@ -451,61 +236,21 @@ fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Ar
     // One iteration per attempt at the body: the first run, or a rollback's
     // re-execution (which may also revive a body that had finished).
     loop {
-        let (replay_len, charge_overhead) = {
-            let mut sh = Shared::lock(&shared);
-            let mut charge = VirtualDuration::ZERO;
-            if sh.procs[idx].rollback_pending {
-                // This body run is a rollback-induced re-execution.
-                sh.stats.replays += 1;
-                sh.procs[idx].rollback_pending = false;
-                charge = sh.config.rollback_overhead;
-            }
-            (sh.procs[idx].journal.len(), charge)
-        };
-        if !charge_overhead.is_zero() {
-            // Charge checkpoint-restoration cost as an inline hold
-            // before re-executing.
-            {
-                let mut sh = Shared::lock(&shared);
-                sh.procs[idx].state = ProcState::Holding;
-                let at = sh.now + charge_overhead;
-                sh.schedule_wake(idx, at);
-            }
-            if !baton.pass(idx) {
-                return;
-            }
-            // A deeper rollback may have struck while we were holding
-            // for the restoration charge: its truncation invalidates
-            // the replay length captured above, and the extra rollback
-            // deserves its own replay count and restoration charge.
-            // Start the restart over from the (now shorter) journal.
-            if Shared::lock(&shared).procs[idx].rollback_pending {
-                continue;
-            }
+        let attempt = Shared::lock(&shared).begin_attempt(idx);
+        if let Some(replay) = attempt {
+            let mut ctx = Ctx::new(shared.clone(), baton.clone(), idx, replay);
+            let panic = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+                Ok(Ok(())) => None,
+                // `apply_effects` set the victim's rollback-pending flag (for
+                // self-rollbacks too); the next `begin_attempt` observes it.
+                Ok(Err(Signal::Rollback)) => continue, // replay + live
+                // Shutdown, or a crash `Ctx` already recorded: just leave.
+                Ok(Err(Signal::Shutdown)) => return,
+                Err(panic) => Some(panic_message(panic)),
+            };
+            Shared::lock(&shared).end_attempt(idx, panic);
         }
-        let mut ctx = Ctx::new(shared.clone(), baton.clone(), idx, replay_len);
-        match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-            Ok(Ok(())) => {
-                let mut sh = Shared::lock(&shared);
-                sh.procs[idx].state = ProcState::Finished;
-                let now = sh.now;
-                sh.procs[idx].finish_time = Some(now);
-            }
-            // The rollback-pending flag (set by apply_effects for the
-            // victim, including self-rollbacks) is observed at the top of
-            // this loop, which counts the replay and charges the
-            // configured restoration overhead.
-            Ok(Err(Signal::Rollback)) => continue, // replay + live
-            // Shutdown, or a crash `Ctx` already recorded: just leave.
-            Ok(Err(Signal::Shutdown)) => return,
-            Err(panic) => {
-                let mut sh = Shared::lock(&shared);
-                sh.procs[idx].state = ProcState::Crashed;
-                sh.procs[idx].crash = Some(CrashReason::Panic(panic_message(panic)));
-            }
-        }
-        // Finished or crashed. A crash is final; a finished body comes back
-        // only if a rollback revives it.
+        // Held for the restoration charge, finished, or crashed.
         if !baton.pass(idx) {
             return;
         }

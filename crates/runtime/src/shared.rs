@@ -5,6 +5,11 @@
 //! [`std::sync::Mutex`] around [`Shared`] is uncontended; it exists to
 //! satisfy the borrow checker across threads, not to provide parallelism.
 //! Every acquisition goes through [`Shared::lock`].
+//!
+//! [`Shared::step`] is the scheduler: the one transition function over
+//! this state, as `hope_core::Machine::step` is over the paper's control
+//! variables; the scheduler thread locks once per event, steps, and passes
+//! the baton if told to. States change only through [`Shared::set_state`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -18,7 +23,7 @@ use crate::governor::Governor;
 use crate::journal::{Entry, Journal};
 use crate::message::{Mailbox, Message, MsgKind};
 use crate::oracle::SchedOracleSlot;
-use crate::stats::{CrashReason, OutputLine, RunStats};
+use crate::stats::{CrashReason, OutputLine, RunReport, RunStats};
 use crate::value::Value;
 
 /// What a scheduler event does when it fires.
@@ -65,11 +70,12 @@ pub(crate) enum ProcState {
 pub(crate) struct ProcShared {
     pub(crate) pid: ProcessId,
     pub(crate) name: String,
+    /// Written only by [`Shared::set_state`].
     pub(crate) state: ProcState,
     pub(crate) mailbox: Mailbox,
     pub(crate) journal: Journal,
-    /// Set when a rollback truncated the journal while the process was not
-    /// running; the process's next resume observes it and unwinds.
+    /// Set when a rollback truncated the journal; the process's next
+    /// resume observes it and unwinds, [`Shared::begin_attempt`] clears it.
     pub(crate) rollback_pending: bool,
     /// Only the `Wake` carrying the current epoch is honoured; scheduling a
     /// new wake invalidates older ones.
@@ -80,20 +86,17 @@ pub(crate) struct ProcShared {
     /// Next logical sequence number for `send_reliable` (allocation is
     /// journaled, so replays reuse the recorded number).
     pub(crate) next_reliable: u64,
-    /// `(journal position of the AidInit entry, aid)` for every AID this
-    /// body created, in journal order. The kill path denies open ones from
-    /// here instead of scanning the journal — whose prefix fossil
-    /// collection may have reclaimed. Suffix-pruned on rollback in step
-    /// with the journal; decided entries are dropped at collection time
-    /// (a kill only ever denies undecided AIDs), so it stays bounded.
-    pub(crate) own_aids: Vec<(usize, AidId)>,
-    /// Absolute journal positions of live [`Entry::Snapshot`]s, ascending.
-    /// Fossil collection truncates the journal prefix back to the newest
-    /// one at or below the process's speculative frontier.
-    pub(crate) snapshots: Vec<usize>,
-    /// The body called [`Ctx::restore`](crate::Ctx::restore), so its
-    /// journal has a resume entry point and prefix truncation is safe.
-    pub(crate) restorable: bool,
+}
+
+/// What the scheduler thread does after one [`Shared::step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Pass the baton to this process (now `Running`) until it parks.
+    Resume(usize),
+    /// Nothing to hand over; step again.
+    Continue,
+    /// Quiescent, or a configured limit was hit: the run is over.
+    Done,
 }
 
 /// The boxed form of an installed observer callback.
@@ -166,7 +169,22 @@ pub(crate) struct Shared {
     /// [`SimConfig::with_governor`](crate::SimConfig) was set. Ungoverned
     /// runs pay one `Option` check per guess.
     pub(crate) governor: Option<Governor>,
+    /// Events [`Shared::step`] has counted, and whether a limit stopped it.
+    pub(crate) events: u64,
+    pub(crate) hit_limits: bool,
+    /// Processes neither `Finished` nor `Crashed`, and processes with
+    /// `rollback_pending` set: quiescence reads these, not `procs`.
+    pub(crate) unfinished: usize,
+    pub(crate) rollbacks_pending: usize,
+    /// The last event closed a sweep period: the next `step` sweeps first,
+    /// i.e. after whatever that event resumed has parked.
+    sweep_owed: bool,
 }
+
+/// Fossil-collection cadence: sweeping is transparent (it can only reclaim
+/// storage, never change outputs), so any period works; 256 keeps the
+/// amortized cost per event negligible.
+const FOSSIL_SWEEP_PERIOD: u64 = 256;
 
 impl Shared {
     /// Lock the shared state, recovering it if the mutex is poisoned. A
@@ -210,6 +228,215 @@ impl Shared {
             pending_system: 0,
             sched_oracle: SchedOracleSlot(None),
             governor,
+            events: 0,
+            hit_limits: false,
+            unfinished: 0,
+            rollbacks_pending: 0,
+            sweep_owed: false,
+        }
+    }
+
+    /// Register the next process (`P0, P1, …`), awaiting its first wake.
+    pub(crate) fn add_process(&mut self, name: String) -> ProcessId {
+        let pid = self.engine.register_process();
+        let idx = self.procs.len();
+        debug_assert_eq!(pid.0 as usize, idx, "engine assigns dense pids");
+        self.unfinished += 1;
+        self.procs.push(ProcShared {
+            pid,
+            name,
+            state: ProcState::Holding,
+            mailbox: Mailbox::new(),
+            journal: Journal::default(),
+            rollback_pending: false,
+            wake_epoch: 0,
+            rng: SimRng::new(self.config.seed).fork(idx as u64),
+            finish_time: None,
+            crash: None,
+            next_reliable: 0,
+        });
+        pid
+    }
+
+    /// The one place a process changes state.
+    pub(crate) fn set_state(&mut self, idx: usize, state: ProcState) {
+        let over = |s| usize::from(matches!(s, ProcState::Finished | ProcState::Crashed));
+        let p = &mut self.procs[idx];
+        self.unfinished = self.unfinished + over(p.state) - over(state);
+        p.state = state;
+    }
+
+    /// `procs[idx]` is dead for good, and why.
+    pub(crate) fn crash(&mut self, idx: usize, reason: CrashReason) {
+        self.set_state(idx, ProcState::Crashed);
+        self.procs[idx].crash = Some(reason);
+    }
+
+    /// The scheduler's transition function: dispatch at most one event.
+    /// Limits, fault kills, the dispatch-order choice, the per-kind handlers,
+    /// quiescence and the fossil cadence are all here, none in `run`.
+    pub(crate) fn step(&mut self) -> Step {
+        if std::mem::take(&mut self.sweep_owed) {
+            self.fossil_sweep();
+        }
+        // A Finished process can still be rolled back (its last intervals
+        // may be speculative), and acks, retransmission deadlines and
+        // restarts still change outcomes after every body has returned.
+        let settled = self.unfinished + self.rollbacks_pending == 0 && self.pending_system == 0;
+        let Some((t, ev)) = (!settled).then(|| self.next_event()).flatten() else {
+            // Optionally let the definite external observer settle the
+            // surviving speculation (see the SimConfig docs); its cascades
+            // may schedule new work, so keep stepping.
+            if self.config.commit_at_quiescence && self.quiescence_commit() {
+                return Step::Continue;
+            }
+            return Step::Done;
+        };
+        let in_time = t <= self.config.max_virtual_time;
+        self.events += u64::from(in_time);
+        if !in_time || self.events > self.config.max_events {
+            self.hit_limits = true;
+            return Step::Done;
+        }
+        self.now = self.now.max(t);
+        self.sweep_owed =
+            self.config.fossil_collection && self.events.is_multiple_of(FOSSIL_SWEEP_PERIOD);
+        // Process faults fire between events: "crash at the Nth scheduler
+        // step" means just before the Nth dispatch.
+        let plans = self.config.faults.iter();
+        let kills = plans.flat_map(|plan| plan.kills_at(self.events));
+        let kills: Vec<_> = kills.map(|k| (k.node as usize, k.restart_after)).collect();
+        for (victim, restart_after) in kills {
+            if victim < self.procs.len() {
+                self.kill_process(victim, restart_after);
+            }
+        }
+        if !matches!(ev, EventKind::Wake { .. } | EventKind::Deliver { .. }) {
+            self.pending_system = self.pending_system.saturating_sub(1);
+        }
+        if self.is_stale(&ev) {
+            return Step::Continue;
+        }
+        let mut resume = None;
+        match ev {
+            EventKind::Wake { proc, .. } => resume = Some(proc),
+            EventKind::Deliver { msg } => resume = self.handle_delivery(msg),
+            EventKind::Ack { aid } => self.ack_fire(aid),
+            EventKind::AckTimeout { aid } => self.timeout_fire(aid),
+            EventKind::Restart { proc } => self.restart_fire(proc),
+        }
+        resume.map_or(Step::Continue, |proc| {
+            self.set_state(proc, ProcState::Running);
+            Step::Resume(proc)
+        })
+    }
+
+    /// An event that does nothing when dispatched now: a wake whose epoch
+    /// was superseded or whose process is dead or down, an ack or deadline
+    /// for a decided assumption, a restart of a process that is not down.
+    /// `step` drops these; the model checker drains them as non-choices.
+    pub(crate) fn is_stale(&self, ev: &EventKind) -> bool {
+        match *ev {
+            EventKind::Wake { proc, epoch } => {
+                let p = &self.procs[proc];
+                p.wake_epoch != epoch || matches!(p.state, ProcState::Crashed | ProcState::Down)
+            }
+            EventKind::Deliver { .. } => false,
+            EventKind::Ack { aid } | EventKind::AckTimeout { aid } => {
+                self.engine.aid_state(aid).ok() != Some(AidState::Undecided)
+            }
+            EventKind::Restart { proc } => self.procs[proc].state != ProcState::Down,
+        }
+    }
+
+    /// Start an attempt at `procs[idx]`'s body: `Some` is the journal range
+    /// it replays, from the one resume point of every restart. A rollback's
+    /// attempt is counted and, if restoration has a cost, first held for it:
+    /// `None` says park and ask again — a deeper rollback may strike in
+    /// between, and earns its own count and charge.
+    pub(crate) fn begin_attempt(&mut self, idx: usize) -> Option<std::ops::Range<usize>> {
+        if std::mem::take(&mut self.procs[idx].rollback_pending) {
+            self.stats.replays += 1;
+            self.rollbacks_pending -= 1;
+            if !self.config.rollback_overhead.is_zero() {
+                self.set_state(idx, ProcState::Holding);
+                let at = self.now + self.config.rollback_overhead;
+                self.schedule_wake(idx, at);
+                return None;
+            }
+        }
+        let journal = &self.procs[idx].journal;
+        Some(journal.resume_point()..journal.len())
+    }
+
+    /// The body returned `Ok(())`, or panicked with this message. A crash
+    /// is final; a finished body comes back only if a rollback revives it.
+    pub(crate) fn end_attempt(&mut self, idx: usize, panic: Option<String>) {
+        if let Some(message) = panic {
+            return self.crash(idx, CrashReason::Panic(message));
+        }
+        self.set_state(idx, ProcState::Finished);
+        self.procs[idx].finish_time = Some(self.now);
+    }
+
+    /// Assemble the report of a finished run; `depset_base` is the
+    /// process-global DepSet counters as it began.
+    pub(crate) fn report(&mut self, depset_base: (u64, u64)) -> RunReport {
+        let mut outputs = std::mem::take(&mut self.outputs);
+        outputs.sort_by_key(|o| (o.time, o.process));
+        let mut finish_times = BTreeMap::new();
+        let mut unfinished = Vec::new();
+        let mut errors = BTreeMap::new();
+        let mut crashes = BTreeMap::new();
+        let mut stats = self.stats;
+        for p in &self.procs {
+            // `Shared::crash` is the only way into `Crashed`, and final.
+            match (&p.crash, p.state) {
+                (Some(reason), _) => {
+                    errors.insert(p.pid, reason.to_string());
+                    crashes.insert(p.pid, reason.clone());
+                }
+                (None, ProcState::Finished) => {
+                    finish_times.extend(p.finish_time.map(|t| (p.pid, t)))
+                }
+                (None, _) => unfinished.push(p.pid),
+            }
+            stats.memory.live_journal_entries += p.journal.live_len() as u64;
+            stats.memory.reclaimed_journal_entries += p.journal.reclaimed_entries;
+        }
+        stats.engine = self.engine.stats();
+        stats.memory.live_intervals = self.engine.live_interval_count() as u64;
+        stats.memory.live_aids = self.engine.live_aid_count() as u64;
+        stats.memory.interval_horizon = self.engine.interval_horizon();
+        stats.memory.aid_horizon = self.engine.aid_horizon();
+        stats.memory.reclaimed_intervals = stats.engine.fossil_intervals;
+        stats.memory.reclaimed_aids = stats.engine.fossil_aids;
+        stats.memory.fossil_denied = self.engine.fossil_denied_count() as u64;
+        stats.memory.depset_cow_copies =
+            hope_core::depset::cow_copies_total().saturating_sub(depset_base.0);
+        stats.memory.depset_spills =
+            hope_core::depset::spills_total().saturating_sub(depset_base.1);
+        let gov_transitions = match self.governor.as_mut() {
+            Some(g) => {
+                stats.governor = g.stats;
+                std::mem::take(&mut g.transitions)
+            }
+            None => Vec::new(),
+        };
+        let races = self.race_detector.take().map(RaceDetector::into_races);
+        RunReport {
+            end_time: self.now,
+            events: self.events,
+            hit_limits: self.hit_limits,
+            outputs,
+            stats,
+            finish_times,
+            unfinished,
+            errors,
+            crashes,
+            trace: std::mem::take(&mut self.trace_log),
+            races: races.unwrap_or_default(),
+            gov_transitions,
         }
     }
 
@@ -330,20 +557,26 @@ impl Shared {
         (self.procs[p].state == ProcState::BlockedRecv).then_some(p)
     }
 
+    /// The fault plan rules on every send and every ack; a plan-free run
+    /// always delivers cleanly. The verdict draws from `fault_rng`, not
+    /// `net_rng`, so injecting faults never perturbs latency sampling.
+    fn link_verdict(&mut self, src: ProcessId, dst: ProcessId) -> LinkVerdict {
+        match &self.config.faults {
+            Some(plan) => plan.verdict(src.0, dst.0, self.now, &mut self.fault_rng),
+            None => LinkVerdict::Deliver {
+                extra_delay: VirtualDuration::ZERO,
+                duplicate: false,
+            },
+        }
+    }
+
     /// Schedule the delivery ack for a reliable message: an engine-level
     /// affirm of the sender's "delivered" assumption, travelling the
     /// reverse link (and subject to its faults — minus duplication, which
     /// is harmless for an idempotent affirm and therefore not modelled).
     fn schedule_ack(&mut self, msg: &Message, aid: AidId) {
         let (src, dst) = (msg.to, msg.from);
-        let verdict = match &self.config.faults {
-            Some(plan) => plan.verdict(src.0, dst.0, self.now, &mut self.fault_rng),
-            None => LinkVerdict::Deliver {
-                extra_delay: VirtualDuration::ZERO,
-                duplicate: false,
-            },
-        };
-        let extra = match verdict {
+        let extra = match self.link_verdict(src, dst) {
             LinkVerdict::Drop => {
                 self.stats.faults.ack_drops += 1;
                 let id = msg.id;
@@ -359,11 +592,8 @@ impl Shared {
         self.queue.push(at, EventKind::Ack { aid });
     }
 
-    /// An ack arrived: affirm the "delivered" assumption if still open.
-    pub(crate) fn ack_fire(&mut self, aid: AidId) {
-        if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
-            return;
-        }
+    /// An ack arrived for a still-open "delivered" assumption: affirm it.
+    fn ack_fire(&mut self, aid: AidId) {
         let injector = self.injector();
         match self.engine.affirm(injector, aid) {
             Ok(fx) => {
@@ -379,10 +609,7 @@ impl Shared {
     /// A reliable send's retransmission deadline passed with the
     /// "delivered" assumption still open: deny it, rolling the sender back
     /// into its retry loop.
-    pub(crate) fn timeout_fire(&mut self, aid: AidId) {
-        if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
-            return;
-        }
+    fn timeout_fire(&mut self, aid: AidId) {
         let injector = self.injector();
         match self.engine.deny(injector, aid) {
             Ok(fx) => {
@@ -418,14 +645,7 @@ impl Shared {
         self.stats.faults.kills += 1;
         let pid = self.procs[victim].pid;
         self.trace(|| format!("FAULT kill {pid} (restart after {restart_after:?})"));
-        // The victim's created AIDs in journal order (the mirror survives
-        // journal-prefix truncation; collection already dropped decided
-        // ones, which the loop below would skip anyway).
-        let own: Vec<AidId> = self.procs[victim]
-            .own_aids
-            .iter()
-            .map(|&(_, a)| a)
-            .collect();
+        let own: Vec<AidId> = self.procs[victim].journal.created_aids().collect();
         let injector = self.injector();
         for aid in own {
             if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
@@ -448,15 +668,12 @@ impl Shared {
         self.procs[victim].wake_epoch += 1;
         match restart_after {
             Some(delay) => {
-                self.procs[victim].state = ProcState::Down;
+                self.set_state(victim, ProcState::Down);
                 let at = self.now + delay;
                 self.pending_system += 1;
                 self.queue.push(at, EventKind::Restart { proc: victim });
             }
-            None => {
-                self.procs[victim].state = ProcState::Crashed;
-                self.procs[victim].crash = Some(CrashReason::FaultKill);
-            }
+            None => self.crash(victim, CrashReason::FaultKill),
         }
     }
 
@@ -464,14 +681,11 @@ impl Shared {
     /// kill's denies rolled it back, the body restarts like any rollback
     /// victim — replaying its surviving journal from the newest snapshot
     /// (free and deterministic); a fully definite victim just resumes.
-    pub(crate) fn restart_fire(&mut self, proc: usize) {
-        if self.procs[proc].state != ProcState::Down {
-            return;
-        }
+    fn restart_fire(&mut self, proc: usize) {
         self.stats.faults.restarts += 1;
         let pid = self.procs[proc].pid;
         self.trace(|| format!("FAULT restart {pid}: recovering from journal prefix"));
-        self.procs[proc].state = ProcState::Holding;
+        self.set_state(proc, ProcState::Holding);
         let now = self.now;
         self.schedule_wake(proc, now);
     }
@@ -480,8 +694,7 @@ impl Shared {
     /// [`SimConfig::fossil_collection`](crate::SimConfig)): reclaim every
     /// engine record at or below the commit horizon, truncate each
     /// restorable process's journal prefix back to its newest snapshot at
-    /// or below its speculative frontier, and prune the per-process
-    /// bookkeeping that mirrors the journal. Transparent by construction —
+    /// or below its speculative frontier. Transparent by construction —
     /// committed outputs, rollbacks and fault statistics are bit-identical
     /// with collection on or off (the chaos and differential suites assert
     /// it) — so *when* the scheduler calls this can never change a run's
@@ -498,35 +711,22 @@ impl Shared {
             });
         }
         for p in 0..self.procs.len() {
-            // A kill only denies *undecided* AIDs, so decided ones can
-            // leave the mirror; this is what keeps it bounded on long runs.
-            let mut own = std::mem::take(&mut self.procs[p].own_aids);
-            own.retain(|&(_, a)| self.engine.aid_state(a).ok() == Some(AidState::Undecided));
-            self.procs[p].own_aids = own;
-
-            if !self.procs[p].restorable || self.procs[p].snapshots.is_empty() {
-                continue; // no resume entry point: keep the whole journal
-            }
+            let (engine, proc) = (&self.engine, &mut self.procs[p]);
+            proc.journal
+                .forget_decided_aids(|a| engine.aid_state(a).ok() == Some(AidState::Undecided));
             // The farthest back any rollback can rewind this process; a
-            // fully definite history frees the whole journal for
-            // truncation (up to its newest snapshot).
-            let pid = self.procs[p].pid;
-            let frontier = self
-                .engine
-                .speculative_frontier(pid)
-                .expect("process is registered");
-            let safe = frontier.map_or(self.procs[p].journal.len(), |c| c.0 as usize);
-            let target = self.procs[p].snapshots.iter().rev().find(|&&s| s <= safe);
-            if let Some(&t) = target {
-                let n = self.procs[p].journal.truncate_prefix(t);
-                if n > 0 {
-                    // The snapshot at `t` is the new base entry; older
-                    // snapshot positions now point into reclaimed space.
-                    self.procs[p].snapshots.retain(|&s| s >= t);
-                    self.trace(|| {
-                        format!("{pid}: journal prefix reclaimed ({n} entries, base now {t})")
-                    });
-                }
+            // fully definite history frees the whole journal (up to its
+            // newest snapshot; a body without one keeps all of it).
+            let pid = proc.pid;
+            let frontier = engine.speculative_frontier(pid);
+            let frontier = frontier.expect("process is registered");
+            let safe = frontier.map_or(proc.journal.len(), |c| c.0 as usize);
+            let n = proc.journal.reclaim_prefix(safe);
+            if n > 0 {
+                let t = proc.journal.base();
+                self.trace(|| {
+                    format!("{pid}: journal prefix reclaimed ({n} entries, base now {t})")
+                });
             }
         }
     }
@@ -571,16 +771,7 @@ impl Shared {
         self.next_msg_id += 1;
         let kind = kind_of(id);
         self.stats.messages_sent += 1;
-        // The fault plan rules on every send; a plan-free run always
-        // delivers cleanly. Note the verdict draws from `fault_rng`, not
-        // `net_rng`, so injecting faults never perturbs latency sampling.
-        let verdict = match &self.config.faults {
-            Some(plan) => plan.verdict(from_pid.0, to.0, self.now, &mut self.fault_rng),
-            None => LinkVerdict::Deliver {
-                extra_delay: VirtualDuration::ZERO,
-                duplicate: false,
-            },
-        };
+        let verdict = self.link_verdict(from_pid, to);
         let latency = self
             .config
             .topology
@@ -654,7 +845,7 @@ impl Shared {
         // Governed sites whose assumptions were denied in this batch, and
         // the journal entries the batch's rollbacks discarded: the denies
         // caused the cascade, so the damage is charged to them (the
-        // governor's online correction of the static priors).
+        // governor's online correction of its damage estimate).
         let mut gov_denied: Vec<(ProcessId, u32)> = Vec::new();
         let mut gov_damage: u64 = 0;
         for e in effects {
@@ -712,30 +903,21 @@ impl Shared {
                             self.procs[victim].mailbox.insert(msg.mail_key(), *msg);
                         }
                     }
-                    // Keep the journal mirrors in step with the truncation:
-                    // AidInit and Snapshot entries in the discarded suffix
-                    // are gone (re-execution re-records live ones). Both
-                    // mirrors ascend by position, so the cut is a suffix.
-                    let v = &mut self.procs[victim];
-                    v.own_aids
-                        .truncate(v.own_aids.partition_point(|&(p, _)| p < pos));
-                    v.snapshots
-                        .truncate(v.snapshots.partition_point(|&p| p < pos));
                     self.procs[victim].finish_time = None;
                     // The pending flag is observed (and cleared) by the
                     // victim's wrapper when the re-execution begins; for the
                     // running process itself it also guards any further Ctx
                     // calls should the body swallow the Rollback signal.
-                    self.procs[victim].rollback_pending = true;
+                    if !std::mem::replace(&mut self.procs[victim].rollback_pending, true) {
+                        self.rollbacks_pending += 1;
+                    }
+                    // A down process cannot resume yet; its pending
+                    // Restart event will wake it, and the pending flag
+                    // makes that re-execution a recovery replay.
                     if victim == self_idx {
                         self_rolled_back = true;
-                    } else if self.procs[victim].state == ProcState::Down {
-                        // A down process cannot resume yet; its pending
-                        // Restart event will wake it, and the pending flag
-                        // makes that re-execution a recovery replay.
-                    } else {
-                        let now = self.now;
-                        self.schedule_wake(victim, now);
+                    } else if self.procs[victim].state != ProcState::Down {
+                        self.schedule_wake(victim, self.now);
                     }
                 }
                 Effect::AidAffirmed { aid } | Effect::AidDenied { aid } => {
@@ -797,32 +979,61 @@ impl Shared {
 
 #[cfg(test)]
 mod tests {
+    use super::Step::{Continue, Done, Resume};
     use super::*;
     use hope_core::Checkpoint;
-    use hope_sim::{Topology, VirtualDuration};
+    use hope_sim::{FaultPlan, VirtualDuration};
 
-    fn shared_with_procs(n: usize) -> Shared {
-        let mut s = Shared::new(SimConfig::default().with_topology(Topology::lan()));
+    const T0: VirtualTime = VirtualTime::ZERO;
+
+    fn shared_with(n: usize, config: SimConfig) -> Shared {
+        let mut s = Shared::new(config);
         for i in 0..n {
-            let pid = s.engine.register_process();
-            s.procs.push(ProcShared {
-                pid,
-                name: format!("p{i}"),
-                state: ProcState::Holding,
-                mailbox: Mailbox::new(),
-                journal: Journal::default(),
-                rollback_pending: false,
-                wake_epoch: 0,
-                rng: SimRng::new(i as u64),
-                finish_time: None,
-                crash: None,
-                next_reliable: 0,
-                own_aids: Vec::new(),
-                snapshots: Vec::new(),
-                restorable: false,
-            });
+            s.add_process(format!("p{i}"));
         }
         s
+    }
+
+    fn shared_with_procs(n: usize) -> Shared {
+        shared_with(n, SimConfig::default())
+    }
+
+    fn plain_msg(id: u64, to: ProcessId) -> Message {
+        Message {
+            id,
+            from: ProcessId(0),
+            to,
+            kind: MsgKind::Plain,
+            payload: Value::Unit,
+            tag: hope_core::Tag::new(),
+            delivered_at: VirtualTime::from_nanos(5),
+            seq: id,
+        }
+    }
+
+    /// Queue `ev` at time zero as the scheduler's producers would.
+    fn enqueue(s: &mut Shared, ev: EventKind) {
+        if !matches!(ev, EventKind::Wake { .. } | EventKind::Deliver { .. }) {
+            s.pending_system += 1;
+        }
+        s.queue.push(T0, ev);
+    }
+
+    /// One `step`, after which both quiescence counters must equal what a
+    /// scan of `procs` finds.
+    fn step(s: &mut Shared) -> Step {
+        let step = s.step();
+        let over = |p: &&ProcShared| matches!(p.state, ProcState::Finished | ProcState::Crashed);
+        let unfinished = s.procs.len() - s.procs.iter().filter(over).count();
+        let pending = s.procs.iter().filter(|p| p.rollback_pending).count();
+        assert_eq!((s.unfinished, s.rollbacks_pending), (unfinished, pending));
+        step
+    }
+
+    /// What a stale event must leave alone.
+    fn visible_state(s: &Shared) -> String {
+        let procs: Vec<_> = s.procs.iter().map(|p| (&p.mailbox, p.state)).collect();
+        format!("{:?} {procs:?}", s.engine)
     }
 
     #[test]
@@ -889,16 +1100,7 @@ mod tests {
             aid: x,
             value: true,
         });
-        let msg = Message {
-            id: 9,
-            from: ProcessId(1),
-            to: pid0,
-            kind: MsgKind::Plain,
-            payload: Value::Unit,
-            tag: hope_core::Tag::new(),
-            delivered_at: VirtualTime::from_nanos(5),
-            seq: 3,
-        };
+        let msg = plain_msg(9, pid0);
         s.procs[0].journal.push(Entry::Recv(Box::new(msg)));
         s.output(0, "spec".into());
         let pid1 = s.procs[1].pid;
@@ -915,31 +1117,8 @@ mod tests {
 
     #[test]
     fn faulty_send_can_drop_and_duplicate() {
-        use hope_sim::FaultPlan;
-        let mut s = Shared::new(
-            SimConfig::default()
-                .with_topology(Topology::lan())
-                .with_faults(FaultPlan::new(12).drop_rate(0.5).dupe_rate(0.5)),
-        );
-        for i in 0..2 {
-            let pid = s.engine.register_process();
-            s.procs.push(ProcShared {
-                pid,
-                name: format!("p{i}"),
-                state: ProcState::Holding,
-                mailbox: Mailbox::new(),
-                journal: Journal::default(),
-                rollback_pending: false,
-                wake_epoch: 0,
-                rng: SimRng::new(i as u64),
-                finish_time: None,
-                crash: None,
-                next_reliable: 0,
-                own_aids: Vec::new(),
-                snapshots: Vec::new(),
-                restorable: false,
-            });
-        }
+        let plan = FaultPlan::new(12).drop_rate(0.5).dupe_rate(0.5);
+        let mut s = shared_with(2, SimConfig::default().with_faults(plan));
         for i in 0..64 {
             s.send_message_with(0, ProcessId(1), |_| MsgKind::Plain, Value::Int(i));
         }
@@ -954,38 +1133,9 @@ mod tests {
 
     #[test]
     fn down_destination_loses_deliveries() {
-        use hope_sim::FaultPlan;
-        let mut s = Shared::new(SimConfig::default().with_faults(FaultPlan::new(0)));
-        for i in 0..2 {
-            let pid = s.engine.register_process();
-            s.procs.push(ProcShared {
-                pid,
-                name: format!("p{i}"),
-                state: ProcState::Holding,
-                mailbox: Mailbox::new(),
-                journal: Journal::default(),
-                rollback_pending: false,
-                wake_epoch: 0,
-                rng: SimRng::new(i as u64),
-                finish_time: None,
-                crash: None,
-                next_reliable: 0,
-                own_aids: Vec::new(),
-                snapshots: Vec::new(),
-                restorable: false,
-            });
-        }
-        s.procs[1].state = ProcState::Down;
-        let msg = Message {
-            id: 1,
-            from: ProcessId(0),
-            to: ProcessId(1),
-            kind: MsgKind::Plain,
-            payload: Value::Unit,
-            tag: hope_core::Tag::new(),
-            delivered_at: VirtualTime::from_nanos(5),
-            seq: 0,
-        };
+        let mut s = shared_with(2, SimConfig::default().with_faults(FaultPlan::new(0)));
+        s.set_state(1, ProcState::Down);
+        let msg = plain_msg(1, ProcessId(1));
         assert_eq!(s.handle_delivery(msg), None);
         assert_eq!(s.stats.faults.lost_to_down, 1);
         assert!(s.procs[1].mailbox.is_empty());
@@ -997,14 +1147,8 @@ mod tests {
         let mut s = shared_with_procs(2);
         let aid = s.engine.aid_init(s.procs[0].pid);
         let mk = |seq: u64, id: u64| Message {
-            id,
-            from: ProcessId(0),
-            to: ProcessId(1),
             kind: MsgKind::Reliable { seq, aid },
-            payload: Value::Unit,
-            tag: hope_core::Tag::new(),
-            delivered_at: VirtualTime::from_nanos(5),
-            seq: id,
+            ..plain_msg(id, ProcessId(1))
         };
         assert_eq!(s.handle_delivery(mk(7, 1)), None); // Holding, not BlockedRecv
         assert_eq!(s.procs[1].mailbox.len(), 1);
@@ -1021,7 +1165,6 @@ mod tests {
         let pid0 = s.procs[0].pid;
         let own = s.engine.aid_init(pid0);
         s.procs[0].journal.push(Entry::AidInit(own));
-        s.procs[0].own_aids.push((0, own));
         s.engine.guess(pid0, &[own], Checkpoint(1)).unwrap();
         s.procs[0].journal.push(Entry::Guess {
             aid: own,
@@ -1033,18 +1176,12 @@ mod tests {
         assert_eq!(s.stats.faults.crash_denies, 1);
         assert!(s.fault_denied.contains(&own));
         assert!(s.procs[0].rollback_pending, "own guess denied => rollback");
-        assert_eq!(
-            s.engine.aid_state(own).unwrap(),
-            hope_core::AidState::Denied
-        );
+        assert_eq!(s.engine.aid_state(own).unwrap(), AidState::Denied);
         // The queue holds the Restart event (any wakes are stale-epoch).
         let restart = std::iter::from_fn(|| s.queue.pop())
             .find(|(_, e)| matches!(e, EventKind::Restart { .. }))
             .expect("restart scheduled");
-        assert_eq!(
-            restart.0,
-            VirtualTime::ZERO + VirtualDuration::from_millis(3)
-        );
+        assert_eq!(restart.0, T0 + VirtualDuration::from_millis(3));
         s.restart_fire(0);
         assert_eq!(s.procs[0].state, ProcState::Holding);
         assert_eq!(s.stats.faults.restarts, 1);
@@ -1068,18 +1205,24 @@ mod tests {
         let pid0 = s.procs[0].pid;
         let a = s.engine.aid_init(pid0);
         let b = s.engine.aid_init(pid0);
-        s.ack_fire(a);
-        assert_eq!(
-            s.engine.aid_state(a).unwrap(),
-            hope_core::AidState::Affirmed
-        );
-        // A later timeout for the same aid is a no-op.
-        s.timeout_fire(a);
-        assert_eq!(s.stats.faults.timeout_denies, 0);
-        s.timeout_fire(b);
-        assert_eq!(s.engine.aid_state(b).unwrap(), hope_core::AidState::Denied);
-        assert_eq!(s.stats.faults.timeout_denies, 1);
+        for ev in [
+            EventKind::Ack { aid: a },
+            // A later timeout (or second ack) for the same aid is stale.
+            EventKind::AckTimeout { aid: a },
+            EventKind::Ack { aid: a },
+            EventKind::AckTimeout { aid: b },
+        ] {
+            enqueue(&mut s, ev);
+        }
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!(s.engine.aid_state(a).unwrap(), AidState::Affirmed);
+        assert_eq!([step(&mut s), step(&mut s)], [Continue; 2]);
+        assert_eq!((s.stats.faults.timeout_denies, s.pending_system), (0, 1));
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!(s.engine.aid_state(b).unwrap(), AidState::Denied);
+        assert_eq!((s.stats.faults.timeout_denies, s.pending_system), (1, 0));
         assert!(s.fault_denied.contains(&b));
+        assert_eq!(s.events, 4);
     }
 
     #[test]
@@ -1095,5 +1238,177 @@ mod tests {
             s.procs[0].rollback_pending,
             "flag set so the wrapper counts the re-execution"
         );
+    }
+
+    #[test]
+    fn step_resumes_live_wakes_and_drops_stale_ones() {
+        let mut s = shared_with_procs(2);
+        s.schedule_wake(0, VirtualTime::from_nanos(3)); // superseded by ...
+        s.schedule_wake(0, VirtualTime::from_nanos(7));
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!((s.events, s.procs[0].state), (1, ProcState::Holding));
+        assert_eq!(step(&mut s), Resume(0));
+        assert_eq!((s.events, s.procs[0].state), (2, ProcState::Running));
+        assert_eq!(s.now, VirtualTime::from_nanos(7));
+        // Nothing queued, P1 still unfinished: the run is over, not limited.
+        assert_eq!((step(&mut s), s.hit_limits, s.events), (Done, false, 2));
+    }
+
+    #[test]
+    fn step_delivers_and_resumes_only_a_blocked_receiver() {
+        let mut s = shared_with(3, SimConfig::default().with_faults(FaultPlan::new(0)));
+        s.set_state(1, ProcState::BlockedRecv);
+        s.set_state(2, ProcState::Down);
+        for to in 0..3 {
+            let msg = plain_msg(to, ProcessId(to as u32));
+            enqueue(&mut s, EventKind::Deliver { msg });
+        }
+        // Holding: queued for later. Blocked: resumed. Down: lost.
+        assert_eq!(
+            [(); 3].map(|()| step(&mut s)),
+            [Continue, Resume(1), Continue]
+        );
+        let held: Vec<usize> = s.procs.iter().map(|p| p.mailbox.len()).collect();
+        assert_eq!(held, [1, 1, 0]);
+        let stats = &s.stats;
+        assert_eq!(
+            (stats.messages_delivered, stats.faults.lost_to_down),
+            (2, 1)
+        );
+    }
+
+    #[test]
+    fn step_kills_before_dispatch_and_restart_brings_the_victim_back() {
+        let down = VirtualDuration::from_millis(3);
+        let plan = FaultPlan::new(0).kill(0, 2, Some(down));
+        let mut s = shared_with(2, SimConfig::default().with_faults(plan));
+        s.schedule_wake(1, T0);
+        s.schedule_wake(0, T0);
+        assert_eq!(step(&mut s), Resume(1));
+        // The kill at event 2 lands before dispatch 2: P0's wake, current
+        // when it was popped, finds it down.
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!((s.procs[0].state, s.pending_system), (ProcState::Down, 1));
+        // A restart of a process that is up is stale; P0's is not.
+        enqueue(&mut s, EventKind::Restart { proc: 1 });
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!((s.stats.faults.restarts, s.pending_system), (0, 1));
+        assert_eq!(step(&mut s), Continue);
+        assert_eq!((s.stats.faults.restarts, s.pending_system), (1, 0));
+        assert_eq!((s.procs[0].state, s.now), (ProcState::Holding, T0 + down));
+        assert_eq!(step(&mut s), Resume(0));
+    }
+
+    #[test]
+    fn step_stops_at_either_limit() {
+        let mut s = shared_with(1, SimConfig::default().with_max_events(2));
+        for _ in 0..3 {
+            s.schedule_wake(0, T0);
+        }
+        assert_eq!([step(&mut s), step(&mut s)], [Continue; 2]);
+        // The event that trips `max_events` is counted, not dispatched.
+        assert_eq!((step(&mut s), s.hit_limits, s.events), (Done, true, 3));
+        assert_eq!(s.procs[0].state, ProcState::Holding);
+
+        let horizon = VirtualTime::from_nanos(10);
+        let mut s = shared_with(1, SimConfig::default().with_max_virtual_time(horizon));
+        s.schedule_wake(0, VirtualTime::from_nanos(11));
+        // One past `max_virtual_time` is neither counted nor dispatched.
+        assert_eq!((step(&mut s), s.hit_limits, s.events), (Done, true, 0));
+        assert_eq!(s.now, T0);
+    }
+
+    /// One process, finished while still speculating on its own `x`.
+    fn finished_speculating(config: SimConfig) -> (Shared, AidId) {
+        let mut s = shared_with(1, config);
+        let pid0 = s.procs[0].pid;
+        let x = s.engine.aid_init(pid0);
+        s.engine.guess(pid0, &[x], Checkpoint(0)).unwrap();
+        s.output(0, "spec".into());
+        s.end_attempt(0, None);
+        (s, x)
+    }
+
+    #[test]
+    fn step_quiesces_when_all_is_settled_and_commits_if_asked() {
+        let plain = SimConfig::default();
+        for cfg in [plain.clone(), plain.commit_at_quiescence()] {
+            let commit = cfg.commit_at_quiescence;
+            let (mut s, x) = finished_speculating(cfg);
+            // A stale wake is still queued; a settled run does not pop it.
+            s.schedule_wake(0, T0);
+            s.schedule_wake(0, T0);
+            if commit {
+                assert_eq!(step(&mut s), Continue);
+                assert_eq!(s.engine.aid_state(x).unwrap(), AidState::Affirmed);
+            }
+            assert_eq!((step(&mut s), s.events), (Done, 0));
+            assert_eq!(s.outputs.len(), usize::from(commit));
+        }
+        // A rollback pending on a finished process is not quiescence.
+        let (mut s, x) = finished_speculating(SimConfig::default());
+        let fx = s.engine.deny(s.procs[0].pid, x).unwrap();
+        s.apply_effects(usize::MAX, &fx);
+        assert_eq!((s.unfinished, s.rollbacks_pending), (0, 1));
+        assert_eq!(step(&mut s), Resume(0));
+        assert_eq!(s.begin_attempt(0), Some(0..0));
+        let counts = (s.unfinished, s.rollbacks_pending, s.stats.replays);
+        assert_eq!(counts, (1, 0, 1));
+    }
+
+    #[test]
+    fn step_sweeps_at_the_top_of_the_step_after_a_period() {
+        let mut s = shared_with(1, SimConfig::default().with_fossil_collection(true));
+        let pid0 = s.procs[0].pid;
+        let x = s.engine.aid_init(pid0);
+        s.engine.affirm(pid0, x).unwrap();
+        for _ in 0..=FOSSIL_SWEEP_PERIOD {
+            s.schedule_wake(0, T0); // all but the last are stale
+        }
+        for _ in 0..FOSSIL_SWEEP_PERIOD {
+            assert_eq!(step(&mut s), Continue);
+        }
+        // Event 256 is dispatched; its sweep waits for whatever it resumed.
+        assert_eq!((s.events, s.engine.aid_horizon()), (FOSSIL_SWEEP_PERIOD, 0));
+        assert_eq!(step(&mut s), Resume(0));
+        let after = (s.events, s.engine.aid_horizon());
+        assert_eq!(after, (FOSSIL_SWEEP_PERIOD + 1, 1));
+    }
+
+    #[test]
+    fn step_on_a_stale_event_changes_nothing_visible() {
+        let mut s = shared_with_procs(4);
+        let pid0 = s.procs[0].pid;
+        let (decided, open) = (s.engine.aid_init(pid0), s.engine.aid_init(pid0));
+        s.engine.affirm(pid0, decided).unwrap();
+        s.schedule_wake(0, VirtualTime::from_nanos(1 << 40));
+        s.crash(1, CrashReason::FaultKill);
+        s.set_state(2, ProcState::Down);
+        let msg = plain_msg(1, ProcessId(2));
+        let table = [
+            (EventKind::Wake { proc: 0, epoch: 0 }, true),
+            (EventKind::Wake { proc: 0, epoch: 1 }, false),
+            (EventKind::Wake { proc: 1, epoch: 0 }, true),
+            (EventKind::Wake { proc: 2, epoch: 0 }, true),
+            (EventKind::Wake { proc: 3, epoch: 0 }, false),
+            (EventKind::Deliver { msg }, false),
+            (EventKind::Ack { aid: decided }, true),
+            (EventKind::AckTimeout { aid: decided }, true),
+            (EventKind::Ack { aid: open }, false),
+            (EventKind::AckTimeout { aid: open }, false),
+            (EventKind::Restart { proc: 0 }, true),
+            (EventKind::Restart { proc: 1 }, true),
+            (EventKind::Restart { proc: 2 }, false),
+        ];
+        for (ev, stale) in table {
+            assert_eq!(s.is_stale(&ev), stale, "{ev:?}");
+            if stale {
+                let before = visible_state(&s);
+                enqueue(&mut s, ev.clone());
+                assert_eq!(step(&mut s), Continue, "{ev:?}");
+                assert_eq!(visible_state(&s), before, "{ev:?}");
+                assert_eq!(s.pending_system, 0, "{ev:?}");
+            }
+        }
     }
 }

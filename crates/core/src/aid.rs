@@ -7,7 +7,10 @@
 //! module is accordingly `pub(crate)` except for the read-only views the
 //! engine re-exports for inspection and testing.
 
+use std::borrow::Cow;
+
 use crate::depset::DepSet;
+use crate::engine::Engine;
 use crate::ids::{AidId, IntervalId, ProcessId};
 
 /// The decision state of an optimistic assumption.
@@ -46,8 +49,13 @@ pub(crate) struct Aid {
     pub(crate) creator: ProcessId,
     /// Current decision state.
     pub(crate) state: AidState,
-    /// `X.DOM`: intervals that depend on `X` (Definition 4.2). Kept
-    /// symmetric with the intervals' `IDO` sets per Lemma 5.1.
+    /// The *heads* of `X.DOM` (Definition 4.2): for each process that
+    /// depends on `X`, the first interval of its history that does — the
+    /// one whose stored `ido` holds `X`. Every later interval of that
+    /// history depends on `X` too (Theorem 5.1's prefix-subset invariant),
+    /// so `X.DOM` is each head's history suffix ([`AidView::dom`]) and
+    /// Lemma 5.1's symmetry holds by construction. Ascending, so cascades
+    /// visit processes in the order the full set would.
     pub(crate) dom: DepSet<IntervalId>,
     /// Whether an `affirm`, `deny` or `free_of` has been applied. One-shot
     /// per §5.2; a second application is [`Error::AidConsumed`].
@@ -83,9 +91,26 @@ impl Aid {
 /// Obtained from [`Engine::aid`](crate::Engine::aid). The view borrows the
 /// engine; it exposes exactly the control variables of Definition 4.2 plus
 /// the bookkeeping our engine adds (consumption, speculative ties).
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct AidView<'a> {
+    pub(crate) engine: &'a Engine,
     pub(crate) inner: &'a Aid,
+}
+
+/// The control state as the accessors report it, not the engine the view
+/// borrows.
+impl std::fmt::Debug for AidView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AidView")
+            .field("id", &self.id())
+            .field("creator", &self.creator())
+            .field("state", &self.state())
+            .field("dom", &*self.dom())
+            .field("consumed", &self.is_consumed())
+            .field("spec_affirmed_by", &self.speculatively_affirmed_by())
+            .field("spec_denied_by", &self.speculatively_denied_by())
+            .finish()
+    }
 }
 
 impl<'a> AidView<'a> {
@@ -106,10 +131,16 @@ impl<'a> AidView<'a> {
 
     /// `X.DOM`: the intervals currently dependent on this assumption.
     ///
-    /// Iterating the returned [`DepSet`] yields [`IntervalId`]s by value in
+    /// Read off the heads on demand — the engine stores one *head* per
+    /// dependent process (see the [`Engine`] module docs, § Storage), and
+    /// this is every interval from each head to the end of its process's
+    /// history: borrowed when no head has a successor, otherwise built,
+    /// linear in the size of the answer.
+    ///
+    /// Iterating the [`DepSet`] yields [`IntervalId`]s by value in
     /// ascending order, exactly as the former `BTreeSet` representation did.
-    pub fn dom(&self) -> &'a DepSet<IntervalId> {
-        &self.inner.dom
+    pub fn dom(&self) -> Cow<'a, DepSet<IntervalId>> {
+        self.engine.dom_of(self.inner)
     }
 
     /// Whether an `affirm`/`deny`/`free_of` has consumed this AID.

@@ -69,8 +69,8 @@ pub fn cow_copies() -> u64 {
 
 /// Number of **inline→bitset spills** performed by this thread: a set
 /// crossed the inline capacity (32 elements) and upgraded its representation.
-/// Each individual set spills at most once in its lifetime, so spills are
-/// amortized O(1) per insertion.
+/// A set spills at most once before it next empties (an emptied set returns
+/// to the inline form), so spills are amortized O(1) per insertion.
 pub fn spills() -> u64 {
     SPILLS.with(|c| c.get())
 }
@@ -401,6 +401,18 @@ impl<T: DepElem> DepSet<T> {
                 if !arc.contains(v) {
                     return false;
                 }
+                if arc.len == 1 {
+                    // The last element leaves: give the words back (or stop
+                    // sharing them) instead of keeping an all-zero bitset as
+                    // long as the highest id it ever held. A process's `IDO`
+                    // lives as long as the process; it must not stay spilled
+                    // once its speculation window has drained.
+                    self.repr = Repr::Inline {
+                        len: 0,
+                        vals: [0; INLINE_CAP],
+                    };
+                    return true;
+                }
                 make_mut(arc).remove(v)
             }
         }
@@ -673,6 +685,24 @@ mod tests {
         assert!(a.contains(&aid(99)));
         assert!(!b.contains(&aid(99)), "COW: the clone is unaffected");
         assert_eq!(b.len(), INLINE_CAP + 4);
+    }
+
+    #[test]
+    fn emptied_spilled_set_returns_to_inline_without_copying() {
+        let mut a: DepSet<AidId> = (1000..1000 + INLINE_CAP as u64 + 4).map(aid).collect();
+        let shared = a.clone();
+        let before = cow_copies();
+        for v in 1001..1000 + INLINE_CAP as u64 + 4 {
+            a.remove(&aid(v));
+        }
+        assert_eq!(cow_copies(), before + 1, "one copy un-shares the words");
+        let before = cow_copies();
+        let b = a.clone();
+        a.remove(&aid(1000));
+        assert_eq!(cow_copies(), before, "the last removal drops its share");
+        assert!(a.is_empty() && matches!(a.repr, Repr::Inline { len: 0, .. }));
+        assert_eq!(b.len(), 1);
+        assert_eq!(shared.len(), INLINE_CAP + 4);
     }
 
     #[test]

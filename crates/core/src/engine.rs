@@ -12,11 +12,37 @@
 //! ## Storage
 //!
 //! §5 treats AID and interval state as global control variables, and so
-//! does the engine: one id-ordered vector of live AID records, one of live
+//! does the engine: one id-ordered deque of live AID records, one of live
 //! interval records, and one process table indexed by pid. Ids are dense
 //! and never reused, so a record is addressed by `id - base`, where the
 //! base is the commit horizon below which
 //! [`collect_fossils`](Engine::collect_fossils) has reclaimed storage.
+//!
+//! The dependence relation of Lemma 5.1 (`X ∈ A.IDO ⟺ A ∈ X.DOM`) is
+//! stored **chain-compressed**, once per process instead of once per edge.
+//! A process's speculative intervals form a chain — the suffix of its
+//! history from `first_spec` on — along which `IDO` only grows, so
+//!
+//! * an interval record keeps only the AIDs that *entered* its process's
+//!   dependence at that interval (`Interval::ido`): `A.IDO` is the union
+//!   of those sets from the start of the chain up to `A`;
+//! * an AID record keeps only its *heads* (`Aid::dom`): for each dependent
+//!   process the first interval that depends on it — the one whose stored
+//!   set holds the AID. `X.DOM` is every interval from each head to the
+//!   end of that head's history;
+//! * the process record keeps the current interval's full `IDO`
+//!   (`Proc::ido`), which is what `guess` inherits, what
+//!   [`dependence_tag`](Engine::dependence_tag) ships, and what `free_of`
+//!   and `deny` test membership in.
+//!
+//! A guess therefore registers only the AIDs its process did not already
+//! depend on; a definite affirm removes the AID at its heads and finalizes
+//! from the front of each chain while the stored sets there are empty; a
+//! speculative affirm rewrites one stored set per dependent process; a
+//! rollback withdraws only what entered at the discarded intervals. None
+//! of them walks a full `IDO` or a full `DOM`. The read-only views
+//! ([`IntervalView::ido`], [`AidView::dom`]) read the full sets off the
+//! chains on demand.
 //!
 //! ## Fidelity notes
 //!
@@ -24,9 +50,22 @@
 //!   the *guessed* AID gaining the new interval in its `DOM` set, but
 //!   Lemma 5.1 asserts `X ∈ A.IDO ⟺ A ∈ X.DOM` for *all* `X`, and the
 //!   finalize cascade (Equations 7–9) discharges dependence by walking `DOM`
-//!   sets. The engine therefore inserts the new interval into the `DOM` of
-//!   every member of its `IDO` — inherited members included — which is the
-//!   only reading under which Lemma 5.1 and Theorem 6.2 hold.
+//!   sets. The new interval therefore belongs to the `DOM` of every member
+//!   of its `IDO` — inherited members included — which is the only reading
+//!   under which Lemma 5.1 and Theorem 6.2 hold.
+//! * **The stored relation is the chain-compressed form of Lemma 5.1, and
+//!   it is exact.** Theorem 5.1's induction invariant says that along one
+//!   process's history every interval's `IDO` contains its predecessor's
+//!   (a guess inherits, Eq. 4–5; a definite affirm removes an AID from all
+//!   of them, Eq. 7–9; a speculative affirm rewrites a whole suffix alike,
+//!   Eq. 10–14), and rollback only ever discards a history suffix. So "the
+//!   intervals of process `P` that depend on `X`" is always a suffix of
+//!   `P`'s history, fixed by where it starts, and `A.IDO` is fixed by
+//!   which AIDs' suffixes have started by `A`. Storing each start once is
+//!   the same relation, and both Lemma 5.1 and the prefix-subset invariant
+//!   hold by construction rather than by upkeep. `machine.rs` and
+//!   `tests/differential_depset.rs` keep the literal edge-by-edge reading,
+//!   and the latter drives it in lockstep with this engine.
 //! * **`free_of` inspects `IDO`.** §5.4's prose says `A.DOM`; intervals have
 //!   no `DOM` set, and Theorem 6.3's proof reads `X ∈ A.IDO`. We use `IDO`.
 //! * **Rollback of a speculative affirm** is a conservative definite deny of
@@ -44,6 +83,7 @@
 //!   `tests/theorems.rs`. (Mutual speculative *denies* can still
 //!   livelock; the test suite documents that as a finding.)
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::aid::{Aid, AidState, AidView};
@@ -148,6 +188,13 @@ struct Proc {
     /// Live intervals, chronological. Rollback truncates a suffix; fossil
     /// collection truncates a definite prefix.
     history: Vec<IntervalId>,
+    /// Position in `history` of the first speculative interval
+    /// (`history.len()` if there is none): the definite prefix ends and the
+    /// dependence chain starts here.
+    first_spec: usize,
+    /// The current interval's full `IDO` — the union of the chain's stored
+    /// sets, kept incrementally. Empty iff the process is definite.
+    ido: DepSet<AidId>,
     /// Total intervals ever discarded from this process (for stats/tests).
     discarded: u64,
     /// Definite intervals reclaimed from the front of `history` by fossil
@@ -187,8 +234,9 @@ pub struct Engine {
     /// Live AID records in id order: id `aid_base + i` is `aids[i]`. Ids
     /// below `aid_base` were reclaimed by fossil collection (ids are never
     /// reused; "recycling" reclaims storage, not numbers — in-flight tags
-    /// would otherwise alias).
-    aids: Vec<Aid>,
+    /// would otherwise alias). A deque, so a sweep that reclaims a prefix
+    /// does not shift the live records behind it.
+    aids: VecDeque<Aid>,
     aid_base: u64,
     /// Reclaimed AIDs that were *denied*: a late `guess` or inbound tag
     /// naming one must still answer `AlreadyFalse`/ghost exactly as an
@@ -197,7 +245,7 @@ pub struct Engine {
     /// only per-fossil state retained.
     fossil_denied: BTreeSet<AidId>,
     /// Live interval records in id order, like `aids`.
-    intervals: Vec<Interval>,
+    intervals: VecDeque<Interval>,
     interval_base: u64,
     /// Process records, indexed by pid (pids are dense).
     procs: Vec<Proc>,
@@ -222,15 +270,16 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Create an empty engine. Invariant checking (Lemma 5.1 symmetry and
-    /// the Theorem 5.1 prefix-subset property after every transition) is on
-    /// in debug builds and off in release builds by default.
+    /// Create an empty engine. Invariant checking
+    /// ([`verify_invariants`](Engine::verify_invariants) after every
+    /// transition) is on in debug builds and off in release builds by
+    /// default.
     pub fn new() -> Self {
         Engine {
-            aids: Vec::new(),
+            aids: VecDeque::new(),
             aid_base: 0,
             fossil_denied: BTreeSet::new(),
-            intervals: Vec::new(),
+            intervals: VecDeque::new(),
             interval_base: 0,
             procs: Vec::new(),
             stats: EngineStats::default(),
@@ -288,10 +337,6 @@ impl Engine {
         self.procs.get(pid.0 as usize)
     }
 
-    fn proc_mut(&mut self, pid: ProcessId) -> Option<&mut Proc> {
-        self.procs.get_mut(pid.0 as usize)
-    }
-
     /// Decision state of a reclaimed AID — exactly what an uncollected
     /// engine would report (fossils are decided by construction).
     fn fossil_aid_state(&self, x: AidId) -> AidState {
@@ -304,8 +349,9 @@ impl Engine {
 
     /// Enable or disable per-transition invariant checking.
     ///
-    /// Checking is O(total dependence edges) per transition; benchmarks turn
-    /// it off, the property-test suite turns it on.
+    /// Checking is linear in the live records (intervals, AIDs and stored
+    /// dependence) per transition; benchmarks turn it off, the
+    /// property-test suite turns it on.
     pub fn set_invariant_checking(&mut self, on: bool) {
         self.check_invariants = on;
     }
@@ -324,7 +370,7 @@ impl Engine {
     /// HOPE primitives to any assumption identifier").
     pub fn aid_init(&mut self, creator: ProcessId) -> AidId {
         let id = AidId(self.aid_base + self.aids.len() as u64);
-        self.aids.push(Aid::new(id, creator));
+        self.aids.push_back(Aid::new(id, creator));
         id
     }
 
@@ -405,6 +451,7 @@ impl Engine {
     pub fn aid(&self, x: AidId) -> Result<AidView<'_>> {
         match self.aid_slot(x) {
             Slot::Live => Ok(AidView {
+                engine: self,
                 inner: self.aid_ref(x),
             }),
             Slot::Fossil => Err(Error::FossilAid(x)),
@@ -438,6 +485,7 @@ impl Engine {
     pub fn interval(&self, a: IntervalId) -> Result<IntervalView<'_>> {
         match self.itv_slot(a) {
             Slot::Live => Ok(IntervalView {
+                engine: self,
                 inner: self.itv_ref(a),
             }),
             Slot::Fossil => Err(Error::FossilInterval(a)),
@@ -476,10 +524,8 @@ impl Engine {
         let proc = self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
         Ok(proc
             .history
-            .iter()
-            .copied()
-            .find(|&a| self.itv_ref(a).status == IntervalStatus::Speculative)
-            .map(|a| self.itv_ref(a).ps))
+            .get(proc.first_spec)
+            .map(|&a| self.itv_ref(a).ps))
     }
 
     /// The process's current interval if it is speculative (the paper's
@@ -490,11 +536,8 @@ impl Engine {
     /// [`Error::UnknownProcess`] if `pid` was never registered.
     pub fn current_interval(&self, pid: ProcessId) -> Result<Option<IntervalId>> {
         let proc = self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
-        Ok(proc
-            .history
-            .last()
-            .copied()
-            .filter(|&a| self.itv_ref(a).status == IntervalStatus::Speculative))
+        // The speculative suffix, if there is one, runs to the end.
+        Ok(proc.history[proc.first_spec..].last().copied())
     }
 
     /// `true` if the process is currently speculative.
@@ -513,11 +556,10 @@ impl Engine {
     ///
     /// [`Error::UnknownProcess`] if `pid` was never registered.
     pub fn dependence_tag(&self, pid: ProcessId) -> Result<Tag> {
-        Ok(match self.current_interval(pid)? {
-            // O(1): the sender's IDO is shared into the tag by refcount bump.
-            Some(a) => Tag::from_depset(self.itv_ref(a).ido.clone()),
-            None => Tag::new(),
-        })
+        let proc = self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
+        // O(1): the sender's IDO is shared into the tag by refcount bump
+        // (and is empty exactly when the sender is definite).
+        Ok(Tag::from_depset(proc.ido.clone()))
     }
 
     // ------------------------------------------------------------------
@@ -532,10 +574,11 @@ impl Engine {
     ///
     /// Creates a new interval whose `IDO` is the current interval's `IDO`
     /// plus every named *undecided* AID (Equation 3; definitively affirmed
-    /// AIDs induce no dependence). The interval is recorded in the `DOM` of
-    /// every member of its `IDO` (Equation 4, extended per the module-level
-    /// fidelity note). `ps` is the checkpoint token handed back on rollback
-    /// (Equation 1).
+    /// AIDs induce no dependence). The interval joins the `DOM` of every
+    /// member of its `IDO` (Equation 4, extended per the module-level
+    /// fidelity note) — by extending its process's chain, so only AIDs new
+    /// to the process are touched. `ps` is the checkpoint token handed
+    /// back on rollback (Equation 1).
     ///
     /// If any named AID is definitively denied the guess answers
     /// [`GuessOutcome::AlreadyFalse`] — this is the `False` return of a
@@ -557,96 +600,12 @@ impl Engine {
         if self.proc_ref(pid).is_none() {
             return Err(Error::UnknownProcess(pid));
         }
-        for &x in aids {
-            if matches!(self.aid_slot(x), Slot::Unknown) {
-                return Err(Error::UnknownAid(x));
-            }
-        }
-        // A reclaimed AID answers from the fossil record, exactly as the
-        // live record would: denied fossils fail the guess, affirmed ones
-        // contribute no dependence.
-        if let Some(&denied) = aids.iter().find(|&&x| match self.aid_slot(x) {
-            Slot::Live => self.aid_ref(x).state == AidState::Denied,
-            Slot::Fossil => self.fossil_aid_state(x) == AidState::Denied,
-            Slot::Unknown => unreachable!("validated above"),
-        }) {
+        let mut guessed = DepSet::new();
+        if let Some(x) = self.resolve(aids.iter().copied(), &mut guessed)? {
             self.stats.failed_guesses += 1;
-            return Ok((GuessOutcome::AlreadyFalse(denied), Vec::new()));
+            return Ok((GuessOutcome::AlreadyFalse(x), Vec::new()));
         }
-
-        // Resolve each named AID to the dependence it *means* right now:
-        // an undecided AID stands for itself, but one that was
-        // speculatively affirmed was dissolved by Equations 10–14 —
-        // depending on it means depending on its affirmer's current IDO.
-        // (Without this, a late guess would resurrect dependence on the
-        // AID and break Theorem 6.3's proof.) Affirmed AIDs contribute
-        // nothing.
-        let mut guessed: DepSet<AidId> = DepSet::new();
-        for &x in aids {
-            let aid = match self.aid_slot(x) {
-                Slot::Live => self.aid_ref(x),
-                // Fossils are decided: no dependence, like any decided AID.
-                Slot::Fossil => continue,
-                Slot::Unknown => unreachable!("validated above"),
-            };
-            if aid.state != AidState::Undecided {
-                continue;
-            }
-            match aid.spec_affirmed_by {
-                Some(a) => {
-                    debug_assert!(
-                        aid.dom.is_empty(),
-                        "a speculatively affirmed AID has no direct dependents"
-                    );
-                    guessed.union_with(&self.itv_ref(a).ido);
-                }
-                None => {
-                    guessed.insert(x);
-                }
-            }
-        }
-        // Inherit the parent's IDO by refcount bump (Eq. 4–5): the set is
-        // built once and moved into the new interval — no per-node clone.
-        let mut ido = match self.current_interval(pid)? {
-            Some(a) => self.itv_ref(a).ido.clone(),
-            None => DepSet::new(),
-        };
-        ido.union_with(&guessed);
-
-        let id = IntervalId(self.interval_base + self.intervals.len() as u64);
-        for x in &ido {
-            self.aid_mut(x).dom.insert(id);
-        }
-        let ido_empty = ido.is_empty();
-        let proc = self.proc_mut(pid).expect("validated above");
-        let seq = proc.collected as usize + proc.history.len();
-        proc.history.push(id);
-        self.intervals.push(Interval {
-            id,
-            pid,
-            ps,
-            ido,
-            ihd: DepSet::new(),
-            iha: DepSet::new(),
-            guessed,
-            status: IntervalStatus::Speculative,
-            seq,
-        });
-
-        let mut effects = vec![Effect::IntervalStarted {
-            interval: id,
-            process: pid,
-        }];
-        self.stats.guesses += 1;
-
-        if ido_empty {
-            // Every named AID was already affirmed and the process was
-            // definite: the interval is definite from birth.
-            let mut wl = VecDeque::new();
-            self.do_finalize(id, &mut effects, &mut wl);
-            self.drain(&mut wl, &mut effects);
-        }
-        self.post_check();
+        let (id, effects) = self.guess_resolved(pid, guessed, ps);
         Ok((GuessOutcome::Begun(id), effects))
     }
 
@@ -668,39 +627,119 @@ impl Engine {
         if self.proc_ref(pid).is_none() {
             return Err(Error::UnknownProcess(pid));
         }
-        for x in tag.iter() {
-            if matches!(self.aid_slot(x), Slot::Unknown) {
-                return Err(Error::UnknownAid(x));
-            }
-        }
         // In-flight tags can outlive a collection sweep; the fossil record
         // keeps ghost filtering exact for them.
-        if let Some(denied) = tag.iter().find(|&x| match self.aid_slot(x) {
-            Slot::Live => self.aid_ref(x).state == AidState::Denied,
-            Slot::Fossil => self.fossil_aid_state(x) == AidState::Denied,
-            Slot::Unknown => unreachable!("validated above"),
-        }) {
+        let mut guessed = DepSet::new();
+        if let Some(x) = self.resolve(tag.iter(), &mut guessed)? {
             self.stats.ghosts += 1;
-            return Ok((ReceiveOutcome::Ghost(denied), Vec::new()));
+            return Ok((ReceiveOutcome::Ghost(x), Vec::new()));
         }
-        let undecided: Vec<AidId> = tag
-            .iter()
-            .filter(|&x| match self.aid_slot(x) {
-                Slot::Live => self.aid_ref(x).state == AidState::Undecided,
-                // Fossils are decided (and not denied, per the check above).
-                _ => false,
-            })
-            .collect();
-        if undecided.is_empty() {
+        if guessed.is_empty() {
+            // Nothing in the tag is still undecided: no dependence, no interval.
             return Ok((ReceiveOutcome::Clean, Vec::new()));
         }
-        let (outcome, effects) = self.guess(pid, &undecided, ps)?;
-        match outcome {
-            GuessOutcome::Begun(a) => Ok((ReceiveOutcome::Speculative(a), effects)),
-            // Unreachable: we filtered denied AIDs above and guess cannot
-            // observe new denials in between.
-            GuessOutcome::AlreadyFalse(x) => Ok((ReceiveOutcome::Ghost(x), effects)),
+        let (id, effects) = self.guess_resolved(pid, guessed, ps);
+        Ok((ReceiveOutcome::Speculative(id), effects))
+    }
+
+    /// Classify the AIDs a guess names — or an inbound tag carries — in one
+    /// pass. The first id this engine never allocated is an error; failing
+    /// that, the first definitively denied one is returned and fails the
+    /// guess; otherwise `guessed` receives the dependence the names *mean*
+    /// right now: an undecided AID stands for itself, but one that was
+    /// speculatively affirmed was dissolved by Equations 10–14 — depending
+    /// on it means depending on its affirmer's current `IDO`. (Without
+    /// this, a late guess would resurrect dependence on the AID and break
+    /// Theorem 6.3's proof.) Affirmed AIDs contribute nothing, and a
+    /// reclaimed AID answers from the fossil record exactly as the live
+    /// record would.
+    fn resolve(
+        &self,
+        named: impl Iterator<Item = AidId>,
+        guessed: &mut DepSet<AidId>,
+    ) -> Result<Option<AidId>> {
+        let mut denied = None;
+        for x in named {
+            let state = match self.aid_slot(x) {
+                Slot::Live => self.aid_ref(x).state,
+                Slot::Fossil => self.fossil_aid_state(x),
+                Slot::Unknown => return Err(Error::UnknownAid(x)),
+            };
+            match state {
+                AidState::Denied => denied = denied.or(Some(x)),
+                AidState::Undecided if denied.is_none() => {
+                    let aid = self.aid_ref(x);
+                    match aid.spec_affirmed_by {
+                        Some(a) => {
+                            debug_assert!(
+                                aid.dom.is_empty(),
+                                "a speculatively affirmed AID has no direct dependents"
+                            );
+                            guessed.union_with(&self.ido_of(self.itv_ref(a)));
+                        }
+                        None => {
+                            guessed.insert(x);
+                        }
+                    }
+                }
+                AidState::Undecided | AidState::Affirmed => {}
+            }
         }
+        Ok(denied)
+    }
+
+    /// Open the interval of a guess whose names [`resolve`](Self::resolve)d
+    /// to `guessed` (Equations 1–6), for a validated `pid`.
+    fn guess_resolved(
+        &mut self,
+        pid: ProcessId,
+        guessed: DepSet<AidId>,
+        ps: Checkpoint,
+    ) -> (IntervalId, Vec<Effect>) {
+        let id = IntervalId(self.interval_base + self.intervals.len() as u64);
+        let p = pid.0 as usize;
+        // Only what *enters* the process's dependence here is stored and
+        // registered — one DOM insert per new AID. Everything inherited
+        // (Eq. 4–5) is already headed by an earlier interval of this
+        // history, and this interval is behind that head by construction.
+        let mut entered = DepSet::new();
+        for x in &guessed {
+            if self.procs[p].ido.insert(x) {
+                entered.insert(x);
+                self.aid_mut(x).dom.insert(id);
+            }
+        }
+        let proc = &mut self.procs[p];
+        let definite = proc.ido.is_empty();
+        let seq = proc.collected as usize + proc.history.len();
+        proc.history.push(id);
+        self.intervals.push_back(Interval {
+            id,
+            pid,
+            ps,
+            ido: entered,
+            ihd: DepSet::new(),
+            iha: DepSet::new(),
+            guessed,
+            status: IntervalStatus::Speculative,
+            seq,
+        });
+
+        let mut effects = vec![Effect::IntervalStarted {
+            interval: id,
+            process: pid,
+        }];
+        self.stats.guesses += 1;
+
+        if definite {
+            // Every named AID was already affirmed and the process was
+            // definite: the interval is definite from birth.
+            let mut wl = VecDeque::new();
+            self.do_finalize(id, &mut effects, &mut wl);
+            self.drain(&mut wl, &mut effects);
+        }
+        self.post_check();
+        (id, effects)
     }
 
     // ------------------------------------------------------------------
@@ -781,14 +820,12 @@ impl Engine {
         self.stats.free_ofs += 1;
         let mut effects = Vec::new();
         let mut wl = VecDeque::new();
-        let depends = self
-            .current_interval(pid)?
-            .map(|a| self.itv_ref(a).ido.contains(&x));
-        match depends {
-            // Eq. 17 (definite) and Eq. 18 (speculative): affirm.
-            None | Some(false) => self.affirm_inner(pid, x, &mut effects, &mut wl),
+        if self.procs[pid.0 as usize].ido.contains(&x) {
             // Eq. 19: constraint violated — deny (definite: x ∈ A.IDO).
-            Some(true) => self.deny_inner(pid, x, &mut effects, &mut wl),
+            self.deny_inner(pid, x, &mut effects, &mut wl);
+        } else {
+            // Eq. 17 (definite) and Eq. 18 (speculative): affirm.
+            self.affirm_inner(pid, x, &mut effects, &mut wl);
         }
         self.drain(&mut wl, &mut effects);
         self.post_check();
@@ -820,21 +857,10 @@ impl Engine {
         };
         match itv.status {
             IntervalStatus::Definite => Ok(Vec::new()),
-            IntervalStatus::RolledBack => Err(Error::FinalizePrecondition(a)),
-            IntervalStatus::Speculative => {
-                if itv.ido.is_empty() {
-                    // Unreachable through the public API (the engine would
-                    // already have finalized), but honour it if an
-                    // embedder constructs the state some other way.
-                    let mut effects = Vec::new();
-                    let mut wl = VecDeque::new();
-                    self.do_finalize(a, &mut effects, &mut wl);
-                    self.drain(&mut wl, &mut effects);
-                    self.post_check();
-                    Ok(effects)
-                } else {
-                    Err(Error::FinalizePrecondition(a))
-                }
+            // The engine finalizes the moment an `IDO` empties, so a live
+            // speculative interval always has dependences left.
+            IntervalStatus::Speculative | IntervalStatus::RolledBack => {
+                Err(Error::FinalizePrecondition(a))
             }
         }
     }
@@ -849,8 +875,8 @@ impl Engine {
     /// first *speculative* interval id in that process's history (Time
     /// Warp's GVT computed from per-process finalized frontiers). Every
     /// interval below it is definite (Theorem 5.2: it can never roll back)
-    /// or already rolled back, appears in no `DOM` set (the Lemma 5.1
-    /// invariant keeps `DOM`s speculative-only) and is referenced by no
+    /// or already rolled back, heads no `DOM` set (only speculative
+    /// intervals store dependence) and is referenced by no
     /// live AID's `spec_affirmed_by`/`spec_denied_by` tie (those are
     /// cleared on finalize and rollback) — so its storage, including its
     /// `IDO`/`IHD`/`IHA`/`guessed` dependence sets, is unreachable and is
@@ -876,29 +902,22 @@ impl Engine {
         let total = self.interval_base + self.intervals.len() as u64;
         let mut horizon = total;
         for proc in &self.procs {
-            let frontier = proc
-                .history
-                .iter()
-                .copied()
-                .find(|&a| self.itv_ref(a).status == IntervalStatus::Speculative)
-                .map_or(total, |a| a.0);
+            let frontier = proc.history.get(proc.first_spec).map_or(total, |a| a.0);
             horizon = horizon.min(frontier);
         }
         let n_itv = (horizon - self.interval_base) as usize;
         if n_itv > 0 {
             for proc in &mut self.procs {
                 // History ids are strictly increasing, so the collectable
-                // entries form a prefix.
-                let keep = proc
-                    .history
-                    .iter()
-                    .position(|&a| a.0 >= horizon)
-                    .unwrap_or(proc.history.len());
+                // entries form a prefix — of the definite prefix.
+                let keep = proc.history.partition_point(|a| a.0 < horizon);
                 proc.history.drain(..keep);
                 proc.collected += keep as u64;
+                proc.first_spec -= keep;
             }
-            debug_assert!(self.intervals[..n_itv]
-                .iter()
+            debug_assert!(self
+                .intervals
+                .range(..n_itv)
                 .all(|i| i.status != IntervalStatus::Speculative));
             self.intervals.drain(..n_itv);
             self.interval_base = horizon;
@@ -970,27 +989,79 @@ impl Engine {
                 // Speculative affirm (Equations 10–14).
                 self.stats.speculative_affirms += 1;
                 // The affirmer's IDO minus x: a COW share plus one removal.
-                let mut a_ido = self.itv_ref(a).ido.clone();
+                let mut a_ido = self.procs[pid.0 as usize].ido.clone();
                 a_ido.remove(&x);
-                let x_dom = std::mem::take(&mut self.aid_mut(x).dom);
-                // Eq. 10: every AID the affirmer depends on inherits x's
-                // dependents (word-parallel union).
-                for y in &a_ido {
-                    self.aid_mut(y).dom.union_with(&x_dom);
-                }
-                // Eqs. 11–14: dependents swap x for the affirmer's IDO.
-                for b in &x_dom {
-                    let itv = self.itv_mut(b);
-                    itv.ido.remove(&x);
-                    itv.ido.union_with(&a_ido);
-                    if itv.ido.is_empty() {
-                        wl.push_back(Task::Finalize(b));
+                let heads = std::mem::take(&mut self.aid_mut(x).dom);
+                // Eqs. 10–14, once per dependent process: from x's head `h`
+                // to the end of that history every interval swaps x for the
+                // affirmer's IDO. In stored form that is one rewrite of
+                // `h`'s set — drop x, take in what the chain did not hold
+                // yet, and pull forward what it held only from later on.
+                for h in &heads {
+                    let p = self.itv_ref(h).pid.0 as usize;
+                    self.itv_mut(h).ido.remove(&x);
+                    self.procs[p].ido.remove(&x);
+                    for y in &a_ido {
+                        if self.procs[p].ido.insert(y) {
+                            self.itv_mut(h).ido.insert(y);
+                            self.aid_mut(y).dom.insert(h);
+                        } else if let Some(g) = self.head_after(y, h) {
+                            self.itv_mut(g).ido.remove(&y);
+                            self.itv_mut(h).ido.insert(y);
+                            let dom = &mut self.aid_mut(y).dom;
+                            dom.remove(&g);
+                            dom.insert(h);
+                        }
                     }
+                }
+                // Only an affirmer that depended on nothing but x can empty
+                // a dependent's IDO.
+                if a_ido.is_empty() {
+                    self.queue_finalizable(&heads, wl);
                 }
                 self.aid_mut(x).spec_affirmed_by = Some(a);
                 self.itv_mut(a).iha.insert(x);
                 effects.push(Effect::SpeculativelyAffirmed { aid: x, by: a });
             }
+        }
+    }
+
+    /// `y`'s head in the process of `h`, if it lies *after* `h` in that
+    /// history. Precondition: that process depends on `y`.
+    fn head_after(&self, y: AidId, h: IntervalId) -> Option<IntervalId> {
+        let pid = self.itv_ref(h).pid;
+        self.aid_ref(y)
+            .dom
+            .iter()
+            .find(|&g| self.itv_ref(g).pid == pid)
+            .filter(|&g| g > h)
+    }
+
+    /// After an AID was discharged at `heads` (its first dependent interval
+    /// in each dependent process), queue every interval whose `IDO` that
+    /// emptied: in each such history the stored sets from `first_spec` up
+    /// to and past the head must all be empty. Intervals before the head
+    /// with empty sets are already queued (their `IDO` emptied earlier in
+    /// this cascade). Tasks are queued in ascending interval id across
+    /// processes — the order a walk over the full `DOM` set produces.
+    fn queue_finalizable(&self, heads: &DepSet<IntervalId>, wl: &mut VecDeque<Task>) {
+        let queued = wl.len();
+        for h in heads {
+            let (proc, from) = self.place(self.itv_ref(h));
+            for (pos, &b) in proc.history.iter().enumerate().skip(proc.first_spec) {
+                if !self.itv_ref(b).ido.is_empty() {
+                    break;
+                }
+                if pos >= from {
+                    wl.push_back(Task::Finalize(b));
+                }
+            }
+        }
+        // One run per head, each ascending: only several runs need merging.
+        if heads.len() > 1 {
+            wl.make_contiguous()[queued..].sort_unstable_by_key(|t| match *t {
+                Task::Finalize(b) | Task::Rollback(b) => b,
+            });
         }
     }
 
@@ -1003,10 +1074,7 @@ impl Engine {
         wl: &mut VecDeque<Task>,
     ) {
         let cur = self.current_interval(pid).expect("validated");
-        let definite = match cur {
-            None => true,
-            Some(a) => self.itv_ref(a).ido.contains(&x),
-        };
+        let definite = cur.is_none() || self.procs[pid.0 as usize].ido.contains(&x);
         if definite {
             // Eq. 15.
             effects.push(Effect::AidDenied { aid: x });
@@ -1034,14 +1102,16 @@ impl Engine {
         aid.state = AidState::Affirmed;
         aid.spec_affirmed_by = None;
         aid.consumed = true;
-        let dom = std::mem::take(&mut aid.dom);
-        for b in &dom {
-            let itv = self.itv_mut(b);
+        // x leaves each dependent chain where it entered it; every later
+        // interval of that history loses it with the head.
+        let heads = std::mem::take(&mut aid.dom);
+        for h in &heads {
+            let itv = self.itv_mut(h);
             itv.ido.remove(&x);
-            if itv.ido.is_empty() {
-                wl.push_back(Task::Finalize(b));
-            }
+            let p = itv.pid.0 as usize;
+            self.procs[p].ido.remove(&x);
         }
+        self.queue_finalizable(&heads, wl);
     }
 
     /// Make `x` definitively denied and queue rollback of its dependents
@@ -1076,31 +1146,39 @@ impl Engine {
         if self.itv_ref(a).status != IntervalStatus::Speculative {
             return;
         }
-        debug_assert!(
-            self.itv_ref(a).ido.is_empty(),
-            "finalize precondition (Eq. 20) violated for {a}"
-        );
-        self.itv_mut(a).status = IntervalStatus::Definite;
+        let itv = self.itv_mut(a);
+        itv.status = IntervalStatus::Definite;
+        let pid = itv.pid;
+        // `a.IDO = ∅` means `a` heads its chain with nothing stored: the
+        // definite prefix grows by exactly this interval.
+        debug_assert!(itv.ido.is_empty(), "Eq. 20 violated for {a}");
+        let proc = &mut self.procs[pid.0 as usize];
+        debug_assert_eq!(proc.history.get(proc.first_spec), Some(&a), "Eq. 20, {a}");
+        proc.first_spec += 1;
         self.stats.finalized += 1;
         effects.push(Effect::Finalized {
             interval: a,
-            process: self.itv_ref(a).pid,
+            process: pid,
         });
         // Speculative affirms issued in `a` become definite (Lemma 6.1):
         // promote the AIDs so later guessers observe `Affirmed`.
-        let iha = self.itv_ref(a).iha.clone();
-        for x in &iha {
-            if self.aid_ref(x).state == AidState::Undecided {
-                effects.push(Effect::AidAffirmed { aid: x });
-                self.definite_affirm_aid(x, effects, wl);
+        if !self.itv_ref(a).iha.is_empty() {
+            let iha = self.itv_ref(a).iha.clone();
+            for x in &iha {
+                if self.aid_ref(x).state == AidState::Undecided {
+                    effects.push(Effect::AidAffirmed { aid: x });
+                    self.definite_affirm_aid(x, effects, wl);
+                }
             }
         }
         // Speculative denies issued in `a` become definite (Equation 22).
-        let ihd = self.itv_ref(a).ihd.clone();
-        for x in &ihd {
-            if self.aid_ref(x).state == AidState::Undecided {
-                effects.push(Effect::AidDenied { aid: x });
-                self.definite_deny_aid(x, effects, wl);
+        if !self.itv_ref(a).ihd.is_empty() {
+            let ihd = self.itv_ref(a).ihd.clone();
+            for x in &ihd {
+                if self.aid_ref(x).state == AidState::Undecided {
+                    effects.push(Effect::AidDenied { aid: x });
+                    self.definite_deny_aid(x, effects, wl);
+                }
             }
         }
     }
@@ -1116,12 +1194,11 @@ impl Engine {
             }
             IntervalStatus::Speculative => {}
         }
-        let (pid, seq) = (self.itv_ref(a).pid, self.itv_ref(a).seq);
-        let proc = self.proc_mut(pid).expect("interval has valid pid");
-        // `seq` counts from the start of the full history, `collected` of
-        // which fossil collection took from the front.
-        let pos = seq - proc.collected as usize;
-        debug_assert_eq!(proc.history.get(pos), Some(&a), "speculative {a}");
+        let pid = self.itv_ref(a).pid;
+        let (proc, pos) = self.place(self.itv_ref(a));
+        debug_assert!(pos >= proc.first_spec, "speculative {a}");
+        let proc = &mut self.procs[pid.0 as usize];
+        // `first_spec` stays put: it is either below `pos` or now the length.
         let discarded = proc.history.split_off(pos);
         proc.discarded += discarded.len() as u64;
         self.stats.rolled_back_intervals += discarded.len() as u64;
@@ -1135,32 +1212,40 @@ impl Engine {
                 IntervalStatus::Definite,
                 "definite interval {c} in a rolled-back suffix"
             );
-            self.itv_mut(c).status = IntervalStatus::RolledBack;
-            // Withdraw from every DOM set (keeps Lemma 5.1 symmetric).
-            let ido = self.itv_ref(c).ido.clone();
-            for x in &ido {
+            let itv = self.itv_mut(c);
+            itv.status = IntervalStatus::RolledBack;
+            // Withdraw what entered the chain at `c` — from the process's
+            // dependence and, as its head, from each DOM. (AIDs that entered
+            // earlier keep their heads: their DOMs shrink with the history.)
+            let entered = std::mem::take(&mut itv.ido);
+            for x in &entered {
+                self.procs[pid.0 as usize].ido.remove(&x);
                 self.aid_mut(x).dom.remove(&c);
             }
             // Speculative affirms become conservative definite denies
             // (§5.6, footnote 2).
-            let iha = self.itv_ref(c).iha.clone();
-            for x in &iha {
-                self.aid_mut(x).spec_affirmed_by = None;
-                if self.aid_ref(x).state == AidState::Undecided {
-                    effects.push(Effect::AidDenied { aid: x });
-                    self.definite_deny_aid(x, effects, wl);
+            if !self.itv_ref(c).iha.is_empty() {
+                let iha = self.itv_ref(c).iha.clone();
+                for x in &iha {
+                    self.aid_mut(x).spec_affirmed_by = None;
+                    if self.aid_ref(x).state == AidState::Undecided {
+                        effects.push(Effect::AidDenied { aid: x });
+                        self.definite_deny_aid(x, effects, wl);
+                    }
                 }
             }
             // Speculative denies die with the interval (§5.6: "they die
             // with the interval inside the IHD set"). The deny never took
             // effect, so the AID is released for the re-execution to decide
             // again — the one-shot rule counts only surviving primitives.
-            let ihd = self.itv_ref(c).ihd.clone();
-            for x in &ihd {
-                if self.aid_ref(x).spec_denied_by == Some(c) {
-                    self.aid_mut(x).spec_denied_by = None;
-                    if self.aid_ref(x).state == AidState::Undecided {
-                        self.aid_mut(x).consumed = false;
+            if !self.itv_ref(c).ihd.is_empty() {
+                let ihd = self.itv_ref(c).ihd.clone();
+                for x in &ihd {
+                    if self.aid_ref(x).spec_denied_by == Some(c) {
+                        self.aid_mut(x).spec_denied_by = None;
+                        if self.aid_ref(x).state == AidState::Undecided {
+                            self.aid_mut(x).consumed = false;
+                        }
                     }
                 }
             }
@@ -1180,16 +1265,80 @@ impl Engine {
         }
     }
 
-    /// Verify the structural invariants the paper's theorems rest on:
+    /// `A.IDO` for a live interval, read off the chain: the union of the
+    /// stored sets from its process's first speculative interval up to `A`.
+    /// Borrowed where a stored set already *is* the answer — [`Proc::ido`]
+    /// for the current interval, `A`'s own set at the head of the chain or
+    /// outside it (definite intervals depend on nothing; a rolled-back
+    /// interval's dependence is dead state and reads as empty).
+    pub(crate) fn ido_of<'a>(&'a self, itv: &'a Interval) -> Cow<'a, DepSet<AidId>> {
+        if itv.status != IntervalStatus::Speculative {
+            return Cow::Borrowed(&itv.ido);
+        }
+        let (proc, pos) = self.place(itv);
+        if pos == proc.first_spec {
+            return Cow::Borrowed(&itv.ido);
+        }
+        if pos + 1 == proc.history.len() {
+            return Cow::Borrowed(&proc.ido);
+        }
+        let mut ido = DepSet::new();
+        for &b in &proc.history[proc.first_spec..=pos] {
+            ido.union_with(&self.itv_ref(b).ido);
+        }
+        Cow::Owned(ido)
+    }
+
+    /// `X.DOM` for a live AID, read off its heads: every interval from each
+    /// head to the end of that head's history. Borrowed when no head has a
+    /// successor (the stored set is then the whole answer).
+    pub(crate) fn dom_of<'a>(&'a self, aid: &'a Aid) -> Cow<'a, DepSet<IntervalId>> {
+        let suffix = |h: IntervalId| {
+            let (proc, pos) = self.place(self.itv_ref(h));
+            &proc.history[pos..]
+        };
+        if aid.dom.iter().all(|h| suffix(h).len() == 1) {
+            return Cow::Borrowed(&aid.dom);
+        }
+        Cow::Owned(
+            aid.dom
+                .iter()
+                .flat_map(|h| suffix(h).iter().copied())
+                .collect(),
+        )
+    }
+
+    /// Where an interval that is still in its process's history sits: the
+    /// process record and the position in `history`. (`seq` counts from the
+    /// start of the full history, `collected` of which fossil collection
+    /// took from the front.)
+    fn place(&self, itv: &Interval) -> (&Proc, usize) {
+        let proc = &self.procs[itv.pid.0 as usize];
+        let pos = itv.seq - proc.collected as usize;
+        debug_assert_eq!(proc.history.get(pos), Some(&itv.id));
+        (proc, pos)
+    }
+
+    /// Verify the structural invariants the paper's theorems rest on, as
+    /// they read on the chain-compressed relation (module docs, § Storage):
     ///
-    /// 1. **Lemma 5.1 symmetry**: `X ∈ A.IDO ⟺ A ∈ X.DOM` for live
-    ///    speculative intervals.
-    /// 2. **Prefix-subset** (Theorem 5.1's induction invariant): within one
-    ///    process history, an earlier interval's `IDO` is a subset of every
-    ///    later interval's `IDO`.
-    /// 3. **Status coherence**: speculative ⟺ non-empty `IDO` for live
-    ///    intervals; `DOM` sets only contain speculative intervals; definite
-    ///    intervals precede speculative ones in each history.
+    /// 1. **Heads** (what is left of Lemma 5.1 to check): `h ∈ X.dom ⟺
+    ///    X ∈ h.ido` on the *stored* sets, and every head is a speculative
+    ///    interval. An AID that is decided or speculatively affirmed has no
+    ///    heads.
+    /// 2. **Chains**: each history is a definite prefix followed by a
+    ///    speculative suffix starting at `first_spec`, with no rolled-back
+    ///    interval in it; the stored sets along the suffix are pairwise
+    ///    disjoint, their union is the process's `ido`, and the first one
+    ///    is non-empty (speculative ⟺ non-empty `IDO`). Intervals outside a
+    ///    chain store nothing.
+    ///
+    /// Two checks of the edge-wise engine now hold by construction and are
+    /// not re-checked: Lemma 5.1's symmetry for *inherited* dependence
+    /// (`DOM` is read off the heads, so an interval is in `X.DOM` exactly
+    /// when `X` entered its chain at or before it) and Theorem 5.1's
+    /// prefix-subset invariant (`IDO` is a running union along the chain).
+    /// "`DOM` sets only contain speculative intervals" follows from 1 and 2.
     ///
     /// Returns a human-readable description of the first violation.
     ///
@@ -1198,53 +1347,36 @@ impl Engine {
     /// `Err(description)` if any invariant is violated (which would be an
     /// engine bug, not caller misuse).
     pub fn verify_invariants(&self) -> std::result::Result<(), String> {
-        // 1 + 3: interval-side checks.
+        // 1: interval side.
         for itv in &self.intervals {
-            match itv.status {
-                IntervalStatus::Speculative => {
-                    if itv.ido.is_empty() {
-                        return Err(format!("{} speculative with empty IDO", itv.id));
-                    }
-                    for x in &itv.ido {
-                        if !self.aid_ref(x).dom.contains(&itv.id) {
-                            return Err(format!(
-                                "Lemma 5.1: {} ∈ {}.IDO but {} ∉ {}.DOM",
-                                x, itv.id, itv.id, x
-                            ));
-                        }
-                    }
-                }
-                IntervalStatus::Definite | IntervalStatus::RolledBack => {
-                    for aid in &self.aids {
-                        if aid.dom.contains(&itv.id) {
-                            return Err(format!(
-                                "{} is {:?} but present in {}.DOM",
-                                itv.id, itv.status, aid.id
-                            ));
-                        }
-                    }
+            if itv.status != IntervalStatus::Speculative && !itv.ido.is_empty() {
+                return Err(format!("{} is {:?} but stores AIDs", itv.id, itv.status));
+            }
+            for x in &itv.ido {
+                if !self.aid_ref(x).dom.contains(&itv.id) {
+                    return Err(format!(
+                        "Lemma 5.1: {} entered at {} but {} is not a head of {}.DOM",
+                        x, itv.id, itv.id, x
+                    ));
                 }
             }
         }
-        // 1: AID-side symmetry.
+        // 1: AID side.
         for aid in &self.aids {
-            for a in &aid.dom {
-                let itv = self.itv_ref(a);
+            for h in &aid.dom {
+                let itv = self.itv_ref(h);
                 if !itv.ido.contains(&aid.id) {
                     return Err(format!(
-                        "Lemma 5.1: {} ∈ {}.DOM but {} ∉ {}.IDO",
-                        a, aid.id, aid.id, a
+                        "Lemma 5.1: {} heads {}.DOM but {} did not enter at {}",
+                        h, aid.id, aid.id, h
                     ));
                 }
                 if itv.status != IntervalStatus::Speculative {
-                    return Err(format!("{} in {}.DOM is not speculative", a, aid.id));
+                    return Err(format!("head {} of {}.DOM is not speculative", h, aid.id));
                 }
             }
-            if aid.state == AidState::Denied && !aid.dom.is_empty() {
-                return Err(format!("denied {} has non-empty DOM", aid.id));
-            }
-            if aid.state == AidState::Affirmed && !aid.dom.is_empty() {
-                return Err(format!("affirmed {} has non-empty DOM", aid.id));
+            if aid.state.is_decided() && !aid.dom.is_empty() {
+                return Err(format!("{:?} {} has non-empty DOM", aid.state, aid.id));
             }
             if aid.spec_affirmed_by.is_some() && !aid.dom.is_empty() {
                 return Err(format!(
@@ -1254,33 +1386,40 @@ impl Engine {
                 ));
             }
         }
-        // 2 + 3: per-process history checks.
+        // 2: per-process chains.
         for (i, proc) in self.procs.iter().enumerate() {
             let pid = ProcessId(i as u32);
-            let mut seen_speculative = false;
-            let mut prev: Option<&Interval> = None;
-            for &a in &proc.history {
+            let mut ido: DepSet<AidId> = DepSet::new();
+            for (pos, &a) in proc.history.iter().enumerate() {
                 let itv = self.itv_ref(a);
-                if itv.status == IntervalStatus::RolledBack {
-                    return Err(format!("rolled-back {} still in {}'s history", a, pid));
-                }
-                if itv.status == IntervalStatus::Speculative {
-                    seen_speculative = true;
-                } else if seen_speculative {
+                let expected = if pos < proc.first_spec {
+                    IntervalStatus::Definite
+                } else {
+                    IntervalStatus::Speculative
+                };
+                if itv.status != expected {
                     return Err(format!(
-                        "definite {} follows a speculative interval in {}'s history",
-                        a, pid
+                        "{} is {:?} at position {} of {}'s history (first_spec {})",
+                        a, itv.status, pos, pid, proc.first_spec
                     ));
                 }
-                if let Some(p) = prev {
-                    if !p.ido.is_subset(&itv.ido) {
-                        return Err(format!(
-                            "prefix-subset: {}.IDO ⊄ {}.IDO in {}'s history",
-                            p.id, itv.id, pid
-                        ));
+                if pos == proc.first_spec && itv.ido.is_empty() {
+                    return Err(format!("{} speculative with empty IDO", a));
+                }
+                for x in &itv.ido {
+                    if !ido.insert(x) {
+                        return Err(format!("{} entered {}'s chain twice (at {})", x, pid, a));
                     }
                 }
-                prev = Some(itv);
+            }
+            if proc.first_spec > proc.history.len() {
+                return Err(format!("{}'s first_spec is past its history", pid));
+            }
+            if ido != proc.ido {
+                return Err(format!(
+                    "{}'s IDO {:?} is not the union of its chain {:?}",
+                    pid, proc.ido, ido
+                ));
             }
         }
         Ok(())
@@ -1322,6 +1461,88 @@ mod tests {
         // One spill for the IDO chain crossing the inline capacity, at most
         // one per AID's DOM set: never more than one spill per live set.
         assert!(depset::spills() - spills_before <= 1 + DEPTH);
+    }
+
+    /// `depth` nested guesses by one process on distinct AIDs, unchecked
+    /// (per-transition verification is linear in the chain, and under
+    /// `cfg(test)` every set operation re-checks its shadow): the
+    /// representation tests below verify once, where they mean to.
+    fn deep_chain(depth: usize) -> (Engine, ProcessId, ProcessId, Vec<AidId>) {
+        let mut e = Engine::new();
+        e.set_invariant_checking(false);
+        let (guesser, decider) = (e.register_process(), e.register_process());
+        let aids: Vec<AidId> = (0..depth)
+            .map(|i| {
+                let x = e.aid_init(guesser);
+                e.guess(guesser, &[x], Checkpoint(i as u64)).unwrap();
+                x
+            })
+            .collect();
+        (e, guesser, decider, aids)
+    }
+
+    const DEEP: usize = 4096;
+
+    #[test]
+    fn deep_chain_stores_one_head_and_one_aid_per_record() {
+        let (e, guesser, _, aids) = deep_chain(DEEP);
+        // Stored form: the relation costs O(1) per interval and per AID…
+        assert!(e.aids.iter().all(|a| a.dom.len() == 1));
+        assert!(e.intervals.iter().all(|i| i.ido.len() == 1));
+        assert_eq!(e.procs[guesser.0 as usize].ido.len(), DEEP);
+        e.verify_invariants().unwrap();
+        // …while the views still report all of Lemma 5.1's: the i-th AID
+        // has the d − i intervals from its head on as dependents, the i-th
+        // interval depends on the first i + 1 AIDs.
+        let history = e.history(guesser).unwrap();
+        for i in [0, 1, 31, 32, 33, DEEP / 2, DEEP - 2, DEEP - 1] {
+            let dom = e.aid(aids[i]).unwrap().dom();
+            assert_eq!(dom.len(), DEEP - i);
+            assert!(dom.iter().eq(history[i..].iter().copied()));
+            let ido = e.interval(history[i]).unwrap().ido();
+            assert_eq!(ido.len(), i + 1);
+            assert!(ido.iter().eq(aids[..=i].iter().copied()));
+        }
+    }
+
+    #[test]
+    fn deep_guess_affirm_cycle_copies_at_most_one_set() {
+        use crate::depset;
+        let (mut e, guesser, decider, aids) = deep_chain(DEEP);
+        let before = depset::materializations();
+        let x = e.aid_init(guesser);
+        e.guess(guesser, &[x], Checkpoint(0)).unwrap();
+        let fx = e.affirm(decider, aids[0]).unwrap();
+        assert!(
+            depset::materializations() - before <= 1,
+            "a guess + oldest-affirm cycle at depth {DEEP} copied or spilled {} sets",
+            depset::materializations() - before
+        );
+        // Exactly the oldest interval finalized, and the chain moved up.
+        let finalized = fx.iter().filter(|f| matches!(f, Effect::Finalized { .. }));
+        assert_eq!(finalized.count(), 1);
+        assert_eq!(e.procs[guesser.0 as usize].first_spec, 1);
+        assert_eq!(e.procs[guesser.0 as usize].ido.len(), DEEP);
+        e.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn deep_deny_of_the_oldest_leaves_nothing_stored() {
+        let (mut e, guesser, decider, aids) = deep_chain(DEEP);
+        let fx = e.deny(decider, aids[0]).unwrap();
+        match fx.iter().find(|f| f.is_rollback()).unwrap() {
+            Effect::RolledBack { intervals, .. } => assert_eq!(intervals.len(), DEEP),
+            _ => unreachable!(),
+        }
+        assert_eq!(e.stats().rollback_events, 1);
+        assert!(e.aids.iter().all(|a| a.dom.is_empty()));
+        assert!(e.intervals.iter().all(|i| i.ido.is_empty()));
+        let proc = &e.procs[guesser.0 as usize];
+        assert!(proc.ido.is_empty() && proc.history.is_empty());
+        assert_eq!(proc.first_spec, 0);
+        // The younger assumptions were guessed, not denied.
+        assert_eq!(e.open_aids().len(), DEEP - 1);
+        e.verify_invariants().unwrap();
     }
 
     #[test]
@@ -1379,9 +1600,9 @@ mod tests {
         let (a, _) = e.guess(p[0], &[x], Checkpoint(0)).unwrap();
         let (b, _) = e.guess(p[0], &[y], Checkpoint(1)).unwrap();
         let b = b.interval().unwrap();
-        let ido = e.interval(b).unwrap().ido().clone();
+        let ido = e.interval(b).unwrap().ido();
         assert!(ido.contains(&x) && ido.contains(&y));
-        // Inherited dependency is recorded in DOM too (module fidelity note).
+        // Inherited dependency shows in DOM too (module fidelity note).
         assert!(e.aid(x).unwrap().dom().contains(&b));
         let _ = a;
     }
@@ -1516,7 +1737,7 @@ mod tests {
         assert!(fx.iter().any(
             |f| matches!(f, Effect::SpeculativelyAffirmed { aid, by } if *aid == x && *by == a)
         ));
-        let b_ido = e.interval(b).unwrap().ido().clone();
+        let b_ido = e.interval(b).unwrap().ido();
         assert!(!b_ido.contains(&x));
         assert!(b_ido.contains(&y));
         assert!(e.aid(y).unwrap().dom().contains(&b));

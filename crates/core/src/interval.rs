@@ -22,7 +22,10 @@
 //! (Lemma 6.1's conclusion) and (b) conservatively deny it when the interval
 //! rolls back (§5.6, footnote 2).
 
+use std::borrow::Cow;
+
 use crate::depset::DepSet;
+use crate::engine::Engine;
 use crate::ids::{AidId, IntervalId, ProcessId};
 
 /// Lifecycle status of an interval.
@@ -61,7 +64,12 @@ pub(crate) struct Interval {
     pub(crate) pid: ProcessId,
     /// `A.PS`.
     pub(crate) ps: Checkpoint,
-    /// `A.IDO`.
+    /// The part of `A.IDO` that *entered* the process's dependence at this
+    /// interval: the AIDs `A` depends on that its predecessor did not.
+    /// `A.IDO` itself is the union of these sets from the process's first
+    /// speculative interval up to `A` ([`IntervalView::ido`]); Theorem
+    /// 5.1's prefix-subset invariant is what makes that exact. Empty once
+    /// the interval is definite or rolled back.
     pub(crate) ido: DepSet<AidId>,
     /// `A.IHD`.
     pub(crate) ihd: DepSet<AidId>,
@@ -79,9 +87,28 @@ pub(crate) struct Interval {
 /// Read-only view of one interval's control variables.
 ///
 /// Obtained from [`Engine::interval`](crate::Engine::interval).
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub struct IntervalView<'a> {
+    pub(crate) engine: &'a Engine,
     pub(crate) inner: &'a Interval,
+}
+
+/// The control variables as the accessors report them, not the engine the
+/// view borrows.
+impl std::fmt::Debug for IntervalView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IntervalView")
+            .field("id", &self.id())
+            .field("pid", &self.process())
+            .field("ps", &self.checkpoint())
+            .field("ido", &*self.ido())
+            .field("ihd", self.ihd())
+            .field("iha", self.iha())
+            .field("guessed", self.guessed())
+            .field("status", &self.status())
+            .field("seq", &self.seq())
+            .finish()
+    }
 }
 
 impl<'a> IntervalView<'a> {
@@ -102,10 +129,18 @@ impl<'a> IntervalView<'a> {
 
     /// `A.IDO`: assumption identifiers this interval depends on.
     ///
-    /// Iterating the returned [`DepSet`] yields [`AidId`]s by value in
-    /// ascending order, exactly as the former `BTreeSet` representation did.
-    pub fn ido(&self) -> &'a DepSet<AidId> {
-        &self.inner.ido
+    /// Read off the chain on demand — the engine stores only what entered
+    /// the dependence at each interval (see the [`Engine`] module docs,
+    /// § Storage), so this is the union over the process's speculative
+    /// history up to `A`: borrowed, O(1), for the current interval and for
+    /// the first speculative one; built, linear in the chain before it,
+    /// otherwise. Definite intervals depend on nothing, and a rolled-back
+    /// interval reports the empty set (its dependence died with it).
+    ///
+    /// Iterating the [`DepSet`] yields [`AidId`]s by value in ascending
+    /// order, exactly as the former `BTreeSet` representation did.
+    pub fn ido(&self) -> Cow<'a, DepSet<AidId>> {
+        self.engine.ido_of(self.inner)
     }
 
     /// `A.IHD`: speculative denies pending this interval's finalization.

@@ -150,7 +150,7 @@ pub fn render_dependency_graph(engine: &crate::Engine) -> String {
             "  \"{id}\" [shape=box, color={color}, label=\"{id}\\n{}\"];",
             v.process()
         );
-        for x in v.ido() {
+        for x in v.ido().iter() {
             let _ = writeln!(out, "  \"{id}\" -> \"{x}\" [label=\"IDO\"];");
         }
     }

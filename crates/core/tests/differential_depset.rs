@@ -1,13 +1,17 @@
-//! Differential oracle for the `DepSet` representation swap.
+//! The relation oracle: the chain-compressed engine against the literal
+//! transcription of §5.
 //!
-//! A reference engine (`RefEngine`) transcribes the engine's algorithm on
-//! plain `BTreeSet`s — the pre-`DepSet` representation, including its
-//! iteration orders — and random primitive sequences are driven against
-//! both engines in lockstep. Every operation must produce identical
-//! results and effect streams, and the final control-variable state
-//! (histories, statuses, `IDO`/`IHD`/`IHA`/`guessed`, `DOM`, tags) must be
-//! identical. Any divergence introduced by the hybrid inline/bitset
-//! representation — ordering, COW aliasing, spill boundaries — fails here.
+//! A reference engine (`RefEngine`) transcribes Equations 1–24 edge by edge
+//! on plain `BTreeSet`s — every interval holds its full `IDO`, every AID
+//! its full `DOM`, in the pre-`DepSet` representation and iteration orders
+//! — and random primitive sequences are driven against both engines in
+//! lockstep. Every operation must produce identical results and effect
+//! streams, and after every step the control-variable state (histories,
+//! statuses, materialized `IDO`/`DOM`, `IHD`/`IHA`/`guessed`, tags) must be
+//! identical. Any divergence introduced by storing the relation as
+//! per-process chains (`Engine` module docs, § Storage) or by the hybrid
+//! inline/bitset sets — ordering, head bookkeeping, COW aliasing, spill
+//! boundaries — fails here.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -375,7 +379,7 @@ impl RefEngine {
         for &c in discarded.iter().rev() {
             let c_idx = c.index() as usize;
             self.intervals[c_idx].status = IntervalStatus::RolledBack;
-            let ido: Vec<AidId> = self.intervals[c_idx].ido.iter().copied().collect();
+            let ido = std::mem::take(&mut self.intervals[c_idx].ido); // dead state, read by nothing
             for x in ido {
                 self.aids[x.index() as usize].dom.remove(&c);
             }
@@ -410,11 +414,15 @@ impl RefEngine {
 // ---------------------------------------------------------------------
 
 const N_PROCS: u32 = 3;
+/// AIDs created before the first op; `Op::AidInit` adds more.
 const N_AIDS: u64 = 6;
 
-/// One random primitive. Raw indices are mapped onto live ids at play time.
+/// One random primitive. Raw indices are mapped onto the ids that exist at
+/// play time (modulo the current AID or tag count).
 #[derive(Debug, Clone, Copy)]
 enum Op {
+    /// Create one more AID, so chains can outgrow the initial pool.
+    AidInit,
     Guess(u32, u64),
     Affirm(u32, u64),
     Deny(u32, u64),
@@ -424,14 +432,20 @@ enum Op {
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..7, 0u32..N_PROCS, 0u64..N_AIDS).prop_map(|(k, p, x)| match k {
-        0 | 1 => Op::Guess(p, x),
-        2 => Op::Affirm(p, x),
-        3 => Op::Deny(p, x),
-        4 => Op::FreeOf(p, x),
-        5 => Op::Send(p),
-        _ => Op::Recv(p, x),
+    (0u8..9, 0u32..N_PROCS, 0u64..1 << 16).prop_map(|(k, p, x)| match k {
+        0..=2 => Op::Guess(p, x),
+        3 => Op::Affirm(p, x),
+        4 => Op::Deny(p, x),
+        5 => Op::FreeOf(p, x),
+        6 => Op::Send(p),
+        7 => Op::Recv(p, x),
+        _ => Op::AidInit,
     })
+}
+
+/// The AID a raw op index names once `count` AIDs exist.
+fn nth_aid(x: u64, count: usize) -> AidId {
+    AidId::from_index(x % count as u64)
 }
 
 /// Assert the real engine and the reference agree on every observable.
@@ -465,10 +479,10 @@ fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize) {
             "guessed of {id}"
         );
     }
-    for x in 0..N_AIDS {
-        let id = AidId::from_index(x);
+    assert_eq!(engine.aid_count(), reference.aids.len());
+    for (x, r) in reference.aids.iter().enumerate() {
+        let id = AidId::from_index(x as u64);
         let view = engine.aid(id).unwrap();
-        let r = &reference.aids[x as usize];
         assert_eq!(view.state(), r.state, "state of {id} at step {step}");
         assert_eq!(view.is_consumed(), r.consumed, "consumed of {id}");
         assert_eq!(view.speculatively_affirmed_by(), r.spec_affirmed_by);
@@ -483,6 +497,14 @@ fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize) {
 }
 
 fn play(ops: &[Op]) {
+    play_comparing_state_every(1, ops);
+}
+
+/// Drive both engines through `ops`, comparing results and effect streams
+/// at every step and the whole control-variable state at every `stride`-th
+/// step and at the end (reading every `IDO` off a 200-deep chain is
+/// quadratic; the deep directed cases thin it out).
+fn play_comparing_state_every(stride: usize, ops: &[Op]) {
     let mut engine = Engine::new();
     engine.set_invariant_checking(true);
     let mut reference = RefEngine::default();
@@ -504,10 +526,12 @@ fn play(ops: &[Op]) {
 
     for (step, &op) in ops.iter().enumerate() {
         ck += 1;
+        let n_aids = engine.aid_count();
         match op {
+            Op::AidInit => assert_eq!(engine.aid_init(ProcessId(0)), reference.aid_init()),
             Op::Guess(p, x) => {
                 let pid = ProcessId(p);
-                let x = AidId::from_index(x);
+                let x = nth_aid(x, n_aids);
                 let got = engine.guess(pid, &[x], Checkpoint(ck));
                 let want = reference.guess(pid, &[x], Checkpoint(ck));
                 match (got, want) {
@@ -521,7 +545,7 @@ fn play(ops: &[Op]) {
             }
             Op::Affirm(p, x) => {
                 let pid = ProcessId(p);
-                let x = AidId::from_index(x);
+                let x = nth_aid(x, n_aids);
                 match (engine.affirm(pid, x), reference.affirm(pid, x)) {
                     (Ok(fx), Ok(ref_fx)) => assert_eq!(fx, ref_fx, "affirm fx at {step}"),
                     (Err(_), Err(_)) => {}
@@ -530,7 +554,7 @@ fn play(ops: &[Op]) {
             }
             Op::Deny(p, x) => {
                 let pid = ProcessId(p);
-                let x = AidId::from_index(x);
+                let x = nth_aid(x, n_aids);
                 match (engine.deny(pid, x), reference.deny(pid, x)) {
                     (Ok(fx), Ok(ref_fx)) => assert_eq!(fx, ref_fx, "deny fx at {step}"),
                     (Err(_), Err(_)) => {}
@@ -539,7 +563,7 @@ fn play(ops: &[Op]) {
             }
             Op::FreeOf(p, x) => {
                 let pid = ProcessId(p);
-                let x = AidId::from_index(x);
+                let x = nth_aid(x, n_aids);
                 match (engine.free_of(pid, x), reference.free_of(pid, x)) {
                     (Ok(fx), Ok(ref_fx)) => assert_eq!(fx, ref_fx, "free_of fx at {step}"),
                     (Err(_), Err(_)) => {}
@@ -574,7 +598,9 @@ fn play(ops: &[Op]) {
                 }
             }
         }
-        assert_state_agrees(&engine, &reference, step);
+        if step % stride == 0 || step + 1 == ops.len() {
+            assert_state_agrees(&engine, &reference, step);
+        }
     }
     engine.verify_invariants().unwrap();
 }
@@ -587,6 +613,12 @@ fn play(ops: &[Op]) {
 /// engine's surviving history must be exactly the uncollected one's
 /// suffix above the horizon.
 fn play_collected_twin(ops: &[Op]) {
+    play_collected_twin_comparing_relation_every(1, ops);
+}
+
+/// As [`play_comparing_state_every`]: program-facing state is compared at
+/// every step, the relation above the horizon at every `stride`-th.
+fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
     let mut plain = Engine::new();
     let mut collected = Engine::new();
     collected.set_invariant_checking(true);
@@ -603,9 +635,14 @@ fn play_collected_twin(ops: &[Op]) {
     let mut ck = 0u64;
     for (step, &op) in ops.iter().enumerate() {
         ck += 1;
+        let n_aids = plain.aid_count();
         match op {
+            Op::AidInit => assert_eq!(
+                plain.aid_init(ProcessId(0)),
+                collected.aid_init(ProcessId(0))
+            ),
             Op::Guess(p, x) => {
-                let (pid, x) = (ProcessId(p), AidId::from_index(x));
+                let (pid, x) = (ProcessId(p), nth_aid(x, n_aids));
                 let a = plain.guess(pid, &[x], Checkpoint(ck));
                 let b = collected.guess(pid, &[x], Checkpoint(ck));
                 assert_eq!(
@@ -615,7 +652,7 @@ fn play_collected_twin(ops: &[Op]) {
                 );
             }
             Op::Affirm(p, x) => {
-                let (pid, x) = (ProcessId(p), AidId::from_index(x));
+                let (pid, x) = (ProcessId(p), nth_aid(x, n_aids));
                 let a = plain.affirm(pid, x);
                 let b = collected.affirm(pid, x);
                 assert_eq!(
@@ -625,7 +662,7 @@ fn play_collected_twin(ops: &[Op]) {
                 );
             }
             Op::Deny(p, x) => {
-                let (pid, x) = (ProcessId(p), AidId::from_index(x));
+                let (pid, x) = (ProcessId(p), nth_aid(x, n_aids));
                 let a = plain.deny(pid, x);
                 let b = collected.deny(pid, x);
                 assert_eq!(
@@ -635,7 +672,7 @@ fn play_collected_twin(ops: &[Op]) {
                 );
             }
             Op::FreeOf(p, x) => {
-                let (pid, x) = (ProcessId(p), AidId::from_index(x));
+                let (pid, x) = (ProcessId(p), nth_aid(x, n_aids));
                 let a = plain.free_of(pid, x);
                 let b = collected.free_of(pid, x);
                 assert_eq!(
@@ -668,13 +705,33 @@ fn play_collected_twin(ops: &[Op]) {
         }
         collected.collect_fossils();
         // Program-facing state stays identical despite reclamation…
-        for x in 0..N_AIDS {
+        for x in 0..plain.aid_count() as u64 {
             let id = AidId::from_index(x);
             assert_eq!(
                 plain.aid_state(id).unwrap(),
                 collected.aid_state(id).unwrap(),
                 "aid_state of {id} diverged at step {step}"
             );
+        }
+        // …and so does the relation above the horizon, read off chains
+        // whose front was reclaimed.
+        let compare_relation = step % stride == 0 || step + 1 == ops.len();
+        for x in
+            (collected.aid_horizon()..collected.aid_count() as u64).filter(|_| compare_relation)
+        {
+            let id = AidId::from_index(x);
+            assert_eq!(
+                collected.aid(id).unwrap().dom(),
+                plain.aid(id).unwrap().dom(),
+                "DOM of {id} diverged at step {step}"
+            );
+        }
+        let live = collected.interval_horizon()..collected.interval_count() as u64;
+        for i in live.filter(|_| compare_relation) {
+            let id = IntervalId::from_index(i);
+            let (a, b) = (plain.interval(id).unwrap(), collected.interval(id).unwrap());
+            assert_eq!(a.status(), b.status(), "status of {id} at step {step}");
+            assert_eq!(a.ido(), b.ido(), "IDO of {id} diverged at step {step}");
         }
         for p in 0..N_PROCS {
             let pid = ProcessId(p);
@@ -703,21 +760,37 @@ fn play_collected_twin(ops: &[Op]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(300))]
+    #![proptest_config(ProptestConfig::with_cases(2000))]
 
     #[test]
     fn depset_engine_agrees_with_btreeset_reference(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
+        ops in proptest::collection::vec(op_strategy(), 1..=120),
     ) {
         play(&ops);
     }
 
     #[test]
     fn fossil_collected_twin_agrees_with_uncollected(
-        ops in proptest::collection::vec(op_strategy(), 1..40),
+        ops in proptest::collection::vec(op_strategy(), 1..=120),
     ) {
         play_collected_twin(&ops);
     }
+}
+
+/// Play one directed case against the reference and against the
+/// fossil-collected twin.
+fn play_both(ops: &[Op]) {
+    let stride = if ops.len() > 100 { 16 } else { 1 };
+    play_comparing_state_every(stride, ops);
+    play_collected_twin_comparing_relation_every(stride, ops);
+}
+
+/// `P0` nests `depth` guesses on AIDs `0..depth` (creating what the initial
+/// pool lacks first).
+fn nested_chain(depth: u64) -> Vec<Op> {
+    let mut ops = vec![Op::AidInit; depth.saturating_sub(N_AIDS) as usize];
+    ops.extend((0..depth).map(|x| Op::Guess(0, x)));
+    ops
 }
 
 /// A directed deep-inheritance chain — the exact shape the perf work
@@ -734,6 +807,107 @@ fn deep_chain_agrees_with_reference() {
         ops.push(Op::Affirm(2, x));
     }
     ops.push(Op::Deny(2, N_AIDS - 1));
-    play(&ops);
-    play_collected_twin(&ops);
+    play_both(&ops);
+}
+
+/// Affirms arrive out of order in a 200-deep chain: later intervals' stored
+/// sets empty first, and the walk from the front of the chain must pass
+/// them when the oldest assumptions are finally affirmed.
+#[test]
+fn out_of_order_affirms_in_a_deep_chain() {
+    let mut ops = nested_chain(200);
+    // Odd AIDs newest first, then even AIDs oldest first.
+    ops.extend(
+        (0..200)
+            .rev()
+            .filter(|x| x % 2 == 1)
+            .map(|x| Op::Affirm(1, x)),
+    );
+    ops.extend((0..200).filter(|x| x % 2 == 0).map(|x| Op::Affirm(1, x)));
+    play_both(&ops);
+}
+
+/// A speculative affirm of `x` by a process that itself depends on `x`:
+/// its own chain collapses onto `x`'s head (every later AID is pulled
+/// forward), and a second dependent process takes in the affirmer's `IDO`.
+#[test]
+fn speculative_affirm_by_a_dependent_of_the_aid() {
+    let mut ops = vec![
+        Op::Guess(0, 0),
+        Op::Guess(0, 1),
+        Op::Guess(0, 2),
+        Op::Guess(1, 3),
+        Op::Guess(1, 0),
+        Op::Affirm(0, 0),
+    ];
+    // Settle what is left both ways: affirm 1, deny 2.
+    ops.extend([
+        Op::Affirm(2, 1),
+        Op::Send(1),
+        Op::Deny(2, 2),
+        Op::Recv(2, 0),
+    ]);
+    play_both(&ops);
+    // The same, but the affirmer depends on nothing else: its affirm
+    // empties every dependent `IDO` and the cascade finalizes them.
+    play_both(&[
+        Op::Guess(0, 0),
+        Op::Guess(1, 0),
+        Op::Guess(1, 1),
+        Op::Affirm(0, 0),
+    ]);
+}
+
+/// The affirmer's `IDO` holds an AID the dependent process already depends
+/// on, but only from a *later* interval: Equations 11–14 bring it forward,
+/// so its head moves to the earlier interval.
+#[test]
+fn speculative_affirm_moves_a_head_earlier() {
+    let mut ops = vec![
+        Op::Guess(0, 0), // P0: x0 enters at its first interval,
+        Op::Guess(0, 2), //     x2 at the second,
+        Op::Guess(0, 1), //     x1 at the third.
+        Op::Guess(1, 1), // P1 depends on x1 and x3,
+        Op::Guess(1, 3),
+        Op::Affirm(1, 0), // and affirms x0: x1's head in P0 moves to the front.
+    ];
+    // Deny x2 from outside — P0 keeps exactly its first interval, which now
+    // depends on x1 — then affirm the rest oldest first.
+    ops.extend([
+        Op::Deny(2, 2),
+        Op::Send(0),
+        Op::Affirm(2, 1),
+        Op::Affirm(2, 3),
+    ]);
+    play_both(&ops);
+}
+
+/// Deny of the oldest of 200 nested guesses while a second process hangs
+/// off the middle of the chain through a message tag.
+#[test]
+fn deny_of_the_oldest_with_a_process_hanging_off_the_middle() {
+    let mut ops = vec![Op::AidInit; 194];
+    ops.extend((0..100).map(|x| Op::Guess(0, x)));
+    ops.push(Op::Send(0));
+    ops.extend((100..200).map(|x| Op::Guess(0, x)));
+    ops.extend([Op::Recv(1, 0), Op::Guess(1, 150), Op::Deny(2, 0)]);
+    play_both(&ops);
+}
+
+/// Rollback, re-guess, affirm: the re-executed chain re-enters AIDs whose
+/// earlier heads were withdrawn, over a history whose discarded intervals
+/// keep their sequence numbers.
+#[test]
+fn rollback_then_reguess_then_affirm() {
+    let mut ops = nested_chain(8);
+    ops.push(Op::Deny(1, 3)); // rolls back the suffix from the fourth interval
+    ops.extend([
+        Op::Guess(0, 3),
+        Op::Guess(0, 4),
+        Op::Guess(0, 5),
+        Op::Guess(0, 6),
+    ]);
+    ops.extend([Op::Send(0), Op::Recv(2, 0)]);
+    ops.extend((0..8).map(|x| Op::Affirm(1, x)));
+    play_both(&ops);
 }

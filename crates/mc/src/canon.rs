@@ -255,7 +255,7 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
                 IntervalStatus::Definite => e.tag(0),
                 IntervalStatus::Speculative => {
                     e.tag(1);
-                    for set in [v.ido(), v.ihd(), v.iha(), v.guessed()] {
+                    for set in [&*v.ido(), v.ihd(), v.iha(), v.guessed()] {
                         e.u(set.len() as u64);
                         for x in set {
                             e.u(x.index());

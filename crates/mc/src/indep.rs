@@ -110,7 +110,7 @@ fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
                 }
                 fp.writes.insert(x);
                 let Ok(v) = engine.aid(x) else { continue };
-                for b in v.dom() {
+                for b in v.dom().iter() {
                     // Discharging x from b.IDO may finalize b, promoting
                     // its speculative affirms and denies.
                     let itv = engine.interval(b).expect("DOM member is live");
@@ -134,7 +134,7 @@ fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
                 if let Some(holder) = v.speculatively_denied_by() {
                     fp.procs.insert(proc_of(holder));
                 }
-                for b in v.dom() {
+                for b in v.dom().iter() {
                     // Rollback truncates the owner's live history from b
                     // onward; every interval in that suffix is a victim.
                     let owner = proc_of(b);
@@ -147,7 +147,7 @@ fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
                         }
                         let itv = engine.interval(c).expect("live interval");
                         // Withdrawing c from DOM sets touches its IDO's AIDs.
-                        for y in itv.ido() {
+                        for y in itv.ido().iter() {
                             fp.writes.insert(y);
                         }
                         // Speculative affirms become conservative denies.
@@ -182,7 +182,7 @@ fn guess_footprint(m: &Machine, p: usize, named: &[AidId], fp: &mut Footprint) {
         fp.writes.insert(x);
         if let Ok(v) = engine.aid(x) {
             if let Some(a) = v.speculatively_affirmed_by() {
-                for y in engine.interval(a).expect("affirmer is live").ido() {
+                for y in engine.interval(a).expect("affirmer is live").ido().iter() {
                     fp.writes.insert(y);
                 }
             }
@@ -191,7 +191,12 @@ fn guess_footprint(m: &Machine, p: usize, named: &[AidId], fp: &mut Footprint) {
     // The parent IDO is inherited only if a new interval actually opens.
     if live {
         if let Ok(Some(a)) = engine.current_interval(m.pid(p)) {
-            for y in engine.interval(a).expect("current interval is live").ido() {
+            for y in engine
+                .interval(a)
+                .expect("current interval is live")
+                .ido()
+                .iter()
+            {
                 fp.writes.insert(y);
             }
         }
@@ -205,13 +210,18 @@ fn spec_affirm_footprint(m: &Machine, p: usize, x: AidId, fp: &mut Footprint) {
     let engine = m.engine();
     fp.writes.insert(x);
     if let Ok(Some(a)) = engine.current_interval(m.pid(p)) {
-        for y in engine.interval(a).expect("current interval is live").ido() {
+        for y in engine
+            .interval(a)
+            .expect("current interval is live")
+            .ido()
+            .iter()
+        {
             fp.writes.insert(y);
         }
     }
     let mut follow = Vec::new();
     if let Ok(v) = engine.aid(x) {
-        for b in v.dom() {
+        for b in v.dom().iter() {
             let itv = engine.interval(b).expect("DOM member is live");
             let pid = itv.process();
             let owner = (0..m.process_count())
@@ -361,7 +371,7 @@ fn reach(m: &Machine, q: usize) -> Reach {
             }
             // Cascades through q's own speculation reach every AID its
             // live intervals depend on, speculatively decided, or guessed.
-            for set in [itv.ido(), itv.ihd(), itv.iha(), itv.guessed()] {
+            for set in [&*itv.ido(), itv.ihd(), itv.iha(), itv.guessed()] {
                 r.aids.extend(set);
             }
         }

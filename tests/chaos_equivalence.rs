@@ -422,9 +422,9 @@ const ALL_ON: &str = "fossil+governor+races+trace+invariants";
 
 /// Plans with a crash-restart under which the *ungoverned* loop stays under
 /// ~500 events (17 is the hostile one: some 60 drops, 70 timeout denies).
-/// Invariant checking is quadratic in live intervals: with collection and
-/// governor both off it is affordable only on these — the 70-plan ranges
-/// hold plans that run to 12,000 events ungoverned.
+/// Invariant checking walks every live record after every transition: with
+/// collection and governor both off it is affordable only on these — the
+/// 70-plan ranges hold plans that run to 12,000 events ungoverned.
 const SHORT_PLANS: [u64; 6] = [9, 12, 17, 38, 69, 106];
 
 /// Tier-1's slice of the lattice, fault-free and under plan 17. Invariant

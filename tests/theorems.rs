@@ -350,7 +350,7 @@ impl Driver {
                     IntervalStatus::Definite => assert!(view.ido().is_empty()),
                     IntervalStatus::Speculative => {
                         assert!(!view.ido().is_empty());
-                        for x in view.ido() {
+                        for x in view.ido().iter() {
                             assert_eq!(
                                 self.engine.aid_state(x).unwrap(),
                                 AidState::Undecided,
@@ -395,7 +395,7 @@ impl Driver {
         }
         for pid in &self.pids {
             if let Some(a) = self.engine.current_interval(*pid).unwrap() {
-                for x in self.engine.interval(a).unwrap().ido() {
+                for x in self.engine.interval(a).unwrap().ido().iter() {
                     let view = self.engine.aid(x).unwrap();
                     assert!(
                         view.is_consumed(),

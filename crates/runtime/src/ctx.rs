@@ -30,6 +30,7 @@ use crate::baton::Baton;
 use crate::governor::{Admission, DEFAULT_GUESS_SITE, RELIABLE_SEND_SITE};
 use crate::journal::Entry;
 use crate::message::{Message, MsgKind};
+use crate::scheduler::drive;
 use crate::shared::{EventKind, ProcState, Shared};
 use crate::signal::{Hope, Signal};
 use crate::stats::CrashReason;
@@ -161,7 +162,8 @@ impl Ctx {
 
     fn park(&mut self, state: ProcState) -> Hope<()> {
         self.lock().set_state(self.idx, state);
-        if !self.baton.pass(self.idx) {
+        // Parked, this thread is the scheduler until an event resumes it.
+        if !drive(&self.shared, &self.baton, self.idx) {
             return Err(Signal::Shutdown);
         }
         if self.lock().procs[self.idx].rollback_pending {

@@ -143,8 +143,9 @@ struct Trail {
     fanout: Vec<usize>,
 }
 
-/// Only [`ReplayOracle::choose`] and [`check_scenario`] take the trail's
-/// lock, both on the scheduler thread, and neither can panic under it.
+/// Only [`ReplayOracle::choose`] (inside `Shared::step`, on whichever thread
+/// holds the turn) and [`check_scenario`] (between runs) take the trail's
+/// lock, never at the same time, and neither can panic under it.
 const TRAIL_UNPOISONED: &str = "no panic under the trail lock";
 
 struct ReplayOracle {

@@ -1,17 +1,23 @@
 //! The simulation: spawning processes and running them to quiescence.
 //!
 //! Processes execute on dedicated OS threads, but **never concurrently**:
-//! the scheduler resumes exactly one process at a time and waits for it to
-//! park (classic coroutine-via-thread discrete-event simulation). Control
-//! changes hands through one [`Baton`], created per run: a turn word plus
+//! exactly one thread holds the turn at any moment (classic
+//! coroutine-via-thread discrete-event simulation). Control changes hands
+//! through one [`Baton`], created per run: a turn word plus
 //! `std::thread::park`/`unpark`. The threads are started one at a time, each
 //! checking in through the baton before the next is spawned, so not even
 //! thread start-up overlaps anything.
 //!
-//! The scheduler thread decides nothing. [`Simulation::run`] loops: lock,
-//! `Shared::step` (the machine's transition function, one event per call,
-//! see [`shared`](crate::shared)), unlock, pass the baton to the process
-//! `step` named, if any. Every decision in there depends only on virtual
+//! There is no scheduler thread. A process that parks — in a blocking `Ctx`
+//! primitive, or with its body finished, crashed or held for the restoration
+//! charge — is the scheduler until someone else has work: it runs [`drive`],
+//! which loops lock, `Shared::step` (the machine's transition function, one
+//! event per call, see [`shared`](crate::shared)), unlock. An event that
+//! resumes the stepper returns straight into its body; one that resumes a
+//! peer costs one `unpark` and one `park`; the end of the run resumes the
+//! thread that called [`Simulation::run`], which starts the threads, waits,
+//! shuts them down and reports, and steps only while no process can. Who
+//! steps decides nothing: every decision in `step` depends only on virtual
 //! time, sequence numbers and the master seed, so every run is bit-for-bit
 //! reproducible.
 //!
@@ -30,17 +36,16 @@
 //! [resume point](crate::journal): replay length is the distance from the
 //! newest surviving checkpoint, not from step zero.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
 use hope_core::ProcessId;
 use hope_sim::VirtualTime;
 
-use crate::baton::Baton;
+use crate::baton::{Baton, RUN};
 use crate::config::SimConfig;
 use crate::ctx::Ctx;
-use crate::shared::{ObserverSlot, ProcState, Shared, Step};
+use crate::shared::{ObserverSlot, ProcShared, ProcState, Shared, Step};
 use crate::signal::{Hope, Signal};
 use crate::stats::{CrashReason, RunReport};
 
@@ -174,8 +179,8 @@ impl Simulation {
             hope_core::depset::spills_total(),
         );
         let n = bodies.len();
-        let baton = Arc::new(Baton::new());
-        let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(n);
+        let baton = Arc::new(Baton::new(n));
+        let mut handles = Vec::with_capacity(n);
 
         for (idx, body) in bodies.iter().enumerate() {
             let (sh, body, bt) = (shared.clone(), body.clone(), baton.clone());
@@ -196,41 +201,62 @@ impl Simulation {
             }
         }
 
-        // One lock per event: `Shared::step` is the whole transition. The
-        // guard is gone before the baton changes hands.
-        loop {
-            let step = Shared::lock(&shared).step();
-            let proc = match step {
-                Step::Resume(proc) => proc,
-                Step::Continue => continue,
-                Step::Done => break,
-            };
-            if !baton.resume(proc, handles[proc].thread()) {
-                // The thread died without yielding: machinery bug, or a
-                // crash already recorded before it left.
-                let mut sh = Shared::lock(&shared);
-                if sh.procs[proc].state == ProcState::Running {
-                    let reason = "process thread exited without yielding";
-                    sh.crash(proc, CrashReason::Panic(reason.to_string()));
-                }
-            }
-        }
-
-        baton.shutdown(handles.iter().map(JoinHandle::thread));
+        // The turn comes back here when the run is over, however it ended.
+        drive(&shared, &baton, RUN);
+        baton.shutdown();
         for h in handles {
             let _ = h.join();
         }
         let mut sh = Shared::lock(&shared);
+        if let Some(panic) = sh.step_panic.take() {
+            drop(sh);
+            resume_unwind(panic);
+        }
         sh.report(depset_base)
+    }
+}
+
+/// The stepping loop of whichever thread holds the turn with nothing to run:
+/// dispatch events until one resumes `me` (the end of the run resumes
+/// [`RUN`]), giving the turn away and waiting for it when one resumes someone
+/// else. One lock per event, released before the baton changes hands.
+/// `false` means shutdown.
+pub(crate) fn drive(shared: &Mutex<Shared>, baton: &Baton, me: usize) -> bool {
+    loop {
+        let step = Shared::lock(shared).step();
+        let next = match step {
+            Step::Resume(proc) => proc,
+            Step::Continue => continue,
+            Step::Done => RUN,
+        };
+        if next == me {
+            return true;
+        }
+        if !baton.give(me, next) {
+            return false;
+        }
+        if me != RUN {
+            return true;
+        }
+        // The turn is `run`'s again: the run is over, which the next `step`
+        // says, or a thread died without yielding — machinery bug, or a crash
+        // already recorded before it left. Its process is the one still
+        // marked running, whoever resumed it.
+        let mut sh = Shared::lock(shared);
+        let running = |p: &ProcShared| p.state == ProcState::Running;
+        if let Some(proc) = sh.procs.iter().position(running) {
+            let reason = "process thread exited without yielding";
+            sh.crash(proc, CrashReason::Panic(reason.to_string()));
+        }
     }
 }
 
 /// Per-process thread: runs (and on rollback, re-runs) the body.
 fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Arc<Baton>) {
-    // However this thread leaves, the scheduler is not left waiting on it.
+    // However this thread leaves, nobody is left waiting on it for the turn.
     let _guard = baton.return_on_exit(idx);
     // Check in with `Baton::start`, then wait for the first turn.
-    if !baton.pass(idx) {
+    if !baton.give(idx, RUN) {
         return;
     }
     // One iteration per attempt at the body: the first run, or a rollback's
@@ -250,8 +276,9 @@ fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Ar
             };
             Shared::lock(&shared).end_attempt(idx, panic);
         }
-        // Held for the restoration charge, finished, or crashed.
-        if !baton.pass(idx) {
+        // Held for the restoration charge, finished, or crashed: nothing to
+        // run here, so step until an event brings this process back.
+        if !drive(&shared, &baton, idx) {
             return;
         }
     }
@@ -566,6 +593,40 @@ mod tests {
         let report = sim.run();
         assert!(report.hit_limits());
         assert!(!report.completed());
+        // The event that trips the limit is counted once, whoever found it.
+        assert_eq!(report.events(), 51);
+    }
+
+    #[test]
+    fn panic_in_step_is_the_runs_not_the_steppers() {
+        /// Defers to earliest-deadline order, until it gives up.
+        struct GivesUp(u32);
+        impl crate::oracle::ScheduleOracle for GivesUp {
+            fn choose(&mut self, _: &Shared) -> Option<u64> {
+                self.0 -= 1;
+                let thread = std::thread::current();
+                assert!(self.0 > 0, "oracle gave up on {}", thread.name().unwrap());
+                None
+            }
+        }
+        let witness = Arc::new(());
+        let held = witness.clone();
+        let mut sim = Simulation::new(SimConfig::default());
+        sim.spawn("spinner", move |ctx| loop {
+            let _held = &held;
+            ctx.compute(ms(1))?;
+        });
+        sim.spawn("bystander", |ctx| ctx.recv().map(|_| ()));
+        // Three choices in, the bystander is blocked for good and the spinner
+        // pops its own wakes, inside its body's `catch_unwind`.
+        sim.set_schedule_oracle(Box::new(GivesUp(5)));
+        let shared = sim.shared.clone();
+        let panic = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run panics");
+        assert_eq!(panic_message(panic), "oracle gave up on hope-spinner");
+        let sh = Shared::lock(&shared);
+        let crashes: Vec<_> = sh.procs.iter().filter_map(|p| p.crash.as_ref()).collect();
+        assert!(crashes.is_empty(), "an innocent process took the blame");
+        assert_eq!(Arc::strong_count(&witness), 1, "a body outlived run()");
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The scheduler-shared state: engine, processes, event queue, network.
 //!
-//! Exactly one thread runs at any moment — the scheduler, or the process
-//! it passed the [`Baton`](crate::baton::Baton) to — so the single
-//! [`std::sync::Mutex`] around [`Shared`] is uncontended; it exists to
-//! satisfy the borrow checker across threads, not to provide parallelism.
-//! Every acquisition goes through [`Shared::lock`].
+//! Exactly one thread runs at any moment — whichever holds the
+//! [`Baton`](crate::baton::Baton) — so the single [`std::sync::Mutex`]
+//! around [`Shared`] is uncontended; it exists to satisfy the borrow checker
+//! across threads, not to provide parallelism. Every acquisition goes
+//! through [`Shared::lock`].
 //!
 //! [`Shared::step`] is the scheduler: the one transition function over
 //! this state, as `hope_core::Machine::step` is over the paper's control
-//! variables; the scheduler thread locks once per event, steps, and passes
-//! the baton if told to. States change only through [`Shared::set_state`].
+//! variables. There is no scheduler thread: the thread that holds the baton
+//! and has nothing to run — a process that just parked — locks once per
+//! event, steps, and gives the baton away only when `step` names someone
+//! else. States change only through [`Shared::set_state`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hope_analysis::dynamic::RaceDetector;
@@ -88,14 +91,15 @@ pub(crate) struct ProcShared {
     pub(crate) next_reliable: u64,
 }
 
-/// What the scheduler thread does after one [`Shared::step`].
+/// What the stepping thread does after one [`Shared::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
-    /// Pass the baton to this process (now `Running`) until it parks.
+    /// This process (now `Running`) runs next, until it parks.
     Resume(usize),
     /// Nothing to hand over; step again.
     Continue,
-    /// Quiescent, or a configured limit was hit: the run is over.
+    /// Quiescent, a configured limit was hit, or `step` panicked: the run
+    /// is over, and every later `step` answers `Done` and touches nothing.
     Done,
 }
 
@@ -172,6 +176,10 @@ pub(crate) struct Shared {
     /// Events [`Shared::step`] has counted, and whether a limit stopped it.
     pub(crate) events: u64,
     pub(crate) hit_limits: bool,
+    /// `step` has answered [`Step::Done`].
+    done: bool,
+    /// What `step` panicked with, for `run`'s thread to re-raise.
+    pub(crate) step_panic: Option<Box<dyn std::any::Any + Send>>,
     /// Processes neither `Finished` nor `Crashed`, and processes with
     /// `rollback_pending` set: quiescence reads these, not `procs`.
     pub(crate) unfinished: usize,
@@ -230,6 +238,8 @@ impl Shared {
             governor,
             events: 0,
             hit_limits: false,
+            done: false,
+            step_panic: None,
             unfinished: 0,
             rollbacks_pending: 0,
             sweep_owed: false,
@@ -274,8 +284,27 @@ impl Shared {
 
     /// The scheduler's transition function: dispatch at most one event.
     /// Limits, fault kills, the dispatch-order choice, the per-kind handlers,
-    /// quiescence and the fossil cadence are all here, none in `run`.
+    /// quiescence and the fossil cadence are all here, none in the caller.
+    ///
+    /// Any thread holding the turn may call this, a process thread from
+    /// inside its body's `catch_unwind` included, so a panic in here (an
+    /// engine invariant, a schedule oracle) must not pass for that process's
+    /// crash with the run carrying on over half-applied state: it ends the
+    /// run, and [`Shared::step_panic`] carries it to `run`'s caller.
     pub(crate) fn step(&mut self) -> Step {
+        if self.done {
+            return Step::Done;
+        }
+        let dispatch = AssertUnwindSafe(|| self.dispatch());
+        let step = catch_unwind(dispatch).unwrap_or_else(|panic| {
+            self.step_panic = Some(panic);
+            Step::Done
+        });
+        self.done = step == Step::Done;
+        step
+    }
+
+    fn dispatch(&mut self) -> Step {
         if std::mem::take(&mut self.sweep_owed) {
             self.fossil_sweep();
         }
@@ -1316,6 +1345,28 @@ mod tests {
         // One past `max_virtual_time` is neither counted nor dispatched.
         assert_eq!((step(&mut s), s.hit_limits, s.events), (Done, true, 0));
         assert_eq!(s.now, T0);
+    }
+
+    #[test]
+    fn step_after_done_is_inert() {
+        // Quiescent with a stale wake still queued; one event past
+        // `max_events`; one event past `max_virtual_time`.
+        let (mut quiescent, _) = finished_speculating(SimConfig::default());
+        quiescent.schedule_wake(0, T0);
+        let mut counted_out = shared_with(1, SimConfig::default().with_max_events(0));
+        let horizon = VirtualTime::from_nanos(10);
+        let mut timed_out = shared_with(1, SimConfig::default().with_max_virtual_time(horizon));
+        for i in 0..3 {
+            counted_out.schedule_wake(0, T0);
+            timed_out.schedule_wake(0, VirtualTime::from_nanos(11 + i));
+        }
+        for (mut s, limited) in [(quiescent, false), (counted_out, true), (timed_out, true)] {
+            assert_eq!((step(&mut s), s.hit_limits), (Done, limited));
+            let before = (s.events, s.hit_limits, s.queue.len(), visible_state(&s));
+            assert_eq!([step(&mut s), step(&mut s)], [Done; 2]);
+            let after = (s.events, s.hit_limits, s.queue.len(), visible_state(&s));
+            assert_eq!(after, before);
+        }
     }
 
     /// One process, finished while still speculating on its own `x`.

@@ -15,8 +15,8 @@
 //! * larger sets spill to a dense **`u64`-word bitset** behind an
 //!   [`Arc`] with copy-on-write semantics: cloning is an O(1) refcount
 //!   bump, and the words are only duplicated when a *shared* set is
-//!   mutated. Union, subset and iteration over spilled sets are
-//!   word-parallel.
+//!   mutated. Union, intersection, difference, subset and iteration over
+//!   spilled sets are word-parallel.
 //!
 //! Iteration is always in **ascending id order** — exactly `BTreeSet`'s
 //! order — so every effect cascade the engine emits is bit-identical to the
@@ -256,11 +256,7 @@ impl<T: DepElem> DepSet<T> {
 
     /// `true` if `value` is a member.
     pub fn contains(&self, value: &T) -> bool {
-        let v = value.to_raw();
-        match &self.repr {
-            Repr::Inline { len, vals } => vals[..*len as usize].binary_search(&v).is_ok(),
-            Repr::Bits(b) => b.contains(v),
-        }
+        self.contains_raw(value.to_raw())
     }
 
     /// Insert `value`; returns `true` if it was not already present.
@@ -309,11 +305,64 @@ impl<T: DepElem> DepSet<T> {
         }
         match (&self.repr, &other.repr) {
             (Repr::Bits(a), Repr::Bits(b)) => Arc::ptr_eq(a, b) || b.superset_of(a),
-            _ => self.iter_raw().all(|v| match &other.repr {
-                Repr::Inline { len, vals } => vals[..*len as usize].binary_search(&v).is_ok(),
-                Repr::Bits(b) => b.contains(v),
-            }),
+            _ => self.iter_raw().all(|v| other.contains_raw(v)),
         }
+    }
+
+    /// The elements of `self` that are not in `other`, ascending:
+    /// word-parallel (`a & !b`) when both sets are spilled, otherwise a
+    /// membership test per element of `self`.
+    pub fn difference<'a>(&'a self, other: &'a DepSet<T>) -> Difference<'a, T> {
+        let (inner, minus) = match (&self.repr, &other.repr) {
+            (Repr::Bits(a), Repr::Bits(b)) => (IterRepr::bits(&a.words, &b.words), None),
+            _ => (self.iter().inner, Some(other)),
+        };
+        let iter = Iter {
+            inner,
+            _marker: PhantomData,
+        };
+        #[cfg(any(test, feature = "shadow-oracle"))]
+        assert!(
+            (Difference {
+                iter: iter.clone(),
+                minus
+            })
+            .map(DepElem::to_raw)
+            .eq(self.shadow.difference(&other.shadow).copied()),
+            "shadow oracle: difference disagreed"
+        );
+        Difference { iter, minus }
+    }
+
+    /// Keep only the elements that are also in `other` (set intersection,
+    /// in place). Word-parallel when both sets are spilled, and a no-op (no
+    /// materialization) when `self ⊆ other`; a spilled set cut down by an
+    /// inline one, or emptied, returns to the inline form.
+    pub fn intersect_with(&mut self, other: &DepSet<T>) {
+        self.intersect_raw(other);
+        #[cfg(any(test, feature = "shadow-oracle"))]
+        {
+            self.shadow.retain(|v| other.shadow.contains(v));
+            self.check_shadow();
+        }
+    }
+
+    /// [`union_with`](DepSet::union_with) that returns what was new to
+    /// `self` (`other \ self` as it was). One pass over the words when both
+    /// sets are spilled, shared storage when `self` is inline and `other`
+    /// spilled (an empty `self` copies nothing at all), one insert per
+    /// element of an inline `other`.
+    pub fn add_all(&mut self, other: &DepSet<T>) -> DepSet<T> {
+        let mut new = DepSet::new();
+        self.add_all_raw(other, &mut new);
+        #[cfg(any(test, feature = "shadow-oracle"))]
+        {
+            new.shadow = other.shadow.difference(&self.shadow).copied().collect();
+            self.shadow.extend(new.shadow.iter().copied());
+            self.check_shadow();
+            new.check_shadow();
+        }
+        new
     }
 
     /// Iterate over the elements in ascending id order.
@@ -321,11 +370,7 @@ impl<T: DepElem> DepSet<T> {
         Iter {
             inner: match &self.repr {
                 Repr::Inline { len, vals } => IterRepr::Inline(vals[..*len as usize].iter()),
-                Repr::Bits(b) => IterRepr::Bits {
-                    words: &b.words,
-                    word_idx: 0,
-                    current: b.words.first().copied().unwrap_or(0),
-                },
+                Repr::Bits(b) => IterRepr::bits(&b.words, &[]),
             },
             _marker: PhantomData,
         }
@@ -460,6 +505,91 @@ impl<T: DepElem> DepSet<T> {
         }
     }
 
+    fn intersect_raw(&mut self, other: &DepSet<T>) {
+        if let (Repr::Bits(sb), Repr::Bits(ob)) = (&mut self.repr, &other.repr) {
+            if Arc::ptr_eq(sb, ob) || ob.superset_of(sb) {
+                return; // nothing to drop, nothing to materialize
+            }
+            let m = make_mut(sb);
+            m.words.truncate(ob.words.len());
+            m.len = 0;
+            for (w, &o) in m.words.iter_mut().zip(&ob.words) {
+                *w &= o;
+                m.len += w.count_ones() as usize;
+            }
+            if m.len == 0 {
+                // As in `remove_raw`: an emptied set gives its words back.
+                self.repr = DepSet::<T>::new().repr;
+            }
+            return;
+        }
+        // One side is inline, so the result is: what it holds of the other.
+        let (small, big) = match self.repr {
+            Repr::Inline { .. } => (&*self, other),
+            Repr::Bits(_) => (other, &*self),
+        };
+        let (mut vals, mut len) = ([0; INLINE_CAP], 0);
+        for v in small.iter_raw().filter(|&v| big.contains_raw(v)) {
+            vals[len] = v;
+            len += 1;
+        }
+        let len = len as u8;
+        self.repr = Repr::Inline { len, vals };
+    }
+
+    /// `self ∪= other`, collecting `other \ self` into the empty `new`.
+    fn add_all_raw(&mut self, other: &DepSet<T>, new: &mut DepSet<T>) {
+        match (&mut self.repr, &other.repr) {
+            (_, Repr::Inline { len, vals }) => {
+                for &v in &vals[..*len as usize] {
+                    if self.insert_raw(v) {
+                        new.insert_raw(v);
+                    }
+                }
+            }
+            (Repr::Inline { len, vals }, Repr::Bits(ob)) => {
+                // Both results start as shares of `other`'s words; each
+                // copies at most once, and neither does for an empty `self`.
+                let ours: [u64; INLINE_CAP] = *vals;
+                let n = *len as usize;
+                new.repr = other.repr.clone();
+                self.repr = other.repr.clone();
+                for &v in &ours[..n] {
+                    if !ob.contains(v) {
+                        self.insert_raw(v);
+                    } else {
+                        new.remove_raw(v);
+                    }
+                }
+            }
+            (Repr::Bits(sb), Repr::Bits(ob)) => {
+                if Arc::ptr_eq(sb, ob) || sb.superset_of(ob) {
+                    return; // nothing to add, nothing to materialize
+                }
+                let m = make_mut(sb);
+                if m.words.len() < ob.words.len() {
+                    m.words.resize(ob.words.len(), 0);
+                }
+                for (i, (w, &o)) in m.words.iter_mut().zip(&ob.words).enumerate() {
+                    let mut fresh = o & !*w;
+                    *w |= o;
+                    m.len += fresh.count_ones() as usize;
+                    while fresh != 0 {
+                        new.insert_raw(i as u64 * 64 + fresh.trailing_zeros() as u64);
+                        fresh &= fresh - 1;
+                    }
+                }
+            }
+        }
+    }
+
+    fn contains_raw(&self, v: u64) -> bool {
+        match &self.repr {
+            Repr::Inline { len, vals } => vals[..*len as usize].binary_search(&v).is_ok(),
+            Repr::Bits(b) => b.contains(v),
+        }
+    }
+
     #[cfg(any(test, feature = "shadow-oracle"))]
     fn check_shadow(&self) {
         assert!(
@@ -569,16 +699,34 @@ impl<'a, T: DepElem> IntoIterator for &'a DepSet<T> {
     }
 }
 
+#[derive(Clone)]
 enum IterRepr<'a> {
     Inline(std::slice::Iter<'a, u64>),
+    /// The set bits of `words & !minus` (`minus` reads as zero past its end).
     Bits {
         words: &'a [u64],
+        minus: &'a [u64],
         word_idx: usize,
         current: u64,
     },
 }
 
+impl<'a> IterRepr<'a> {
+    fn bits(words: &'a [u64], minus: &'a [u64]) -> Self {
+        let current = words
+            .first()
+            .map_or(0, |w| w & !minus.first().unwrap_or(&0));
+        IterRepr::Bits {
+            words,
+            minus,
+            word_idx: 0,
+            current,
+        }
+    }
+}
+
 /// Ascending iterator over a [`DepSet`], yielding elements by value.
+#[derive(Clone)]
 pub struct Iter<'a, T: DepElem> {
     inner: IterRepr<'a>,
     _marker: PhantomData<T>,
@@ -598,17 +746,37 @@ impl<T: DepElem> Iterator for Iter<'_, T> {
             IterRepr::Inline(it) => it.next().map(|&v| T::from_raw(v)),
             IterRepr::Bits {
                 words,
+                minus,
                 word_idx,
                 current,
             } => {
                 while *current == 0 {
                     *word_idx += 1;
-                    *current = *words.get(*word_idx)?;
+                    *current = *words.get(*word_idx)? & !minus.get(*word_idx).copied().unwrap_or(0);
                 }
                 let tz = current.trailing_zeros() as u64;
                 *current &= *current - 1;
                 Some(T::from_raw(*word_idx as u64 * 64 + tz))
             }
+        }
+    }
+}
+
+/// Ascending iterator over [`DepSet::difference`].
+#[derive(Debug)]
+pub struct Difference<'a, T: DepElem> {
+    iter: Iter<'a, T>,
+    /// What `iter` does not already leave out (both spilled: it does).
+    minus: Option<&'a DepSet<T>>,
+}
+
+impl<T: DepElem> Iterator for Difference<'_, T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match self.minus {
+            None => self.iter.next(),
+            Some(minus) => self.iter.find(|v| !minus.contains(v)),
         }
     }
 }
@@ -763,6 +931,134 @@ mod tests {
         s.insert(IntervalId(300));
         assert!(s.contains(&IntervalId(300)));
         assert_eq!(s.iter().count(), 2);
+    }
+
+    /// A set holding exactly `vals`, in the inline form or — built past the
+    /// inline capacity and cut back — the spilled one.
+    fn set_of(vals: &BTreeSet<u64>, spilled: bool) -> DepSet<AidId> {
+        let mut s: DepSet<AidId> = vals.iter().copied().map(aid).collect();
+        if spilled && matches!(s.repr, Repr::Inline { .. }) {
+            // Just past the largest element, so the word vector is as
+            // long as the domain is wide.
+            let past = vals.last().map_or(0, |v| v + 1);
+            let filler: Vec<u64> = (past..past + INLINE_CAP as u64 + 1).collect();
+            s.extend(filler.iter().copied().map(aid));
+            for v in &filler {
+                s.remove(&aid(*v));
+            }
+            if vals.is_empty() {
+                return s; // an emptied set is inline again, by design
+            }
+            assert!(matches!(s.repr, Repr::Bits(_)));
+        }
+        s
+    }
+
+    fn raw(s: &DepSet<AidId>) -> Vec<u64> {
+        s.iter().map(|x| x.index()).collect()
+    }
+
+    /// `difference`, `intersect_with` and `add_all` against `BTreeSet`
+    /// arithmetic on one pair of operands.
+    fn check_pair(a: &DepSet<AidId>, b: &DepSet<AidId>) {
+        let (ma, mb): (BTreeSet<u64>, BTreeSet<u64>) =
+            (raw(a).into_iter().collect(), raw(b).into_iter().collect());
+        let diff: Vec<u64> = a.difference(b).map(|x| x.index()).collect();
+        assert_eq!(diff, ma.difference(&mb).copied().collect::<Vec<_>>());
+        let mut i = a.clone();
+        i.intersect_with(b);
+        assert_eq!(raw(&i), ma.intersection(&mb).copied().collect::<Vec<_>>());
+        assert_eq!(i.len(), ma.intersection(&mb).count());
+        if i.is_empty() {
+            assert!(matches!(i.repr, Repr::Inline { len: 0, .. }), "emptied");
+        }
+        let mut u = a.clone();
+        let new = u.add_all(b);
+        assert_eq!(raw(&u), ma.union(&mb).copied().collect::<Vec<_>>());
+        assert_eq!(raw(&new), mb.difference(&ma).copied().collect::<Vec<_>>());
+        assert_eq!(
+            (u.len(), new.len()),
+            (ma.union(&mb).count(), raw(&new).len())
+        );
+        assert_eq!(
+            raw(a),
+            ma.into_iter().collect::<Vec<_>>(),
+            "operands intact"
+        );
+    }
+
+    #[test]
+    fn set_algebra_matches_btreeset_over_every_representation_pairing() {
+        let mut state = 0x5E7A_u64;
+        for round in 0..300 {
+            // Domains of different widths, so that spilled operands carry
+            // word vectors of different lengths.
+            let (wa, wb) = ([40, 200, 2000][round % 3], [40, 200, 2000][round / 3 % 3]);
+            let (na, nb) = (rng(&mut state) % 70, rng(&mut state) % 70);
+            let a: BTreeSet<u64> = (0..na).map(|_| rng(&mut state) % wa).collect();
+            let mut b: BTreeSet<u64> = (0..nb).map(|_| rng(&mut state) % wb).collect();
+            match round % 5 {
+                0 => b.retain(|v| !a.contains(v)), // disjoint: an intersection that empties
+                1 => b.extend(a.iter().copied()),  // a ⊆ b
+                _ => {}
+            }
+            for (sa, sb) in [(false, false), (false, true), (true, false), (true, true)] {
+                if !sa && a.len() > INLINE_CAP || !sb && b.len() > INLINE_CAP {
+                    continue;
+                }
+                check_pair(&set_of(&a, sa), &set_of(&b, sb));
+            }
+            // The same `Arc` on both sides.
+            let shared = set_of(&a, true);
+            check_pair(&shared, &shared.clone());
+        }
+    }
+
+    #[test]
+    fn spilled_set_algebra_is_word_parallel() {
+        // 100 held names, a 120-name tag sharing 60 of them.
+        let held: DepSet<AidId> = (0..200).step_by(2).map(aid).collect();
+        let tag: DepSet<AidId> = (80..200).map(aid).collect();
+        let more: DepSet<AidId> = (150..260).map(aid).collect();
+        let before = (cow_copies(), spills());
+        assert_eq!(tag.difference(&held).count(), 60);
+        assert_eq!((cow_copies(), spills()), before, "a read copies nothing");
+
+        // Intersection: one copy to un-share the clone, none when ⊆ already.
+        let mut kept = tag.clone();
+        kept.intersect_with(&held);
+        assert_eq!(kept.len(), 60);
+        assert_eq!((cow_copies(), spills()), (before.0 + 1, before.1));
+        kept.intersect_with(&held);
+        let mut same = held.clone();
+        same.intersect_with(&held);
+        assert_eq!((cow_copies(), spills()), (before.0 + 1, before.1));
+        drop(same);
+
+        // add_all: in place on unshared words; the 60 new names are one
+        // result set (its one spill), not 60 inserts into a copy.
+        let mut ido = held;
+        let new = ido.add_all(&tag);
+        assert_eq!((ido.len(), new.len()), (160, 60));
+        assert_eq!((cow_copies(), spills()), (before.0 + 1, before.1 + 1));
+        assert!(ido.add_all(&tag).is_empty() && ido.add_all(&ido.clone()).is_empty());
+        assert_eq!((cow_copies(), spills()), (before.0 + 1, before.1 + 1));
+        // A shared receiver is copied once, whatever enters.
+        let sent = ido.clone();
+        assert_eq!(ido.add_all(&more).len(), 60);
+        assert_eq!((cow_copies(), spills()), (before.0 + 2, before.1 + 2));
+        assert_eq!(sent.len(), 160);
+
+        // An inline receiver shares a spilled operand's words: an empty
+        // one copies nothing, and neither result is rebuilt name by name.
+        let mut empty: DepSet<AidId> = DepSet::new();
+        let before = (cow_copies(), spills());
+        assert_eq!(empty.add_all(&tag).len(), 120);
+        assert_eq!((cow_copies(), spills()), before);
+        let mut few: DepSet<AidId> = [aid(3), aid(90)].into_iter().collect();
+        let new = few.add_all(&tag);
+        assert_eq!((few.len(), new.len()), (121, 119));
+        assert_eq!((cow_copies(), spills()), (before.0 + 2, before.1));
     }
 
     #[test]

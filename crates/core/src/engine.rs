@@ -44,6 +44,16 @@
 //! ([`IntervalView::ido`], [`AidView::dom`]) read the full sets off the
 //! chains on demand.
 //!
+//! A receive costs what enters, too. Every member of `Proc::ido` has a
+//! head, so its record is live, undecided and not dissolved by a
+//! speculative affirm (invariants 1–2 of
+//! [`verify_invariants`](Engine::verify_invariants)): a tag name the
+//! receiver already holds stands for itself and is never looked up. Only
+//! `tag \ ido` is classified; `guessed` is `tag ∩ ido` plus what that
+//! resolved to; and what enters the chain is `guessed \ ido`, taken as
+//! `ido` absorbs `guessed` — three [`DepSet`] operations, each word-parallel
+//! when both sets are spilled.
+//!
 //! ## Fidelity notes
 //!
 //! * **DOM membership for inherited dependencies.** Equation 4 only shows
@@ -628,9 +638,23 @@ impl Engine {
             return Err(Error::UnknownProcess(pid));
         }
         // In-flight tags can outlive a collection sweep; the fossil record
-        // keeps ghost filtering exact for them.
+        // keeps ghost filtering exact for them. Names the receiver holds
+        // stand for themselves (module docs, § Storage): no lookup.
+        let held = &self.procs[pid.0 as usize].ido;
         let mut guessed = DepSet::new();
-        if let Some(x) = self.resolve(tag.iter(), &mut guessed)? {
+        let denied = if held.is_empty() {
+            self.resolve(tag.iter(), &mut guessed)?
+        } else {
+            let mut entering = DepSet::new();
+            let denied = self.resolve(tag.as_set().difference(held), &mut entering)?;
+            if denied.is_none() {
+                guessed = tag.as_set().clone();
+                guessed.intersect_with(held);
+                guessed.union_with(&entering);
+            }
+            denied
+        };
+        if let Some(x) = denied {
             self.stats.ghosts += 1;
             return Ok((ReceiveOutcome::Ghost(x), Vec::new()));
         }
@@ -702,12 +726,9 @@ impl Engine {
         // registered — one DOM insert per new AID. Everything inherited
         // (Eq. 4–5) is already headed by an earlier interval of this
         // history, and this interval is behind that head by construction.
-        let mut entered = DepSet::new();
-        for x in &guessed {
-            if self.procs[p].ido.insert(x) {
-                entered.insert(x);
-                self.aid_mut(x).dom.insert(id);
-            }
+        let entered = self.procs[p].ido.add_all(&guessed);
+        for x in &entered {
+            self.aid_mut(x).dom.insert(id);
         }
         let proc = &mut self.procs[p];
         let definite = proc.ido.is_empty();

@@ -12,11 +12,19 @@
 //! per-process chains (`Engine` module docs, § Storage) or by the hybrid
 //! inline/bitset sets — ordering, head bookkeeping, COW aliasing, spill
 //! boundaries — fails here.
+//!
+//! Receives get the widest coverage, because the engine no longer reads a
+//! tag name by name: it looks up only the names the receiver does not hold
+//! (`Engine::implicit_guess`). `Op::RecvMixed` delivers tags that no send
+//! produced — any subset of the AIDs, held, fresh, speculatively affirmed,
+//! affirmed, denied (live, or a fossil in the collected twin) and never
+//! allocated, at once — and every script of the theorem suite's alphabet up
+//! to length 3 that contains a receive is played, not sampled.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use hope_core::{
-    AidId, AidState, Checkpoint, Effect, Engine, GuessOutcome, IntervalId, IntervalStatus,
+    AidId, AidState, Checkpoint, Effect, Engine, Error, GuessOutcome, IntervalId, IntervalStatus,
     ProcessId, ReceiveOutcome, Tag,
 };
 use proptest::prelude::*;
@@ -170,6 +178,10 @@ impl RefEngine {
         tag: &BTreeSet<AidId>,
         ps: Checkpoint,
     ) -> RefResult<(ReceiveOutcome, Vec<Effect>)> {
+        // A name nobody allocated is an error before anything else is read.
+        if let Some(&x) = tag.iter().find(|x| x.index() as usize >= self.aids.len()) {
+            return Err(Error::UnknownAid(x).to_string());
+        }
         if let Some(&denied) = tag
             .iter()
             .find(|&&x| self.aids[x.index() as usize].state == AidState::Denied)
@@ -429,16 +441,30 @@ enum Op {
     FreeOf(u32, u64),
     Send(u32),
     Recv(u32, u64),
+    /// Receive a tag no send produced: bit `i < 15` of the mask names AID
+    /// `i` (if it exists), bit 15 an id the engine never allocated.
+    RecvMixed(u32, u64),
+}
+
+/// The tag an [`Op::RecvMixed`] mask names once `count` AIDs exist.
+fn mixed_tag(mask: u64, count: usize) -> BTreeSet<AidId> {
+    let known = (0..count.min(15) as u64).filter(|i| mask >> i & 1 == 1);
+    let unknown = (mask >> 15 & 1 == 1).then_some(count as u64 + 1);
+    known.chain(unknown).map(AidId::from_index).collect()
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..9, 0u32..N_PROCS, 0u64..1 << 16).prop_map(|(k, p, x)| match k {
+    (0u8..10, 0u32..N_PROCS, 0u64..1 << 16).prop_map(|(k, p, x)| match k {
         0..=2 => Op::Guess(p, x),
         3 => Op::Affirm(p, x),
         4 => Op::Deny(p, x),
         5 => Op::FreeOf(p, x),
         6 => Op::Send(p),
         7 => Op::Recv(p, x),
+        // Sparse masks (the AND of two draws' worth of bits), so that a
+        // tag does not nearly always hold a denied name; one in eight also
+        // names an unallocated id.
+        8 => Op::RecvMixed(p, (x & (x >> 3) & 0x7fff) | ((x & 7 == 0) as u64 * 0x8000)),
         _ => Op::AidInit,
     })
 }
@@ -493,6 +519,27 @@ fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize) {
             view.dom(),
             r.dom
         );
+    }
+}
+
+/// Deliver one tag to both engines and compare what they answer, an error
+/// included.
+fn recv_both(
+    engine: &mut Engine,
+    reference: &mut RefEngine,
+    (pid, ck, step): (ProcessId, Checkpoint, usize),
+    tag: &Tag,
+    ref_tag: &BTreeSet<AidId>,
+) {
+    let got = engine.implicit_guess(pid, tag, ck);
+    let want = reference.implicit_guess(pid, ref_tag, ck);
+    match (got, want) {
+        (Ok((out, fx)), Ok((ref_out, ref_fx))) => {
+            assert_eq!(out, ref_out, "recv outcome at step {step}");
+            assert_eq!(fx, ref_fx, "recv effects at step {step}");
+        }
+        (Err(e), Err(ref_e)) => assert_eq!(e.to_string(), ref_e, "step {step}"),
+        (got, want) => panic!("recv disagreement at {step}: {got:?} vs {want:?}"),
     }
 }
 
@@ -581,21 +628,22 @@ fn play_comparing_state_every(stride: usize, ops: &[Op]) {
                 tags.push(tag);
                 ref_tags.push(ref_tag);
             }
+            Op::Recv(_, _) if tags.is_empty() => continue,
             Op::Recv(p, i) => {
-                if tags.is_empty() {
-                    continue;
-                }
-                let pid = ProcessId(p);
                 let idx = (i as usize) % tags.len();
-                let got = engine.implicit_guess(pid, &tags[idx], Checkpoint(ck));
-                let want = reference.implicit_guess(pid, &ref_tags[idx], Checkpoint(ck));
-                match (got, want) {
-                    (Ok((out, fx)), Ok((ref_out, ref_fx))) => {
-                        assert_eq!(out, ref_out, "recv outcome at step {step}");
-                        assert_eq!(fx, ref_fx, "recv effects at step {step}");
-                    }
-                    (got, want) => panic!("recv disagreement at {step}: {got:?} vs {want:?}"),
-                }
+                let at = (ProcessId(p), Checkpoint(ck), step);
+                recv_both(&mut engine, &mut reference, at, &tags[idx], &ref_tags[idx]);
+            }
+            Op::RecvMixed(p, mask) => {
+                let names = mixed_tag(mask, n_aids);
+                let at = (ProcessId(p), Checkpoint(ck), step);
+                recv_both(
+                    &mut engine,
+                    &mut reference,
+                    at,
+                    &names.iter().copied().collect(),
+                    &names,
+                );
             }
         }
         if step % stride == 0 || step + 1 == ops.len() {
@@ -700,6 +748,16 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
                     format!("{a:?}"),
                     format!("{b:?}"),
                     "recv diverged at step {step}"
+                );
+            }
+            Op::RecvMixed(p, mask) => {
+                let tag: Tag = mixed_tag(mask, n_aids).into_iter().collect();
+                let a = plain.implicit_guess(ProcessId(p), &tag, Checkpoint(ck));
+                let b = collected.implicit_guess(ProcessId(p), &tag, Checkpoint(ck));
+                assert_eq!(
+                    format!("{a:?}"),
+                    format!("{b:?}"),
+                    "mixed recv diverged at step {step}"
                 );
             }
         }
@@ -910,4 +968,158 @@ fn rollback_then_reguess_then_affirm() {
     ops.extend([Op::Send(0), Op::Recv(2, 0)]);
     ops.extend((0..8).map(|x| Op::Affirm(1, x)));
     play_both(&ops);
+}
+
+/// One receive whose tag holds every kind of name at once, against the
+/// literal reading *and* spelled out: the first name the engine never
+/// allocated is an error whatever else the tag holds; failing that the
+/// first denied name, ascending, makes it a ghost — a fossil below the AID
+/// horizon exactly like a live record; failing that the receiver comes to
+/// depend on what the names *mean* — a held name and a fresh one on
+/// themselves, a speculatively affirmed one on its affirmer's `IDO`
+/// (Theorem 6.3's rule), an affirmed one on nothing.
+#[test]
+fn one_receive_mixing_every_kind_of_name() {
+    // x0 denied and x1 affirmed (the leading decided run: fossils once
+    // swept), x2 held by the receiver, x3 fresh, x4 speculatively affirmed
+    // by P1 under x5, x6 denied behind the undecided x2 (a live record).
+    let setup = [
+        Op::AidInit, // x6
+        Op::Deny(2, 0),
+        Op::Affirm(2, 1),
+        Op::Guess(0, 2),
+        Op::Guess(1, 5),
+        Op::Affirm(1, 4),
+        Op::Deny(2, 6),
+    ];
+    const UNKNOWN: u64 = 1 << 15;
+    let masks = [
+        0b111_1111 | UNKNOWN, // everything: the unallocated id wins
+        0b111_1111,           // no unknown: ghost of x0, the fossil
+        0b111_1110,           // … of x6, the live record
+        0b001_1110,           // deliverable: {x1 affirmed, x2 held, x3, x4 → x5}
+        0b001_0010,           // only dissolved and affirmed names: {x5}
+        0b000_0010,           // only an affirmed fossil: clean
+    ];
+    for &mask in &masks {
+        let mut ops = setup.to_vec();
+        ops.extend([Op::RecvMixed(0, mask), Op::Send(0), Op::Recv(1, 0)]);
+        ops.extend([Op::Affirm(2, 5), Op::Affirm(2, 3), Op::Affirm(2, 2)]);
+        play_both(&ops);
+    }
+
+    // Spelled out, on an engine that has swept its fossils.
+    let x = AidId::from_index;
+    let build = || {
+        let mut e = Engine::new();
+        e.set_invariant_checking(true);
+        let p: Vec<ProcessId> = (0..3).map(|_| e.register_process()).collect();
+        for _ in 0..7 {
+            e.aid_init(p[2]);
+        }
+        e.deny(p[2], x(0)).unwrap();
+        e.affirm(p[2], x(1)).unwrap();
+        e.guess(p[0], &[x(2)], Checkpoint(1)).unwrap();
+        e.guess(p[1], &[x(5)], Checkpoint(2)).unwrap();
+        e.affirm(p[1], x(4)).unwrap();
+        e.deny(p[2], x(6)).unwrap();
+        assert_eq!(e.collect_fossils().aid_horizon, 2, "x0 and x1 are fossils");
+        (e, p[0])
+    };
+    let tag = |mask: u64| -> Tag { mixed_tag(mask, 7).into_iter().collect() };
+    let (mut e, p0) = build();
+    let before = format!("{e:?}");
+    let err = e.implicit_guess(p0, &tag(masks[0]), Checkpoint(9));
+    assert_eq!(err.unwrap_err(), Error::UnknownAid(x(8)));
+    let ghost = |e: &mut Engine, mask| e.implicit_guess(p0, &tag(mask), Checkpoint(9)).unwrap();
+    assert_eq!(
+        ghost(&mut e, masks[1]),
+        (ReceiveOutcome::Ghost(x(0)), vec![])
+    );
+    assert_eq!(
+        ghost(&mut e, masks[2]),
+        (ReceiveOutcome::Ghost(x(6)), vec![])
+    );
+    let counted = format!("{e:?}").replace("ghosts: 2", "ghosts: 0");
+    assert_eq!(counted, before, "an error or a ghost changes no record");
+    let (out, _) = e.implicit_guess(p0, &tag(masks[3]), Checkpoint(9)).unwrap();
+    let ReceiveOutcome::Speculative(a) = out else {
+        panic!("deliverable: {out:?}")
+    };
+    let view = e.interval(a).unwrap();
+    assert!(view.guessed().iter().eq([x(2), x(3), x(5)]));
+    assert!(view.ido().iter().eq([x(2), x(3), x(5)]));
+    // Interval 0 is P0's guess of x2, interval 1 P1's guess of x5.
+    let (i0, i1) = (IntervalId::from_index(0), IntervalId::from_index(1));
+    for (aid, dom) in [(2, vec![i0, a]), (3, vec![a]), (5, vec![i1, a])] {
+        assert!(e.aid(x(aid)).unwrap().dom().iter().eq(dom), "DOM of x{aid}");
+    }
+    assert!(e.aid(x(4)).unwrap().dom().is_empty(), "x4 stays dissolved");
+    let (mut e, p0) = build();
+    let (out, _) = e.implicit_guess(p0, &tag(masks[5]), Checkpoint(9)).unwrap();
+    assert_eq!(out, ReceiveOutcome::Clean);
+}
+
+/// Both operands spilled — the word-parallel path: a 90-name tag into an
+/// `IDO` of 70 names, sharing 40, with affirmed, dissolved and (second
+/// receive) denied names among the 50 that are new to the receiver.
+#[test]
+fn spilled_tag_into_a_spilled_ido() {
+    let mut ops = vec![Op::AidInit; 140 - N_AIDS as usize];
+    ops.extend((0..90).map(|x| Op::Guess(0, x))); // the sender holds x0..x90
+    ops.extend((50..120).map(|x| Op::Guess(1, x))); // the receiver x50..x120
+    ops.push(Op::Send(0));
+    ops.extend((0..10).map(|x| Op::Affirm(2, x))); // decided since the send,
+    ops.extend([Op::Guess(2, 130), Op::Affirm(2, 20)]); // x20 dissolved into {x130}
+    ops.extend([Op::Recv(1, 0), Op::Send(1), Op::Recv(2, 1)]);
+    ops.extend([Op::Deny(0, 30), Op::Recv(1, 0)]); // now a ghost
+    ops.extend((10..140).map(|x| Op::Affirm(2, x)));
+    play_both(&ops);
+}
+
+/// The theorem suite's alphabet (`tests/theorems.rs`: two processes, two
+/// AIDs, a send being a tag taken and delivered), every script up to length
+/// 3 that contains a receive — all of them, not a sample.
+#[test]
+fn every_short_script_with_a_receive_agrees_with_reference() {
+    let mut alphabet: Vec<[Option<Op>; 2]> = Vec::new();
+    for p in 0..2u32 {
+        for x in 0..2u64 {
+            for op in [
+                Op::Guess(p, x),
+                Op::Affirm(p, x),
+                Op::Deny(p, x),
+                Op::FreeOf(p, x),
+            ] {
+                alphabet.push([Some(op), None]);
+            }
+        }
+        // `Recv`'s index is patched below to name the tag just taken.
+        alphabet.push([Some(Op::Send(p)), Some(Op::Recv(1 - p, 0))]);
+    }
+    assert_eq!(alphabet.len(), 18);
+    let mut played = 0;
+    for len in 1..=3u32 {
+        for code in 0..18usize.pow(len) {
+            let letters = (0..len).map(|i| alphabet[code / 18usize.pow(i) % 18]);
+            let mut sends = 0;
+            let mut script = Vec::new();
+            for op in letters.flatten().flatten() {
+                script.push(match op {
+                    Op::Recv(p, _) => Op::Recv(p, sends - 1),
+                    Op::Send(_) => {
+                        sends += 1;
+                        op
+                    }
+                    _ => op,
+                });
+            }
+            if sends > 0 {
+                play_both(&script);
+                played += 1;
+            }
+        }
+    }
+    // 18ⁿ scripts of length n, 16ⁿ of them without a send.
+    assert_eq!(played, (18 - 16) + (324 - 256) + (5832 - 4096));
 }

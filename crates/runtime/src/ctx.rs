@@ -499,8 +499,13 @@ impl Ctx {
     ///
     /// One journal entry per call, holding `state`: cheap enough to call
     /// every iteration when the state is a counter, quadratic in memory
-    /// when the state itself grows with every iteration. Superseded
-    /// snapshots are reclaimed with the prefix they close over.
+    /// when the state itself grows with every iteration. A body whose state
+    /// grows should call it when the journal it has written since its last
+    /// snapshot is at least as long as the snapshot would be: snapshots
+    /// then cost no more memory than the journal they sit in, and a restart
+    /// replays about one state's worth of entries (`hope-timewarp`'s
+    /// `run_lp` is the model). Superseded snapshots are reclaimed with the
+    /// prefix they close over.
     ///
     /// # Errors
     ///

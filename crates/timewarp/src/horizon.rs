@@ -25,7 +25,7 @@ use hope_runtime::ProcessId;
 /// [`observe`](ChannelHorizon::observe); [`safe`](ChannelHorizon::safe)
 /// yields the timestamp below which no straggler can arrive, once every
 /// declared sender has been heard from at least once.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelHorizon {
     senders: Vec<ProcessId>,
     last_seen: BTreeMap<ProcessId, u64>,
@@ -40,6 +40,16 @@ impl ChannelHorizon {
             senders,
             last_seen: BTreeMap::new(),
         }
+    }
+
+    /// A tracker of `senders` that has seen `last_seen`: a snapshot's way back in.
+    pub fn resume(senders: Vec<ProcessId>, last_seen: BTreeMap<ProcessId, u64>) -> Self {
+        ChannelHorizon { senders, last_seen }
+    }
+
+    /// The latest timestamp seen from each sender heard so far.
+    pub fn last_seen(&self) -> &BTreeMap<ProcessId, u64> {
+        &self.last_seen
     }
 
     /// Record an arrival. All senders are recorded, commit channel or not:
@@ -67,10 +77,7 @@ impl ChannelHorizon {
         let Some(safe) = self.safe() else {
             return Vec::new();
         };
-        let n = guards
-            .iter()
-            .position(|&(ts, _)| ts >= safe)
-            .unwrap_or(guards.len());
+        let n = guards.partition_point(|&(ts, _)| ts < safe);
         guards.drain(..n).map(|(_, g)| g).collect()
     }
 }

@@ -30,3 +30,4 @@ pub mod phold;
 pub use event::Event;
 pub use horizon::ChannelHorizon;
 pub use lp::{run_lp, LpConfig};
+pub use phold::scenario;

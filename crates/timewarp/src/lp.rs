@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hope_core::AidId;
-use hope_runtime::{Ctx, Hope, ProcessId};
+use hope_runtime::{Ctx, Hope, ProcessId, Value};
 use hope_sim::VirtualDuration;
 
 use crate::event::Event;
@@ -77,6 +77,71 @@ impl LpConfig {
     }
 }
 
+/// The model state of one LP: what replay rebuilds and a snapshot carries.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct LpState {
+    /// Received, not yet processed: `(event, msg id)`.
+    pending: BTreeSet<(Event, u64)>,
+    horizon: ChannelHorizon,
+    last_sent: BTreeMap<ProcessId, u64>,
+    /// `(ts, guard)` of the processed events not yet affirmed. Ascending by
+    /// construction: an event older than `last_processed` is a straggler,
+    /// not pushed, and AIDs are allocated in ascending order.
+    guards: Vec<(u64, AidId)>,
+    last_processed: u64,
+}
+
+impl LpState {
+    /// How many `Int`s [`to_value`](Self::to_value) writes.
+    fn snapshot_len(&self) -> usize {
+        let pairs = self.horizon.last_seen().len() + self.last_sent.len() + self.guards.len();
+        5 + 3 * self.pending.len() + 2 * pairs
+    }
+
+    /// One flat list of `Int`s: four lengths, `last_processed`, then each collection in order.
+    fn to_value(&self) -> Value {
+        let int = |n: u64| Value::Int(n as i64);
+        let seen = self.horizon.last_seen();
+        let lens = [self.pending.len(), seen.len(), self.last_sent.len()];
+        let mut ints = Vec::with_capacity(self.snapshot_len());
+        ints.extend(lens.iter().map(|&n| int(n as u64)));
+        ints.extend([self.guards.len() as u64, self.last_processed].map(int));
+        let pending = self.pending.iter();
+        ints.extend(pending.flat_map(|(e, id)| [e.ts, e.hops, *id].map(int)));
+        let channels = seen.iter().chain(&self.last_sent);
+        ints.extend(channels.flat_map(|(p, ts)| [u64::from(p.0), *ts].map(int)));
+        let guards = self.guards.iter();
+        ints.extend(guards.flat_map(|(ts, g)| [*ts, g.index()].map(int)));
+        Value::List(ints)
+    }
+
+    /// [`to_value`](Self::to_value)'s inverse; `None` for what it cannot have written.
+    fn from_value(v: &Value, senders: Vec<ProcessId>) -> Option<Self> {
+        let ints = v.as_list()?.iter().map(|x| Some(x.as_int()? as u64));
+        let ints = ints.collect::<Option<Vec<u64>>>()?;
+        let (head, rest) = ints.split_at_checked(5)?;
+        let (pending, rest) = rest.split_at_checked(3 * head[0] as usize)?;
+        let (seen, rest) = rest.split_at_checked(2 * head[1] as usize)?;
+        let (sent, guards) = rest.split_at_checked(2 * head[2] as usize)?;
+        if guards.len() != 2 * head[3] as usize {
+            return None;
+        }
+        let channel = |c: &[u64]| (ProcessId(c[0] as u32), c[1]);
+        let guard = |c: &[u64]| (c[0], AidId::from_index(c[1]));
+        let event = |c: &[u64]| {
+            let (ts, hops) = (c[0], c[1]);
+            (Event { ts, hops }, c[2])
+        };
+        Some(LpState {
+            pending: pending.chunks(3).map(event).collect(),
+            horizon: ChannelHorizon::resume(senders, seen.chunks(2).map(channel).collect()),
+            last_sent: sent.chunks(2).map(channel).collect(),
+            guards: guards.chunks(2).map(guard).collect(),
+            last_processed: head[4],
+        })
+    }
+}
+
 /// Run one PHOLD-style logical process until the simulation shuts down.
 ///
 /// Each handled event is re-forwarded to a pseudo-randomly chosen LP with a
@@ -86,65 +151,88 @@ impl LpConfig {
 /// the events whose guards were affirmed (committed), while the engine's
 /// guess count includes speculative (possibly rolled back) processing.
 ///
+/// The body is restorable ([`Ctx::restore`]): a rollback resumes it at its
+/// newest surviving snapshot. Its state grows with the unaffirmed guards —
+/// without bound in symmetric PHOLD — so a snapshot per iteration would be
+/// quadratic; it takes one when the journal written since the last is at
+/// least as long as the snapshot would be. Snapshots then take no more
+/// memory than the journal, and a restart replays about a state's worth.
+///
 /// # Errors
 ///
 /// Propagates runtime [`Signal`](hope_runtime::Signal)s (the loop
 /// terminates via `Shutdown`).
 pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
     let me = ctx.pid();
-    // Model state, rebuilt deterministically by journal replay on rollback.
-    let mut pending: BTreeSet<(Event, u64)> = BTreeSet::new(); // (event, msg id)
-    let mut horizon = ChannelHorizon::new(cfg.senders.clone());
-    let mut last_sent: BTreeMap<ProcessId, u64> = BTreeMap::new();
-    let mut guards: Vec<(u64, AidId)> = Vec::new(); // (ts, guard), unaffirmed
-    let mut last_processed: u64 = 0;
-
-    for j in 0..cfg.seed_jobs {
-        ctx.send(me, Event { ts: 1 + j, hops: 0 }.to_value())?;
-    }
-    if cfg.seed_jobs > 0 {
-        last_sent.insert(me, cfg.seed_jobs);
-    }
+    // `written`: journal entries since the last snapshot, counted here so
+    // that a replay counts as the first execution did.
+    let (mut st, mut written) = match ctx.restore()? {
+        // Resuming *at* a snapshot: the loop's first act replays it.
+        Some(v) => {
+            let st = LpState::from_value(&v, cfg.senders.clone())
+                .expect("a snapshot is what this body's own checkpoint wrote");
+            (st, usize::MAX)
+        }
+        None => {
+            let mut st = LpState {
+                horizon: ChannelHorizon::new(cfg.senders.clone()),
+                ..LpState::default()
+            };
+            for j in 0..cfg.seed_jobs {
+                ctx.send(me, Event { ts: 1 + j, hops: 0 }.to_value())?;
+            }
+            if cfg.seed_jobs > 0 {
+                st.last_sent.insert(me, cfg.seed_jobs);
+            }
+            (st, 1 + cfg.seed_jobs as usize)
+        }
+    };
 
     loop {
+        if written >= st.snapshot_len() {
+            ctx.checkpoint(st.to_value())?;
+            written = 0;
+        }
         // Block for the next arriving event.
         let msg = ctx.recv()?;
+        written += 1;
         let ev = match Event::from_value(&msg.payload) {
             Some(ev) => ev,
             None => continue, // not an event; ignore
         };
-        horizon.observe(msg.from, ev.ts);
-        pending.insert((ev, msg.id));
+        st.horizon.observe(msg.from, ev.ts);
+        st.pending.insert((ev, msg.id));
 
         // Fossil-collect: once every commit channel has delivered something
         // at least as new, guards below the channel minimum can never be
         // straggled ([`ChannelHorizon`], the local GVT computation).
-        for guard in horizon.drain_safe(&mut guards) {
+        for guard in st.horizon.drain_safe(&mut st.guards) {
             ctx.affirm(guard)?;
+            written += 1;
         }
 
         // Process everything pending, eagerly and optimistically.
-        while let Some(&(ev, mid)) = pending.iter().next() {
-            pending.remove(&(ev, mid));
-            if ev.ts < last_processed {
+        while let Some((ev, mid)) = st.pending.pop_first() {
+            if ev.ts < st.last_processed {
                 // Straggler: deny the guard of the earliest event processed
                 // with a larger timestamp. We depend on that guard, so the
                 // deny is definite and unwinds us to its guess (§5.3).
-                let &(_, guard) = guards
-                    .iter()
-                    .find(|(ts, _)| *ts > ev.ts)
-                    .expect("a processed guard outranks the straggler");
+                let newer = st.guards.partition_point(|&(ts, _)| ts <= ev.ts);
+                let newer = st.guards.get(newer);
+                let &(_, guard) = newer.expect("a processed guard outranks the straggler");
                 ctx.deny(guard)?;
                 unreachable!("self-deny always unwinds");
             }
             let guard = ctx.aid_init()?;
-            guards.push((ev.ts, guard));
-            guards.sort_unstable();
+            st.guards.push((ev.ts, guard));
+            debug_assert!(st.guards.is_sorted(), "{:?}", st.guards);
+            written += 2;
             if ctx.guess(guard)? {
                 // Handle the event under the no-straggler assumption.
                 ctx.compute(cfg.service_time)?;
                 ctx.output(format!("handled ts={} hops={}", ev.ts, ev.hops))?;
-                last_processed = last_processed.max(ev.ts);
+                written += 2;
+                st.last_processed = st.last_processed.max(ev.ts);
                 if ev.ts <= cfg.horizon {
                     let r = ctx.random_u64()?;
                     let target = cfg.lps[(r % cfg.lps.len() as u64) as usize];
@@ -153,33 +241,30 @@ pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
                     // the substrate's per-link FIFO this makes each input
                     // channel monotone, which is what makes the channel-min
                     // commit rule above sound.
-                    let floor = last_sent.get(&target).map_or(0, |t| t + 1);
+                    let floor = st.last_sent.get(&target).map_or(0, |t| t + 1);
                     let ts = (ev.ts + delay).max(floor);
-                    last_sent.insert(target, ts);
-                    let next = Event {
-                        ts,
-                        hops: ev.hops + 1,
-                    };
-                    ctx.send(target, next.to_value())?;
+                    st.last_sent.insert(target, ts);
+                    let hops = ev.hops + 1;
+                    ctx.send(target, Event { ts, hops }.to_value())?;
+                    written += 2;
                 }
             } else {
                 // Rolled back here: either a straggler older than `ev`
                 // was re-enqueued into our mailbox, or a conservative deny
                 // (a fossil affirm whose interval rolled back, §5.6
                 // footnote 2) invalidated this guard without a straggler.
-                // Withdraw the premature attempt, drain everything already
-                // deliverable, and let the ordered `pending` set decide
-                // what to process next.
-                let pos = guards
-                    .iter()
-                    .position(|(_, g)| *g == guard)
-                    .expect("guard was just pushed");
-                guards.remove(pos);
-                pending.insert((ev, mid));
-                while let Some(m) = ctx.try_recv()? {
+                // Withdraw the premature attempt (the guard just pushed),
+                // drain everything already deliverable, and let the ordered
+                // `pending` set decide what to process next.
+                let withdrawn = st.guards.pop();
+                debug_assert_eq!(withdrawn, Some((ev.ts, guard)));
+                st.pending.insert((ev, mid));
+                loop {
+                    written += 1;
+                    let Some(m) = ctx.try_recv()? else { break };
                     if let Some(e2) = Event::from_value(&m.payload) {
-                        horizon.observe(m.from, e2.ts);
-                        pending.insert((e2, m.id));
+                        st.horizon.observe(m.from, e2.ts);
+                        st.pending.insert((e2, m.id));
                     }
                 }
             }
@@ -211,6 +296,123 @@ mod tests {
         // output can commit (Lemma 6.3) — the reproduction's E6 finding.
         assert!(report.outputs().is_empty(), "{report}");
         assert!(!report.hit_limits(), "{report}");
+    }
+
+    fn lp_state(n_pending: u64, n_guards: u64) -> LpState {
+        let mut st = LpState {
+            horizon: ChannelHorizon::new(vec![ProcessId(1), ProcessId(2)]),
+            ..LpState::default()
+        };
+        for i in 0..n_pending {
+            let ev = Event {
+                ts: 40 + i / 2,
+                hops: i,
+            };
+            st.pending.insert((ev, 1000 + i));
+        }
+        st.horizon.observe(ProcessId(2), 17);
+        st.horizon.observe(ProcessId(5), u64::MAX);
+        st.last_sent.insert(ProcessId(0), 31);
+        st.guards = (0..n_guards)
+            .map(|i| (20 + i / 3, AidId::from_index(7 * i)))
+            .collect();
+        st.last_processed = 20 + n_guards / 3;
+        st
+    }
+
+    /// State → `Value` → state is the identity, `snapshot_len` is the
+    /// length of what is written — in particular a snapshot taken with
+    /// events pending and guards open restores both — and anything the
+    /// body could not have written is refused, not patched up.
+    #[test]
+    fn state_round_trips_through_a_snapshot() {
+        let senders = || vec![ProcessId(1), ProcessId(2)];
+        assert_eq!(LpState::default().snapshot_len(), 5);
+        for (n_pending, n_guards) in [(0, 0), (0, 5), (3, 0), (4, 9), (1, 200)] {
+            let st = lp_state(n_pending, n_guards);
+            let v = st.to_value();
+            assert_eq!(v.expect_list().len(), st.snapshot_len());
+            let back = LpState::from_value(&v, senders()).expect("well-formed");
+            assert_eq!(back, st);
+            assert_eq!(back.pending.len() as u64, n_pending);
+            assert_eq!(back.guards.len() as u64, n_guards);
+            assert_eq!(back.horizon.safe(), None, "sender 1 is still unheard");
+
+            // One Int short, one too many, a length that lies, a non-Int.
+            let ints = v.expect_list().to_vec();
+            let mut longer = ints.clone();
+            longer.push(Value::Int(0));
+            let mut lying = ints.clone();
+            lying[3] = Value::Int(n_guards as i64 + 1);
+            let mut typed = ints.clone();
+            typed[4] = Value::Unit;
+            for bad in [ints[1..].to_vec(), longer, lying, typed] {
+                assert_eq!(LpState::from_value(&Value::List(bad), senders()), None);
+            }
+        }
+        assert_eq!(LpState::from_value(&Value::Int(3), senders()), None);
+    }
+
+    /// A straggler older than everything rolls the LP back to its first
+    /// guess — journal position 4, below every snapshot it took. The restart
+    /// has no snapshot to resume at: `restore` answers `None` again and the
+    /// seeding send is replayed from the journal, not sent a second time.
+    #[test]
+    fn restart_below_every_snapshot_replays_the_seeding_sends() {
+        const FAST: u64 = 6;
+        let mut topo = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_millis(1)));
+        topo.set_link(2, 0, LatencyModel::Fixed(VirtualDuration::from_millis(50)));
+        let cfg = SimConfig::with_seed(5)
+            .with_topology(topo)
+            .traced()
+            .commit_at_quiescence();
+        let mut sim = Simulation::new(cfg);
+        let lp = LpConfig {
+            lps: vec![ProcessId(0)],
+            senders: Vec::new(),
+            seed_jobs: 1,
+            service_time: VirtualDuration::from_micros(100),
+            mean_delay: 10,
+            horizon: 0,
+        };
+        sim.spawn("lp0", move |ctx| run_lp(ctx, &lp));
+        sim.spawn("driver-fast", move |ctx| {
+            for i in 1..=FAST {
+                ctx.send(
+                    ProcessId(0),
+                    Event {
+                        ts: 10 * i,
+                        hops: 0,
+                    }
+                    .to_value(),
+                )?;
+            }
+            Ok(())
+        });
+        sim.spawn("driver-slow", move |ctx| {
+            ctx.send(ProcessId(0), Event { ts: 0, hops: 9 }.to_value())?;
+            Ok(())
+        });
+        let report = sim.run();
+        assert!(report.errors().is_empty(), "{report}");
+        let stats = report.stats();
+        // `Restore`, the seed's send, its recv and aid_init, then the guess.
+        let cut = "ROLLBACK of 7 interval(s) to journal position 4";
+        assert!(report.trace().iter().any(|l| l.contains(cut)), "{report}");
+        // Five entries per event (recv, aid_init, guess, compute, output)
+        // less the first two, the straggler's recv and deny — and every
+        // snapshot taken by then.
+        assert!(stats.truncated_entries > 5 * (1 + FAST), "no snapshot cut");
+        // The straggler's `ts = 0` is not past the horizon: it alone is
+        // forwarded, once (and straggles again when it bounces back).
+        assert_eq!(stats.messages_sent, 1 + FAST + 1 + 1, "one seed, sent once");
+        let lines: Vec<&str> = report.outputs().iter().map(|o| o.line.as_str()).collect();
+        let mut want = vec!["handled ts=0 hops=9".into(), "handled ts=1 hops=0".into()];
+        want.extend((1..=FAST).map(|i| format!("handled ts={} hops=0", 10 * i)));
+        assert_eq!(lines.len(), want.len() + 1, "{report}");
+        for line in want {
+            assert_eq!(lines.iter().filter(|l| **l == line).count(), 1, "{line}");
+        }
     }
 
     /// Force a straggler: two senders with very different link latencies.

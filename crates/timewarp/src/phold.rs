@@ -93,6 +93,23 @@ pub fn run_phold_with(
     }
 }
 
+/// This crate's entry in the list of application scenarios the transparency
+/// oracles run (`tests/chaos_equivalence.rs`, `mc::check_scenario`): PHOLD
+/// on two LPs, one job each, mean increment 2, to model time 4 — small
+/// enough to exhaust over every schedule (some 3,000 of them), long enough
+/// for stragglers, rollbacks and snapshots. Whether anything commits is the
+/// caller's choice ([`SimConfig::commit_at_quiescence`]).
+pub fn scenario(cfg: SimConfig) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    let lps = vec![ProcessId(0), ProcessId(1)];
+    let lp = LpConfig::phold(lps, VirtualDuration::from_micros(100), 2, 4);
+    for i in 0..2 {
+        let lp = lp.clone();
+        sim.spawn(format!("lp{i}"), move |ctx| run_lp(ctx, &lp));
+    }
+    sim
+}
+
 /// Result of the sequential baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeqReport {

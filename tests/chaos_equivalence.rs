@@ -18,9 +18,10 @@
 //!   engine invariant checking ([`knob_lattice`]), fault-free and under
 //!   the same kind of plans — each cell asserting that what it turns on
 //!   actually fired; and
-//! * the recovery pipeline against its twin without checkpoints — the one
-//!   comparison made directly, because a snapshot is only where a restart
-//!   resumes and the twins must agree in more than `committed()`.
+//! * the recovery pipeline, and the Time Warp logical process, each against
+//!   its twin without checkpoints — the comparisons made directly, because
+//!   a snapshot is only where a restart resumes and the twins must agree
+//!   in more than `committed()`.
 //!
 //! Scenario obligations (see `hope_runtime::chaos`): committed values are
 //! derived from payloads/pre-fault state (never post-rollback
@@ -31,11 +32,13 @@ use hope_recovery::{decode_log_entry, log_entry, run_app_optimistic, run_stable_
 use hope_replication::{run_primary, Replica};
 use hope_runtime::mc::{check_scenario, SimMcConfig};
 use hope_runtime::{
-    knob_lattice, sweep, FaultPlan, FaultStats, GovernorConfig, ProcessId, SimConfig, Simulation,
-    Value, VariantRun,
+    knob_lattice, sweep, Ctx, FaultPlan, FaultStats, GovernorConfig, Hope, ProcessId, SimConfig,
+    Simulation, Value, VariantRun,
 };
 use hope_sim::{LatencyModel, SimRng, Topology, VirtualDuration, VirtualTime};
+use hope_timewarp::{run_lp, ChannelHorizon, Event, LpConfig};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
@@ -359,6 +362,208 @@ fn checkpoints_are_transparent_to_the_lossy_pipeline() {
     assert!(completeness.is_exhausted() && outcomes.len() > 1);
     let (_, (schedules, ..), ..) = explore(2, 15, 1024);
     assert_eq!(schedules, 1024);
+}
+
+/// [`run_lp`]'s twin: the body as it was before it called
+/// `restore`/`checkpoint`, transcribed — every restart replays its journal
+/// from step zero — with nothing else changed.
+fn run_lp_uncheckpointed(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
+    let me = ctx.pid();
+    let mut pending: BTreeSet<(Event, u64)> = BTreeSet::new();
+    let mut horizon = ChannelHorizon::new(cfg.senders.clone());
+    let mut last_sent: BTreeMap<ProcessId, u64> = BTreeMap::new();
+    let mut guards: Vec<(u64, hope_core::AidId)> = Vec::new();
+    let mut last_processed: u64 = 0;
+    for j in 0..cfg.seed_jobs {
+        ctx.send(me, Event { ts: 1 + j, hops: 0 }.to_value())?;
+    }
+    if cfg.seed_jobs > 0 {
+        last_sent.insert(me, cfg.seed_jobs);
+    }
+    loop {
+        let msg = ctx.recv()?;
+        let Some(ev) = Event::from_value(&msg.payload) else {
+            continue;
+        };
+        horizon.observe(msg.from, ev.ts);
+        pending.insert((ev, msg.id));
+        for guard in horizon.drain_safe(&mut guards) {
+            ctx.affirm(guard)?;
+        }
+        while let Some(&(ev, mid)) = pending.iter().next() {
+            pending.remove(&(ev, mid));
+            if ev.ts < last_processed {
+                let &(_, guard) = guards
+                    .iter()
+                    .find(|(ts, _)| *ts > ev.ts)
+                    .expect("a processed guard outranks the straggler");
+                ctx.deny(guard)?;
+                unreachable!("self-deny always unwinds");
+            }
+            let guard = ctx.aid_init()?;
+            guards.push((ev.ts, guard));
+            guards.sort_unstable();
+            if ctx.guess(guard)? {
+                ctx.compute(cfg.service_time)?;
+                ctx.output(format!("handled ts={} hops={}", ev.ts, ev.hops))?;
+                last_processed = last_processed.max(ev.ts);
+                if ev.ts <= cfg.horizon {
+                    let r = ctx.random_u64()?;
+                    let target = cfg.lps[(r % cfg.lps.len() as u64) as usize];
+                    let delay = 1 + (r >> 32) % (2 * cfg.mean_delay.max(1));
+                    let floor = last_sent.get(&target).map_or(0, |t| t + 1);
+                    let ts = (ev.ts + delay).max(floor);
+                    last_sent.insert(target, ts);
+                    let hops = ev.hops + 1;
+                    ctx.send(target, Event { ts, hops }.to_value())?;
+                }
+            } else {
+                let pos = guards.iter().position(|(_, g)| *g == guard);
+                guards.remove(pos.expect("guard was just pushed"));
+                pending.insert((ev, mid));
+                while let Some(m) = ctx.try_recv()? {
+                    if let Some(e2) = Event::from_value(&m.payload) {
+                        horizon.observe(m.from, e2.ts);
+                        pending.insert((e2, m.id));
+                    }
+                }
+            }
+        }
+    }
+}
+
+type LpBody = fn(&mut Ctx, &LpConfig) -> Hope<()>;
+
+/// PHOLD on `n_lps` logical processes running `body`, mean increment
+/// `mean_delay`, to model time `horizon` (what
+/// `hope_timewarp::phold::run_phold_with` builds).
+fn phold(cfg: SimConfig, n_lps: u32, mean_delay: u64, horizon: u64, body: LpBody) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    let lps: Vec<ProcessId> = (0..n_lps).map(ProcessId).collect();
+    let lp = LpConfig::phold(lps, VirtualDuration::from_micros(100), mean_delay, horizon);
+    for i in 0..n_lps {
+        let lp = lp.clone();
+        sim.spawn(format!("lp{i}"), move |ctx| body(ctx, &lp));
+    }
+    sim
+}
+
+/// The straggler scenario of `hope_timewarp`'s unit tests, a little longer:
+/// one LP whose two commit channels are drivers, the slow one carrying the
+/// oldest timestamp. (The topology that makes it slow is the caller's.)
+fn straggler(cfg: SimConfig, body: LpBody) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    let lp = LpConfig {
+        lps: vec![ProcessId(0)],
+        senders: vec![ProcessId(1), ProcessId(2)],
+        seed_jobs: 0,
+        service_time: VirtualDuration::from_micros(100),
+        mean_delay: 10,
+        horizon: 0,
+    };
+    sim.spawn("lp0", move |ctx| body(ctx, &lp));
+    for (name, stamps) in [
+        ("driver-fast", vec![100, 200, 300]),
+        ("driver-slow", vec![7, 150]),
+    ] {
+        sim.spawn(name, move |ctx| {
+            for &ts in &stamps {
+                ctx.send(ProcessId(0), Event { ts, hops: 0 }.to_value())?;
+            }
+            Ok(())
+        });
+    }
+    sim
+}
+
+/// Snapshot transparency for the Time Warp LP, PR 16's pattern: `run_lp`
+/// snapshots when its journal has grown by a state's worth, its twin
+/// never, and the two must differ only in how much a restart replays —
+/// same committed lines after the same events, virtual time, rollbacks,
+/// restarts and guesses, over PHOLD at three widths with and without the
+/// quiescence commit and a restoration hold, over a straggler between two
+/// drivers, and over the whole schedule space of `hope_timewarp::scenario`.
+#[test]
+fn run_lp_snapshots_are_transparent() {
+    let observe = |sim: Simulation| {
+        let r = sim.run();
+        assert!(r.errors().is_empty() && !r.hit_limits(), "{r}");
+        let s = r.stats();
+        let counts = (s.rollback_events, s.replays, s.engine.guesses);
+        let cost = (s.memory.live_journal_entries, s.ctx_lock_acquisitions);
+        ((r.committed(), r.events(), r.end_time(), counts), cost)
+    };
+    let (mut replays, mut snapshots, mut locks) = (0, 0, (0, 0));
+    for (n_lps, horizon) in [(2, 150), (4, 100), (8, 60)] {
+        for seed in 0..20 {
+            for knobs in 0..4 {
+                let mut cfg = SimConfig::with_seed(seed)
+                    .with_topology(Topology::uniform(LatencyModel::Fixed(ms(1))));
+                if knobs & 1 == 1 {
+                    cfg = cfg.commit_at_quiescence();
+                }
+                if knobs & 2 == 2 {
+                    cfg = cfg.with_rollback_overhead(ms(3));
+                }
+                let (with, (with_len, with_locks)) =
+                    observe(phold(cfg.clone(), n_lps, 10, horizon, run_lp));
+                let (without, (len, without_locks)) =
+                    observe(phold(cfg, n_lps, 10, horizon, run_lp_uncheckpointed));
+                assert_eq!(with, without, "{n_lps} LPs, seed {seed}, knobs {knobs}");
+                replays += with.3 .1;
+                // What the journals differ by: one `Restore` per LP and
+                // the snapshots no rollback cut.
+                snapshots += with_len - len - n_lps as u64;
+                locks = (locks.0 + with_locks, locks.1 + without_locks);
+            }
+        }
+    }
+    assert!(replays > 500, "the sweep must roll back: {replays}");
+    assert!(snapshots > 500, "… and take snapshots: {snapshots}");
+    assert!(locks.0 < locks.1, "… that shorten its replays: {locks:?}");
+
+    let mut topo = Topology::uniform(LatencyModel::Fixed(ms(1)));
+    topo.set_link(2, 0, LatencyModel::Fixed(ms(50)));
+    for seed in 0..5 {
+        let cfg = SimConfig::with_seed(seed)
+            .with_topology(topo.clone())
+            .commit_at_quiescence();
+        let (with, _) = observe(straggler(cfg.clone(), run_lp));
+        assert_eq!(with, observe(straggler(cfg, run_lp_uncheckpointed)).0);
+        assert!(with.3 .0 >= 1, "the straggler must roll the LP back");
+        assert!(!with.0.outputs.is_empty(), "quiescence commits the rest");
+    }
+
+    // `hope_timewarp::scenario` is the two-LP PHOLD above, smaller.
+    let cfg = SimConfig::with_seed(3)
+        .with_topology(Topology::uniform(LatencyModel::Fixed(ms(1))))
+        .commit_at_quiescence();
+    let scenario = observe(hope_timewarp::scenario(cfg.clone()));
+    assert_eq!(scenario, observe(phold(cfg.clone(), 2, 2, 4, run_lp)));
+    let (twin, (twin_len, _)) = observe(phold(cfg.clone(), 2, 2, 4, run_lp_uncheckpointed));
+    assert_eq!(scenario.0, twin);
+    assert!(scenario.1 .0 > twin_len + 2, "small, but it snapshots");
+    let tree = |scenario: &dyn Fn() -> Simulation| {
+        let r = check_scenario(
+            &SimMcConfig {
+                max_schedules: 4096,
+            },
+            scenario,
+        );
+        let shape = (r.schedules, r.choice_points, r.max_depth);
+        (r.outcomes, shape, r.completeness, r.limit_runs)
+    };
+    let with = tree(&|| hope_timewarp::scenario(cfg.clone()));
+    assert_eq!(
+        with,
+        tree(&|| phold(cfg.clone(), 2, 2, 4, run_lp_uncheckpointed))
+    );
+    let (outcomes, (schedules, ..), completeness, limit_runs) = with;
+    assert!(
+        completeness.is_exhausted() && limit_runs == 0,
+        "{schedules}"
+    );
+    assert!(outcomes.len() > 1 && schedules > 100, "{schedules}");
 }
 
 /// The fault-space knob lattice over `scenario` (a two-process one whose

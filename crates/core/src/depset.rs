@@ -229,7 +229,7 @@ pub struct DepSet<T: DepElem> {
 
 impl<T: DepElem> DepSet<T> {
     /// The empty set.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         DepSet {
             repr: Repr::Inline {
                 len: 0,

@@ -739,8 +739,8 @@ impl Engine {
             pid,
             ps,
             ido: entered,
-            ihd: DepSet::new(),
-            iha: DepSet::new(),
+            ihd: None,
+            iha: None,
             guessed,
             status: IntervalStatus::Speculative,
             seq,
@@ -1041,7 +1041,7 @@ impl Engine {
                     self.queue_finalizable(&heads, wl);
                 }
                 self.aid_mut(x).spec_affirmed_by = Some(a);
-                self.itv_mut(a).iha.insert(x);
+                self.itv_mut(a).iha.get_or_insert_default().insert(x);
                 effects.push(Effect::SpeculativelyAffirmed { aid: x, by: a });
             }
         }
@@ -1104,7 +1104,7 @@ impl Engine {
             // Eq. 16.
             let a = cur.expect("speculative deny requires a current interval");
             self.stats.speculative_denies += 1;
-            self.itv_mut(a).ihd.insert(x);
+            self.itv_mut(a).ihd.get_or_insert_default().insert(x);
             self.aid_mut(x).spec_denied_by = Some(a);
             effects.push(Effect::SpeculativelyDenied { aid: x, by: a });
         }
@@ -1183,8 +1183,7 @@ impl Engine {
         });
         // Speculative affirms issued in `a` become definite (Lemma 6.1):
         // promote the AIDs so later guessers observe `Affirmed`.
-        if !self.itv_ref(a).iha.is_empty() {
-            let iha = self.itv_ref(a).iha.clone();
+        if let Some(iha) = self.itv_ref(a).iha.as_deref().cloned() {
             for x in &iha {
                 if self.aid_ref(x).state == AidState::Undecided {
                     effects.push(Effect::AidAffirmed { aid: x });
@@ -1193,8 +1192,7 @@ impl Engine {
             }
         }
         // Speculative denies issued in `a` become definite (Equation 22).
-        if !self.itv_ref(a).ihd.is_empty() {
-            let ihd = self.itv_ref(a).ihd.clone();
+        if let Some(ihd) = self.itv_ref(a).ihd.as_deref().cloned() {
             for x in &ihd {
                 if self.aid_ref(x).state == AidState::Undecided {
                     effects.push(Effect::AidDenied { aid: x });
@@ -1245,8 +1243,7 @@ impl Engine {
             }
             // Speculative affirms become conservative definite denies
             // (§5.6, footnote 2).
-            if !self.itv_ref(c).iha.is_empty() {
-                let iha = self.itv_ref(c).iha.clone();
+            if let Some(iha) = self.itv_ref(c).iha.as_deref().cloned() {
                 for x in &iha {
                     self.aid_mut(x).spec_affirmed_by = None;
                     if self.aid_ref(x).state == AidState::Undecided {
@@ -1259,8 +1256,7 @@ impl Engine {
             // with the interval inside the IHD set"). The deny never took
             // effect, so the AID is released for the re-execution to decide
             // again — the one-shot rule counts only surviving primitives.
-            if !self.itv_ref(c).ihd.is_empty() {
-                let ihd = self.itv_ref(c).ihd.clone();
+            if let Some(ihd) = self.itv_ref(c).ihd.as_deref().cloned() {
                 for x in &ihd {
                     if self.aid_ref(x).spec_denied_by == Some(c) {
                         self.aid_mut(x).spec_denied_by = None;

@@ -71,10 +71,11 @@ pub(crate) struct Interval {
     /// 5.1's prefix-subset invariant is what makes that exact. Empty once
     /// the interval is definite or rolled back.
     pub(crate) ido: DepSet<AidId>,
-    /// `A.IHD`.
-    pub(crate) ihd: DepSet<AidId>,
-    /// `A.IHA` (see module docs).
-    pub(crate) iha: DepSet<AidId>,
+    /// `A.IHD`, out of line: almost every interval leaves it empty, and
+    /// `None` is the empty set.
+    pub(crate) ihd: Option<Box<DepSet<AidId>>>,
+    /// `A.IHA` (see module docs), out of line like `ihd`.
+    pub(crate) iha: Option<Box<DepSet<AidId>>>,
     /// The AIDs named in the guess that opened this interval (before
     /// inheriting the parent's `IDO`). Used by runtimes to re-issue the
     /// guess after rollback and by the resume-point invariant tests.
@@ -83,6 +84,10 @@ pub(crate) struct Interval {
     /// Position in the owning process's (live) history at creation time.
     pub(crate) seq: usize,
 }
+
+/// What [`IntervalView::ihd`] and [`IntervalView::iha`] lend for a set
+/// never written.
+static EMPTY: DepSet<AidId> = DepSet::new();
 
 /// Read-only view of one interval's control variables.
 ///
@@ -145,12 +150,12 @@ impl<'a> IntervalView<'a> {
 
     /// `A.IHD`: speculative denies pending this interval's finalization.
     pub fn ihd(&self) -> &'a DepSet<AidId> {
-        &self.inner.ihd
+        self.inner.ihd.as_deref().unwrap_or(&EMPTY)
     }
 
     /// `A.IHA`: speculative affirms issued within this interval.
     pub fn iha(&self) -> &'a DepSet<AidId> {
-        &self.inner.iha
+        self.inner.iha.as_deref().unwrap_or(&EMPTY)
     }
 
     /// The AIDs named by the guess that opened this interval.
@@ -185,13 +190,25 @@ mod tests {
             pid: ProcessId(0),
             ps: Checkpoint(0),
             ido: DepSet::new(),
-            ihd: DepSet::new(),
-            iha: DepSet::new(),
+            ihd: None,
+            iha: None,
             guessed: DepSet::new(),
             status: IntervalStatus::Speculative,
             seq: 0,
         };
         assert_eq!(i.status, IntervalStatus::Speculative);
         assert_eq!(i.seq, 0);
+    }
+
+    #[test]
+    fn the_record_keeps_its_rare_sets_out_of_line() {
+        // Two inline sets and two pointers: 576 bytes, not 1,088 with four
+        // inline sets. Every interval the engine stores, clones (the model
+        // checker's `Machine::clone`) and walks pays this.
+        // Test builds give each inline set a `BTreeSet` shadow; it does
+        // not exist in the record the engine ships.
+        let shadows = 2 * std::mem::size_of::<std::collections::BTreeSet<u64>>();
+        let size = std::mem::size_of::<Interval>() - shadows;
+        assert!(size <= 600, "Interval is {size} bytes");
     }
 }

@@ -20,7 +20,10 @@
 //! The encoding itself — not a hash of it — is used as the cache key: a
 //! 64-bit hash collision would silently merge distinct states and make the
 //! checker unsound, while full keys only cost memory the state budget
-//! already bounds.
+//! already bounds. [`state_key`] writes integers as LEB128 varints (≈81
+//! bytes a key on the E22 corpus, ≈404 as 8-byte words); reports keep
+//! [`commit_fingerprint`]'s bytes, so it stays fixed-width. Both are exact
+//! encodings (see `Enc`).
 
 use std::collections::BTreeMap;
 
@@ -68,14 +71,23 @@ impl Names {
     }
 }
 
-/// Fixed-width little-endian byte sink. Unambiguous because every field is
-/// written in a fixed order with explicit length prefixes for sequences.
+/// Byte sink; integers are LEB128 varints if `VARINT`, else 8-byte
+/// little-endian words. Unambiguous because every field is written in a
+/// fixed order with explicit length prefixes for sequences, and both
+/// integer forms are self-delimiting (varints are prefix-free).
 #[derive(Default)]
-struct Enc(Vec<u8>);
+struct Enc<const VARINT: bool>(Vec<u8>);
 
-impl Enc {
-    fn u(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
+impl<const VARINT: bool> Enc<VARINT> {
+    fn u(&mut self, mut v: u64) {
+        if !VARINT {
+            return self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        while v >= 0x80 {
+            self.0.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.0.push(v as u8);
     }
 
     fn tag(&mut self, t: u8) {
@@ -194,7 +206,7 @@ fn aid_state_tag(s: AidState) -> u8 {
     }
 }
 
-fn encode_histories(e: &mut Enc, m: &Machine, names: &Names) {
+fn encode_histories(e: &mut Enc<true>, m: &Machine, names: &Names) {
     for p in 0..m.process_count() {
         let h = m.history(p);
         e.u(h.states().len() as u64);
@@ -211,7 +223,7 @@ fn encode_histories(e: &mut Enc, m: &Machine, names: &Names) {
     }
 }
 
-fn encode_aids(e: &mut Enc, m: &Machine, names: &Names, with_control: bool) {
+fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_control: bool) {
     let engine = m.engine();
     e.u(engine.aid_count() as u64);
     for i in 0..engine.aid_count() {
@@ -241,7 +253,11 @@ fn encode_aids(e: &mut Enc, m: &Machine, names: &Names, with_control: bool) {
 pub fn state_key(m: &Machine) -> Vec<u8> {
     let names = Names::build(m);
     let engine = m.engine();
-    let mut e = Enc::default();
+    // Sized up front: fewer than 2% of the keys the generated corpora reach
+    // need more than 12 bytes per history record, AID and process.
+    let n = m.process_count();
+    let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
+    let mut e = Enc::<true>(Vec::with_capacity(12 * (records + engine.aid_count() + n)));
     e.u(m.process_count() as u64);
     encode_aids(&mut e, m, &names, true);
     for p in 0..m.process_count() {
@@ -303,9 +319,11 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
 /// everything a program could act on: each guess's returned value, the
 /// decisions taken, computes, send targets, delivered-message senders,
 /// and the final decision state of every AID.
+/// Integers are fixed-width words: these are the bytes
+/// [`McReport::outputs`](crate::McReport::outputs) holds.
 pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
     let names = Names::build(m);
-    let mut e = Enc::default();
+    let mut e = Enc::<false>::default();
     e.u(m.process_count() as u64);
     encode_aids(&mut e, m, &names, false);
     for p in 0..m.process_count() {
@@ -373,7 +391,9 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_core::machine::StepOutcome;
     use hope_core::program::Program;
+    use std::collections::{HashMap, HashSet};
 
     fn machine_after(program: &Program, schedule: &[usize]) -> Machine {
         let mut m = Machine::new(program.clone());
@@ -398,20 +418,23 @@ mod tests {
 
     #[test]
     fn commuting_sends_converge_despite_msg_ids() {
-        let program: Program =
+        // Sends to the same mailbox do NOT commute (delivery order): the
+        // two orders queue P2's messages differently and must not merge.
+        let same_mailbox: Program =
             "process P0:\n send(P2)\nprocess P1:\n send(P2)\nprocess P2:\n recv\n recv\n"
                 .parse()
                 .unwrap();
-        // Sends to the same mailbox do NOT commute (delivery order), but
-        // sends from the same state to *different* mailboxes do; message
-        // ids must not distinguish them. Use distinct receivers:
-        let program2: Program =
+        let a = machine_after(&same_mailbox, &[0, 1]);
+        let b = machine_after(&same_mailbox, &[1, 0]);
+        assert_ne!(state_key(&a), state_key(&b));
+        // A send and a step elsewhere do commute; message ids, which
+        // follow allocation order, must not distinguish the two orders.
+        let elsewhere: Program =
             "process P0:\n send(P1)\nprocess P1:\n recv\nprocess P2:\n compute\n"
                 .parse()
                 .unwrap();
-        let _ = program;
-        let a = machine_after(&program2, &[2, 0]);
-        let b = machine_after(&program2, &[0, 2]);
+        let a = machine_after(&elsewhere, &[2, 0]);
+        let b = machine_after(&elsewhere, &[0, 2]);
         assert_eq!(state_key(&a), state_key(&b));
     }
 
@@ -436,5 +459,312 @@ mod tests {
         let k = state_key(&m);
         // Same structural state re-encoded is stable.
         assert_eq!(k, state_key(&m));
+    }
+
+    /// The fixed-width encoding — every integer an 8-byte little-endian
+    /// word — transcribed field by field as the oracle for the compact
+    /// state key and the unchanged commit fingerprint.
+    mod fixed_width {
+        use super::super::{aid_state_tag, CanonRef, Names};
+        use hope_core::machine::{Event, Machine, Msg, StepOutcome};
+        use hope_core::program::Stmt;
+        use hope_core::{AidId, IntervalStatus};
+
+        #[derive(Default)]
+        struct W(Vec<u8>);
+
+        impl W {
+            fn u(&mut self, v: u64) {
+                self.0.extend_from_slice(&v.to_le_bytes());
+            }
+
+            fn tag(&mut self, t: u8) {
+                self.0.push(t);
+            }
+
+            fn opt_cref(&mut self, r: Option<CanonRef>) {
+                match r {
+                    None => self.tag(0),
+                    Some((p, i)) => {
+                        self.tag(1);
+                        self.u(p);
+                        self.u(i);
+                    }
+                }
+            }
+
+            fn g(&mut self, g: Option<bool>) {
+                self.tag(match g {
+                    None => 0,
+                    Some(false) => 1,
+                    Some(true) => 2,
+                });
+            }
+
+            fn stmt(&mut self, s: Stmt) {
+                let (t, x) = match s {
+                    Stmt::Guess(x) => (0, Some(x)),
+                    Stmt::Affirm(x) => (1, Some(x)),
+                    Stmt::Deny(x) => (2, Some(x)),
+                    Stmt::FreeOf(x) => (3, Some(x)),
+                    Stmt::Compute => (4, None),
+                    Stmt::Send { to } => (5, Some(to)),
+                    Stmt::Recv => (6, None),
+                };
+                self.tag(t);
+                if let Some(x) = x {
+                    self.u(x as u64);
+                }
+            }
+
+            fn event(&mut self, e: &Event, names: &Names) {
+                match e {
+                    Event::Guess { aid, value } => {
+                        self.tag(0);
+                        self.u(aid.index());
+                        self.tag(*value as u8);
+                    }
+                    Event::Affirm { aid, speculative } => {
+                        self.tag(1);
+                        self.u(aid.index());
+                        self.tag(*speculative as u8);
+                    }
+                    Event::Deny { aid, speculative } => {
+                        self.tag(2);
+                        self.u(aid.index());
+                        self.tag(*speculative as u8);
+                    }
+                    Event::FreeOf { aid } => {
+                        self.tag(3);
+                        self.u(aid.index());
+                    }
+                    Event::Compute => self.tag(4),
+                    Event::Send { to, .. } => {
+                        self.tag(5);
+                        self.u(names.process(*to));
+                    }
+                    Event::Recv { speculative, .. } => {
+                        self.tag(6);
+                        self.tag(*speculative as u8);
+                    }
+                    Event::GhostDropped { denied, .. } => {
+                        self.tag(7);
+                        self.u(denied.index());
+                    }
+                    Event::Skipped { stmt } => {
+                        self.tag(8);
+                        self.stmt(*stmt);
+                    }
+                    Event::Resumed { at_pc } => {
+                        self.tag(9);
+                        self.u(*at_pc as u64);
+                    }
+                    _ => self.tag(255),
+                }
+            }
+
+            fn msg(&mut self, m: &Msg, names: &Names) {
+                self.u(names.process(m.from));
+                self.u(m.tag.len() as u64);
+                for x in m.tag.iter() {
+                    self.u(x.index());
+                }
+            }
+
+            fn aids(&mut self, m: &Machine, names: &Names, with_control: bool) {
+                let engine = m.engine();
+                self.u(engine.aid_count() as u64);
+                for i in 0..engine.aid_count() {
+                    let v = engine.aid(AidId::from_index(i as u64)).unwrap();
+                    self.tag(aid_state_tag(v.state()));
+                    self.tag(v.is_consumed() as u8);
+                    if with_control {
+                        self.opt_cref(v.speculatively_affirmed_by().map(|a| names.interval(a)));
+                        self.opt_cref(v.speculatively_denied_by().map(|a| names.interval(a)));
+                        let mut dom: Vec<CanonRef> =
+                            v.dom().iter().map(|a| names.interval(a)).collect();
+                        dom.sort_unstable();
+                        self.u(dom.len() as u64);
+                        for (p, i) in dom {
+                            self.u(p);
+                            self.u(i);
+                        }
+                    }
+                }
+            }
+        }
+
+        pub(super) fn state_key(m: &Machine) -> Vec<u8> {
+            let names = Names::build(m);
+            let engine = m.engine();
+            let mut e = W::default();
+            e.u(m.process_count() as u64);
+            e.aids(m, &names, true);
+            for p in 0..m.process_count() {
+                e.u(m.pc(p) as u64);
+                let history = engine.history(m.pid(p)).unwrap();
+                e.u(history.len() as u64);
+                for &a in history {
+                    let v = engine.interval(a).unwrap();
+                    match v.status() {
+                        IntervalStatus::Definite => e.tag(0),
+                        IntervalStatus::Speculative => {
+                            e.tag(1);
+                            for set in [&*v.ido(), v.ihd(), v.iha(), v.guessed()] {
+                                e.u(set.len() as u64);
+                                for x in set {
+                                    e.u(x.index());
+                                }
+                            }
+                            e.u(v.checkpoint().0);
+                            let (mpc, mhist, mdel) = m.resume_mark(p, a).unwrap();
+                            e.u(mpc as u64);
+                            e.u(mhist as u64);
+                            e.u(mdel as u64);
+                        }
+                        IntervalStatus::RolledBack => unreachable!(),
+                    }
+                }
+                e.u(m.mailbox(p).count() as u64);
+                for msg in m.mailbox(p) {
+                    e.msg(msg, &names);
+                }
+                e.u(m.delivered(p).len() as u64);
+                for msg in m.delivered(p) {
+                    e.msg(msg, &names);
+                }
+            }
+            for p in 0..m.process_count() {
+                let h = m.history(p);
+                e.u(h.states().len() as u64);
+                for rec in h.states() {
+                    e.event(&rec.event, &names);
+                    e.opt_cref(rec.interval.map(|a| names.interval(a)));
+                    e.g(rec.g);
+                    e.u(rec.pc as u64);
+                }
+            }
+            let stats = engine.stats();
+            e.tag((stats.rollback_events > 0) as u8);
+            e.tag((stats.ghosts > 0) as u8);
+            e.0
+        }
+
+        pub(super) fn commit_fingerprint(m: &Machine) -> Vec<u8> {
+            let names = Names::build(m);
+            let mut e = W::default();
+            e.u(m.process_count() as u64);
+            e.aids(m, &names, false);
+            for p in 0..m.process_count() {
+                e.tag((m.poll(p) == StepOutcome::Done) as u8);
+                let visible: Vec<_> = m
+                    .history(p)
+                    .states()
+                    .iter()
+                    .filter(|r| {
+                        !matches!(r.event, Event::GhostDropped { .. } | Event::Resumed { .. })
+                    })
+                    .collect();
+                e.u(visible.len() as u64);
+                for rec in visible {
+                    match &rec.event {
+                        Event::Guess { aid, value } => {
+                            e.tag(0);
+                            e.u(aid.index());
+                            e.tag(*value as u8);
+                        }
+                        Event::Affirm { aid, .. } => {
+                            e.tag(1);
+                            e.u(aid.index());
+                        }
+                        Event::Deny { aid, .. } => {
+                            e.tag(2);
+                            e.u(aid.index());
+                        }
+                        Event::FreeOf { aid } => {
+                            e.tag(3);
+                            e.u(aid.index());
+                        }
+                        Event::Compute => e.tag(4),
+                        Event::Send { to, .. } => {
+                            e.tag(5);
+                            e.u(names.process(*to));
+                        }
+                        Event::Recv { .. } => e.tag(6),
+                        Event::Skipped { stmt } => {
+                            e.tag(8);
+                            e.stmt(*stmt);
+                        }
+                        _ => e.tag(255),
+                    }
+                    e.g(rec.g);
+                }
+                e.u(m.delivered(p).len() as u64);
+                for msg in m.delivered(p) {
+                    e.u(names.process(msg.from));
+                }
+            }
+            e.0
+        }
+    }
+
+    /// Every state a DFS over all interleavings reaches, each distinct
+    /// fixed-width key expanded once (equal keys have equal futures, which
+    /// is the property both keys exist to provide).
+    fn reachable(program: &Program, seen: &mut HashMap<Vec<u8>, Vec<u8>>, fresh: &mut usize) {
+        let mut stack = vec![Machine::new(program.clone())];
+        while let Some(m) = stack.pop() {
+            assert_eq!(
+                commit_fingerprint(&m),
+                fixed_width::commit_fingerprint(&m),
+                "commit fingerprints are fixed-width\n{program}"
+            );
+            let (old, new) = (fixed_width::state_key(&m), state_key(&m));
+            if let Some(known) = seen.get(&old) {
+                assert_eq!(
+                    known, &new,
+                    "equal fixed-width keys, different keys\n{program}"
+                );
+                continue;
+            }
+            seen.insert(old, new);
+            *fresh += 1;
+            for p in 0..m.process_count() {
+                if m.poll(p) == StepOutcome::Executed {
+                    let mut child = m.clone();
+                    child.step(p).expect("machine-built programs cannot err");
+                    stack.push(child);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compact_keys_are_the_fixed_width_keys_equivalence() {
+        // Over every reachable state of 220 generated programs: the map
+        // from fixed-width key to key is a function (checked on arrival)
+        // and injective (checked per program below), so equal keys are
+        // exactly equal fixed-width keys.
+        let corpus = (0..120u64)
+            .map(|s| Program::generate(s, 3, 3, 3))
+            .chain((0..100u64).map(|s| Program::generate(s, 2, 4, 2)));
+        let (mut states, mut old_bytes, mut new_bytes) = (0, 0, 0);
+        for program in corpus {
+            let mut seen = HashMap::new();
+            reachable(&program, &mut seen, &mut states);
+            let distinct: HashSet<&Vec<u8>> = seen.values().collect();
+            assert_eq!(
+                distinct.len(),
+                seen.len(),
+                "two states share a key\n{program}"
+            );
+            old_bytes += seen.keys().map(Vec::len).sum::<usize>();
+            new_bytes += seen.values().map(Vec::len).sum::<usize>();
+        }
+        assert!(states > 10_000, "the corpus reaches only {states} states");
+        assert!(
+            new_bytes * 3 < old_bytes,
+            "{new_bytes} vs {old_bytes} bytes"
+        );
     }
 }

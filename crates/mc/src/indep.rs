@@ -403,7 +403,13 @@ fn reach(m: &Machine, q: usize) -> Reach {
 /// * its dynamic footprint stays within the process itself;
 /// * no other live process's reach meets the footprint, and nobody else
 ///   can still send to the footprint's `send_to` target.
-pub(crate) fn invisible_singleton(m: &Machine, enabled: &[usize]) -> Option<usize> {
+///
+/// Each footprint it computes is left in `footprints`, indexed by process.
+pub(crate) fn invisible_singleton(
+    m: &Machine,
+    enabled: &[usize],
+    footprints: &mut [Option<Footprint>],
+) -> Option<usize> {
     let engine = m.engine();
     let finished = |q: usize| -> bool {
         // Permanently finished: out of statements *and* definite (a
@@ -418,7 +424,7 @@ pub(crate) fn invisible_singleton(m: &Machine, enabled: &[usize]) -> Option<usiz
         if matches!(m.next_stmt(p), Some(Stmt::Recv) | None) {
             continue;
         }
-        let fp = footprint(m, p);
+        let fp = footprints[p].get_or_insert_with(|| footprint(m, p));
         if fp.procs.len() != 1 || !fp.procs.contains(&p) {
             continue;
         }
@@ -457,6 +463,19 @@ mod tests {
 
     fn fresh(program: &str) -> Machine {
         Machine::new(program.parse::<Program>().unwrap())
+    }
+
+    /// The singleton pick with both processes enabled; every footprint it
+    /// computed must be the one `footprint` gives.
+    fn singleton(m: &Machine) -> Option<usize> {
+        let mut fps = vec![None, None];
+        let pick = invisible_singleton(m, &[0, 1], &mut fps);
+        for (p, fp) in fps.iter().enumerate() {
+            if let Some(fp) = fp {
+                assert_eq!(format!("{fp:?}"), format!("{:?}", footprint(m, p)));
+            }
+        }
+        pick
     }
 
     #[test]
@@ -513,14 +532,14 @@ mod tests {
     #[test]
     fn compute_is_invisible_for_definite_process() {
         let m = fresh("process P0:\n compute\n compute\nprocess P1:\n guess(x0)\n");
-        let pick = invisible_singleton(&m, &[0, 1]);
+        let pick = singleton(&m);
         assert_eq!(pick, Some(0));
     }
 
     #[test]
     fn guess_is_not_invisible_when_another_proc_touches_the_aid() {
         let m = fresh("process P0:\n guess(x0)\nprocess P1:\n affirm(x0)\n");
-        assert_eq!(invisible_singleton(&m, &[0, 1]), None);
+        assert_eq!(singleton(&m), None);
     }
 
     #[test]
@@ -529,16 +548,12 @@ mod tests {
         // singleton; after P1's deny(x0) lands (and the engine settles),
         // only `compute` remains, so P0's next aid-free step is invisible.
         let mut m = fresh("process P0:\n compute\n guess(x0)\nprocess P1:\n deny(x0)\n compute\n");
-        assert_eq!(invisible_singleton(&m, &[0, 1]), Some(0), "compute is free");
+        assert_eq!(singleton(&m), Some(0), "compute is free");
         m.step(0).unwrap();
-        assert_eq!(
-            invisible_singleton(&m, &[0, 1]),
-            None,
-            "guess(x0) races P1's deny(x0)"
-        );
+        assert_eq!(singleton(&m), None, "guess(x0) races P1's deny(x0)");
         m.step(1).unwrap();
         // P1's remaining suffix is aid-free and both processes are
         // definite: the guess no longer interleaves with anything.
-        assert_eq!(invisible_singleton(&m, &[0, 1]), Some(0));
+        assert_eq!(singleton(&m), Some(0));
     }
 }

@@ -49,6 +49,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use hope_core::machine::{Event, Machine, StepOutcome};
@@ -274,7 +275,10 @@ struct Explorer {
     /// `cfg.mode == Mode::SleepSet`: cache states, prune with sleep sets
     /// and persistent singletons. `false` is the naive oracle.
     reduce: bool,
-    visited: BTreeMap<Vec<u8>, BTreeSet<usize>>,
+    /// Each visited state's key, stored once, to its index in `explored`.
+    visited: BTreeMap<Vec<u8>, usize>,
+    /// Per visited state: the steps from it explored or being explored.
+    explored: Vec<BTreeSet<usize>>,
     path: Vec<usize>,
     report: McReport,
     stopped: bool,
@@ -310,7 +314,7 @@ impl Explorer {
         }
     }
 
-    fn explore(&mut self, m: &Machine, sleep: Vec<usize>, depth: usize) {
+    fn explore(&mut self, m: Machine, sleep: Vec<usize>, depth: usize) {
         if !self.budget_left() {
             return;
         }
@@ -321,20 +325,21 @@ impl Explorer {
 
         // Visited-state handling. Terminals are cached too, so each
         // inequivalent terminal is counted and recorded exactly once.
-        let mut state_key = Vec::new();
+        let mut slot = None;
         let explored_before: BTreeSet<usize> = if self.reduce {
-            state_key = canon::state_key(m);
-            match self.visited.get(&state_key) {
-                Some(done) => {
+            match self.visited.entry(canon::state_key(&m)) {
+                Entry::Occupied(e) => {
                     self.report.cache_hits += 1;
                     if enabled.is_empty() {
                         return; // terminal already recorded
                     }
-                    done.clone()
+                    slot = Some(*e.get());
+                    self.explored[*e.get()].clone()
                 }
-                None => {
+                Entry::Vacant(e) => {
                     self.report.states += 1;
-                    self.visited.insert(state_key.clone(), BTreeSet::new());
+                    slot = Some(*e.insert(self.explored.len()));
+                    self.explored.push(BTreeSet::new());
                     BTreeSet::new()
                 }
             }
@@ -344,7 +349,7 @@ impl Explorer {
         };
 
         if enabled.is_empty() {
-            self.terminal(m);
+            self.terminal(&m);
             return;
         }
         if depth >= self.cfg.max_depth {
@@ -353,10 +358,13 @@ impl Explorer {
             return;
         }
 
-        let (allowed, footprints) = if self.reduce {
+        // Each process's footprint here, computed at most once: by the
+        // singleton prover or for the sleep sets, whichever asks first.
+        let mut footprints: Vec<Option<indep::Footprint>> = vec![None; n];
+        let allowed = if self.reduce {
             // Persistent singleton: a provably invisible step needs no
             // branching — and by persistence, no sibling either.
-            let candidates = match invisible_singleton(m, &enabled) {
+            let candidates = match invisible_singleton(&m, &enabled, &mut footprints) {
                 Some(p) => {
                     self.report.singleton_states += 1;
                     vec![p]
@@ -371,53 +379,49 @@ impl Explorer {
                 .filter(|p| !sleep.contains(p))
                 .collect();
             self.report.sleep_pruned += before - kept.len();
-            let footprints: BTreeMap<usize, indep::Footprint> = kept
-                .iter()
-                .chain(sleep.iter())
-                .map(|&p| (p, indep::footprint(m, p)))
-                .collect();
-            (kept, footprints)
+            for &p in kept.iter().chain(&sleep) {
+                footprints[p].get_or_insert_with(|| indep::footprint(&m, p));
+            }
+            kept
         } else {
-            (enabled, BTreeMap::new())
+            enabled
         };
 
+        let todo: Vec<usize> = allowed
+            .into_iter()
+            .filter(|p| !explored_before.contains(p))
+            .collect();
+        let mut parent = Some(m);
         let mut taken: Vec<usize> = Vec::new();
-        for (i, &p) in allowed.iter().enumerate() {
-            if explored_before.contains(&p) {
-                continue;
-            }
-            if self.reduce {
+        for (i, &p) in todo.iter().enumerate() {
+            if let Some(s) = slot {
                 // Mark pre-order so cycles (rollback livelocks) cut off.
-                self.visited.entry(state_key.clone()).or_default().insert(p);
+                self.explored[s].insert(p);
             }
             if self.stopped {
-                self.report.frontier_remaining += allowed[i..]
-                    .iter()
-                    .filter(|q| !explored_before.contains(q))
-                    .count();
+                self.report.frontier_remaining += todo.len() - i;
                 return;
             }
-            let mut child = m.clone();
+            // The last child steps the parent itself, which nothing reads
+            // afterwards: the footprints are owned and the key is stored.
+            let last = i + 1 == todo.len();
+            let child = if last { parent.take() } else { parent.clone() };
+            let mut child = child.expect("the parent outlives all but its last child");
             child.step(p).expect("machine-built programs cannot err");
             self.report.transitions += 1;
             let child_sleep: Vec<usize> = if self.reduce {
-                let fp_p = &footprints[&p];
+                let fp = |q: usize| footprints[q].as_ref().expect("computed above");
                 sleep
                     .iter()
                     .chain(taken.iter())
                     .copied()
-                    .filter(|u| {
-                        footprints
-                            .get(u)
-                            .map(|fp_u| fp_u.independent(fp_p))
-                            .unwrap_or(false)
-                    })
+                    .filter(|&u| fp(u).independent(fp(p)))
                     .collect()
             } else {
                 Vec::new()
             };
             self.path.push(p);
-            self.explore(&child, child_sleep, depth + 1);
+            self.explore(child, child_sleep, depth + 1);
             self.path.pop();
             if self.reduce {
                 taken.push(p);
@@ -428,22 +432,23 @@ impl Explorer {
 
 /// Explore the schedule space of `program` under `cfg`.
 ///
-/// Clones the machine at every branch point (snapshot-based exploration;
-/// `Machine` is a pure value). The returned [`McReport`] carries the
-/// verdict, the exploration counters the E17 experiment records, a
-/// pristine witness schedule if one exists, and the set of committed
-/// outcomes across all completed terminals.
+/// Clones the machine at every branch point but the last, whose step
+/// advances the parent itself (snapshot-based exploration; `Machine` is a
+/// pure value). The returned [`McReport`] carries the verdict, the
+/// exploration counters the E17 experiment records, a pristine witness
+/// schedule if one exists, and the set of committed outcomes across all
+/// completed terminals.
 pub fn check(program: &Program, cfg: &McConfig) -> McReport {
-    let machine = Machine::new(program.clone());
     let mut explorer = Explorer {
         cfg: cfg.clone(),
         reduce: cfg.mode == Mode::SleepSet,
         visited: BTreeMap::new(),
+        explored: Vec::new(),
         path: Vec::new(),
         report: McReport::empty(),
         stopped: false,
     };
-    explorer.explore(&machine, Vec::new(), 0);
+    explorer.explore(Machine::new(program.clone()), Vec::new(), 0);
     explorer.report
 }
 

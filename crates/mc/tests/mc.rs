@@ -17,7 +17,7 @@
 use hope_core::machine::{Event, Machine};
 use hope_core::observer::NullObserver;
 use hope_core::program::Program;
-use hope_mc::{check, commit_fingerprint, McConfig};
+use hope_mc::{check, commit_fingerprint, BudgetReason, Completeness, McConfig, McReport, Mode};
 use proptest::prelude::*;
 
 const SEEDED_SCHEDULES: u64 = 64;
@@ -102,6 +102,178 @@ fn envelope_shapes_are_covered() {
         let one = Program::generate(seed, 1, 3, 1);
         random_is_subset_of_exhaustive(&one);
     }
+}
+
+/// Every counter and every recorded schedule of a set of `check` runs,
+/// summed and digested, so that a change to *how* the explorer walks the
+/// space (what it clones, how it keys and indexes states, when it computes
+/// footprints) can be held to exactly the same walk.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Tally {
+    states: usize,
+    transitions: usize,
+    cache_hits: usize,
+    sleep_pruned: usize,
+    singleton_states: usize,
+    completed_terminals: usize,
+    deadlock_terminals: usize,
+    frontier_remaining: usize,
+    /// FNV-1a over every report's `outputs()`, `pristine_witness` and
+    /// witness schedules, in run order.
+    digest: u64,
+}
+
+impl Tally {
+    fn word(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn schedule(&mut self, s: &[usize]) {
+        self.word(s.len() as u64);
+        for &p in s {
+            self.word(p as u64);
+        }
+    }
+
+    fn add(&mut self, r: &McReport) {
+        self.states += r.states;
+        self.transitions += r.transitions;
+        self.cache_hits += r.cache_hits;
+        self.sleep_pruned += r.sleep_pruned;
+        self.singleton_states += r.singleton_states;
+        self.completed_terminals += r.completed_terminals;
+        self.deadlock_terminals += r.deadlock_terminals;
+        self.frontier_remaining += r.frontier_remaining;
+        self.word(r.outputs().len() as u64);
+        for out in r.outputs() {
+            self.word(out.len() as u64);
+            for &b in out {
+                self.word(u64::from(b));
+            }
+        }
+        match &r.pristine_witness {
+            None => self.word(0),
+            Some(s) => {
+                self.word(1);
+                self.schedule(s);
+            }
+        }
+        self.word(r.witnesses.len() as u64);
+        for w in &r.witnesses {
+            self.schedule(&w.schedule);
+            self.word(u64::from(w.completed) << 1 | u64::from(w.pristine));
+        }
+    }
+
+    fn of<'a>(runs: impl IntoIterator<Item = (Program, &'a McConfig)>) -> Tally {
+        let mut t = Tally {
+            digest: 0xcbf2_9ce4_8422_2325,
+            ..Tally::default()
+        };
+        for (program, cfg) in runs {
+            t.add(&check(&program, cfg));
+        }
+        t
+    }
+}
+
+/// The explorer's walk is pinned exactly: states, transitions, cache hits,
+/// sleep-pruned steps, singletons, terminals, the budget frontier and a
+/// digest of every outcome and schedule. The expected values were recorded
+/// from the explorer as it stood before it took the machine by value and
+/// stepped the parent into its last child, indexed explored sets, keyed
+/// states with varints and computed each footprint once per state — none
+/// of which may change which states are reached or in what order.
+#[test]
+fn the_explorer_walk_is_pinned() {
+    // The E22 `mc_exhaust` corpus stream at seed 22, first 200 programs.
+    let reduced = McConfig::default();
+    let corpus = (0..200u64).map(|i| {
+        let seed = 22u64.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i);
+        (Program::generate(seed, 3, 3, 3), &reduced)
+    });
+    assert_eq!(
+        Tally::of(corpus),
+        Tally {
+            states: 6_207,
+            transitions: 6_483,
+            cache_hits: 476,
+            sleep_pruned: 1_346,
+            singleton_states: 2_782,
+            completed_terminals: 372,
+            deadlock_terminals: 352,
+            frontier_remaining: 0,
+            digest: 0xd91e_cd8d_9211_5080,
+        },
+        "reduced search over 200 3x3x3 programs"
+    );
+
+    let naive = McConfig {
+        mode: Mode::Naive,
+        ..McConfig::default()
+    };
+    let slice = (0..40u64).map(|seed| (Program::generate(seed, 2, 3, 2), &naive));
+    assert_eq!(
+        Tally::of(slice),
+        Tally {
+            states: 5_419,
+            transitions: 5_379,
+            cache_hits: 0,
+            sleep_pruned: 0,
+            singleton_states: 0,
+            completed_terminals: 1_425,
+            deadlock_terminals: 57,
+            frontier_remaining: 0,
+            digest: 0x6cb5_55cc_19e7_0851,
+        },
+        "naive search over 40 2x3x2 programs"
+    );
+
+    // Budget-ended runs: the frontier left behind is part of the walk.
+    let big = Program::generate(7, 3, 10, 3);
+    let budgets = [
+        McConfig {
+            max_states: 10,
+            ..McConfig::default()
+        },
+        McConfig {
+            max_states: 1_000,
+            ..McConfig::default()
+        },
+        McConfig {
+            max_depth: 9,
+            ..McConfig::default()
+        },
+    ];
+    let verdicts: Vec<Completeness> = budgets
+        .iter()
+        .map(|cfg| check(&big, cfg).completeness)
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            Completeness::BudgetExceeded(BudgetReason::MaxStates),
+            Completeness::BudgetExceeded(BudgetReason::MaxStates),
+            Completeness::BudgetExceeded(BudgetReason::MaxDepth),
+        ]
+    );
+    assert_eq!(
+        Tally::of(budgets.iter().map(|cfg| (big.clone(), cfg))),
+        Tally {
+            states: 1_202,
+            transitions: 1_282,
+            cache_hits: 81,
+            sleep_pruned: 237,
+            singleton_states: 764,
+            completed_terminals: 60,
+            deadlock_terminals: 0,
+            frontier_remaining: 251,
+            digest: 0x558f_0c97_d797_e8f9,
+        },
+        "budget-ended runs of a 3x10x3 program"
+    );
 }
 
 /// The `hope-mc` binary has one reduced mode and its `--naive` oracle: the

@@ -175,6 +175,17 @@ mod tests {
     }
 
     #[test]
+    fn the_record_is_eighty_eight_bytes() {
+        // One 40-byte inline `DOM`: 88 bytes. The engine stores one per AID
+        // and the model checker clones them all with every machine. Test
+        // builds give the set a `BTreeSet` shadow; the shipped record has
+        // none.
+        let shadow = std::mem::size_of::<std::collections::BTreeSet<u64>>();
+        let size = std::mem::size_of::<Aid>() - shadow;
+        assert!(size <= 88, "Aid is {size} bytes");
+    }
+
+    #[test]
     fn decided_states() {
         assert!(!AidState::Undecided.is_decided());
         assert!(AidState::Affirmed.is_decided());

@@ -10,13 +10,18 @@
 //!
 //! `DepSet` is a hybrid:
 //!
-//! * sets of **≤ 32 elements** (the overwhelming case in the E1–E14
-//!   workloads) live in a sorted inline array — no allocation at all;
-//! * larger sets spill to a dense **`u64`-word bitset** behind an
-//!   [`Arc`] with copy-on-write semantics: cloning is an O(1) refcount
+//! * sets of **≤ 4 elements** (the overwhelming case: an E22
+//!   `pipeline_lossy` run opens 49,867 intervals, and a set outgrows 4
+//!   ids 1,893 times) live in a sorted inline array — no allocation at
+//!   all, and a `DepSet` is 40 bytes;
+//! * larger sets spill to a **window of `u64` bitset words**, from the
+//!   word of the lowest id to that of the highest, in one [`Arc`]-shared
+//!   allocation with copy-on-write semantics: cloning is an O(1) refcount
 //!   bump, and the words are only duplicated when a *shared* set is
-//!   mutated. Union, intersection, difference, subset and iteration over
-//!   spilled sets are word-parallel.
+//!   mutated. The window drops zero words at both ends as ids leave, so a
+//!   spill or a copy costs the set's span, not its largest id. Union,
+//!   intersection, difference, subset and iteration over two spilled sets
+//!   are word-parallel over their aligned windows.
 //!
 //! Iteration is always in **ascending id order** — exactly `BTreeSet`'s
 //! order — so every effect cascade the engine emits is bit-identical to the
@@ -39,11 +44,17 @@ use crate::ids::{AidId, IntervalId};
 
 /// Maximum cardinality stored inline before spilling to the bitset.
 ///
-/// 32 covers the IDO/DOM/tag sets the nested-guess hot path hammers
-/// hardest (see bench E15): inserts into inline sets are a bounds-checked
-/// array append and clones are a memcpy — no allocation and no refcount
-/// traffic until a set genuinely grows large.
-const INLINE_CAP: usize = 32;
+/// Every interval record carries two inline sets, every AID and every
+/// message one, so this constant sizes the records the engine stores,
+/// clones, walks and sends: at 4 a `DepSet` is 40 bytes (264 at 32), an
+/// `Interval` 128 (576) and an `Aid` 88 (312). E22 (EXPERIMENTS.md, "small
+/// dependence sets stay small") measured caps 2, 4, 8 and 32: 4 cut
+/// `pipeline_lossy`'s peak RSS from 23.1 to 7.9 MiB and ran no workload
+/// slower; 2 read within ±5% of 4, spilled more sets and is no smaller
+/// (the spilled form is 32 bytes); 8 was slower on both pipelines. Inserts
+/// into inline sets are a bounds-checked array append and clones a 40-byte
+/// copy.
+const INLINE_CAP: usize = 4;
 
 thread_local! {
     /// Per-thread count of copy-on-write duplications (see [`cow_copies`]).
@@ -68,7 +79,7 @@ pub fn cow_copies() -> u64 {
 }
 
 /// Number of **inline→bitset spills** performed by this thread: a set
-/// crossed the inline capacity (32 elements) and upgraded its representation.
+/// crossed the inline capacity (4 elements) and upgraded its representation.
 /// A set spills at most once before it next empties (an emptied set returns
 /// to the inline form), so spills are amortized O(1) per insertion.
 pub fn spills() -> u64 {
@@ -117,8 +128,8 @@ mod sealed {
 /// An element storable in a [`DepSet`]: one of the engine's dense id types.
 ///
 /// The trait is sealed; it is implemented exactly for [`AidId`] and
-/// [`IntervalId`], whose raw values are dense indexes assigned from zero —
-/// the property the bitset representation relies on.
+/// [`IntervalId`], whose raw values are dense indexes assigned in
+/// increasing order — the property the bitset window relies on.
 pub trait DepElem: Copy + Ord + fmt::Debug + sealed::Sealed {
     /// The element's dense raw index.
     fn to_raw(self) -> u64;
@@ -147,68 +158,163 @@ impl DepElem for IntervalId {
     }
 }
 
-/// The spilled representation: a dense bitset plus a cached cardinality.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The spilled representation: a window of bitset words plus a cached
+/// cardinality. `words[i]` holds ids `64 * (base + i)` to
+/// `64 * (base + i) + 63`. A spilled set is never empty, and its window
+/// starts and ends on a non-zero word: ids outside it are absent. The
+/// words are one copy-on-write allocation; the header is each set's own.
+#[derive(Clone)]
 struct Bits {
-    words: Vec<u64>,
+    /// The word index of `words[0]`.
+    base: usize,
     len: usize,
+    words: Arc<[u64]>,
 }
 
 impl Bits {
+    /// The window holding the sorted, non-empty `vals` and `v`, which is
+    /// not among them.
+    fn spill(vals: &[u64], v: u64) -> Bits {
+        let word = |g: usize| {
+            vals.iter()
+                .chain([&v])
+                .filter(|&&x| (x / 64) as usize == g)
+                .fold(0, |w, &x| w | 1 << (x % 64))
+        };
+        let lo = (vals[0].min(v) / 64) as usize;
+        let hi = (vals[vals.len() - 1].max(v) / 64) as usize + 1;
+        Bits {
+            base: lo,
+            len: vals.len() + 1,
+            words: (lo..hi).map(word).collect(),
+        }
+    }
+
+    /// One past the window's last word index.
+    fn end(&self) -> usize {
+        self.base + self.words.len()
+    }
+
+    /// The word with index `g`; zero outside the window.
+    fn word(&self, g: usize) -> u64 {
+        g.checked_sub(self.base)
+            .and_then(|i| self.words.get(i))
+            .map_or(0, |&w| w)
+    }
+
     fn contains(&self, v: u64) -> bool {
-        let w = (v / 64) as usize;
-        self.words
-            .get(w)
-            .is_some_and(|&word| word >> (v % 64) & 1 == 1)
+        self.word((v / 64) as usize) >> (v % 64) & 1 == 1
+    }
+
+    /// The words with indexes `lo..hi`, to edit in place: the set's own
+    /// (copied first if shared) or, for another window, a new allocation.
+    fn edit(&mut self, lo: usize, hi: usize) -> &mut [u64] {
+        if (lo, hi) != (self.base, self.end()) {
+            if Arc::strong_count(&self.words) != 1 {
+                note_cow_copy();
+            }
+            self.words = (lo..hi).map(|g| self.word(g)).collect();
+            self.base = lo;
+        }
+        make_mut(&mut self.words)
+    }
+
+    /// Drop the zero words at both ends of the window.
+    fn trim(&mut self) {
+        let lead = self.words.iter().take_while(|&&w| w == 0).count();
+        let trail = self.words[lead..]
+            .iter()
+            .rev()
+            .take_while(|&&w| w == 0)
+            .count();
+        if lead + trail > 0 {
+            self.words = self.words[lead..self.words.len() - trail].into();
+            self.base += lead;
+        }
     }
 
     fn insert(&mut self, v: u64) -> bool {
-        let w = (v / 64) as usize;
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
-        }
-        let mask = 1u64 << (v % 64);
-        if self.words[w] & mask != 0 {
+        if self.contains(v) {
             return false;
         }
-        self.words[w] |= mask;
+        let g = (v / 64) as usize;
+        let lo = self.base.min(g);
+        self.edit(lo, self.end().max(g + 1))[g - lo] |= 1 << (v % 64);
         self.len += 1;
         true
     }
 
-    fn remove(&mut self, v: u64) -> bool {
-        let w = (v / 64) as usize;
-        let mask = 1u64 << (v % 64);
-        match self.words.get_mut(w) {
-            Some(word) if *word & mask != 0 => {
-                *word &= !mask;
-                self.len -= 1;
-                true
-            }
-            _ => false,
-        }
+    /// Remove `v`, a member of a set that holds more than `v`.
+    fn remove(&mut self, v: u64) {
+        let (lo, g) = (self.base, (v / 64) as usize);
+        self.edit(lo, self.end())[g - lo] &= !(1 << (v % 64));
+        self.len -= 1;
+        self.trim();
     }
 
-    /// `true` if every bit of `other` is set in `self`.
+    /// `self`'s words over `other`'s window, if `self`'s window covers it.
+    fn over(&self, other: &Bits) -> Option<&[u64]> {
+        let start = other.base.checked_sub(self.base)?;
+        self.words.get(start..start + other.words.len())
+    }
+
+    /// `true` if every bit of `other` is set in `self`. `other`'s window
+    /// starts and ends on a set bit, so it must lie within `self`'s.
     fn superset_of(&self, other: &Bits) -> bool {
-        other
-            .words
-            .iter()
-            .enumerate()
-            .all(|(i, &w)| w & !self.words.get(i).copied().unwrap_or(0) == 0)
+        Arc::ptr_eq(&self.words, &other.words)
+            || self.over(other).is_some_and(|ours| {
+                ours.iter()
+                    .zip(other.words.iter())
+                    .all(|(s, o)| o & !s == 0)
+            })
+    }
+
+    /// `self ∪= other`, handing `fresh` each word's newly set bits as
+    /// `(id of the word's bit 0, bits)`, ascending.
+    fn merge(&mut self, other: &Bits, mut fresh: impl FnMut(u64, u64)) {
+        let lo = self.base.min(other.base);
+        let words = self.edit(lo, self.end().max(other.end()));
+        let mut added = 0;
+        let theirs = other.words.iter();
+        for (i, (w, &o)) in words[other.base - lo..].iter_mut().zip(theirs).enumerate() {
+            let new = o & !*w;
+            if new != 0 {
+                *w |= new;
+                added += new.count_ones() as usize;
+                fresh((other.base + i) as u64 * 64, new);
+            }
+        }
+        self.len += added;
+    }
+
+    fn overlaps(&self, other: &Bits) -> bool {
+        self.base < other.end() && other.base < self.end()
+    }
+
+    /// `self ∩= other` for an `other` that [`overlaps`](Bits::overlaps)
+    /// `self`: the window shrinks to the overlap. `false` if nothing is left.
+    fn retain(&mut self, other: &Bits) -> bool {
+        let (lo, hi) = (self.base.max(other.base), self.end().min(other.end()));
+        let mut len = 0;
+        let theirs = other.words[lo - other.base..].iter();
+        for (w, &o) in self.edit(lo, hi).iter_mut().zip(theirs) {
+            *w &= o;
+            len += w.count_ones() as usize;
+        }
+        self.len = len;
+        if len > 0 {
+            self.trim();
+        }
+        len > 0
     }
 }
 
 #[derive(Clone)]
-// The size gap to `Bits(Arc)` is the point: the inline variant is the
-// overwhelmingly common one, and boxing it would reintroduce exactly the
-// per-set allocation the representation exists to avoid.
-#[allow(clippy::large_enum_variant)]
 enum Repr {
     /// Sorted ascending; only `vals[..len]` is meaningful.
     Inline { len: u8, vals: [u64; INLINE_CAP] },
-    /// Copy-on-write spilled bitset.
-    Bits(Arc<Bits>),
+    /// Spilled: a copy-on-write window of bitset words.
+    Bits(Bits),
 }
 
 /// A set of dense engine ids with inline small-set storage and O(1)
@@ -304,7 +410,7 @@ impl<T: DepElem> DepSet<T> {
             return false;
         }
         match (&self.repr, &other.repr) {
-            (Repr::Bits(a), Repr::Bits(b)) => Arc::ptr_eq(a, b) || b.superset_of(a),
+            (Repr::Bits(a), Repr::Bits(b)) => b.superset_of(a),
             _ => self.iter_raw().all(|v| other.contains_raw(v)),
         }
     }
@@ -314,7 +420,7 @@ impl<T: DepElem> DepSet<T> {
     /// membership test per element of `self`.
     pub fn difference<'a>(&'a self, other: &'a DepSet<T>) -> Difference<'a, T> {
         let (inner, minus) = match (&self.repr, &other.repr) {
-            (Repr::Bits(a), Repr::Bits(b)) => (IterRepr::bits(&a.words, &b.words), None),
+            (Repr::Bits(a), Repr::Bits(b)) => (IterRepr::bits(a, Some(b)), None),
             _ => (self.iter().inner, Some(other)),
         };
         let iter = Iter {
@@ -370,7 +476,7 @@ impl<T: DepElem> DepSet<T> {
         Iter {
             inner: match &self.repr {
                 Repr::Inline { len, vals } => IterRepr::Inline(vals[..*len as usize].iter()),
-                Repr::Bits(b) => IterRepr::bits(&b.words, &[]),
+                Repr::Bits(b) => IterRepr::bits(b, None),
             },
             _marker: PhantomData,
         }
@@ -401,31 +507,13 @@ impl<T: DepElem> DepSet<T> {
                     }
                     Err(_) => {
                         // Spill: one materialization.
-                        let mut bits = Bits::default();
-                        for &w in vals.iter() {
-                            bits.insert(w);
-                        }
-                        bits.insert(v);
                         note_spill();
-                        self.repr = Repr::Bits(Arc::new(bits));
+                        self.repr = Repr::Bits(Bits::spill(vals, v));
                         true
                     }
                 }
             }
-            Repr::Bits(arc) => {
-                let w = (v / 64) as usize;
-                let mask = 1u64 << (v % 64);
-                if arc.words.get(w).is_some_and(|&word| word & mask != 0) {
-                    return false;
-                }
-                let bits = make_mut(arc);
-                if bits.words.len() <= w {
-                    bits.words.resize(w + 1, 0);
-                }
-                bits.words[w] |= mask;
-                bits.len += 1;
-                true
-            }
+            Repr::Bits(b) => b.insert(v),
         }
     }
 
@@ -442,23 +530,21 @@ impl<T: DepElem> DepSet<T> {
                     Err(_) => false,
                 }
             }
-            Repr::Bits(arc) => {
-                if !arc.contains(v) {
+            Repr::Bits(b) => {
+                if !b.contains(v) {
                     return false;
                 }
-                if arc.len == 1 {
+                if b.len == 1 {
                     // The last element leaves: give the words back (or stop
-                    // sharing them) instead of keeping an all-zero bitset as
-                    // long as the highest id it ever held. A process's `IDO`
-                    // lives as long as the process; it must not stay spilled
-                    // once its speculation window has drained.
-                    self.repr = Repr::Inline {
-                        len: 0,
-                        vals: [0; INLINE_CAP],
-                    };
+                    // sharing them) rather than copy them to clear one bit.
+                    // A process's `IDO` lives as long as the process; it
+                    // must not stay spilled once its speculation window has
+                    // drained.
+                    self.repr = DepSet::<T>::new().repr;
                     return true;
                 }
-                make_mut(arc).remove(v)
+                b.remove(v);
+                true
             }
         }
     }
@@ -478,28 +564,16 @@ impl<T: DepElem> DepSet<T> {
                     // elements: at most one copy-on-write duplication.
                     let n = *len as usize;
                     let ours: [u64; INLINE_CAP] = *vals;
-                    let mut arc = ob.clone();
+                    let mut bits = ob.clone();
                     for &v in &ours[..n] {
-                        if !arc.contains(v) {
-                            make_mut(&mut arc).insert(v);
-                        }
+                        bits.insert(v);
                     }
-                    self.repr = Repr::Bits(arc);
+                    self.repr = Repr::Bits(bits);
                 }
                 Repr::Bits(sb) => {
-                    if Arc::ptr_eq(sb, ob) || sb.superset_of(ob) {
-                        return; // nothing to add, nothing to materialize
+                    if !sb.superset_of(ob) {
+                        sb.merge(ob, |_, _| {});
                     }
-                    let m = make_mut(sb);
-                    if m.words.len() < ob.words.len() {
-                        m.words.resize(ob.words.len(), 0);
-                    }
-                    let mut total = 0usize;
-                    for (i, w) in m.words.iter_mut().enumerate() {
-                        *w |= ob.words.get(i).copied().unwrap_or(0);
-                        total += w.count_ones() as usize;
-                    }
-                    m.len = total;
                 }
             },
         }
@@ -507,17 +581,10 @@ impl<T: DepElem> DepSet<T> {
 
     fn intersect_raw(&mut self, other: &DepSet<T>) {
         if let (Repr::Bits(sb), Repr::Bits(ob)) = (&mut self.repr, &other.repr) {
-            if Arc::ptr_eq(sb, ob) || ob.superset_of(sb) {
+            if ob.superset_of(sb) {
                 return; // nothing to drop, nothing to materialize
             }
-            let m = make_mut(sb);
-            m.words.truncate(ob.words.len());
-            m.len = 0;
-            for (w, &o) in m.words.iter_mut().zip(&ob.words) {
-                *w &= o;
-                m.len += w.count_ones() as usize;
-            }
-            if m.len == 0 {
+            if !sb.overlaps(ob) || !sb.retain(ob) {
                 // As in `remove_raw`: an emptied set gives its words back.
                 self.repr = DepSet::<T>::new().repr;
             }
@@ -563,22 +630,15 @@ impl<T: DepElem> DepSet<T> {
                 }
             }
             (Repr::Bits(sb), Repr::Bits(ob)) => {
-                if Arc::ptr_eq(sb, ob) || sb.superset_of(ob) {
+                if sb.superset_of(ob) {
                     return; // nothing to add, nothing to materialize
                 }
-                let m = make_mut(sb);
-                if m.words.len() < ob.words.len() {
-                    m.words.resize(ob.words.len(), 0);
-                }
-                for (i, (w, &o)) in m.words.iter_mut().zip(&ob.words).enumerate() {
-                    let mut fresh = o & !*w;
-                    *w |= o;
-                    m.len += fresh.count_ones() as usize;
+                sb.merge(ob, |at, mut fresh| {
                     while fresh != 0 {
-                        new.insert_raw(i as u64 * 64 + fresh.trailing_zeros() as u64);
+                        new.insert_raw(at + fresh.trailing_zeros() as u64);
                         fresh &= fresh - 1;
                     }
-                }
+                });
             }
         }
     }
@@ -603,11 +663,20 @@ impl<T: DepElem> DepSet<T> {
             self.shadow.len(),
             "shadow oracle: len disagreed"
         );
+        if let Repr::Bits(b) = &self.repr {
+            let ends = [b.words.first(), b.words.last()];
+            assert!(
+                ends.iter().all(|w| w.is_some_and(|&w| w != 0)),
+                "untrimmed window"
+            );
+            let ones: u32 = b.words.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, b.len, "shadow oracle: cached len disagreed");
+        }
     }
 }
 
-/// Duplicate the bitset if (and only if) it is shared, counting the copy.
-fn make_mut(arc: &mut Arc<Bits>) -> &mut Bits {
+/// Duplicate the words if (and only if) they are shared, counting the copy.
+fn make_mut(arc: &mut Arc<[u64]>) -> &mut [u64] {
     // A relaxed count load, not `Arc::get_mut`: this sits on the engine's
     // hottest path (every DOM registration and IDO removal lands here) and
     // `get_mut`'s uniqueness probe is an atomic RMW we'd pay *in addition*
@@ -702,27 +771,42 @@ impl<'a, T: DepElem> IntoIterator for &'a DepSet<T> {
 #[derive(Clone)]
 enum IterRepr<'a> {
     Inline(std::slice::Iter<'a, u64>),
-    /// The set bits of `words & !minus` (`minus` reads as zero past its end).
+    /// The set bits of `words & !minus`, where `words[0]` holds ids from
+    /// `first` on and `minus[j]` is aligned with `words[skip + j]` (it
+    /// reads as zero outside that range).
     Bits {
         words: &'a [u64],
+        first: u64,
         minus: &'a [u64],
+        skip: usize,
         word_idx: usize,
         current: u64,
     },
 }
 
 impl<'a> IterRepr<'a> {
-    fn bits(words: &'a [u64], minus: &'a [u64]) -> Self {
-        let current = words
-            .first()
-            .map_or(0, |w| w & !minus.first().unwrap_or(&0));
+    /// The ids of `bits` that are not in `minus`.
+    fn bits(bits: &'a Bits, minus: Option<&'a Bits>) -> Self {
+        let (minus, skip) = match minus {
+            None => (&[][..], 0),
+            Some(m) if m.base >= bits.base => (&m.words[..], m.base - bits.base),
+            Some(m) => (m.words.get(bits.base - m.base..).unwrap_or(&[]), 0),
+        };
         IterRepr::Bits {
-            words,
+            words: &bits.words,
+            first: bits.base as u64 * 64,
             minus,
+            skip,
             word_idx: 0,
-            current,
+            current: masked(&bits.words, minus, skip, 0).unwrap_or(0),
         }
     }
+}
+
+/// `words[i] & !minus[i - skip]`, `None` past the end of `words`.
+fn masked(words: &[u64], minus: &[u64], skip: usize, i: usize) -> Option<u64> {
+    let m = i.checked_sub(skip).and_then(|j| minus.get(j));
+    Some(words.get(i)? & !m.copied().unwrap_or(0))
 }
 
 /// Ascending iterator over a [`DepSet`], yielding elements by value.
@@ -746,17 +830,19 @@ impl<T: DepElem> Iterator for Iter<'_, T> {
             IterRepr::Inline(it) => it.next().map(|&v| T::from_raw(v)),
             IterRepr::Bits {
                 words,
+                first,
                 minus,
+                skip,
                 word_idx,
                 current,
             } => {
                 while *current == 0 {
                     *word_idx += 1;
-                    *current = *words.get(*word_idx)? & !minus.get(*word_idx).copied().unwrap_or(0);
+                    *current = masked(words, minus, *skip, *word_idx)?;
                 }
                 let tz = current.trailing_zeros() as u64;
                 *current &= *current - 1;
-                Some(T::from_raw(*word_idx as u64 * 64 + tz))
+                Some(T::from_raw(*first + *word_idx as u64 * 64 + tz))
             }
         }
     }
@@ -938,8 +1024,8 @@ mod tests {
     fn set_of(vals: &BTreeSet<u64>, spilled: bool) -> DepSet<AidId> {
         let mut s: DepSet<AidId> = vals.iter().copied().map(aid).collect();
         if spilled && matches!(s.repr, Repr::Inline { .. }) {
-            // Just past the largest element, so the word vector is as
-            // long as the domain is wide.
+            // Past the largest element: the window widens for the filler
+            // and shrinks back to the span of `vals` as it leaves.
             let past = vals.last().map_or(0, |v| v + 1);
             let filler: Vec<u64> = (past..past + INLINE_CAP as u64 + 1).collect();
             s.extend(filler.iter().copied().map(aid));
@@ -987,16 +1073,42 @@ mod tests {
         );
     }
 
+    /// Where a domain starts: at zero, mid-word past word `k`, and near 2²⁰.
+    fn base(round: usize, state: &mut u64) -> u64 {
+        [0, 64 * (1 + rng(state) % 40) + 13, 1 << 20][round % 3]
+    }
+
+    /// A size that leaves the set inline one time in three.
+    fn size(state: &mut u64) -> u64 {
+        match rng(state) % 3 {
+            0 => rng(state) % (INLINE_CAP as u64 + 1),
+            _ => rng(state) % 70,
+        }
+    }
+
     #[test]
     fn set_algebra_matches_btreeset_over_every_representation_pairing() {
         let mut state = 0x5E7A_u64;
-        for round in 0..300 {
-            // Domains of different widths, so that spilled operands carry
-            // word vectors of different lengths.
-            let (wa, wb) = ([40, 200, 2000][round % 3], [40, 200, 2000][round / 3 % 3]);
-            let (na, nb) = (rng(&mut state) % 70, rng(&mut state) % 70);
-            let a: BTreeSet<u64> = (0..na).map(|_| rng(&mut state) % wa).collect();
-            let mut b: BTreeSet<u64> = (0..nb).map(|_| rng(&mut state) % wb).collect();
+        for round in 0..1200 {
+            // Domains of different widths and starts, so that spilled
+            // operands carry windows of different lengths and offsets.
+            let (wa, mut wb) = (
+                [40, 200, 2000][round / 3 % 3],
+                [40, 200, 2000][round / 9 % 3],
+            );
+            let ba = base(round, &mut state);
+            let bb = match round / 27 % 4 {
+                0 => ba,
+                1 => ba + wa + 64 * (rng(&mut state) % 3), // disjoint windows
+                2 => {
+                    wb = wa / 2; // nested
+                    ba + wa / 4
+                }
+                _ => ba + wa / 2, // overlapping
+            };
+            let (na, nb) = (size(&mut state), size(&mut state));
+            let a: BTreeSet<u64> = (0..na).map(|_| ba + rng(&mut state) % wa).collect();
+            let mut b: BTreeSet<u64> = (0..nb).map(|_| bb + rng(&mut state) % wb).collect();
             match round % 5 {
                 0 => b.retain(|v| !a.contains(v)), // disjoint: an intersection that empties
                 1 => b.extend(a.iter().copied()),  // a ⊆ b
@@ -1006,7 +1118,9 @@ mod tests {
                 if !sa && a.len() > INLINE_CAP || !sb && b.len() > INLINE_CAP {
                     continue;
                 }
-                check_pair(&set_of(&a, sa), &set_of(&b, sb));
+                let (x, y) = (set_of(&a, sa), set_of(&b, sb));
+                check_pair(&x, &y);
+                check_pair(&y, &x);
             }
             // The same `Arc` on both sides.
             let shared = set_of(&a, true);
@@ -1063,30 +1177,43 @@ mod tests {
 
     #[test]
     fn randomized_parity_with_btreeset() {
-        // 4 interleaved op streams over a domain big enough to force
+        // 24 interleaved op streams over domains big enough to force
         // spills, each mirrored into a BTreeSet and compared exhaustively.
+        // `other`'s domain starts where `s`'s does, half-way in, or past
+        // its end, and both start at zero, mid-word or near 2²⁰.
         let mut state = 0xD1F7_u64;
-        for round in 0..4 {
+        for round in 0..24 {
+            let at = base(round, &mut state);
+            let other_at = at + [0, 100, 264][round / 3 % 3];
+            let width = [200, 24][round / 9 % 2];
             let mut s: DepSet<AidId> = DepSet::new();
             let mut model: BTreeSet<u64> = BTreeSet::new();
             let mut other: DepSet<AidId> = DepSet::new();
             let mut other_model: BTreeSet<u64> = BTreeSet::new();
             for _ in 0..400 {
-                let v = rng(&mut state) % 200;
-                match rng(&mut state) % 5 {
-                    0 | 1 => {
-                        assert_eq!(s.insert(aid(v)), model.insert(v), "round {round}");
-                    }
-                    2 => {
-                        assert_eq!(s.remove(&aid(v)), model.remove(&v));
+                let v = rng(&mut state) % width;
+                match rng(&mut state) % 8 {
+                    0..=2 => {
+                        assert_eq!(s.insert(aid(at + v)), model.insert(at + v), "round {round}");
                     }
                     3 => {
-                        other.insert(aid(v));
-                        other_model.insert(v);
+                        assert_eq!(s.remove(&aid(at + v)), model.remove(&(at + v)));
                     }
-                    _ => {
+                    4 => {
+                        other.insert(aid(other_at + v));
+                        other_model.insert(other_at + v);
+                    }
+                    5 => {
+                        other.remove(&aid(other_at + v));
+                        other_model.remove(&(other_at + v));
+                    }
+                    6 => {
                         s.union_with(&other);
                         model.extend(other_model.iter().copied());
+                    }
+                    _ => {
+                        s.intersect_with(&other);
+                        model.retain(|v| other_model.contains(v));
                     }
                 }
                 assert_eq!(s.len(), model.len());
@@ -1096,7 +1223,59 @@ mod tests {
                     model.is_subset(&other_model),
                     "round {round}"
                 );
+                assert_eq!(other.is_subset(&s), other_model.is_subset(&model));
+                assert!(s
+                    .difference(&other)
+                    .map(|x| x.index())
+                    .eq(model.difference(&other_model).copied()));
             }
         }
+    }
+
+    #[test]
+    fn a_set_is_forty_bytes() {
+        // Test builds give each set a `BTreeSet` shadow; the shipped set
+        // has none.
+        let shadow = std::mem::size_of::<BTreeSet<u64>>();
+        let size = std::mem::size_of::<DepSet<AidId>>() - shadow;
+        assert!(size <= 40, "DepSet is {size} bytes");
+    }
+
+    #[test]
+    fn a_sliding_window_far_from_zero_stays_two_words() {
+        // A 6-wide `IDO` slides across 100,000 ids from 10⁶ on, and each
+        // round a send clones it into a tag that lives until the next
+        // send: the set stays spilled, holds at most two words, and the
+        // insert into the shared words is the round's one copy.
+        const FROM: u64 = 1_000_000;
+        let window = |s: &DepSet<AidId>| match &s.repr {
+            Repr::Bits(b) => b.words.len(),
+            Repr::Inline { .. } => panic!("a 6-wide set is spilled"),
+        };
+        let mut ido: DepSet<AidId> = (FROM..FROM + 6).map(aid).collect();
+        let mut tag = ido.clone();
+        let spills_before = spills();
+        for v in FROM..FROM + 100_000 {
+            let before = cow_copies();
+            ido.insert(aid(v + 6));
+            assert!(
+                window(&ido) <= 2,
+                "7 ids at {v} span {} words",
+                window(&ido)
+            );
+            ido.remove(&aid(v));
+            assert!(
+                window(&ido) <= 2,
+                "6 ids at {v} span {} words",
+                window(&ido)
+            );
+            assert!(cow_copies() - before <= 1, "round {v} copied twice");
+            tag = ido.clone();
+        }
+        assert_eq!(spills(), spills_before, "the set never emptied");
+        assert_eq!(
+            raw(&tag),
+            (FROM + 100_000..FROM + 100_006).collect::<Vec<_>>()
+        );
     }
 }

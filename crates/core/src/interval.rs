@@ -202,13 +202,13 @@ mod tests {
 
     #[test]
     fn the_record_keeps_its_rare_sets_out_of_line() {
-        // Two inline sets and two pointers: 576 bytes, not 1,088 with four
-        // inline sets. Every interval the engine stores, clones (the model
-        // checker's `Machine::clone`) and walks pays this.
+        // Two 40-byte inline sets and two pointers: 128 bytes. Every
+        // interval the engine stores, clones (the model checker's
+        // `Machine::clone`) and walks pays this.
         // Test builds give each inline set a `BTreeSet` shadow; it does
         // not exist in the record the engine ships.
         let shadows = 2 * std::mem::size_of::<std::collections::BTreeSet<u64>>();
         let size = std::mem::size_of::<Interval>() - shadows;
-        assert!(size <= 600, "Interval is {size} bytes");
+        assert!(size <= 128, "Interval is {size} bytes");
     }
 }

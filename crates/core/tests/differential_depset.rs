@@ -19,9 +19,12 @@
 //! produced — any subset of the AIDs, held, fresh, speculatively affirmed,
 //! affirmed, denied (live, or a fossil in the collected twin) and never
 //! allocated, at once — and every script of the theorem suite's alphabet up
-//! to length 3 that contains a receive is played, not sampled.
+//! to length 3 that contains a receive is played, not sampled. One directed
+//! case settles 70,000 AIDs before it starts, so that its spilled sets'
+//! word windows sit far from id 0.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 use hope_core::{
     AidId, AidState, Checkpoint, Effect, Engine, Error, GuessOutcome, IntervalId, IntervalStatus,
@@ -444,6 +447,10 @@ enum Op {
     /// Receive a tag no send produced: bit `i < 15` of the mask names AID
     /// `i` (if it exists), bit 15 an id the engine never allocated.
     RecvMixed(u32, u64),
+    /// Create this many AIDs, `P2` affirming each as it is created: one
+    /// step, so that a directed case can put its ids far from zero. Never
+    /// drawn at random.
+    Settled(u64),
 }
 
 /// The tag an [`Op::RecvMixed`] mask names once `count` AIDs exist.
@@ -474,8 +481,24 @@ fn nth_aid(x: u64, count: usize) -> AidId {
     AidId::from_index(x % count as u64)
 }
 
-/// Assert the real engine and the reference agree on every observable.
-fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize) {
+/// The AID indexes below `count` that are not in `skip`.
+fn aids_outside(skip: &Range<u64>, count: u64) -> impl Iterator<Item = u64> {
+    (0..skip.start).chain(skip.end..count)
+}
+
+/// What [`Op::Settled`] created is compared at the step that created it and
+/// at the last step; nothing a case does later names it.
+fn settled_skip(settled: &Range<u64>, op: Op, last: bool) -> Range<u64> {
+    if last || matches!(op, Op::Settled(_)) {
+        0..0
+    } else {
+        settled.clone()
+    }
+}
+
+/// Assert the real engine and the reference agree on every observable, on
+/// every AID outside `skip`.
+fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize, skip: Range<u64>) {
     for p in 0..N_PROCS {
         let pid = ProcessId(p);
         assert_eq!(
@@ -506,8 +529,8 @@ fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize) {
         );
     }
     assert_eq!(engine.aid_count(), reference.aids.len());
-    for (x, r) in reference.aids.iter().enumerate() {
-        let id = AidId::from_index(x as u64);
+    for x in aids_outside(&skip, reference.aids.len() as u64) {
+        let (id, r) = (AidId::from_index(x), &reference.aids[x as usize]);
         let view = engine.aid(id).unwrap();
         assert_eq!(view.state(), r.state, "state of {id} at step {step}");
         assert_eq!(view.is_consumed(), r.consumed, "consumed of {id}");
@@ -570,6 +593,7 @@ fn play_comparing_state_every(stride: usize, ops: &[Op]) {
     let mut tags: Vec<Tag> = Vec::new();
     let mut ref_tags: Vec<BTreeSet<AidId>> = Vec::new();
     let mut ck = 0u64;
+    let mut settled = 0..0;
 
     for (step, &op) in ops.iter().enumerate() {
         ck += 1;
@@ -645,9 +669,25 @@ fn play_comparing_state_every(stride: usize, ops: &[Op]) {
                     &names,
                 );
             }
+            Op::Settled(n) => {
+                settled = n_aids as u64..n_aids as u64 + n;
+                // Invariants once after the `n` affirms, not after each:
+                // every check walks every live record.
+                engine.set_invariant_checking(false);
+                for _ in 0..n {
+                    let x = engine.aid_init(ProcessId(0));
+                    assert_eq!(x, reference.aid_init());
+                    let fx = engine.affirm(ProcessId(2), x).unwrap();
+                    assert_eq!(fx, reference.affirm(ProcessId(2), x).unwrap());
+                }
+                engine.set_invariant_checking(true);
+                engine.verify_invariants().unwrap();
+            }
         }
-        if step % stride == 0 || step + 1 == ops.len() {
-            assert_state_agrees(&engine, &reference, step);
+        let last = step + 1 == ops.len();
+        if step % stride == 0 || last {
+            let skip = settled_skip(&settled, op, last);
+            assert_state_agrees(&engine, &reference, step, skip);
         }
     }
     engine.verify_invariants().unwrap();
@@ -666,7 +706,8 @@ fn play_collected_twin(ops: &[Op]) {
 
 /// As [`play_comparing_state_every`]: program-facing state is compared at
 /// every step, the relation above the horizon at every `stride`-th.
-fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
+/// Returns the collected engine.
+fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) -> Engine {
     let mut plain = Engine::new();
     let mut collected = Engine::new();
     collected.set_invariant_checking(true);
@@ -681,6 +722,7 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
     }
     let mut tags: Vec<(Tag, Tag)> = Vec::new();
     let mut ck = 0u64;
+    let mut settled = 0..0;
     for (step, &op) in ops.iter().enumerate() {
         ck += 1;
         let n_aids = plain.aid_count();
@@ -760,10 +802,30 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
                     "mixed recv diverged at step {step}"
                 );
             }
+            Op::Settled(n) => {
+                settled = n_aids as u64..n_aids as u64 + n;
+                // As in `play_comparing_state_every`; `plain` checks too in
+                // debug builds.
+                plain.set_invariant_checking(false);
+                collected.set_invariant_checking(false);
+                for _ in 0..n {
+                    let x = plain.aid_init(ProcessId(0));
+                    assert_eq!(x, collected.aid_init(ProcessId(0)));
+                    let (a, b) = (
+                        plain.affirm(ProcessId(2), x),
+                        collected.affirm(ProcessId(2), x),
+                    );
+                    assert_eq!(a, b, "affirm of {x} diverged at step {step}");
+                }
+                plain.set_invariant_checking(true);
+                collected.set_invariant_checking(true);
+                collected.verify_invariants().unwrap();
+            }
         }
         collected.collect_fossils();
         // Program-facing state stays identical despite reclamation…
-        for x in 0..plain.aid_count() as u64 {
+        let skip = settled_skip(&settled, op, step + 1 == ops.len());
+        for x in aids_outside(&skip, plain.aid_count() as u64) {
             let id = AidId::from_index(x);
             assert_eq!(
                 plain.aid_state(id).unwrap(),
@@ -815,6 +877,7 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) {
     }
     plain.verify_invariants().unwrap();
     collected.verify_invariants().unwrap();
+    collected
 }
 
 proptest! {
@@ -836,11 +899,11 @@ proptest! {
 }
 
 /// Play one directed case against the reference and against the
-/// fossil-collected twin.
-fn play_both(ops: &[Op]) {
+/// fossil-collected twin, and return the collected twin.
+fn play_both(ops: &[Op]) -> Engine {
     let stride = if ops.len() > 100 { 16 } else { 1 };
     play_comparing_state_every(stride, ops);
-    play_collected_twin_comparing_relation_every(stride, ops);
+    play_collected_twin_comparing_relation_every(stride, ops)
 }
 
 /// `P0` nests `depth` guesses on AIDs `0..depth` (creating what the initial
@@ -1075,6 +1138,48 @@ fn spilled_tag_into_a_spilled_ido() {
     ops.extend([Op::Deny(0, 30), Op::Recv(1, 0)]); // now a ghost
     ops.extend((10..140).map(|x| Op::Affirm(2, x)));
     play_both(&ops);
+}
+
+/// Far from zero: 70,000 AIDs are created and affirmed first, so every set
+/// after that holds ids whose words start past word 1,093 (the other
+/// directed cases never leave the first few words). Then `P0` guesses over
+/// a window of 6 to 40 open AIDs that slides as `P2` affirms the oldest,
+/// sends its tag to `P1` every round, hears back from `P1` every third, and
+/// loses its newest three intervals to a deny every seventh — spilled
+/// windows at high bases through receives, rollback and fossil collection.
+#[test]
+fn windows_far_from_zero_agree_with_reference() {
+    const FAR: u64 = 70_000;
+    let mut ops: Vec<Op> = (0..N_AIDS).map(|x| Op::Affirm(2, x)).collect();
+    ops.push(Op::Settled(FAR));
+    let first = N_AIDS + FAR;
+    let (mut next, mut oldest, mut sends) = (first, first, 0);
+    for round in 0..120u64 {
+        // The window's target width rises from 6 to 40 and falls back.
+        let target = 6 + (round % 68).min(68 - round % 68) / 2 * 2;
+        while next - oldest < target {
+            ops.extend([Op::AidInit, Op::Guess(0, next)]);
+            next += 1;
+        }
+        while next - oldest > target {
+            ops.push(Op::Affirm(2, oldest));
+            oldest += 1;
+        }
+        ops.extend([Op::Send(0), Op::Recv(1, sends)]);
+        sends += 1;
+        if round % 3 == 0 {
+            ops.extend([Op::Guess(1, next - 2), Op::Send(1), Op::Recv(0, sends)]);
+            sends += 1;
+        }
+        if round % 7 == 6 {
+            ops.push(Op::Deny(2, next - 3));
+        }
+    }
+    let collected = play_both(&ops);
+    assert!(
+        collected.aid_horizon() > FAR,
+        "the settled AIDs were reclaimed"
+    );
 }
 
 /// The theorem suite's alphabet (`tests/theorems.rs`: two processes, two

@@ -176,6 +176,18 @@ mod tests {
     }
 
     #[test]
+    fn a_message_is_128_bytes() {
+        // The tag is one 40-byte inline `DepSet`; mailboxes, the event
+        // queue and every send move messages by value. This crate's tests
+        // link `hope-core` with its `shadow-oracle` feature (see
+        // Cargo.toml), which gives the tag a `BTreeSet` shadow the shipped
+        // message does not have.
+        let shadow = std::mem::size_of::<std::collections::BTreeSet<u64>>();
+        let size = std::mem::size_of::<Message>() - shadow;
+        assert!(size <= 128, "Message is {size} bytes");
+    }
+
+    #[test]
     fn display_mentions_route() {
         let m = msg(4, 1, 0);
         let s = m.to_string();

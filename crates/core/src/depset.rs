@@ -419,25 +419,45 @@ impl<T: DepElem> DepSet<T> {
     /// word-parallel (`a & !b`) when both sets are spilled, otherwise a
     /// membership test per element of `self`.
     pub fn difference<'a>(&'a self, other: &'a DepSet<T>) -> Difference<'a, T> {
-        let (inner, minus) = match (&self.repr, &other.repr) {
-            (Repr::Bits(a), Repr::Bits(b)) => (IterRepr::bits(a, Some(b)), None),
-            _ => (self.iter().inner, Some(other)),
+        self.outside(other, NO_MASK)
+    }
+
+    /// [`difference`](DepSet::difference) that also leaves out the ids set
+    /// in `window`, without allocating. A spilled `self` is masked word by
+    /// word with one operand — a spilled `other`, else `window` — and the
+    /// other operand is tested per element that is left.
+    pub(crate) fn outside<'a>(
+        &'a self,
+        other: &'a DepSet<T>,
+        window: Window<'a>,
+    ) -> Difference<'a, T> {
+        let (inner, minus, bitmap) = match (&self.repr, &other.repr) {
+            (Repr::Bits(a), Repr::Bits(b)) => {
+                (IterRepr::bits(a, (b.base, &b.words)), None, Some(window))
+            }
+            (Repr::Bits(a), _) => (IterRepr::bits(a, window), Some(other), None),
+            _ => (self.iter().inner, Some(other), Some(window)),
         };
         let iter = Iter {
             inner,
             _marker: PhantomData,
         };
+        let minus = minus.filter(|m| !m.is_empty());
+        let bitmap = bitmap.filter(|(_, words)| !words.is_empty());
+        let difference = Difference {
+            iter,
+            minus,
+            bitmap,
+        };
         #[cfg(any(test, feature = "shadow-oracle"))]
-        assert!(
-            (Difference {
-                iter: iter.clone(),
-                minus
-            })
-            .map(DepElem::to_raw)
-            .eq(self.shadow.difference(&other.shadow).copied()),
-            "shadow oracle: difference disagreed"
-        );
-        Difference { iter, minus }
+        {
+            let iter = difference.iter.clone();
+            let got = Difference { iter, ..difference }.map(DepElem::to_raw);
+            let want = self.shadow.difference(&other.shadow);
+            let want = want.copied().filter(|&v| !bit(window, v));
+            assert!(got.eq(want), "shadow oracle: difference disagreed");
+        }
+        difference
     }
 
     /// Keep only the elements that are also in `other` (set intersection,
@@ -476,7 +496,7 @@ impl<T: DepElem> DepSet<T> {
         Iter {
             inner: match &self.repr {
                 Repr::Inline { len, vals } => IterRepr::Inline(vals[..*len as usize].iter()),
-                Repr::Bits(b) => IterRepr::bits(b, None),
+                Repr::Bits(b) => IterRepr::bits(b, NO_MASK),
             },
             _marker: PhantomData,
         }
@@ -768,6 +788,18 @@ impl<'a, T: DepElem> IntoIterator for &'a DepSet<T> {
     }
 }
 
+/// A bitset window as `(index of its first word, its words)`.
+pub(crate) type Window<'a> = (usize, &'a [u64]);
+
+const NO_MASK: Window<'static> = (0, &[]);
+
+/// Bit `v` of `window` (clear outside it).
+pub(crate) fn bit((from, words): Window<'_>, v: u64) -> bool {
+    let i = ((v / 64) as usize).checked_sub(from);
+    i.and_then(|i| words.get(i))
+        .is_some_and(|w| w >> (v % 64) & 1 == 1)
+}
+
 #[derive(Clone)]
 enum IterRepr<'a> {
     Inline(std::slice::Iter<'a, u64>),
@@ -785,12 +817,11 @@ enum IterRepr<'a> {
 }
 
 impl<'a> IterRepr<'a> {
-    /// The ids of `bits` that are not in `minus`.
-    fn bits(bits: &'a Bits, minus: Option<&'a Bits>) -> Self {
-        let (minus, skip) = match minus {
-            None => (&[][..], 0),
-            Some(m) if m.base >= bits.base => (&m.words[..], m.base - bits.base),
-            Some(m) => (m.words.get(bits.base - m.base..).unwrap_or(&[]), 0),
+    /// The ids of `bits` that are not in the `minus` window.
+    fn bits(bits: &'a Bits, (base, minus): Window<'a>) -> Self {
+        let (minus, skip) = match base.checked_sub(bits.base) {
+            Some(skip) => (minus, skip),
+            None => (minus.get(bits.base - base..).unwrap_or(&[]), 0),
         };
         IterRepr::Bits {
             words: &bits.words,
@@ -852,18 +883,19 @@ impl<T: DepElem> Iterator for Iter<'_, T> {
 #[derive(Debug)]
 pub struct Difference<'a, T: DepElem> {
     iter: Iter<'a, T>,
-    /// What `iter` does not already leave out (both spilled: it does).
+    /// What `iter`'s words do not already leave out, tested per element.
     minus: Option<&'a DepSet<T>>,
+    bitmap: Option<Window<'a>>,
 }
 
 impl<T: DepElem> Iterator for Difference<'_, T> {
     type Item = T;
 
     fn next(&mut self) -> Option<T> {
-        match self.minus {
-            None => self.iter.next(),
-            Some(minus) => self.iter.find(|v| !minus.contains(v)),
-        }
+        let (minus, bitmap) = (self.minus, self.bitmap);
+        self.iter.find(|v| {
+            !minus.is_some_and(|m| m.contains(v)) && !bitmap.is_some_and(|b| bit(b, v.to_raw()))
+        })
     }
 }
 
@@ -1051,6 +1083,29 @@ mod tests {
             (raw(a).into_iter().collect(), raw(b).into_iter().collect());
         let diff: Vec<u64> = a.difference(b).map(|x| x.index()).collect();
         assert_eq!(diff, ma.difference(&mb).copied().collect::<Vec<_>>());
+        // `outside`: the same, less every third id of either operand that
+        // lies in a bitmap window — whole, or cut short at either end.
+        let marked: BTreeSet<u64> = ma.union(&mb).copied().step_by(3).collect();
+        if let (Some(&lo), Some(&hi)) = (marked.first(), marked.last()) {
+            let from = (lo / 64) as usize;
+            let mut words = vec![0u64; (hi / 64) as usize + 1 - from];
+            for v in &marked {
+                words[(v / 64) as usize - from] |= 1 << (v % 64);
+            }
+            let cut = words.len() / 2;
+            for (at, w) in [
+                (from, &words[..]),
+                (from + 1, &words[1..]),
+                (from, &words[..cut]),
+            ] {
+                let within = |v: u64| (at..at + w.len()).contains(&((v / 64) as usize));
+                let got: Vec<u64> = a.outside(b, (at, w)).map(|x| x.index()).collect();
+                let want = ma
+                    .difference(&mb)
+                    .filter(|&&v| !(marked.contains(&v) && within(v)));
+                assert_eq!(got, want.copied().collect::<Vec<_>>());
+            }
+        }
         let mut i = a.clone();
         i.intersect_with(b);
         assert_eq!(raw(&i), ma.intersection(&mb).copied().collect::<Vec<_>>());

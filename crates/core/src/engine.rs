@@ -44,15 +44,15 @@
 //! ([`IntervalView::ido`], [`AidView::dom`]) read the full sets off the
 //! chains on demand.
 //!
-//! A receive costs what enters, too. Every member of `Proc::ido` has a
-//! head, so its record is live, undecided and not dissolved by a
-//! speculative affirm (invariants 1–2 of
-//! [`verify_invariants`](Engine::verify_invariants)): a tag name the
-//! receiver already holds stands for itself and is never looked up. Only
-//! `tag \ ido` is classified; `guessed` is `tag ∩ ido` plus what that
-//! resolved to; and what enters the chain is `guessed \ ido`, taken as
-//! `ido` absorbs `guessed` — three [`DepSet`] operations, each word-parallel
-//! when both sets are spilled.
+//! A receive costs what is unsettled, too. A tag name the receiver holds
+//! stands for itself (every member of `Proc::ido` has a head, so its record
+//! is live, undecided and not dissolved: invariants 1–2 of
+//! [`verify_invariants`](Engine::verify_invariants)), and one definitively
+//! affirmed stands for nothing — the engine keeps a bit per live affirmed
+//! AID (invariant 3). Neither is looked up: a spilled tag's words are masked
+//! with a spilled `ido`, else with the bitmap. `guessed` is `tag ∩ ido` plus
+//! what the rest resolved to, and what enters the chain is `guessed \ ido`,
+//! taken as `ido` absorbs `guessed`.
 //!
 //! ## Fidelity notes
 //!
@@ -97,7 +97,7 @@ use std::borrow::Cow;
 use std::collections::{BTreeSet, VecDeque};
 
 use crate::aid::{Aid, AidState, AidView};
-use crate::depset::DepSet;
+use crate::depset::{bit, DepSet};
 use crate::effect::Effect;
 use crate::error::{Error, Result};
 use crate::ids::{AidId, IntervalId, ProcessId};
@@ -254,6 +254,11 @@ pub struct Engine {
     /// affirmed. Affirm-heavy workloads keep this near-empty; it is the
     /// only per-fossil state retained.
     fossil_denied: BTreeSet<AidId>,
+    /// A bit per live, definitively affirmed AID (set once: decisions are
+    /// final); word `i` holds ids from `64 * (affirmed_from + i)` on.
+    /// Fossils lose theirs, and answer from `fossil_denied` instead.
+    affirmed: Vec<u64>,
+    affirmed_from: usize,
     /// Live interval records in id order, like `aids`.
     intervals: VecDeque<Interval>,
     interval_base: u64,
@@ -289,6 +294,8 @@ impl Engine {
             aids: VecDeque::new(),
             aid_base: 0,
             fossil_denied: BTreeSet::new(),
+            affirmed: Vec::new(),
+            affirmed_from: 0,
             intervals: VecDeque::new(),
             interval_base: 0,
             procs: Vec::new(),
@@ -532,10 +539,8 @@ impl Engine {
     /// [`Error::UnknownProcess`] if `pid` was never registered.
     pub fn speculative_frontier(&self, pid: ProcessId) -> Result<Option<Checkpoint>> {
         let proc = self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
-        Ok(proc
-            .history
-            .get(proc.first_spec)
-            .map(|&a| self.itv_ref(a).ps))
+        let first = proc.history.get(proc.first_spec);
+        Ok(first.map(|&a| self.itv_ref(a).ps))
     }
 
     /// The process's current interval if it is speculative (the paper's
@@ -607,9 +612,7 @@ impl Engine {
         if aids.is_empty() {
             return Err(Error::EmptyGuess);
         }
-        if self.proc_ref(pid).is_none() {
-            return Err(Error::UnknownProcess(pid));
-        }
+        self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
         let mut guessed = DepSet::new();
         if let Some(x) = self.resolve(aids.iter().copied(), &mut guessed)? {
             self.stats.failed_guesses += 1;
@@ -634,30 +637,26 @@ impl Engine {
         tag: &Tag,
         ps: Checkpoint,
     ) -> Result<(ReceiveOutcome, Vec<Effect>)> {
-        if self.proc_ref(pid).is_none() {
-            return Err(Error::UnknownProcess(pid));
-        }
-        // In-flight tags can outlive a collection sweep; the fossil record
-        // keeps ghost filtering exact for them. Names the receiver holds
-        // stand for themselves (module docs, § Storage): no lookup.
-        let held = &self.procs[pid.0 as usize].ido;
-        let mut guessed = DepSet::new();
-        let denied = if held.is_empty() {
-            self.resolve(tag.iter(), &mut guessed)?
-        } else {
-            let mut entering = DepSet::new();
-            let denied = self.resolve(tag.as_set().difference(held), &mut entering)?;
-            if denied.is_none() {
-                guessed = tag.as_set().clone();
-                guessed.intersect_with(held);
-                guessed.union_with(&entering);
-            }
-            denied
-        };
-        if let Some(x) = denied {
+        let held = &self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?.ido;
+        // Held names stand for themselves, affirmed ones for nothing (module
+        // docs, § Storage): neither is looked up. The fossil record keeps
+        // ghost filtering exact for tags that outlived a collection sweep.
+        let affirmed = (self.affirmed_from, &self.affirmed[..]);
+        let unsettled = tag.as_set().outside(held, affirmed);
+        let mut entering = DepSet::new();
+        if let Some(x) = self.resolve(unsettled, &mut entering)? {
             self.stats.ghosts += 1;
             return Ok((ReceiveOutcome::Ghost(x), Vec::new()));
         }
+        let held = &self.procs[pid.0 as usize].ido;
+        let guessed = if held.is_empty() {
+            entering
+        } else {
+            let mut guessed = tag.as_set().clone();
+            guessed.intersect_with(held);
+            guessed.union_with(&entering);
+            guessed
+        };
         if guessed.is_empty() {
             // Nothing in the tag is still undecided: no dependence, no interval.
             return Ok((ReceiveOutcome::Clean, Vec::new()));
@@ -684,6 +683,8 @@ impl Engine {
     ) -> Result<Option<AidId>> {
         let mut denied = None;
         for x in named {
+            #[cfg(test)]
+            tests::CLASSIFIED.with(|n| n.set(n.get() + 1));
             let state = match self.aid_slot(x) {
                 Slot::Live => self.aid_ref(x).state,
                 Slot::Fossil => self.fossil_aid_state(x),
@@ -786,12 +787,7 @@ impl Engine {
     ///   `affirm`/`deny`/`free_of` (§5.2's one-shot rule).
     pub fn affirm(&mut self, pid: ProcessId, x: AidId) -> Result<Vec<Effect>> {
         self.consume(pid, x)?;
-        let mut effects = Vec::new();
-        let mut wl = VecDeque::new();
-        self.affirm_inner(pid, x, &mut effects, &mut wl);
-        self.drain(&mut wl, &mut effects);
-        self.post_check();
-        Ok(effects)
+        Ok(self.cascade(|e, fx, wl| e.affirm_inner(pid, x, fx, wl)))
     }
 
     /// Execute `deny(x)` from process `pid`.
@@ -812,12 +808,7 @@ impl Engine {
     /// Same as [`Engine::affirm`].
     pub fn deny(&mut self, pid: ProcessId, x: AidId) -> Result<Vec<Effect>> {
         self.consume(pid, x)?;
-        let mut effects = Vec::new();
-        let mut wl = VecDeque::new();
-        self.deny_inner(pid, x, &mut effects, &mut wl);
-        self.drain(&mut wl, &mut effects);
-        self.post_check();
-        Ok(effects)
+        Ok(self.cascade(|e, fx, wl| e.deny_inner(pid, x, fx, wl)))
     }
 
     /// Execute `free_of(x)` from process `pid` (§5.4, Equations 17–19).
@@ -839,18 +830,13 @@ impl Engine {
     pub fn free_of(&mut self, pid: ProcessId, x: AidId) -> Result<Vec<Effect>> {
         self.consume(pid, x)?;
         self.stats.free_ofs += 1;
-        let mut effects = Vec::new();
-        let mut wl = VecDeque::new();
-        if self.procs[pid.0 as usize].ido.contains(&x) {
+        Ok(if self.procs[pid.0 as usize].ido.contains(&x) {
             // Eq. 19: constraint violated — deny (definite: x ∈ A.IDO).
-            self.deny_inner(pid, x, &mut effects, &mut wl);
+            self.cascade(|e, fx, wl| e.deny_inner(pid, x, fx, wl))
         } else {
             // Eq. 17 (definite) and Eq. 18 (speculative): affirm.
-            self.affirm_inner(pid, x, &mut effects, &mut wl);
-        }
-        self.drain(&mut wl, &mut effects);
-        self.post_check();
-        Ok(effects)
+            self.cascade(|e, fx, wl| e.affirm_inner(pid, x, fx, wl))
+        })
     }
 
     /// Drive the paper's *finalize* (§5.5) directly.
@@ -871,15 +857,10 @@ impl Engine {
     /// * [`Error::FinalizePrecondition`] if the interval is speculative
     ///   (its `IDO` is non-empty) or was rolled back.
     pub fn finalize(&mut self, a: IntervalId) -> Result<Vec<Effect>> {
-        let itv = match self.itv_slot(a) {
-            Slot::Live => self.itv_ref(a),
-            Slot::Fossil => return Err(Error::FossilInterval(a)),
-            Slot::Unknown => return Err(Error::UnknownInterval(a)),
-        };
-        match itv.status {
+        // The engine finalizes the moment an `IDO` empties, so a live
+        // speculative interval always has dependences left.
+        match self.interval(a)?.status() {
             IntervalStatus::Definite => Ok(Vec::new()),
-            // The engine finalizes the moment an `IDO` empties, so a live
-            // speculative interval always has dependences left.
             IntervalStatus::Speculative | IntervalStatus::RolledBack => {
                 Err(Error::FinalizePrecondition(a))
             }
@@ -959,6 +940,13 @@ impl Engine {
             }
             self.aid_base += n_aid as u64;
             self.stats.fossil_aids += n_aid as u64;
+            let word = (self.aid_base / 64) as usize;
+            let gone = (word - self.affirmed_from).min(self.affirmed.len());
+            self.affirmed.drain(..gone);
+            self.affirmed_from = word;
+            if let Some(w) = self.affirmed.first_mut() {
+                *w &= u64::MAX << (self.aid_base % 64);
+            }
         }
         self.post_check();
         FossilSweep {
@@ -975,9 +963,7 @@ impl Engine {
 
     /// Validate ids and enforce the one-shot rule, marking `x` consumed.
     fn consume(&mut self, pid: ProcessId, x: AidId) -> Result<()> {
-        if self.proc_ref(pid).is_none() {
-            return Err(Error::UnknownProcess(pid));
-        }
+        self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
         let aid = match self.aid_slot(x) {
             Slot::Live => self.aid_mut(x),
             // Fossils were decided, hence consumed: a second decider gets
@@ -1004,7 +990,7 @@ impl Engine {
             None => {
                 // Definite affirm (Equations 7–9).
                 effects.push(Effect::AidAffirmed { aid: x });
-                self.definite_affirm_aid(x, effects, wl);
+                self.definite_affirm_aid(x, wl);
             }
             Some(a) => {
                 // Speculative affirm (Equations 10–14).
@@ -1099,7 +1085,7 @@ impl Engine {
         if definite {
             // Eq. 15.
             effects.push(Effect::AidDenied { aid: x });
-            self.definite_deny_aid(x, effects, wl);
+            self.definite_deny_aid(x, wl);
         } else {
             // Eq. 16.
             let a = cur.expect("speculative deny requires a current interval");
@@ -1112,13 +1098,11 @@ impl Engine {
 
     /// Make `x` definitively affirmed and discharge its dependents
     /// (Equations 7–9). Queues finalizations.
-    fn definite_affirm_aid(
-        &mut self,
-        x: AidId,
-        _effects: &mut Vec<Effect>,
-        wl: &mut VecDeque<Task>,
-    ) {
+    fn definite_affirm_aid(&mut self, x: AidId, wl: &mut VecDeque<Task>) {
         self.stats.definite_affirms += 1;
+        let word = (x.0 / 64) as usize - self.affirmed_from;
+        self.affirmed.resize(self.affirmed.len().max(word + 1), 0);
+        self.affirmed[word] |= 1 << (x.0 % 64);
         let aid = self.aid_mut(x);
         aid.state = AidState::Affirmed;
         aid.spec_affirmed_by = None;
@@ -1137,7 +1121,7 @@ impl Engine {
 
     /// Make `x` definitively denied and queue rollback of its dependents
     /// (Equation 15's universal rollback).
-    fn definite_deny_aid(&mut self, x: AidId, _effects: &mut Vec<Effect>, wl: &mut VecDeque<Task>) {
+    fn definite_deny_aid(&mut self, x: AidId, wl: &mut VecDeque<Task>) {
         self.stats.definite_denies += 1;
         let aid = self.aid_mut(x);
         aid.state = AidState::Denied;
@@ -1148,6 +1132,18 @@ impl Engine {
         for b in &dom {
             wl.push_back(Task::Rollback(b));
         }
+    }
+
+    /// One decision: its first step, then the cascade it queued.
+    fn cascade(
+        &mut self,
+        first: impl FnOnce(&mut Self, &mut Vec<Effect>, &mut VecDeque<Task>),
+    ) -> Vec<Effect> {
+        let (mut effects, mut wl) = (Vec::new(), VecDeque::new());
+        first(self, &mut effects, &mut wl);
+        self.drain(&mut wl, &mut effects);
+        self.post_check();
+        effects
     }
 
     /// Process queued finalizations and rollbacks until quiescent.
@@ -1187,7 +1183,7 @@ impl Engine {
             for x in &iha {
                 if self.aid_ref(x).state == AidState::Undecided {
                     effects.push(Effect::AidAffirmed { aid: x });
-                    self.definite_affirm_aid(x, effects, wl);
+                    self.definite_affirm_aid(x, wl);
                 }
             }
         }
@@ -1196,7 +1192,7 @@ impl Engine {
             for x in &ihd {
                 if self.aid_ref(x).state == AidState::Undecided {
                     effects.push(Effect::AidDenied { aid: x });
-                    self.definite_deny_aid(x, effects, wl);
+                    self.definite_deny_aid(x, wl);
                 }
             }
         }
@@ -1205,13 +1201,13 @@ impl Engine {
     /// Roll back interval `a` (§5.6): truncate its process's history from
     /// `a` onward (Theorem 5.1) and undo speculative primitives.
     fn do_rollback(&mut self, a: IntervalId, effects: &mut Vec<Effect>, wl: &mut VecDeque<Task>) {
-        match self.itv_ref(a).status {
-            IntervalStatus::RolledBack => return,
-            IntervalStatus::Definite => {
-                debug_assert!(false, "Theorem 5.2 violated: rollback of definite {a}");
-                return;
-            }
-            IntervalStatus::Speculative => {}
+        let status = self.itv_ref(a).status;
+        debug_assert!(
+            status != IntervalStatus::Definite,
+            "Theorem 5.2: rollback of definite {a}"
+        );
+        if status != IntervalStatus::Speculative {
+            return;
         }
         let pid = self.itv_ref(a).pid;
         let (proc, pos) = self.place(self.itv_ref(a));
@@ -1248,7 +1244,7 @@ impl Engine {
                     self.aid_mut(x).spec_affirmed_by = None;
                     if self.aid_ref(x).state == AidState::Undecided {
                         effects.push(Effect::AidDenied { aid: x });
-                        self.definite_deny_aid(x, effects, wl);
+                        self.definite_deny_aid(x, wl);
                     }
                 }
             }
@@ -1349,6 +1345,8 @@ impl Engine {
     ///    disjoint, their union is the process's `ido`, and the first one
     ///    is non-empty (speculative ⟺ non-empty `IDO`). Intervals outside a
     ///    chain store nothing.
+    /// 3. **Affirmed bitmap**: its set bits are exactly the live AIDs that
+    ///    are definitively affirmed.
     ///
     /// Two checks of the edge-wise engine now hold by construction and are
     /// not re-checked: Lemma 5.1's symmetry for *inherited* dependence
@@ -1377,6 +1375,13 @@ impl Engine {
                     ));
                 }
             }
+        }
+        // 3: the bitmap marks the live affirmed AIDs and nothing else.
+        let marked = self.affirmed.iter().map(|w| w.count_ones() as usize);
+        let mut affirmed = self.aids.iter().filter(|a| a.state == AidState::Affirmed);
+        let window = (self.affirmed_from, &self.affirmed[..]);
+        if affirmed.clone().count() != marked.sum() || !affirmed.all(|a| bit(window, a.id.0)) {
+            return Err("the affirmed bitmap is not the live affirmed AIDs".into());
         }
         // 1: AID side.
         for aid in &self.aids {
@@ -1446,7 +1451,17 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Names [`Engine::resolve`] has classified on this thread.
+        pub(super) static CLASSIFIED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn classified() -> u64 {
+        CLASSIFIED.with(Cell::get)
+    }
 
     fn engine_with(n_procs: usize) -> (Engine, Vec<ProcessId>) {
         let mut e = Engine::new();
@@ -1559,6 +1574,55 @@ mod tests {
         assert_eq!(proc.first_spec, 0);
         // The younger assumptions were guessed, not denied.
         assert_eq!(e.open_aids().len(), DEEP - 1);
+        e.verify_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_receive_looks_up_only_names_neither_held_nor_affirmed() {
+        // DEEP affirmed AIDs with K undecided ones spread among them.
+        const K: usize = 7;
+        let mut e = Engine::new();
+        e.set_invariant_checking(false);
+        let [sender, decider, r0, r1, r2] = [(); 5].map(|_| e.register_process());
+        let (mut affirmed, mut open) = (Vec::new(), Vec::new());
+        for i in 0..DEEP + K {
+            let x = e.aid_init(sender);
+            if i % (DEEP / K) == DEEP / K / 2 && open.len() < K {
+                open.push(x);
+            } else {
+                e.affirm(decider, x).unwrap();
+                affirmed.push(x);
+            }
+        }
+        e.verify_invariants().unwrap();
+        let recv = |e: &mut Engine, pid, names: &[AidId]| {
+            let before = classified();
+            let tag: Tag = names.iter().copied().collect();
+            let (out, _) = e.implicit_guess(pid, &tag, Checkpoint(0)).unwrap();
+            (out, classified() - before)
+        };
+        // Into an empty IDO, all affirmed: nothing is looked up.
+        assert_eq!(recv(&mut e, r0, &affirmed), (ReceiveOutcome::Clean, 0));
+        // The same tag plus the K undecided names: exactly those K are.
+        let all: Vec<AidId> = (0..(DEEP + K) as u64).map(AidId).collect();
+        let (out, n) = recv(&mut e, r1, &all);
+        assert_eq!(n, K as u64);
+        let ReceiveOutcome::Speculative(a) = out else {
+            panic!("{out:?}")
+        };
+        assert!(e.interval(a).unwrap().ido().iter().eq(open.iter().copied()));
+        // Below the AID horizon names take the fossil path; held ones are
+        // still not looked up.
+        let horizon = e.collect_fossils().aid_horizon;
+        assert_eq!(horizon, open[0].0);
+        assert_eq!(
+            e.affirmed_from,
+            horizon as usize / 64,
+            "words below it went"
+        );
+        e.verify_invariants().unwrap();
+        assert_eq!(recv(&mut e, r2, &all).1, horizon + K as u64);
+        assert_eq!(recv(&mut e, r1, &all).1, horizon);
         e.verify_invariants().unwrap();
     }
 

@@ -14,14 +14,15 @@
 //! boundaries — fails here.
 //!
 //! Receives get the widest coverage, because the engine no longer reads a
-//! tag name by name: it looks up only the names the receiver does not hold
-//! (`Engine::implicit_guess`). `Op::RecvMixed` delivers tags that no send
-//! produced — any subset of the AIDs, held, fresh, speculatively affirmed,
-//! affirmed, denied (live, or a fossil in the collected twin) and never
-//! allocated, at once — and every script of the theorem suite's alphabet up
-//! to length 3 that contains a receive is played, not sampled. One directed
-//! case settles 70,000 AIDs before it starts, so that its spilled sets'
-//! word windows sit far from id 0.
+//! tag name by name: it looks up only the names the receiver neither holds
+//! nor knows to be affirmed (`Engine::implicit_guess`). `Op::RecvMixed`
+//! delivers inline tags that no send produced — any subset of the AIDs,
+//! held, fresh, speculatively affirmed, affirmed, denied (live, or a fossil
+//! in the collected twin) and never allocated, at once — and `Op::RecvSpan`
+//! spilled ones of hundreds of mostly affirmed names. Every script of the
+//! theorem suite's alphabet up to length 3 that contains a receive is
+//! played, not sampled. One directed case settles 70,000 AIDs before it
+//! starts, so that its spilled sets' word windows sit far from id 0.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
@@ -451,6 +452,21 @@ enum Op {
     /// step, so that a directed case can put its ids far from zero. Never
     /// drawn at random.
     Settled(u64),
+    /// Receive a tag naming every AID in `from..to`, and the first id the
+    /// engine never allocated if `to` passes the last one: a spilled tag
+    /// that no send produced. Never drawn at random.
+    RecvSpan(u32, u64, u64),
+}
+
+/// The tag an [`Op::RecvSpan`] over `from..to` names once `count` AIDs
+/// exist.
+fn span_tag(from: u64, to: u64, count: usize) -> BTreeSet<AidId> {
+    let count = count as u64;
+    let unknown = (to > count).then_some(count);
+    (from..to.min(count))
+        .chain(unknown)
+        .map(AidId::from_index)
+        .collect()
 }
 
 /// The tag an [`Op::RecvMixed`] mask names once `count` AIDs exist.
@@ -658,8 +674,12 @@ fn play_comparing_state_every(stride: usize, ops: &[Op]) {
                 let at = (ProcessId(p), Checkpoint(ck), step);
                 recv_both(&mut engine, &mut reference, at, &tags[idx], &ref_tags[idx]);
             }
-            Op::RecvMixed(p, mask) => {
-                let names = mixed_tag(mask, n_aids);
+            Op::RecvMixed(_, _) | Op::RecvSpan(_, _, _) => {
+                let (p, names) = match op {
+                    Op::RecvMixed(p, mask) => (p, mixed_tag(mask, n_aids)),
+                    Op::RecvSpan(p, from, to) => (p, span_tag(from, to, n_aids)),
+                    _ => unreachable!(),
+                };
                 let at = (ProcessId(p), Checkpoint(ck), step);
                 recv_both(
                     &mut engine,
@@ -792,8 +812,13 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) -> En
                     "recv diverged at step {step}"
                 );
             }
-            Op::RecvMixed(p, mask) => {
-                let tag: Tag = mixed_tag(mask, n_aids).into_iter().collect();
+            Op::RecvMixed(_, _) | Op::RecvSpan(_, _, _) => {
+                let (p, names) = match op {
+                    Op::RecvMixed(p, mask) => (p, mixed_tag(mask, n_aids)),
+                    Op::RecvSpan(p, from, to) => (p, span_tag(from, to, n_aids)),
+                    _ => unreachable!(),
+                };
+                let tag: Tag = names.into_iter().collect();
                 let a = plain.implicit_guess(ProcessId(p), &tag, Checkpoint(ck));
                 let b = collected.implicit_guess(ProcessId(p), &tag, Checkpoint(ck));
                 assert_eq!(
@@ -1138,6 +1163,97 @@ fn spilled_tag_into_a_spilled_ido() {
     ops.extend([Op::Deny(0, 30), Op::Recv(1, 0)]); // now a ghost
     ops.extend((10..140).map(|x| Op::Affirm(2, x)));
     play_both(&ops);
+}
+
+/// 300 AIDs for [`spilled_tags_of_mostly_affirmed_names`]: `x0` denied and
+/// `x1..x10` affirmed (fossils once swept: the undecided `x10` pins the
+/// horizon), `x180` denied, `x120` speculatively affirmed by `P0`, which
+/// holds `x10` and `x250..=x280` by tens, `x150` undecided and held by no
+/// one, and every other AID affirmed by `P2`.
+const SPAN: u64 = 300;
+const SPAN_OPEN: [u64; 7] = [10, 120, 150, 250, 260, 270, 280];
+
+fn span_setup() -> Vec<Op> {
+    let mut ops = vec![Op::AidInit; (SPAN - N_AIDS) as usize];
+    ops.push(Op::Deny(2, 0));
+    let affirmed = (1..SPAN).filter(|x| *x != 180 && !SPAN_OPEN.contains(x));
+    ops.extend(affirmed.map(|x| Op::Affirm(2, x)));
+    ops.push(Op::Deny(2, 180));
+    ops.extend([10, 250, 260, 270, 280].map(|x| Op::Guess(0, x)));
+    ops.push(Op::Affirm(0, 120));
+    ops
+}
+
+/// Spilled tags of 179–300 names, nearly all affirmed, into an empty `IDO`
+/// (`P1`) and a spilled one (`P0`): the affirmed names are masked out of
+/// the tag's words, and what is left — undecided, held, speculatively
+/// affirmed, denied after 170 affirmed names, a fossil on the collected
+/// twin, never allocated — must classify exactly as the literal reading
+/// does: the same outcome, the same first denied id, the same effects.
+#[test]
+fn spilled_tags_of_mostly_affirmed_names() {
+    let mut ops = span_setup();
+    ops.extend([
+        Op::RecvSpan(1, 0, SPAN),     // ghost of x0, the denied fossil
+        Op::RecvSpan(1, 1, SPAN),     // ghost of x180
+        Op::RecvSpan(1, 1, SPAN + 1), // x300 was never allocated
+        Op::RecvSpan(0, 1, SPAN + 1), // … into a non-empty IDO
+        Op::RecvSpan(0, 1, SPAN),     // ghost of x180 there too
+        Op::RecvSpan(1, 1, 180),      // deliverable, into an empty IDO
+        Op::RecvSpan(0, 1, 180),      // … and into one holding x10
+        Op::RecvSpan(1, 181, SPAN),   // P1, now holding x250.., x150
+        Op::Affirm(2, 10),
+        Op::Affirm(2, 150),
+        Op::Deny(2, 260),
+        Op::RecvSpan(1, 181, SPAN), // ghost of x260
+        Op::RecvSpan(2, 1, 180),    // ghost of x120, denied as P0 rolled back
+        Op::Affirm(2, 250),
+        Op::RecvSpan(1, 265, SPAN), // x270 and x280 still open
+    ]);
+    play_both(&ops);
+
+    // Spelled out, on an engine that swept its fossils.
+    let x = AidId::from_index;
+    let mut e = Engine::new();
+    e.set_invariant_checking(false);
+    let p: Vec<ProcessId> = (0..N_PROCS).map(|_| e.register_process()).collect();
+    for _ in 0..SPAN {
+        e.aid_init(p[0]);
+    }
+    for op in span_setup() {
+        match op {
+            Op::AidInit => {}
+            Op::Guess(q, i) => {
+                e.guess(p[q as usize], &[x(i)], Checkpoint(i)).unwrap();
+            }
+            Op::Affirm(q, i) => {
+                e.affirm(p[q as usize], x(i)).unwrap();
+            }
+            Op::Deny(q, i) => {
+                e.deny(p[q as usize], x(i)).unwrap();
+            }
+            _ => unreachable!("not in the setup"),
+        }
+    }
+    e.verify_invariants().unwrap();
+    assert_eq!(e.collect_fossils().aid_horizon, 10, "x0..x9 are fossils");
+    let tag = |from, to| -> Tag { span_tag(from, to, SPAN as usize).into_iter().collect() };
+    let mut recv = |q: usize, from, to| e.implicit_guess(p[q], &tag(from, to), Checkpoint(0));
+    assert_eq!(recv(1, 0, SPAN), Ok((ReceiveOutcome::Ghost(x(0)), vec![])));
+    assert_eq!(
+        recv(1, 1, SPAN),
+        Ok((ReceiveOutcome::Ghost(x(180)), vec![]))
+    );
+    assert_eq!(recv(0, 1, SPAN + 1), Err(Error::UnknownAid(x(SPAN))));
+    let (out, _) = recv(1, 1, 180).unwrap();
+    let ReceiveOutcome::Speculative(a) = out else {
+        panic!("deliverable: {out:?}")
+    };
+    // x10 and x150 stand for themselves, x120 for what P0 held when it
+    // affirmed it; the 169 affirmed names and the nine fossils for nothing.
+    let meant = [10, 150, 250, 260, 270, 280].map(x);
+    assert!(e.interval(a).unwrap().guessed().iter().eq(meant));
+    e.verify_invariants().unwrap();
 }
 
 /// Far from zero: 70,000 AIDs are created and affirmed first, so every set

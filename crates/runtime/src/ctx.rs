@@ -518,11 +518,15 @@ impl Ctx {
     /// entry point.
     pub fn checkpoint(&mut self, state: impl Into<Value>) -> Hope<()> {
         let state = state.into();
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Snapshot(_) => return Ok(()),
-                other => self.diverged("checkpoint", &other),
-            }
+        if let Some(pos) = self.replay.next() {
+            // Matched in place: a replayed snapshot is skipped, not cloned.
+            let sh = self.lock();
+            let other = match sh.procs[self.idx].journal.get(pos) {
+                Some(Entry::Snapshot(_)) => return Ok(()),
+                e => e.expect("replay cursor within journal").clone(),
+            };
+            drop(sh);
+            self.diverged("checkpoint", &other);
         }
         let mut sh = self.live()?;
         assert!(

@@ -209,10 +209,19 @@ impl Journal {
 
     /// Truncate to absolute position `pos`, returning the discarded suffix
     /// (oldest first) so the caller can re-enqueue its received messages.
-    /// Rollback never reaches below the commit horizon, so `pos >= base()`.
+    ///
+    /// # Panics
+    ///
+    /// If `pos < base()`: rollback never reaches below the commit horizon,
+    /// and cutting there would empty the live journal while `len()` still
+    /// counted the reclaimed prefix.
     pub(crate) fn truncate(&mut self, pos: usize) -> Vec<Entry> {
-        debug_assert!(pos >= self.base, "rollback below the commit horizon");
-        let k = pos.saturating_sub(self.base);
+        assert!(
+            pos >= self.base,
+            "journal truncated to {pos}, below its base {}: rollback never reaches below the commit horizon",
+            self.base
+        );
+        let k = pos - self.base;
         if k >= self.entries.len() {
             return Vec::new();
         }
@@ -287,6 +296,18 @@ mod tests {
         let cut = j.truncate(3);
         assert_eq!(cut, vec![Entry::Rand(2)]);
         assert_eq!(j.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "below its base 2")]
+    fn truncation_below_the_base_is_refused() {
+        let mut j = Journal::default();
+        j.push(Entry::Restore);
+        j.push(Entry::Rand(1));
+        j.push(Entry::Snapshot(Value::Int(7)));
+        assert_eq!(j.reclaim_prefix(2), 2);
+        // A release build would otherwise cut the whole live journal here.
+        j.truncate(1);
     }
 
     #[test]

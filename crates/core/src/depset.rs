@@ -902,19 +902,11 @@ impl<T: DepElem> Iterator for Difference<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_sim::SimRng;
     use std::collections::BTreeSet;
 
     fn aid(v: u64) -> AidId {
         AidId(v)
-    }
-
-    /// SplitMix64 — deterministic, dependency-free.
-    fn rng(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
     }
 
     #[test]
@@ -1129,21 +1121,21 @@ mod tests {
     }
 
     /// Where a domain starts: at zero, mid-word past word `k`, and near 2²⁰.
-    fn base(round: usize, state: &mut u64) -> u64 {
-        [0, 64 * (1 + rng(state) % 40) + 13, 1 << 20][round % 3]
+    fn base(round: usize, rng: &mut SimRng) -> u64 {
+        [0, 64 * (1 + rng.next_u64() % 40) + 13, 1 << 20][round % 3]
     }
 
     /// A size that leaves the set inline one time in three.
-    fn size(state: &mut u64) -> u64 {
-        match rng(state) % 3 {
-            0 => rng(state) % (INLINE_CAP as u64 + 1),
-            _ => rng(state) % 70,
+    fn size(rng: &mut SimRng) -> u64 {
+        match rng.next_u64() % 3 {
+            0 => rng.next_u64() % (INLINE_CAP as u64 + 1),
+            _ => rng.next_u64() % 70,
         }
     }
 
     #[test]
     fn set_algebra_matches_btreeset_over_every_representation_pairing() {
-        let mut state = 0x5E7A_u64;
+        let mut rng = SimRng::new(0x5E7A);
         for round in 0..1200 {
             // Domains of different widths and starts, so that spilled
             // operands carry windows of different lengths and offsets.
@@ -1151,19 +1143,19 @@ mod tests {
                 [40, 200, 2000][round / 3 % 3],
                 [40, 200, 2000][round / 9 % 3],
             );
-            let ba = base(round, &mut state);
+            let ba = base(round, &mut rng);
             let bb = match round / 27 % 4 {
                 0 => ba,
-                1 => ba + wa + 64 * (rng(&mut state) % 3), // disjoint windows
+                1 => ba + wa + 64 * (rng.next_u64() % 3), // disjoint windows
                 2 => {
                     wb = wa / 2; // nested
                     ba + wa / 4
                 }
                 _ => ba + wa / 2, // overlapping
             };
-            let (na, nb) = (size(&mut state), size(&mut state));
-            let a: BTreeSet<u64> = (0..na).map(|_| ba + rng(&mut state) % wa).collect();
-            let mut b: BTreeSet<u64> = (0..nb).map(|_| bb + rng(&mut state) % wb).collect();
+            let (na, nb) = (size(&mut rng), size(&mut rng));
+            let a: BTreeSet<u64> = (0..na).map(|_| ba + rng.next_u64() % wa).collect();
+            let mut b: BTreeSet<u64> = (0..nb).map(|_| bb + rng.next_u64() % wb).collect();
             match round % 5 {
                 0 => b.retain(|v| !a.contains(v)), // disjoint: an intersection that empties
                 1 => b.extend(a.iter().copied()),  // a ⊆ b
@@ -1236,9 +1228,9 @@ mod tests {
         // spills, each mirrored into a BTreeSet and compared exhaustively.
         // `other`'s domain starts where `s`'s does, half-way in, or past
         // its end, and both start at zero, mid-word or near 2²⁰.
-        let mut state = 0xD1F7_u64;
+        let mut rng = SimRng::new(0xD1F7);
         for round in 0..24 {
-            let at = base(round, &mut state);
+            let at = base(round, &mut rng);
             let other_at = at + [0, 100, 264][round / 3 % 3];
             let width = [200, 24][round / 9 % 2];
             let mut s: DepSet<AidId> = DepSet::new();
@@ -1246,8 +1238,8 @@ mod tests {
             let mut other: DepSet<AidId> = DepSet::new();
             let mut other_model: BTreeSet<u64> = BTreeSet::new();
             for _ in 0..400 {
-                let v = rng(&mut state) % width;
-                match rng(&mut state) % 8 {
+                let v = rng.next_u64() % width;
+                match rng.next_u64() % 8 {
                     0..=2 => {
                         assert_eq!(s.insert(aid(at + v)), model.insert(at + v), "round {round}");
                     }

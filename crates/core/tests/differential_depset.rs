@@ -20,9 +20,9 @@
 //! held, fresh, speculatively affirmed, affirmed, denied (live, or a fossil
 //! in the collected twin) and never allocated, at once — and `Op::RecvSpan`
 //! spilled ones of hundreds of mostly affirmed names. Every script of the
-//! theorem suite's alphabet up to length 3 that contains a receive is
-//! played, not sampled. One directed case settles 70,000 AIDs before it
-//! starts, so that its spilled sets' word windows sit far from id 0.
+//! theorem suite's alphabet up to length 3 is played, not sampled. One
+//! directed case settles 70,000 AIDs before it starts, so that its spilled
+//! sets' word windows sit far from id 0.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
@@ -31,7 +31,7 @@ use hope_core::{
     AidId, AidState, Checkpoint, Effect, Engine, Error, GuessOutcome, IntervalId, IntervalStatus,
     ProcessId, ReceiveOutcome, Tag,
 };
-use proptest::prelude::*;
+use hope_sim::SimRng;
 
 // ---------------------------------------------------------------------
 // Reference engine: the original BTreeSet-based algorithm.
@@ -476,8 +476,13 @@ fn mixed_tag(mask: u64, count: usize) -> BTreeSet<AidId> {
     known.chain(unknown).map(AidId::from_index).collect()
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0u8..10, 0u32..N_PROCS, 0u64..1 << 16).prop_map(|(k, p, x)| match k {
+/// One random op: a kind of ten, a process and a raw index, drawn in that
+/// order.
+fn random_op(rng: &mut SimRng) -> Op {
+    let kind = rng.range_u64(0, 10);
+    let p = rng.range_u64(0, N_PROCS.into()) as u32;
+    let x = rng.range_u64(0, 1 << 16);
+    match kind {
         0..=2 => Op::Guess(p, x),
         3 => Op::Affirm(p, x),
         4 => Op::Deny(p, x),
@@ -489,7 +494,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         // names an unallocated id.
         8 => Op::RecvMixed(p, (x & (x >> 3) & 0x7fff) | ((x & 7 == 0) as u64 * 0x8000)),
         _ => Op::AidInit,
-    })
+    }
 }
 
 /// The AID a raw op index names once `count` AIDs exist.
@@ -905,22 +910,28 @@ fn play_collected_twin_comparing_relation_every(stride: usize, ops: &[Op]) -> En
     collected
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(2000))]
-
-    #[test]
-    fn depset_engine_agrees_with_btreeset_reference(
-        ops in proptest::collection::vec(op_strategy(), 1..=120),
-    ) {
-        play(&ops);
+/// Play 2,000 scripts of 1–120 random ops, all drawn from one stream
+/// seeded `seed`; a failing case names itself and its script.
+fn play_random_scripts(seed: u64, check: fn(&[Op])) {
+    let mut rng = SimRng::new(seed);
+    for case in 0..2000 {
+        let len = rng.range_u64(1, 121);
+        let ops: Vec<Op> = (0..len).map(|_| random_op(&mut rng)).collect();
+        let played = std::panic::catch_unwind(|| check(&ops));
+        assert!(played.is_ok(), "case {case} failed on {ops:?}");
     }
+}
 
-    #[test]
-    fn fossil_collected_twin_agrees_with_uncollected(
-        ops in proptest::collection::vec(op_strategy(), 1..=120),
-    ) {
-        play_collected_twin(&ops);
-    }
+#[test]
+fn depset_engine_agrees_with_btreeset_reference() {
+    // FNV-1a of "differential_depset::depset_engine_agrees_with_btreeset_reference".
+    play_random_scripts(0x4e26_480a_362e_df3a, play);
+}
+
+#[test]
+fn fossil_collected_twin_agrees_with_uncollected() {
+    // FNV-1a of "differential_depset::fossil_collected_twin_agrees_with_uncollected".
+    play_random_scripts(0xbaad_7788_6d9e_51a5, play_collected_twin);
 }
 
 /// Play one directed case against the reference and against the
@@ -1300,9 +1311,9 @@ fn windows_far_from_zero_agree_with_reference() {
 
 /// The theorem suite's alphabet (`tests/theorems.rs`: two processes, two
 /// AIDs, a send being a tag taken and delivered), every script up to length
-/// 3 that contains a receive — all of them, not a sample.
+/// 3 — all of them, not a sample.
 #[test]
-fn every_short_script_with_a_receive_agrees_with_reference() {
+fn every_short_script_agrees_with_reference() {
     let mut alphabet: Vec<[Option<Op>; 2]> = Vec::new();
     for p in 0..2u32 {
         for x in 0..2u64 {
@@ -1335,12 +1346,10 @@ fn every_short_script_with_a_receive_agrees_with_reference() {
                     _ => op,
                 });
             }
-            if sends > 0 {
-                play_both(&script);
-                played += 1;
-            }
+            play_both(&script);
+            played += 1;
         }
     }
-    // 18ⁿ scripts of length n, 16ⁿ of them without a send.
-    assert_eq!(played, (18 - 16) + (324 - 256) + (5832 - 4096));
+    // 18ⁿ scripts of length n.
+    assert_eq!(played, 18 + 324 + 5832);
 }

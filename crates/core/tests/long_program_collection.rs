@@ -1,8 +1,8 @@
 //! Fossil collection on long seeded programs: a collecting twin against a
 //! twin that never collects.
 //!
-//! `differential_depset.rs` holds the same pair side by side on proptest
-//! programs of at most 40 ops over 3 processes and 6 pre-made AIDs. The
+//! `differential_depset.rs` holds the same pair side by side on seeded
+//! random programs of at most 120 ops over 3 processes and 6 pre-made AIDs. The
 //! seeded generator here goes where those cannot: 6 processes, `aid_init`
 //! interleaved with multi-AID guesses, tags, and `Collect` ops, in programs
 //! of up to 600 ops that keep naming AIDs long after they became fossils.

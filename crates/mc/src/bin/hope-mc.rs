@@ -18,14 +18,15 @@
 //!   --max-depth N      per-branch depth bound (default 2000)
 //!   --quiet            verdict line only
 //!
-//! exit status: 0 exhausted, 1 budget exceeded, 2 usage/parse error.
+//! exit status: 0 exhausted, 1 budget exceeded, 2 usage/parse error (a
+//! statement naming an undeclared process or AID included).
 //! ```
 
 use std::fmt::Write as _;
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use hope_core::program::Program;
+use hope_core::program::{Program, Stmt};
 use hope_mc::{check, BudgetReason, Completeness, McConfig, McReport, Mode};
 
 struct Args {
@@ -107,26 +108,44 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     })
 }
 
+/// Read the program from its source and reject one that names an
+/// undeclared process or AID: the explorer indexes its tables by them.
 fn load(source: &Source) -> Result<Program, String> {
-    match source {
+    let program: Program = match source {
         Source::Generate {
             seed,
             procs,
             len,
             aids,
-        } => Ok(Program::generate(*seed, *procs, *len, *aids)),
+        } => Program::generate(*seed, *procs, *len, *aids),
         Source::Stdin => {
             let mut text = String::new();
             std::io::stdin()
                 .read_to_string(&mut text)
                 .map_err(|e| format!("reading stdin: {e}"))?;
-            text.parse().map_err(|e| format!("parse error: {e}"))
+            text.parse().map_err(|e| format!("parse error: {e}"))?
         }
         Source::File(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            text.parse().map_err(|e| format!("parse error: {e}"))
+            text.parse().map_err(|e| format!("parse error: {e}"))?
+        }
+    };
+    let (procs, aids) = (program.process_count(), program.aid_count);
+    for (p, stmts) in program.code.iter().enumerate() {
+        for (i, stmt) in stmts.iter().enumerate() {
+            let bound = match *stmt {
+                Stmt::Send { to } if to >= procs => format!("only {procs} processes"),
+                Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x) if x >= aids => {
+                    format!("only {aids} AIDs")
+                }
+                _ => continue,
+            };
+            return Err(format!(
+                "invalid program: P{p}:{i} `{stmt}`: the program declares {bound}"
+            ));
         }
     }
+    Ok(program)
 }
 
 fn mode_name(mode: Mode) -> &'static str {

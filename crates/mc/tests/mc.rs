@@ -18,7 +18,7 @@ use hope_core::machine::{Event, Machine};
 use hope_core::observer::NullObserver;
 use hope_core::program::Program;
 use hope_mc::{check, commit_fingerprint, BudgetReason, Completeness, McConfig, McReport, Mode};
-use proptest::prelude::*;
+use hope_sim::SimRng;
 
 const SEEDED_SCHEDULES: u64 = 64;
 const FUEL: u64 = 10_000;
@@ -77,18 +77,18 @@ fn random_is_subset_of_exhaustive(program: &Program) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(120))]
-
-    #[test]
-    fn seeded_random_schedules_are_covered_by_the_model_checker(
-        seed in 0u64..1_000_000,
-        procs in 1usize..=3,
-        len in 1usize..=4,
-        aids in 1usize..=2,
-    ) {
+#[test]
+fn seeded_random_schedules_are_covered_by_the_model_checker() {
+    // FNV-1a of "mc::seeded_random_schedules_are_covered_by_the_model_checker".
+    let mut rng = SimRng::new(0x3fbc_c51c_ed8f_7176);
+    for case in 0..120 {
+        let seed = rng.range_u64(0, 1_000_000);
+        let procs = rng.range_u64(1, 4) as usize;
+        let (len, aids) = (rng.range_u64(1, 5) as usize, rng.range_u64(1, 3) as usize);
         let program = Program::generate(seed, procs, len, aids);
-        random_is_subset_of_exhaustive(&program);
+        let checked = std::panic::catch_unwind(|| random_is_subset_of_exhaustive(&program));
+        let call = format!("Program::generate({seed}, {procs}, {len}, {aids})");
+        assert!(checked.is_ok(), "case {case} failed on {call}");
     }
 }
 
@@ -276,19 +276,20 @@ fn the_explorer_walk_is_pinned() {
     );
 }
 
+fn hope_mc(args: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_hope-mc"))
+        .args(args)
+        .output()
+        .expect("hope-mc runs")
+}
+
 /// The `hope-mc` binary has one reduced mode and its `--naive` oracle: the
 /// flags of the removed modes are usage errors, and the JSON report names
 /// the mode it ran under exactly these keys.
 #[test]
 fn cli_rejects_removed_mode_flags() {
-    let run = |args: &[&str]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_hope-mc"))
-            .args(args)
-            .output()
-            .expect("hope-mc runs")
-    };
     for flag in ["--stateful", "--sleepset", "--dpor"] {
-        let out = run(&[flag, "--generate", "3,2,3,2"]);
+        let out = hope_mc(&[flag, "--generate", "3,2,3,2"]);
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
@@ -297,7 +298,7 @@ fn cli_rejects_removed_mode_flags() {
     for (extra, mode) in [(None, "reduced"), (Some("--naive"), "naive")] {
         let mut args = vec!["--json", "--generate", "3,2,3,2"];
         args.extend(extra);
-        let out = run(&args);
+        let out = hope_mc(&args);
         assert_eq!(out.status.code(), Some(0));
         let json = String::from_utf8_lossy(&out.stdout);
         // Every quoted string of the report: its keys in order, plus the
@@ -326,4 +327,32 @@ fn cli_rejects_removed_mode_flags() {
             "{json}"
         );
     }
+}
+
+/// A send to an undeclared process is a usage error naming the statement,
+/// not an out-of-bounds panic in the explorer.
+#[test]
+fn cli_rejects_a_send_to_an_undeclared_process() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("send_to_p5.hope");
+    std::fs::write(&path, "process P0:\n  send(P5)\nprocess P1:\n  recv\n").unwrap();
+    let out = hope_mc(&[path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("P0:0 `send(P5)`: the program declares only 2 processes"),
+        "{err}"
+    );
+}
+
+/// `--generate` over zero AIDs still emits statements on `x0`: a usage
+/// error naming the first, not a panic.
+#[test]
+fn cli_rejects_a_generated_program_without_aids() {
+    let out = hope_mc(&["--generate", "1,2,3,0"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("(x0)`: the program declares only 0 AIDs"),
+        "{err}"
+    );
 }

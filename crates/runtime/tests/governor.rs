@@ -12,7 +12,7 @@
 //!    feature on a healthy system costs exactly one branch per guess.
 //! 3. **Determinism** — the mode-transition trace is a pure function of
 //!    `(seed, config)`: identical across reruns and invariant under
-//!    fossil collection (proptest-driven).
+//!    fossil collection (over seeded random configurations).
 //!
 //! The fault-space half of the transparency claim (`committed()`
 //! governor-on ≡ governor-off under seeded fault plans) is the governor
@@ -24,7 +24,7 @@ use hope_core::AidId;
 use hope_runtime::{
     Ctx, GovernorConfig, GovernorMode, ProcessId, SimConfig, Simulation, Value, VirtualDuration,
 };
-use proptest::prelude::*;
+use hope_sim::SimRng;
 
 fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
@@ -198,25 +198,22 @@ fn fault_free_governor_is_inert_and_fingerprint_invisible() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The mode-transition trace is a pure function of `(seed, config)`:
-    /// rerunning the same configuration reproduces it bit-for-bit, and
-    /// fossil collection — which truncates the very journals whose suffix
-    /// lengths feed the damage EWMA — never perturbs it or what commits,
-    /// because damage is charged at rollback time, not read back from
-    /// retained journals. 64 rounds (one full turn of the `deny_rounds`
-    /// pattern) are ~320 scheduler events, so the collecting run crosses
-    /// the scheduler's 256-event sweep and must actually reclaim; its
-    /// fingerprint is *not* compared, since that hashes `MemoryStats`.
-    #[test]
-    fn transition_trace_is_pure_function_of_seed_and_config(
-        seed in 0u64..500,
-        deny_rounds in 0u64..u64::MAX,
-        window in 2usize..10,
-        threshold in 100u64..600,
-    ) {
+/// The mode-transition trace is a pure function of `(seed, config)`:
+/// rerunning the same configuration reproduces it bit-for-bit, and fossil
+/// collection — which truncates the very journals whose suffix lengths feed
+/// the damage EWMA — never perturbs it or what commits, because damage is
+/// charged at rollback time, not read back from retained journals. 64
+/// rounds (one full turn of the `deny_rounds` pattern) are ~320 scheduler
+/// events, so the collecting run crosses the scheduler's 256-event sweep
+/// and must actually reclaim; its fingerprint is *not* compared, since that
+/// hashes `MemoryStats`.
+#[test]
+fn transition_trace_is_pure_function_of_seed_and_config() {
+    // FNV-1a of "governor::transition_trace_is_pure_function_of_seed_and_config".
+    let mut rng = SimRng::new(0xb64c_a03a_8945_6158);
+    for case in 0..16 {
+        let (seed, deny_rounds) = (rng.range_u64(0, 500), rng.range_u64(0, u64::MAX));
+        let (window, threshold) = (rng.range_u64(2, 10) as usize, rng.range_u64(100, 600));
         let cfg = || {
             SimConfig::with_seed(seed).with_governor(
                 GovernorConfig::default()
@@ -227,18 +224,29 @@ proptest! {
             )
         };
         let run = |cfg| scripted_scenario(cfg, 64, deny_rounds).run();
-        let (reference, rerun) = (run(cfg()), run(cfg()));
-        let trace = reference.governor_transitions();
-        prop_assert_eq!(trace, rerun.governor_transitions(), "rerun diverged");
-        prop_assert_eq!(reference.fingerprint(), rerun.fingerprint());
-        let collected = run(cfg().with_fossil_collection(true));
-        let mem = collected.stats().memory;
-        prop_assert!(
-            mem.reclaimed_intervals > 0 && mem.reclaimed_journal_entries > 0,
-            "collection never engaged ({} events): {mem:?}",
-            collected.events()
+        let checked = std::panic::catch_unwind(|| {
+            let (reference, rerun) = (run(cfg()), run(cfg()));
+            let trace = reference.governor_transitions();
+            assert_eq!(trace, rerun.governor_transitions(), "rerun diverged");
+            assert_eq!(reference.fingerprint(), rerun.fingerprint());
+            let collected = run(cfg().with_fossil_collection(true));
+            let mem = collected.stats().memory;
+            assert!(
+                mem.reclaimed_intervals > 0 && mem.reclaimed_journal_entries > 0,
+                "collection never engaged ({} events): {mem:?}",
+                collected.events()
+            );
+            assert_eq!(
+                trace,
+                collected.governor_transitions(),
+                "collection diverged"
+            );
+            assert_eq!(reference.committed(), collected.committed());
+        });
+        let inputs = format!("seed {seed}, deny_rounds {deny_rounds:#x}, window {window}");
+        assert!(
+            checked.is_ok(),
+            "case {case} failed: {inputs}, threshold {threshold}"
         );
-        prop_assert_eq!(trace, collected.governor_transitions(), "collection diverged");
-        prop_assert_eq!(reference.committed(), collected.committed());
     }
 }

@@ -3,97 +3,107 @@
 
 use std::collections::BTreeSet;
 
-use hope_sim::{LatencyModel, Topology, VirtualDuration};
+use hope_sim::{LatencyModel, SimRng, Topology, VirtualDuration};
 use hope_tms::{run_tms, KnowledgeBase, Nogood, Rule};
-use proptest::prelude::*;
 
-const ASSUMABLE: u32 = 6; // atoms 1..=6 are assumable
-const DERIVED: u32 = 6; // atoms 7..=12 are derivable heads
+const ASSUMABLE: u64 = 6; // atoms 1..=6 are assumable
+const DERIVED: u64 = 6; // atoms 7..=12 are derivable heads
 
-fn atom() -> impl Strategy<Value = u32> {
-    1..=(ASSUMABLE + DERIVED)
+fn atom(rng: &mut SimRng) -> u32 {
+    rng.range_u64(1, ASSUMABLE + DERIVED + 1) as u32
 }
 
-fn rule() -> impl Strategy<Value = Rule> {
-    (
-        proptest::collection::vec(atom(), 1..3),
-        (ASSUMABLE + 1)..=(ASSUMABLE + DERIVED),
-    )
-        .prop_map(|(body, head)| Rule { body, head })
+/// A rule of a one- or two-atom body, then a derivable head.
+fn rule(rng: &mut SimRng) -> Rule {
+    let body = (0..rng.range_u64(1, 3)).map(|_| atom(rng)).collect();
+    let head = rng.range_u64(ASSUMABLE + 1, ASSUMABLE + DERIVED + 1) as u32;
+    Rule { body, head }
 }
 
-fn nogood() -> impl Strategy<Value = Nogood> {
-    proptest::collection::btree_set(atom(), 2..4).prop_map(|atoms| Nogood {
+/// A nogood of two or three distinct atoms, or fewer if 64·(n + 1) draws
+/// do not find them.
+fn nogood(rng: &mut SimRng) -> Nogood {
+    let n = rng.range_u64(2, 4) as usize;
+    let mut atoms = BTreeSet::new();
+    for _ in 0..64 * (n + 1) {
+        if atoms.len() == n {
+            break;
+        }
+        atoms.insert(atom(rng));
+    }
+    Nogood {
         atoms: atoms.into_iter().collect(),
-    })
+    }
 }
 
-fn kb() -> impl Strategy<Value = KnowledgeBase> {
-    (
-        proptest::collection::vec(rule(), 0..6),
-        proptest::collection::vec(nogood(), 0..4),
-    )
-        .prop_map(|(rules, nogoods)| KnowledgeBase { rules, nogoods })
+/// Up to five rules, then up to three nogoods.
+fn kb(rng: &mut SimRng) -> KnowledgeBase {
+    let rules = (0..rng.range_u64(0, 6)).map(|_| rule(rng)).collect();
+    let nogoods = (0..rng.range_u64(0, 4)).map(|_| nogood(rng)).collect();
+    KnowledgeBase { rules, nogoods }
 }
 
-fn assumption_lists() -> impl Strategy<Value = Vec<Vec<u32>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(1..=ASSUMABLE, 0..4),
-        1..3, // 1–2 reasoners
-    )
+/// One or two reasoners, each requesting up to three assumable atoms.
+fn assumption_lists(rng: &mut SimRng) -> Vec<Vec<u32>> {
+    (0..rng.range_u64(1, 3))
+        .map(|_| {
+            (0..rng.range_u64(0, 4))
+                .map(|_| rng.range_u64(1, ASSUMABLE + 1) as u32)
+                .collect()
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn committed_worlds_are_consistent(
-        kb in kb(),
-        lists in assumption_lists(),
-        seed in 0u64..32,
-    ) {
-        let topo = Topology::uniform(LatencyModel::Fixed(
-            VirtualDuration::from_millis(1),
-        ));
+#[test]
+fn committed_worlds_are_consistent() {
+    // FNV-1a of "random_kb::committed_worlds_are_consistent".
+    let mut rng = SimRng::new(0x472d_ba94_653c_f1e2);
+    for case in 0..24 {
+        let (kb, lists) = (kb(&mut rng), assumption_lists(&mut rng));
+        let seed = rng.range_u64(0, 32);
+        let topo = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_millis(1)));
         let out = run_tms(&kb, &lists, topo, seed);
-        prop_assert!(out.report.errors().is_empty(), "{}", out.report);
+        let case = format!("case {case}: {kb:?}, lists {lists:?}, seed {seed}");
+        assert!(out.report.errors().is_empty(), "{case}: {}", out.report);
         // The judge's live set is consistent under the rules.
         let closed = kb.close(&out.live);
-        prop_assert!(
+        assert!(
             kb.violated(&closed).is_none(),
-            "live={:?} violates a nogood",
+            "{case}: live={:?} violates a nogood",
             out.live
         );
         // Live assumptions were actually assumable and were requested.
         let requested: BTreeSet<u32> = lists.iter().flatten().copied().collect();
-        prop_assert!(out.live.iter().all(|a| requested.contains(a)));
+        assert!(out.live.iter().all(|a| requested.contains(a)), "{case}");
         // Every committed belief set is nogood-free and inside the live
         // closure.
         for (i, b) in out.beliefs.iter().enumerate() {
-            prop_assert!(kb.violated(b).is_none(), "reasoner {i}: {b:?}");
-            prop_assert!(
+            assert!(kb.violated(b).is_none(), "{case}: reasoner {i}: {b:?}");
+            assert!(
                 b.is_subset(&closed),
-                "reasoner {i}: {b:?} ⊄ {closed:?}"
+                "{case}: reasoner {i}: {b:?} ⊄ {closed:?}"
             );
         }
     }
+}
 
-    #[test]
-    fn runs_are_deterministic(
-        kb in kb(),
-        lists in assumption_lists(),
-        seed in 0u64..8,
-    ) {
-        let topo = Topology::uniform(LatencyModel::Fixed(
-            VirtualDuration::from_millis(1),
-        ));
+#[test]
+fn runs_are_deterministic() {
+    // FNV-1a of "random_kb::runs_are_deterministic".
+    let mut rng = SimRng::new(0xd35b_9c7e_9111_b3c8);
+    for case in 0..24 {
+        let (kb, lists) = (kb(&mut rng), assumption_lists(&mut rng));
+        let seed = rng.range_u64(0, 8);
+        let topo = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_millis(1)));
         let a = run_tms(&kb, &lists, topo.clone(), seed);
         let b = run_tms(&kb, &lists, topo, seed);
-        prop_assert_eq!(&a.live, &b.live);
-        prop_assert_eq!(&a.beliefs, &b.beliefs);
-        prop_assert_eq!(
+        let case = format!("case {case}: {kb:?}, lists {lists:?}, seed {seed}");
+        assert_eq!(&a.live, &b.live, "{case}");
+        assert_eq!(&a.beliefs, &b.beliefs, "{case}");
+        assert_eq!(
             a.report.stats().rollback_events,
-            b.report.stats().rollback_events
+            b.report.stats().rollback_events,
+            "{case}"
         );
     }
 }

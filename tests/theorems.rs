@@ -26,7 +26,7 @@
 //!   24).
 //!
 //! The suite runs both exhaustively (all short scripts over a small
-//! alphabet) and property-based (proptest over long random scripts).
+//! alphabet) and over long random scripts drawn from seeded `SimRng` streams.
 
 use std::collections::BTreeMap;
 
@@ -34,7 +34,7 @@ use hope_core::{
     AidId, AidState, Checkpoint, Effect, Engine, GuessOutcome, IntervalId, IntervalStatus,
     ProcessId, ReceiveOutcome, Tag,
 };
-use proptest::prelude::*;
+use hope_sim::SimRng;
 
 /// One abstract operation of the driver's alphabet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -472,112 +472,92 @@ fn exhaustive_guess_prefixed_scripts_of_length_4() {
 }
 
 // ---------------------------------------------------------------------
-// property-based checking
+// seeded random scripts
 // ---------------------------------------------------------------------
 
-fn op_strategy(n_procs: usize, n_aids: usize) -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0..n_procs, 0..n_aids).prop_map(|(p, x)| Op::Guess { p, x }),
-        2 => (0..n_procs, 0..n_aids).prop_map(|(p, x)| Op::Affirm { p, x }),
-        1 => (0..n_procs, 0..n_aids).prop_map(|(p, x)| Op::Deny { p, x }),
-        1 => (0..n_procs, 0..n_aids).prop_map(|(p, x)| Op::FreeOf { p, x }),
-        3 => (0..n_procs, 0..n_procs).prop_map(|(from, to)| Op::Send { from, to }),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn theorems_hold_on_random_scripts(
-        script in proptest::collection::vec(op_strategy(4, 6), 0..48)
-    ) {
-        let mut d = Driver::new(4, 6);
-        for op in script {
-            d.exec(op);
-        }
-        d.settle_and_check_theorem_6_1();
-    }
-
-    #[test]
-    fn theorems_hold_on_dense_two_party_scripts(
-        script in proptest::collection::vec(op_strategy(2, 3), 0..64)
-    ) {
-        let mut d = Driver::new(2, 3);
-        for op in script {
-            d.exec(op);
-        }
-        d.settle_and_check_theorem_6_1();
-    }
-}
-
-// ---------------------------------------------------------------------
-// seeded-loop checking (no proptest dependency)
-// ---------------------------------------------------------------------
-//
-// The same two properties as the proptest block above, but as plain
-// `#[test]` functions over an explicit SplitMix64 stream: deterministic,
-// shrink-free, and independent of which property-testing harness (real
-// proptest or the offline shim) the build resolves.
-
-/// SplitMix64; mirrors `hope_sim::rng` so failures reproduce from the
-/// printed seed alone.
-struct ScriptRng(u64);
-
-impl ScriptRng {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
-    /// One op with the same 3:2:1:1:3 weighting as `op_strategy`.
-    fn op(&mut self, n_procs: usize, n_aids: usize) -> Op {
-        let p = self.below(n_procs);
-        let x = self.below(n_aids);
-        match self.below(10) {
-            0..=2 => Op::Guess { p, x },
-            3..=4 => Op::Affirm { p, x },
-            5 => Op::Deny { p, x },
-            6 => Op::FreeOf { p, x },
-            _ => Op::Send {
-                from: p,
-                to: self.below(n_procs),
-            },
-        }
-    }
-}
-
-fn run_seeded_scripts(n_procs: usize, n_aids: usize, max_len: usize, cases: u64) {
+/// Play `cases` scripts, `script(case)` drawing each, and check the battery
+/// after every transition and after settling; a failing case names itself
+/// and its script.
+fn check_scripts(
+    n_procs: usize,
+    n_aids: usize,
+    cases: u64,
+    mut script: impl FnMut(u64) -> Vec<Op>,
+) {
     for case in 0..cases {
-        let mut rng = ScriptRng(0xC0FF_EE00 ^ (case.wrapping_mul(0x9e37_79b9)));
-        let len = rng.below(max_len + 1);
-        let mut d = Driver::new(n_procs, n_aids);
-        for step in 0..len {
-            let op = rng.op(n_procs, n_aids);
-            // The Driver's battery panics with context on violation; the
-            // case number here makes the failing script reproducible.
-            let _ = (case, step);
-            d.exec(op);
-        }
-        d.settle_and_check_theorem_6_1();
+        let script = script(case);
+        let played = std::panic::catch_unwind(|| {
+            let mut d = Driver::new(n_procs, n_aids);
+            for &op in &script {
+                d.exec(op);
+            }
+            d.settle_and_check_theorem_6_1();
+        });
+        assert!(played.is_ok(), "case {case} failed on script {script:?}");
     }
+}
+
+/// Op `kind` of ten, weighted 3:2:1:1:3 (guess, affirm, deny, free_of,
+/// send); a send's operands are its two processes.
+fn op(kind: usize, p: usize, x: usize) -> Op {
+    match kind {
+        0..=2 => Op::Guess { p, x },
+        3..=4 => Op::Affirm { p, x },
+        5 => Op::Deny { p, x },
+        6 => Op::FreeOf { p, x },
+        _ => Op::Send { from: p, to: x },
+    }
+}
+
+/// A script of fewer than `max_len` ops from one stream, each op drawn
+/// kind first.
+fn random_script(rng: &mut SimRng, n_procs: usize, n_aids: usize, max_len: usize) -> Vec<Op> {
+    let len = rng.index(max_len);
+    (0..len)
+        .map(|_| {
+            let kind = rng.index(10);
+            let p = rng.index(n_procs);
+            op(kind, p, rng.index(if kind < 7 { n_aids } else { n_procs }))
+        })
+        .collect()
+}
+
+/// Case `case`'s script of at most `max_len` ops from a stream of its own,
+/// every draw `next_u64() % n` and each op drawn operands first.
+fn seeded_script(case: u64, n_procs: usize, n_aids: usize, max_len: usize) -> Vec<Op> {
+    let mut rng = SimRng::new(0xC0FF_EE00 ^ case.wrapping_mul(0x9e37_79b9));
+    let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let len = below(max_len + 1);
+    (0..len)
+        .map(|_| {
+            let (p, x, kind) = (below(n_procs), below(n_aids), below(10));
+            op(kind, p, if kind < 7 { x } else { below(n_procs) })
+        })
+        .collect()
+}
+
+#[test]
+fn theorems_hold_on_random_scripts() {
+    // FNV-1a of "theorems::theorems_hold_on_random_scripts".
+    let mut rng = SimRng::new(0x5e1e_41cb_defd_76aa);
+    check_scripts(4, 6, 256, |_| random_script(&mut rng, 4, 6, 48));
+}
+
+#[test]
+fn theorems_hold_on_dense_two_party_scripts() {
+    // FNV-1a of "theorems::theorems_hold_on_dense_two_party_scripts".
+    let mut rng = SimRng::new(0x03a7_cea2_003b_8418);
+    check_scripts(2, 3, 256, |_| random_script(&mut rng, 2, 3, 64));
 }
 
 #[test]
 fn theorems_hold_on_seeded_random_scripts() {
-    run_seeded_scripts(4, 6, 48, 256);
+    check_scripts(4, 6, 256, |case| seeded_script(case, 4, 6, 48));
 }
 
 #[test]
 fn theorems_hold_on_seeded_dense_two_party_scripts() {
-    run_seeded_scripts(2, 3, 64, 256);
+    check_scripts(2, 3, 256, |case| seeded_script(case, 2, 3, 64));
 }
 
 // ---------------------------------------------------------------------

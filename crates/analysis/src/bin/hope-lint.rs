@@ -36,7 +36,10 @@ Options:
                            rank numbers
   --mc                     also model-check the full schedule space
                            (hope-mc) and report whether it confirms the
-                           static verdict; cannot combine with --rank/--cost
+                           static verdict; skipped, with a line saying so,
+                           for a program naming an undeclared process or
+                           AID (an invalid-target error: exit 1); cannot
+                           combine with --rank/--cost
   --mc-states N            state budget for --mc (default 200000)
   -h, --help               show this help and exit 0
 
@@ -325,28 +328,38 @@ fn main() -> ExitCode {
     let analyzer = Analyzer::new().with_cascade_threshold(options.threshold);
     let (diagnostics, flow) = analyzer.analyze_with_flow(&program);
     let has_error = diagnostics.iter().any(|d| d.severity == Severity::Error);
+    // The explorer indexes its tables by process and AID: a program naming
+    // an undeclared one (an `invalid-target` error) is not explored.
     let mc_outcome = options.mc.as_ref().map(|cfg| {
-        let report = check(&program, cfg);
-        let agreement = mc_agreement(&report, has_error);
-        (report, agreement)
+        program.check_bounds().map(|()| {
+            let report = check(&program, cfg);
+            let agreement = mc_agreement(&report, has_error);
+            (report, agreement)
+        })
     });
     let rendered = match options.mode {
         Mode::Lint if options.json => match &mc_outcome {
-            Some((report, agreement)) => format!(
+            Some(outcome) => format!(
                 "{{\"diagnostics\":{},\n \"mc\":{}}}\n",
                 render_json(&diagnostics).trim_end(),
-                render_mc_json(report, *agreement)
+                match outcome {
+                    Ok((report, agreement)) => render_mc_json(report, *agreement),
+                    // `Stmt`'s display holds no character JSON escapes.
+                    Err(e) => format!("{{\"verdict\":\"skipped\",\"reason\":\"{e}\"}}"),
+                }
             ),
             None => render_json(&diagnostics),
         },
         Mode::Lint => match &mc_outcome {
-            Some((report, agreement)) => {
-                format!(
-                    "{}{}",
-                    render_text(&diagnostics),
-                    render_mc_text(report, *agreement, has_error)
-                )
-            }
+            Some(outcome) => format!(
+                "{}{}",
+                render_text(&diagnostics),
+                match outcome {
+                    Ok((report, agreement)) => render_mc_text(report, *agreement, has_error),
+                    Err(e) =>
+                        format!("mc: skipped — {e}, and the explorer needs every name declared\n"),
+                }
+            ),
             None => render_text(&diagnostics),
         },
         Mode::Rank | Mode::Cost => {
@@ -368,7 +381,7 @@ fn main() -> ExitCode {
     if let Err(code) = emit(&rendered) {
         return code;
     }
-    let refuted = matches!(mc_outcome, Some((_, McAgreement::Refuted)));
+    let refuted = matches!(mc_outcome, Some(Ok((_, McAgreement::Refuted))));
     if refuted {
         eprintln!(
             "hope-lint: model checker refutes the static verdict — \

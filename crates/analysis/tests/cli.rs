@@ -283,3 +283,46 @@ fn bad_usage_and_bad_programs_exit_two() {
     let stderr = String::from_utf8(out.stderr).expect("utf8");
     assert!(stderr.contains("line 2"), "{stderr}");
 }
+
+/// Under `--mc`, a send to an undeclared process is an `invalid-target`
+/// error the explorer cannot run: the diagnostics print, one line says the
+/// explorer was skipped and why, and the exit is the lint verdict's 1 —
+/// not an out-of-bounds panic.
+#[test]
+fn mc_skips_a_program_sending_to_an_undeclared_process() {
+    let program = "process P0:\n  send(P5)\nprocess P1:\n  recv\n";
+    let out = run_on_stdin(&["--mc"], program);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("error[invalid-target] P0:0:"), "{stdout}");
+    let skipped: Vec<&str> = stdout.lines().filter(|l| l.starts_with("mc:")).collect();
+    assert_eq!(skipped.len(), 1, "{stdout}");
+    assert!(
+        skipped[0].contains("skipped — P0:0 `send(P5)`: the program declares only 2 processes"),
+        "{stdout}"
+    );
+
+    let out = run_on_stdin(&["--json", "--mc"], program);
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("\"lint\":\"invalid-target\""), "{stdout}");
+    assert!(stdout.contains("\"verdict\":\"skipped\""), "{stdout}");
+}
+
+/// `--generate` over zero AIDs still emits statements on `x0`: under
+/// `--mc` the explorer is skipped naming the first, not a panic.
+#[test]
+fn mc_skips_a_generated_program_without_aids() {
+    let out = hope_lint()
+        .args(["--mc", "--generate", "1,2,3,0"])
+        .output()
+        .expect("run hope-lint");
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("error[invalid-target]"), "{stdout}");
+    assert!(
+        stdout.contains("(x0)`: the program declares only 0 AIDs"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("mc: skipped"), "{stdout}");
+}

@@ -107,6 +107,33 @@ impl Program {
         self.len() == 0
     }
 
+    /// Check that every statement names a declared process and AID. The
+    /// [machine](crate::machine) indexes its tables by them, so a program
+    /// that fails this must not be run; the error names the first offender.
+    pub fn check_bounds(&self) -> Result<(), OutOfBounds> {
+        let (procs, aids) = (self.process_count(), self.aid_count);
+        for (proc, stmts) in self.code.iter().enumerate() {
+            for (index, &stmt) in stmts.iter().enumerate() {
+                let declared = match stmt {
+                    Stmt::Send { to } if to >= procs => format!("only {procs} processes"),
+                    Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x)
+                        if x >= aids =>
+                    {
+                        format!("only {aids} AIDs")
+                    }
+                    _ => continue,
+                };
+                return Err(OutOfBounds {
+                    proc,
+                    index,
+                    stmt,
+                    declared,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Generate a random program with `procs` processes of `len` statements
     /// each over `aids` assumption identifiers, deterministically from
     /// `seed`.
@@ -159,6 +186,32 @@ impl fmt::Display for Program {
         Ok(())
     }
 }
+
+/// A statement naming a process or AID its program does not declare (see
+/// [`Program::check_bounds`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OutOfBounds {
+    /// The process the statement belongs to.
+    pub proc: ProcIdx,
+    /// Its index in that process's statement list.
+    pub index: usize,
+    /// The statement itself.
+    pub stmt: Stmt,
+    /// What the program declares instead, e.g. `only 2 processes`.
+    pub declared: String,
+}
+
+impl fmt::Display for OutOfBounds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "P{}:{} `{}`: the program declares {}",
+            self.proc, self.index, self.stmt, self.declared
+        )
+    }
+}
+
+impl std::error::Error for OutOfBounds {}
 
 /// Error produced when parsing a [`Program`] from text fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -332,6 +385,28 @@ mod tests {
         let p = Program::new(vec![]);
         assert!(p.is_empty());
         assert_eq!(p.aid_count, 0);
+    }
+
+    #[test]
+    fn check_bounds_names_the_first_undeclared_process_or_aid() {
+        assert_eq!(Program::generate(42, 3, 20, 4).check_bounds(), Ok(()));
+        let send: Program = "process P0:\n  compute\n  send(P5)\nprocess P1:\n  recv\n"
+            .parse()
+            .unwrap();
+        let err = send.check_bounds().unwrap_err();
+        assert_eq!((err.proc, err.index), (0, 1));
+        assert_eq!(
+            err.to_string(),
+            "P0:1 `send(P5)`: the program declares only 2 processes"
+        );
+        let no_aids = Program {
+            code: vec![vec![Stmt::Compute], vec![Stmt::Deny(0)]],
+            aid_count: 0,
+        };
+        assert_eq!(
+            no_aids.check_bounds().unwrap_err().to_string(),
+            "P1:0 `deny(x0)`: the program declares only 0 AIDs"
+        );
     }
 
     #[test]

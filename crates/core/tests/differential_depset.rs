@@ -1309,11 +1309,11 @@ fn windows_far_from_zero_agree_with_reference() {
     );
 }
 
-/// The theorem suite's alphabet (`tests/theorems.rs`: two processes, two
-/// AIDs, a send being a tag taken and delivered), every script up to length
-/// 3 — all of them, not a sample.
-#[test]
-fn every_short_script_agrees_with_reference() {
+/// Play every script of length `len` over the theorem suite's alphabet
+/// (`tests/theorems.rs`: two processes, two AIDs, a send being a tag taken
+/// and delivered) — all 18^`len` of them, not a sample — and return how many
+/// were played.
+fn play_every_script_of_length(len: u32) -> usize {
     let mut alphabet: Vec<[Option<Op>; 2]> = Vec::new();
     for p in 0..2u32 {
         for x in 0..2u64 {
@@ -1331,25 +1331,36 @@ fn every_short_script_agrees_with_reference() {
     }
     assert_eq!(alphabet.len(), 18);
     let mut played = 0;
-    for len in 1..=3u32 {
-        for code in 0..18usize.pow(len) {
-            let letters = (0..len).map(|i| alphabet[code / 18usize.pow(i) % 18]);
-            let mut sends = 0;
-            let mut script = Vec::new();
-            for op in letters.flatten().flatten() {
-                script.push(match op {
-                    Op::Recv(p, _) => Op::Recv(p, sends - 1),
-                    Op::Send(_) => {
-                        sends += 1;
-                        op
-                    }
-                    _ => op,
-                });
-            }
-            play_both(&script);
-            played += 1;
+    for code in 0..18usize.pow(len) {
+        let letters = (0..len).map(|i| alphabet[code / 18usize.pow(i) % 18]);
+        let mut sends = 0;
+        let mut script = Vec::new();
+        for op in letters.flatten().flatten() {
+            script.push(match op {
+                Op::Recv(p, _) => Op::Recv(p, sends - 1),
+                Op::Send(_) => {
+                    sends += 1;
+                    op
+                }
+                _ => op,
+            });
         }
+        play_both(&script);
+        played += 1;
     }
-    // 18ⁿ scripts of length n.
+    played
+}
+
+/// Every script up to length 3.
+#[test]
+fn every_short_script_agrees_with_reference() {
+    let played: usize = (1..=3).map(play_every_script_of_length).sum();
     assert_eq!(played, 18 + 324 + 5832);
+}
+
+/// Every script of length 4 (CI runs it in release).
+#[test]
+#[ignore = "104,976 scripts: run with --release -- --ignored"]
+fn every_short_script_of_length_four_agrees_with_reference() {
+    assert_eq!(play_every_script_of_length(4), 104_976);
 }

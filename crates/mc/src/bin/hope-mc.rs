@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use std::io::Read as _;
 use std::process::ExitCode;
 
-use hope_core::program::{Program, Stmt};
+use hope_core::program::Program;
 use hope_mc::{check, BudgetReason, Completeness, McConfig, McReport, Mode};
 
 struct Args {
@@ -130,21 +130,9 @@ fn load(source: &Source) -> Result<Program, String> {
             text.parse().map_err(|e| format!("parse error: {e}"))?
         }
     };
-    let (procs, aids) = (program.process_count(), program.aid_count);
-    for (p, stmts) in program.code.iter().enumerate() {
-        for (i, stmt) in stmts.iter().enumerate() {
-            let bound = match *stmt {
-                Stmt::Send { to } if to >= procs => format!("only {procs} processes"),
-                Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x) if x >= aids => {
-                    format!("only {aids} AIDs")
-                }
-                _ => continue,
-            };
-            return Err(format!(
-                "invalid program: P{p}:{i} `{stmt}`: the program declares {bound}"
-            ));
-        }
-    }
+    program
+        .check_bounds()
+        .map_err(|e| format!("invalid program: {e}"))?;
     Ok(program)
 }
 

@@ -3,15 +3,20 @@
 //!
 //! Process bodies run on their own OS threads but never concurrently (see
 //! [`scheduler`](crate::scheduler)), so all the handoff has to carry is one
-//! word naming the thread allowed to run. A thread that is not named parks
-//! ([`std::thread::park`]); whoever changes the word unparks the thread it
-//! names — a process hands the turn straight to a peer, so the baton holds
-//! every thread's handle. Every waiter re-reads the word before and after
-//! each park, so an unpark that lands before its park — or a stray token
-//! left on the caller's thread by an earlier run — costs one extra loop,
-//! never a lost wake-up. Thread start goes through the same word
-//! ([`Baton::start`]), so no two threads of a run ever do anything at the
-//! same time.
+//! word naming the thread allowed to run. A thread that is not named yields
+//! its CPU once, then parks ([`std::thread::park`]); whoever changes the
+//! word unparks the thread it names — a process hands the turn straight to
+//! a peer, so the baton holds every thread's handle. On one CPU (the
+//! benchmark pins each run to one) the yield switches to the thread just
+//! unparked, and a turn handed back finds its giver still runnable: that
+//! unpark is an atomic swap, and a strict two-thread alternation touches no
+//! futex at all. Once is the measured count: more gain nothing on
+//! `open_loop`, and 16 cost eight-LP `phold` 20–24% (yielding waiters take
+//! the CPU from the turn's holder). Every waiter re-reads the word around each yield and
+//! park, so an unpark that lands before its park — or a stray token left on
+//! the caller's thread by an earlier run — costs one extra loop, never a
+//! lost wake-up. Thread start goes through the same word ([`Baton::start`]),
+//! so no two threads of a run ever do anything at the same time.
 
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::OnceLock;
@@ -64,9 +69,9 @@ impl Baton {
         spawned
     }
 
-    /// Hand the turn from `me` to `to` (a process, or [`RUN`]) and wait
-    /// until it is `me`'s again: one unpark and one park. A thread that does
-    /// not hold the turn (after shutdown) only waits. `false` means shutdown.
+    /// Hand the turn from `me` to `to` (a process, or [`RUN`]) and wait for
+    /// it back: one unpark, one yield, a park if it is not back by then. A
+    /// thread not holding the turn (after shutdown) only waits; `false` means shutdown.
     pub(crate) fn give(&self, me: usize, to: usize) -> bool {
         self.hand(me, to);
         self.wait(me)
@@ -83,10 +88,15 @@ impl Baton {
     }
 
     fn wait(&self, me: usize) -> bool {
+        let mut yielded = false;
         loop {
             match self.turn.load(SeqCst) {
                 SHUTDOWN => return false,
                 turn if turn == me => return true,
+                _ if !yielded => {
+                    yielded = true;
+                    thread::yield_now();
+                }
                 _ => thread::park(),
             }
         }
@@ -124,6 +134,7 @@ impl Drop for ReturnOnExit<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_sim::SimRng;
     use std::sync::{Arc, Barrier};
 
     /// Start process `proc` on `body`, which runs once the thread has
@@ -243,5 +254,89 @@ mod tests {
         assert_eq!(baton.turn.load(SeqCst), RUN);
         baton.shutdown();
         assert_eq!(p0.join().unwrap(), Some(false));
+    }
+
+    /// The holders of a rotation's turns, drawn in advance, and a check
+    /// that each turn is taken by the thread it names and by no other.
+    struct Rotation {
+        holders: Vec<usize>,
+        taken: AtomicUsize,
+        inside: AtomicUsize,
+    }
+
+    impl Rotation {
+        /// `me` takes the next turn: it must be alone and the one named.
+        /// Returns whom to hand to next ([`RUN`] past the last turn).
+        fn take(&self, me: usize) -> usize {
+            assert_eq!(self.inside.swap(1, SeqCst), 0, "two threads inside");
+            let turn = self.taken.fetch_add(1, SeqCst);
+            assert_eq!(
+                self.holders[turn], me,
+                "turn {turn} taken by the wrong thread"
+            );
+            let next = self.holders.get(turn + 1).copied().unwrap_or(RUN);
+            assert_eq!(self.inside.swap(0, SeqCst), 1, "two threads inside");
+            next
+        }
+
+        fn turns_of(&self, me: usize) -> usize {
+            self.holders.iter().filter(|&&h| h == me).count()
+        }
+    }
+
+    /// Many waiters, the shape of an eight-LP PHOLD run: every handoff
+    /// goes to a thread that has been waiting, through the yield and then
+    /// (mostly) the park.
+    #[test]
+    fn eight_threads_and_run_pass_the_turn_along_a_seeded_sequence() {
+        const PROCS: usize = 8;
+        const TURNS: usize = 20_000;
+        // FNV-1a of "baton::eight_threads_and_run_pass_the_turn_along_a_seeded_sequence".
+        let mut rng = SimRng::new(0xdd33_a0b6_3971_b7c5);
+        let name = |i: usize| if i == PROCS { RUN } else { i };
+        let mut holders = Vec::with_capacity(TURNS);
+        let mut prev = RUN;
+        for turn in 0..TURNS {
+            // Never a give to oneself, and the last turn hands to `RUN`.
+            let next = loop {
+                let n = name(rng.index(PROCS + 1));
+                if n != prev && (turn + 1 < TURNS || n != RUN) {
+                    break n;
+                }
+            };
+            holders.push(next);
+            prev = next;
+        }
+        let rotation = Arc::new(Rotation {
+            holders,
+            taken: AtomicUsize::new(0),
+            inside: AtomicUsize::new(0),
+        });
+        let baton = Arc::new(Baton::new(PROCS));
+        let threads: Vec<_> = (0..PROCS)
+            .map(|proc| {
+                let r = rotation.clone();
+                start(&baton, proc, move |b| {
+                    let mut turns = 1;
+                    while b.give(proc, r.take(proc)) {
+                        turns += 1;
+                    }
+                    turns
+                })
+            })
+            .collect();
+        let mut next = rotation.holders[0];
+        let mut run_turns = 0;
+        while baton.give(RUN, next) && rotation.taken.load(SeqCst) < TURNS {
+            next = rotation.take(RUN);
+            run_turns += 1;
+        }
+        assert_eq!(rotation.taken.load(SeqCst), TURNS);
+        assert_eq!(run_turns, rotation.turns_of(RUN));
+        baton.shutdown();
+        for (proc, thread) in threads.into_iter().enumerate() {
+            let turns = thread.join().unwrap();
+            assert_eq!(turns, Some(rotation.turns_of(proc)), "P{proc}");
+        }
     }
 }

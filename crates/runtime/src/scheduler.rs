@@ -14,7 +14,9 @@
 //! which loops lock, `Shared::step` (the machine's transition function, one
 //! event per call, see [`shared`](crate::shared)), unlock. An event that
 //! resumes the stepper returns straight into its body; one that resumes a
-//! peer costs one `unpark` and one `park`; the end of the run resumes the
+//! peer costs one `unpark`, and the giver's wait one yield — then a `park`
+//! only if the turn has not come back (on one CPU it often has: see
+//! [`baton`](crate::baton) for why once); the end of the run resumes the
 //! thread that called [`Simulation::run`], which starts the threads, waits,
 //! shuts them down and reports, and steps only while no process can. Who
 //! steps decides nothing: every decision in `step` depends only on virtual

@@ -27,27 +27,14 @@ use hope_mc::{check, McConfig};
 const SCHEDULE_SEEDS: u64 = 12;
 
 /// Run `program` under one schedule and decide whether the run reached
-/// full finalization.
+/// full finalization ([`hope_mc::is_pristine`]).
 fn pristine_under(program: &Program, seed: Option<u64>, fuel: u64) -> bool {
     let mut m = Machine::new(program.clone());
     let report = match seed {
         None => m.run(fuel),
         Some(s) => m.run_seeded(fuel, s),
     };
-    if !report.completed {
-        return false;
-    }
-    let stats = m.engine().stats();
-    if stats.rollback_events != 0 || stats.ghosts != 0 {
-        return false;
-    }
-    (0..program.process_count()).all(|p| {
-        !m.engine().is_speculative(m.pid(p)).expect("registered pid")
-            && m.history(p)
-                .states()
-                .iter()
-                .all(|s| !matches!(s.event, Event::Skipped { .. }))
-    })
+    report.completed && hope_mc::is_pristine(&m)
 }
 
 /// What schedule exploration established about a program.

@@ -6,29 +6,15 @@ use hope_analysis::{render_json, render_text, Analyzer, Lint, Severity};
 use hope_core::machine::Machine;
 use hope_core::program::{Program, Stmt};
 
-/// `true` when `program` ran to full finalization under the given seeded
-/// schedule: completed with every process definite and no rollback, ghost,
-/// or skipped primitive.
+/// `true` when `program` ran to full finalization ([`hope_mc::is_pristine`])
+/// under the given seeded schedule.
 fn pristine_under(program: &Program, seed: Option<u64>) -> bool {
     let mut m = Machine::new(program.clone());
     let report = match seed {
         None => m.run(100_000),
         Some(s) => m.run_seeded(100_000, s),
     };
-    if !report.completed {
-        return false;
-    }
-    let stats = m.engine().stats();
-    if stats.rollback_events != 0 || stats.ghosts != 0 {
-        return false;
-    }
-    (0..program.process_count()).all(|p| {
-        !m.engine().is_speculative(m.pid(p)).expect("machine pid")
-            && m.history(p)
-                .states()
-                .iter()
-                .all(|s| !matches!(s.event, hope_core::machine::Event::Skipped { .. }))
-    })
+    report.completed && hope_mc::is_pristine(&m)
 }
 
 fn never_pristine(program: &Program) {

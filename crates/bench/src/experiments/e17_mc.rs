@@ -21,7 +21,7 @@
 //! exactly one schedule per program — so its naive/reduced ratio is 1 by
 //! construction and is reported only as a baseline.
 
-use hope_core::machine::{Event, Machine};
+use hope_core::machine::Machine;
 use hope_core::program::{Program, Stmt};
 use hope_mc::{check, McConfig, McReport, Mode};
 
@@ -56,26 +56,14 @@ pub struct E17Row {
     pub sampling_missed: usize,
 }
 
-/// Did this run reach full finalization? (Mirrors the agreement suite.)
+/// Did this run reach full finalization ([`hope_mc::is_pristine`])?
 fn pristine_under(program: &Program, seed: Option<u64>) -> bool {
     let mut m = Machine::new(program.clone());
     let report = match seed {
         None => m.run(FUEL),
         Some(s) => m.run_seeded(FUEL, s),
     };
-    if !report.completed {
-        return false;
-    }
-    let stats = m.engine().stats();
-    stats.rollback_events == 0
-        && stats.ghosts == 0
-        && (0..program.process_count()).all(|p| {
-            !m.engine().is_speculative(m.pid(p)).expect("registered pid")
-                && m.history(p)
-                    .states()
-                    .iter()
-                    .all(|s| !matches!(s.event, Event::Skipped { .. }))
-        })
+    report.completed && hope_mc::is_pristine(&m)
 }
 
 fn sampled_pristine(program: &Program) -> bool {

@@ -25,9 +25,7 @@
 //! [`commit_fingerprint`]'s bytes, so it stays fixed-width. Both are exact
 //! encodings (see `Enc`).
 
-use std::collections::BTreeMap;
-
-use hope_core::machine::{Event, Machine, Msg};
+use hope_core::machine::{Event, Machine, Msg, StateRecord};
 use hope_core::program::Stmt;
 use hope_core::{AidId, AidState, IntervalId, IntervalStatus, ProcessId};
 
@@ -36,38 +34,38 @@ use hope_core::{AidId, AidState, IntervalId, IntervalStatus, ProcessId};
 type CanonRef = (u64, u64);
 
 /// Order-independent renaming tables for one machine state.
-struct Names {
-    intervals: BTreeMap<IntervalId, CanonRef>,
-    procs: BTreeMap<ProcessId, u64>,
+struct Names<'m> {
+    /// Every live interval's name, sorted by raw id.
+    intervals: Vec<(IntervalId, CanonRef)>,
+    /// The machine, whose process order names pids.
+    m: &'m Machine,
 }
 
-impl Names {
-    fn build(m: &Machine) -> Self {
-        let mut intervals = BTreeMap::new();
-        let mut procs = BTreeMap::new();
+impl<'m> Names<'m> {
+    fn build(m: &'m Machine) -> Self {
+        let mut intervals = Vec::new();
         for p in 0..m.process_count() {
-            let pid = m.pid(p);
-            procs.insert(pid, p as u64);
-            let history = m.engine().history(pid).expect("machine process");
+            let history = m.engine().history(m.pid(p)).expect("machine process");
             for (i, &a) in history.iter().enumerate() {
-                intervals.insert(a, (p as u64, i as u64));
+                intervals.push((a, (p as u64, i as u64)));
             }
         }
-        Names { intervals, procs }
+        intervals.sort_unstable_by_key(|&(a, _)| a);
+        Names { intervals, m }
     }
 
     fn interval(&self, a: IntervalId) -> CanonRef {
-        *self
+        let i = self
             .intervals
-            .get(&a)
-            .expect("canonicalized interval is live")
+            .binary_search_by_key(&a, |&(b, _)| b)
+            .expect("canonicalized interval is live");
+        self.intervals[i].1
     }
 
     fn process(&self, pid: ProcessId) -> u64 {
-        *self
-            .procs
-            .get(&pid)
-            .expect("canonicalized pid is registered")
+        let m = self.m;
+        let p = (0..m.process_count()).position(|p| m.pid(p) == pid);
+        p.expect("canonicalized pid is registered") as u64
     }
 }
 
@@ -226,6 +224,7 @@ fn encode_histories(e: &mut Enc<true>, m: &Machine, names: &Names) {
 fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_control: bool) {
     let engine = m.engine();
     e.u(engine.aid_count() as u64);
+    let mut dom: Vec<CanonRef> = Vec::new();
     for i in 0..engine.aid_count() {
         let v = engine
             .aid(AidId::from_index(i as u64))
@@ -235,12 +234,13 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_c
         if with_control {
             e.opt_cref(v.speculatively_affirmed_by().map(|a| names.interval(a)));
             e.opt_cref(v.speculatively_denied_by().map(|a| names.interval(a)));
-            let mut dom: Vec<CanonRef> = v.dom().iter().map(|a| names.interval(a)).collect();
+            dom.clear();
+            dom.extend(v.dom().iter().map(|a| names.interval(a)));
             // DOM iterates in raw-id order, which is allocation order:
             // re-sort under canonical names.
             dom.sort_unstable();
             e.u(dom.len() as u64);
-            for r in dom {
+            for &r in &dom {
                 e.cref(r);
             }
         }
@@ -323,24 +323,25 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
 /// [`McReport::outputs`](crate::McReport::outputs) holds.
 pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
     let names = Names::build(m);
-    let mut e = Enc::<false>::default();
-    e.u(m.process_count() as u64);
+    let n = m.process_count();
+    let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
+    // At most 19 bytes a history record (its delivery's sender included),
+    // 17 a process and 2 an AID, so the bytes are written without a copy.
+    let cap = 16 + 19 * records + 17 * n + 2 * m.engine().aid_count();
+    let mut e = Enc::<false>(Vec::with_capacity(cap));
+    e.u(n as u64);
     encode_aids(&mut e, m, &names, false);
-    for p in 0..m.process_count() {
+    let visible = |rec: &&StateRecord| {
+        !matches!(
+            rec.event,
+            Event::GhostDropped { .. } | Event::Resumed { .. }
+        )
+    };
+    for p in 0..n {
         e.flag(m.poll(p) == hope_core::machine::StepOutcome::Done);
-        let visible: Vec<&hope_core::machine::StateRecord> = m
-            .history(p)
-            .states()
-            .iter()
-            .filter(|rec| {
-                !matches!(
-                    rec.event,
-                    Event::GhostDropped { .. } | Event::Resumed { .. }
-                )
-            })
-            .collect();
-        e.u(visible.len() as u64);
-        for rec in visible {
+        let states = m.history(p).states();
+        e.u(states.iter().filter(visible).count() as u64);
+        for rec in states.iter().filter(visible) {
             match &rec.event {
                 Event::Guess { aid, value } => {
                     e.tag(0);

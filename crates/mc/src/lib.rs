@@ -61,7 +61,7 @@ mod indep;
 
 pub use canon::commit_fingerprint;
 
-use indep::invisible_singleton;
+use indep::{invisible_singleton, IdSet};
 
 /// Exploration strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -243,31 +243,23 @@ impl McReport {
     }
 }
 
-/// `true` if this finished machine state is pristine: completed, no
-/// rollback ever, no ghost ever, no skipped primitive in any surviving
-/// history, and no leaked speculation. Matches the agreement suite's
-/// dynamic notion of "finalizes on this schedule".
-fn is_pristine(m: &Machine) -> bool {
+/// `true` if `m` has *finalized pristinely* — the one definition of "runs
+/// to full finalization" the verdicts here, the analyzer's agreement
+/// suites and the E17 experiment share: every process completed, no
+/// rollback ever happened, no ghost message ever did, no surviving history
+/// holds an [`Event::Skipped`] primitive, and every process is definite.
+pub fn is_pristine(m: &Machine) -> bool {
     let stats = m.engine().stats();
-    if stats.rollback_events > 0 || stats.ghosts > 0 {
-        return false;
-    }
-    for p in 0..m.process_count() {
-        if m.poll(p) != StepOutcome::Done {
-            return false;
-        }
-        if m.engine().is_speculative(m.pid(p)).unwrap_or(true) {
-            return false;
-        }
-        if m.history(p)
-            .states()
-            .iter()
-            .any(|s| matches!(s.event, Event::Skipped { .. }))
-        {
-            return false;
-        }
-    }
-    true
+    stats.rollback_events == 0
+        && stats.ghosts == 0
+        && (0..m.process_count()).all(|p| {
+            m.poll(p) == StepOutcome::Done
+                && !m.engine().is_speculative(m.pid(p)).unwrap_or(true)
+                && m.history(p)
+                    .states()
+                    .iter()
+                    .all(|s| !matches!(s.event, Event::Skipped { .. }))
+        })
 }
 
 struct Explorer {
@@ -278,7 +270,7 @@ struct Explorer {
     /// Each visited state's key, stored once, to its index in `explored`.
     visited: BTreeMap<Vec<u8>, usize>,
     /// Per visited state: the steps from it explored or being explored.
-    explored: Vec<BTreeSet<usize>>,
+    explored: Vec<IdSet<usize>>,
     path: Vec<usize>,
     report: McReport,
     stopped: bool,
@@ -314,19 +306,19 @@ impl Explorer {
         }
     }
 
-    fn explore(&mut self, m: Machine, sleep: Vec<usize>, depth: usize) {
+    fn explore(&mut self, m: Machine, sleep: IdSet<usize>, depth: usize) {
         if !self.budget_left() {
             return;
         }
         let n = m.process_count();
-        let enabled: Vec<usize> = (0..n)
+        let enabled: IdSet<usize> = (0..n)
             .filter(|&p| m.poll(p) == StepOutcome::Executed)
             .collect();
 
         // Visited-state handling. Terminals are cached too, so each
         // inequivalent terminal is counted and recorded exactly once.
         let mut slot = None;
-        let explored_before: BTreeSet<usize> = if self.reduce {
+        let explored_before: IdSet<usize> = if self.reduce {
             match self.visited.entry(canon::state_key(&m)) {
                 Entry::Occupied(e) => {
                     self.report.cache_hits += 1;
@@ -339,13 +331,13 @@ impl Explorer {
                 Entry::Vacant(e) => {
                     self.report.states += 1;
                     slot = Some(*e.insert(self.explored.len()));
-                    self.explored.push(BTreeSet::new());
-                    BTreeSet::new()
+                    self.explored.push(IdSet::default());
+                    IdSet::default()
                 }
             }
         } else {
             self.report.states += 1;
-            BTreeSet::new()
+            IdSet::default()
         };
 
         if enabled.is_empty() {
@@ -367,19 +359,15 @@ impl Explorer {
             let candidates = match invisible_singleton(&m, &enabled, &mut footprints) {
                 Some(p) => {
                     self.report.singleton_states += 1;
-                    vec![p]
+                    IdSet::from_iter([p])
                 }
                 None => enabled,
             };
             // Sleep-set filter: steps whose `candidate`-first interleavings
             // a sibling branch already covers.
-            let before = candidates.len();
-            let kept: Vec<usize> = candidates
-                .into_iter()
-                .filter(|p| !sleep.contains(p))
-                .collect();
-            self.report.sleep_pruned += before - kept.len();
-            for &p in kept.iter().chain(&sleep) {
+            let kept: IdSet<usize> = candidates.iter().filter(|&p| !sleep.contains(p)).collect();
+            self.report.sleep_pruned += candidates.len() - kept.len();
+            for p in kept.iter().chain(sleep.iter()) {
                 footprints[p].get_or_insert_with(|| indep::footprint(&m, p));
             }
             kept
@@ -387,44 +375,44 @@ impl Explorer {
             enabled
         };
 
-        let todo: Vec<usize> = allowed
-            .into_iter()
-            .filter(|p| !explored_before.contains(p))
+        let todo: IdSet<usize> = allowed
+            .iter()
+            .filter(|&p| !explored_before.contains(p))
             .collect();
+        let todo_len = todo.len();
         let mut parent = Some(m);
-        let mut taken: Vec<usize> = Vec::new();
-        for (i, &p) in todo.iter().enumerate() {
+        let mut taken: IdSet<usize> = IdSet::default();
+        for (i, p) in todo.iter().enumerate() {
             if let Some(s) = slot {
                 // Mark pre-order so cycles (rollback livelocks) cut off.
                 self.explored[s].insert(p);
             }
             if self.stopped {
-                self.report.frontier_remaining += todo.len() - i;
+                self.report.frontier_remaining += todo_len - i;
                 return;
             }
             // The last child steps the parent itself, which nothing reads
             // afterwards: the footprints are owned and the key is stored.
-            let last = i + 1 == todo.len();
+            let last = i + 1 == todo_len;
             let child = if last { parent.take() } else { parent.clone() };
             let mut child = child.expect("the parent outlives all but its last child");
             child.step(p).expect("machine-built programs cannot err");
             self.report.transitions += 1;
-            let child_sleep: Vec<usize> = if self.reduce {
+            let child_sleep: IdSet<usize> = if self.reduce {
                 let fp = |q: usize| footprints[q].as_ref().expect("computed above");
                 sleep
                     .iter()
                     .chain(taken.iter())
-                    .copied()
                     .filter(|&u| fp(u).independent(fp(p)))
                     .collect()
             } else {
-                Vec::new()
+                IdSet::default()
             };
             self.path.push(p);
             self.explore(child, child_sleep, depth + 1);
             self.path.pop();
             if self.reduce {
-                taken.push(p);
+                taken.insert(p);
             }
         }
     }
@@ -448,7 +436,7 @@ pub fn check(program: &Program, cfg: &McConfig) -> McReport {
         report: McReport::empty(),
         stopped: false,
     };
-    explorer.explore(Machine::new(program.clone()), Vec::new(), 0);
+    explorer.explore(Machine::new(program.clone()), IdSet::default(), 0);
     explorer.report
 }
 

@@ -14,31 +14,16 @@
 //! behaviour: a soundness bug in the independence relation, the canonical
 //! state key, or the sleep-set/cache interaction.
 
-use hope_core::machine::{Event, Machine};
+use hope_core::machine::Machine;
 use hope_core::observer::NullObserver;
-use hope_core::program::Program;
-use hope_mc::{check, commit_fingerprint, BudgetReason, Completeness, McConfig, McReport, Mode};
+use hope_core::program::{Program, Stmt};
+use hope_mc::{
+    check, commit_fingerprint, is_pristine, BudgetReason, Completeness, McConfig, McReport, Mode,
+};
 use hope_sim::SimRng;
 
 const SEEDED_SCHEDULES: u64 = 64;
 const FUEL: u64 = 10_000;
-
-/// Full-finalization check on a finished machine (mirrors the agreement
-/// suite's definition: completed, no rollback, no ghosts, no skips, all
-/// processes definite).
-fn is_pristine(m: &Machine, completed: bool) -> bool {
-    let stats = m.engine().stats();
-    completed
-        && stats.rollback_events == 0
-        && stats.ghosts == 0
-        && (0..m.process_count()).all(|p| {
-            !m.engine().is_speculative(m.pid(p)).expect("registered pid")
-                && m.history(p)
-                    .states()
-                    .iter()
-                    .all(|s| !matches!(s.event, Event::Skipped { .. }))
-        })
-}
 
 fn random_is_subset_of_exhaustive(program: &Program) {
     let report = check(program, &McConfig::default());
@@ -59,7 +44,7 @@ fn random_is_subset_of_exhaustive(program: &Program) {
             report.contains_output(&fp),
             "seed {seed} committed an outcome the checker never saw:\n{program}"
         );
-        if is_pristine(&m, run.completed) {
+        if is_pristine(&m) {
             seeded_pristine = Some(seed);
         }
     }
@@ -71,7 +56,7 @@ fn random_is_subset_of_exhaustive(program: &Program) {
         let schedule = report.pristine_witness.clone().expect("checked above");
         let replayed = hope_mc::replay(program, &schedule, &mut NullObserver);
         assert!(
-            is_pristine(&replayed, true),
+            is_pristine(&replayed),
             "pristine witness does not replay pristinely:\n{program}"
         );
     }
@@ -273,6 +258,117 @@ fn the_explorer_walk_is_pinned() {
             digest: 0x558f_0c97_d797_e8f9,
         },
         "budget-ended runs of a 3x10x3 program"
+    );
+}
+
+/// `program` moved onto wider tables: process `p` becomes process
+/// `procs[p]` of `width` (the others have no statements) and AID `x`
+/// becomes `aids[x]`.
+fn spread(program: &Program, procs: &[usize], width: usize, aids: &[usize]) -> Program {
+    let mut code = vec![Vec::new(); width];
+    for (p, stmts) in program.code.iter().enumerate() {
+        code[procs[p]] = stmts
+            .iter()
+            .map(|&s| match s {
+                Stmt::Guess(x) => Stmt::Guess(aids[x]),
+                Stmt::Affirm(x) => Stmt::Affirm(aids[x]),
+                Stmt::Deny(x) => Stmt::Deny(aids[x]),
+                Stmt::FreeOf(x) => Stmt::FreeOf(aids[x]),
+                Stmt::Send { to } => Stmt::Send { to: procs[to] },
+                s => s,
+            })
+            .collect();
+    }
+    Program::new(code)
+}
+
+/// Ids past 63 — AIDs x64 and x69 of 70, processes P64 and P69 of 70 —
+/// walk the same space as ids below: the reduced search reaches the
+/// oracle's outcomes and pristine verdict in no more steps, and its walk
+/// is pinned like `the_explorer_walk_is_pinned`'s (recorded before the
+/// explorer's sets became bit words).
+#[test]
+fn ids_past_63_agree_with_the_naive_search() {
+    let uses = |p: &Program, x: usize| {
+        p.code.iter().flatten().any(|s| {
+            matches!(s, Stmt::Guess(y) | Stmt::Affirm(y) | Stmt::Deny(y) | Stmt::FreeOf(y) if *y == x)
+        })
+    };
+    let reduced = McConfig::default();
+    let naive = McConfig {
+        mode: Mode::Naive,
+        max_states: 20_000,
+        ..McConfig::default()
+    };
+    // Only programs the oracle finishes within its budget are compared.
+    let finishes = |p: &Program| check(p, &naive).completeness.is_exhausted();
+    let wide_aids = (0..200u64)
+        .map(|s| {
+            spread(
+                &Program::generate(s, 3, 3, 4),
+                &[0, 1, 2],
+                3,
+                &[0, 63, 64, 69],
+            )
+        })
+        .filter(|p| [0, 63, 64, 69].iter().all(|&x| uses(p, x)) && finishes(p))
+        .take(6);
+    let wide_procs = (0..200u64)
+        .map(|s| {
+            spread(
+                &Program::generate(s, 3, 3, 3),
+                &[0, 64, 69],
+                70,
+                &[0, 63, 64],
+            )
+        })
+        .filter(|p| finishes(p))
+        .take(6);
+    let programs: Vec<Program> = wide_aids.chain(wide_procs).collect();
+    assert_eq!(programs.len(), 12);
+    for p in &programs {
+        let (r, n) = (check(p, &reduced), check(p, &naive));
+        assert!(
+            r.completeness.is_exhausted() && n.completeness.is_exhausted(),
+            "{p}"
+        );
+        assert_eq!(r.outputs(), n.outputs(), "committed outcomes disagree\n{p}");
+        assert_eq!(
+            r.pristine_witness.is_some(),
+            n.pristine_witness.is_some(),
+            "pristine verdicts disagree\n{p}"
+        );
+        assert!(r.transitions <= n.transitions, "{p}");
+    }
+    assert_eq!(
+        Tally::of(programs.iter().map(|p| (p.clone(), &reduced))),
+        Tally {
+            states: 603,
+            transitions: 681,
+            cache_hits: 90,
+            sleep_pruned: 187,
+            singleton_states: 233,
+            completed_terminals: 46,
+            deadlock_terminals: 12,
+            frontier_remaining: 0,
+            digest: 0x7c98_c718_bc48_c758,
+        },
+        "reduced search over 12 programs with ids past 63"
+    );
+    assert_eq!(
+        Tally::of(programs.iter().map(|p| (p.clone(), &naive))),
+        Tally {
+            states: 38_972,
+            transitions: 38_960,
+            cache_hits: 0,
+            sleep_pruned: 0,
+            singleton_states: 0,
+            completed_terminals: 11_760,
+            deadlock_terminals: 650,
+            frontier_remaining: 0,
+            digest: 0xbdf0_0614_b1d3_6214,
+        },
+        "naive search over 12 programs with ids past 63"
     );
 }
 

@@ -111,8 +111,8 @@ struct DecideRecord {
 
 /// A [`RuntimeObserver`] that detects the three race shapes online.
 ///
-/// Feed it to [`Machine::run_observed`](hope_core::machine::Machine) or to
-/// `hope-runtime`'s `Simulation::set_observer`, then inspect
+/// Feed it to [`Machine::run_with`](hope_core::machine::Machine::run_with)
+/// or to `hope-runtime`'s `Simulation::set_observer`, then inspect
 /// [`RaceDetector::races`]. Process ids are used as dense indices (both
 /// embeddings assign them densely from zero).
 #[derive(Debug, Default)]

@@ -20,8 +20,9 @@
 //! ran for how many programs).
 
 use hope_analysis::{cost, covered_by, Analyzer, RaceDetector, RaceKind};
-use hope_core::machine::{Event, Machine};
+use hope_core::machine::Machine;
 use hope_core::program::{Program, Stmt};
+use hope_core::{Action, NullObserver};
 use hope_mc::{check, McConfig};
 
 const SCHEDULE_SEEDS: u64 = 12;
@@ -30,10 +31,7 @@ const SCHEDULE_SEEDS: u64 = 12;
 /// full finalization ([`hope_mc::is_pristine`]).
 fn pristine_under(program: &Program, seed: Option<u64>, fuel: u64) -> bool {
     let mut m = Machine::new(program.clone());
-    let report = match seed {
-        None => m.run(fuel),
-        Some(s) => m.run_seeded(fuel, s),
-    };
+    let report = m.run_with(fuel, seed, &mut NullObserver);
     report.completed && hope_mc::is_pristine(&m)
 }
 
@@ -337,10 +335,7 @@ fn check_race_coverage(program: &Program, fuel: u64, context: &str) -> [usize; 3
     for seed in std::iter::once(None).chain((0..SCHEDULE_SEEDS).map(Some)) {
         let mut detector = RaceDetector::new();
         let mut m = Machine::new(program.clone());
-        match seed {
-            None => m.run_observed(fuel, &mut detector),
-            Some(s) => m.run_seeded_observed(fuel, s, &mut detector),
-        };
+        m.run_with(fuel, seed, &mut detector);
         for race in detector.races() {
             counts[match race.kind {
                 RaceKind::DecidedAidReuse => 0,
@@ -485,7 +480,7 @@ fn per_lint_dynamic_claims_hold_on_the_exhaustive_corpus() {
                     }
                     for seed in 0..4u64 {
                         let mut m = Machine::new(program.clone());
-                        let report = m.run_seeded(500, seed);
+                        let report = m.run_with(500, Some(seed), &mut NullObserver);
                         if lints.contains(&Lint::UnreachableRecv) {
                             assert!(
                                 !report.completed,
@@ -501,7 +496,7 @@ fn per_lint_dynamic_claims_hold_on_the_exhaustive_corpus() {
                             m.history(p)
                                 .states()
                                 .iter()
-                                .any(|s| matches!(s.event, Event::Skipped { .. }))
+                                .any(|s| matches!(s.event, Action::SkippedDecide { .. }))
                         });
                         let speculative = (0..program.process_count())
                             .any(|p| m.engine().is_speculative(m.pid(p)).expect("pid"));

@@ -5,15 +5,13 @@
 use hope_analysis::{render_json, render_text, Analyzer, Lint, Severity};
 use hope_core::machine::Machine;
 use hope_core::program::{Program, Stmt};
+use hope_core::NullObserver;
 
 /// `true` when `program` ran to full finalization ([`hope_mc::is_pristine`])
 /// under the given seeded schedule.
 fn pristine_under(program: &Program, seed: Option<u64>) -> bool {
     let mut m = Machine::new(program.clone());
-    let report = match seed {
-        None => m.run(100_000),
-        Some(s) => m.run_seeded(100_000, s),
-    };
+    let report = m.run_with(100_000, seed, &mut NullObserver);
     report.completed && hope_mc::is_pristine(&m)
 }
 

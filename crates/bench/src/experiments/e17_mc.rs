@@ -23,6 +23,7 @@
 
 use hope_core::machine::Machine;
 use hope_core::program::{Program, Stmt};
+use hope_core::NullObserver;
 use hope_mc::{check, McConfig, McReport, Mode};
 
 use crate::table::Table;
@@ -59,10 +60,7 @@ pub struct E17Row {
 /// Did this run reach full finalization ([`hope_mc::is_pristine`])?
 fn pristine_under(program: &Program, seed: Option<u64>) -> bool {
     let mut m = Machine::new(program.clone());
-    let report = match seed {
-        None => m.run(FUEL),
-        Some(s) => m.run_seeded(FUEL, s),
-    };
+    let report = m.run_with(FUEL, seed, &mut NullObserver);
     report.completed && hope_mc::is_pristine(&m)
 }
 

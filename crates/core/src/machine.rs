@@ -26,7 +26,7 @@ use crate::engine::{Engine, GuessOutcome};
 use crate::error::Result;
 use crate::ids::{AidId, IntervalId, ProcessId};
 use crate::interval::Checkpoint;
-use crate::observer::{Action, DecideKind, NullObserver, RuntimeObserver};
+use crate::observer::{decide, Action, DecideKind, NullObserver, RuntimeObserver};
 use crate::program::{Program, SplitMix64, Stmt};
 use crate::tag::{ReceiveOutcome, Tag};
 use crate::Effect;
@@ -43,78 +43,11 @@ pub struct Msg {
     pub tag: Tag,
 }
 
-/// The event half of the paper's `S_i E_i S_{i+1}` alternation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Event {
-    /// A `guess` executed; `value` is what it returned.
-    Guess {
-        /// The guessed AID.
-        aid: AidId,
-        /// `true` on speculation, `false` when re-executed after rollback.
-        value: bool,
-    },
-    /// An `affirm` executed (`speculative` per §5.2's two cases).
-    Affirm {
-        /// The affirmed AID.
-        aid: AidId,
-        /// Whether the affirm was speculative.
-        speculative: bool,
-    },
-    /// A `deny` executed.
-    Deny {
-        /// The denied AID.
-        aid: AidId,
-        /// Whether the deny was speculative.
-        speculative: bool,
-    },
-    /// A `free_of` executed.
-    FreeOf {
-        /// The AID asserted free of.
-        aid: AidId,
-    },
-    /// An internal computation event.
-    Compute,
-    /// A message was sent.
-    Send {
-        /// Destination process.
-        to: ProcessId,
-        /// Message id.
-        msg: u64,
-    },
-    /// A message was received (after ghost filtering).
-    Recv {
-        /// Message id.
-        msg: u64,
-        /// Whether delivery made the receiver (more) speculative.
-        speculative: bool,
-    },
-    /// A ghost message was silently discarded before delivery.
-    GhostDropped {
-        /// Message id.
-        msg: u64,
-        /// The denied AID that condemned it.
-        denied: AidId,
-    },
-    /// A primitive was skipped because its AID was already consumed
-    /// (the paper leaves re-application undefined; the machine records and
-    /// moves on so random programs remain executable).
-    Skipped {
-        /// The offending statement.
-        stmt: Stmt,
-    },
-    /// The process was rolled back and resumed here with `G = False`.
-    Resumed {
-        /// Program counter of the guess point resumed from.
-        at_pc: usize,
-    },
-}
-
 /// One `S_i` of a history, paired with the event `E_{i-1}` that produced it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StateRecord {
-    /// The event that led into this state.
-    pub event: Event,
+    /// The action that led into this state.
+    pub event: Action,
     /// The paper's `I`: the current (speculative) interval, `∅` as `None`.
     pub interval: Option<IntervalId>,
     /// The paper's `G`: the value returned by the most recent guess.
@@ -421,7 +354,8 @@ impl Machine {
     ///
     /// Propagates engine errors other than the expected
     /// [`Error::AidConsumed`](crate::Error::AidConsumed) (which is recorded
-    /// as an [`Event::Skipped`]). With a well-formed machine none occur.
+    /// as an [`Action::SkippedDecide`]). With a well-formed machine none
+    /// occur.
     ///
     /// # Panics
     ///
@@ -431,7 +365,9 @@ impl Machine {
     }
 
     /// Like [`Machine::step`], but reporting the executed [`Action`] (with
-    /// its engine effects) to `observer`.
+    /// its engine effects) to `observer`: the same value the history
+    /// records. [`Action::Compute`] and [`Action::Resumed`] are recorded
+    /// but not observed.
     ///
     /// # Errors
     ///
@@ -445,223 +381,84 @@ impl Machine {
         p: usize,
         observer: &mut dyn RuntimeObserver,
     ) -> Result<StepOutcome> {
-        let (pid, pc) = {
-            let proc = &self.procs[p];
-            (proc.pid, proc.pc)
-        };
-        if pc >= self.program.code[p].len() {
+        let (pid, pc) = (self.procs[p].pid, self.procs[p].pc);
+        let Some(&stmt) = self.program.code[p].get(pc) else {
             return Ok(StepOutcome::Done);
-        }
-        let stmt = self.program.code[p][pc];
-        match stmt {
+        };
+        let (action, effects) = match stmt {
             Stmt::Guess(v) => {
                 let aid = self.aids[v];
                 let (outcome, effects) = self.engine.guess(pid, &[aid], Checkpoint(pc as u64))?;
-                let value = match outcome {
-                    GuessOutcome::Begun(interval) => {
-                        self.mark(p, interval);
-                        self.record(p, Event::Guess { aid, value: true }, Some(true));
-                        true
-                    }
-                    GuessOutcome::AlreadyFalse(_) => {
-                        self.record(p, Event::Guess { aid, value: false }, Some(false));
-                        false
-                    }
+                if let GuessOutcome::Begun(interval) = outcome {
+                    self.mark(p, interval);
+                }
+                let value = outcome.value();
+                (Action::Guess { aid, value }, effects)
+            }
+            Stmt::Affirm(v) | Stmt::Deny(v) | Stmt::FreeOf(v) => {
+                let kind = match stmt {
+                    Stmt::Affirm(_) => DecideKind::Affirm,
+                    Stmt::Deny(_) => DecideKind::Deny,
+                    _ => DecideKind::FreeOf,
                 };
-                self.procs[p].pc += 1;
-                self.apply(&effects);
-                observer.observe(pid, &Action::Guess { aid, value }, &effects);
+                decide(&mut self.engine, pid, self.aids[v], kind)?
             }
-            Stmt::Affirm(v) => {
-                let aid = self.aids[v];
-                let speculative = self.engine.is_speculative(pid)?;
-                match self.engine.affirm(pid, aid) {
-                    Ok(effects) => {
-                        self.record(p, Event::Affirm { aid, speculative }, None);
-                        self.procs[p].pc += 1;
-                        self.apply(&effects);
-                        observer.observe(pid, &Action::Affirm { aid, speculative }, &effects);
-                    }
-                    Err(crate::Error::AidConsumed(_)) => {
-                        self.record(p, Event::Skipped { stmt }, None);
-                        self.procs[p].pc += 1;
-                        observer.observe(
-                            pid,
-                            &Action::SkippedDecide {
-                                aid,
-                                kind: DecideKind::Affirm,
-                            },
-                            &[],
-                        );
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Stmt::Deny(v) => {
-                let aid = self.aids[v];
-                let speculative = match self.engine.current_interval(pid)? {
-                    None => false,
-                    Some(a) => !self.engine.interval(a)?.ido().contains(&aid),
-                };
-                match self.engine.deny(pid, aid) {
-                    Ok(effects) => {
-                        self.record(p, Event::Deny { aid, speculative }, None);
-                        self.procs[p].pc += 1;
-                        self.apply(&effects);
-                        observer.observe(pid, &Action::Deny { aid, speculative }, &effects);
-                    }
-                    Err(crate::Error::AidConsumed(_)) => {
-                        self.record(p, Event::Skipped { stmt }, None);
-                        self.procs[p].pc += 1;
-                        observer.observe(
-                            pid,
-                            &Action::SkippedDecide {
-                                aid,
-                                kind: DecideKind::Deny,
-                            },
-                            &[],
-                        );
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Stmt::FreeOf(v) => {
-                let aid = self.aids[v];
-                match self.engine.free_of(pid, aid) {
-                    Ok(effects) => {
-                        self.record(p, Event::FreeOf { aid }, None);
-                        self.procs[p].pc += 1;
-                        self.apply(&effects);
-                        observer.observe(pid, &Action::FreeOf { aid }, &effects);
-                    }
-                    Err(crate::Error::AidConsumed(_)) => {
-                        self.record(p, Event::Skipped { stmt }, None);
-                        self.procs[p].pc += 1;
-                        observer.observe(
-                            pid,
-                            &Action::SkippedDecide {
-                                aid,
-                                kind: DecideKind::FreeOf,
-                            },
-                            &[],
-                        );
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Stmt::Compute => {
-                self.record(p, Event::Compute, None);
-                self.procs[p].pc += 1;
-            }
+            Stmt::Compute => (Action::Compute, Vec::new()),
             Stmt::Send { to } => {
                 let tag = self.engine.dependence_tag(pid)?;
-                let msg = Msg {
-                    id: self.next_msg,
+                let msg = self.next_msg;
+                self.next_msg += 1;
+                self.procs[to].mailbox.push_back(Msg {
+                    id: msg,
                     from: pid,
                     tag,
-                };
-                self.next_msg += 1;
-                let to_pid = self.procs[to].pid;
-                self.record(
-                    p,
-                    Event::Send {
-                        to: to_pid,
-                        msg: msg.id,
-                    },
-                    None,
-                );
-                let msg_id = msg.id;
-                self.procs[to].mailbox.push_back(msg);
-                self.procs[p].pc += 1;
-                observer.observe(
-                    pid,
-                    &Action::Send {
-                        to: to_pid,
-                        msg: msg_id,
-                    },
-                    &[],
-                );
+                });
+                let to = self.procs[to].pid;
+                (Action::Send { to, msg }, Vec::new())
             }
             Stmt::Recv => loop {
-                let msg = match self.procs[p].mailbox.pop_front() {
-                    Some(m) => m,
-                    None => return Ok(StepOutcome::Blocked),
+                let Some(msg) = self.procs[p].mailbox.pop_front() else {
+                    return Ok(StepOutcome::Blocked);
                 };
                 let (outcome, effects) =
                     self.engine
                         .implicit_guess(pid, &msg.tag, Checkpoint(pc as u64))?;
+                let (id, from) = (msg.id, msg.from);
                 match outcome {
                     ReceiveOutcome::Ghost(denied) => {
-                        self.record(
-                            p,
-                            Event::GhostDropped {
-                                msg: msg.id,
-                                denied,
-                            },
-                            None,
-                        );
-                        observer.observe(
-                            pid,
-                            &Action::GhostDropped {
-                                msg: msg.id,
-                                from: msg.from,
-                                denied,
-                            },
-                            &effects,
-                        );
+                        let action = Action::GhostDropped {
+                            msg: id,
+                            from,
+                            denied,
+                        };
+                        self.record(p, action, None);
+                        observer.observe(pid, &action, &effects);
                         continue; // look for the next deliverable message
                     }
-                    ReceiveOutcome::Clean => {
-                        self.record(
-                            p,
-                            Event::Recv {
-                                msg: msg.id,
-                                speculative: false,
-                            },
-                            None,
-                        );
-                        let (msg_id, from) = (msg.id, msg.from);
-                        self.procs[p].delivered.push(msg);
-                        self.procs[p].pc += 1;
-                        self.apply(&effects);
-                        observer.observe(
-                            pid,
-                            &Action::Recv {
-                                msg: msg_id,
-                                from,
-                                speculative: false,
-                            },
-                            &effects,
-                        );
-                        break;
-                    }
-                    ReceiveOutcome::Speculative(interval) => {
-                        self.mark(p, interval);
-                        self.record(
-                            p,
-                            Event::Recv {
-                                msg: msg.id,
-                                speculative: true,
-                            },
-                            None,
-                        );
-                        let (msg_id, from) = (msg.id, msg.from);
-                        self.procs[p].delivered.push(msg);
-                        self.procs[p].pc += 1;
-                        self.apply(&effects);
-                        observer.observe(
-                            pid,
-                            &Action::Recv {
-                                msg: msg_id,
-                                from,
-                                speculative: true,
-                            },
-                            &effects,
-                        );
-                        break;
-                    }
+                    ReceiveOutcome::Clean => {}
+                    ReceiveOutcome::Speculative(interval) => self.mark(p, interval),
                 }
+                self.procs[p].delivered.push(msg);
+                let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
+                break (
+                    Action::Recv {
+                        msg: id,
+                        from,
+                        speculative,
+                    },
+                    effects,
+                );
             },
+        };
+        let g = match action {
+            Action::Guess { value, .. } => Some(value),
+            _ => None,
+        };
+        self.record(p, action, g);
+        self.procs[p].pc += 1;
+        self.apply(&effects);
+        if action != Action::Compute {
+            observer.observe(pid, &action, &effects);
         }
         Ok(StepOutcome::Executed)
     }
@@ -674,59 +471,25 @@ impl Machine {
     /// Panics if the engine reports an error (impossible for machine-built
     /// programs; indicates an engine bug).
     pub fn run(&mut self, fuel: u64) -> RunReport {
-        self.run_with_schedule(fuel, |_machine, round| round, &mut NullObserver)
+        self.run_with(fuel, None, &mut NullObserver)
     }
 
-    /// Run with a seeded pseudo-random schedule: at each step a random
-    /// runnable process executes. Deterministic for a given seed.
+    /// Run until completion, deadlock, or `fuel` statements have executed,
+    /// reporting every executed [`Action`] to `observer`. With `seed`, a
+    /// seeded pseudo-random runnable process executes at each step
+    /// (deterministic for a given seed); without, processes take turns
+    /// round-robin.
     ///
     /// # Panics
     ///
     /// As for [`Machine::run`].
-    pub fn run_seeded(&mut self, fuel: u64, seed: u64) -> RunReport {
-        let mut rng = SplitMix64::new(seed);
-        self.run_with_schedule(
-            fuel,
-            move |_machine, _round| rng.next() as usize,
-            &mut NullObserver,
-        )
-    }
-
-    /// Like [`Machine::run`], reporting every executed [`Action`] to
-    /// `observer`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Machine::run`].
-    pub fn run_observed(&mut self, fuel: u64, observer: &mut dyn RuntimeObserver) -> RunReport {
-        self.run_with_schedule(fuel, |_machine, round| round, observer)
-    }
-
-    /// Like [`Machine::run_seeded`], reporting every executed [`Action`] to
-    /// `observer`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`Machine::run`].
-    pub fn run_seeded_observed(
+    pub fn run_with(
         &mut self,
         fuel: u64,
-        seed: u64,
+        seed: Option<u64>,
         observer: &mut dyn RuntimeObserver,
     ) -> RunReport {
-        let mut rng = SplitMix64::new(seed);
-        self.run_with_schedule(fuel, move |_machine, _round| rng.next() as usize, observer)
-    }
-
-    fn run_with_schedule<F>(
-        &mut self,
-        fuel: u64,
-        mut pick: F,
-        observer: &mut dyn RuntimeObserver,
-    ) -> RunReport
-    where
-        F: FnMut(&Machine, usize) -> usize,
-    {
+        let mut rng = seed.map(SplitMix64::new);
         let n = self.procs.len();
         let mut steps = 0u64;
         let mut round = 0usize;
@@ -747,7 +510,10 @@ impl Machine {
             }
             // Try up to n processes starting from the schedule's pick; track
             // whether anyone can run at all.
-            let start = pick(self, round) % n;
+            let start = match rng.as_mut() {
+                Some(rng) => rng.next() as usize,
+                None => round,
+            } % n;
             round += 1;
             let mut any_executed = false;
             let mut all_done = true;
@@ -798,7 +564,7 @@ impl Machine {
         );
     }
 
-    fn record(&mut self, p: usize, event: Event, g: Option<bool>) {
+    fn record(&mut self, p: usize, event: Action, g: Option<bool>) {
         let pid = self.procs[p].pid;
         let interval = self
             .engine
@@ -856,7 +622,7 @@ impl Machine {
                     proc.marks.remove(a);
                 }
                 let pc = proc.pc;
-                self.record(p, Event::Resumed { at_pc: pc }, Some(false));
+                self.record(p, Action::Resumed { at_pc: pc }, Some(false));
             }
         }
     }
@@ -896,7 +662,7 @@ mod tests {
         let guesses: Vec<&StateRecord> = h
             .states()
             .iter()
-            .filter(|s| matches!(s.event, Event::Guess { .. }))
+            .filter(|s| matches!(s.event, Action::Guess { .. }))
             .collect();
         assert_eq!(guesses.len(), 1, "history was truncated");
         assert_eq!(guesses[0].g, Some(false));
@@ -922,11 +688,11 @@ mod tests {
             .history(1)
             .states()
             .iter()
-            .filter(|s| matches!(s.event, Event::Recv { .. }))
+            .filter(|s| matches!(s.event, Action::Recv { .. }))
             .collect();
         assert_eq!(recvs.len(), 1);
         match recvs[0].event {
-            Event::Recv { speculative, .. } => assert!(!speculative),
+            Action::Recv { speculative, .. } => assert!(!speculative),
             _ => unreachable!(),
         }
     }
@@ -951,7 +717,7 @@ mod tests {
             .history(1)
             .states()
             .iter()
-            .filter(|s| matches!(s.event, Event::GhostDropped { .. }))
+            .filter(|s| matches!(s.event, Action::GhostDropped { .. }))
             .count();
         assert!(ghost_drops >= 1);
         assert_eq!(m.engine().stats().rollback_events, 1);
@@ -983,8 +749,8 @@ mod tests {
         let program = Program::generate(11, 3, 30, 4);
         let mut m1 = Machine::new(program.clone());
         let mut m2 = Machine::new(program);
-        let r1 = m1.run_seeded(10_000, 99);
-        let r2 = m2.run_seeded(10_000, 99);
+        let r1 = m1.run_with(10_000, Some(99), &mut NullObserver);
+        let r2 = m2.run_with(10_000, Some(99), &mut NullObserver);
         assert_eq!(r1, r2);
         assert_eq!(m1.engine().stats(), m2.engine().stats());
     }
@@ -994,7 +760,7 @@ mod tests {
         for seed in 0..40 {
             let program = Program::generate(seed, 3, 25, 4);
             let mut m = Machine::new(program);
-            m.run_seeded(5_000, seed.wrapping_mul(7919));
+            m.run_with(5_000, Some(seed.wrapping_mul(7919)), &mut NullObserver);
             m.engine()
                 .verify_invariants()
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -1008,7 +774,7 @@ mod tests {
         for seed in 0..20 {
             let program = Program::generate(seed + 1000, 4, 20, 3);
             let mut m = Machine::new(program);
-            m.run_seeded(5_000, seed);
+            m.run_with(5_000, Some(seed), &mut NullObserver);
             let engine = m.engine();
             for i in 0..engine.interval_count() {
                 let v = engine.interval(crate::IntervalId(i as u64)).unwrap();
@@ -1053,6 +819,48 @@ mod tests {
             }
             other => panic!("expected rejection, got {other:?}"),
         }
+    }
+
+    /// What a history records is what the observer was handed: on every
+    /// seeded run no rollback truncated, each process's observed actions
+    /// are its history minus the unobserved `Compute`/`Resumed` records.
+    #[test]
+    fn observers_see_the_recorded_actions() {
+        #[derive(Default)]
+        struct Collect(Vec<(ProcessId, Action)>);
+        impl RuntimeObserver for Collect {
+            fn observe(&mut self, process: ProcessId, action: &Action, _effects: &[Effect]) {
+                self.0.push((process, *action));
+            }
+        }
+        let mut compared = 0;
+        for seed in 0..400u64 {
+            let program = Program::generate(seed, 2 + seed as usize % 3, 12, 3);
+            let mut m = Machine::new(program);
+            let mut seen = Collect::default();
+            m.run_with(5_000, Some(seed), &mut seen);
+            if (0..m.process_count()).any(|p| m.history(p).truncations() > 0) {
+                continue;
+            }
+            compared += 1;
+            for p in 0..m.process_count() {
+                let recorded: Vec<Action> = m
+                    .history(p)
+                    .states()
+                    .iter()
+                    .map(|s| s.event)
+                    .filter(|a| !matches!(a, Action::Compute | Action::Resumed { .. }))
+                    .collect();
+                let observed: Vec<Action> = seen
+                    .0
+                    .iter()
+                    .filter(|(pid, _)| *pid == m.pid(p))
+                    .map(|&(_, a)| a)
+                    .collect();
+                assert_eq!(recorded, observed, "seed {seed}, P{p}");
+            }
+        }
+        assert!(compared > 100, "only {compared} runs without rollback");
     }
 
     #[test]

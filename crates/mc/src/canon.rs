@@ -25,9 +25,8 @@
 //! [`commit_fingerprint`]'s bytes, so it stays fixed-width. Both are exact
 //! encodings (see `Enc`).
 
-use hope_core::machine::{Event, Machine, Msg, StateRecord};
-use hope_core::program::Stmt;
-use hope_core::{AidId, AidState, IntervalId, IntervalStatus, ProcessId};
+use hope_core::machine::{Machine, Msg, StateRecord};
+use hope_core::{Action, AidId, AidState, DecideKind, IntervalId, IntervalStatus, ProcessId};
 
 /// Schedule-independent name for a live interval: `(process index,
 /// position in that process's live engine history)`.
@@ -111,77 +110,61 @@ impl<const VARINT: bool> Enc<VARINT> {
         }
     }
 
-    fn stmt(&mut self, s: Stmt) {
-        match s {
-            Stmt::Guess(x) => {
-                self.tag(0);
-                self.u(x as u64);
-            }
-            Stmt::Affirm(x) => {
-                self.tag(1);
-                self.u(x as u64);
-            }
-            Stmt::Deny(x) => {
-                self.tag(2);
-                self.u(x as u64);
-            }
-            Stmt::FreeOf(x) => {
-                self.tag(3);
-                self.u(x as u64);
-            }
-            Stmt::Compute => self.tag(4),
-            Stmt::Send { to } => {
-                self.tag(5);
-                self.u(to as u64);
-            }
-            Stmt::Recv => self.tag(6),
-        }
+    /// A skipped decider: its statement's encoding (tag 1/2/3, then the
+    /// AID — the machine's AIDs are pre-declared, so `aid.index()` is the
+    /// program's variable).
+    fn skipped(&mut self, aid: AidId, kind: DecideKind) {
+        self.tag(8);
+        self.tag(match kind {
+            DecideKind::Affirm => 1,
+            DecideKind::Deny => 2,
+            DecideKind::FreeOf => 3,
+        });
+        self.u(aid.index());
     }
 
-    /// Event with message ids dropped (they are allocation-order artefacts).
-    fn event(&mut self, e: &Event, names: &Names) {
+    /// A history action with message ids and senders dropped (they are
+    /// allocation-order artefacts).
+    fn event(&mut self, e: &Action, names: &Names) {
         match e {
-            Event::Guess { aid, value } => {
+            Action::Guess { aid, value } => {
                 self.tag(0);
                 self.u(aid.index());
                 self.flag(*value);
             }
-            Event::Affirm { aid, speculative } => {
+            Action::Affirm { aid, speculative } => {
                 self.tag(1);
                 self.u(aid.index());
                 self.flag(*speculative);
             }
-            Event::Deny { aid, speculative } => {
+            Action::Deny { aid, speculative } => {
                 self.tag(2);
                 self.u(aid.index());
                 self.flag(*speculative);
             }
-            Event::FreeOf { aid } => {
+            Action::FreeOf { aid } => {
                 self.tag(3);
                 self.u(aid.index());
             }
-            Event::Compute => self.tag(4),
-            Event::Send { to, .. } => {
+            Action::Compute => self.tag(4),
+            Action::Send { to, .. } => {
                 self.tag(5);
                 self.u(names.process(*to));
             }
-            Event::Recv { speculative, .. } => {
+            Action::Recv { speculative, .. } => {
                 self.tag(6);
                 self.flag(*speculative);
             }
-            Event::GhostDropped { denied, .. } => {
+            Action::GhostDropped { denied, .. } => {
                 self.tag(7);
                 self.u(denied.index());
             }
-            Event::Skipped { stmt } => {
-                self.tag(8);
-                self.stmt(*stmt);
-            }
-            Event::Resumed { at_pc } => {
+            Action::SkippedDecide { aid, kind } => self.skipped(*aid, *kind),
+            Action::Resumed { at_pc } => {
                 self.tag(9);
                 self.u(*at_pc as u64);
             }
-            // `Event` is #[non_exhaustive]; new variants must not silently
+            // `Action` is #[non_exhaustive]; new variants must not silently
             // alias an existing encoding.
             _ => self.tag(255),
         }
@@ -334,7 +317,7 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
     let visible = |rec: &&StateRecord| {
         !matches!(
             rec.event,
-            Event::GhostDropped { .. } | Event::Resumed { .. }
+            Action::GhostDropped { .. } | Action::Resumed { .. }
         )
     };
     for p in 0..n {
@@ -343,34 +326,31 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
         e.u(states.iter().filter(visible).count() as u64);
         for rec in states.iter().filter(visible) {
             match &rec.event {
-                Event::Guess { aid, value } => {
+                Action::Guess { aid, value } => {
                     e.tag(0);
                     e.u(aid.index());
                     e.flag(*value);
                 }
-                Event::Affirm { aid, .. } => {
+                Action::Affirm { aid, .. } => {
                     e.tag(1);
                     e.u(aid.index());
                 }
-                Event::Deny { aid, .. } => {
+                Action::Deny { aid, .. } => {
                     e.tag(2);
                     e.u(aid.index());
                 }
-                Event::FreeOf { aid } => {
+                Action::FreeOf { aid } => {
                     e.tag(3);
                     e.u(aid.index());
                 }
-                Event::Compute => e.tag(4),
-                Event::Send { to, .. } => {
+                Action::Compute => e.tag(4),
+                Action::Send { to, .. } => {
                     e.tag(5);
                     e.u(names.process(*to));
                 }
-                Event::Recv { .. } => e.tag(6),
-                Event::Skipped { stmt } => {
-                    e.tag(8);
-                    e.stmt(*stmt);
-                }
-                Event::GhostDropped { .. } | Event::Resumed { .. } => unreachable!("filtered"),
+                Action::Recv { .. } => e.tag(6),
+                Action::SkippedDecide { aid, kind } => e.skipped(*aid, *kind),
+                Action::GhostDropped { .. } | Action::Resumed { .. } => unreachable!("filtered"),
                 _ => e.tag(255),
             }
             e.tag(match rec.g {
@@ -467,9 +447,8 @@ mod tests {
     /// state key and the unchanged commit fingerprint.
     mod fixed_width {
         use super::super::{aid_state_tag, CanonRef, Names};
-        use hope_core::machine::{Event, Machine, Msg, StepOutcome};
-        use hope_core::program::Stmt;
-        use hope_core::{AidId, IntervalStatus};
+        use hope_core::machine::{Machine, Msg, StepOutcome};
+        use hope_core::{Action, AidId, DecideKind, IntervalStatus};
 
         #[derive(Default)]
         struct W(Vec<u8>);
@@ -502,61 +481,54 @@ mod tests {
                 });
             }
 
-            fn stmt(&mut self, s: Stmt) {
-                let (t, x) = match s {
-                    Stmt::Guess(x) => (0, Some(x)),
-                    Stmt::Affirm(x) => (1, Some(x)),
-                    Stmt::Deny(x) => (2, Some(x)),
-                    Stmt::FreeOf(x) => (3, Some(x)),
-                    Stmt::Compute => (4, None),
-                    Stmt::Send { to } => (5, Some(to)),
-                    Stmt::Recv => (6, None),
-                };
-                self.tag(t);
-                if let Some(x) = x {
-                    self.u(x as u64);
-                }
+            /// A skipped decider is written as its statement: the
+            /// statement's tag, then the AID's index.
+            fn skipped(&mut self, aid: AidId, kind: DecideKind) {
+                self.tag(8);
+                self.tag(match kind {
+                    DecideKind::Affirm => 1,
+                    DecideKind::Deny => 2,
+                    DecideKind::FreeOf => 3,
+                });
+                self.u(aid.index());
             }
 
-            fn event(&mut self, e: &Event, names: &Names) {
+            fn event(&mut self, e: &Action, names: &Names) {
                 match e {
-                    Event::Guess { aid, value } => {
+                    Action::Guess { aid, value } => {
                         self.tag(0);
                         self.u(aid.index());
                         self.tag(*value as u8);
                     }
-                    Event::Affirm { aid, speculative } => {
+                    Action::Affirm { aid, speculative } => {
                         self.tag(1);
                         self.u(aid.index());
                         self.tag(*speculative as u8);
                     }
-                    Event::Deny { aid, speculative } => {
+                    Action::Deny { aid, speculative } => {
                         self.tag(2);
                         self.u(aid.index());
                         self.tag(*speculative as u8);
                     }
-                    Event::FreeOf { aid } => {
+                    Action::FreeOf { aid } => {
                         self.tag(3);
                         self.u(aid.index());
                     }
-                    Event::Compute => self.tag(4),
-                    Event::Send { to, .. } => {
+                    Action::Compute => self.tag(4),
+                    Action::Send { to, .. } => {
                         self.tag(5);
                         self.u(names.process(*to));
                     }
-                    Event::Recv { speculative, .. } => {
+                    Action::Recv { speculative, .. } => {
                         self.tag(6);
                         self.tag(*speculative as u8);
                     }
-                    Event::GhostDropped { denied, .. } => {
+                    Action::GhostDropped { denied, .. } => {
                         self.tag(7);
                         self.u(denied.index());
                     }
-                    Event::Skipped { stmt } => {
-                        self.tag(8);
-                        self.stmt(*stmt);
-                    }
-                    Event::Resumed { at_pc } => {
+                    Action::SkippedDecide { aid, kind } => self.skipped(*aid, *kind),
+                    Action::Resumed { at_pc } => {
                         self.tag(9);
                         self.u(*at_pc as u64);
                     }
@@ -663,39 +635,39 @@ mod tests {
                     .states()
                     .iter()
                     .filter(|r| {
-                        !matches!(r.event, Event::GhostDropped { .. } | Event::Resumed { .. })
+                        !matches!(
+                            r.event,
+                            Action::GhostDropped { .. } | Action::Resumed { .. }
+                        )
                     })
                     .collect();
                 e.u(visible.len() as u64);
                 for rec in visible {
                     match &rec.event {
-                        Event::Guess { aid, value } => {
+                        Action::Guess { aid, value } => {
                             e.tag(0);
                             e.u(aid.index());
                             e.tag(*value as u8);
                         }
-                        Event::Affirm { aid, .. } => {
+                        Action::Affirm { aid, .. } => {
                             e.tag(1);
                             e.u(aid.index());
                         }
-                        Event::Deny { aid, .. } => {
+                        Action::Deny { aid, .. } => {
                             e.tag(2);
                             e.u(aid.index());
                         }
-                        Event::FreeOf { aid } => {
+                        Action::FreeOf { aid } => {
                             e.tag(3);
                             e.u(aid.index());
                         }
-                        Event::Compute => e.tag(4),
-                        Event::Send { to, .. } => {
+                        Action::Compute => e.tag(4),
+                        Action::Send { to, .. } => {
                             e.tag(5);
                             e.u(names.process(*to));
                         }
-                        Event::Recv { .. } => e.tag(6),
-                        Event::Skipped { stmt } => {
-                            e.tag(8);
-                            e.stmt(*stmt);
-                        }
+                        Action::Recv { .. } => e.tag(6),
+                        Action::SkippedDecide { aid, kind } => e.skipped(*aid, *kind),
                         _ => e.tag(255),
                     }
                     e.g(rec.g);

@@ -52,9 +52,10 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
-use hope_core::machine::{Event, Machine, StepOutcome};
+use hope_core::machine::{Machine, StepOutcome};
 use hope_core::observer::RuntimeObserver;
 use hope_core::program::Program;
+use hope_core::Action;
 
 pub mod canon;
 mod indep;
@@ -247,7 +248,7 @@ impl McReport {
 /// to full finalization" the verdicts here, the analyzer's agreement
 /// suites and the E17 experiment share: every process completed, no
 /// rollback ever happened, no ghost message ever did, no surviving history
-/// holds an [`Event::Skipped`] primitive, and every process is definite.
+/// holds an [`Action::SkippedDecide`], and every process is definite.
 pub fn is_pristine(m: &Machine) -> bool {
     let stats = m.engine().stats();
     stats.rollback_events == 0
@@ -258,7 +259,7 @@ pub fn is_pristine(m: &Machine) -> bool {
                 && m.history(p)
                     .states()
                     .iter()
-                    .all(|s| !matches!(s.event, Event::Skipped { .. }))
+                    .all(|s| !matches!(s.event, Action::SkippedDecide { .. }))
         })
 }
 

@@ -34,7 +34,7 @@ fn random_is_subset_of_exhaustive(program: &Program) {
     let mut seeded_pristine = None;
     for seed in 0..SEEDED_SCHEDULES {
         let mut m = Machine::new(program.clone());
-        let run = m.run_seeded(FUEL, seed);
+        let run = m.run_with(FUEL, Some(seed), &mut NullObserver);
         if !run.completed {
             // An unfinished run is not a terminal state; nothing to compare.
             continue;

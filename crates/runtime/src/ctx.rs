@@ -21,9 +21,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use hope_core::{
-    Action, AidId, AidState, Checkpoint, DecideKind, Effect, Error, ProcessId, ReceiveOutcome,
-};
+use hope_core::observer::decide;
+use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, ProcessId, ReceiveOutcome};
 use hope_sim::{VirtualDuration, VirtualTime};
 
 use crate::baton::Baton;
@@ -275,11 +274,11 @@ impl Ctx {
             .guess(self.pid, &[aid], Checkpoint(pos))
             .expect("guess on engine-owned ids");
         let value = outcome.value();
-        let pid = self.pid;
-        sh.trace(|| format!("{pid}: guess({aid}) -> {value}"));
+        let (pid, action) = (self.pid, Action::Guess { aid, value });
+        sh.trace(|| format!("{pid}: {action}"));
         sh.procs[self.idx].journal.push(Entry::Guess { aid, value });
         let rolled = sh.apply_effects(self.idx, &fx);
-        sh.observe(pid, &Action::Guess { aid, value }, &fx);
+        sh.observe(pid, &action, &fx);
         drop(sh);
         if rolled {
             return Err(Signal::Rollback);
@@ -341,64 +340,26 @@ impl Ctx {
     /// re-executed after a conservative decision).
     fn decide(&mut self, aid: AidId, kind: DecideKind) -> Hope<bool> {
         if let Some(e) = self.replay_next() {
-            match (&e, kind) {
-                (Entry::Affirm { aid: a, applied }, DecideKind::Affirm) if *a == aid => {
-                    return Ok(*applied);
-                }
-                (Entry::Deny(a), DecideKind::Deny) | (Entry::FreeOf(a), DecideKind::FreeOf)
-                    if *a == aid =>
-                {
-                    return Ok(true);
-                }
-                _ => self.diverged(kind.name(), &e),
+            match e {
+                Entry::Decide {
+                    aid: a,
+                    kind: k,
+                    applied,
+                } if a == aid && k == kind => return Ok(applied),
+                other => self.diverged(kind.name(), &other),
             }
         }
         let mut sh = self.live()?;
-        let result = match kind {
-            DecideKind::Affirm => sh.engine.affirm(self.pid, aid),
-            DecideKind::Deny => sh.engine.deny(self.pid, aid),
-            DecideKind::FreeOf => sh.engine.free_of(self.pid, aid),
-        };
-        let applied = !matches!(result, Err(Error::AidConsumed(_)));
+        let (action, fx) = decide(&mut sh.engine, self.pid, aid, kind)
+            .unwrap_or_else(|e| panic!("engine rejected {}: {e}", kind.name()));
+        let applied = !matches!(action, Action::SkippedDecide { .. });
         let pid = self.pid;
-        sh.trace(|| {
-            format!(
-                "{pid}: {}({aid}){}",
-                kind.name(),
-                if applied {
-                    ""
-                } else {
-                    " [already decided: no-op]"
-                }
-            )
-        });
-        sh.procs[self.idx].journal.push(match kind {
-            DecideKind::Affirm => Entry::Affirm { aid, applied },
-            DecideKind::Deny => Entry::Deny(aid),
-            DecideKind::FreeOf => Entry::FreeOf(aid),
-        });
-        let rolled = match result {
-            Ok(fx) => {
-                let rolled = sh.apply_effects(self.idx, &fx);
-                let speculative = fx.iter().any(|e| match (kind, e) {
-                    (DecideKind::Affirm, Effect::SpeculativelyAffirmed { aid: a, .. })
-                    | (DecideKind::Deny, Effect::SpeculativelyDenied { aid: a, .. }) => *a == aid,
-                    _ => false,
-                });
-                let action = match kind {
-                    DecideKind::Affirm => Action::Affirm { aid, speculative },
-                    DecideKind::Deny => Action::Deny { aid, speculative },
-                    DecideKind::FreeOf => Action::FreeOf { aid },
-                };
-                sh.observe(pid, &action, &fx);
-                rolled
-            }
-            Err(Error::AidConsumed(_)) => {
-                sh.observe(pid, &Action::SkippedDecide { aid, kind }, &[]);
-                false
-            }
-            Err(e) => panic!("engine rejected {}: {e}", kind.name()),
-        };
+        sh.trace(|| format!("{pid}: {action}"));
+        sh.procs[self.idx]
+            .journal
+            .push(Entry::Decide { aid, kind, applied });
+        let rolled = sh.apply_effects(self.idx, &fx);
+        sh.observe(pid, &action, &fx);
         drop(sh);
         if rolled {
             return Err(Signal::Rollback);
@@ -742,10 +703,10 @@ impl Ctx {
         let at = sh.now + deadline;
         sh.pending_system += 1;
         sh.queue.push(at, EventKind::AckTimeout { aid });
-        let pid = self.pid;
-        sh.trace(|| format!("{pid}: send m{id} -> {to} [reliable seq={seq} attempt={attempt}]"));
+        let (pid, action) = (self.pid, Action::Send { to, msg: id });
+        sh.trace(|| format!("{pid}: {action} [reliable seq={seq} attempt={attempt}]"));
         sh.procs[self.idx].journal.push(Entry::Send { msg_id: id });
-        sh.observe(pid, &Action::Send { to, msg: id }, &[]);
+        sh.observe(pid, &action, &[]);
         Ok(id)
     }
 
@@ -852,10 +813,10 @@ impl Ctx {
         }
         let mut sh = self.live()?;
         let id = sh.send_message_with(self.idx, to, kind_of, payload);
-        let pid = self.pid;
-        sh.trace(|| format!("{pid}: send m{id} -> {to}"));
+        let (pid, action) = (self.pid, Action::Send { to, msg: id });
+        sh.trace(|| format!("{pid}: {action}"));
         sh.procs[self.idx].journal.push(Entry::Send { msg_id: id });
-        sh.observe(pid, &Action::Send { to, msg: id }, &[]);
+        sh.observe(pid, &action, &[]);
         Ok(id)
     }
 
@@ -905,28 +866,23 @@ impl Ctx {
                 if sh.fault_denied.contains(&denied) {
                     sh.stats.faults.ghosts_from_faults += 1;
                 }
-                sh.trace(|| format!("{pid}: ghost m{msg} dropped ({denied} denied)"));
-                sh.observe(pid, &Action::GhostDropped { msg, from, denied }, &[]);
+                let action = Action::GhostDropped { msg, from, denied };
+                sh.trace(|| format!("{pid}: {action}"));
+                sh.observe(pid, &action, &[]);
                 continue;
             }
             let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
-            sh.trace(|| {
-                let mark = if speculative { " [speculative]" } else { "" };
-                format!("{pid}: recv m{msg} from {from}{mark}")
-            });
+            let action = Action::Recv {
+                msg,
+                from,
+                speculative,
+            };
+            sh.trace(|| format!("{pid}: {action}"));
             sh.procs[self.idx]
                 .journal
                 .push(Entry::Recv(Box::new(m.clone())));
             let rolled = sh.apply_effects(self.idx, &fx);
-            sh.observe(
-                pid,
-                &Action::Recv {
-                    msg,
-                    from,
-                    speculative,
-                },
-                &fx,
-            );
+            sh.observe(pid, &action, &fx);
             debug_assert!(!rolled, "a receive cannot roll back its receiver");
             return Some(m);
         }

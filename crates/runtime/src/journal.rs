@@ -37,7 +37,7 @@
 //! rises to that snapshot, which stays the oldest resume point. A body that
 //! never checkpoints simply keeps its whole journal.
 
-use hope_core::AidId;
+use hope_core::{AidId, DecideKind};
 use hope_sim::VirtualDuration;
 
 use crate::message::Message;
@@ -50,19 +50,17 @@ pub(crate) enum Entry {
     AidInit(AidId),
     /// `guess(aid)` returned `value`.
     Guess { aid: AidId, value: bool },
-    /// `affirm(aid)` was issued; `applied` is `false` when the AID was
-    /// already decided and the affirm was a recorded no-op (replay returns
-    /// `applied` so `try_affirm` branches identically).
-    Affirm {
-        /// The affirmed AID.
+    /// `affirm`/`deny`/`free_of(aid)` was issued; `applied` is `false`
+    /// when the AID was already decided and the call was a recorded no-op
+    /// (replay returns `applied` so `try_affirm` branches identically).
+    Decide {
+        /// The decided AID.
         aid: AidId,
-        /// Whether the affirm took effect (vs. a recorded no-op).
+        /// Which decider was issued.
+        kind: DecideKind,
+        /// Whether the decider took effect (vs. a recorded no-op).
         applied: bool,
     },
-    /// `deny(aid)` was issued (replay: skip).
-    Deny(AidId),
-    /// `free_of(aid)` was issued (replay: skip).
-    FreeOf(AidId),
     /// `compute(d)` advanced virtual time (replay: skip — the time already
     /// passed and was not rolled back).
     Compute(VirtualDuration),
@@ -104,9 +102,7 @@ impl Entry {
         match self {
             Entry::AidInit(_) => "aid_init",
             Entry::Guess { .. } => "guess",
-            Entry::Affirm { .. } => "affirm",
-            Entry::Deny(_) => "deny",
-            Entry::FreeOf(_) => "free_of",
+            Entry::Decide { kind, .. } => kind.name(),
             Entry::Compute(_) => "compute",
             Entry::Send { .. } => "send",
             Entry::Recv(_) => "recv",

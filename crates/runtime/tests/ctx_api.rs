@@ -4,7 +4,7 @@
 //! plus the hot-path lock discipline: one `Shared` lock per live primitive.
 
 use hope_core::AidId;
-use hope_runtime::{MsgKind, ProcessId, SimConfig, Simulation, Value};
+use hope_runtime::{FaultPlan, MsgKind, ProcessId, SimConfig, Simulation, Value};
 use hope_sim::{LatencyModel, Topology, VirtualDuration, VirtualTime};
 
 fn ms(v: u64) -> VirtualDuration {
@@ -582,4 +582,97 @@ fn lock_counter_is_excluded_from_fingerprint() {
     let b = run();
     assert_eq!(a.fingerprint(), b.fingerprint());
     assert!(a.stats().ctx_lock_acquisitions > 0);
+}
+
+/// Every trace line of one run, byte for byte. The scenario reaches each
+/// per-primitive line the runtime writes: a guess answering `true` and,
+/// re-executed, `false`; definite and speculative affirms and denies; a
+/// `free_of`; a decider skipped because its AID was already decided; a
+/// plain send and a reliable send that retries after the lossy plan drops
+/// its first copy; a speculative receive; and a ghost dropped before
+/// delivery.
+#[test]
+fn trace_lines_are_pinned() {
+    let (judge, receiver, peer) = (ProcessId(1), ProcessId(2), ProcessId(4));
+    let plan = FaultPlan::new(17).drop_rate(0.3);
+    let mut sim = Simulation::new(SimConfig::with_seed(11).traced().with_faults(plan));
+    sim.spawn("worker", move |ctx| {
+        let x = ctx.aid_init()?;
+        ctx.send(judge, Value::Int(x.index() as i64))?;
+        if ctx.guess(x)? {
+            ctx.send(receiver, Value::Int(1))?;
+            ctx.compute(ms(20))?;
+        } else {
+            ctx.send(receiver, Value::Int(2))?;
+        }
+        Ok(())
+    });
+    sim.spawn("judge", |ctx| {
+        let m = ctx.recv()?;
+        let x = AidId::from_index(m.payload.expect_int() as u64);
+        let own = ctx.aid_init()?;
+        ctx.affirm(own)?;
+        ctx.compute(ms(5))?;
+        ctx.deny(x)?;
+        Ok(())
+    });
+    sim.spawn("receiver", |ctx| {
+        let (a, b, c) = (ctx.aid_init()?, ctx.aid_init()?, ctx.aid_init()?);
+        // First a speculative receive; after the rollback a ghost, then
+        // the worker's re-sent message.
+        ctx.recv()?;
+        // A speculative affirm of `a` turns into a deny when it rolls
+        // back, so the re-executed affirm is a skipped decider.
+        ctx.affirm(a)?;
+        ctx.deny(b)?;
+        ctx.compute(ms(20))?;
+        ctx.free_of(c)?;
+        Ok(())
+    });
+    sim.spawn("reliable", move |ctx| {
+        ctx.send_reliable(peer, Value::Int(7))?;
+        Ok(())
+    });
+    sim.spawn("peer", |ctx| {
+        ctx.recv()?;
+        Ok(())
+    });
+    let report = sim.run();
+    assert!(report.completed(), "{report}");
+    let expected = [
+        "[t=0ns] P0: send m0 -> P1",
+        "[t=0ns] P0: guess(X0) -> true",
+        "[t=0ns] P0: send m1 -> P2",
+        "[t=0ns] FAULT drop m2 P3 -> P4",
+        "[t=0ns] P3: send m2 -> P4 [reliable seq=0 attempt=1]",
+        "[t=0ns] P3: guess(X4) -> true",
+        "[t=100.000µs] deliver m0 P0 -> P1",
+        "[t=100.000µs] P1: recv m0 from P0",
+        "[t=100.000µs] P1: affirm(X5)",
+        "[t=100.000µs] deliver m1 P0 -> P2",
+        "[t=100.000µs] P2: recv m1 from P0 [speculative]",
+        "[t=100.000µs] P2: affirm(X1)",
+        "[t=100.000µs] P2: deny(X2)",
+        "[t=5.100ms] P1: deny(X0)",
+        "[t=5.100ms] P0: ROLLBACK of 1 interval(s) to journal position 2",
+        "[t=5.100ms] P2: ROLLBACK of 1 interval(s) to journal position 3",
+        "[t=5.100ms] P0: guess(X0) -> false",
+        "[t=5.100ms] P0: send m3 -> P2",
+        "[t=5.100ms] P2: ghost m1 dropped (X0 denied)",
+        "[t=5.200ms] deliver m3 P0 -> P2",
+        "[t=5.200ms] P2: recv m3 from P0",
+        "[t=5.200ms] P2: affirm(X1) [already decided: no-op]",
+        "[t=5.200ms] P2: deny(X2)",
+        "[t=25.200ms] P2: free_of(X3)",
+        "[t=50.000ms] FAULT timeout: delivered(X4) denied",
+        "[t=50.000ms] P3: ROLLBACK of 1 interval(s) to journal position 3",
+        "[t=50.000ms] P3: guess(X4) -> false",
+        "[t=50.000ms] P3: send m4 -> P4 [reliable seq=0 attempt=2]",
+        "[t=50.000ms] P3: guess(X6) -> true",
+        "[t=50.100ms] deliver m4 P3 -> P4",
+        "[t=50.100ms] P4: recv m4 from P3",
+        "[t=50.200ms] ack: delivered(X6) affirmed",
+        "[t=50.200ms] P3: interval A3 finalized",
+    ];
+    assert_eq!(report.trace(), expected, "{:#?}", report.trace());
 }

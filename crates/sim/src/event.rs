@@ -69,11 +69,6 @@ impl<T> EventQueue<T> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.payload))
     }
 
-    /// The timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<VirtualTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -149,15 +144,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 1);
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(t(9), ());
-        assert_eq!(q.peek_time(), Some(t(9)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

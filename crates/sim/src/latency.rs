@@ -173,17 +173,6 @@ impl CpuModel {
         }
     }
 
-    /// Virtual time needed to execute `n` instructions.
-    pub fn time_for(&self, instructions: u64) -> VirtualDuration {
-        // ns = n * 1e9 / ips, computed to avoid overflow for large n.
-        let secs = instructions / self.instructions_per_sec;
-        let rem = instructions % self.instructions_per_sec;
-        VirtualDuration::from_secs(secs)
-            + VirtualDuration::from_nanos(
-                rem.saturating_mul(1_000_000_000) / self.instructions_per_sec,
-            )
-    }
-
     /// Instructions executable within `d`.
     pub fn instructions_in(&self, d: VirtualDuration) -> u64 {
         ((d.as_nanos() as u128 * self.instructions_per_sec as u128) / 1_000_000_000u128) as u64
@@ -312,14 +301,5 @@ mod tests {
         let cpu = CpuModel::mips(100);
         let n = cpu.instructions_in(VirtualDuration::from_millis(30));
         assert_eq!(n, 3_000_000);
-        // And the inverse:
-        assert_eq!(cpu.time_for(3_000_000), VirtualDuration::from_millis(30));
-    }
-
-    #[test]
-    fn cpu_large_counts_do_not_overflow() {
-        let cpu = CpuModel::mips(1);
-        let d = cpu.time_for(10_000_000_000);
-        assert_eq!(d, VirtualDuration::from_secs(10_000));
     }
 }

@@ -77,20 +77,6 @@ impl VirtualDuration {
         VirtualDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds, saturating on overflow and
-    /// clamping negatives to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        if s <= 0.0 {
-            return VirtualDuration(0);
-        }
-        let ns = s * 1e9;
-        if ns >= u64::MAX as f64 {
-            VirtualDuration(u64::MAX)
-        } else {
-            VirtualDuration(ns as u64)
-        }
-    }
-
     /// Raw nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -104,11 +90,6 @@ impl VirtualDuration {
     /// Fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
     }
 
     /// `true` if zero-length.
@@ -221,14 +202,6 @@ mod tests {
         assert_eq!(VirtualDuration::from_secs(1).as_nanos(), 1_000_000_000);
         assert_eq!(VirtualDuration::from_secs(2).as_secs_f64(), 2.0);
         assert_eq!(VirtualDuration::from_millis(30).as_millis_f64(), 30.0);
-        assert_eq!(VirtualDuration::from_micros(5).as_micros_f64(), 5.0);
-    }
-
-    #[test]
-    fn from_secs_f64_edges() {
-        assert_eq!(VirtualDuration::from_secs_f64(-1.0), VirtualDuration::ZERO);
-        assert_eq!(VirtualDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
-        assert_eq!(VirtualDuration::from_secs_f64(1e30).as_nanos(), u64::MAX);
     }
 
     #[test]

@@ -21,8 +21,6 @@ pub type NodeId = u32;
 pub struct Topology {
     default: LatencyModel,
     overrides: HashMap<(NodeId, NodeId), LatencyModel>,
-    /// Latency for a node sending to itself (local pipe); defaults to zero.
-    self_latency: Option<LatencyModel>,
 }
 
 impl Topology {
@@ -31,7 +29,6 @@ impl Topology {
         Topology {
             default,
             overrides: HashMap::new(),
-            self_latency: None,
         }
     }
 
@@ -63,18 +60,9 @@ impl Topology {
         self
     }
 
-    /// Override the self-send latency (defaults to zero).
-    pub fn set_self_latency(&mut self, model: LatencyModel) -> &mut Self {
-        self.self_latency = Some(model);
-        self
-    }
-
     /// The model governing `from → to`.
     pub fn link(&self, from: NodeId, to: NodeId) -> &LatencyModel {
         if from == to {
-            if let Some(m) = &self.self_latency {
-                return m;
-            }
             // A process messaging itself goes through a local pipe.
             const ZERO: LatencyModel = LatencyModel::Fixed(VirtualDuration::ZERO);
             return &ZERO;
@@ -85,16 +73,6 @@ impl Topology {
     /// Sample a latency for one message on `from → to`.
     pub fn sample(&self, from: NodeId, to: NodeId, rng: &mut SimRng) -> VirtualDuration {
         self.link(from, to).sample(rng)
-    }
-
-    /// The smallest latency any link can produce (global lookahead).
-    pub fn min_latency(&self) -> VirtualDuration {
-        self.overrides
-            .values()
-            .map(LatencyModel::min)
-            .chain(std::iter::once(self.default.min()))
-            .min()
-            .unwrap_or(VirtualDuration::ZERO)
     }
 }
 
@@ -118,14 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn self_latency_can_be_overridden() {
-        let mut t = Topology::local();
-        t.set_self_latency(LatencyModel::Fixed(VirtualDuration::from_micros(1)));
-        let mut rng = SimRng::new(1);
-        assert_eq!(t.sample(3, 3, &mut rng), VirtualDuration::from_micros(1));
-    }
-
-    #[test]
     fn link_override_is_directional() {
         let mut t = Topology::lan();
         t.set_link(0, 1, LatencyModel::Fixed(VirtualDuration::from_millis(9)));
@@ -141,14 +111,6 @@ mod tests {
         let mut rng = SimRng::new(1);
         assert_eq!(t.sample(0, 1, &mut rng), VirtualDuration::from_millis(2));
         assert_eq!(t.sample(1, 0, &mut rng), VirtualDuration::from_millis(2));
-    }
-
-    #[test]
-    fn min_latency_scans_overrides() {
-        let mut t = Topology::coast_to_coast();
-        assert_eq!(t.min_latency(), VirtualDuration::from_millis(15));
-        t.set_link(0, 1, LatencyModel::Fixed(VirtualDuration::from_micros(10)));
-        assert_eq!(t.min_latency(), VirtualDuration::from_micros(10));
     }
 
     #[test]

@@ -753,10 +753,11 @@ fn aid_state_and_interval_maps_agree_at_scale() {
     // Larger randomized soak with a fixed seed (cheap, deterministic).
     use hope_core::machine::Machine;
     use hope_core::program::Program;
+    use hope_core::NullObserver;
     for seed in 0..25 {
         let program = Program::generate(seed, 4, 40, 5);
         let mut m = Machine::new(program);
-        m.run_seeded(20_000, seed * 31 + 7);
+        m.run_with(20_000, Some(seed * 31 + 7), &mut NullObserver);
         m.engine()
             .verify_invariants()
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));

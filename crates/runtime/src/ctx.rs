@@ -19,17 +19,17 @@
 //!    buffers speculative output and discards it on rollback, but it cannot
 //!    un-write your files.
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::cell::{RefCell, RefMut};
+use std::sync::Arc;
 
 use hope_core::observer::decide;
 use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, ProcessId, ReceiveOutcome};
 use hope_sim::{VirtualDuration, VirtualTime};
 
-use crate::baton::Baton;
 use crate::governor::{Admission, DEFAULT_GUESS_SITE, RELIABLE_SEND_SITE};
 use crate::journal::Entry;
 use crate::message::{Message, MsgKind};
-use crate::scheduler::drive;
+use crate::scheduler::{drive, Turn};
 use crate::shared::{EventKind, ProcState, Shared};
 use crate::signal::{Hope, Signal};
 use crate::stats::CrashReason;
@@ -42,8 +42,10 @@ use crate::value::Value;
 /// installed.
 #[derive(Debug)]
 pub struct Ctx {
-    shared: Arc<Mutex<Shared>>,
-    baton: Arc<Baton>,
+    /// The run's state, away with the turn while the body is parked; the
+    /// wrapper takes it back when the body returns (`None` after the run).
+    pub(crate) shared: RefCell<Option<Box<Shared>>>,
+    baton: Arc<Turn>,
     idx: usize,
     pid: ProcessId,
     /// Journal positions still to replay before the body runs live.
@@ -53,14 +55,14 @@ pub struct Ctx {
 impl Ctx {
     /// `replay`: the journal range `Shared::begin_attempt` answered.
     pub(crate) fn new(
-        shared: Arc<Mutex<Shared>>,
-        baton: Arc<Baton>,
+        shared: Option<Box<Shared>>,
+        baton: Arc<Turn>,
         idx: usize,
         replay: std::ops::Range<usize>,
     ) -> Self {
-        let pid = Shared::lock(&shared).procs[idx].pid;
+        let pid = shared.as_ref().expect("the turn's state").procs[idx].pid;
         Ctx {
-            shared,
+            shared: RefCell::new(shared),
             baton,
             idx,
             pid,
@@ -99,13 +101,14 @@ impl Ctx {
     // replay machinery
     // ------------------------------------------------------------------
 
-    /// Take the `Shared` lock, counting the acquisition. Every lock taken
-    /// on behalf of a process body goes through here so that
+    /// Borrow the state, counting the access. Every access on behalf of a
+    /// process body goes through here so that
     /// `RunStats::ctx_lock_acquisitions` measures the body-side contention
     /// a real multi-core runtime would see; the regression suite pins the
-    /// one-lock-per-primitive invariant against this counter.
-    fn lock(&self) -> MutexGuard<'_, Shared> {
-        let mut sh = Shared::lock(&self.shared);
+    /// one-access-per-primitive invariant against this counter.
+    fn lock(&self) -> RefMut<'_, Shared> {
+        let held = self.shared.borrow_mut();
+        let mut sh = RefMut::map(held, |h| h.as_deref_mut().expect("Ctx used after the run"));
         sh.stats.ctx_lock_acquisitions += 1;
         sh
     }
@@ -117,7 +120,7 @@ impl Ctx {
         Some(e.expect("replay cursor within journal"))
     }
 
-    /// Acquire the lock for a **live** (non-replay) primitive, enforcing the
+    /// Borrow the state for a **live** (non-replay) primitive, enforcing the
     /// journal budget before the caller appends a new entry. A body stuck in
     /// an unbounded retry loop (e.g. [`Ctx::send_reliable`] to a peer
     /// partitioned away forever) would otherwise grow its journal without
@@ -127,10 +130,10 @@ impl Ctx {
     /// collection don't count, so checkpointing bodies never trip the
     /// limit merely by running long.
     ///
-    /// Returns the guard *still held*: the caller performs its whole
-    /// primitive under this single acquisition instead of re-locking, which
-    /// is what keeps the hot path at one `Shared` round-trip per primitive.
-    fn live(&self) -> Hope<MutexGuard<'_, Shared>> {
+    /// Returns the borrow *still held*: the caller performs its whole
+    /// primitive under this single access, which is what keeps the hot path
+    /// at one counted access per primitive.
+    fn live(&self) -> Hope<RefMut<'_, Shared>> {
         let mut sh = self.lock();
         let limit = sh.config.max_journal_entries;
         if sh.procs[self.idx].journal.live_len() >= limit && sh.config.fossil_collection {
@@ -162,7 +165,7 @@ impl Ctx {
     fn park(&mut self, state: ProcState) -> Hope<()> {
         self.lock().set_state(self.idx, state);
         // Parked, this thread is the scheduler until an event resumes it.
-        if !drive(&self.shared, &self.baton, self.idx) {
+        if !drive(self.shared.get_mut(), &self.baton, self.idx) {
             return Err(Signal::Shutdown);
         }
         if self.lock().procs[self.idx].rollback_pending {
@@ -827,7 +830,7 @@ impl Ctx {
                 other => self.diverged("recv", &other),
             }
         }
-        // One lock per wake-up, released only to park when nothing
+        // One access per wake-up, released only to park when nothing
         // deliverable is queued.
         let mut sh = self.live()?;
         loop {
@@ -843,8 +846,8 @@ impl Ctx {
     /// The one receive path: take delivery of the first queued message
     /// satisfying `pred` (implicit guess of its tag, journal, effects,
     /// observer), dropping for good every ghost met on the way. `None`
-    /// means nothing deliverable is queued. The caller's guard is held
-    /// across the whole scan instead of re-acquired per mailbox entry.
+    /// means nothing deliverable is queued. The caller's borrow is held
+    /// across the whole scan instead of re-taken per mailbox entry.
     fn take_deliverable(
         &self,
         sh: &mut Shared,
@@ -852,9 +855,7 @@ impl Ctx {
     ) -> Option<Message> {
         let pid = self.pid;
         loop {
-            let mailbox = &mut sh.procs[self.idx].mailbox;
-            let key = *mailbox.iter().find(|(_, m)| pred(m))?.0;
-            let m = mailbox.remove(&key).expect("key just observed");
+            let m = sh.procs[self.idx].mailbox.take_first(pred)?;
             let (msg, from) = (m.id, m.from);
             let pos = sh.procs[self.idx].journal.len() as u64;
             let (outcome, fx) = sh

@@ -6,7 +6,7 @@
 //! delivery. Mailboxes are ordered by `(delivery time, sequence)` so runs
 //! are deterministic, and per-link FIFO is enforced by the scheduler.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use hope_core::{AidId, ProcessId, Tag};
@@ -121,13 +121,45 @@ impl fmt::Display for Message {
     }
 }
 
-/// A process's inbound queue, ordered by delivery.
-pub(crate) type Mailbox = BTreeMap<MailKey, Message>;
+/// A process's inbound queue in delivery order ([`MailKey`], unique): a
+/// delivery appends, a rollback's re-enqueue goes back to its place.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    queue: VecDeque<Message>,
+}
+
+impl Mailbox {
+    pub(crate) fn insert(&mut self, msg: Message) {
+        let key = msg.mail_key();
+        if self.queue.back().is_some_and(|last| last.mail_key() > key) {
+            let at = self.queue.partition_point(|m| m.mail_key() < key);
+            self.queue.insert(at, msg);
+        } else {
+            self.queue.push_back(msg);
+        }
+    }
+
+    /// Remove the first message in delivery order that satisfies `pred`.
+    pub(crate) fn take_first(&mut self, pred: impl Fn(&Message) -> bool) -> Option<Message> {
+        let at = self.queue.iter().position(pred)?;
+        self.queue.remove(at)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hope_sim::VirtualDuration;
+
+    impl Mailbox {
+        pub(crate) fn len(&self) -> usize {
+            self.queue.len()
+        }
+
+        pub(crate) fn is_empty(&self) -> bool {
+            self.queue.is_empty()
+        }
+    }
 
     fn msg(id: u64, ms: u64, seq: u64) -> Message {
         Message {
@@ -144,12 +176,72 @@ mod tests {
 
     #[test]
     fn mailbox_orders_by_delivery_then_seq() {
-        let mut mb: Mailbox = BTreeMap::new();
+        let mut mb = Mailbox::default();
         for m in [msg(1, 5, 2), msg(2, 3, 1), msg(3, 5, 0)] {
-            mb.insert(m.mail_key(), m);
+            mb.insert(m);
         }
-        let order: Vec<u64> = mb.values().map(|m| m.id).collect();
+        let order: Vec<u64> = mb.queue.iter().map(|m| m.id).collect();
         assert_eq!(order, vec![2, 3, 1]);
+    }
+
+    /// The deque against the `BTreeMap` it replaced, kept here as the
+    /// oracle: seeded runs of deliveries in key order, re-enqueues of taken
+    /// messages whose keys precede the tail, and takes whose predicates
+    /// skip entries. Order and every taken message agree at each step.
+    #[test]
+    fn mailbox_agrees_with_the_ordered_map_it_replaced() {
+        use std::collections::BTreeMap;
+        // FNV-1a of "message::mailbox_agrees_with_the_ordered_map_it_replaced".
+        let mut rng = hope_sim::SimRng::new(0xbd26_2495_63f2_5977);
+        let (mut appends, mut reinserts, mut skipping_takes) = (0, 0, 0);
+        for case in 0..300 {
+            let mut oracle: BTreeMap<MailKey, Message> = BTreeMap::new();
+            let mut mb = Mailbox::default();
+            // Messages taken so far: candidates for a rollback's re-enqueue.
+            let mut taken: Vec<Message> = Vec::new();
+            let (mut now, mut next_seq) = (0, 0);
+            for step in 0..60 {
+                match rng.index(4) {
+                    // A delivery: never earlier than the last one, and
+                    // often at the same instant with a later sequence.
+                    0 | 1 => {
+                        now += rng.index(3) as u64;
+                        let m = msg(next_seq, now, next_seq);
+                        next_seq += 1;
+                        appends += 1;
+                        oracle.insert(m.mail_key(), m.clone());
+                        mb.insert(m);
+                    }
+                    // A rollback re-enqueues a message it had received.
+                    2 if !taken.is_empty() => {
+                        let m = taken.swap_remove(rng.index(taken.len()));
+                        let tail = oracle.last_key_value().map(|(k, _)| *k);
+                        reinserts += usize::from(tail.is_some_and(|t| m.mail_key() < t));
+                        oracle.insert(m.mail_key(), m.clone());
+                        mb.insert(m);
+                    }
+                    // A receive whose predicate accepts only some ids.
+                    _ => {
+                        let modulus = 1 + rng.index(3) as u64;
+                        let pred = |m: &Message| m.id.is_multiple_of(modulus);
+                        let first = oracle.keys().next().copied();
+                        let key = oracle.iter().find(|(_, m)| pred(m)).map(|(k, _)| *k);
+                        skipping_takes += usize::from(key.is_some() && key != first);
+                        let want = key.map(|k| oracle.remove(&k).expect("key just found"));
+                        let got = mb.take_first(pred);
+                        assert_eq!(got, want, "case {case} step {step}");
+                        taken.extend(got);
+                    }
+                }
+                let order: Vec<MailKey> = mb.queue.iter().map(|m| m.mail_key()).collect();
+                let expected: Vec<MailKey> = oracle.keys().copied().collect();
+                assert_eq!(order, expected, "case {case} step {step}");
+                assert_eq!(mb.len(), oracle.len());
+                assert_eq!(mb.is_empty(), oracle.is_empty());
+            }
+        }
+        // Every path was taken, many times over.
+        assert!(appends > 1_000 && reinserts > 1_000 && skipping_takes > 1_000);
     }
 
     #[test]
@@ -177,8 +269,9 @@ mod tests {
 
     #[test]
     fn a_message_is_128_bytes() {
-        // The tag is one 40-byte inline `DepSet`; mailboxes, the event
-        // queue and every send move messages by value. This crate's tests
+        // The tag is one 40-byte inline `DepSet`. A message travels the
+        // event queue boxed; mailboxes and every receive move it by value,
+        // and the journal keeps a boxed copy. This crate's tests
         // link `hope-core` with its `shadow-oracle` feature (see
         // Cargo.toml), which gives the tag a `BTreeSet` shadow the shipped
         // message does not have.

@@ -8,20 +8,20 @@
 //! checking in through the baton before the next is spawned, so not even
 //! thread start-up overlaps anything.
 //!
-//! There is no scheduler thread. A process that parks — in a blocking `Ctx`
-//! primitive, or with its body finished, crashed or held for the restoration
-//! charge — is the scheduler until someone else has work: it runs [`drive`],
-//! which loops lock, `Shared::step` (the machine's transition function, one
-//! event per call, see [`shared`](crate::shared)), unlock. An event that
-//! resumes the stepper returns straight into its body; one that resumes a
-//! peer costs one `unpark`, and the giver's wait one yield — then a `park`
-//! only if the turn has not come back (on one CPU it often has: see
-//! [`baton`](crate::baton) for why once); the end of the run resumes the
-//! thread that called [`Simulation::run`], which starts the threads, waits,
-//! shuts them down and reports, and steps only while no process can. Who
-//! steps decides nothing: every decision in `step` depends only on virtual
-//! time, sequence numbers and the master seed, so every run is bit-for-bit
-//! reproducible.
+//! There is no scheduler thread, and no lock: the state moves with the turn.
+//! A process that parks — in a blocking `Ctx` primitive, or with its body
+//! finished, crashed or held for the restoration charge — is the scheduler
+//! until someone else has work: it runs [`drive`], which loops `Shared::step`
+//! (the machine's transition function, one event per call, see
+//! [`shared`](crate::shared)). An event that resumes the stepper returns
+//! straight into its body; one that resumes a peer costs one `unpark`, and
+//! the giver's wait one yield — then a `park` only if the turn has not come
+//! back (on one CPU it often has: see [`baton`](crate::baton) for why once);
+//! the end of the run resumes the thread that called [`Simulation::run`],
+//! which starts the threads, waits, shuts them down and reports, and steps
+//! only while no process can. Who steps decides nothing: every decision in
+//! `step` depends only on virtual time, sequence numbers and the master
+//! seed, so every run is bit-for-bit reproducible.
 //!
 //! Rollback never rewinds the virtual clock — exactly as in the real world,
 //! a denied assumption wastes the time spent computing under it, and the
@@ -39,7 +39,7 @@
 //! newest surviving checkpoint, not from step zero.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use hope_core::ProcessId;
 use hope_sim::VirtualTime;
@@ -52,6 +52,8 @@ use crate::signal::{Hope, Signal};
 use crate::stats::{CrashReason, RunReport};
 
 type Body = Arc<dyn Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static>;
+/// The handoff of a run: the turn, and the state that travels with it.
+pub(crate) type Turn = Baton<Box<Shared>>;
 
 /// A configured simulation: spawn processes, then [`run`](Simulation::run).
 ///
@@ -90,7 +92,7 @@ type Body = Arc<dyn Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static>;
 /// # let _ = worker;
 /// ```
 pub struct Simulation {
-    shared: Arc<Mutex<Shared>>,
+    shared: Box<Shared>,
     bodies: Vec<Body>,
 }
 
@@ -106,7 +108,7 @@ impl Simulation {
     /// Create a simulation with the given configuration.
     pub fn new(config: SimConfig) -> Self {
         Simulation {
-            shared: Arc::new(Mutex::new(Shared::new(config))),
+            shared: Box::new(Shared::new(config)),
             bodies: Vec::new(),
         }
     }
@@ -124,7 +126,7 @@ impl Simulation {
         body: impl Fn(&mut Ctx) -> Hope<()> + Send + Sync + 'static,
     ) -> ProcessId {
         self.bodies.push(Arc::new(body));
-        Shared::lock(&self.shared).add_process(name.into())
+        self.shared.add_process(name.into())
     }
 
     /// Number of spawned processes.
@@ -160,7 +162,7 @@ impl Simulation {
         &mut self,
         observer: impl FnMut(ProcessId, &hope_core::Action, &[hope_core::Effect]) + Send + 'static,
     ) {
-        Shared::lock(&self.shared).observer = ObserverSlot(Some(Box::new(observer)));
+        self.shared.observer = ObserverSlot(Some(Box::new(observer)));
     }
 
     /// Install a schedule oracle that overrides earliest-deadline dispatch
@@ -168,64 +170,66 @@ impl Simulation {
     /// the model checker, whose oracles preserve the realizability
     /// invariants documented on `Shared::next_event`.
     pub(crate) fn set_schedule_oracle(&mut self, oracle: Box<dyn crate::oracle::ScheduleOracle>) {
-        Shared::lock(&self.shared).sched_oracle = crate::oracle::SchedOracleSlot(Some(oracle));
+        self.shared.sched_oracle = crate::oracle::SchedOracleSlot(Some(oracle));
     }
 
     /// Run the simulation until quiescence (no events left, or every
     /// process finished) or a configured limit, and report what happened.
     pub fn run(self) -> RunReport {
-        let Simulation { shared, bodies } = self;
         // The DepSet counters are process-global; report this run's delta.
         let depset_base = (
             hope_core::depset::cow_copies_total(),
             hope_core::depset::spills_total(),
         );
+        let mut shared = self.run_to_end();
+        if let Some(panic) = shared.step_panic.take() {
+            resume_unwind(panic);
+        }
+        shared.report(depset_base)
+    }
+
+    /// [`run`](Simulation::run) short of its report: the state as the run
+    /// left it, with what `step` panicked with, if it did.
+    fn run_to_end(self) -> Box<Shared> {
+        let Simulation { mut shared, bodies } = self;
         let n = bodies.len();
-        let baton = Arc::new(Baton::new(n));
+        let baton = Arc::new(Turn::new(n));
         let mut handles = Vec::with_capacity(n);
 
         for (idx, body) in bodies.iter().enumerate() {
-            let (sh, body, bt) = (shared.clone(), body.clone(), baton.clone());
-            let name = Shared::lock(&shared).procs[idx].name.clone();
+            let (body, bt) = (body.clone(), baton.clone());
             let spawn = || {
                 std::thread::Builder::new()
-                    .name(format!("hope-{name}"))
-                    .spawn(move || process_wrapper(sh, idx, body, bt))
+                    .name(format!("hope-{}", shared.procs[idx].name))
+                    .spawn(move || process_wrapper(idx, body, bt))
                     .expect("spawn process thread")
             };
             handles.push(baton.start(idx, spawn));
         }
-
-        {
-            let mut sh = Shared::lock(&shared);
-            for idx in 0..n {
-                sh.schedule_wake(idx, VirtualTime::ZERO);
-            }
+        for idx in 0..n {
+            shared.schedule_wake(idx, VirtualTime::ZERO);
         }
 
-        // The turn comes back here when the run is over, however it ended.
-        drive(&shared, &baton, RUN);
+        // Turn and state come back here when the run is over, however it ended.
+        let mut held = Some(shared);
+        drive(&mut held, &baton, RUN);
         baton.shutdown();
         for h in handles {
             let _ = h.join();
         }
-        let mut sh = Shared::lock(&shared);
-        if let Some(panic) = sh.step_panic.take() {
-            drop(sh);
-            resume_unwind(panic);
-        }
-        sh.report(depset_base)
+        held.expect(TRAVELS)
     }
 }
 
-/// The stepping loop of whichever thread holds the turn with nothing to run:
-/// dispatch events until one resumes `me` (the end of the run resumes
-/// [`RUN`]), giving the turn away and waiting for it when one resumes someone
-/// else. One lock per event, released before the baton changes hands.
-/// `false` means shutdown.
-pub(crate) fn drive(shared: &Mutex<Shared>, baton: &Baton, me: usize) -> bool {
+const TRAVELS: &str = "the state travels with the turn";
+
+/// The stepping loop of whichever thread holds the turn (and so `held`) with
+/// nothing to run: dispatch events until one resumes `me` (the end of the
+/// run resumes [`RUN`]), giving the turn and the state away and waiting for
+/// both when one resumes someone else. `false` means shutdown.
+pub(crate) fn drive(held: &mut Option<Box<Shared>>, baton: &Turn, me: usize) -> bool {
     loop {
-        let step = Shared::lock(shared).step();
+        let step = held.as_mut().expect(TRAVELS).step();
         let next = match step {
             Step::Resume(proc) => proc,
             Step::Continue => continue,
@@ -234,7 +238,7 @@ pub(crate) fn drive(shared: &Mutex<Shared>, baton: &Baton, me: usize) -> bool {
         if next == me {
             return true;
         }
-        if !baton.give(me, next) {
+        if !baton.give(me, next, held) {
             return false;
         }
         if me != RUN {
@@ -244,7 +248,7 @@ pub(crate) fn drive(shared: &Mutex<Shared>, baton: &Baton, me: usize) -> bool {
         // says, or a thread died without yielding — machinery bug, or a crash
         // already recorded before it left. Its process is the one still
         // marked running, whoever resumed it.
-        let mut sh = Shared::lock(shared);
+        let sh = held.as_mut().expect(TRAVELS);
         let running = |p: &ProcShared| p.state == ProcState::Running;
         if let Some(proc) = sh.procs.iter().position(running) {
             let reason = "process thread exited without yielding";
@@ -254,20 +258,22 @@ pub(crate) fn drive(shared: &Mutex<Shared>, baton: &Baton, me: usize) -> bool {
 }
 
 /// Per-process thread: runs (and on rollback, re-runs) the body.
-fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Arc<Baton>) {
-    // However this thread leaves, nobody is left waiting on it for the turn.
-    let _guard = baton.return_on_exit(idx);
+fn process_wrapper(idx: usize, body: Body, baton: Arc<Turn>) {
+    // However this thread leaves, the turn and the state it holds go back.
+    let mut seat = baton.return_on_exit(idx);
     // Check in with `Baton::start`, then wait for the first turn.
-    if !baton.give(idx, RUN) {
+    if !baton.give(idx, RUN, &mut seat.held) {
         return;
     }
     // One iteration per attempt at the body: the first run, or a rollback's
     // re-execution (which may also revive a body that had finished).
     loop {
-        let attempt = Shared::lock(&shared).begin_attempt(idx);
+        let attempt = seat.held.as_mut().expect(TRAVELS).begin_attempt(idx);
         if let Some(replay) = attempt {
-            let mut ctx = Ctx::new(shared.clone(), baton.clone(), idx, replay);
-            let panic = match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
+            let mut ctx = Ctx::new(seat.held.take(), baton.clone(), idx, replay);
+            let outcome = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
+            seat.held = ctx.shared.into_inner();
+            let panic = match outcome {
                 Ok(Ok(())) => None,
                 // `apply_effects` set the victim's rollback-pending flag (for
                 // self-rollbacks too); the next `begin_attempt` observes it.
@@ -276,11 +282,13 @@ fn process_wrapper(shared: Arc<Mutex<Shared>>, idx: usize, body: Body, baton: Ar
                 Ok(Err(Signal::Shutdown)) => return,
                 Err(panic) => Some(panic_message(panic)),
             };
-            Shared::lock(&shared).end_attempt(idx, panic);
+            // No state: the body outlived the run's end and ignored it.
+            let Some(sh) = seat.held.as_mut() else { return };
+            sh.end_attempt(idx, panic);
         }
         // Held for the restoration charge, finished, or crashed: nothing to
         // run here, so step until an event brings this process back.
-        if !drive(&shared, &baton, idx) {
+        if !drive(&mut seat.held, &baton, idx) {
             return;
         }
     }
@@ -612,20 +620,27 @@ mod tests {
             }
         }
         let witness = Arc::new(());
-        let held = witness.clone();
-        let mut sim = Simulation::new(SimConfig::default());
-        sim.spawn("spinner", move |ctx| loop {
-            let _held = &held;
-            ctx.compute(ms(1))?;
-        });
-        sim.spawn("bystander", |ctx| ctx.recv().map(|_| ()));
-        // Three choices in, the bystander is blocked for good and the spinner
-        // pops its own wakes, inside its body's `catch_unwind`.
-        sim.set_schedule_oracle(Box::new(GivesUp(5)));
-        let shared = sim.shared.clone();
-        let panic = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run panics");
+        let sim = || {
+            let held = witness.clone();
+            let mut sim = Simulation::new(SimConfig::default());
+            sim.spawn("spinner", move |ctx| loop {
+                let _held = &held;
+                ctx.compute(ms(1))?;
+            });
+            sim.spawn("bystander", |ctx| ctx.recv().map(|_| ()));
+            // Three choices in, the bystander is blocked for good and the
+            // spinner pops its own wakes, inside its body's `catch_unwind`.
+            sim.set_schedule_oracle(Box::new(GivesUp(5)));
+            sim
+        };
+        let panic = catch_unwind(AssertUnwindSafe(|| sim().run())).expect_err("run panics");
         assert_eq!(panic_message(panic), "oracle gave up on hope-spinner");
-        let sh = Shared::lock(&shared);
+        assert_eq!(Arc::strong_count(&witness), 1, "a body outlived run()");
+        // The same run short of `run`'s re-raise: the panic, and the state
+        // it left behind.
+        let mut sh = sim().run_to_end();
+        let panic = sh.step_panic.take().expect("step panicked");
+        assert_eq!(panic_message(panic), "oracle gave up on hope-spinner");
         let crashes: Vec<_> = sh.procs.iter().filter_map(|p| p.crash.as_ref()).collect();
         assert!(crashes.is_empty(), "an innocent process took the blame");
         assert_eq!(Arc::strong_count(&witness), 1, "a body outlived run()");

@@ -1,21 +1,19 @@
 //! The scheduler-shared state: engine, processes, event queue, network.
 //!
 //! Exactly one thread runs at any moment — whichever holds the
-//! [`Baton`](crate::baton::Baton) — so the single [`std::sync::Mutex`]
-//! around [`Shared`] is uncontended; it exists to satisfy the borrow checker
-//! across threads, not to provide parallelism. Every acquisition goes
-//! through [`Shared::lock`].
+//! [`Baton`](crate::baton::Baton) — and [`Shared`] travels with the turn: the
+//! holder owns the one `Box<Shared>` of the run, and hands it over in the
+//! baton's slot with the turn. Nothing locks it.
 //!
 //! [`Shared::step`] is the scheduler: the one transition function over
 //! this state, as `hope_core::Machine::step` is over the paper's control
 //! variables. There is no scheduler thread: the thread that holds the baton
-//! and has nothing to run — a process that just parked — locks once per
-//! event, steps, and gives the baton away only when `step` names someone
-//! else. States change only through [`Shared::set_state`].
+//! and has nothing to run — a process that just parked — steps once per
+//! event, and gives the baton and the state away only when `step` names
+//! someone else. States change only through [`Shared::set_state`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use hope_analysis::dynamic::RaceDetector;
 use hope_core::{Action, AidId, AidState, Effect, Engine, IntervalId, ProcessId, RuntimeObserver};
@@ -31,15 +29,11 @@ use crate::value::Value;
 
 /// What a scheduler event does when it fires.
 #[derive(Debug, Clone)]
-// `Deliver` holds the `Message` (and its tag's inline `DepSet`) by value:
-// boxing it would cost an allocation per send on the simulator's hottest
-// queue, and almost every queued event is a `Deliver` anyway.
-#[allow(clippy::large_enum_variant)]
 pub(crate) enum EventKind {
     /// Resume process `proc` if `epoch` is still current.
     Wake { proc: usize, epoch: u64 },
-    /// Place a message into its destination mailbox.
-    Deliver { msg: Message },
+    /// Place a message (boxed: the queue moves a pointer) into its mailbox.
+    Deliver { msg: Box<Message> },
     /// A reliable delivery reached its destination: affirm the sender's
     /// "delivered" assumption (if still undecided).
     Ack { aid: AidId },
@@ -195,15 +189,6 @@ pub(crate) struct Shared {
 const FOSSIL_SWEEP_PERIOD: u64 = 256;
 
 impl Shared {
-    /// Lock the shared state, recovering it if the mutex is poisoned. A
-    /// process body may panic while holding the guard (a `Ctx` assert such
-    /// as `checkpoint` without `restore`, a replay divergence); that panic
-    /// is caught and reported as *that process's* crash, and everyone else
-    /// keeps running on the state as the panicking primitive left it.
-    pub(crate) fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
-        shared.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     pub(crate) fn new(config: SimConfig) -> Self {
         let net_rng = SimRng::new(config.seed).fork(u64::MAX);
         let fault_seed = config.faults.as_ref().map_or(config.seed, |p| p.seed());
@@ -256,7 +241,7 @@ impl Shared {
             pid,
             name,
             state: ProcState::Holding,
-            mailbox: Mailbox::new(),
+            mailbox: Mailbox::default(),
             journal: Journal::default(),
             rollback_pending: false,
             wake_epoch: 0,
@@ -557,7 +542,7 @@ impl Shared {
     /// Place `msg` into its destination mailbox (reliable messages are
     /// deduplicated and acked first); returns the destination index if it
     /// was blocked on `recv` and should be resumed.
-    pub(crate) fn handle_delivery(&mut self, msg: Message) -> Option<usize> {
+    pub(crate) fn handle_delivery(&mut self, msg: Box<Message>) -> Option<usize> {
         let p = self.idx_of(msg.to);
         if matches!(self.procs[p].state, ProcState::Crashed | ProcState::Down) {
             if self.config.faults.is_some() {
@@ -582,7 +567,7 @@ impl Shared {
         self.stats.messages_delivered += 1;
         let (id, from, to) = (msg.id, msg.from, msg.to);
         self.trace(|| format!("deliver m{id} {from} -> {to}"));
-        self.procs[p].mailbox.insert(msg.mail_key(), msg);
+        self.procs[p].mailbox.insert(*msg);
         (self.procs[p].state == ProcState::BlockedRecv).then_some(p)
     }
 
@@ -830,7 +815,7 @@ impl Shared {
         self.link_last.insert(link, t_d);
         let seq = self.next_mail_seq;
         self.next_mail_seq += 1;
-        let msg = Message {
+        let msg = Box::new(Message {
             id,
             from: from_pid,
             to,
@@ -839,7 +824,7 @@ impl Shared {
             tag,
             delivered_at: t_d,
             seq,
-        };
+        });
         if duplicate {
             // The injected copy travels independently (own latency draw)
             // but still respects per-link FIFO.
@@ -929,7 +914,7 @@ impl Shared {
                     }
                     for entry in suffix {
                         if let Entry::Recv(msg) = entry {
-                            self.procs[victim].mailbox.insert(msg.mail_key(), *msg);
+                            self.procs[victim].mailbox.insert(*msg);
                         }
                     }
                     self.procs[victim].finish_time = None;
@@ -1027,8 +1012,8 @@ mod tests {
         shared_with(n, SimConfig::default())
     }
 
-    fn plain_msg(id: u64, to: ProcessId) -> Message {
-        Message {
+    fn plain_msg(id: u64, to: ProcessId) -> Box<Message> {
+        Box::new(Message {
             id,
             from: ProcessId(0),
             to,
@@ -1037,7 +1022,7 @@ mod tests {
             tag: hope_core::Tag::new(),
             delivered_at: VirtualTime::from_nanos(5),
             seq: id,
-        }
+        })
     }
 
     /// Queue `ev` at time zero as the scheduler's producers would.
@@ -1130,7 +1115,7 @@ mod tests {
             value: true,
         });
         let msg = plain_msg(9, pid0);
-        s.procs[0].journal.push(Entry::Recv(Box::new(msg)));
+        s.procs[0].journal.push(Entry::Recv(msg));
         s.output(0, "spec".into());
         let pid1 = s.procs[1].pid;
         let fx = s.engine.deny(pid1, x).unwrap();
@@ -1175,9 +1160,11 @@ mod tests {
     fn reliable_duplicates_are_suppressed_but_acked() {
         let mut s = shared_with_procs(2);
         let aid = s.engine.aid_init(s.procs[0].pid);
-        let mk = |seq: u64, id: u64| Message {
-            kind: MsgKind::Reliable { seq, aid },
-            ..plain_msg(id, ProcessId(1))
+        let mk = |seq: u64, id: u64| {
+            Box::new(Message {
+                kind: MsgKind::Reliable { seq, aid },
+                ..*plain_msg(id, ProcessId(1))
+            })
         };
         assert_eq!(s.handle_delivery(mk(7, 1)), None); // Holding, not BlockedRecv
         assert_eq!(s.procs[1].mailbox.len(), 1);

@@ -1,5 +1,5 @@
 //! The handoff seen from outside: the three ways a process thread can
-//! leave the rendezvous badly (panicking under the `Shared` lock, exiting
+//! leave the rendezvous badly (panicking mid-primitive, exiting
 //! while it holds the baton, still parked at shutdown), re-running on a
 //! thread an earlier run used, and a parked process dispatching the events
 //! that strike itself (its own rollback, kill and revival).

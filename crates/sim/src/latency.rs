@@ -85,20 +85,6 @@ impl LatencyModel {
         }
     }
 
-    /// The smallest latency this model can produce (its lookahead).
-    pub fn min(&self) -> VirtualDuration {
-        match self {
-            LatencyModel::Fixed(d) => *d,
-            LatencyModel::Uniform { lo, .. } => *lo,
-            LatencyModel::Exponential { floor, .. } => *floor,
-            LatencyModel::Empirical { samples } => samples
-                .iter()
-                .copied()
-                .min()
-                .unwrap_or(VirtualDuration::ZERO),
-        }
-    }
-
     /// The expected latency of this model.
     pub fn mean(&self) -> VirtualDuration {
         match self {
@@ -197,7 +183,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), VirtualDuration::from_millis(5));
         }
-        assert_eq!(m.min(), VirtualDuration::from_millis(5));
         assert_eq!(m.mean(), VirtualDuration::from_millis(5));
     }
 
@@ -213,7 +198,6 @@ mod tests {
             assert!(s >= VirtualDuration::from_millis(1));
             assert!(s < VirtualDuration::from_millis(2));
         }
-        assert_eq!(m.min(), VirtualDuration::from_millis(1));
         assert_eq!(m.mean().as_nanos(), 1_500_000);
     }
 
@@ -235,13 +219,11 @@ mod tests {
         for _ in 0..100 {
             assert!(m.sample(&mut rng) >= VirtualDuration::from_millis(10));
         }
-        assert_eq!(m.min(), VirtualDuration::from_millis(10));
         assert_eq!(m.mean(), VirtualDuration::from_millis(15));
     }
 
     #[test]
     fn presets() {
-        assert_eq!(LatencyModel::zero().min(), VirtualDuration::ZERO);
         assert_eq!(
             LatencyModel::lan().mean(),
             VirtualDuration::from_micros(100)
@@ -281,7 +263,6 @@ mod tests {
             seen.insert(s);
         }
         assert_eq!(seen.len(), 3, "all samples eventually drawn");
-        assert_eq!(m.min(), VirtualDuration::from_millis(1));
         assert_eq!(m.mean(), VirtualDuration::from_nanos(4_666_666));
         assert!(m.to_string().starts_with("empirical("));
     }
@@ -291,7 +272,6 @@ mod tests {
         let m = LatencyModel::Empirical { samples: vec![] };
         let mut rng = SimRng::new(4);
         assert_eq!(m.sample(&mut rng), VirtualDuration::ZERO);
-        assert_eq!(m.min(), VirtualDuration::ZERO);
         assert_eq!(m.mean(), VirtualDuration::ZERO);
     }
 

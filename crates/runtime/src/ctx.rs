@@ -23,14 +23,14 @@ use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
 
 use hope_core::observer::decide;
-use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, ProcessId, ReceiveOutcome};
+use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, ProcessId};
 use hope_sim::{VirtualDuration, VirtualTime};
 
 use crate::governor::{Admission, DEFAULT_GUESS_SITE, RELIABLE_SEND_SITE};
 use crate::journal::Entry;
 use crate::message::{Message, MsgKind};
 use crate::scheduler::{drive, Turn};
-use crate::shared::{EventKind, ProcState, Shared};
+use crate::shared::{Done, ProcState, Shared};
 use crate::signal::{Hope, Signal};
 use crate::stats::CrashReason;
 use crate::value::Value;
@@ -113,11 +113,50 @@ impl Ctx {
         sh
     }
 
-    fn replay_next(&mut self) -> Option<Entry> {
-        let pos = self.replay.next()?;
-        let sh = self.lock();
-        let e = sh.procs[self.idx].journal.get(pos).cloned();
-        Some(e.expect("replay cursor within journal"))
+    /// One primitive, replayed or live. On replay the recorded entry
+    /// answers through `replay`; live, `apply` changes the state under the
+    /// primitive's one counted access, and [`Shared::record`] journals what
+    /// it did.
+    fn call<R>(
+        &mut self,
+        primitive: &'static str,
+        replay: impl FnOnce(&Entry) -> Option<R>,
+        apply: impl FnOnce(&mut Shared, usize, ProcessId) -> Done<R>,
+    ) -> Hope<R> {
+        if let Some(reply) = self.replayed(primitive, replay)? {
+            return Ok(reply);
+        }
+        let mut sh = self.live()?;
+        let done = apply(&mut sh, self.idx, self.pid);
+        sh.record(self.idx, done)
+    }
+
+    /// The one reader of the journal on replay: `None` once the body runs
+    /// live, else the next recorded entry's answer to `replay`. An entry
+    /// `replay` refuses means the body is not deterministic given `Ctx`
+    /// results: the process crashes with [`CrashReason::ReplayDivergence`].
+    fn replayed<R>(
+        &mut self,
+        primitive: &'static str,
+        replay: impl FnOnce(&Entry) -> Option<R>,
+    ) -> Hope<Option<R>> {
+        let Some(at) = self.replay.next() else {
+            return Ok(None);
+        };
+        let mut sh = self.lock();
+        let entry = sh.procs[self.idx].journal.get(at);
+        let entry = entry.expect("replay cursor within journal");
+        if let Some(reply) = replay(entry) {
+            return Ok(Some(reply));
+        }
+        let reason = CrashReason::ReplayDivergence {
+            pid: self.pid,
+            primitive,
+            recorded: entry.kind(),
+            at,
+        };
+        sh.crash(self.idx, reason);
+        Err(Signal::Shutdown)
     }
 
     /// Borrow the state for a **live** (non-replay) primitive, enforcing the
@@ -151,17 +190,6 @@ impl Ctx {
         Ok(sh)
     }
 
-    fn diverged(&self, expected: &str, got: &Entry) -> ! {
-        panic!(
-            "replay divergence in {}: body issued `{expected}` but the journal \
-             recorded `{}` at position {} — process bodies must be \
-             deterministic given Ctx results",
-            self.pid,
-            got.kind(),
-            self.replay.start - 1,
-        )
-    }
-
     fn park(&mut self, state: ProcState) -> Hope<()> {
         self.lock().set_state(self.idx, state);
         // Parked, this thread is the scheduler until an event resumes it.
@@ -185,16 +213,14 @@ impl Ctx {
     ///
     /// Returns a [`Signal`] only on shutdown (never blocks otherwise).
     pub fn aid_init(&mut self) -> Hope<AidId> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::AidInit(aid) => return Ok(aid),
-                other => self.diverged("aid_init", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let aid = sh.engine.aid_init(self.pid);
-        sh.procs[self.idx].journal.push(Entry::AidInit(aid));
-        Ok(aid)
+        let replay = |e: &Entry| match *e {
+            Entry::AidInit(aid) => Some(aid),
+            _ => None,
+        };
+        self.call("aid_init", replay, |sh, _, pid| {
+            let aid = sh.engine.aid_init(pid);
+            Done::quiet(Entry::AidInit(aid), aid)
+        })
     }
 
     /// `guess(x)`: begin computing under the assumption identified by `x`.
@@ -222,11 +248,12 @@ impl Ctx {
     /// [`Signal::Rollback`]/[`Signal::Shutdown`] propagated from the
     /// runtime.
     pub fn guess_at(&mut self, aid: AidId, site: u32) -> Hope<bool> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Guess { aid: a, value } if a == aid => return Ok(value),
-                other => self.diverged("guess", &other),
-            }
+        let replay = |e: &Entry| match *e {
+            Entry::Guess { aid: a, value } if a == aid => Some(value),
+            _ => None,
+        };
+        if let Some(value) = self.replayed("guess", replay)? {
+            return Ok(value);
         }
         let mut sh = self.live()?;
         if sh.config.governor.is_some() {
@@ -238,8 +265,7 @@ impl Ctx {
                     // realizable event for replay and model checking; if
                     // the assumption is denied while we hold, the guess
                     // below answers `false` without any rollback.
-                    let pid = self.pid;
-                    sh.trace(|| format!("{pid}: governor holds guess({aid})"));
+                    sh.trace(|| format!("{}: governor holds guess({aid})", self.pid));
                     let at = sh.now + d;
                     sh.schedule_wake(self.idx, at);
                     drop(sh);
@@ -252,12 +278,8 @@ impl Ctx {
                     // the decision handler wakes registered waiters — then
                     // fall through to a guess that answers definitively
                     // and commits the same branch optimism would have.
-                    let pid = self.pid;
-                    sh.trace(|| format!("{pid}: governor converts guess({aid}) to a wait"));
-                    loop {
-                        if sh.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
-                            break;
-                        }
+                    sh.trace(|| format!("{}: governor converts guess({aid}) to a wait", self.pid));
+                    while sh.engine.aid_state(aid).ok() == Some(AidState::Undecided) {
                         if let Some(gov) = sh.governor.as_mut() {
                             gov.waiting.insert(aid, self.idx);
                         }
@@ -277,16 +299,8 @@ impl Ctx {
             .guess(self.pid, &[aid], Checkpoint(pos))
             .expect("guess on engine-owned ids");
         let value = outcome.value();
-        let (pid, action) = (self.pid, Action::Guess { aid, value });
-        sh.trace(|| format!("{pid}: {action}"));
-        sh.procs[self.idx].journal.push(Entry::Guess { aid, value });
-        let rolled = sh.apply_effects(self.idx, &fx);
-        sh.observe(pid, &action, &fx);
-        drop(sh);
-        if rolled {
-            return Err(Signal::Rollback);
-        }
-        Ok(value)
+        let (entry, action) = (Entry::Guess { aid, value }, Action::Guess { aid, value });
+        sh.record(self.idx, Done::acted(entry, value, action, fx))
     }
 
     /// `affirm(x)`: assert the assumption was correct (§5.2).
@@ -342,32 +356,20 @@ impl Ctx {
     /// the call was a recorded no-op (which happens legitimately in code
     /// re-executed after a conservative decision).
     fn decide(&mut self, aid: AidId, kind: DecideKind) -> Hope<bool> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Decide {
-                    aid: a,
-                    kind: k,
-                    applied,
-                } if a == aid && k == kind => return Ok(applied),
-                other => self.diverged(kind.name(), &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let (action, fx) = decide(&mut sh.engine, self.pid, aid, kind)
-            .unwrap_or_else(|e| panic!("engine rejected {}: {e}", kind.name()));
-        let applied = !matches!(action, Action::SkippedDecide { .. });
-        let pid = self.pid;
-        sh.trace(|| format!("{pid}: {action}"));
-        sh.procs[self.idx]
-            .journal
-            .push(Entry::Decide { aid, kind, applied });
-        let rolled = sh.apply_effects(self.idx, &fx);
-        sh.observe(pid, &action, &fx);
-        drop(sh);
-        if rolled {
-            return Err(Signal::Rollback);
-        }
-        Ok(applied)
+        let replay = |e: &Entry| match *e {
+            Entry::Decide {
+                aid: a,
+                kind: k,
+                applied,
+            } if a == aid && k == kind => Some(applied),
+            _ => None,
+        };
+        self.call(kind.name(), replay, |sh, _, pid| {
+            let (action, fx) = decide(&mut sh.engine, pid, aid, kind)
+                .unwrap_or_else(|e| panic!("engine rejected {}: {e}", kind.name()));
+            let applied = !matches!(action, Action::SkippedDecide { .. });
+            Done::acted(Entry::Decide { aid, kind, applied }, applied, action, fx)
+        })
     }
 
     /// `true` if this process currently depends on undecided assumptions.
@@ -376,19 +378,17 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn is_speculative(&mut self) -> Hope<bool> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Flag(v) => return Ok(v),
-                other => self.diverged("is_speculative", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let v = sh
-            .engine
-            .is_speculative(self.pid)
-            .expect("process is registered");
-        sh.procs[self.idx].journal.push(Entry::Flag(v));
-        Ok(v)
+        let replay = |e: &Entry| match *e {
+            Entry::Flag(v) => Some(v),
+            _ => None,
+        };
+        self.call("is_speculative", replay, |sh, _, pid| {
+            let v = sh
+                .engine
+                .is_speculative(pid)
+                .expect("process is registered");
+            Done::quiet(Entry::Flag(v), v)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -421,32 +421,22 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn restore(&mut self) -> Hope<Option<Value>> {
-        if !self.replay.is_empty() {
-            let pos = self.replay.start;
-            let sh = self.lock();
-            let journal = &sh.procs[self.idx].journal;
-            // Nothing live has run yet, so the resume point is still the
-            // position this attempt started at.
-            let at_start = journal.resume_point() == pos;
-            let e = journal.get(pos).cloned();
-            drop(sh);
-            match e.expect("replay cursor within journal") {
-                // Replay begins at a snapshot. Peek, don't consume — the
-                // body's own `checkpoint` call at the top of its loop
-                // replays this entry.
-                Entry::Snapshot(v) if at_start => return Ok(Some(v)),
-                Entry::Restore => {
-                    self.replay.next();
-                    return Ok(None);
-                }
-                other => {
-                    self.replay.next();
-                    self.diverged("restore", &other)
-                }
-            }
+        // Replay starts at the resume point, the newest snapshot, so a
+        // snapshot met on replay is the one this attempt starts at.
+        let replay = |e: &Entry| match e {
+            Entry::Restore => Some(None),
+            Entry::Snapshot(v) => Some(Some(v.clone())),
+            _ => None,
+        };
+        let state = self.call("restore", replay, |_, _, _| {
+            Done::quiet(Entry::Restore, None)
+        })?;
+        if state.is_some() {
+            // Peeked, not consumed: the body's own `checkpoint` call at the
+            // top of its loop replays the snapshot.
+            self.replay.start -= 1;
         }
-        self.live()?.procs[self.idx].journal.push(Entry::Restore);
-        Ok(None)
+        Ok(state)
     }
 
     /// Record a resumable snapshot of the body's state.
@@ -481,26 +471,16 @@ impl Ctx {
     /// a restart must resume *somewhere*, and only `restore` gives it an
     /// entry point.
     pub fn checkpoint(&mut self, state: impl Into<Value>) -> Hope<()> {
-        let state = state.into();
-        if let Some(pos) = self.replay.next() {
-            // Matched in place: a replayed snapshot is skipped, not cloned.
-            let sh = self.lock();
-            let other = match sh.procs[self.idx].journal.get(pos) {
-                Some(Entry::Snapshot(_)) => return Ok(()),
-                e => e.expect("replay cursor within journal").clone(),
-            };
-            drop(sh);
-            self.diverged("checkpoint", &other);
-        }
-        let mut sh = self.live()?;
-        assert!(
-            sh.procs[self.idx].journal.is_restorable(),
-            "{}: Ctx::checkpoint requires the body to call Ctx::restore first \
-             (the truncation-safe resume protocol needs an entry point)",
-            self.pid
-        );
-        sh.procs[self.idx].journal.push(Entry::Snapshot(state));
-        Ok(())
+        // Matched in place: a replayed snapshot is skipped, not cloned.
+        let replay = |e: &Entry| matches!(e, Entry::Snapshot(_)).then_some(());
+        self.call("checkpoint", replay, |sh, idx, pid| {
+            assert!(
+                sh.procs[idx].journal.is_restorable(),
+                "{pid}: Ctx::checkpoint requires the body to call Ctx::restore first \
+                 (the truncation-safe resume protocol needs an entry point)",
+            );
+            Done::quiet(Entry::Snapshot(state.into()), ())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -513,18 +493,15 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn compute(&mut self, d: VirtualDuration) -> Hope<()> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Compute(_) => return Ok(()),
-                other => self.diverged("compute", &other),
-            }
+        let replay = |e: &Entry| matches!(e, Entry::Compute(_)).then_some(());
+        if self.replayed("compute", replay)?.is_some() {
+            return Ok(());
         }
-        {
-            let mut sh = self.live()?;
-            sh.procs[self.idx].journal.push(Entry::Compute(d));
-            let at = sh.now + d;
-            sh.schedule_wake(self.idx, at);
-        }
+        let mut sh = self.live()?;
+        let at = sh.now + d;
+        sh.schedule_wake(self.idx, at);
+        sh.record(self.idx, Done::quiet(Entry::Compute(d), ()))?;
+        drop(sh);
         self.park(ProcState::Holding)
     }
 
@@ -534,16 +511,13 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn now(&mut self) -> Hope<VirtualTime> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Now(t) => return Ok(t),
-                other => self.diverged("now", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let t = sh.now;
-        sh.procs[self.idx].journal.push(Entry::Now(t));
-        Ok(t)
+        let replay = |e: &Entry| match *e {
+            Entry::Now(t) => Some(t),
+            _ => None,
+        };
+        self.call("now", replay, |sh, _, _| {
+            Done::quiet(Entry::Now(sh.now), sh.now)
+        })
     }
 
     /// A journaled random `u64` from this process's deterministic stream.
@@ -552,16 +526,14 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn random_u64(&mut self) -> Hope<u64> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Rand(v) => return Ok(v),
-                other => self.diverged("rand", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let v = sh.procs[self.idx].rng.next_u64();
-        sh.procs[self.idx].journal.push(Entry::Rand(v));
-        Ok(v)
+        let replay = |e: &Entry| match *e {
+            Entry::Rand(v) => Some(v),
+            _ => None,
+        };
+        self.call("rand", replay, |sh, idx, _| {
+            let v = sh.procs[idx].rng.next_u64();
+            Done::quiet(Entry::Rand(v), v)
+        })
     }
 
     /// A journaled Bernoulli draw: `true` with probability `p`.
@@ -582,17 +554,11 @@ impl Ctx {
     ///
     /// [`Signal`]s propagated from the runtime.
     pub fn output(&mut self, line: impl Into<String>) -> Hope<()> {
-        let line = line.into();
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Output => return Ok(()),
-                other => self.diverged("output", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        sh.output(self.idx, line);
-        sh.procs[self.idx].journal.push(Entry::Output);
-        Ok(())
+        let replay = |e: &Entry| matches!(e, Entry::Output).then_some(());
+        self.call("output", replay, |sh, idx, _| {
+            sh.output(idx, line.into());
+            Done::quiet(Entry::Output, ())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -646,71 +612,32 @@ impl Ctx {
     /// [`Signal`]s propagated from the runtime.
     pub fn send_reliable(&mut self, to: ProcessId, payload: impl Into<Value>) -> Hope<u64> {
         let payload = payload.into();
-        let seq = self.next_reliable_seq()?;
+        // Journaled before the retry loop, so re-executions rolled back into
+        // the loop reuse the recorded number — which is what makes
+        // receiver-side deduplication sound.
+        let replay = |e: &Entry| match *e {
+            Entry::ReliableSeq(seq) => Some(seq),
+            _ => None,
+        };
+        let seq = self.call("reliable_seq", replay, |sh, idx, _| {
+            let seq = sh.procs[idx].next_reliable;
+            sh.procs[idx].next_reliable += 1;
+            Done::quiet(Entry::ReliableSeq(seq), seq)
+        })?;
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
             let aid = self.aid_init()?;
-            self.send_reliable_attempt(to, seq, aid, attempt, payload.clone())?;
+            // A replayed attempt re-arms nothing: its fate was decided.
+            self.call("send", sent, |sh, idx, _| {
+                sh.send_reliable(idx, to, (seq, attempt), aid, payload.clone())
+            })?;
             if self.guess_at(aid, RELIABLE_SEND_SITE)? {
                 return Ok(seq);
             }
             // Denied (timeout, or a fault kill): re-execution replayed the
             // journal back to this loop; go around for the next attempt.
         }
-    }
-
-    /// Allocate the logical sequence number for a `send_reliable`. The
-    /// allocation is journaled *before* the retry loop, so re-executions
-    /// rolled back into the loop reuse the recorded number — which is what
-    /// makes receiver-side deduplication sound.
-    fn next_reliable_seq(&mut self) -> Hope<u64> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::ReliableSeq(s) => return Ok(s),
-                other => self.diverged("reliable_seq", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let seq = sh.procs[self.idx].next_reliable;
-        sh.procs[self.idx].next_reliable += 1;
-        sh.procs[self.idx].journal.push(Entry::ReliableSeq(seq));
-        Ok(seq)
-    }
-
-    /// One `send_reliable` attempt: dispatch the copy and arm its
-    /// retransmission deadline. Replayed attempts re-arm nothing — their
-    /// fate was already decided.
-    fn send_reliable_attempt(
-        &mut self,
-        to: ProcessId,
-        seq: u64,
-        aid: AidId,
-        attempt: u32,
-        payload: Value,
-    ) -> Hope<u64> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Send { msg_id } => return Ok(msg_id),
-                other => self.diverged("send", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        if attempt > 1 {
-            sh.stats.faults.retries += 1;
-        } else {
-            sh.stats.faults.reliable_sends += 1;
-        }
-        let id = sh.send_message_with(self.idx, to, |_| MsgKind::Reliable { seq, aid }, payload);
-        let deadline = backoff_deadline(sh.config.ack_timeout, sh.config.ack_backoff_cap, attempt);
-        let at = sh.now + deadline;
-        sh.pending_system += 1;
-        sh.queue.push(at, EventKind::AckTimeout { aid });
-        let (pid, action) = (self.pid, Action::Send { to, msg: id });
-        sh.trace(|| format!("{pid}: {action} [reliable seq={seq} attempt={attempt}]"));
-        sh.procs[self.idx].journal.push(Entry::Send { msg_id: id });
-        sh.observe(pid, &action, &[]);
-        Ok(id)
     }
 
     /// Receive the next deliverable message (blocking). Ghost messages —
@@ -758,19 +685,14 @@ impl Ctx {
     }
 
     fn try_recv_where(&mut self, pred: &dyn Fn(&Message) -> bool) -> Hope<Option<Message>> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Recv(m) => return Ok(Some(*m)),
-                Entry::Flag(false) => return Ok(None),
-                other => self.diverged("try_recv", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let got = self.take_deliverable(&mut sh, pred);
-        if got.is_none() {
-            sh.procs[self.idx].journal.push(Entry::Flag(false));
-        }
-        Ok(got)
+        let replay = |e: &Entry| match e {
+            Entry::Recv(m) => Some(Some((**m).clone())),
+            Entry::Flag(false) => Some(None),
+            _ => None,
+        };
+        self.call("try_recv", replay, |sh, idx, _| {
+            sh.take_deliverable(idx, pred)
+        })
     }
 
     /// A synchronous remote procedure call: sends a request and blocks for
@@ -808,33 +730,32 @@ impl Ctx {
         kind_of: impl FnOnce(u64) -> MsgKind,
         payload: Value,
     ) -> Hope<u64> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Send { msg_id } => return Ok(msg_id),
-                other => self.diverged("send", &other),
-            }
-        }
-        let mut sh = self.live()?;
-        let id = sh.send_message_with(self.idx, to, kind_of, payload);
-        let (pid, action) = (self.pid, Action::Send { to, msg: id });
-        sh.trace(|| format!("{pid}: {action}"));
-        sh.procs[self.idx].journal.push(Entry::Send { msg_id: id });
-        sh.observe(pid, &action, &[]);
-        Ok(id)
+        self.call("send", sent, |sh, idx, _| {
+            let msg = sh.send_message_with(idx, to, kind_of, payload);
+            Done::acted(
+                Entry::Send { msg_id: msg },
+                msg,
+                Action::Send { to, msg },
+                Vec::new(),
+            )
+        })
     }
 
     fn recv_where(&mut self, pred: &dyn Fn(&Message) -> bool) -> Hope<Message> {
-        if let Some(e) = self.replay_next() {
-            match e {
-                Entry::Recv(m) => return Ok(*m),
-                other => self.diverged("recv", &other),
-            }
+        let replay = |e: &Entry| match e {
+            Entry::Recv(m) => Some((**m).clone()),
+            _ => None,
+        };
+        if let Some(m) = self.replayed("recv", replay)? {
+            return Ok(m);
         }
         // One access per wake-up, released only to park when nothing
         // deliverable is queued.
         let mut sh = self.live()?;
         loop {
-            if let Some(m) = self.take_deliverable(&mut sh, pred) {
+            let mut done = sh.take_deliverable(self.idx, pred);
+            if let Some(m) = done.reply.take() {
+                sh.record(self.idx, done)?;
                 return Ok(m);
             }
             drop(sh);
@@ -842,51 +763,13 @@ impl Ctx {
             sh = self.lock();
         }
     }
+}
 
-    /// The one receive path: take delivery of the first queued message
-    /// satisfying `pred` (implicit guess of its tag, journal, effects,
-    /// observer), dropping for good every ghost met on the way. `None`
-    /// means nothing deliverable is queued. The caller's borrow is held
-    /// across the whole scan instead of re-taken per mailbox entry.
-    fn take_deliverable(
-        &self,
-        sh: &mut Shared,
-        pred: &dyn Fn(&Message) -> bool,
-    ) -> Option<Message> {
-        let pid = self.pid;
-        loop {
-            let m = sh.procs[self.idx].mailbox.take_first(pred)?;
-            let (msg, from) = (m.id, m.from);
-            let pos = sh.procs[self.idx].journal.len() as u64;
-            let (outcome, fx) = sh
-                .engine
-                .implicit_guess(pid, &m.tag, Checkpoint(pos))
-                .expect("receive on engine-owned ids");
-            if let ReceiveOutcome::Ghost(denied) = outcome {
-                sh.stats.ghosts_dropped += 1;
-                if sh.fault_denied.contains(&denied) {
-                    sh.stats.faults.ghosts_from_faults += 1;
-                }
-                let action = Action::GhostDropped { msg, from, denied };
-                sh.trace(|| format!("{pid}: {action}"));
-                sh.observe(pid, &action, &[]);
-                continue;
-            }
-            let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
-            let action = Action::Recv {
-                msg,
-                from,
-                speculative,
-            };
-            sh.trace(|| format!("{pid}: {action}"));
-            sh.procs[self.idx]
-                .journal
-                .push(Entry::Recv(Box::new(m.clone())));
-            let rolled = sh.apply_effects(self.idx, &fx);
-            sh.observe(pid, &action, &fx);
-            debug_assert!(!rolled, "a receive cannot roll back its receiver");
-            return Some(m);
-        }
+/// A recorded send answers with its message id.
+fn sent(e: &Entry) -> Option<u64> {
+    match *e {
+        Entry::Send { msg_id } => Some(msg_id),
+        _ => None,
     }
 }
 
@@ -894,7 +777,7 @@ impl Ctx {
 /// `min(ack_timeout << (attempt-1), ack_backoff_cap)`, with the shift
 /// clamped and the multiply saturating so a large configured timeout can
 /// never overflow past the cap instead of clamping to it.
-fn backoff_deadline(
+pub(crate) fn backoff_deadline(
     timeout: VirtualDuration,
     cap: VirtualDuration,
     attempt: u32,

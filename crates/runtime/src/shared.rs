@@ -16,14 +16,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hope_analysis::dynamic::RaceDetector;
-use hope_core::{Action, AidId, AidState, Effect, Engine, IntervalId, ProcessId, RuntimeObserver};
+use hope_core::{Action, AidId, AidState, Checkpoint, Effect, Engine, IntervalId, ProcessId};
+use hope_core::{ReceiveOutcome, RuntimeObserver};
 use hope_sim::{EventQueue, LinkVerdict, SimRng, VirtualDuration, VirtualTime};
 
 use crate::config::SimConfig;
+use crate::ctx::backoff_deadline;
 use crate::governor::Governor;
 use crate::journal::{Entry, Journal};
 use crate::message::{Mailbox, Message, MsgKind};
 use crate::oracle::SchedOracleSlot;
+use crate::signal::{Hope, Signal};
 use crate::stats::{CrashReason, OutputLine, RunReport, RunStats};
 use crate::value::Value;
 
@@ -95,6 +98,40 @@ pub(crate) enum Step {
     /// Quiescent, a configured limit was hit, or `step` panicked: the run
     /// is over, and every later `step` answers `Done` and touches nothing.
     Done,
+}
+
+/// What a live `Ctx` primitive did, for [`Shared::record`]: the entry it
+/// journals and the body's reply, and for a HOPE action the action traced
+/// and observed and the engine effects it caused.
+pub(crate) struct Done<R> {
+    entry: Entry,
+    pub(crate) reply: R,
+    action: Option<Action>,
+    fx: Vec<Effect>,
+    /// A reliable send's `(seq, attempt)`, appended to its trace line.
+    reliable: Option<(u64, u32)>,
+}
+
+impl<R> Done<R> {
+    /// A step no observer sees: journaled, nothing else.
+    pub(crate) fn quiet(entry: Entry, reply: R) -> Self {
+        Done {
+            entry,
+            reply,
+            action: None,
+            fx: Vec::new(),
+            reliable: None,
+        }
+    }
+
+    /// A HOPE action: traced, journaled, its effects applied, observed.
+    pub(crate) fn acted(entry: Entry, reply: R, action: Action, fx: Vec<Effect>) -> Self {
+        Done {
+            action: Some(action),
+            fx,
+            ..Done::quiet(entry, reply)
+        }
+    }
 }
 
 /// The boxed form of an installed observer callback.
@@ -481,6 +518,93 @@ impl Shared {
         self.queue.pop()
     }
 
+    /// The one record of a live primitive of `procs[idx]`: trace, journal,
+    /// apply the effects, observe, in that order (a self-rollback truncates
+    /// the entry just pushed, and answers [`Signal::Rollback`]). Always
+    /// inlined: out of line, a `checkpoint` paid ≈8 ns more.
+    #[inline(always)]
+    pub(crate) fn record<R>(&mut self, idx: usize, done: Done<R>) -> Hope<R> {
+        let pid = self.procs[idx].pid;
+        if let Some(action) = &done.action {
+            self.trace(|| match done.reliable {
+                Some((seq, attempt)) => {
+                    format!("{pid}: {action} [reliable seq={seq} attempt={attempt}]")
+                }
+                None => format!("{pid}: {action}"),
+            });
+        }
+        self.procs[idx].journal.push(done.entry);
+        let rolled = !done.fx.is_empty() && self.apply_effects(idx, &done.fx);
+        if let Some(action) = &done.action {
+            self.observe(pid, action, &done.fx);
+        }
+        if rolled {
+            return Err(Signal::Rollback);
+        }
+        Ok(done.reply)
+    }
+
+    /// The one receive path: take delivery of the first queued message
+    /// satisfying `pred` (an implicit guess of its tag), dropping for good
+    /// every ghost met on the way. With nothing deliverable queued the
+    /// reply is `None`, journaled as `try_recv`'s empty answer.
+    pub(crate) fn take_deliverable(
+        &mut self,
+        idx: usize,
+        pred: &dyn Fn(&Message) -> bool,
+    ) -> Done<Option<Message>> {
+        let pid = self.procs[idx].pid;
+        while let Some(m) = self.procs[idx].mailbox.take_first(pred) {
+            let (msg, from) = (m.id, m.from);
+            let pos = self.procs[idx].journal.len() as u64;
+            let (outcome, fx) = self
+                .engine
+                .implicit_guess(pid, &m.tag, Checkpoint(pos))
+                .expect("receive on engine-owned ids");
+            if let ReceiveOutcome::Ghost(denied) = outcome {
+                self.stats.ghosts_dropped += 1;
+                self.stats.faults.ghosts_from_faults +=
+                    u64::from(self.fault_denied.contains(&denied));
+                let action = Action::GhostDropped { msg, from, denied };
+                self.trace(|| format!("{pid}: {action}"));
+                self.observe(pid, &action, &[]);
+                continue;
+            }
+            let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
+            let action = Action::Recv {
+                msg,
+                from,
+                speculative,
+            };
+            return Done::acted(Entry::Recv(Box::new(m.clone())), Some(m), action, fx);
+        }
+        Done::quiet(Entry::Flag(false), None)
+    }
+
+    /// One `send_reliable` attempt from `procs[idx]`: dispatch the copy and
+    /// arm its retransmission deadline.
+    pub(crate) fn send_reliable(
+        &mut self,
+        idx: usize,
+        to: ProcessId,
+        (seq, attempt): (u64, u32),
+        aid: AidId,
+        payload: Value,
+    ) -> Done<u64> {
+        self.stats.faults.reliable_sends += u64::from(attempt == 1);
+        self.stats.faults.retries += u64::from(attempt > 1);
+        let msg = self.send_message_with(idx, to, |_| MsgKind::Reliable { seq, aid }, payload);
+        let (timeout, cap) = (self.config.ack_timeout, self.config.ack_backoff_cap);
+        let at = self.now + backoff_deadline(timeout, cap, attempt);
+        self.pending_system += 1;
+        self.queue.push(at, EventKind::AckTimeout { aid });
+        let (entry, action) = (Entry::Send { msg_id: msg }, Action::Send { to, msg });
+        Done {
+            reliable: Some((seq, attempt)),
+            ..Done::acted(entry, msg, action, Vec::new())
+        }
+    }
+
     /// Report one executed action to the race detector (if configured) and
     /// the installed observer, if any.
     pub(crate) fn observe(&mut self, pid: ProcessId, action: &Action, effects: &[Effect]) {
@@ -806,12 +930,8 @@ impl Shared {
             self.stats.faults.delay_spikes += 1;
         }
         let link = (from_pid.0, to.0);
-        let mut t_d = self.now + latency + extra_delay;
-        if let Some(&last) = self.link_last.get(&link) {
-            if t_d < last {
-                t_d = last; // per-link FIFO: never overtake
-            }
-        }
+        let (t_d, last) = (self.now + latency + extra_delay, self.link_last.get(&link));
+        let t_d = last.map_or(t_d, |&last| t_d.max(last)); // per-link FIFO: never overtake
         self.link_last.insert(link, t_d);
         let seq = self.next_mail_seq;
         self.next_mail_seq += 1;
@@ -834,11 +954,8 @@ impl Shared {
                 .topology
                 .sample(from_pid.0, to.0, &mut self.net_rng)
                 + self.config.tracking_overhead;
-            let mut t_dup = self.now + extra_latency + extra_delay;
-            if t_dup < t_d {
-                t_dup = t_d;
-            }
-            self.link_last.insert(link, t_dup.max(t_d));
+            let t_dup = (self.now + extra_latency + extra_delay).max(t_d);
+            self.link_last.insert(link, t_dup);
             let dup_seq = self.next_mail_seq;
             self.next_mail_seq += 1;
             let mut dup = msg.clone();

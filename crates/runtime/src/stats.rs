@@ -177,8 +177,6 @@ pub enum CrashReason {
     /// A [`FaultPlan`](hope_sim::FaultPlan) kill with no restart (kills
     /// *with* a restart recover and never appear here).
     FaultKill,
-    /// A per-process limit was exceeded; the payload describes which.
-    LimitExceeded(String),
     /// The process's journal exceeded
     /// [`SimConfig::max_journal_entries`](crate::SimConfig) **live**
     /// (post-truncation) entries. Recoverable in the sense that the run
@@ -191,6 +189,19 @@ pub enum CrashReason {
         /// The configured live-entry bound that was crossed.
         limit: usize,
     },
+    /// Re-executed after a rollback or restart, the body issued a `Ctx`
+    /// call its journal did not record at that position: process bodies
+    /// must be deterministic given `Ctx` results.
+    ReplayDivergence {
+        /// The diverging process (its `Display` names it).
+        pid: ProcessId,
+        /// The primitive the body issued, e.g. `"rand"`.
+        primitive: &'static str,
+        /// What the journal recorded there, e.g. `"now"`.
+        recorded: &'static str,
+        /// The absolute journal position.
+        at: usize,
+    },
 }
 
 impl fmt::Display for CrashReason {
@@ -199,10 +210,20 @@ impl fmt::Display for CrashReason {
             // Bare message: `RunReport::errors` keeps its historical shape.
             CrashReason::Panic(msg) => f.write_str(msg),
             CrashReason::FaultKill => f.write_str("killed by fault injection"),
-            CrashReason::LimitExceeded(what) => f.write_str(what),
             CrashReason::JournalOverflow { limit } => {
                 write!(f, "journal grew past {limit} live entries")
             }
+            CrashReason::ReplayDivergence {
+                pid,
+                primitive,
+                recorded,
+                at,
+            } => write!(
+                f,
+                "replay divergence in {pid}: body issued `{primitive}` but the journal \
+                 recorded `{recorded}` at position {at} — process bodies must be \
+                 deterministic given Ctx results"
+            ),
         }
     }
 }
@@ -320,7 +341,8 @@ impl RunReport {
     }
 
     /// Typed reasons for every crashed process: a body panic, a
-    /// fault-injected kill, or an exceeded per-process limit. Chaos tests
+    /// fault-injected kill, an exceeded per-process limit, or a body that
+    /// diverged from its journal on replay. Chaos tests
     /// use this to assert *why* a process died, not just that it did.
     pub fn crash_reasons(&self) -> &BTreeMap<ProcessId, CrashReason> {
         &self.crashes
@@ -544,12 +566,19 @@ mod tests {
             "killed by fault injection"
         );
         assert_eq!(
-            CrashReason::LimitExceeded("journal limit".into()).to_string(),
-            "journal limit"
-        );
-        assert_eq!(
             CrashReason::JournalOverflow { limit: 64 }.to_string(),
             "journal grew past 64 live entries"
+        );
+        let diverged = CrashReason::ReplayDivergence {
+            pid: ProcessId(3),
+            primitive: "rand",
+            recorded: "now",
+            at: 2,
+        };
+        assert_eq!(
+            diverged.to_string(),
+            "replay divergence in P3: body issued `rand` but the journal recorded `now` \
+             at position 2 — process bodies must be deterministic given Ctx results"
         );
     }
 }

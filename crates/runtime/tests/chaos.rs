@@ -4,8 +4,8 @@
 //! sends, receives and computes, with assumptions shared across processes
 //! through message payloads. The scripts have no meaning — the point is
 //! that no interleaving may crash a process body, wedge the scheduler,
-//! corrupt the journal (replay divergence panics), violate engine
-//! invariants, or break determinism.
+//! corrupt the journal (a replay divergence crashes the process),
+//! violate engine invariants, or break determinism.
 
 use hope_core::AidId;
 use hope_runtime::{Ctx, Hope, ProcessId, RunReport, SimConfig, Simulation, Value};

@@ -3,8 +3,11 @@
 //! selective receives, journaled queries, and replay behaviour of each —
 //! plus the hot-path lock discipline: one `Shared` lock per live primitive.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
 use hope_core::AidId;
-use hope_runtime::{FaultPlan, MsgKind, ProcessId, SimConfig, Simulation, Value};
+use hope_runtime::{CrashReason, FaultPlan, MsgKind, ProcessId, SimConfig, Simulation, Value};
 use hope_sim::{LatencyModel, Topology, VirtualDuration, VirtualTime};
 
 fn ms(v: u64) -> VirtualDuration {
@@ -158,6 +161,51 @@ fn now_random_and_flags_replay_identically() {
     });
     let report2 = sim2.run();
     assert_eq!(report2.output_lines()[0], line);
+}
+
+/// A body that is not deterministic given `Ctx` results reads the clock on
+/// its first attempt and draws randomness on the re-execution the judge's
+/// deny forces. Replay meets the recorded `now` where the body issues
+/// `rand`: the process crashes with a typed divergence whose text is the
+/// one the runtime has always reported, and the run goes on without it.
+#[test]
+fn replay_divergence_is_a_typed_crash() {
+    let judge = ProcessId(1);
+    let first = Arc::new(AtomicBool::new(true));
+    let mut sim = Simulation::new(SimConfig::with_seed(3));
+    let p0 = sim.spawn("diverger", move |ctx| {
+        let x = ctx.aid_init()?;
+        ctx.send(judge, Value::Int(x.index() as i64))?;
+        if first.swap(false, Ordering::SeqCst) {
+            ctx.now()?;
+        } else {
+            ctx.random_u64()?;
+        }
+        ctx.guess(x)?;
+        Ok(())
+    });
+    sim.spawn("judge", |ctx| {
+        let x = AidId::from_index(ctx.recv()?.payload.expect_int() as u64);
+        ctx.deny(x)?;
+        Ok(())
+    });
+    let report = sim.run();
+    assert_eq!(
+        report.crash_reasons()[&p0],
+        CrashReason::ReplayDivergence {
+            pid: p0,
+            primitive: "rand",
+            recorded: "now",
+            at: 2,
+        }
+    );
+    assert_eq!(
+        report.errors()[&p0],
+        "replay divergence in P0: body issued `rand` but the journal recorded `now` \
+         at position 2 — process bodies must be deterministic given Ctx results"
+    );
+    assert_eq!(report.errors().len(), 1, "{report}");
+    assert!(report.finish_time(judge).is_some(), "{report}");
 }
 
 #[test]
@@ -536,27 +584,37 @@ fn second_rollback_during_restoration_hold_replays_cleanly() {
 // ---------------------------------------------------------------------
 
 /// Every live primitive takes the `Shared` lock exactly once. The body
-/// below issues 4 × 50 = 200 non-blocking primitives and nothing else; the
-/// pre-audit hot path (budget check and primitive each locking separately)
-/// would report ≥ 400 acquisitions, so the 220 ceiling pins the fix.
+/// below issues `restore`, then 10 × 50 = 500 non-blocking primitives —
+/// every one that does not park — and nothing else; the pre-audit hot path
+/// (budget check and primitive each locking separately) would report
+/// ≥ 1,000 acquisitions, so the 550 ceiling pins the fix.
 #[test]
 fn ctx_takes_one_lock_per_live_primitive() {
+    let sink = ProcessId(1);
     let mut sim = Simulation::new(SimConfig::with_seed(1));
-    sim.spawn("counter", |ctx| {
-        for _ in 0..50 {
+    sim.spawn("counter", move |ctx| {
+        ctx.restore()?;
+        for i in 0..50 {
+            ctx.checkpoint(i)?;
             let aid = ctx.aid_init()?;
             ctx.guess(aid)?;
             ctx.affirm(aid)?;
             ctx.output("line")?;
+            ctx.send(sink, Value::Int(i))?;
+            ctx.now()?;
+            ctx.random_u64()?;
+            ctx.is_speculative()?;
+            assert!(ctx.try_recv()?.is_none(), "nothing is ever sent here");
         }
         Ok(())
     });
+    sim.spawn("sink", |_| Ok(()));
     let report = sim.run();
     assert!(report.errors().is_empty(), "{:?}", report.errors());
     let locks = report.stats().ctx_lock_acquisitions;
     assert!(
-        (200..=220).contains(&locks),
-        "expected one Shared lock per live primitive (200 primitives, \
+        (501..=550).contains(&locks),
+        "expected one Shared lock per live primitive (501 primitives, \
          small scheduler slack), measured {locks}"
     );
 }

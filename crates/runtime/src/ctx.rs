@@ -455,11 +455,16 @@ impl Ctx {
     /// every iteration when the state is a counter, quadratic in memory
     /// when the state itself grows with every iteration. A body whose state
     /// grows should call it when the journal it has written since its last
-    /// snapshot is at least as long as the snapshot would be: snapshots
-    /// then cost no more memory than the journal they sit in, and a restart
-    /// replays about one state's worth of entries (`hope-timewarp`'s
-    /// `run_lp` is the model). Superseded snapshots are reclaimed with the
-    /// prefix they close over.
+    /// snapshot takes at least as many bytes as the snapshot would — with
+    /// [`JOURNAL_ENTRY_BYTES`](crate::JOURNAL_ENTRY_BYTES) as the unit, an
+    /// `n`-byte state once `⌈n / JOURNAL_ENTRY_BYTES⌉` entries have been
+    /// written: snapshots then cost no more memory than the journal they
+    /// sit in, and a restart replays about that many entries.
+    /// `hope-timewarp`'s `run_lp` is the model: its state is `8·w` bytes of
+    /// `w` little-endian words in one [`Value::Bytes`], so it snapshots
+    /// every `⌈8·w / JOURNAL_ENTRY_BYTES⌉` entries, a quarter of `w` at
+    /// 32-byte entries. Superseded snapshots are reclaimed with the prefix
+    /// they close over.
     ///
     /// # Errors
     ///

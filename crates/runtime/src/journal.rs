@@ -43,6 +43,12 @@ use hope_sim::VirtualDuration;
 use crate::message::Message;
 use crate::value::Value;
 
+/// Bytes one journal entry occupies in the journal's storage — the unit
+/// of [`Ctx::checkpoint`](crate::Ctx::checkpoint)'s memory-parity rule: a
+/// body whose snapshot state is `n` bytes snapshots once it has written
+/// `⌈n / JOURNAL_ENTRY_BYTES⌉` entries since its last snapshot.
+pub const JOURNAL_ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
+
 /// One journaled interaction.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Entry {
@@ -253,6 +259,13 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A snapshot's byte length is divided by this to weigh it against the
+    /// journal: a wider entry makes snapshots rarer and restarts longer.
+    #[test]
+    fn an_entry_is_four_words() {
+        assert_eq!(JOURNAL_ENTRY_BYTES, 32);
+    }
 
     #[test]
     fn push_get_truncate() {

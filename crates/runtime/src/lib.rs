@@ -80,6 +80,7 @@ pub use governor::{
     GovernorConfig, GovernorMode, GovernorStats, ModeTransition, DEFAULT_GUESS_SITE,
     RELIABLE_SEND_SITE,
 };
+pub use journal::JOURNAL_ENTRY_BYTES;
 pub use mc::{check_scenario, SimCompleteness, SimMcConfig, SimMcReport};
 pub use message::{Message, MsgKind};
 pub use scheduler::Simulation;

@@ -2,8 +2,17 @@
 //!
 //! HOPE is language-agnostic about what messages carry; the runtime uses a
 //! small dynamic [`Value`] so examples and benchmarks can exchange realistic
-//! payloads without making every process generic. Values are cheap to clone
-//! (journaling clones them) and totally ordered (tests compare them).
+//! payloads without making every process generic. Values are totally
+//! ordered (tests compare them) and 32 bytes wide.
+//!
+//! Journaling clones them: a send's payload, every journaled receive and
+//! its replay, and every snapshot [`restore`](crate::Ctx::restore) hands
+//! back. `Unit`, `Bool` and `Int` clone by copying; `Str`, `List` and
+//! `Bytes` allocate on every clone, and a `List` once more per element that
+//! allocates. A payload on a hot path should therefore be one `Int` where it
+//! fits — a PHOLD event packs its timestamp and hop count into one
+//! (`hope-timewarp`'s `Event`) — and bulk state one `Bytes`, which clones
+//! with one allocation and one copy.
 
 use std::fmt;
 
@@ -21,6 +30,8 @@ pub enum Value {
     Str(String),
     /// An ordered list of values.
     List(Vec<Value>),
+    /// A byte string: bulk state, one allocation whatever its length.
+    Bytes(Vec<u8>),
 }
 
 impl Value {
@@ -52,6 +63,14 @@ impl Value {
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
             Value::List(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The contained bytes, if this is `Bytes`.
+    pub fn as_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Value::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -159,6 +178,10 @@ impl fmt::Display for Value {
                 }
                 write!(f, "]")
             }
+            Value::Bytes(bytes) => {
+                write!(f, "0x")?;
+                bytes.iter().try_for_each(|b| write!(f, "{b:02x}"))
+            }
         }
     }
 }
@@ -193,6 +216,8 @@ mod tests {
         assert_eq!(Value::Int(3).expect_int(), 3);
         assert_eq!(Value::Str("s".into()).expect_str(), "s");
         assert_eq!(Value::List(vec![Value::Unit]).expect_list(), &[Value::Unit]);
+        assert_eq!(Value::Bytes(vec![1, 255]).as_bytes(), Some(&[1, 255][..]));
+        assert_eq!(Value::List(vec![]).as_bytes(), None);
     }
 
     #[test]
@@ -209,6 +234,12 @@ mod tests {
             Value::List(vec![Value::Int(1), Value::Str("x".into())]).to_string(),
             "[1, x]"
         );
+        assert_eq!(Value::Bytes(vec![0, 10, 255]).to_string(), "0x000aff");
+    }
+
+    #[test]
+    fn a_value_is_four_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
     }
 
     #[test]

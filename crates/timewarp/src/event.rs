@@ -20,25 +20,31 @@ pub struct Event {
 }
 
 impl Event {
-    /// Encode for transmission.
+    /// Encode for transmission: one `Int`, `ts` in the low 32 bits and
+    /// `hops` in the high 32. An event travels in every send, journaled
+    /// receive and replayed receive, and an `Int` clones without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts` or `hops` is 2³² or more.
     pub fn to_value(&self) -> Value {
-        Value::List(vec![
-            Value::Int(self.ts as i64),
-            Value::Int(self.hops as i64),
-        ])
+        assert!(
+            self.ts <= u64::from(u32::MAX) && self.hops <= u64::from(u32::MAX),
+            "an event's ts and hops must each fit in 32 bits: {self:?}"
+        );
+        Value::Int((self.hops << 32 | self.ts) as i64)
     }
 
     /// Decode a received payload.
     ///
-    /// Returns `None` for malformed payloads.
+    /// Returns `None` for anything but an `Int`; every `Int` is some
+    /// event's encoding.
     pub fn from_value(v: &Value) -> Option<Event> {
-        let items = v.as_list()?;
-        if items.len() != 2 {
-            return None;
-        }
+        let word = v.as_int()? as u64;
         Some(Event {
-            ts: u64::try_from(items[0].as_int()?).ok()?,
-            hops: u64::try_from(items[1].as_int()?).ok()?,
+            ts: word & u64::from(u32::MAX),
+            hops: word >> 32,
         })
     }
 }
@@ -49,8 +55,21 @@ mod tests {
 
     #[test]
     fn roundtrip() {
-        let e = Event { ts: 42, hops: 3 };
-        assert_eq!(Event::from_value(&e.to_value()), Some(e));
+        let max = u64::from(u32::MAX);
+        for (ts, hops) in [(42, 3), (0, 0), (max, 0), (0, max), (max, max)] {
+            let e = Event { ts, hops };
+            assert_eq!(Event::from_value(&e.to_value()), Some(e));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in 32 bits")]
+    fn a_timestamp_past_32_bits_panics() {
+        Event {
+            ts: 1 << 32,
+            hops: 0,
+        }
+        .to_value();
     }
 
     #[test]
@@ -61,6 +80,9 @@ mod tests {
             None
         );
         assert_eq!(Event::from_value(&Value::List(vec![Value::Int(1)])), None);
+        // Nor is a two-`Int` list of an in-range `ts` and `hops`.
+        let old = Value::List(vec![Value::Int(42), Value::Int(3)]);
+        assert_eq!(Event::from_value(&old), None);
     }
 
     #[test]

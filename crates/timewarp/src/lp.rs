@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use hope_core::AidId;
-use hope_runtime::{Ctx, Hope, ProcessId, Value};
+use hope_runtime::{Ctx, Hope, ProcessId, Value, JOURNAL_ENTRY_BYTES};
 use hope_sim::VirtualDuration;
 
 use crate::event::Event;
@@ -92,41 +92,51 @@ struct LpState {
 }
 
 impl LpState {
-    /// How many `Int`s [`to_value`](Self::to_value) writes.
+    /// How many words [`to_value`](Self::to_value) writes.
     fn snapshot_len(&self) -> usize {
         let pairs = self.horizon.last_seen().len() + self.last_sent.len() + self.guards.len();
         5 + 3 * self.pending.len() + 2 * pairs
     }
 
-    /// One flat list of `Int`s: four lengths, `last_processed`, then each collection in order.
+    /// One [`Value::Bytes`] of little-endian `u64` words: four lengths,
+    /// `last_processed`, then each collection in order.
     fn to_value(&self) -> Value {
-        let int = |n: u64| Value::Int(n as i64);
-        let seen = self.horizon.last_seen();
-        let lens = [self.pending.len(), seen.len(), self.last_sent.len()];
-        let mut ints = Vec::with_capacity(self.snapshot_len());
-        ints.extend(lens.iter().map(|&n| int(n as u64)));
-        ints.extend([self.guards.len() as u64, self.last_processed].map(int));
-        let pending = self.pending.iter();
-        ints.extend(pending.flat_map(|(e, id)| [e.ts, e.hops, *id].map(int)));
-        let channels = seen.iter().chain(&self.last_sent);
-        ints.extend(channels.flat_map(|(p, ts)| [u64::from(p.0), *ts].map(int)));
-        let guards = self.guards.iter();
-        ints.extend(guards.flat_map(|(ts, g)| [*ts, g.index()].map(int)));
-        Value::List(ints)
+        let (seen, sent, guards) = (self.horizon.last_seen(), &self.last_sent, &self.guards);
+        let lens = [self.pending.len(), seen.len(), sent.len(), guards.len()];
+        let lens = lens.into_iter().map(|n| n as u64);
+        let pending = self.pending.iter().flat_map(|(e, id)| [e.ts, e.hops, *id]);
+        let channels = seen.iter().chain(sent);
+        let channels = channels.flat_map(|(p, ts)| [u64::from(p.0), *ts]);
+        let guards = guards.iter().flat_map(|(ts, g)| [*ts, g.index()]);
+        let head = lens.chain([self.last_processed]);
+        let words = head.chain(pending).chain(channels).chain(guards);
+        let mut bytes = Vec::with_capacity(8 * self.snapshot_len());
+        bytes.extend(words.flat_map(u64::to_le_bytes));
+        Value::Bytes(bytes)
     }
 
     /// [`to_value`](Self::to_value)'s inverse; `None` for what it cannot have written.
     fn from_value(v: &Value, senders: Vec<ProcessId>) -> Option<Self> {
-        let ints = v.as_list()?.iter().map(|x| Some(x.as_int()? as u64));
-        let ints = ints.collect::<Option<Vec<u64>>>()?;
-        let (head, rest) = ints.split_at_checked(5)?;
-        let (pending, rest) = rest.split_at_checked(3 * head[0] as usize)?;
-        let (seen, rest) = rest.split_at_checked(2 * head[1] as usize)?;
-        let (sent, guards) = rest.split_at_checked(2 * head[2] as usize)?;
-        if guards.len() != 2 * head[3] as usize {
+        let bytes = v.as_bytes()?;
+        if bytes.len() % 8 != 0 {
             return None;
         }
-        let channel = |c: &[u64]| (ProcessId(c[0] as u32), c[1]);
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+        let words: Vec<u64> = bytes.chunks_exact(8).map(word).collect();
+        // `n` records of `k` words off the front of `rest`.
+        fn split(rest: &[u64], n: u64, k: usize) -> Option<(&[u64], &[u64])> {
+            rest.split_at_checked(k.checked_mul(usize::try_from(n).ok()?)?)
+        }
+        let (head, rest) = words.split_at_checked(5)?;
+        let (pending, rest) = split(rest, head[0], 3)?;
+        let (seen, rest) = split(rest, head[1], 2)?;
+        let (sent, rest) = split(rest, head[2], 2)?;
+        let (guards, rest) = split(rest, head[3], 2)?;
+        if !rest.is_empty() {
+            return None;
+        }
+        let channel = |c: &[u64]| Some((ProcessId(u32::try_from(c[0]).ok()?), c[1]));
+        let channels = |c: &[u64]| c.chunks(2).map(channel).collect::<Option<BTreeMap<_, _>>>();
         let guard = |c: &[u64]| (c[0], AidId::from_index(c[1]));
         let event = |c: &[u64]| {
             let (ts, hops) = (c[0], c[1]);
@@ -134,8 +144,8 @@ impl LpState {
         };
         Some(LpState {
             pending: pending.chunks(3).map(event).collect(),
-            horizon: ChannelHorizon::resume(senders, seen.chunks(2).map(channel).collect()),
-            last_sent: sent.chunks(2).map(channel).collect(),
+            horizon: ChannelHorizon::resume(senders, channels(seen)?),
+            last_sent: channels(sent)?,
             guards: guards.chunks(2).map(guard).collect(),
             last_processed: head[4],
         })
@@ -154,9 +164,11 @@ impl LpState {
 /// The body is restorable ([`Ctx::restore`]): a rollback resumes it at its
 /// newest surviving snapshot. Its state grows with the unaffirmed guards —
 /// without bound in symmetric PHOLD — so a snapshot per iteration would be
-/// quadratic; it takes one when the journal written since the last is at
-/// least as long as the snapshot would be. Snapshots then take no more
-/// memory than the journal, and a restart replays about a state's worth.
+/// quadratic; it takes one when the journal written since the last takes
+/// at least as many bytes as the snapshot would: `8·w` bytes for a state of
+/// `w` words, so `⌈8·w / JOURNAL_ENTRY_BYTES⌉` entries. Snapshots then take
+/// no more memory than the journal, and a restart replays about a quarter
+/// of a state's word count in entries.
 ///
 /// # Errors
 ///
@@ -164,8 +176,10 @@ impl LpState {
 /// terminates via `Shutdown`).
 pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
     let me = ctx.pid();
-    // `written`: journal entries since the last snapshot, counted here so
-    // that a replay counts as the first execution did.
+    // `written`: journal entries since the last snapshot (on a fresh start,
+    // from after the seeding sends, so that no snapshot precedes the first
+    // guess), counted here so that a replay counts as the first execution
+    // did.
     let (mut st, mut written) = match ctx.restore()? {
         // Resuming *at* a snapshot: the loop's first act replays it.
         Some(v) => {
@@ -184,12 +198,14 @@ pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
             if cfg.seed_jobs > 0 {
                 st.last_sent.insert(me, cfg.seed_jobs);
             }
-            (st, 1 + cfg.seed_jobs as usize)
+            (st, 0)
         }
     };
 
     loop {
-        if written >= st.snapshot_len() {
+        // Weighed on the snapshot's side: after a restore `written` is
+        // `usize::MAX`.
+        if written >= (8 * st.snapshot_len()).div_ceil(JOURNAL_ENTRY_BYTES) {
             ctx.checkpoint(st.to_value())?;
             written = 0;
         }
@@ -276,7 +292,7 @@ pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
 mod tests {
     use super::*;
     use hope_runtime::{SimConfig, Simulation};
-    use hope_sim::{LatencyModel, Topology};
+    use hope_sim::{LatencyModel, SimRng, Topology};
 
     /// Two LPs exchanging jobs: the run progresses to the horizon and
     /// quiesces without errors.
@@ -298,59 +314,71 @@ mod tests {
         assert!(!report.hit_limits(), "{report}");
     }
 
-    fn lp_state(n_pending: u64, n_guards: u64) -> LpState {
+    /// A random state of up to `max` records per collection, every word
+    /// drawn from its whole range.
+    fn random_state(rng: &mut SimRng, senders: &[ProcessId], max: u64) -> LpState {
         let mut st = LpState {
-            horizon: ChannelHorizon::new(vec![ProcessId(1), ProcessId(2)]),
+            horizon: ChannelHorizon::new(senders.to_vec()),
+            last_processed: rng.next_u64(),
             ..LpState::default()
         };
-        for i in 0..n_pending {
-            let ev = Event {
-                ts: 40 + i / 2,
-                hops: i,
-            };
-            st.pending.insert((ev, 1000 + i));
+        let pid = |rng: &mut SimRng| ProcessId(rng.next_u64() as u32);
+        for _ in 0..rng.range_u64(0, max) {
+            let (ts, hops) = (rng.next_u64(), rng.next_u64());
+            st.pending.insert((Event { ts, hops }, rng.next_u64()));
         }
-        st.horizon.observe(ProcessId(2), 17);
-        st.horizon.observe(ProcessId(5), u64::MAX);
-        st.last_sent.insert(ProcessId(0), 31);
-        st.guards = (0..n_guards)
-            .map(|i| (20 + i / 3, AidId::from_index(7 * i)))
-            .collect();
-        st.last_processed = 20 + n_guards / 3;
+        for _ in 0..rng.range_u64(0, max) {
+            st.horizon.observe(pid(rng), rng.next_u64());
+        }
+        for _ in 0..rng.range_u64(0, max) {
+            st.last_sent.insert(pid(rng), rng.next_u64());
+        }
+        for _ in 0..rng.range_u64(0, max) {
+            st.guards
+                .push((rng.next_u64(), AidId::from_index(rng.next_u64())));
+        }
+        st.guards.sort_unstable();
         st
     }
 
-    /// State → `Value` → state is the identity, `snapshot_len` is the
-    /// length of what is written — in particular a snapshot taken with
-    /// events pending and guards open restores both — and anything the
-    /// body could not have written is refused, not patched up.
+    /// State → `Value` → state is the identity and a snapshot is `8 ×
+    /// snapshot_len` bytes — in particular a snapshot taken with events
+    /// pending and guards open restores both — and anything the body could
+    /// not have written is refused, not patched up.
     #[test]
     fn state_round_trips_through_a_snapshot() {
-        let senders = || vec![ProcessId(1), ProcessId(2)];
+        // FNV-1a of "lp::state_round_trips_through_a_snapshot".
+        let mut rng = SimRng::new(0xad48_efa6_2f23_0b4d);
+        let senders = [ProcessId(1), ProcessId(2)];
         assert_eq!(LpState::default().snapshot_len(), 5);
-        for (n_pending, n_guards) in [(0, 0), (0, 5), (3, 0), (4, 9), (1, 200)] {
-            let st = lp_state(n_pending, n_guards);
+        for case in 0..500 {
+            let max = if case % 50 == 0 { 300 } else { 12 };
+            let st = random_state(&mut rng, &senders, max);
             let v = st.to_value();
-            assert_eq!(v.expect_list().len(), st.snapshot_len());
-            let back = LpState::from_value(&v, senders()).expect("well-formed");
-            assert_eq!(back, st);
-            assert_eq!(back.pending.len() as u64, n_pending);
-            assert_eq!(back.guards.len() as u64, n_guards);
-            assert_eq!(back.horizon.safe(), None, "sender 1 is still unheard");
+            let bytes = v.as_bytes().expect("a snapshot is one Bytes");
+            assert_eq!(bytes.len(), 8 * st.snapshot_len(), "case {case}: {st:?}");
+            let back = LpState::from_value(&v, senders.to_vec());
+            assert_eq!(back.as_ref(), Some(&st), "case {case}");
 
-            // One Int short, one too many, a length that lies, a non-Int.
-            let ints = v.expect_list().to_vec();
-            let mut longer = ints.clone();
-            longer.push(Value::Int(0));
-            let mut lying = ints.clone();
-            lying[3] = Value::Int(n_guards as i64 + 1);
-            let mut typed = ints.clone();
-            typed[4] = Value::Unit;
-            for bad in [ints[1..].to_vec(), longer, lying, typed] {
-                assert_eq!(LpState::from_value(&Value::List(bad), senders()), None);
+            // Cut short by 1–7 bytes and by one word, one word extra, one
+            // of the four counts overstated, a non-`Bytes` value.
+            let mut bad: Vec<Value> = (1..=8)
+                .map(|cut| Value::Bytes(bytes[..bytes.len() - cut].to_vec()))
+                .collect();
+            let mut longer = bytes.to_vec();
+            longer.extend(rng.next_u64().to_le_bytes());
+            bad.push(Value::Bytes(longer));
+            let mut lying = bytes.to_vec();
+            let count = &mut lying[8 * rng.index(4)..][..8];
+            let n = u64::from_le_bytes((&*count).try_into().expect("a word"));
+            count.copy_from_slice(&(n + 1).to_le_bytes());
+            bad.push(Value::Bytes(lying));
+            bad.push(Value::Int(bytes.len() as i64));
+            for (i, v) in bad.iter().enumerate() {
+                let got = LpState::from_value(v, senders.to_vec());
+                assert_eq!(got, None, "case {case}, malformed input {i}");
             }
         }
-        assert_eq!(LpState::from_value(&Value::Int(3), senders()), None);
     }
 
     /// A straggler older than everything rolls the LP back to its first

@@ -151,6 +151,7 @@ pub fn run_sequential(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_sim::LatencyModel;
 
     #[test]
     fn sequential_baseline_is_linear_in_events() {
@@ -228,6 +229,36 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(ts, sorted, "LP{lp} committed out of timestamp order");
         }
+    }
+
+    /// The host benchmark's `phold` workload (E22 at `--seed 22`): eight
+    /// LPs over 200 µs links, 100 µs service, mean increment 10, horizon
+    /// 2,500, committed at quiescence, seeded with the benchmark's first
+    /// stream of seed 22. Every count and the digest of the committed
+    /// observables were recorded before the snapshot and event formats
+    /// changed: a format change must leave the run itself alone.
+    #[test]
+    fn benchmark_scale_phold_is_pinned() {
+        let seed = 22u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let link = Topology::uniform(LatencyModel::Fixed(VirtualDuration::from_micros(200)));
+        let service = VirtualDuration::from_micros(100);
+        let r = run_phold_with(8, link, service, 10, 2_500, seed, true);
+        let report = &r.report;
+        let ok = report.errors().is_empty() && !report.hit_limits();
+        assert!(ok, "{report}");
+        let committed = report.committed();
+        // FNV-1a of the committed lines, errors, crashes and unfinished.
+        let digest = format!("{committed:?}")
+            .bytes()
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        let lines: usize = committed.outputs.values().map(Vec::len).sum();
+        let end = report.end_time().as_nanos();
+        let got = (lines, report.events(), end, r.handled, r.rollbacks, digest);
+        // Lines, scheduler events, end time (ns), guesses, rollbacks, digest.
+        let want = (1_865, 5_884, 107_100_000, 5_767, 772, 0xe042_4b8e_7edb_7293);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -73,9 +73,9 @@
 //!   `P`'s history, fixed by where it starts, and `A.IDO` is fixed by
 //!   which AIDs' suffixes have started by `A`. Storing each start once is
 //!   the same relation, and both Lemma 5.1 and the prefix-subset invariant
-//!   hold by construction rather than by upkeep. `machine.rs` and
-//!   `tests/differential_depset.rs` keep the literal edge-by-edge reading,
-//!   and the latter drives it in lockstep with this engine.
+//!   hold by construction rather than by upkeep. The literal edge-by-edge
+//!   reading is `RefEngine` in `tests/differential_depset.rs`, which drives
+//!   it in lockstep with this engine.
 //! * **`free_of` inspects `IDO`.** §5.4's prose says `A.DOM`; intervals have
 //!   no `DOM` set, and Theorem 6.3's proof reads `X ∈ A.IDO`. We use `IDO`.
 //! * **Rollback of a speculative affirm** is a conservative definite deny of

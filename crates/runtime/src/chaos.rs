@@ -26,9 +26,9 @@
 //!   complement to [`mc::check_scenario`](crate::mc::check_scenario)'s
 //!   exhaustive schedule search (a program whose committed output is
 //!   schedule-dependent by design will, and should, fail);
-//! * **knobs**: fossil collection, the optimism governor, race detection,
-//!   tracing and engine invariant checking, alone and combined, with and
-//!   without a fault plan.
+//! * **knobs**: fossil collection, the optimism governor, tracing and
+//!   engine invariant checking, alone and combined, with and without a
+//!   fault plan.
 //!
 //! [`sweep`] returns each variant's counters so the caller can assert the
 //! thing under test actually fired: a sweep whose plans never inject, whose
@@ -167,23 +167,22 @@ pub fn sweep(
     runs
 }
 
-/// The knobs that claim to be transparent, as a lattice: all 32
-/// combinations of fossil collection, the optimism `governor`, race
-/// detection, tracing and engine invariant checking applied to `base`,
-/// each labelled by the knobs it turns on (`"fossil+trace"`; `"plain"` for
-/// none). Feed it to [`sweep`] — on its own, or crossed with fault plans —
-/// or cell by cell to [`mc::check_scenario`](crate::mc::check_scenario).
+/// The knobs that claim to be transparent, as a lattice: all 16
+/// combinations of fossil collection, the optimism `governor`, tracing and
+/// engine invariant checking applied to `base`, each labelled by the knobs
+/// it turns on (`"fossil+trace"`; `"plain"` for none). Feed it to
+/// [`sweep`] — on its own, or crossed with fault plans — or cell by cell
+/// to [`mc::check_scenario`](crate::mc::check_scenario).
 pub fn knob_lattice(base: &SimConfig, governor: &GovernorConfig) -> Vec<(String, SimConfig)> {
-    const KNOBS: [&str; 5] = ["fossil", "governor", "races", "trace", "invariants"];
+    const KNOBS: [&str; 4] = ["fossil", "governor", "trace", "invariants"];
     (0..1u32 << KNOBS.len())
         .map(|bits| {
             let on = |k: usize| bits >> k & 1 == 1;
             let mut cfg = base.clone();
             cfg.fossil_collection = on(0);
             cfg.governor = on(1).then(|| governor.clone());
-            cfg.detect_races = on(2);
-            cfg.trace = on(3);
-            cfg.check_engine_invariants = on(4);
+            cfg.trace = on(2);
+            cfg.check_engine_invariants = on(3);
             let names: Vec<&str> = (0..KNOBS.len())
                 .filter(|&k| on(k))
                 .map(|k| KNOBS[k])
@@ -365,7 +364,7 @@ mod tests {
         let cells = knob_lattice(&base, &GovernorConfig::default());
         let msg = failure_of(|| sweep(base, cells, scenario));
         // Exactly the collecting half of the lattice is named.
-        assert!(msg.contains("16 checks failed over 32 variants"), "{msg}");
+        assert!(msg.contains("8 checks failed over 16 variants"), "{msg}");
         assert!(msg.contains("`fossil`: committed() differs"), "{msg}");
         assert!(msg.contains("`fossil+trace`: committed()"), "{msg}");
     }

@@ -52,8 +52,7 @@ pub struct SimConfig {
     /// ruinous for long simulations, so this defaults to off. It is a
     /// dimension of the transparency lattices (`tests/chaos_equivalence.rs`,
     /// [`crate::mc`]), which is where the invariants are held under every
-    /// combination of fossil collection, governor, race detection, tracing
-    /// and faults.
+    /// combination of fossil collection, governor, tracing and faults.
     pub check_engine_invariants: bool,
     /// Record a human-readable execution trace (primitive calls, message
     /// deliveries, ghost drops, rollbacks, output commits), available as
@@ -74,15 +73,6 @@ pub struct SimConfig {
     /// changes when (not whether) output commits, and programs with their
     /// own verifiers don't need it.
     pub commit_at_quiescence: bool,
-    /// Run the online race detector
-    /// ([`hope_analysis::dynamic::RaceDetector`]) over every executed HOPE
-    /// action and collect its findings into
-    /// [`RunReport::races`](crate::RunReport::races) at run end. The
-    /// detector flags decide/decide races on one AID, sends issued under
-    /// speculation that a concurrent deny already doomed, and guesses on
-    /// AIDs that were concurrently decided. Off by default: it keeps a
-    /// vector clock per process and inspects every action.
-    pub detect_races: bool,
     /// The fault schedule, if any (see [`FaultPlan`]). `None` gives the
     /// perfect substrate: exactly-once delivery, no kills. Fault verdicts
     /// draw from a dedicated RNG stream seeded by the *plan's* seed, so
@@ -132,7 +122,6 @@ impl Default for SimConfig {
             check_engine_invariants: false,
             trace: false,
             commit_at_quiescence: false,
-            detect_races: false,
             faults: None,
             ack_timeout: VirtualDuration::from_millis(50),
             ack_backoff_cap: VirtualDuration::from_millis(400),
@@ -152,13 +141,6 @@ impl SimConfig {
     /// [`SimConfig::commit_at_quiescence`]).
     pub fn commit_at_quiescence(mut self) -> Self {
         self.commit_at_quiescence = true;
-        self
-    }
-
-    /// Enable or disable the online race detector (see
-    /// [`SimConfig::detect_races`]).
-    pub fn detect_races(mut self, on: bool) -> Self {
-        self.detect_races = on;
         self
     }
 

@@ -92,6 +92,5 @@ pub use value::Value;
 // assumptions, so simple programs need not depend on hope-core directly —
 // and the fault-plan vocabulary, so chaos tests need not depend on
 // hope-sim.
-pub use hope_analysis::dynamic::{RaceKind, RaceReport};
 pub use hope_core::{AidId, AidState, ProcessId};
 pub use hope_sim::{FaultPlan, Kill, LinkVerdict, Partition, VirtualDuration, VirtualTime};

@@ -512,14 +512,14 @@ mod tests {
     /// The one schedule-space lattice: every combination of the knobs that
     /// claim to be transparent ([`knob_lattice`]) must leave the exhaustive
     /// outcome set of `raced_long_loop` exactly as the plain run has it.
-    /// Knobs that add no events (fossil collection, race detection,
-    /// tracing, invariant checking) must also leave the schedule *tree*
-    /// bit-identical; the governor's conservative waits and probes ride
-    /// ordinary epoch-guarded wakes, so it may reshape the tree and is held
-    /// to the outcome set only — hence two tests, the 16 `governed` cells
-    /// and the 16 others. Each cell first goes through [`sweep`] under the
-    /// default schedule, whose counters prove it engaged: collection
-    /// reclaimed, the governor converted and probed, the trace filled.
+    /// Knobs that add no events (fossil collection, tracing, invariant
+    /// checking) must also leave the schedule *tree* bit-identical; the
+    /// governor's conservative waits and probes ride ordinary epoch-guarded
+    /// wakes, so it may reshape the tree and is held to the outcome set
+    /// only — hence two tests, the 8 `governed` cells and the 8 others.
+    /// Each cell first goes through [`sweep`] under the default schedule,
+    /// whose counters prove it engaged: collection reclaimed, the governor
+    /// converted and probed, the trace filled.
     fn schedule_space_lattice(governed: bool) {
         let base = SimConfig::with_seed(7);
         // One-sample window: the first deny trips the breaker; the next

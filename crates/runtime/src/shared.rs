@@ -15,9 +15,9 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use hope_analysis::dynamic::RaceDetector;
-use hope_core::{Action, AidId, AidState, Checkpoint, Effect, Engine, IntervalId, ProcessId};
-use hope_core::{ReceiveOutcome, RuntimeObserver};
+use hope_core::observer::decide;
+use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, Effect, Engine, IntervalId};
+use hope_core::{ProcessId, ReceiveOutcome};
 use hope_sim::{EventQueue, LinkVerdict, SimRng, VirtualDuration, VirtualTime};
 
 use crate::config::SimConfig;
@@ -169,21 +169,15 @@ pub(crate) struct Shared {
     pub(crate) outputs: Vec<OutputLine>,
     pub(crate) stats: RunStats,
     pub(crate) trace_log: Vec<String>,
-    /// Engine process id of the quiescence-commit oracle, once created.
-    pub(crate) oracle: Option<ProcessId>,
+    /// Engine process id of the environment — the quiescence commit, acks,
+    /// retransmission deadlines and kills — registered on its first
+    /// decision (see [`Shared::decide_as_environment`]).
+    environment: Option<ProcessId>,
     /// Reported every executed HOPE action (see `Simulation::set_observer`).
     pub(crate) observer: ObserverSlot,
-    /// Online race detector, present iff [`SimConfig::detect_races`] was
-    /// set; drained into [`RunReport::races`](crate::RunReport::races) at
-    /// run end.
-    pub(crate) race_detector: Option<RaceDetector>,
     /// Dedicated RNG stream for fault verdicts, seeded from the plan's own
     /// seed so a given plan injects the same faults under any master seed.
     pub(crate) fault_rng: SimRng,
-    /// Engine process id of the fault injector (acks, timeouts, kills),
-    /// lazily registered like the quiescence oracle. It guesses nothing,
-    /// so its affirms and denies are always definite.
-    pub(crate) injector: Option<ProcessId>,
     /// Reliable deliveries already accepted, keyed by (sender, logical
     /// seq); duplicates are suppressed (but still acked).
     pub(crate) seen_reliable: HashSet<(ProcessId, u64)>,
@@ -232,7 +226,6 @@ impl Shared {
         let fault_rng = SimRng::new(fault_seed).fork(0xFA17);
         let mut engine = Engine::new();
         engine.set_invariant_checking(config.check_engine_invariants);
-        let race_detector = config.detect_races.then(RaceDetector::new);
         let governor = config.governor.clone().map(Governor::new);
         Shared {
             engine,
@@ -248,11 +241,9 @@ impl Shared {
             outputs: Vec::new(),
             stats: RunStats::default(),
             trace_log: Vec::new(),
-            oracle: None,
+            environment: None,
             observer: ObserverSlot(None),
-            race_detector,
             fault_rng,
-            injector: None,
             seen_reliable: HashSet::new(),
             fault_denied: BTreeSet::new(),
             pending_system: 0,
@@ -474,7 +465,6 @@ impl Shared {
             }
             None => Vec::new(),
         };
-        let races = self.race_detector.take().map(RaceDetector::into_races);
         RunReport {
             end_time: self.now,
             events: self.events,
@@ -486,7 +476,6 @@ impl Shared {
             errors,
             crashes,
             trace: std::mem::take(&mut self.trace_log),
-            races: races.unwrap_or_default(),
             gov_transitions,
         }
     }
@@ -605,26 +594,19 @@ impl Shared {
         }
     }
 
-    /// Report one executed action to the race detector (if configured) and
-    /// the installed observer, if any.
+    /// Report one executed action to the installed observer, if any.
     pub(crate) fn observe(&mut self, pid: ProcessId, action: &Action, effects: &[Effect]) {
-        if let Some(det) = self.race_detector.as_mut() {
-            RuntimeObserver::observe(det, pid, action, effects);
-        }
         if let Some(f) = self.observer.0.as_mut() {
             f(pid, action, effects);
         }
     }
 
     /// The quiescence commit oracle (see
-    /// [`SimConfig::commit_at_quiescence`](crate::SimConfig)): a definite
-    /// engine-level process that affirms every still-open assumption.
-    /// Returns `true` if anything was decided (the caller keeps running so
-    /// the cascades — finalizations, IHD denies, rollbacks — settle).
-    pub(crate) fn quiescence_commit(&mut self) -> bool {
-        let oracle = *self
-            .oracle
-            .get_or_insert_with(|| self.engine.register_process());
+    /// [`SimConfig::commit_at_quiescence`](crate::SimConfig)): the
+    /// environment affirms every still-open assumption. Returns `true` if
+    /// anything was decided (the caller keeps running so the cascades —
+    /// finalizations, IHD denies, rollbacks — settle).
+    fn quiescence_commit(&mut self) -> bool {
         let open = self.engine.open_aids();
         if open.is_empty() {
             return false;
@@ -637,30 +619,39 @@ impl Shared {
         });
         let mut any = false;
         for x in open {
-            match self.engine.affirm(oracle, x) {
-                Ok(fx) => {
-                    any = true;
-                    // The oracle is never a rollback victim: it guesses
-                    // nothing. usize::MAX can match no process index.
-                    let rolled = self.apply_effects(usize::MAX, &fx);
-                    debug_assert!(!rolled);
-                }
-                // A cascade from an earlier affirm (an IHD deny) may have
-                // consumed it in the meantime.
-                Err(hope_core::Error::AidConsumed(_)) => {}
-                Err(e) => unreachable!("oracle affirm cannot fail otherwise: {e}"),
-            }
+            // A cascade from an earlier affirm (an IHD deny) may have
+            // consumed it in the meantime.
+            any |= self.decide_as_environment(x, DecideKind::Affirm, |_| {});
         }
         any
     }
 
-    /// The fault injector's engine process id (registered on first use).
-    /// Like the oracle it guesses nothing, so its decisions are definite
-    /// and it can never be a rollback victim.
-    pub(crate) fn injector(&mut self) -> ProcessId {
-        *self
-            .injector
-            .get_or_insert_with(|| self.engine.register_process())
+    /// Decide `aid` as the environment: the one engine process, registered
+    /// on first use, that stands for everything outside the bodies — the
+    /// quiescence commit, acks, retransmission deadlines and kills. It
+    /// guesses nothing, so its decisions are definite and it is never a
+    /// rollback victim. `noted` runs (counters, trace line) before the
+    /// cascade is applied. `false`: the AID was already consumed, and
+    /// nothing happened.
+    fn decide_as_environment(
+        &mut self,
+        aid: AidId,
+        kind: DecideKind,
+        noted: impl FnOnce(&mut Self),
+    ) -> bool {
+        let env = *self
+            .environment
+            .get_or_insert_with(|| self.engine.register_process());
+        let (action, fx) = decide(&mut self.engine, env, aid, kind)
+            .unwrap_or_else(|e| unreachable!("environment {} failed: {e}", kind.name()));
+        if matches!(action, Action::SkippedDecide { .. }) {
+            return false;
+        }
+        noted(self);
+        // usize::MAX can match no process index.
+        let rolled = self.apply_effects(usize::MAX, &fx);
+        debug_assert!(!rolled);
+        true
     }
 
     /// Place `msg` into its destination mailbox (reliable messages are
@@ -732,37 +723,22 @@ impl Shared {
 
     /// An ack arrived for a still-open "delivered" assumption: affirm it.
     fn ack_fire(&mut self, aid: AidId) {
-        let injector = self.injector();
-        match self.engine.affirm(injector, aid) {
-            Ok(fx) => {
-                self.trace(|| format!("ack: delivered({aid}) affirmed"));
-                let rolled = self.apply_effects(usize::MAX, &fx);
-                debug_assert!(!rolled);
-            }
-            Err(hope_core::Error::AidConsumed(_)) => {}
-            Err(e) => unreachable!("injector affirm cannot fail otherwise: {e}"),
-        }
+        self.decide_as_environment(aid, DecideKind::Affirm, |sh| {
+            sh.trace(|| format!("ack: delivered({aid}) affirmed"));
+        });
     }
 
     /// A reliable send's retransmission deadline passed with the
     /// "delivered" assumption still open: deny it, rolling the sender back
-    /// into its retry loop.
+    /// into its retry loop. If a speculative affirm consumed it first, its
+    /// fate rides on the affirmer's own assumptions, which is strictly
+    /// better informed than a timeout.
     fn timeout_fire(&mut self, aid: AidId) {
-        let injector = self.injector();
-        match self.engine.deny(injector, aid) {
-            Ok(fx) => {
-                self.stats.faults.timeout_denies += 1;
-                self.fault_denied.insert(aid);
-                self.trace(|| format!("FAULT timeout: delivered({aid}) denied"));
-                let rolled = self.apply_effects(usize::MAX, &fx);
-                debug_assert!(!rolled);
-            }
-            // A speculative affirm consumed it; its fate now rides on the
-            // affirmer's own assumptions, which is strictly better informed
-            // than a timeout.
-            Err(hope_core::Error::AidConsumed(_)) => {}
-            Err(e) => unreachable!("injector deny cannot fail otherwise: {e}"),
-        }
+        self.decide_as_environment(aid, DecideKind::Deny, |sh| {
+            sh.stats.faults.timeout_denies += 1;
+            sh.fault_denied.insert(aid);
+            sh.trace(|| format!("FAULT timeout: delivered({aid}) denied"));
+        });
     }
 
     /// Apply a fault-plan kill: deny the victim's own still-open
@@ -784,21 +760,14 @@ impl Shared {
         let pid = self.procs[victim].pid;
         self.trace(|| format!("FAULT kill {pid} (restart after {restart_after:?})"));
         let own: Vec<AidId> = self.procs[victim].journal.created_aids().collect();
-        let injector = self.injector();
         for aid in own {
             if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
                 continue;
             }
-            match self.engine.deny(injector, aid) {
-                Ok(fx) => {
-                    self.stats.faults.crash_denies += 1;
-                    self.fault_denied.insert(aid);
-                    let rolled = self.apply_effects(usize::MAX, &fx);
-                    debug_assert!(!rolled);
-                }
-                Err(hope_core::Error::AidConsumed(_)) => {}
-                Err(e) => unreachable!("injector deny cannot fail otherwise: {e}"),
-            }
+            self.decide_as_environment(aid, DecideKind::Deny, |sh| {
+                sh.stats.faults.crash_denies += 1;
+                sh.fault_denied.insert(aid);
+            });
         }
         // Freeze the victim. The epoch bump invalidates any wake the deny
         // cascade just scheduled for it; a fully-definite victim suffers

@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use hope_analysis::dynamic::RaceReport;
 use hope_core::{EngineStats, ProcessId};
 use hope_sim::VirtualTime;
 
@@ -262,7 +261,6 @@ pub struct RunReport {
     pub(crate) errors: BTreeMap<ProcessId, String>,
     pub(crate) crashes: BTreeMap<ProcessId, CrashReason>,
     pub(crate) trace: Vec<String>,
-    pub(crate) races: Vec<RaceReport>,
     pub(crate) gov_transitions: Vec<ModeTransition>,
 }
 
@@ -367,7 +365,7 @@ impl RunReport {
     }
 
     /// A deterministic digest of everything observable about the run —
-    /// committed outputs, counters, finish times, crashes, races — but not
+    /// committed outputs, counters, finish times, crashes — but not
     /// the (optional, verbose) trace. Two runs of the same program under
     /// the same [`SimConfig`](crate::SimConfig) (fault plan included) must
     /// produce equal fingerprints; the chaos oracle asserts exactly that
@@ -390,7 +388,7 @@ impl RunReport {
         stats.governor = GovernorStats::default();
         let mut h = std::collections::hash_map::DefaultHasher::new();
         format!(
-            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+            "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             self.end_time,
             self.events,
             self.hit_limits,
@@ -399,7 +397,6 @@ impl RunReport {
             self.finish_times,
             self.unfinished,
             self.crashes,
-            self.races,
         )
         .hash(&mut h);
         h.finish()
@@ -416,14 +413,6 @@ impl RunReport {
     /// virtual time.
     pub fn trace(&self) -> &[String] {
         &self.trace
-    }
-
-    /// Findings of the online race detector, if
-    /// [`SimConfig::detect_races`](crate::SimConfig::detect_races) was
-    /// enabled (empty otherwise): decide/decide races on one AID, sends
-    /// issued under doomed speculation, and guesses racing a decide.
-    pub fn races(&self) -> &[RaceReport] {
-        &self.races
     }
 
     /// The optimism governor's mode-transition trace in virtual-time
@@ -477,7 +466,6 @@ mod tests {
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
             trace: Vec::new(),
-            races: Vec::new(),
             gov_transitions: Vec::new(),
         };
         assert!(r.completed());
@@ -515,7 +503,6 @@ mod tests {
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
             trace: Vec::new(),
-            races: Vec::new(),
             gov_transitions: Vec::new(),
         };
         assert!(!r.completed());
@@ -547,7 +534,6 @@ mod tests {
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
             trace: Vec::new(),
-            races: Vec::new(),
             gov_transitions: Vec::new(),
         };
         let mut traced = base.clone();

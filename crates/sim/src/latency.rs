@@ -26,20 +26,6 @@ pub enum LatencyModel {
         /// Maximum latency (exclusive).
         hi: VirtualDuration,
     },
-    /// Exponentially distributed around `mean`, shifted by a propagation
-    /// `floor` (no message can beat the speed of light).
-    Exponential {
-        /// Lower bound added to every sample.
-        floor: VirtualDuration,
-        /// Mean of the exponential component.
-        mean: VirtualDuration,
-    },
-    /// Sampled uniformly from an observed set of latencies (replay a real
-    /// trace's distribution).
-    Empirical {
-        /// The observed samples; drawn uniformly at random.
-        samples: Vec<VirtualDuration>,
-    },
 }
 
 impl LatencyModel {
@@ -71,17 +57,6 @@ impl LatencyModel {
                     VirtualDuration::from_nanos(rng.range_u64(a, b))
                 }
             }
-            LatencyModel::Exponential { floor, mean } => {
-                let extra = rng.exponential(mean.as_nanos().max(1) as f64);
-                *floor + VirtualDuration::from_nanos(extra as u64)
-            }
-            LatencyModel::Empirical { samples } => {
-                if samples.is_empty() {
-                    VirtualDuration::ZERO
-                } else {
-                    samples[rng.index(samples.len())]
-                }
-            }
         }
     }
 
@@ -91,15 +66,6 @@ impl LatencyModel {
             LatencyModel::Fixed(d) => *d,
             LatencyModel::Uniform { lo, hi } => {
                 VirtualDuration::from_nanos((lo.as_nanos() + hi.as_nanos()) / 2)
-            }
-            LatencyModel::Exponential { floor, mean } => *floor + *mean,
-            LatencyModel::Empirical { samples } => {
-                if samples.is_empty() {
-                    VirtualDuration::ZERO
-                } else {
-                    let total: u128 = samples.iter().map(|d| d.as_nanos() as u128).sum();
-                    VirtualDuration::from_nanos((total / samples.len() as u128) as u64)
-                }
             }
         }
     }
@@ -117,12 +83,6 @@ impl fmt::Display for LatencyModel {
         match self {
             LatencyModel::Fixed(d) => write!(f, "fixed({d})"),
             LatencyModel::Uniform { lo, hi } => write!(f, "uniform({lo}..{hi})"),
-            LatencyModel::Exponential { floor, mean } => {
-                write!(f, "exp(floor={floor}, mean={mean})")
-            }
-            LatencyModel::Empirical { samples } => {
-                write!(f, "empirical({} samples)", samples.len())
-            }
         }
     }
 }
@@ -210,19 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_respects_floor() {
-        let m = LatencyModel::Exponential {
-            floor: VirtualDuration::from_millis(10),
-            mean: VirtualDuration::from_millis(5),
-        };
-        let mut rng = SimRng::new(3);
-        for _ in 0..100 {
-            assert!(m.sample(&mut rng) >= VirtualDuration::from_millis(10));
-        }
-        assert_eq!(m.mean(), VirtualDuration::from_millis(15));
-    }
-
-    #[test]
     fn presets() {
         assert_eq!(
             LatencyModel::lan().mean(),
@@ -243,36 +190,6 @@ mod tests {
             hi: VirtualDuration::from_millis(1),
         };
         assert!(u.to_string().starts_with("uniform("));
-    }
-
-    #[test]
-    fn empirical_draws_only_observed_samples() {
-        let samples = vec![
-            VirtualDuration::from_millis(1),
-            VirtualDuration::from_millis(4),
-            VirtualDuration::from_millis(9),
-        ];
-        let m = LatencyModel::Empirical {
-            samples: samples.clone(),
-        };
-        let mut rng = SimRng::new(4);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..200 {
-            let s = m.sample(&mut rng);
-            assert!(samples.contains(&s), "{s}");
-            seen.insert(s);
-        }
-        assert_eq!(seen.len(), 3, "all samples eventually drawn");
-        assert_eq!(m.mean(), VirtualDuration::from_nanos(4_666_666));
-        assert!(m.to_string().starts_with("empirical("));
-    }
-
-    #[test]
-    fn empirical_empty_is_zero() {
-        let m = LatencyModel::Empirical { samples: vec![] };
-        let mut rng = SimRng::new(4);
-        assert_eq!(m.sample(&mut rng), VirtualDuration::ZERO);
-        assert_eq!(m.mean(), VirtualDuration::ZERO);
     }
 
     #[test]

@@ -98,17 +98,6 @@ impl SimRng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p.clamp(0.0, 1.0)
     }
-
-    /// An exponentially distributed `f64` with the given mean.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not finite and positive.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean.is_finite() && mean > 0.0, "mean must be positive");
-        let u: f64 = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
 }
 
 #[cfg(test)]
@@ -173,19 +162,6 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(r.chance(2.0)); // clamped
         assert!(!r.chance(-1.0)); // clamped
-    }
-
-    #[test]
-    fn exponential_mean_is_plausible() {
-        let mut r = SimRng::new(123);
-        let n = 20_000;
-        let mean = 5.0;
-        let total: f64 = (0..n).map(|_| r.exponential(mean)).sum();
-        let sample_mean = total / n as f64;
-        assert!(
-            (sample_mean - mean).abs() < 0.2,
-            "sample mean {sample_mean}"
-        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Debugging an optimistic program: execution traces and dependency
 //! graphs.
 //!
-//! Rollback cascades can be bewildering; this example shows the three
-//! tools the reproduction provides. `SimConfig::traced()` records every
-//! primitive, delivery, ghost and rollback with virtual timestamps;
-//! `SimConfig::detect_races(true)` runs the vector-clock race detector
-//! online and surfaces its findings through `RunReport::races`;
+//! Rollback cascades can be bewildering; this example shows the tools the
+//! reproduction provides. `SimConfig::traced()` records every primitive,
+//! delivery, ghost and rollback with virtual timestamps;
+//! `Simulation::set_observer` hands every executed action to an observer —
+//! here `hope::analysis::RaceDetector`, the vector-clock race detector,
+//! read once the run is over;
 //! `hope::core::trace::render_dependency_graph` exports the engine's live
 //! IDO/DOM graph as Graphviz DOT; and `SimConfig::with_faults` injects
 //! deterministic network/crash faults whose effects show up in
@@ -17,15 +18,23 @@
 //! cargo run --example debugging_rollback
 //! ```
 
+use std::sync::{Arc, Mutex};
+
+use hope::analysis::{RaceDetector, RaceKind};
 use hope::core::trace::render_dependency_graph;
-use hope::core::{Checkpoint, Engine};
+use hope::core::{Checkpoint, Engine, RuntimeObserver};
 use hope::runtime::{FaultPlan, SimConfig, Simulation, Value};
 use hope::sim::VirtualDuration;
 use hope::{AidId, ProcessId};
 
 fn main() {
-    // --- Part 1: a traced run with a rollback cascade -------------------
-    let mut sim = Simulation::new(SimConfig::with_seed(7).traced().detect_races(true));
+    // --- Part 1: a traced, watched run with a rollback cascade ----------
+    let mut sim = Simulation::new(SimConfig::with_seed(7).traced());
+    let detector = Arc::new(Mutex::new(RaceDetector::new()));
+    let hook = detector.clone();
+    sim.set_observer(move |pid, action, effects| {
+        hook.lock().unwrap().observe(pid, action, effects);
+    });
     let relay = ProcessId(1);
     let judge = ProcessId(2);
     sim.spawn("origin", move |ctx| {
@@ -63,15 +72,16 @@ fn main() {
     assert!(report.trace().iter().any(|l| l.contains("ghost")));
 
     println!("\n=== race detector findings ===");
-    for race in report.races() {
+    let detector = detector.lock().unwrap();
+    for race in detector.races() {
         println!("  [{}] {}", race.kind.name(), race.detail);
     }
     // The speculative hello was condemned as a ghost by the judge's deny:
     // the detector charges a send-after-deny race to the sender.
-    assert!(report
+    assert!(detector
         .races()
         .iter()
-        .any(|r| r.kind == hope::runtime::RaceKind::SendAfterDeny));
+        .any(|r| r.kind == RaceKind::SendAfterDeny));
 
     // --- Part 2: a dependency graph snapshot ----------------------------
     let mut engine = Engine::new();

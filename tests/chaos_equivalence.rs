@@ -14,8 +14,8 @@
 //!   kills;
 //! * a checkpointing guesser/verifier loop, and the recovery pipeline
 //!   (whose bodies checkpoint every step), under every combination of
-//!   fossil collection, the optimism governor, race detection, tracing and
-//!   engine invariant checking ([`knob_lattice`]), fault-free and under
+//!   fossil collection, the optimism governor, tracing and engine
+//!   invariant checking ([`knob_lattice`]), fault-free and under
 //!   the same kind of plans — each cell asserting that what it turns on
 //!   actually fired; and
 //! * the recovery pipeline, and the Time Warp logical process, each against
@@ -574,8 +574,8 @@ fn run_lp_snapshots_are_transparent() {
 /// *every* run with collection on (replay-from-horizon under the kills
 /// included); guesses held or converted under the plans with the governor
 /// on — tuned so that drops and kills push sites into Throttled and
-/// Conservative; a non-empty trace on every traced run. (Race detection
-/// and invariant checking have no counter: one reports, the other panics.)
+/// Conservative; a non-empty trace on every traced run. (Invariant
+/// checking has no counter: it panics.)
 fn lattice(
     scenario: impl Fn(SimConfig) -> Simulation,
     pick: impl Fn(&str) -> bool,
@@ -622,7 +622,7 @@ fn lattice(
     }
 }
 
-const ALL_ON: &str = "fossil+governor+races+trace+invariants";
+const ALL_ON: &str = "fossil+governor+trace+invariants";
 
 /// Plans with a crash-restart under which the *ungoverned* loop stays under
 /// ~500 events (17 is the hostile one: some 60 drops, 70 timeout denies).
@@ -633,7 +633,7 @@ const SHORT_PLANS: [u64; 6] = [9, 12, 17, 38, 69, 106];
 
 /// Tier-1's slice of the lattice, fault-free and under plan 17. Invariant
 /// checking costs ~8× the rest of a debug-build run, so tier-1 crosses the
-/// other four knobs fully and adds it alone and all-on: 18 cells. All 32
+/// other three knobs fully and adds it alone and all-on: 10 cells. All 16
 /// run under `--ignored` below and, fault-free over every schedule, in
 /// `hope_runtime::mc`.
 #[test]
@@ -663,7 +663,7 @@ fn slow_knob_lattice_70_plans_from_4000() {
     lattice(checkpointed_loop_scenario, is_70_plan_cell, 4000..4070);
 }
 
-/// All 32 cells, fault-free and under every short plan: each knob
+/// All 16 cells, fault-free and under every short plan: each knob
 /// *combination* under faults, invariants checked after every transition
 /// in half of them.
 #[test]

@@ -148,6 +148,20 @@ impl<'a> IntervalView<'a> {
         self.engine.ido_of(self.inner)
     }
 
+    /// The part of `A.IDO` that *entered* its process's dependence at `A`:
+    /// the AIDs `A` depends on that its predecessor did not — the set the
+    /// engine stores (module docs of [`Engine`], § Storage). Borrowed,
+    /// O(1).
+    ///
+    /// Along one process's chain of speculative intervals these sets are
+    /// pairwise disjoint, `A.IDO` is their union from the first one up to
+    /// `A`, and `X.DOM` is every interval from the one whose entered set
+    /// holds `X` to the end of its history. Empty for a definite or
+    /// rolled-back interval.
+    pub fn entered(&self) -> &'a DepSet<AidId> {
+        &self.inner.ido
+    }
+
     /// `A.IHD`: speculative denies pending this interval's finalization.
     pub fn ihd(&self) -> &'a DepSet<AidId> {
         self.inner.ihd.as_deref().unwrap_or(&EMPTY)

@@ -21,6 +21,7 @@
 //! real payloads, virtual time and deterministic replay.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use crate::engine::{Engine, GuessOutcome};
 use crate::error::Result;
@@ -175,7 +176,9 @@ struct MProc {
 #[derive(Debug, Clone)]
 pub struct Machine {
     engine: Engine,
-    program: Program,
+    /// Shared, not copied, by [`Clone`]: a model checker clones a machine
+    /// at every branch point, and the program never changes.
+    program: Arc<Program>,
     aids: Vec<AidId>,
     procs: Vec<MProc>,
     next_msg: u64,
@@ -208,7 +211,7 @@ impl Machine {
         };
         Machine {
             engine,
-            program,
+            program: Arc::new(program),
             aids,
             procs,
             next_msg: 0,
@@ -247,7 +250,11 @@ impl Machine {
         &self.procs[p].history
     }
 
-    /// The engine-level process id of machine process `p`.
+    /// The engine-level process id of machine process `p`, which is always
+    /// `ProcessId(p)`: [`Machine::new`] registers the program's processes
+    /// in order with a fresh engine, and a machine registers nothing else.
+    /// Canonical naming relies on it (`hope-mc`'s state keys name a process
+    /// and an interval's owner by the engine pid).
     ///
     /// # Panics
     ///
@@ -554,6 +561,14 @@ impl Machine {
 
     fn mark(&mut self, p: usize, interval: IntervalId) {
         let proc = &mut self.procs[p];
+        // Both guess sites pass the guessing pc as the checkpoint, so a
+        // mark's pc is the interval's `A.PS` and a state key need not
+        // write both.
+        debug_assert_eq!(
+            self.engine.interval(interval).map(|v| v.checkpoint()).ok(),
+            Some(Checkpoint(proc.pc as u64)),
+            "{interval}'s checkpoint is not its resume pc"
+        );
         proc.marks.insert(
             interval,
             Mark {
@@ -861,6 +876,21 @@ mod tests {
             }
         }
         assert!(compared > 100, "only {compared} runs without rollback");
+    }
+
+    #[test]
+    fn machine_process_p_is_engine_pid_p() {
+        for n in [0, 3, 70] {
+            let mut m = Machine::new(Program::new(vec![vec![Stmt::Guess(0)]; n]));
+            m.run(1_000);
+            assert_eq!(m.process_count(), n);
+            for p in 0..n {
+                assert_eq!(m.pid(p), ProcessId(p as u32), "{n} processes");
+                for &a in m.engine().history(ProcessId(p as u32)).unwrap() {
+                    assert_eq!(m.engine().interval(a).unwrap().process(), m.pid(p));
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! lockstep. Every operation must produce identical results and effect
 //! streams, and after every step the control-variable state (histories,
 //! statuses, materialized `IDO`/`DOM`, `IHD`/`IHA`/`guessed`, tags) must be
-//! identical. Any divergence introduced by storing the relation as
+//! identical; so must the relation the stored chain alone determines (each
+//! interval's entered set). Any divergence introduced by storing the relation as
 //! per-process chains (`Engine` module docs, § Storage) or by the hybrid
 //! inline/bitset sets — ordering, head bookkeeping, COW aliasing, spill
 //! boundaries — fails here.
@@ -566,6 +567,54 @@ fn assert_state_agrees(engine: &Engine, reference: &RefEngine, step: usize, skip
     }
 }
 
+/// Assert that the chain as stored determines the relation, on the engine
+/// alone: along each process's chain the entered sets
+/// ([`IntervalView::entered`](hope_core::IntervalView::entered)) are
+/// pairwise disjoint and every interval's `IDO` is their union up to it,
+/// definite intervals store nothing, and every AID outside `skip` has as
+/// its `DOM` the history suffixes from the intervals whose entered set
+/// holds it.
+fn assert_chain_determines_relation(engine: &Engine, step: usize, skip: Range<u64>) {
+    let mut dom: BTreeMap<AidId, BTreeSet<IntervalId>> = BTreeMap::new();
+    for p in 0..N_PROCS {
+        let pid = ProcessId(p);
+        let history = engine.history(pid).unwrap();
+        let mut ido = BTreeSet::new();
+        for (pos, &a) in history.iter().enumerate() {
+            let view = engine.interval(a).unwrap();
+            if view.status() != IntervalStatus::Speculative {
+                assert!(
+                    view.entered().is_empty(),
+                    "definite {a} stores AIDs at step {step}"
+                );
+                continue;
+            }
+            for x in view.entered() {
+                assert!(
+                    ido.insert(x),
+                    "{x} entered {pid}'s chain twice (at {a}, step {step})"
+                );
+                dom.entry(x).or_default().extend(&history[pos..]);
+            }
+            assert!(
+                view.ido().iter().eq(ido.iter().copied()),
+                "IDO of {a} is not its chain's union at step {step}: {:?} vs {ido:?}",
+                view.ido()
+            );
+        }
+    }
+    for x in aids_outside(&skip, engine.aid_count() as u64) {
+        let id = AidId::from_index(x);
+        let Ok(view) = engine.aid(id) else { continue };
+        let want = dom.remove(&id).unwrap_or_default();
+        assert!(
+            view.dom().iter().eq(want.iter().copied()),
+            "DOM of {id} is not its heads' suffixes at step {step}: {:?} vs {want:?}",
+            view.dom()
+        );
+    }
+}
+
 /// Deliver one tag to both engines and compare what they answer, an error
 /// included.
 fn recv_both(
@@ -592,9 +641,10 @@ fn play(ops: &[Op]) {
 }
 
 /// Drive both engines through `ops`, comparing results and effect streams
-/// at every step and the whole control-variable state at every `stride`-th
-/// step and at the end (reading every `IDO` off a 200-deep chain is
-/// quadratic; the deep directed cases thin it out).
+/// at every step, and the whole control-variable state and what the
+/// stored chain determines of it at every `stride`-th step and at the end
+/// (reading every `IDO` off a 200-deep chain is quadratic; the deep
+/// directed cases thin it out).
 fn play_comparing_state_every(stride: usize, ops: &[Op]) {
     let mut engine = Engine::new();
     engine.set_invariant_checking(true);
@@ -712,7 +762,8 @@ fn play_comparing_state_every(stride: usize, ops: &[Op]) {
         let last = step + 1 == ops.len();
         if step % stride == 0 || last {
             let skip = settled_skip(&settled, op, last);
-            assert_state_agrees(&engine, &reference, step, skip);
+            assert_state_agrees(&engine, &reference, step, skip.clone());
+            assert_chain_determines_relation(&engine, step, skip);
         }
     }
     engine.verify_invariants().unwrap();

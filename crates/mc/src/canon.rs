@@ -11,61 +11,58 @@
 //! coordinate before encoding:
 //!
 //! * a live interval becomes `(process, position in that process's live
-//!   engine history)` — stable because rollback only truncates suffixes;
+//!   engine history)`, read off its record as `(process, seq)` — stable
+//!   because rollback only truncates suffixes and a machine never collects
+//!   fossils, and machine process `p` is engine pid `p`
+//!   ([`Machine::pid`]);
 //! * message ids are dropped entirely; a message is its `(sender, tag)`;
-//! * everything else (AID decision state, `DOM`/`IDO`/`IHD`/`IHA` sets,
-//!   program counters, histories, mailboxes, resume marks) is encoded
-//!   field-by-field in a fixed order.
+//! * everything else is encoded field-by-field in a fixed order.
+//!
+//! [`state_key`] writes, in order: the process count; per AID its
+//! decision state, consumption flag and speculative ties (the intervals
+//! that speculatively affirmed or denied it); per process its pc, then per
+//! live interval of its engine history its status and, for a speculative
+//! one, its entered set, `IHD`, `IHA`, guessed set and resume mark, then
+//! its mailbox and delivered messages; every process's history records;
+//! and whether a rollback or a ghost ever happened. It reads the
+//! dependence relation as the engine stores it (`Engine` module docs,
+//! § Storage): each speculative interval's *entered* set, not its `IDO`,
+//! and no `DOM` at all. Both are functions of what it writes — `IDO` is
+//! the running union of the entered sets along the process's chain, and
+//! `X.DOM` is the history suffix from the one interval per process whose
+//! entered set holds `X` — so the key is exactly as fine as one that
+//! writes them. Nor does it write `A.PS`: a machine passes the guessing pc
+//! as the checkpoint, which is the resume mark's pc.
 //!
 //! The encoding itself — not a hash of it — is used as the cache key: a
 //! 64-bit hash collision would silently merge distinct states and make the
 //! checker unsound, while full keys only cost memory the state budget
-//! already bounds. [`state_key`] writes integers as LEB128 varints (≈81
-//! bytes a key on the E22 corpus, ≈404 as 8-byte words); reports keep
-//! [`commit_fingerprint`]'s bytes, so it stays fixed-width. Both are exact
-//! encodings (see `Enc`).
+//! already bounds. [`state_key`] writes integers as LEB128 varints (73.8
+//! bytes a distinct state on the E22 corpus at seed 22, 79.3 with full
+//! `IDO`/`DOM` sets); reports keep [`commit_fingerprint`]'s bytes, so it
+//! stays fixed-width. Both are exact encodings (see `Enc`).
 
 use hope_core::machine::{Machine, Msg, StateRecord};
-use hope_core::{Action, AidId, AidState, DecideKind, IntervalId, IntervalStatus, ProcessId};
+use hope_core::{
+    Action, AidId, AidState, DecideKind, Engine, IntervalId, IntervalStatus, ProcessId,
+};
 
 /// Schedule-independent name for a live interval: `(process index,
 /// position in that process's live engine history)`.
 type CanonRef = (u64, u64);
 
-/// Order-independent renaming tables for one machine state.
-struct Names<'m> {
-    /// Every live interval's name, sorted by raw id.
-    intervals: Vec<(IntervalId, CanonRef)>,
-    /// The machine, whose process order names pids.
-    m: &'m Machine,
+/// A live interval's canonical name, read off its record: the owner's
+/// engine pid is its machine process index ([`Machine::pid`]), and `seq`
+/// is its position in the owner's live history, since rollback only
+/// truncates a suffix and a machine never collects fossils.
+fn interval_name(engine: &Engine, a: IntervalId) -> CanonRef {
+    let v = engine.interval(a).expect("canonicalized interval is live");
+    (process_name(v.process()), v.seq() as u64)
 }
 
-impl<'m> Names<'m> {
-    fn build(m: &'m Machine) -> Self {
-        let mut intervals = Vec::new();
-        for p in 0..m.process_count() {
-            let history = m.engine().history(m.pid(p)).expect("machine process");
-            for (i, &a) in history.iter().enumerate() {
-                intervals.push((a, (p as u64, i as u64)));
-            }
-        }
-        intervals.sort_unstable_by_key(|&(a, _)| a);
-        Names { intervals, m }
-    }
-
-    fn interval(&self, a: IntervalId) -> CanonRef {
-        let i = self
-            .intervals
-            .binary_search_by_key(&a, |&(b, _)| b)
-            .expect("canonicalized interval is live");
-        self.intervals[i].1
-    }
-
-    fn process(&self, pid: ProcessId) -> u64 {
-        let m = self.m;
-        let p = (0..m.process_count()).position(|p| m.pid(p) == pid);
-        p.expect("canonicalized pid is registered") as u64
-    }
+/// A process's canonical name: machine process `p` is engine pid `p`.
+fn process_name(pid: ProcessId) -> u64 {
+    u64::from(pid.0)
 }
 
 /// Byte sink; integers are LEB128 varints if `VARINT`, else 8-byte
@@ -125,7 +122,7 @@ impl<const VARINT: bool> Enc<VARINT> {
 
     /// A history action with message ids and senders dropped (they are
     /// allocation-order artefacts).
-    fn event(&mut self, e: &Action, names: &Names) {
+    fn event(&mut self, e: &Action) {
         match e {
             Action::Guess { aid, value } => {
                 self.tag(0);
@@ -149,7 +146,7 @@ impl<const VARINT: bool> Enc<VARINT> {
             Action::Compute => self.tag(4),
             Action::Send { to, .. } => {
                 self.tag(5);
-                self.u(names.process(*to));
+                self.u(process_name(*to));
             }
             Action::Recv { speculative, .. } => {
                 self.tag(6);
@@ -170,8 +167,8 @@ impl<const VARINT: bool> Enc<VARINT> {
         }
     }
 
-    fn msg(&mut self, m: &Msg, names: &Names) {
-        self.u(names.process(m.from));
+    fn msg(&mut self, m: &Msg) {
+        self.u(process_name(m.from));
         self.u(m.tag.len() as u64);
         for x in m.tag.iter() {
             self.u(x.index());
@@ -187,13 +184,14 @@ fn aid_state_tag(s: AidState) -> u8 {
     }
 }
 
-fn encode_histories(e: &mut Enc<true>, m: &Machine, names: &Names) {
+fn encode_histories(e: &mut Enc<true>, m: &Machine) {
+    let engine = m.engine();
     for p in 0..m.process_count() {
         let h = m.history(p);
         e.u(h.states().len() as u64);
         for rec in h.states() {
-            e.event(&rec.event, names);
-            e.opt_cref(rec.interval.map(|a| names.interval(a)));
+            e.event(&rec.event);
+            e.opt_cref(rec.interval.map(|a| interval_name(engine, a)));
             e.tag(match rec.g {
                 None => 0,
                 Some(false) => 1,
@@ -204,10 +202,12 @@ fn encode_histories(e: &mut Enc<true>, m: &Machine, names: &Names) {
     }
 }
 
-fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_control: bool) {
+/// Each AID's decision state and consumption flag, and with `with_control`
+/// its speculative ties. `DOM` is not written: its heads are the intervals
+/// whose entered set holds the AID, and the key writes those sets.
+fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, with_control: bool) {
     let engine = m.engine();
     e.u(engine.aid_count() as u64);
-    let mut dom: Vec<CanonRef> = Vec::new();
     for i in 0..engine.aid_count() {
         let v = engine
             .aid(AidId::from_index(i as u64))
@@ -215,17 +215,9 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_c
         e.tag(aid_state_tag(v.state()));
         e.flag(v.is_consumed());
         if with_control {
-            e.opt_cref(v.speculatively_affirmed_by().map(|a| names.interval(a)));
-            e.opt_cref(v.speculatively_denied_by().map(|a| names.interval(a)));
-            dom.clear();
-            dom.extend(v.dom().iter().map(|a| names.interval(a)));
-            // DOM iterates in raw-id order, which is allocation order:
-            // re-sort under canonical names.
-            dom.sort_unstable();
-            e.u(dom.len() as u64);
-            for &r in &dom {
-                e.cref(r);
-            }
+            let name = |a| interval_name(engine, a);
+            e.opt_cref(v.speculatively_affirmed_by().map(name));
+            e.opt_cref(v.speculatively_denied_by().map(name));
         }
     }
 }
@@ -234,33 +226,34 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, names: &Names, with_c
 /// visited-cache key: two states with equal keys have identical futures
 /// and identical verdict-relevant pasts (rollback/ghost/skip sins).
 pub fn state_key(m: &Machine) -> Vec<u8> {
-    let names = Names::build(m);
     let engine = m.engine();
     // Sized up front: fewer than 2% of the keys the generated corpora reach
     // need more than 12 bytes per history record, AID and process.
     let n = m.process_count();
     let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
     let mut e = Enc::<true>(Vec::with_capacity(12 * (records + engine.aid_count() + n)));
-    e.u(m.process_count() as u64);
-    encode_aids(&mut e, m, &names, true);
-    for p in 0..m.process_count() {
-        let pid = m.pid(p);
+    e.u(n as u64);
+    encode_aids(&mut e, m, true);
+    for p in 0..n {
         e.u(m.pc(p) as u64);
-        let history = engine.history(pid).expect("machine process");
+        let history = engine.history(m.pid(p)).expect("machine process");
         e.u(history.len() as u64);
         for &a in history {
             let v = engine.interval(a).expect("live interval");
             match v.status() {
                 IntervalStatus::Definite => e.tag(0),
                 IntervalStatus::Speculative => {
+                    // The chain as stored: what entered the process's
+                    // dependence here. `IDO` is the running union of these
+                    // sets along the chain, so it is not written either.
                     e.tag(1);
-                    for set in [&*v.ido(), v.ihd(), v.iha(), v.guessed()] {
+                    for set in [v.entered(), v.ihd(), v.iha(), v.guessed()] {
                         e.u(set.len() as u64);
                         for x in set {
                             e.u(x.index());
                         }
                     }
-                    e.u(v.checkpoint().0);
+                    // `A.PS` is the mark's pc on a machine: not written.
                     let (mpc, mhist, mdel) = m.resume_mark(p, a).expect("live interval has a mark");
                     e.u(mpc as u64);
                     e.u(mhist as u64);
@@ -271,14 +264,14 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
         }
         e.u(m.mailbox(p).count() as u64);
         for msg in m.mailbox(p) {
-            e.msg(msg, &names);
+            e.msg(msg);
         }
         e.u(m.delivered(p).len() as u64);
         for msg in m.delivered(p) {
-            e.msg(msg, &names);
+            e.msg(msg);
         }
     }
-    encode_histories(&mut e, m, &names);
+    encode_histories(&mut e, m);
     // Verdict-relevant sins: states that differ only in *whether* a
     // rollback or ghost ever happened must not merge, or a sinful path
     // could claim a pristine terminal.
@@ -305,7 +298,6 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
 /// Integers are fixed-width words: these are the bytes
 /// [`McReport::outputs`](crate::McReport::outputs) holds.
 pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
-    let names = Names::build(m);
     let n = m.process_count();
     let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
     // At most 19 bytes a history record (its delivery's sender included),
@@ -313,7 +305,7 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
     let cap = 16 + 19 * records + 17 * n + 2 * m.engine().aid_count();
     let mut e = Enc::<false>(Vec::with_capacity(cap));
     e.u(n as u64);
-    encode_aids(&mut e, m, &names, false);
+    encode_aids(&mut e, m, false);
     let visible = |rec: &&StateRecord| {
         !matches!(
             rec.event,
@@ -346,7 +338,7 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
                 Action::Compute => e.tag(4),
                 Action::Send { to, .. } => {
                     e.tag(5);
-                    e.u(names.process(*to));
+                    e.u(process_name(*to));
                 }
                 Action::Recv { .. } => e.tag(6),
                 Action::SkippedDecide { aid, kind } => e.skipped(*aid, *kind),
@@ -363,7 +355,7 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
         // senders are program-visible.
         e.u(m.delivered(p).len() as u64);
         for msg in m.delivered(p) {
-            e.u(names.process(msg.from));
+            e.u(process_name(msg.from));
         }
     }
     e.0
@@ -446,9 +438,49 @@ mod tests {
     /// word — transcribed field by field as the oracle for the compact
     /// state key and the unchanged commit fingerprint.
     mod fixed_width {
-        use super::super::{aid_state_tag, CanonRef, Names};
+        use super::super::{aid_state_tag, CanonRef};
         use hope_core::machine::{Machine, Msg, StepOutcome};
-        use hope_core::{Action, AidId, DecideKind, IntervalStatus};
+        use hope_core::{Action, AidId, DecideKind, IntervalId, IntervalStatus, ProcessId};
+
+        /// The renaming the compact key used before it read names off the
+        /// interval records: a table of every live interval sorted by raw
+        /// id, and a pid named by its position in the machine's process
+        /// order. Kept here so that the oracle checks the naming as well
+        /// as the encoding.
+        struct Names<'m> {
+            /// Every live interval's name, sorted by raw id.
+            intervals: Vec<(IntervalId, CanonRef)>,
+            /// The machine, whose process order names pids.
+            m: &'m Machine,
+        }
+
+        impl<'m> Names<'m> {
+            fn build(m: &'m Machine) -> Self {
+                let mut intervals = Vec::new();
+                for p in 0..m.process_count() {
+                    let history = m.engine().history(m.pid(p)).expect("machine process");
+                    for (i, &a) in history.iter().enumerate() {
+                        intervals.push((a, (p as u64, i as u64)));
+                    }
+                }
+                intervals.sort_unstable_by_key(|&(a, _)| a);
+                Names { intervals, m }
+            }
+
+            fn interval(&self, a: IntervalId) -> CanonRef {
+                let i = self
+                    .intervals
+                    .binary_search_by_key(&a, |&(b, _)| b)
+                    .expect("canonicalized interval is live");
+                self.intervals[i].1
+            }
+
+            fn process(&self, pid: ProcessId) -> u64 {
+                let m = self.m;
+                let p = (0..m.process_count()).position(|p| m.pid(p) == pid);
+                p.expect("canonicalized pid is registered") as u64
+            }
+        }
 
         #[derive(Default)]
         struct W(Vec<u8>);
@@ -683,10 +715,23 @@ mod tests {
 
     /// Every state a DFS over all interleavings reaches, each distinct
     /// fixed-width key expanded once (equal keys have equal futures, which
-    /// is the property both keys exist to provide).
-    fn reachable(program: &Program, seen: &mut HashMap<Vec<u8>, Vec<u8>>, fresh: &mut usize) {
+    /// is the property both keys exist to provide). Returns the most
+    /// speculative intervals one process held at once.
+    fn reachable(
+        program: &Program,
+        seen: &mut HashMap<Vec<u8>, Vec<u8>>,
+        fresh: &mut usize,
+    ) -> usize {
+        let mut deepest = 0;
         let mut stack = vec![Machine::new(program.clone())];
         while let Some(m) = stack.pop() {
+            for p in 0..m.process_count() {
+                let history = m.engine().history(m.pid(p)).unwrap();
+                let chain = history.iter().filter(|&&a| {
+                    m.engine().interval(a).unwrap().status() == IntervalStatus::Speculative
+                });
+                deepest = deepest.max(chain.count());
+            }
             assert_eq!(
                 commit_fingerprint(&m),
                 fixed_width::commit_fingerprint(&m),
@@ -710,21 +755,30 @@ mod tests {
                 }
             }
         }
+        deepest
     }
 
     #[test]
     fn compact_keys_are_the_fixed_width_keys_equivalence() {
-        // Over every reachable state of 220 generated programs: the map
+        // Over every reachable state of 260 generated programs: the map
         // from fixed-width key to key is a function (checked on arrival)
         // and injective (checked per program below), so equal keys are
-        // exactly equal fixed-width keys.
+        // exactly equal fixed-width keys. The last slice's processes are
+        // longer (≈31k states), so that one holds at least three
+        // speculative intervals at once and the entered sets the key
+        // writes form a chain, not one set.
+        let deep = (0..40u64).map(|s| (true, Program::generate(s, 3, 5, 3)));
         let corpus = (0..120u64)
-            .map(|s| Program::generate(s, 3, 3, 3))
-            .chain((0..100u64).map(|s| Program::generate(s, 2, 4, 2)));
-        let (mut states, mut old_bytes, mut new_bytes) = (0, 0, 0);
-        for program in corpus {
+            .map(|s| (false, Program::generate(s, 3, 3, 3)))
+            .chain((0..100u64).map(|s| (false, Program::generate(s, 2, 4, 2))))
+            .chain(deep);
+        let (mut states, mut old_bytes, mut new_bytes, mut deepest) = (0, 0, 0, 0);
+        for (in_deep_slice, program) in corpus {
             let mut seen = HashMap::new();
-            reachable(&program, &mut seen, &mut states);
+            let chain = reachable(&program, &mut seen, &mut states);
+            if in_deep_slice {
+                deepest = deepest.max(chain);
+            }
             let distinct: HashSet<&Vec<u8>> = seen.values().collect();
             assert_eq!(
                 distinct.len(),
@@ -735,6 +789,7 @@ mod tests {
             new_bytes += seen.values().map(Vec::len).sum::<usize>();
         }
         assert!(states > 10_000, "the corpus reaches only {states} states");
+        assert!(deepest >= 3, "the deep slice's longest chain is {deepest}");
         assert!(
             new_bytes * 3 < old_bytes,
             "{new_bytes} vs {old_bytes} bytes"

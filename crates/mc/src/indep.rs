@@ -22,17 +22,22 @@
 //! explorer's enabled, sleep and explored sets — is an [`IdSet`] of bit
 //! words over AID or process indices. Ids below 64 live in one inline
 //! word, and two footprints are tested for independence by four
-//! word-ANDs. A pass of `check` over the E22 `mc_exhaust` corpus (1,500
-//! 3×3 programs) makes 666,841 allocations with these sets and 1,061,061
-//! with the `BTreeSet`s they replaced (12.2 and 19.4 a transition).
+//! word-ANDs. The closures read the dependence relation as the engine
+//! stores it: `X.DOM` is found through each process's current `IDO` and
+//! its intervals' entered sets ([`dependents`]), never built. A pass of
+//! `check` over the E22 `mc_exhaust` corpus (1,500 3×3 programs, seed 22)
+//! made 1,061,061 allocations with the `BTreeSet`s these sets replaced
+//! and 666,841 with the sets alone (19.4 and 12.2 a transition). With
+//! `DOM` read off the chain, the singleton prover's [`Reaches`] and the
+//! explorer's footprint tables reused, and the state key and `Machine`
+//! trimmed alongside, it makes 370,242 (6.8 a transition).
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::marker::PhantomData;
 
 use hope_core::machine::Machine;
 use hope_core::program::Stmt;
-use hope_core::{AidId, AidState, IntervalId};
+use hope_core::{AidId, AidState, Engine, IntervalId, IntervalStatus};
 
 /// An id an [`IdSet`] holds: a small dense index.
 pub(crate) trait Id: Copy {
@@ -208,6 +213,30 @@ enum Decision {
     Deny(AidId),
 }
 
+/// The machine process owning live interval `a`: its engine pid
+/// ([`Machine::pid`] is the identity on process indices).
+fn owner(engine: &Engine, a: IntervalId) -> usize {
+    engine.interval(a).expect("live interval").process().0 as usize
+}
+
+/// `x.DOM` as the engine stores it, one process at a time: every process
+/// whose current `IDO` holds `x`, with the suffix of its history from the
+/// interval `x` entered at (the head). Those suffixes are `x.DOM`.
+fn dependents(m: &Machine, x: AidId) -> impl Iterator<Item = (usize, &[IntervalId])> {
+    let engine = m.engine();
+    let itv = move |a| engine.interval(a).expect("live interval");
+    (0..m.process_count()).filter_map(move |q| {
+        let history = engine.history(m.pid(q)).expect("machine process");
+        // The current interval's `IDO` is borrowed (a definite one is empty).
+        if !itv(*history.last()?).ido().contains(&x) {
+            return None;
+        }
+        let head = history.iter().rposition(|&a| itv(a).entered().contains(&x));
+        let head = head.expect("a dependent's chain holds x's head");
+        Some((q, &history[head..]))
+    })
+}
+
 /// Follow everything a definite affirm/deny of the seed AIDs can cascade
 /// into: discharged intervals may finalize (promoting their `IHA`/`IHD`),
 /// rolled-back suffixes conservatively deny their `IHA` and release their
@@ -215,16 +244,9 @@ enum Decision {
 /// truncated land in `fp`.
 fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
     let engine = m.engine();
-    let proc_of = |interval: IntervalId| -> usize {
-        let pid = engine.interval(interval).expect("live interval").process();
-        (0..m.process_count())
-            .find(|&p| m.pid(p) == pid)
-            .expect("interval belongs to a machine process")
-    };
     let mut wl = seeds;
     let mut seen_affirm: IdSet<AidId> = IdSet::default();
     let mut seen_deny: IdSet<AidId> = IdSet::default();
-    let mut rolled: BTreeSet<IntervalId> = BTreeSet::new();
     while let Some(d) = wl.pop() {
         match d {
             Decision::Affirm(x) => {
@@ -232,17 +254,14 @@ fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
                     continue;
                 }
                 fp.writes.insert(x);
-                let Ok(v) = engine.aid(x) else { continue };
-                for b in v.dom().iter() {
-                    // Discharging x from b.IDO may finalize b, promoting
-                    // its speculative affirms and denies.
-                    let itv = engine.interval(b).expect("DOM member is live");
-                    fp.procs.insert(proc_of(b));
-                    for y in itv.iha() {
-                        wl.push(Decision::Affirm(y));
-                    }
-                    for y in itv.ihd() {
-                        wl.push(Decision::Deny(y));
+                for (q, suffix) in dependents(m, x) {
+                    fp.procs.insert(q);
+                    for &b in suffix {
+                        // Discharging x from b.IDO may finalize b, promoting
+                        // its speculative affirms and denies.
+                        let itv = engine.interval(b).expect("DOM member is live");
+                        wl.extend(itv.iha().iter().map(Decision::Affirm));
+                        wl.extend(itv.ihd().iter().map(Decision::Deny));
                     }
                 }
             }
@@ -255,26 +274,21 @@ fn decision_closure(m: &Machine, seeds: Vec<Decision>, fp: &mut Footprint) {
                 // A pending speculative deny of x is released if its
                 // holder rolls back; the tie itself is per-AID state.
                 if let Some(holder) = v.speculatively_denied_by() {
-                    fp.procs.insert(proc_of(holder));
+                    fp.procs.insert(owner(engine, holder));
                 }
-                for b in v.dom().iter() {
-                    // Rollback truncates the owner's live history from b
-                    // onward; every interval in that suffix is a victim.
-                    let owner = proc_of(b);
-                    fp.procs.insert(owner);
-                    let seq = engine.interval(b).expect("DOM member is live").seq();
-                    let history = engine.history(m.pid(owner)).expect("machine process");
-                    for &c in history.iter().skip(seq) {
-                        if !rolled.insert(c) {
-                            continue;
-                        }
+                for (q, suffix) in dependents(m, x) {
+                    // Rollback truncates q's live history from the head on;
+                    // every interval in that suffix is a victim.
+                    fp.procs.insert(q);
+                    // Withdrawing the victims from DOM sets touches their
+                    // IDOs, whose union is the last victim's.
+                    let last = *suffix.last().expect("a suffix holds its head");
+                    fp.writes
+                        .extend(engine.interval(last).expect("live interval").ido().iter());
+                    for &c in suffix {
                         let itv = engine.interval(c).expect("live interval");
-                        // Withdrawing c from DOM sets touches its IDO's AIDs.
-                        fp.writes.extend(itv.ido().iter());
                         // Speculative affirms become conservative denies.
-                        for y in itv.iha() {
-                            wl.push(Decision::Deny(y));
-                        }
+                        wl.extend(itv.iha().iter().map(Decision::Deny));
                         // Speculative denies are released (consumed reset).
                         fp.writes.extend(itv.ihd());
                     }
@@ -326,21 +340,13 @@ fn spec_affirm_footprint(m: &Machine, p: usize, x: AidId, fp: &mut Footprint) {
         fp.writes.extend(itv.ido().iter());
     }
     let mut follow = Vec::new();
-    if let Ok(v) = engine.aid(x) {
-        for b in v.dom().iter() {
-            let itv = engine.interval(b).expect("DOM member is live");
-            let pid = itv.process();
-            let owner = (0..m.process_count())
-                .find(|&q| m.pid(q) == pid)
-                .expect("machine process");
-            fp.procs.insert(owner);
+    for (q, suffix) in dependents(m, x) {
+        fp.procs.insert(q);
+        for &b in suffix {
             // b may finalize if the rewiring empties its IDO.
-            for y in itv.iha() {
-                follow.push(Decision::Affirm(y));
-            }
-            for y in itv.ihd() {
-                follow.push(Decision::Deny(y));
-            }
+            let itv = engine.interval(b).expect("DOM member is live");
+            follow.extend(itv.iha().iter().map(Decision::Affirm));
+            follow.extend(itv.ihd().iter().map(Decision::Deny));
         }
     }
     decision_closure(m, follow, fp);
@@ -461,6 +467,11 @@ impl Reach {
     }
 }
 
+/// The singleton prover's memo of each process's [`Reach`] at one state,
+/// kept by its caller so that the storage is reused from state to state.
+#[derive(Debug, Default)]
+pub(crate) struct Reaches(Vec<Option<Reach>>);
+
 fn reach(m: &Machine, q: usize) -> Reach {
     let engine = m.engine();
     let mut r = Reach::default();
@@ -470,13 +481,14 @@ fn reach(m: &Machine, q: usize) -> Reach {
     let history = engine.history(m.pid(q)).expect("machine process");
     for &a in history {
         let itv = engine.interval(a).expect("live interval");
-        if itv.status() == hope_core::IntervalStatus::Speculative {
+        if itv.status() == IntervalStatus::Speculative {
             if let Some((mark_pc, _, _)) = m.resume_mark(q, a) {
                 pc = pc.min(mark_pc);
             }
             // Cascades through q's own speculation reach every AID its
-            // live intervals depend on, speculatively decided, or guessed.
-            for set in [&*itv.ido(), itv.ihd(), itv.iha(), itv.guessed()] {
+            // live intervals depend on (the union of what entered the
+            // chain), speculatively decided, or guessed.
+            for set in [itv.entered(), itv.ihd(), itv.iha(), itv.guessed()] {
                 r.aids.extend(set);
             }
         }
@@ -514,6 +526,7 @@ pub(crate) fn invisible_singleton(
     m: &Machine,
     enabled: &IdSet<usize>,
     footprints: &mut [Option<Footprint>],
+    reaches: &mut Reaches,
 ) -> Option<usize> {
     let engine = m.engine();
     let finished = |q: usize| -> bool {
@@ -521,7 +534,9 @@ pub(crate) fn invisible_singleton(
         // speculative done process can be rolled back and run again).
         m.next_stmt(q).is_none() && !engine.is_speculative(m.pid(q)).unwrap_or(true)
     };
-    let mut reaches: Vec<Option<Reach>> = (0..m.process_count()).map(|_| None).collect();
+    let reaches = &mut reaches.0;
+    reaches.clear();
+    reaches.resize_with(m.process_count(), || None);
     'candidates: for p in enabled.iter() {
         if engine.is_speculative(m.pid(p)).unwrap_or(true) {
             continue;
@@ -567,6 +582,7 @@ mod tests {
     use super::*;
     use hope_core::program::Program;
     use hope_sim::SimRng;
+    use std::collections::BTreeSet;
 
     /// Random insert sequences on pairs of sets, one side inline (ids below
     /// 64) and one spilled past it, agree with `BTreeSet`s on every query.
@@ -634,7 +650,12 @@ mod tests {
     /// computed must be the one `footprint` gives.
     fn singleton(m: &Machine) -> Option<usize> {
         let mut fps = vec![None, None];
-        let pick = invisible_singleton(m, &IdSet::from_iter([0, 1]), &mut fps);
+        let pick = invisible_singleton(
+            m,
+            &IdSet::from_iter([0, 1]),
+            &mut fps,
+            &mut Reaches::default(),
+        );
         for (p, fp) in fps.iter().enumerate() {
             if let Some(fp) = fp {
                 assert_eq!(format!("{fp:?}"), format!("{:?}", footprint(m, p)));

@@ -272,6 +272,11 @@ struct Explorer {
     visited: BTreeMap<Vec<u8>, usize>,
     /// Per visited state: the steps from it explored or being explored.
     explored: Vec<IdSet<usize>>,
+    /// Empty per-state footprint tables, reused: an expanded state takes
+    /// one and returns it, so the recursion holds one per level.
+    spare_footprints: Vec<Vec<Option<indep::Footprint>>>,
+    /// The singleton prover's memo, reused from state to state.
+    reaches: indep::Reaches,
     path: Vec<usize>,
     report: McReport,
     stopped: bool,
@@ -353,11 +358,13 @@ impl Explorer {
 
         // Each process's footprint here, computed at most once: by the
         // singleton prover or for the sleep sets, whichever asks first.
-        let mut footprints: Vec<Option<indep::Footprint>> = vec![None; n];
+        let mut footprints = self.spare_footprints.pop().unwrap_or_default();
+        footprints.resize(n, None);
         let allowed = if self.reduce {
             // Persistent singleton: a provably invisible step needs no
             // branching — and by persistence, no sibling either.
-            let candidates = match invisible_singleton(&m, &enabled, &mut footprints) {
+            let pick = invisible_singleton(&m, &enabled, &mut footprints, &mut self.reaches);
+            let candidates = match pick {
                 Some(p) => {
                     self.report.singleton_states += 1;
                     IdSet::from_iter([p])
@@ -390,7 +397,7 @@ impl Explorer {
             }
             if self.stopped {
                 self.report.frontier_remaining += todo_len - i;
-                return;
+                break;
             }
             // The last child steps the parent itself, which nothing reads
             // afterwards: the footprints are owned and the key is stored.
@@ -416,6 +423,8 @@ impl Explorer {
                 taken.insert(p);
             }
         }
+        footprints.clear();
+        self.spare_footprints.push(footprints);
     }
 }
 
@@ -433,6 +442,8 @@ pub fn check(program: &Program, cfg: &McConfig) -> McReport {
         reduce: cfg.mode == Mode::SleepSet,
         visited: BTreeMap::new(),
         explored: Vec::new(),
+        spare_footprints: Vec::new(),
+        reaches: indep::Reaches::default(),
         path: Vec::new(),
         report: McReport::empty(),
         stopped: false,

@@ -19,30 +19,47 @@
 //! downtime (it owns no assumptions; its journal doubles as the stable
 //! medium), and [`run_app_optimistic`](crate::run_app_optimistic)'s
 //! reliable sends retry entries the dead store never saw.
+//!
+//! A log entry is one word: [`log_entry`] packs the AID and the step's
+//! sequence number into a single `Value::Int`, and [`decode_log_entry`]
+//! reads nothing else. As in Mezzina–Tiezzi–Yoshida's checkpoint-based
+//! recovery, the store's journal keeps the received message itself for
+//! replay, and an `Int` payload makes every copy of it — the retransmit
+//! copy, the one each receive and replay hands the body — free of
+//! allocation.
 
 use hope_core::AidId;
 use hope_runtime::{Ctx, Hope, MsgKind, Value};
 use hope_sim::VirtualDuration;
 
-/// Encode a log-entry message: `["log", aid, seq]`.
+/// Encode a log-entry message: one `Int`, the AID's index in the low 32
+/// bits and `seq` in the next 31, so the word is never negative. An entry
+/// travels in every send, retransmission, journaled receive and replay,
+/// and an `Int` clones without allocating.
+///
+/// # Panics
+///
+/// Panics if the AID's index is 2³² or more, or `seq` is 2³¹ or more.
 pub fn log_entry(aid: AidId, seq: u64) -> Value {
-    Value::List(vec![
-        Value::Str("log".into()),
-        Value::Int(aid.index() as i64),
-        Value::Int(seq as i64),
-    ])
+    let index = aid.index();
+    assert!(
+        index <= u64::from(u32::MAX),
+        "a log entry's AID index must fit in 32 bits: {index}"
+    );
+    assert!(
+        seq < 1 << 31,
+        "a log entry's seq must fit in 31 bits: {seq}"
+    );
+    Value::Int((seq << 32 | index) as i64)
 }
 
 /// Decode a log-entry message.
+///
+/// Returns `None` for anything but a non-negative `Int`; every such `Int`
+/// is some entry's encoding.
 pub fn decode_log_entry(v: &Value) -> Option<(AidId, u64)> {
-    let items = v.as_list()?;
-    if items.len() != 3 || items[0].as_str()? != "log" {
-        return None;
-    }
-    Some((
-        AidId::from_index(u64::try_from(items[1].as_int()?).ok()?),
-        u64::try_from(items[2].as_int()?).ok()?,
-    ))
+    let word = u64::try_from(v.as_int()?).ok()?;
+    Some((AidId::from_index(word & u64::from(u32::MAX)), word >> 32))
 }
 
 /// Run the stable store until simulation shutdown.
@@ -85,28 +102,49 @@ pub fn run_stable_store(ctx: &mut Ctx, flush_time: VirtualDuration) -> Hope<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hope_sim::SimRng;
 
     #[test]
-    fn log_entry_roundtrip() {
-        let aid = AidId::from_index(4);
-        let v = log_entry(aid, 9);
-        assert_eq!(decode_log_entry(&v), Some((aid, 9)));
+    fn a_log_entry_round_trips_as_one_word() {
+        let (aid_max, seq_max) = (u64::from(u32::MAX), (1 << 31) - 1);
+        let corners = [(0, 0), (aid_max, 0), (0, seq_max), (aid_max, seq_max)];
+        // FNV-1a of "stable::a_log_entry_round_trips_as_one_word".
+        let mut rng = SimRng::new(0x1708_e94e_6994_2898);
+        let drawn = (0..1_000).map(|_| (rng.next_u64() >> 32, rng.next_u64() >> 33));
+        for (index, seq) in corners.into_iter().chain(drawn) {
+            let aid = AidId::from_index(index);
+            let v = log_entry(aid, seq);
+            assert!(matches!(v, Value::Int(w) if w >= 0), "{v:?}");
+            assert_eq!(decode_log_entry(&v), Some((aid, seq)), "{index} {seq}");
+        }
     }
 
     #[test]
-    fn rejects_malformed() {
-        assert_eq!(decode_log_entry(&Value::Unit), None);
-        assert_eq!(
-            decode_log_entry(&Value::List(vec![Value::Str("log".into())])),
-            None
-        );
-        assert_eq!(
-            decode_log_entry(&Value::List(vec![
-                Value::Str("nope".into()),
-                Value::Int(0),
-                Value::Int(0),
-            ])),
-            None
-        );
+    fn decoding_refuses_every_other_value() {
+        let old = Value::List(vec![Value::Str("log".into()), Value::Int(4), Value::Int(9)]);
+        for v in [
+            old,
+            Value::Str("log".into()),
+            Value::Unit,
+            Value::Bool(true),
+            Value::Bytes(vec![0; 8]),
+            Value::List(vec![Value::Int(0)]),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+        ] {
+            assert_eq!(decode_log_entry(&v), None, "{v:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "AID index must fit in 32 bits")]
+    fn an_aid_index_past_32_bits_panics() {
+        log_entry(AidId::from_index(1 << 32), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq must fit in 31 bits")]
+    fn a_seq_past_31_bits_panics() {
+        log_entry(AidId::from_index(0), 1 << 31);
     }
 }

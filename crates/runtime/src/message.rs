@@ -122,14 +122,16 @@ impl fmt::Display for Message {
 }
 
 /// A process's inbound queue in delivery order ([`MailKey`], unique): a
-/// delivery appends, a rollback's re-enqueue goes back to its place.
+/// delivery appends, a rollback's re-enqueue goes back to its place. It
+/// holds the box each message was sent in: a receive moves that box into
+/// the journal, and a rollback moves it back here.
 #[derive(Debug, Default)]
 pub(crate) struct Mailbox {
-    queue: VecDeque<Message>,
+    queue: VecDeque<Box<Message>>,
 }
 
 impl Mailbox {
-    pub(crate) fn insert(&mut self, msg: Message) {
+    pub(crate) fn insert(&mut self, msg: Box<Message>) {
         let key = msg.mail_key();
         if self.queue.back().is_some_and(|last| last.mail_key() > key) {
             let at = self.queue.partition_point(|m| m.mail_key() < key);
@@ -140,8 +142,8 @@ impl Mailbox {
     }
 
     /// Remove the first message in delivery order that satisfies `pred`.
-    pub(crate) fn take_first(&mut self, pred: impl Fn(&Message) -> bool) -> Option<Message> {
-        let at = self.queue.iter().position(pred)?;
+    pub(crate) fn take_first(&mut self, pred: impl Fn(&Message) -> bool) -> Option<Box<Message>> {
+        let at = self.queue.iter().position(|m| pred(m))?;
         self.queue.remove(at)
     }
 }
@@ -159,10 +161,15 @@ mod tests {
         pub(crate) fn is_empty(&self) -> bool {
             self.queue.is_empty()
         }
+
+        /// The first message in delivery order, in its box.
+        pub(crate) fn first(&self) -> Option<&Message> {
+            self.queue.front().map(|m| &**m)
+        }
     }
 
-    fn msg(id: u64, ms: u64, seq: u64) -> Message {
-        Message {
+    fn msg(id: u64, ms: u64, seq: u64) -> Box<Message> {
+        Box::new(Message {
             id,
             from: ProcessId(0),
             to: ProcessId(1),
@@ -171,7 +178,7 @@ mod tests {
             tag: Tag::new(),
             delivered_at: VirtualTime::ZERO + VirtualDuration::from_millis(ms),
             seq,
-        }
+        })
     }
 
     #[test]
@@ -186,8 +193,9 @@ mod tests {
 
     /// The deque against the `BTreeMap` it replaced, kept here as the
     /// oracle: seeded runs of deliveries in key order, re-enqueues of taken
-    /// messages whose keys precede the tail, and takes whose predicates
-    /// skip entries. Order and every taken message agree at each step.
+    /// boxes whose keys precede the tail, and takes whose predicates skip
+    /// entries. Order and every taken message agree at each step, and a
+    /// take hands back the very box that was inserted.
     #[test]
     fn mailbox_agrees_with_the_ordered_map_it_replaced() {
         use std::collections::BTreeMap;
@@ -195,10 +203,12 @@ mod tests {
         let mut rng = hope_sim::SimRng::new(0xbd26_2495_63f2_5977);
         let (mut appends, mut reinserts, mut skipping_takes) = (0, 0, 0);
         for case in 0..300 {
-            let mut oracle: BTreeMap<MailKey, Message> = BTreeMap::new();
+            let mut oracle: BTreeMap<MailKey, Box<Message>> = BTreeMap::new();
             let mut mb = Mailbox::default();
-            // Messages taken so far: candidates for a rollback's re-enqueue.
-            let mut taken: Vec<Message> = Vec::new();
+            // Boxes taken so far: candidates for a rollback's re-enqueue.
+            let mut taken: Vec<Box<Message>> = Vec::new();
+            // Where each message's box lives, by message id.
+            let mut boxes: BTreeMap<u64, *const Message> = BTreeMap::new();
             let (mut now, mut next_seq) = (0, 0);
             for step in 0..60 {
                 match rng.index(4) {
@@ -209,6 +219,7 @@ mod tests {
                         let m = msg(next_seq, now, next_seq);
                         next_seq += 1;
                         appends += 1;
+                        boxes.insert(m.id, &*m);
                         oracle.insert(m.mail_key(), m.clone());
                         mb.insert(m);
                     }
@@ -230,6 +241,9 @@ mod tests {
                         let want = key.map(|k| oracle.remove(&k).expect("key just found"));
                         let got = mb.take_first(pred);
                         assert_eq!(got, want, "case {case} step {step}");
+                        if let Some(m) = &got {
+                            assert!(std::ptr::eq(&**m, boxes[&m.id]), "case {case} step {step}");
+                        }
                         taken.extend(got);
                     }
                 }
@@ -269,12 +283,13 @@ mod tests {
 
     #[test]
     fn a_message_is_128_bytes() {
-        // The tag is one 40-byte inline `DepSet`. A message travels the
-        // event queue boxed; mailboxes and every receive move it by value,
-        // and the journal keeps a boxed copy. This crate's tests
-        // link `hope-core` with its `shadow-oracle` feature (see
-        // Cargo.toml), which gives the tag a `BTreeSet` shadow the shipped
-        // message does not have.
+        // The tag is one 40-byte inline `DepSet`. A message lives in the
+        // box it was sent in — through the event queue, the mailbox and the
+        // journal — and each receive hands the body a copy by value, which
+        // allocates nothing for an inline tag and a word payload. This
+        // crate's tests link `hope-core` with its `shadow-oracle` feature
+        // (see Cargo.toml), which gives the tag a `BTreeSet` shadow the
+        // shipped message does not have.
         let shadow = std::mem::size_of::<std::collections::BTreeSet<u64>>();
         let size = std::mem::size_of::<Message>() - shadow;
         assert!(size <= 128, "Message is {size} bytes");

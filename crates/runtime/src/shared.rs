@@ -12,7 +12,7 @@
 //! event, and gives the baton and the state away only when `step` names
 //! someone else. States change only through [`Shared::set_state`].
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hope_core::observer::decide;
@@ -160,7 +160,7 @@ pub(crate) struct Shared {
     pub(crate) config: SimConfig,
     pub(crate) net_rng: SimRng,
     /// Last delivery time per directed link, for FIFO clamping.
-    pub(crate) link_last: HashMap<(u32, u32), VirtualTime>,
+    pub(crate) link_last: BTreeMap<(u32, u32), VirtualTime>,
     pub(crate) next_msg_id: u64,
     pub(crate) next_mail_seq: u64,
     /// Output buffered per speculative interval (released on finalize,
@@ -234,7 +234,7 @@ impl Shared {
             now: VirtualTime::ZERO,
             config,
             net_rng,
-            link_last: HashMap::new(),
+            link_last: BTreeMap::new(),
             next_msg_id: 0,
             next_mail_seq: 0,
             pending_output: BTreeMap::new(),
@@ -565,7 +565,8 @@ impl Shared {
                 from,
                 speculative,
             };
-            return Done::acted(Entry::Recv(Box::new(m.clone())), Some(m), action, fx);
+            let reply = (*m).clone();
+            return Done::acted(Entry::Recv(m), Some(reply), action, fx);
         }
         Done::quiet(Entry::Flag(false), None)
     }
@@ -682,7 +683,7 @@ impl Shared {
         self.stats.messages_delivered += 1;
         let (id, from, to) = (msg.id, msg.from, msg.to);
         self.trace(|| format!("deliver m{id} {from} -> {to}"));
-        self.procs[p].mailbox.insert(*msg);
+        self.procs[p].mailbox.insert(msg);
         (self.procs[p].state == ProcState::BlockedRecv).then_some(p)
     }
 
@@ -899,9 +900,10 @@ impl Shared {
             self.stats.faults.delay_spikes += 1;
         }
         let link = (from_pid.0, to.0);
-        let (t_d, last) = (self.now + latency + extra_delay, self.link_last.get(&link));
-        let t_d = last.map_or(t_d, |&last| t_d.max(last)); // per-link FIFO: never overtake
-        self.link_last.insert(link, t_d);
+        let t_d = self.now + latency + extra_delay;
+        let last = self.link_last.entry(link).or_insert(t_d);
+        *last = t_d.max(*last); // per-link FIFO: never overtake
+        let t_d = *last;
         let seq = self.next_mail_seq;
         self.next_mail_seq += 1;
         let msg = Box::new(Message {
@@ -1000,7 +1002,7 @@ impl Shared {
                     }
                     for entry in suffix {
                         if let Entry::Recv(msg) = entry {
-                            self.procs[victim].mailbox.insert(*msg);
+                            self.procs[victim].mailbox.insert(msg);
                         }
                     }
                     self.procs[victim].finish_time = None;
@@ -1213,6 +1215,36 @@ mod tests {
         assert_eq!(s.stats.outputs_discarded, 1);
         assert_eq!(s.stats.rollback_events, 1);
         assert!(!s.queue.is_empty(), "victim wake scheduled");
+    }
+
+    /// A message keeps the box it was sent in: the box a delivery places
+    /// is the one the receive journals, and a rollback re-enqueues it.
+    #[test]
+    fn the_journal_keeps_the_delivered_box() {
+        let mut s = shared_with_procs(2);
+        let pid0 = s.procs[0].pid;
+        let x = s.engine.aid_init(pid0);
+        s.engine.guess(pid0, &[x], Checkpoint(0)).unwrap();
+        s.procs[0].journal.push(Entry::Guess {
+            aid: x,
+            value: true,
+        });
+        let msg = plain_msg(9, pid0);
+        let placed: *const Message = &*msg;
+        assert_eq!(s.handle_delivery(msg), None);
+        let done = s.take_deliverable(0, &|_| true);
+        let received = s.record(0, done).unwrap().expect("a message was queued");
+        assert_eq!(received.id, 9);
+        assert!(!std::ptr::eq(&received, placed), "the body gets a copy");
+        match s.procs[0].journal.get(1) {
+            Some(Entry::Recv(m)) => assert!(std::ptr::eq(&**m, placed)),
+            other => panic!("expected the receive at position 1, found {other:?}"),
+        }
+        let fx = s.engine.deny(s.procs[1].pid, x).unwrap();
+        assert!(!s.apply_effects(1, &fx));
+        assert_eq!(s.procs[0].journal.len(), 0, "truncated to the guess");
+        let requeued = s.procs[0].mailbox.first().expect("recv re-enqueued");
+        assert!(std::ptr::eq(requeued, placed));
     }
 
     #[test]

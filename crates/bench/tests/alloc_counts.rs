@@ -293,7 +293,7 @@ fn allocations_per_shape_are_pinned() {
         measure(
             "mc_exhaust",
             0,
-            (370_242, 69_649_534),
+            (347_858, 57_897_082),
             || mc_exhaust(&corpus),
             |&t| t,
         ),

@@ -12,7 +12,9 @@
 //! (`G`, the last guess value; `I`, the current interval; and the event that
 //! produced the state). Rollback performs the paper's `Del(H_P, A)` —
 //! truncating the history suffix from interval `A` — and appends the
-//! resumed state with `G = False` (Equation 24).
+//! resumed state with `G = False` (Equation 24). Where that suffix starts
+//! is read off the history itself ([`Machine::resume_mark`]): nothing per
+//! interval is stored beside it.
 //!
 //! The machine exists for *verification*: the theorem test-suite executes
 //! thousands of random programs under random schedules and checks Lemma 5.1,
@@ -20,10 +22,10 @@
 //! histories. Applications should use `hope-runtime` instead, which adds
 //! real payloads, virtual time and deterministic replay.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::engine::{Engine, GuessOutcome};
+use crate::engine::Engine;
 use crate::error::Result;
 use crate::ids::{AidId, IntervalId, ProcessId};
 use crate::interval::Checkpoint;
@@ -53,7 +55,9 @@ pub struct StateRecord {
     pub interval: Option<IntervalId>,
     /// The paper's `G`: the value returned by the most recent guess.
     pub g: Option<bool>,
-    /// Program counter after the event.
+    /// The statement's program counter: the pc of the statement whose
+    /// event this is (a record is taken before the pc advances), or for
+    /// [`Action::Resumed`] the pc it resumed at.
     pub pc: usize,
 }
 
@@ -134,13 +138,6 @@ impl ProgramValidator for AcceptAll {
 }
 
 #[derive(Debug, Clone)]
-struct Mark {
-    pc: usize,
-    hist_len: usize,
-    delivered_len: usize,
-}
-
-#[derive(Debug, Clone)]
 struct MProc {
     pid: ProcessId,
     pc: usize,
@@ -149,7 +146,6 @@ struct MProc {
     /// rollback).
     delivered: Vec<Msg>,
     history: History,
-    marks: BTreeMap<IntervalId, Mark>,
 }
 
 /// Interpreter for straight-line HOPE programs over an [`Engine`].
@@ -198,7 +194,6 @@ impl Machine {
                 mailbox: VecDeque::new(),
                 delivered: Vec::new(),
                 history: History::default(),
-                marks: BTreeMap::new(),
             })
             .collect();
         let creator = procs.first().map(|p| p.pid).unwrap_or(ProcessId(0));
@@ -341,18 +336,35 @@ impl Machine {
         &self.procs[p].delivered
     }
 
-    /// The resume mark recorded when live interval `interval` of process
-    /// `p` opened: `(pc, history_len, delivered_len)` — where the process
-    /// would restart if the interval rolled back.
+    /// Where process `p` would restart if `interval` rolled back:
+    /// `(pc, history_len, delivered_len)`. Derived from the history, not
+    /// recorded. The interval's first record is the guess or receive that
+    /// opened it, so `history_len` is that record's index, `pc` is the
+    /// interval's checkpoint (both guess sites pass the guessing pc), and
+    /// `delivered_len` counts the `Recv` records before it. `None` if no
+    /// record of `p` ran in the interval (it is not `p`'s, was rolled back,
+    /// or was definite from birth).
     ///
     /// # Panics
     ///
     /// Panics if `p` is out of range.
     pub fn resume_mark(&self, p: usize, interval: IntervalId) -> Option<(usize, usize, usize)> {
-        self.procs[p]
-            .marks
-            .get(&interval)
-            .map(|m| (m.pc, m.hist_len, m.delivered_len))
+        let states = &self.procs[p].history.states;
+        let hist = states.iter().position(|r| r.interval == Some(interval))?;
+        let itv = self
+            .engine
+            .interval(interval)
+            .expect("a machine collects no fossils");
+        let pc = itv.checkpoint().0 as usize;
+        debug_assert_eq!(
+            pc, states[hist].pc,
+            "{interval}'s checkpoint is not its guessing pc"
+        );
+        let delivered = states[..hist]
+            .iter()
+            .filter(|r| matches!(r.event, Action::Recv { .. }))
+            .count();
+        Some((pc, hist, delivered))
     }
 
     /// Execute one statement of process `p`.
@@ -396,9 +408,6 @@ impl Machine {
             Stmt::Guess(v) => {
                 let aid = self.aids[v];
                 let (outcome, effects) = self.engine.guess(pid, &[aid], Checkpoint(pc as u64))?;
-                if let GuessOutcome::Begun(interval) = outcome {
-                    self.mark(p, interval);
-                }
                 let value = outcome.value();
                 (Action::Guess { aid, value }, effects)
             }
@@ -431,19 +440,15 @@ impl Machine {
                     self.engine
                         .implicit_guess(pid, &msg.tag, Checkpoint(pc as u64))?;
                 let (id, from) = (msg.id, msg.from);
-                match outcome {
-                    ReceiveOutcome::Ghost(denied) => {
-                        let action = Action::GhostDropped {
-                            msg: id,
-                            from,
-                            denied,
-                        };
-                        self.record(p, action, None);
-                        observer.observe(pid, &action, &effects);
-                        continue; // look for the next deliverable message
-                    }
-                    ReceiveOutcome::Clean => {}
-                    ReceiveOutcome::Speculative(interval) => self.mark(p, interval),
+                if let ReceiveOutcome::Ghost(denied) = outcome {
+                    let action = Action::GhostDropped {
+                        msg: id,
+                        from,
+                        denied,
+                    };
+                    self.record(p, action, None);
+                    observer.observe(pid, &action, &effects);
+                    continue; // look for the next deliverable message
                 }
                 self.procs[p].delivered.push(msg);
                 let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
@@ -559,26 +564,6 @@ impl Machine {
         }
     }
 
-    fn mark(&mut self, p: usize, interval: IntervalId) {
-        let proc = &mut self.procs[p];
-        // Both guess sites pass the guessing pc as the checkpoint, so a
-        // mark's pc is the interval's `A.PS` and a state key need not
-        // write both.
-        debug_assert_eq!(
-            self.engine.interval(interval).map(|v| v.checkpoint()).ok(),
-            Some(Checkpoint(proc.pc as u64)),
-            "{interval}'s checkpoint is not its resume pc"
-        );
-        proc.marks.insert(
-            interval,
-            Mark {
-                pc: proc.pc,
-                hist_len: proc.history.states.len(),
-                delivered_len: proc.delivered.len(),
-            },
-        );
-    }
-
     fn record(&mut self, p: usize, event: Action, g: Option<bool>) {
         let pid = self.procs[p].pid;
         let interval = self
@@ -596,8 +581,9 @@ impl Machine {
     }
 
     /// Apply engine effects: every `RolledBack` effect truncates the
-    /// victim's history (`Del(H_P, A)`), resets its program counter to the
-    /// guess point, and re-enqueues messages delivered after that point.
+    /// victim's history (`Del(H_P, A)`) at the first rolled-back interval's
+    /// [`resume_mark`](Machine::resume_mark), resets its program counter to
+    /// the guess point, and re-enqueues messages delivered after that point.
     fn apply(&mut self, effects: &[Effect]) {
         for e in effects {
             if let Effect::RolledBack {
@@ -612,31 +598,20 @@ impl Machine {
                 let first = intervals
                     .first()
                     .expect("rollback effect lists at least one interval");
+                let (pc, hist, delivered) = self
+                    .resume_mark(p, *first)
+                    .expect("a rolled-back interval opened with a record");
                 let proc = &mut self.procs[p];
-                let mark = proc
-                    .marks
-                    .get(first)
-                    .expect("every live interval has a mark")
-                    .clone();
                 // Del(H_P, A): discard the suffix, then append the resumed
                 // state with G = False (Equation 24).
-                proc.history.states.truncate(mark.hist_len);
+                proc.history.states.truncate(hist);
                 proc.history.truncations += 1;
                 // Re-enqueue messages delivered in the discarded suffix, in
                 // original order, ahead of anything already queued.
-                for msg in proc
-                    .delivered
-                    .split_off(mark.delivered_len)
-                    .into_iter()
-                    .rev()
-                {
+                for msg in proc.delivered.split_off(delivered).into_iter().rev() {
                     proc.mailbox.push_front(msg);
                 }
-                proc.pc = mark.pc;
-                for a in intervals {
-                    proc.marks.remove(a);
-                }
-                let pc = proc.pc;
+                proc.pc = pc;
                 self.record(p, Action::Resumed { at_pc: pc }, Some(false));
             }
         }

@@ -2,63 +2,51 @@
 //!
 //! Two interleavings that commute independent steps reach machine states
 //! that are *semantically* identical but *representationally* different:
-//! the engine allocates [`IntervalId`]s and message ids from global
-//! sequential counters, so the raw ids depend on execution order. A
-//! visited-state cache keyed on raw state would never merge them and the
-//! reduction would buy nothing.
+//! the engine allocates [`IntervalId`](hope_core::IntervalId)s and message
+//! ids from global sequential counters, so the raw ids depend on execution
+//! order. A visited-state cache keyed on raw state would never merge them
+//! and the reduction would buy nothing.
 //!
-//! This module renames every order-dependent id to a schedule-independent
-//! coordinate before encoding:
+//! This module writes no order-dependent id:
 //!
-//! * a live interval becomes `(process, position in that process's live
-//!   engine history)`, read off its record as `(process, seq)` — stable
-//!   because rollback only truncates suffixes and a machine never collects
-//!   fossils, and machine process `p` is engine pid `p`
+//! * no interval is named: a live interval is written at its position in
+//!   its process's live engine history (stable because rollback only
+//!   truncates suffixes and a machine never collects fossils), and a
+//!   history record writes only whether it ran in one (the paper's
+//!   `I ≠ ∅`);
+//! * a process is its engine pid: machine process `p` is engine pid `p`
 //!   ([`Machine::pid`]);
 //! * message ids are dropped entirely; a message is its `(sender, tag)`;
 //! * everything else is encoded field-by-field in a fixed order.
 //!
 //! [`state_key`] writes, in order: the process count; per AID its
-//! decision state, consumption flag and speculative ties (the intervals
-//! that speculatively affirmed or denied it); per process its pc, then per
-//! live interval of its engine history its status and, for a speculative
-//! one, its entered set, `IHD`, `IHA`, guessed set and resume mark, then
-//! its mailbox and delivered messages; every process's history records;
-//! and whether a rollback or a ghost ever happened. It reads the
-//! dependence relation as the engine stores it (`Engine` module docs,
-//! § Storage): each speculative interval's *entered* set, not its `IDO`,
-//! and no `DOM` at all. Both are functions of what it writes — `IDO` is
-//! the running union of the entered sets along the process's chain, and
-//! `X.DOM` is the history suffix from the one interval per process whose
-//! entered set holds `X` — so the key is exactly as fine as one that
-//! writes them. Nor does it write `A.PS`: a machine passes the guessing pc
-//! as the checkpoint, which is the resume mark's pc.
+//! decision state and consumption flag; per process its pc, then per live
+//! interval of its engine history its status and, for a speculative one,
+//! its guessed set, then its mailbox and delivered messages; every
+//! process's history records (event, `I ≠ ∅`, `G`, pc); and whether a
+//! rollback or a ghost ever happened. The rest of the chain state is a
+//! function of these (DESIGN.md, "A state is its history"), so the key is
+//! exactly as fine as one that writes it: which interval a record ran in
+//! (count the records that opened one), each interval's resume mark and
+//! `A.PS` ([`Machine::resume_mark`] reads them off the history), its `IHD`
+//! and `IHA` (its records' speculative decisions), each AID's speculative
+//! ties (the interval of its surviving speculative decision), and the
+//! dependence relation: `IDO` resolves the guessed sets along the chain
+//! through the AIDs' states and ties, the entered sets are its increments
+//! and `X.DOM` the suffixes they head.
 //!
 //! The encoding itself — not a hash of it — is used as the cache key: a
 //! 64-bit hash collision would silently merge distinct states and make the
 //! checker unsound, while full keys only cost memory the state budget
-//! already bounds. [`state_key`] writes integers as LEB128 varints (73.8
-//! bytes a distinct state on the E22 corpus at seed 22, 79.3 with full
-//! `IDO`/`DOM` sets); reports keep [`commit_fingerprint`]'s bytes, so it
-//! stays fixed-width. Both are exact encodings (see `Enc`).
+//! already bounds. [`state_key`] writes integers as LEB128 varints (59.3
+//! bytes a distinct state on the E22 corpus at seed 22; 73.8 while it also
+//! wrote the entered sets, `IHD`, `IHA`, resume marks, ties and interval
+//! names, 79.3 with full `IDO`/`DOM` sets on top); reports keep
+//! [`commit_fingerprint`]'s bytes, so it stays fixed-width. Both are exact
+//! encodings (see `Enc`).
 
 use hope_core::machine::{Machine, Msg, StateRecord};
-use hope_core::{
-    Action, AidId, AidState, DecideKind, Engine, IntervalId, IntervalStatus, ProcessId,
-};
-
-/// Schedule-independent name for a live interval: `(process index,
-/// position in that process's live engine history)`.
-type CanonRef = (u64, u64);
-
-/// A live interval's canonical name, read off its record: the owner's
-/// engine pid is its machine process index ([`Machine::pid`]), and `seq`
-/// is its position in the owner's live history, since rollback only
-/// truncates a suffix and a machine never collects fossils.
-fn interval_name(engine: &Engine, a: IntervalId) -> CanonRef {
-    let v = engine.interval(a).expect("canonicalized interval is live");
-    (process_name(v.process()), v.seq() as u64)
-}
+use hope_core::{Action, AidId, AidState, DecideKind, IntervalStatus, ProcessId};
 
 /// A process's canonical name: machine process `p` is engine pid `p`.
 fn process_name(pid: ProcessId) -> u64 {
@@ -90,21 +78,6 @@ impl<const VARINT: bool> Enc<VARINT> {
 
     fn flag(&mut self, b: bool) {
         self.0.push(b as u8);
-    }
-
-    fn cref(&mut self, r: CanonRef) {
-        self.u(r.0);
-        self.u(r.1);
-    }
-
-    fn opt_cref(&mut self, r: Option<CanonRef>) {
-        match r {
-            None => self.tag(0),
-            Some(r) => {
-                self.tag(1);
-                self.cref(r);
-            }
-        }
     }
 
     /// A skipped decider: its statement's encoding (tag 1/2/3, then the
@@ -185,13 +158,14 @@ fn aid_state_tag(s: AidState) -> u8 {
 }
 
 fn encode_histories(e: &mut Enc<true>, m: &Machine) {
-    let engine = m.engine();
     for p in 0..m.process_count() {
         let h = m.history(p);
         e.u(h.states().len() as u64);
         for rec in h.states() {
             e.event(&rec.event);
-            e.opt_cref(rec.interval.map(|a| interval_name(engine, a)));
+            // The paper's `I ≠ ∅`; which interval follows from the records
+            // that opened one (DESIGN.md, "A state is its history").
+            e.flag(rec.interval.is_some());
             e.tag(match rec.g {
                 None => 0,
                 Some(false) => 1,
@@ -202,10 +176,8 @@ fn encode_histories(e: &mut Enc<true>, m: &Machine) {
     }
 }
 
-/// Each AID's decision state and consumption flag, and with `with_control`
-/// its speculative ties. `DOM` is not written: its heads are the intervals
-/// whose entered set holds the AID, and the key writes those sets.
-fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, with_control: bool) {
+/// Each AID's decision state and consumption flag.
+fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine) {
     let engine = m.engine();
     e.u(engine.aid_count() as u64);
     for i in 0..engine.aid_count() {
@@ -214,11 +186,6 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, with_control: bool) {
             .expect("aid in range");
         e.tag(aid_state_tag(v.state()));
         e.flag(v.is_consumed());
-        if with_control {
-            let name = |a| interval_name(engine, a);
-            e.opt_cref(v.speculatively_affirmed_by().map(name));
-            e.opt_cref(v.speculatively_denied_by().map(name));
-        }
     }
 }
 
@@ -227,13 +194,13 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine, with_control: bool) {
 /// and identical verdict-relevant pasts (rollback/ghost/skip sins).
 pub fn state_key(m: &Machine) -> Vec<u8> {
     let engine = m.engine();
-    // Sized up front: fewer than 2% of the keys the generated corpora reach
-    // need more than 12 bytes per history record, AID and process.
+    // Sized up front: no key the generated corpora reach (E22's and the
+    // tests') needs more than 8 bytes per history record, AID and process.
     let n = m.process_count();
     let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
-    let mut e = Enc::<true>(Vec::with_capacity(12 * (records + engine.aid_count() + n)));
+    let mut e = Enc::<true>(Vec::with_capacity(8 * (records + engine.aid_count() + n)));
     e.u(n as u64);
-    encode_aids(&mut e, m, true);
+    encode_aids(&mut e, m);
     for p in 0..n {
         e.u(m.pc(p) as u64);
         let history = engine.history(m.pid(p)).expect("machine process");
@@ -243,21 +210,15 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
             match v.status() {
                 IntervalStatus::Definite => e.tag(0),
                 IntervalStatus::Speculative => {
-                    // The chain as stored: what entered the process's
-                    // dependence here. `IDO` is the running union of these
-                    // sets along the chain, so it is not written either.
+                    // What the guess named, resolved: with the AIDs'
+                    // states it gives the chain (DESIGN.md, "A state is
+                    // its history").
                     e.tag(1);
-                    for set in [v.entered(), v.ihd(), v.iha(), v.guessed()] {
-                        e.u(set.len() as u64);
-                        for x in set {
-                            e.u(x.index());
-                        }
+                    let guessed = v.guessed();
+                    e.u(guessed.len() as u64);
+                    for x in guessed {
+                        e.u(x.index());
                     }
-                    // `A.PS` is the mark's pc on a machine: not written.
-                    let (mpc, mhist, mdel) = m.resume_mark(p, a).expect("live interval has a mark");
-                    e.u(mpc as u64);
-                    e.u(mhist as u64);
-                    e.u(mdel as u64);
                 }
                 IntervalStatus::RolledBack => unreachable!("live history has no rolled-back"),
             }
@@ -305,7 +266,7 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
     let cap = 16 + 19 * records + 17 * n + 2 * m.engine().aid_count();
     let mut e = Enc::<false>(Vec::with_capacity(cap));
     e.u(n as u64);
-    encode_aids(&mut e, m, false);
+    encode_aids(&mut e, m);
     let visible = |rec: &&StateRecord| {
         !matches!(
             rec.event,
@@ -425,22 +386,45 @@ mod tests {
 
     #[test]
     fn sins_are_part_of_the_key() {
-        // A rolled-back-and-resumed state must not merge with a state
-        // that never sinned, even if control variables align.
-        let clean: Program = "process P0:\n compute\n".parse().unwrap();
-        let m = machine_after(&clean, &[0]);
-        let k = state_key(&m);
-        // Same structural state re-encoded is stable.
-        assert_eq!(k, state_key(&m));
+        // A rolled-back-and-resumed state must not merge with a state that
+        // never sinned, even where the rest of the key cannot tell them
+        // apart: the key ends with both sins, on every state of a program
+        // whose self-deny rolls P0 back and leaves P1 a ghost to drop.
+        let program: Program =
+            "process P0:\n guess(x0)\n send(P1)\n deny(x0)\n send(P1)\nprocess P1:\n recv\n"
+                .parse()
+                .unwrap();
+        let mut reached = HashSet::new();
+        let mut stack = vec![Machine::new(program)];
+        while let Some(m) = stack.pop() {
+            let stats = m.engine().stats();
+            let sins = [stats.rollback_events > 0, stats.ghosts > 0];
+            let key = state_key(&m);
+            assert_eq!(key[key.len() - 2..], sins.map(u8::from), "{sins:?}");
+            reached.insert(sins);
+            for p in 0..m.process_count() {
+                if m.poll(p) == StepOutcome::Executed {
+                    let mut child = m.clone();
+                    child.step(p).expect("machine-built programs cannot err");
+                    stack.push(child);
+                }
+            }
+        }
+        let want = HashSet::from([[false, false], [true, false], [true, true]]);
+        assert_eq!(reached, want, "none, a rollback, a rollback and a ghost");
     }
 
     /// The fixed-width encoding — every integer an 8-byte little-endian
     /// word — transcribed field by field as the oracle for the compact
     /// state key and the unchanged commit fingerprint.
     mod fixed_width {
-        use super::super::{aid_state_tag, CanonRef};
+        use super::super::aid_state_tag;
         use hope_core::machine::{Machine, Msg, StepOutcome};
         use hope_core::{Action, AidId, DecideKind, IntervalId, IntervalStatus, ProcessId};
+
+        /// An interval's name: `(process index, position in that process's
+        /// live engine history)`.
+        type CanonRef = (u64, u64);
 
         /// The renaming the compact key used before it read names off the
         /// interval records: a table of every live interval sorted by raw
@@ -713,14 +697,58 @@ mod tests {
         }
     }
 
+    /// How many distinct states held each piece of chain state the key
+    /// leaves to the history: a speculative interval with a non-empty
+    /// `IHD` or `IHA`, an AID speculatively decided, a rollback behind it,
+    /// and a process whose chain has two or more non-empty entered sets.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        states: usize,
+        ihd: usize,
+        iha: usize,
+        ties: usize,
+        rollbacks: usize,
+        chains: usize,
+    }
+
+    impl Coverage {
+        fn count(&mut self, m: &Machine) {
+            let engine = m.engine();
+            let (mut ihd, mut iha, mut chain) = (false, false, false);
+            for p in 0..m.process_count() {
+                let history = engine.history(m.pid(p)).unwrap();
+                let mut entered = 0;
+                for &a in history {
+                    let v = engine.interval(a).unwrap();
+                    if v.status() == IntervalStatus::Speculative {
+                        ihd |= !v.ihd().is_empty();
+                        iha |= !v.iha().is_empty();
+                        entered += usize::from(!v.entered().is_empty());
+                    }
+                }
+                chain |= entered >= 2;
+            }
+            let tie = (0..engine.aid_count()).any(|i| {
+                let v = engine.aid(AidId::from_index(i as u64)).unwrap();
+                v.speculatively_affirmed_by().is_some() || v.speculatively_denied_by().is_some()
+            });
+            self.states += 1;
+            self.ihd += usize::from(ihd);
+            self.iha += usize::from(iha);
+            self.ties += usize::from(tie);
+            self.rollbacks += usize::from(engine.stats().rollback_events > 0);
+            self.chains += usize::from(chain);
+        }
+    }
+
     /// Every state a DFS over all interleavings reaches, each distinct
     /// fixed-width key expanded once (equal keys have equal futures, which
-    /// is the property both keys exist to provide). Returns the most
-    /// speculative intervals one process held at once.
+    /// is the property both keys exist to provide) and counted in `cover`.
+    /// Returns the most speculative intervals one process held at once.
     fn reachable(
         program: &Program,
         seen: &mut HashMap<Vec<u8>, Vec<u8>>,
-        fresh: &mut usize,
+        cover: &mut Coverage,
     ) -> usize {
         let mut deepest = 0;
         let mut stack = vec![Machine::new(program.clone())];
@@ -746,7 +774,7 @@ mod tests {
                 continue;
             }
             seen.insert(old, new);
-            *fresh += 1;
+            cover.count(&m);
             for p in 0..m.process_count() {
                 if m.poll(p) == StepOutcome::Executed {
                     let mut child = m.clone();
@@ -760,22 +788,27 @@ mod tests {
 
     #[test]
     fn compact_keys_are_the_fixed_width_keys_equivalence() {
-        // Over every reachable state of 260 generated programs: the map
+        // Over every reachable state of 300 generated programs: the map
         // from fixed-width key to key is a function (checked on arrival)
         // and injective (checked per program below), so equal keys are
-        // exactly equal fixed-width keys. The last slice's processes are
-        // longer (≈31k states), so that one holds at least three
-        // speculative intervals at once and the entered sets the key
-        // writes form a chain, not one set.
+        // exactly equal fixed-width keys, although the key leaves out the
+        // chain state the history determines and the fixed-width key
+        // writes all of it. The deep slice's processes are longer (≈31k
+        // states), so that one holds at least three speculative intervals
+        // at once and the entered sets form a chain, not one set; the
+        // four-process slice adds the third party that a speculative
+        // decision's cascade reaches.
         let deep = (0..40u64).map(|s| (true, Program::generate(s, 3, 5, 3)));
         let corpus = (0..120u64)
             .map(|s| (false, Program::generate(s, 3, 3, 3)))
             .chain((0..100u64).map(|s| (false, Program::generate(s, 2, 4, 2))))
-            .chain(deep);
-        let (mut states, mut old_bytes, mut new_bytes, mut deepest) = (0, 0, 0, 0);
+            .chain(deep)
+            .chain((0..40u64).map(|s| (false, Program::generate(s, 4, 3, 3))));
+        let mut cover = Coverage::default();
+        let (mut old_bytes, mut new_bytes, mut deepest) = (0, 0, 0);
         for (in_deep_slice, program) in corpus {
             let mut seen = HashMap::new();
-            let chain = reachable(&program, &mut seen, &mut states);
+            let chain = reachable(&program, &mut seen, &mut cover);
             if in_deep_slice {
                 deepest = deepest.max(chain);
             }
@@ -788,11 +821,17 @@ mod tests {
             old_bytes += seen.keys().map(Vec::len).sum::<usize>();
             new_bytes += seen.values().map(Vec::len).sum::<usize>();
         }
+        let states = cover.states;
         assert!(states > 10_000, "the corpus reaches only {states} states");
         assert!(deepest >= 3, "the deep slice's longest chain is {deepest}");
         assert!(
             new_bytes * 3 < old_bytes,
             "{new_bytes} vs {old_bytes} bytes"
         );
+        // The equivalence is only as strong as the states it ran over:
+        // each piece of chain state the key derives must have occurred.
+        let c = &cover;
+        let counts = [c.ihd, c.iha, c.ties, c.rollbacks, c.chains];
+        assert!(!counts.contains(&0), "{cover:?}");
     }
 }

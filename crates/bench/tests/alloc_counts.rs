@@ -274,22 +274,22 @@ fn allocations_per_shape_are_pinned() {
     black_box(pipeline(20, 1, 0.30));
     // The pins: (allocations, bytes) of one run in the shipped build.
     let moved: Vec<String> = [
-        measure("open_loop", 2, (160_079, 15_912_301), open_loop, finalized),
+        measure("open_loop", 2, (160_079, 15_912_277), open_loop, finalized),
         measure(
             "pipeline_deep",
             2,
-            (27_744, 11_590_716),
+            (27_744, 11_590_668),
             || pipeline(3_000, 1, 0.0),
             |r| steps_committed(r),
         ),
         measure(
             "pipeline_lossy",
             8,
-            (176_888, 54_694_388),
+            (176_888, 54_694_196),
             || pipeline(400, 4, 0.30),
             |r| steps_committed(r),
         ),
-        measure("phold", 8, (51_380, 17_959_346), phold, events_committed),
+        measure("phold", 8, (51_380, 17_959_322), phold, events_committed),
         measure(
             "mc_exhaust",
             0,

@@ -9,16 +9,19 @@
 //! Every surface that records a process's steps speaks `Action`: the
 //! abstract [`machine`](crate::machine)'s histories (Definition 4.1's
 //! `E_i`), the [`RuntimeObserver`] callbacks both embeddings feed, and —
-//! through its `Display` — `hope-runtime`'s trace lines. [`decide`] is the
-//! one dispatch of `affirm`/`deny`/`free_of` both embeddings call.
+//! through its `Display` — the per-primitive lines of `hope-runtime`'s
+//! execution trace. [`decide`] is the one dispatch of
+//! `affirm`/`deny`/`free_of` both embeddings call.
 //!
 //! Observers are fed by the machine via
 //! [`Machine::run_with`](crate::machine::Machine::run_with) (used by the
-//! exhaustive agreement test-suites) and by `hope-runtime`'s `Simulation`
-//! via its `set_observer` hook (used on real simulated applications). Each
-//! callback delivers the acting process, the [`Action`] it performed, and
-//! the ordered [`Effect`] list the engine produced for it, so an observer
-//! sees cause and consequence atomically.
+//! exhaustive agreement test-suites) and, on real simulated applications,
+//! from `hope-runtime`'s one watch hook, `Simulation::set_observer`, whose
+//! `RunEvent::Action` events carry the same triple beside the runtime's
+//! other events (deliveries, faults, rollbacks, commits). Each callback
+//! delivers the acting process, the [`Action`] it performed, and the
+//! ordered [`Effect`] list the engine produced for it, so an observer sees
+//! cause and consequence atomically.
 
 use std::fmt;
 

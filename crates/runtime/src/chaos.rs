@@ -11,10 +11,10 @@
 //!    same output lines per process in the same order, the same errors,
 //!    crashes and unfinished processes). A variant may change *when* lines
 //!    commit (retries cost time), never *what* commits.
-//! 2. **Replayability** — re-running a variant reproduces a bit-identical
-//!    [`RunReport`](crate::RunReport) (compared by
-//!    [`RunReport::fingerprint`](crate::RunReport::fingerprint)), so any
-//!    failing variant is a deterministic repro, not an anecdote.
+//! 2. **Replayability** — re-running a variant *watched* reproduces a
+//!    bit-identical [`RunReport`](crate::RunReport) (compared by
+//!    [`RunReport::fingerprint`](crate::RunReport::fingerprint)): a failing
+//!    variant is a deterministic repro, and watching a run changes nothing.
 //!
 //! What a variant varies is the caller's business — fault space, seed
 //! space and the lattice of knobs that claim to be transparent are all
@@ -26,9 +26,8 @@
 //!   complement to [`mc::check_scenario`](crate::mc::check_scenario)'s
 //!   exhaustive schedule search (a program whose committed output is
 //!   schedule-dependent by design will, and should, fail);
-//! * **knobs**: fossil collection, the optimism governor, tracing and
-//!   engine invariant checking, alone and combined, with and without a
-//!   fault plan.
+//! * **knobs**: fossil collection, the optimism governor and engine
+//!   invariant checking, alone and combined, with and without faults.
 //!
 //! [`sweep`] returns each variant's counters so the caller can assert the
 //! thing under test actually fired: a sweep whose plans never inject, whose
@@ -42,6 +41,7 @@
 //! Derive committed values from pre-fault state or message payloads.
 
 use crate::config::SimConfig;
+use crate::event::run_watched;
 use crate::governor::GovernorConfig;
 use crate::scheduler::Simulation;
 use crate::stats::RunStats;
@@ -55,9 +55,9 @@ pub struct VariantRun {
     /// The run's counters (faults injected, records reclaimed, guesses
     /// held or converted, …).
     pub stats: RunStats,
-    /// Lines in the run's execution trace (zero unless the variant set
-    /// [`SimConfig::trace`]).
-    pub trace_lines: usize,
+    /// Events the watched replay saw (none if the variant hit a limit and
+    /// was not replayed).
+    pub events: usize,
 }
 
 /// Run `scenario` under `reference`, then under every labelled config in
@@ -67,7 +67,7 @@ pub struct VariantRun {
 /// guarantees and the one obligation it places on scenarios.
 ///
 /// `scenario` must build the *same program* for every configuration it is
-/// given — it is called `2 + 2 × variants` times.
+/// given — it is called `2 + 2 × variants` times (replays watched).
 ///
 /// # Panics
 ///
@@ -135,6 +135,7 @@ pub fn sweep(
     for (label, cfg) in variants {
         let report = scenario(cfg.clone()).run();
         let got = report.committed();
+        let mut events = 0;
         if got.hit_limits {
             failures.push(format!("`{label}`: hit simulation limits"));
         } else {
@@ -144,17 +145,18 @@ pub fn sweep(
                      expected: {want:?}\n  got:      {got:?}"
                 ));
             }
-            if scenario(cfg).run().fingerprint() != report.fingerprint() {
+            let (replay, seen) = run_watched(scenario(cfg));
+            if replay.fingerprint() != report.fingerprint() {
                 failures.push(format!(
-                    "`{label}`: same-config replay produced a different RunReport \
-                     fingerprint — determinism violated"
+                    "`{label}`: the watched same-config replay changed the fingerprint"
                 ));
             }
+            events = seen;
         }
         runs.push(VariantRun {
             label,
             stats: *report.stats(),
-            trace_lines: report.trace().len(),
+            events,
         });
     }
     assert!(
@@ -167,22 +169,21 @@ pub fn sweep(
     runs
 }
 
-/// The knobs that claim to be transparent, as a lattice: all 16
-/// combinations of fossil collection, the optimism `governor`, tracing and
-/// engine invariant checking applied to `base`, each labelled by the knobs
-/// it turns on (`"fossil+trace"`; `"plain"` for none). Feed it to
+/// The knobs that claim to be transparent, as a lattice: all 8
+/// combinations of fossil collection, the optimism `governor` and engine
+/// invariant checking applied to `base`, each labelled by the knobs it
+/// turns on (`"fossil+invariants"`; `"plain"` for none). Feed it to
 /// [`sweep`] — on its own, or crossed with fault plans — or cell by cell
 /// to [`mc::check_scenario`](crate::mc::check_scenario).
 pub fn knob_lattice(base: &SimConfig, governor: &GovernorConfig) -> Vec<(String, SimConfig)> {
-    const KNOBS: [&str; 4] = ["fossil", "governor", "trace", "invariants"];
+    const KNOBS: [&str; 3] = ["fossil", "governor", "invariants"];
     (0..1u32 << KNOBS.len())
         .map(|bits| {
             let on = |k: usize| bits >> k & 1 == 1;
             let mut cfg = base.clone();
             cfg.fossil_collection = on(0);
             cfg.governor = on(1).then(|| governor.clone());
-            cfg.trace = on(2);
-            cfg.check_engine_invariants = on(3);
+            cfg.check_engine_invariants = on(2);
             let names: Vec<&str> = (0..KNOBS.len())
                 .filter(|&k| on(k))
                 .map(|k| KNOBS[k])
@@ -260,7 +261,7 @@ mod tests {
             );
             // Four receipts and the sender's line, as in the reference.
             assert_eq!(r.stats.outputs_released, 5);
-            assert_eq!(r.trace_lines, 0, "tracing was not asked for");
+            assert!(r.events > 0, "`{}`: the replay was not watched", r.label);
         }
     }
 
@@ -364,8 +365,8 @@ mod tests {
         let cells = knob_lattice(&base, &GovernorConfig::default());
         let msg = failure_of(|| sweep(base, cells, scenario));
         // Exactly the collecting half of the lattice is named.
-        assert!(msg.contains("8 checks failed over 16 variants"), "{msg}");
+        assert!(msg.contains("4 checks failed over 8 variants"), "{msg}");
         assert!(msg.contains("`fossil`: committed() differs"), "{msg}");
-        assert!(msg.contains("`fossil+trace`: committed()"), "{msg}");
+        assert!(msg.contains("`fossil+invariants`: committed()"), "{msg}");
     }
 }

@@ -44,7 +44,7 @@ pub struct SimConfig {
     /// [`Ctx::checkpoint`](crate::Ctx::checkpoint) snapshot — bounding
     /// memory on open-ended runs. Collection is *transparent*: it never
     /// changes committed outputs, only storage. Off by default so short
-    /// runs keep complete histories for tracing and post-mortems.
+    /// runs keep complete histories for post-mortems.
     pub fossil_collection: bool,
     /// Run the engine's O(intervals × AIDs) structural invariant check
     /// ([`hope_core::Engine::verify_invariants`]) after every transition
@@ -52,13 +52,8 @@ pub struct SimConfig {
     /// ruinous for long simulations, so this defaults to off. It is a
     /// dimension of the transparency lattices (`tests/chaos_equivalence.rs`,
     /// [`crate::mc`]), which is where the invariants are held under every
-    /// combination of fossil collection, governor, tracing and faults.
+    /// combination of fossil collection, governor and faults.
     pub check_engine_invariants: bool,
-    /// Record a human-readable execution trace (primitive calls, message
-    /// deliveries, ghost drops, rollbacks, output commits), available as
-    /// [`RunReport::trace`](crate::RunReport::trace). Off by default:
-    /// tracing a long run allocates a string per event.
-    pub trace: bool,
     /// When the simulation quiesces (no events left), have the scheduler —
     /// which is a *definite external observer* by construction — affirm
     /// every still-open assumption and keep running until the resulting
@@ -120,7 +115,6 @@ impl Default for SimConfig {
             max_journal_entries: 1_000_000,
             fossil_collection: false,
             check_engine_invariants: false,
-            trace: false,
             commit_at_quiescence: false,
             faults: None,
             ack_timeout: VirtualDuration::from_millis(50),
@@ -131,12 +125,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Enable execution tracing (see [`SimConfig::trace`]).
-    pub fn traced(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// Enable the quiescence commit oracle (see
     /// [`SimConfig::commit_at_quiescence`]).
     pub fn commit_at_quiescence(mut self) -> Self {

@@ -26,6 +26,7 @@ use hope_core::observer::decide;
 use hope_core::{Action, AidId, AidState, Checkpoint, DecideKind, ProcessId};
 use hope_sim::{VirtualDuration, VirtualTime};
 
+use crate::event::RunEvent;
 use crate::governor::{Admission, DEFAULT_GUESS_SITE, RELIABLE_SEND_SITE};
 use crate::journal::Entry;
 use crate::message::{Message, MsgKind};
@@ -182,8 +183,8 @@ impl Ctx {
             sh.fossil_sweep();
         }
         if sh.procs[self.idx].journal.live_len() >= limit {
-            let pid = self.pid;
-            sh.trace(|| format!("{pid}: journal limit ({limit} live entries) exceeded"));
+            let process = self.pid;
+            sh.emit(|| RunEvent::JournalOverflow { process, limit });
             sh.crash(self.idx, CrashReason::JournalOverflow { limit });
             return Err(Signal::Shutdown);
         }
@@ -257,6 +258,7 @@ impl Ctx {
         }
         let mut sh = self.live()?;
         if sh.config.governor.is_some() {
+            let process = self.pid;
             match sh.govern_admit(self.idx, aid, site) {
                 Admission::Admit => {}
                 Admission::Hold(d) => {
@@ -265,7 +267,7 @@ impl Ctx {
                     // realizable event for replay and model checking; if
                     // the assumption is denied while we hold, the guess
                     // below answers `false` without any rollback.
-                    sh.trace(|| format!("{}: governor holds guess({aid})", self.pid));
+                    sh.emit(|| RunEvent::GovernorHolds { process, aid });
                     let at = sh.now + d;
                     sh.schedule_wake(self.idx, at);
                     drop(sh);
@@ -278,7 +280,7 @@ impl Ctx {
                     // the decision handler wakes registered waiters — then
                     // fall through to a guess that answers definitively
                     // and commits the same branch optimism would have.
-                    sh.trace(|| format!("{}: governor converts guess({aid}) to a wait", self.pid));
+                    sh.emit(|| RunEvent::GovernorConverts { process, aid });
                     while sh.engine.aid_state(aid).ok() == Some(AidState::Undecided) {
                         if let Some(gov) = sh.governor.as_mut() {
                             gov.waiting.insert(aid, self.idx);

@@ -62,6 +62,7 @@ mod baton;
 pub mod chaos;
 mod config;
 mod ctx;
+mod event;
 pub mod governor;
 mod journal;
 pub mod mc;
@@ -76,6 +77,7 @@ mod value;
 pub use chaos::{knob_lattice, sweep, VariantRun};
 pub use config::SimConfig;
 pub use ctx::Ctx;
+pub use event::RunEvent;
 pub use governor::{
     GovernorConfig, GovernorMode, GovernorStats, ModeTransition, DEFAULT_GUESS_SITE,
     RELIABLE_SEND_SITE,

@@ -289,8 +289,10 @@ mod tests {
     use super::*;
     use crate::chaos::{knob_lattice, sweep};
     use crate::config::SimConfig;
+    use crate::event::watch;
     use crate::value::Value;
     use hope_sim::VirtualDuration;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn ms(v: u64) -> VirtualDuration {
         VirtualDuration::from_millis(v)
@@ -510,16 +512,17 @@ mod tests {
     }
 
     /// The one schedule-space lattice: every combination of the knobs that
-    /// claim to be transparent ([`knob_lattice`]) must leave the exhaustive
-    /// outcome set of `raced_long_loop` exactly as the plain run has it.
-    /// Knobs that add no events (fossil collection, tracing, invariant
-    /// checking) must also leave the schedule *tree* bit-identical; the
-    /// governor's conservative waits and probes ride ordinary epoch-guarded
-    /// wakes, so it may reshape the tree and is held to the outcome set
-    /// only — hence two tests, the 8 `governed` cells and the 8 others.
-    /// Each cell first goes through [`sweep`] under the default schedule,
-    /// whose counters prove it engaged: collection reclaimed, the governor
-    /// converted and probed, the trace filled.
+    /// claim to be transparent ([`knob_lattice`]), watched and unwatched,
+    /// must leave the exhaustive outcome set of `raced_long_loop` exactly
+    /// as the plain run has it. Knobs that add no events (fossil
+    /// collection, invariant checking) and watching must also leave the
+    /// schedule *tree* bit-identical; the governor's conservative waits and
+    /// probes ride ordinary epoch-guarded wakes, so it may reshape the tree
+    /// and is held to the outcome set only — hence two tests, the 4
+    /// `governed` cells and the 4 others. Each cell first goes through
+    /// [`sweep`] under the default schedule, whose counters prove it
+    /// engaged: collection reclaimed, the governor converted and probed,
+    /// the watched replay saw events.
     fn schedule_space_lattice(governed: bool) {
         let base = SimConfig::with_seed(7);
         // One-sample window: the first deny trips the breaker; the next
@@ -552,20 +555,38 @@ mod tests {
                 !governed || g.converted > 0 && g.probes > 0,
                 "`{label}`: governor never acted: {g:?}"
             );
-            assert_eq!(run.trace_lines > 0, cfg.trace, "`{label}`: trace");
-            let cell = check_scenario(&SimMcConfig::default(), || raced_long_loop(cfg.clone()));
-            assert!(cell.completeness.is_exhausted(), "`{label}`: {cell:?}");
-            assert_eq!(
-                cell.outcomes, plain.outcomes,
-                "`{label}` changed the outcome set"
-            );
-            if !governed {
+            assert!(run.events > 0, "`{label}`: the replay was not watched");
+            let seen = Arc::new(AtomicUsize::new(0));
+            for watched in [false, true] {
+                let cell = check_scenario(&SimMcConfig::default(), || {
+                    let mut sim = raced_long_loop(cfg.clone());
+                    if watched {
+                        watch(&mut sim, seen.clone());
+                    }
+                    sim
+                });
+                let label = if watched {
+                    format!("{label}, watched")
+                } else {
+                    label.clone()
+                };
+                assert!(cell.completeness.is_exhausted(), "`{label}`: {cell:?}");
                 assert_eq!(
-                    (cell.schedules, cell.choice_points, cell.max_depth),
-                    (plain.schedules, plain.choice_points, plain.max_depth),
-                    "`{label}` adds no events, so it must not reshape the schedule tree"
+                    cell.outcomes, plain.outcomes,
+                    "`{label}` changed the outcome set"
                 );
+                if !governed {
+                    assert_eq!(
+                        (cell.schedules, cell.choice_points, cell.max_depth),
+                        (plain.schedules, plain.choice_points, plain.max_depth),
+                        "`{label}` adds no events, so it must not reshape the schedule tree"
+                    );
+                }
             }
+            assert!(
+                seen.load(Ordering::Relaxed) > 0,
+                "`{label}`: nothing watched"
+            );
         }
     }
 

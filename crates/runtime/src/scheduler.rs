@@ -134,33 +134,32 @@ impl Simulation {
         self.bodies.len()
     }
 
-    /// Install a runtime observer: `observer` is called once per executed
-    /// HOPE action — guesses (including re-executed ones returning
-    /// `false`), deciders (including skipped one-shot re-uses), sends,
-    /// receives, and ghost drops — with the acting process and the engine
-    /// effects the action produced.
-    ///
-    /// Journal *replay* after a rollback is not reported (those actions
-    /// already were, on first execution); the re-executed live suffix is.
-    /// Feed the callbacks to a [`hope_core::RuntimeObserver`] such as the
-    /// `hope-analysis` race detector:
+    /// Watch the run — the one way to: `observer` is handed every
+    /// [`RunEvent`](crate::RunEvent) with the virtual time it happened at.
+    /// A [`RunEvent::Action`](crate::RunEvent::Action) is a process's HOPE
+    /// action — a guess (re-executed ones return `false`), a decider
+    /// (skipped one-shot re-uses included), a send, receive or ghost drop —
+    /// with its engine effects, for a [`hope_core::RuntimeObserver`] such as
+    /// the `hope-analysis` race detector; journal *replay* is not reported
+    /// (those actions already were), the re-executed live suffix is. An
+    /// unwatched run builds no event. `format!("[{t}] {event}")` is the
+    /// execution trace:
     ///
     /// ```
-    /// use std::sync::Arc;
-    /// use hope_core::{NullObserver, RuntimeObserver};
+    /// use std::sync::{Arc, Mutex};
     /// use hope_runtime::{SimConfig, Simulation};
-    /// use std::sync::Mutex;
     ///
     /// let mut sim = Simulation::new(SimConfig::with_seed(1));
-    /// let observer = Arc::new(Mutex::new(NullObserver));
-    /// let hook = observer.clone();
-    /// sim.set_observer(move |pid, action, effects| {
-    ///     hook.lock().unwrap().observe(pid, action, effects);
-    /// });
+    /// sim.spawn("solo", |ctx| ctx.aid_init().and_then(|x| ctx.affirm(x)));
+    /// let trace = Arc::new(Mutex::new(Vec::new()));
+    /// let lines = trace.clone();
+    /// sim.set_observer(move |t, event| lines.lock().unwrap().push(format!("[{t}] {event}")));
+    /// sim.run();
+    /// assert_eq!(*trace.lock().unwrap(), ["[t=0ns] P0: affirm(X0)"]);
     /// ```
     pub fn set_observer(
         &mut self,
-        observer: impl FnMut(ProcessId, &hope_core::Action, &[hope_core::Effect]) + Send + 'static,
+        observer: impl FnMut(VirtualTime, &crate::RunEvent<'_>) + Send + 'static,
     ) {
         self.shared.observer = ObserverSlot(Some(Box::new(observer)));
     }

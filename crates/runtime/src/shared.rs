@@ -22,6 +22,7 @@ use hope_sim::{EventQueue, LinkVerdict, SimRng, VirtualDuration, VirtualTime};
 
 use crate::config::SimConfig;
 use crate::ctx::backoff_deadline;
+use crate::event::RunEvent;
 use crate::governor::Governor;
 use crate::journal::{Entry, Journal};
 use crate::message::{Mailbox, Message, MsgKind};
@@ -101,14 +102,14 @@ pub(crate) enum Step {
 }
 
 /// What a live `Ctx` primitive did, for [`Shared::record`]: the entry it
-/// journals and the body's reply, and for a HOPE action the action traced
-/// and observed and the engine effects it caused.
+/// journals and the body's reply, and for a HOPE action the action
+/// observed and the engine effects it caused.
 pub(crate) struct Done<R> {
     entry: Entry,
     pub(crate) reply: R,
     action: Option<Action>,
     fx: Vec<Effect>,
-    /// A reliable send's `(seq, attempt)`, appended to its trace line.
+    /// A reliable send's `(seq, attempt)`, reported with its action.
     reliable: Option<(u64, u32)>,
 }
 
@@ -124,7 +125,7 @@ impl<R> Done<R> {
         }
     }
 
-    /// A HOPE action: traced, journaled, its effects applied, observed.
+    /// A HOPE action: observed, journaled, its effects applied.
     pub(crate) fn acted(entry: Entry, reply: R, action: Action, fx: Vec<Effect>) -> Self {
         Done {
             action: Some(action),
@@ -135,7 +136,7 @@ impl<R> Done<R> {
 }
 
 /// The boxed form of an installed observer callback.
-pub(crate) type ObserverFn = Box<dyn FnMut(ProcessId, &Action, &[Effect]) + Send>;
+pub(crate) type ObserverFn = Box<dyn FnMut(VirtualTime, &RunEvent<'_>) + Send>;
 
 /// The installed runtime observer, if any. A newtype so [`Shared`] can
 /// keep deriving `Debug` around the unprintable closure.
@@ -168,12 +169,11 @@ pub(crate) struct Shared {
     pub(crate) pending_output: BTreeMap<IntervalId, Vec<OutputLine>>,
     pub(crate) outputs: Vec<OutputLine>,
     pub(crate) stats: RunStats,
-    pub(crate) trace_log: Vec<String>,
     /// Engine process id of the environment — the quiescence commit, acks,
     /// retransmission deadlines and kills — registered on its first
     /// decision (see [`Shared::decide_as_environment`]).
     environment: Option<ProcessId>,
-    /// Reported every executed HOPE action (see `Simulation::set_observer`).
+    /// Handed every [`RunEvent`] (see `Simulation::set_observer`).
     pub(crate) observer: ObserverSlot,
     /// Dedicated RNG stream for fault verdicts, seeded from the plan's own
     /// seed so a given plan injects the same faults under any master seed.
@@ -240,7 +240,6 @@ impl Shared {
             pending_output: BTreeMap::new(),
             outputs: Vec::new(),
             stats: RunStats::default(),
-            trace_log: Vec::new(),
             environment: None,
             observer: ObserverSlot(None),
             fault_rng,
@@ -475,7 +474,6 @@ impl Shared {
             unfinished,
             errors,
             crashes,
-            trace: std::mem::take(&mut self.trace_log),
             gov_transitions,
         }
     }
@@ -507,26 +505,26 @@ impl Shared {
         self.queue.pop()
     }
 
-    /// The one record of a live primitive of `procs[idx]`: trace, journal,
-    /// apply the effects, observe, in that order (a self-rollback truncates
-    /// the entry just pushed, and answers [`Signal::Rollback`]). Always
-    /// inlined: out of line, a `checkpoint` paid ≈8 ns more.
+    /// The one record of a live primitive of `procs[idx]`: observe,
+    /// journal, apply the effects, in that order (a self-rollback truncates
+    /// the entry just pushed, and answers [`Signal::Rollback`]). Unwatched,
+    /// the observer costs one `Option` check. Always inlined: out of line,
+    /// a `checkpoint` paid ≈8 ns more.
     #[inline(always)]
     pub(crate) fn record<R>(&mut self, idx: usize, done: Done<R>) -> Hope<R> {
-        let pid = self.procs[idx].pid;
-        if let Some(action) = &done.action {
-            self.trace(|| match done.reliable {
-                Some((seq, attempt)) => {
-                    format!("{pid}: {action} [reliable seq={seq} attempt={attempt}]")
-                }
-                None => format!("{pid}: {action}"),
-            });
+        if let Some(f) = self.observer.0.as_mut() {
+            if let Some(action) = &done.action {
+                let event = RunEvent::Action {
+                    process: self.procs[idx].pid,
+                    action,
+                    effects: &done.fx,
+                    reliable: done.reliable,
+                };
+                f(self.now, &event);
+            }
         }
         self.procs[idx].journal.push(done.entry);
         let rolled = !done.fx.is_empty() && self.apply_effects(idx, &done.fx);
-        if let Some(action) = &done.action {
-            self.observe(pid, action, &done.fx);
-        }
         if rolled {
             return Err(Signal::Rollback);
         }
@@ -555,8 +553,12 @@ impl Shared {
                 self.stats.faults.ghosts_from_faults +=
                     u64::from(self.fault_denied.contains(&denied));
                 let action = Action::GhostDropped { msg, from, denied };
-                self.trace(|| format!("{pid}: {action}"));
-                self.observe(pid, &action, &[]);
+                self.emit(|| RunEvent::Action {
+                    process: pid,
+                    action: &action,
+                    effects: &[],
+                    reliable: None,
+                });
                 continue;
             }
             let speculative = matches!(outcome, ReceiveOutcome::Speculative(_));
@@ -595,10 +597,12 @@ impl Shared {
         }
     }
 
-    /// Report one executed action to the installed observer, if any.
-    pub(crate) fn observe(&mut self, pid: ProcessId, action: &Action, effects: &[Effect]) {
+    /// Hand the installed observer, if any, the event `event` builds; with
+    /// none installed nothing is built.
+    #[inline(always)]
+    pub(crate) fn emit<'a>(&mut self, event: impl FnOnce() -> RunEvent<'a>) {
         if let Some(f) = self.observer.0.as_mut() {
-            f(pid, action, effects);
+            f(self.now, &event());
         }
     }
 
@@ -612,17 +616,12 @@ impl Shared {
         if open.is_empty() {
             return false;
         }
-        self.trace(|| {
-            format!(
-                "quiescence oracle affirms {} open assumption(s)",
-                open.len()
-            )
-        });
+        self.emit(|| RunEvent::QuiescenceCommit { open: &open });
         let mut any = false;
         for x in open {
             // A cascade from an earlier affirm (an IHD deny) may have
             // consumed it in the meantime.
-            any |= self.decide_as_environment(x, DecideKind::Affirm, |_| {});
+            any |= self.decide_as_environment(x, DecideKind::Affirm, |_, _| {});
         }
         any
     }
@@ -631,14 +630,14 @@ impl Shared {
     /// on first use, that stands for everything outside the bodies — the
     /// quiescence commit, acks, retransmission deadlines and kills. It
     /// guesses nothing, so its decisions are definite and it is never a
-    /// rollback victim. `noted` runs (counters, trace line) before the
-    /// cascade is applied. `false`: the AID was already consumed, and
-    /// nothing happened.
+    /// rollback victim. `noted` runs (counters, event) with the decision's
+    /// effects before they are applied. `false`: the AID was already
+    /// consumed, and nothing happened.
     fn decide_as_environment(
         &mut self,
         aid: AidId,
         kind: DecideKind,
-        noted: impl FnOnce(&mut Self),
+        noted: impl FnOnce(&mut Self, &[Effect]),
     ) -> bool {
         let env = *self
             .environment
@@ -648,7 +647,7 @@ impl Shared {
         if matches!(action, Action::SkippedDecide { .. }) {
             return false;
         }
-        noted(self);
+        noted(self, &fx);
         // usize::MAX can match no process index.
         let rolled = self.apply_effects(usize::MAX, &fx);
         debug_assert!(!rolled);
@@ -663,8 +662,7 @@ impl Shared {
         if matches!(self.procs[p].state, ProcState::Crashed | ProcState::Down) {
             if self.config.faults.is_some() {
                 self.stats.faults.lost_to_down += 1;
-                let (id, to) = (msg.id, msg.to);
-                self.trace(|| format!("FAULT m{id} lost: {to} is down"));
+                self.emit(|| RunEvent::LostToDown(&msg));
             }
             return None;
         }
@@ -675,14 +673,12 @@ impl Shared {
             self.schedule_ack(&msg, aid);
             if !fresh {
                 self.stats.faults.dupes_suppressed += 1;
-                let (id, from, to) = (msg.id, msg.from, msg.to);
-                self.trace(|| format!("dedup: reliable m{id} {from} -> {to} suppressed"));
+                self.emit(|| RunEvent::DuplicateSuppressed(&msg));
                 return None;
             }
         }
         self.stats.messages_delivered += 1;
-        let (id, from, to) = (msg.id, msg.from, msg.to);
-        self.trace(|| format!("deliver m{id} {from} -> {to}"));
+        self.emit(|| RunEvent::Delivered(&msg));
         self.procs[p].mailbox.insert(msg);
         (self.procs[p].state == ProcState::BlockedRecv).then_some(p)
     }
@@ -709,8 +705,7 @@ impl Shared {
         let extra = match self.link_verdict(src, dst) {
             LinkVerdict::Drop => {
                 self.stats.faults.ack_drops += 1;
-                let id = msg.id;
-                self.trace(|| format!("FAULT ack for m{id} dropped"));
+                self.emit(|| RunEvent::AckDropped(msg));
                 return;
             }
             LinkVerdict::Deliver { extra_delay, .. } => extra_delay,
@@ -724,8 +719,8 @@ impl Shared {
 
     /// An ack arrived for a still-open "delivered" assumption: affirm it.
     fn ack_fire(&mut self, aid: AidId) {
-        self.decide_as_environment(aid, DecideKind::Affirm, |sh| {
-            sh.trace(|| format!("ack: delivered({aid}) affirmed"));
+        self.decide_as_environment(aid, DecideKind::Affirm, |sh, effects| {
+            sh.emit(|| RunEvent::Acked { aid, effects });
         });
     }
 
@@ -735,10 +730,10 @@ impl Shared {
     /// fate rides on the affirmer's own assumptions, which is strictly
     /// better informed than a timeout.
     fn timeout_fire(&mut self, aid: AidId) {
-        self.decide_as_environment(aid, DecideKind::Deny, |sh| {
+        self.decide_as_environment(aid, DecideKind::Deny, |sh, effects| {
             sh.stats.faults.timeout_denies += 1;
             sh.fault_denied.insert(aid);
-            sh.trace(|| format!("FAULT timeout: delivered({aid}) denied"));
+            sh.emit(|| RunEvent::TimedOut { aid, effects });
         });
     }
 
@@ -759,13 +754,16 @@ impl Shared {
         }
         self.stats.faults.kills += 1;
         let pid = self.procs[victim].pid;
-        self.trace(|| format!("FAULT kill {pid} (restart after {restart_after:?})"));
+        self.emit(|| RunEvent::Killed {
+            process: pid,
+            restart_after,
+        });
         let own: Vec<AidId> = self.procs[victim].journal.created_aids().collect();
         for aid in own {
             if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
                 continue;
             }
-            self.decide_as_environment(aid, DecideKind::Deny, |sh| {
+            self.decide_as_environment(aid, DecideKind::Deny, |sh, _| {
                 sh.stats.faults.crash_denies += 1;
                 sh.fault_denied.insert(aid);
             });
@@ -792,7 +790,7 @@ impl Shared {
     fn restart_fire(&mut self, proc: usize) {
         self.stats.faults.restarts += 1;
         let pid = self.procs[proc].pid;
-        self.trace(|| format!("FAULT restart {pid}: recovering from journal prefix"));
+        self.emit(|| RunEvent::Restarted { process: pid });
         self.set_state(proc, ProcState::Holding);
         let now = self.now;
         self.schedule_wake(proc, now);
@@ -810,13 +808,7 @@ impl Shared {
     pub(crate) fn fossil_sweep(&mut self) {
         let sweep = self.engine.collect_fossils();
         if sweep.intervals > 0 || sweep.aids > 0 {
-            self.trace(|| {
-                format!(
-                    "fossil sweep: {} interval(s) and {} aid(s) reclaimed \
-                     (horizon A{}/X{})",
-                    sweep.intervals, sweep.aids, sweep.interval_horizon, sweep.aid_horizon
-                )
-            });
+            self.emit(|| RunEvent::FossilSweep(sweep));
         }
         for p in 0..self.procs.len() {
             let (engine, proc) = (&self.engine, &mut self.procs[p]);
@@ -832,18 +824,12 @@ impl Shared {
             let n = proc.journal.reclaim_prefix(safe);
             if n > 0 {
                 let t = proc.journal.base();
-                self.trace(|| {
-                    format!("{pid}: journal prefix reclaimed ({n} entries, base now {t})")
+                self.emit(|| RunEvent::JournalReclaimed {
+                    process: pid,
+                    entries: n,
+                    base: t,
                 });
             }
-        }
-    }
-
-    /// Append a trace line (no-op unless tracing is configured).
-    pub(crate) fn trace(&mut self, line: impl FnOnce() -> String) {
-        if self.config.trace {
-            let entry = format!("[{}] {}", self.now, line());
-            self.trace_log.push(entry);
         }
     }
 
@@ -888,7 +874,11 @@ impl Shared {
         let (extra_delay, duplicate) = match verdict {
             LinkVerdict::Drop => {
                 self.stats.faults.drops += 1;
-                self.trace(|| format!("FAULT drop m{id} {from_pid} -> {to}"));
+                self.emit(|| RunEvent::Dropped {
+                    msg: id,
+                    from: from_pid,
+                    to,
+                });
                 return id; // sent, never delivered
             }
             LinkVerdict::Deliver {
@@ -932,7 +922,7 @@ impl Shared {
             let mut dup = msg.clone();
             dup.delivered_at = t_dup;
             dup.seq = dup_seq;
-            self.trace(|| format!("FAULT duplicate m{id} {from_pid} -> {to}"));
+            self.emit(|| RunEvent::Duplicated(&msg));
             self.queue.push(t_dup, EventKind::Deliver { msg: dup });
         }
         self.queue.push(t_d, EventKind::Deliver { msg });
@@ -953,14 +943,15 @@ impl Shared {
         for e in effects {
             match e {
                 Effect::Finalized { interval, process } => {
-                    self.trace(|| format!("{process}: interval {interval} finalized"));
+                    self.emit(|| RunEvent::Applied(e));
                     if let Some(mut lines) = self.pending_output.remove(interval) {
                         self.stats.outputs_released += lines.len() as u64;
                         for l in &mut lines {
                             l.committed_at = self.now;
                         }
-                        self.trace(|| {
-                            format!("{process}: {} output line(s) committed", lines.len())
+                        self.emit(|| RunEvent::OutputCommitted {
+                            process: *process,
+                            lines: &lines,
                         });
                         self.outputs.extend(lines);
                     }
@@ -972,13 +963,7 @@ impl Shared {
                 } => {
                     self.stats.rollback_events += 1;
                     let victim = self.idx_of(*process);
-                    self.trace(|| {
-                        format!(
-                            "{process}: ROLLBACK of {} interval(s) to journal position {}",
-                            intervals.len(),
-                            checkpoint.0
-                        )
-                    });
+                    self.emit(|| RunEvent::Applied(e));
                     // Discard speculative output of the dead intervals.
                     for a in intervals {
                         if let Some(lines) = self.pending_output.remove(a) {

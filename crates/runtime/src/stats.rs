@@ -260,7 +260,6 @@ pub struct RunReport {
     pub(crate) unfinished: Vec<ProcessId>,
     pub(crate) errors: BTreeMap<ProcessId, String>,
     pub(crate) crashes: BTreeMap<ProcessId, CrashReason>,
-    pub(crate) trace: Vec<String>,
     pub(crate) gov_transitions: Vec<ModeTransition>,
 }
 
@@ -365,11 +364,12 @@ impl RunReport {
     }
 
     /// A deterministic digest of everything observable about the run —
-    /// committed outputs, counters, finish times, crashes — but not
-    /// the (optional, verbose) trace. Two runs of the same program under
-    /// the same [`SimConfig`](crate::SimConfig) (fault plan included) must
-    /// produce equal fingerprints; the chaos oracle asserts exactly that
-    /// to prove failing seeds replay bit-identically.
+    /// committed outputs, counters, finish times, crashes — but not the
+    /// governor's mode transitions. Two runs of the same program under the
+    /// same [`SimConfig`](crate::SimConfig) (fault plan included) must
+    /// produce equal fingerprints, watched or not; the chaos oracle asserts
+    /// exactly that to prove failing seeds replay bit-identically and that
+    /// watching a run changes nothing.
     pub fn fingerprint(&self) -> u64 {
         // The DepSet deltas are measured against process-global counters,
         // which concurrent simulations (parallel test threads) pollute, so
@@ -407,20 +407,11 @@ impl RunReport {
         self.unfinished.is_empty() && self.errors.is_empty() && !self.hit_limits
     }
 
-    /// The execution trace, if [`SimConfig::trace`](crate::SimConfig::trace)
-    /// was enabled (empty otherwise). One line per primitive call, message
-    /// movement, ghost drop, rollback and output commit, timestamped in
-    /// virtual time.
-    pub fn trace(&self) -> &[String] {
-        &self.trace
-    }
-
     /// The optimism governor's mode-transition trace in virtual-time
     /// order, if [`SimConfig::with_governor`](crate::SimConfig) was set
     /// (empty otherwise). A pure function of `(seed, config)`: the
     /// determinism suite pins it identical across reruns and fossil
-    /// collection. Like the trace, it is not part of
-    /// [`RunReport::fingerprint`].
+    /// collection. It is not part of [`RunReport::fingerprint`].
     pub fn governor_transitions(&self) -> &[ModeTransition] {
         &self.gov_transitions
     }
@@ -447,6 +438,7 @@ impl fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::GovernorMode;
 
     #[test]
     fn report_accessors() {
@@ -465,7 +457,6 @@ mod tests {
             unfinished: vec![],
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
-            trace: Vec::new(),
             gov_transitions: Vec::new(),
         };
         assert!(r.completed());
@@ -502,7 +493,6 @@ mod tests {
             unfinished: vec![ProcessId(1)],
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
-            trace: Vec::new(),
             gov_transitions: Vec::new(),
         };
         assert!(!r.completed());
@@ -522,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_observable_changes_but_not_trace() {
+    fn fingerprint_distinguishes_observable_changes_but_not_governor_transitions() {
         let base = RunReport {
             end_time: VirtualTime::from_nanos(10),
             events: 3,
@@ -533,12 +523,17 @@ mod tests {
             unfinished: vec![],
             errors: BTreeMap::new(),
             crashes: BTreeMap::new(),
-            trace: Vec::new(),
             gov_transitions: Vec::new(),
         };
-        let mut traced = base.clone();
-        traced.trace.push("[0] noise".into());
-        assert_eq!(base.fingerprint(), traced.fingerprint());
+        let mut governed = base.clone();
+        governed.gov_transitions.push(ModeTransition {
+            process: ProcessId(0),
+            site: 0,
+            at: VirtualTime::ZERO,
+            from: GovernorMode::Optimistic,
+            to: GovernorMode::Throttled,
+        });
+        assert_eq!(base.fingerprint(), governed.fingerprint());
         let mut other = base.clone();
         other.events = 4;
         assert_ne!(base.fingerprint(), other.fingerprint());

@@ -4,19 +4,31 @@
 //! plus the hot-path lock discipline: one `Shared` lock per live primitive.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hope_core::AidId;
-use hope_runtime::{CrashReason, FaultPlan, MsgKind, ProcessId, SimConfig, Simulation, Value};
+use hope_runtime::{
+    CrashReason, FaultPlan, MsgKind, ProcessId, RunReport, SimConfig, Simulation, Value,
+};
 use hope_sim::{LatencyModel, Topology, VirtualDuration, VirtualTime};
 
 fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
 }
 
+/// Run `sim` watched: the report, and every event as its trace line.
+fn run_traced(mut sim: Simulation) -> (RunReport, Vec<String>) {
+    let lines = Arc::new(Mutex::new(Vec::new()));
+    let sink = lines.clone();
+    sim.set_observer(move |t, event| sink.lock().unwrap().push(format!("[{t}] {event}")));
+    let report = sim.run();
+    let trace = std::mem::take(&mut *lines.lock().unwrap());
+    (report, trace)
+}
+
 #[test]
 fn try_recv_returns_none_when_empty_and_some_when_queued() {
-    let mut sim = Simulation::new(SimConfig::default().traced());
+    let mut sim = Simulation::new(SimConfig::default());
     let receiver = ProcessId(0);
     sim.spawn("receiver", |ctx| {
         // Nothing queued yet.
@@ -33,12 +45,12 @@ fn try_recv_returns_none_when_empty_and_some_when_queued() {
         ctx.send(receiver, Value::Int(5))?;
         Ok(())
     });
-    let report = sim.run();
+    let (report, trace) = run_traced(sim);
     assert!(report.completed(), "{report}");
     assert_eq!(report.output_lines(), vec!["try_recv exercised"]);
     // One trace line per primitive call: a successful `try_recv` is a `recv`.
     let recvs = |t: &&String| t.contains("P0: recv m") && t.contains("from P1");
-    assert_eq!(report.trace().iter().filter(recvs).count(), 1);
+    assert_eq!(trace.iter().filter(recvs).count(), 1);
 }
 
 #[test]
@@ -390,7 +402,7 @@ fn deep_nested_speculation_unwinds_to_the_right_guess() {
 
 #[test]
 fn trace_records_the_full_story() {
-    let mut sim = Simulation::new(SimConfig::with_seed(3).traced());
+    let mut sim = Simulation::new(SimConfig::with_seed(3));
     let verifier = ProcessId(1);
     sim.spawn("worker", move |ctx| {
         let aid = ctx.aid_init()?;
@@ -409,9 +421,9 @@ fn trace_records_the_full_story() {
         ctx.deny(aid)?;
         Ok(())
     });
-    let report = sim.run();
+    let (report, trace) = run_traced(sim);
     assert!(report.completed(), "{report}");
-    let trace = report.trace().join("\n");
+    let trace = trace.join("\n");
     for needle in [
         "guess(X0) -> true",
         "deny(X0)",
@@ -428,7 +440,7 @@ fn trace_records_the_full_story() {
     }
 
     // Affirmed scenario: the speculative output's commit is traced.
-    let mut sim = Simulation::new(SimConfig::with_seed(3).traced());
+    let mut sim = Simulation::new(SimConfig::with_seed(3));
     sim.spawn("worker", move |ctx| {
         let aid = ctx.aid_init()?;
         ctx.send(verifier, Value::Int(aid.index() as i64))?;
@@ -444,20 +456,14 @@ fn trace_records_the_full_story() {
         ctx.affirm(aid)?;
         Ok(())
     });
-    let affirmed = sim.run();
-    let trace = affirmed.trace().join("\n");
+    let (_, trace) = run_traced(sim);
+    let trace = trace.join("\n");
     for needle in ["affirm(X0)", "finalized", "1 output line(s) committed"] {
         assert!(
             trace.contains(needle),
             "missing {needle:?} in trace:\n{trace}"
         );
     }
-
-    // Untraced runs stay empty.
-    let mut sim = Simulation::new(SimConfig::with_seed(3));
-    sim.spawn("solo", |ctx| ctx.output("x"));
-    let quiet = sim.run();
-    assert!(quiet.trace().is_empty());
 }
 
 #[test]
@@ -653,7 +659,7 @@ fn lock_counter_is_excluded_from_fingerprint() {
 fn trace_lines_are_pinned() {
     let (judge, receiver, peer) = (ProcessId(1), ProcessId(2), ProcessId(4));
     let plan = FaultPlan::new(17).drop_rate(0.3);
-    let mut sim = Simulation::new(SimConfig::with_seed(11).traced().with_faults(plan));
+    let mut sim = Simulation::new(SimConfig::with_seed(11).with_faults(plan));
     sim.spawn("worker", move |ctx| {
         let x = ctx.aid_init()?;
         ctx.send(judge, Value::Int(x.index() as i64))?;
@@ -695,7 +701,7 @@ fn trace_lines_are_pinned() {
         ctx.recv()?;
         Ok(())
     });
-    let report = sim.run();
+    let (report, trace) = run_traced(sim);
     assert!(report.completed(), "{report}");
     let expected = [
         "[t=0ns] P0: send m0 -> P1",
@@ -732,5 +738,124 @@ fn trace_lines_are_pinned() {
         "[t=50.200ms] ack: delivered(X6) affirmed",
         "[t=50.200ms] P3: interval A3 finalized",
     ];
-    assert_eq!(report.trace(), expected, "{:#?}", report.trace());
+    assert_eq!(trace, expected, "{trace:#?}");
+}
+
+/// The trace-line kinds [`trace_lines_are_pinned`] does not reach.
+const OTHER_KINDS: [&str; 13] = [
+    "FAULT duplicate",
+    "lost:",
+    "dedup: reliable",
+    "FAULT ack for",
+    "FAULT kill",
+    "FAULT restart",
+    "fossil sweep:",
+    "journal prefix reclaimed",
+    "output line(s) committed",
+    "quiescence oracle affirms",
+    "governor holds",
+    "governor converts",
+    "journal limit",
+];
+
+/// A checkpointing guesser/verifier loop: the guess's AID travels by
+/// `send_reliable`, and the verifier denies the rounds `deny` selects.
+fn verified_loop(cfg: SimConfig, rounds: i64, deny: fn(i64) -> bool) -> Simulation {
+    let mut sim = Simulation::new(cfg);
+    let verifier = ProcessId(1);
+    sim.spawn("guesser", move |ctx| {
+        let mut i = ctx.restore()?.map_or(0, |v| v.expect_int());
+        while i < rounds {
+            ctx.checkpoint(Value::Int(i))?;
+            let aid = ctx.aid_init()?;
+            ctx.send_reliable(verifier, Value::Int(aid.index() as i64))?;
+            let path = if ctx.guess(aid)? { "fast" } else { "slow" };
+            ctx.output(format!("round {i}: {path}"))?;
+            ctx.compute(VirtualDuration::from_micros(150))?;
+            i += 1;
+        }
+        Ok(())
+    });
+    sim.spawn("verifier", move |ctx| {
+        let mut seen = ctx.restore()?.map_or(0, |v| v.expect_int());
+        while seen < rounds {
+            ctx.checkpoint(Value::Int(seen))?;
+            let aid = AidId::from_index(ctx.recv()?.payload.expect_int() as u64);
+            if deny(seen) {
+                ctx.deny(aid)?;
+            } else {
+                ctx.affirm(aid)?;
+            }
+            seen += 1;
+        }
+        Ok(())
+    });
+    sim
+}
+
+/// The first line of each kind in [`OTHER_KINDS`], byte for byte, from
+/// four runs: the verified loop under a lossy, duplicating plan with a
+/// crash-restart and fossil collection; the same loop governed through a
+/// deny storm; a guess nobody decides, committed at quiescence; and a body
+/// that outgrows its journal limit.
+#[test]
+fn every_other_trace_line_kind_is_pinned() {
+    let plan = FaultPlan::new(5)
+        .drop_rate(0.2)
+        .dupe_rate(0.3)
+        .kill(1, 40, Some(ms(3)));
+    let faulty = SimConfig::with_seed(2)
+        .with_faults(plan)
+        .with_fossil_collection(true);
+    let governor = hope_runtime::GovernorConfig::default()
+        .with_window(6)
+        .with_min_samples(2)
+        .with_thresholds(150, 700)
+        .with_hold(ms(1))
+        .with_probe_after(4);
+    let governed = SimConfig::with_seed(2).with_governor(governor);
+    let mut quiescent = Simulation::new(SimConfig::with_seed(2).commit_at_quiescence());
+    quiescent.spawn("optimist", |ctx| {
+        let x = ctx.aid_init()?;
+        if ctx.guess(x)? {
+            ctx.output("undecided")?;
+        }
+        Ok(())
+    });
+    let mut overflowing = Simulation::new(SimConfig::with_seed(2).with_max_journal_entries(8));
+    overflowing.spawn("hoarder", |ctx| loop {
+        ctx.random_u64()?;
+    });
+    let runs = [
+        verified_loop(faulty, 120, |i| i % 5 == 3),
+        verified_loop(governed, 60, |i| {
+            i % 3 == 0 && i < 21 || (30..50).contains(&i)
+        }),
+        quiescent,
+        overflowing,
+    ];
+    let lines: Vec<String> = runs.into_iter().flat_map(|sim| run_traced(sim).1).collect();
+    let firsts: Vec<&str> = OTHER_KINDS
+        .iter()
+        .map(|kind| {
+            let first = lines.iter().find(|l| l.contains(kind));
+            first.unwrap_or_else(|| panic!("no {kind:?} line")).as_str()
+        })
+        .collect();
+    let expected = [
+        "[t=0ns] FAULT duplicate m0 P0 -> P1",
+        "[t=2.000ms] FAULT m12 lost: P1 is down",
+        "[t=100.000µs] dedup: reliable m0 P0 -> P1 suppressed",
+        "[t=400.000µs] FAULT ack for m2 dropped",
+        "[t=2.000ms] FAULT kill P1 (restart after Some(VirtualDuration(3000000)))",
+        "[t=5.000ms] FAULT restart P1: recovering from journal prefix",
+        "[t=13.900ms] fossil sweep: 14 interval(s) and 14 aid(s) reclaimed (horizon A14/X14)",
+        "[t=13.900ms] P0: journal prefix reclaimed (64 entries, base now 64)",
+        "[t=200.000µs] P0: 1 output line(s) committed",
+        "[t=0ns] quiescence oracle affirms 1 open assumption(s)",
+        "[t=5.100ms] P0: governor holds guess(X44)",
+        "[t=250.000µs] P0: governor converts guess(X2) to a wait",
+        "[t=0ns] P0: journal limit (8 live entries) exceeded",
+    ];
+    assert_eq!(firsts, expected, "{firsts:#?}");
 }

@@ -291,8 +291,11 @@ pub fn run_lp(ctx: &mut Ctx, cfg: &LpConfig) -> Hope<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hope_runtime::{SimConfig, Simulation};
+    use hope_core::{Checkpoint, Effect};
+    use hope_runtime::{RunEvent, SimConfig, Simulation};
     use hope_sim::{LatencyModel, SimRng, Topology};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
 
     /// Two LPs exchanging jobs: the run progresses to the horizon and
     /// quiesces without errors.
@@ -392,9 +395,21 @@ mod tests {
         topo.set_link(2, 0, LatencyModel::Fixed(VirtualDuration::from_millis(50)));
         let cfg = SimConfig::with_seed(5)
             .with_topology(topo)
-            .traced()
             .commit_at_quiescence();
         let mut sim = Simulation::new(cfg);
+        // `Restore`, the seed's send, its recv and aid_init, then the guess.
+        let cut = Arc::new(AtomicBool::new(false));
+        let seen = cut.clone();
+        sim.set_observer(move |_, event| {
+            if let RunEvent::Applied(Effect::RolledBack {
+                intervals,
+                checkpoint: Checkpoint(4),
+                ..
+            }) = event
+            {
+                seen.fetch_or(intervals.len() == 7, Ordering::Relaxed);
+            }
+        });
         let lp = LpConfig {
             lps: vec![ProcessId(0)],
             senders: Vec::new(),
@@ -424,9 +439,8 @@ mod tests {
         let report = sim.run();
         assert!(report.errors().is_empty(), "{report}");
         let stats = report.stats();
-        // `Restore`, the seed's send, its recv and aid_init, then the guess.
-        let cut = "ROLLBACK of 7 interval(s) to journal position 4";
-        assert!(report.trace().iter().any(|l| l.contains(cut)), "{report}");
+        let cut = cut.load(Ordering::Relaxed);
+        assert!(cut, "no rollback of 7 intervals to position 4: {report}");
         // Five entries per event (recv, aid_init, guess, compute, output)
         // less the first two, the straggler's recv and deny — and every
         // snapshot taken by then.

@@ -2,11 +2,11 @@
 //! graphs.
 //!
 //! Rollback cascades can be bewildering; this example shows the tools the
-//! reproduction provides. `SimConfig::traced()` records every primitive,
-//! delivery, ghost and rollback with virtual timestamps;
-//! `Simulation::set_observer` hands every executed action to an observer —
-//! here `hope::analysis::RaceDetector`, the vector-clock race detector,
-//! read once the run is over;
+//! reproduction provides. `Simulation::set_observer` hands the observer
+//! every `RunEvent` — primitive, delivery, ghost, rollback — with its
+//! virtual timestamp: here it writes each as a trace line and feeds the
+//! process actions to `hope::analysis::RaceDetector`, the vector-clock race
+//! detector, read once the run is over;
 //! `hope::core::trace::render_dependency_graph` exports the engine's live
 //! IDO/DOM graph as Graphviz DOT; and `SimConfig::with_faults` injects
 //! deterministic network/crash faults whose effects show up in
@@ -23,17 +23,27 @@ use std::sync::{Arc, Mutex};
 use hope::analysis::{RaceDetector, RaceKind};
 use hope::core::trace::render_dependency_graph;
 use hope::core::{Checkpoint, Engine, RuntimeObserver};
-use hope::runtime::{FaultPlan, SimConfig, Simulation, Value};
+use hope::runtime::{FaultPlan, RunEvent, SimConfig, Simulation, Value};
 use hope::sim::VirtualDuration;
 use hope::{AidId, ProcessId};
 
 fn main() {
-    // --- Part 1: a traced, watched run with a rollback cascade ----------
-    let mut sim = Simulation::new(SimConfig::with_seed(7).traced());
+    // --- Part 1: a watched run with a rollback cascade -------------------
+    let mut sim = Simulation::new(SimConfig::with_seed(7));
     let detector = Arc::new(Mutex::new(RaceDetector::new()));
-    let hook = detector.clone();
-    sim.set_observer(move |pid, action, effects| {
-        hook.lock().unwrap().observe(pid, action, effects);
+    let trace = Arc::new(Mutex::new(Vec::new()));
+    let (hook, lines) = (detector.clone(), trace.clone());
+    sim.set_observer(move |t, event| {
+        lines.lock().unwrap().push(format!("[{t}] {event}"));
+        if let RunEvent::Action {
+            process,
+            action,
+            effects,
+            ..
+        } = event
+        {
+            hook.lock().unwrap().observe(*process, action, effects);
+        }
     });
     let relay = ProcessId(1);
     let judge = ProcessId(2);
@@ -62,14 +72,15 @@ fn main() {
     });
     let report = sim.run();
 
+    let trace = trace.lock().unwrap();
     println!("=== execution trace ===");
-    for line in report.trace() {
+    for line in trace.iter() {
         println!("  {line}");
     }
     println!("\ncommitted output: {:?}", report.output_lines());
     assert_eq!(report.output_lines(), vec!["origin: took the slow path"]);
-    assert!(report.trace().iter().any(|l| l.contains("ROLLBACK")));
-    assert!(report.trace().iter().any(|l| l.contains("ghost")));
+    assert!(trace.iter().any(|l| l.contains("ROLLBACK")));
+    assert!(trace.iter().any(|l| l.contains("ghost")));
 
     println!("\n=== race detector findings ===");
     let detector = detector.lock().unwrap();

@@ -1,8 +1,8 @@
 //! The vector-clock race detector watching a real `Simulation`.
 //!
 //! `hope_analysis::RaceDetector` is a [`RuntimeObserver`]; a run is watched
-//! by handing it the action stream through `Simulation::set_observer`, the
-//! one way to watch a run. The agreement suite (`hope-analysis`) exercises
+//! by handing it the process actions of the event stream that
+//! `Simulation::set_observer`, the one way to watch a run, delivers. The agreement suite (`hope-analysis`) exercises
 //! the detector against the abstract machine's exhaustive schedules; these
 //! tests check the other embedding: virtual time, journal replay and
 //! message latency report the same action stream, the detector fires on
@@ -13,7 +13,7 @@ use std::sync::{Arc, Mutex};
 
 use hope_analysis::{RaceDetector, RaceKind, RaceReport};
 use hope_core::{AidId, ProcessId, RuntimeObserver};
-use hope_runtime::{FaultPlan, RunReport, SimConfig, Simulation, Value, VirtualDuration};
+use hope_runtime::{FaultPlan, RunEvent, RunReport, SimConfig, Simulation, Value, VirtualDuration};
 
 fn ms(v: u64) -> VirtualDuration {
     VirtualDuration::from_millis(v)
@@ -24,8 +24,16 @@ fn ms(v: u64) -> VirtualDuration {
 fn run_watched(mut sim: Simulation) -> (RunReport, Vec<RaceReport>) {
     let detector = Arc::new(Mutex::new(RaceDetector::new()));
     let hook = detector.clone();
-    sim.set_observer(move |pid, action, effects| {
-        hook.lock().unwrap().observe(pid, action, effects);
+    sim.set_observer(move |_, event| {
+        if let RunEvent::Action {
+            process,
+            action,
+            effects,
+            ..
+        } = event
+        {
+            hook.lock().unwrap().observe(*process, action, effects);
+        }
     });
     let report = sim.run();
     let races = detector.lock().unwrap().races().to_vec();

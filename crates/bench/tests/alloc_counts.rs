@@ -15,6 +15,13 @@
 //! the repeat is checked. A change that moves a pin re-records it here and
 //! names the delta in CHANGES.md.
 //!
+//! The same test counts a warm bare `Engine`'s steady cycle — `aid_init`,
+//! `guess`, definite `affirm` of the oldest open guess, a fossil sweep
+//! every 128 cycles, each effect list handed back with `Engine::recycle` —
+//! at the window depths of the benchmark's `core.engine.cycle_ns.d1` and
+//! `.d64` probes. In the shipped build it allocates nothing at depth 1,
+//! and at depth 64 only the guesser's `DepSet` window words.
+//!
 //! The file holds one `#[test]`: tests of one binary run on parallel
 //! threads, and every thread's allocations reach the one counter.
 //!
@@ -23,12 +30,13 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::thread;
 
 use hope_core::program::Program;
-use hope_core::{AidId, DepSet};
+use hope_core::{AidId, Checkpoint, DepSet, Engine, ProcessId as Pid};
 use hope_mc::{check, McConfig};
 use hope_recovery::{run_app_optimistic, run_stable_store};
 use hope_runtime::{Ctx, FaultPlan, Hope, ProcessId, RunReport, SimConfig, Simulation, Value};
@@ -211,6 +219,65 @@ fn mc_exhaust(corpus: &[Program]) -> u64 {
     transitions
 }
 
+/// Cycles between fossil sweeps in the steady engine cycle: the scheduler
+/// sweeps every 256 events, and the open loop spends two events per cycle.
+const SWEEP_PERIOD: u64 = 128;
+
+/// A bare engine with a window of `depth` open guesses, as the
+/// benchmark's `core.engine.cycle_ns.d*` probes hold it.
+struct Window {
+    engine: Engine,
+    guesser: Pid,
+    decider: Pid,
+    /// The open AIDs, oldest first.
+    open: VecDeque<AidId>,
+    depth: u64,
+}
+
+/// A guesser holding `depth - 1` nested open guesses and a definite
+/// decider.
+fn standing_window(depth: u64) -> Window {
+    let mut engine = Engine::new();
+    let (guesser, decider) = (engine.register_process(), engine.register_process());
+    let mut open = VecDeque::with_capacity(depth as usize);
+    for i in 1..depth {
+        let x = engine.aid_init(guesser);
+        let (_, fx) = engine
+            .guess(guesser, &[x], Checkpoint(i))
+            .expect("fresh aid");
+        engine.recycle(fx);
+        open.push_back(x);
+    }
+    Window {
+        engine,
+        guesser,
+        decider,
+        open,
+        depth,
+    }
+}
+
+/// `cycles` steady cycles: `aid_init` + `guess` by the guesser + definite
+/// `affirm` of the oldest open guess by the decider, every effect list
+/// handed back, fossils swept every [`SWEEP_PERIOD`] cycles.
+fn engine_cycles(w: &mut Window, cycles: u64) {
+    let engine = &mut w.engine;
+    for i in 0..cycles {
+        let x = engine.aid_init(w.guesser);
+        let (_, fx) = engine
+            .guess(w.guesser, &[x], Checkpoint(w.depth + i))
+            .expect("fresh aid");
+        engine.recycle(fx);
+        w.open.push_back(x);
+        let oldest = w.open.pop_front().expect("the window is never empty");
+        let fx = engine.affirm(w.decider, oldest).expect("an open aid");
+        engine.recycle(fx);
+        if i % SWEEP_PERIOD == 0 {
+            black_box(engine.collect_fossils());
+        }
+    }
+}
+
 /// Allocations and bytes of one call of `run`, and what it returned.
 fn counted<R>(run: impl FnOnce() -> R) -> (u64, u64, R) {
     let (calls, bytes) = (CALLS.load(Relaxed), BYTES.load(Relaxed));
@@ -230,6 +297,11 @@ fn thread_overhead() -> (u64, u64) {
     let (calls, bytes, ()) = counted(bare);
     assert_eq!(counted(bare), (calls, bytes, ()), "two bare threads differ");
     (calls, bytes)
+}
+
+/// The shipped build: release, with a `DepSet` of 40 bytes.
+fn shipped() -> bool {
+    !cfg!(debug_assertions) && std::mem::size_of::<DepSet<AidId>>() == 40
 }
 
 /// Run one shape twice and print its counts, net of `threads` bare
@@ -260,8 +332,7 @@ fn measure<R>(
          {:.2} allocations per committed unit",
         calls as f64 / units as f64
     );
-    let shipped = !cfg!(debug_assertions) && std::mem::size_of::<DepSet<AidId>>() == 40;
-    (shipped && (calls, bytes) != pin)
+    (shipped() && (calls, bytes) != pin)
         .then(|| format!("{name}: ({calls}, {bytes}), pinned {pin:?}"))
 }
 
@@ -274,26 +345,26 @@ fn allocations_per_shape_are_pinned() {
     black_box(pipeline(20, 1, 0.30));
     // The pins: (allocations, bytes) of one run in the shipped build.
     let moved: Vec<String> = [
-        measure("open_loop", 2, (160_079, 15_912_277), open_loop, finalized),
+        measure("open_loop", 2, (41_017, 12_963_429), open_loop, finalized),
         measure(
             "pipeline_deep",
             2,
-            (27_744, 11_590_668),
+            (9_452, 5_875_500),
             || pipeline(3_000, 1, 0.0),
             |r| steps_committed(r),
         ),
         measure(
             "pipeline_lossy",
             8,
-            (176_888, 54_694_196),
+            (71_309, 29_751_884),
             || pipeline(400, 4, 0.30),
             |r| steps_committed(r),
         ),
-        measure("phold", 8, (51_380, 17_959_322), phold, events_committed),
+        measure("phold", 8, (37_143, 14_608_626), phold, events_committed),
         measure(
             "mc_exhaust",
             0,
-            (347_858, 57_897_082),
+            (328_720, 56_559_450),
             || mc_exhaust(&corpus),
             |&t| t,
         ),
@@ -301,5 +372,26 @@ fn allocations_per_shape_are_pinned() {
     .into_iter()
     .flatten()
     .collect();
+    // A warm engine's steady cycle allocates nothing of its own: the
+    // stores reuse the slots the sweeps free, and every transition the
+    // engine's worklist and the effect list handed back. At depth 64 the
+    // guesser's IDO is a DepSet window of 64 consecutive ids, which
+    // allocates its word slice anew each time it gains a word at the top
+    // and each time it drops one at the bottom: twice per 64 cycles.
+    let cycles = 16 * SWEEP_PERIOD;
+    for (depth, window_moves) in [(1, 0), (64, cycles / 32)] {
+        let mut window = standing_window(depth);
+        engine_cycles(&mut window, 8 * SWEEP_PERIOD);
+        let (calls, bytes, ()) = counted(|| engine_cycles(&mut window, cycles));
+        println!(
+            "engine cycle d{depth:<3}: {calls:>5} allocations, {bytes:>6} bytes over {cycles} warm cycles"
+        );
+        if shipped() {
+            assert_eq!(
+                calls, window_moves,
+                "a warm depth-{depth} engine cycle allocated"
+            );
+        }
+    }
     assert!(moved.is_empty(), "allocation pins moved: {moved:#?}");
 }

@@ -96,7 +96,7 @@ pub fn materializations() -> u64 {
 /// Process-wide total of copy-on-write duplications across **all**
 /// threads, monotone since process start. The multi-threaded runtime runs
 /// engine transitions on per-process body threads, so per-run memory
-/// accounting ([`RunStats::stats().memory`] in `hope-runtime`) samples this
+/// accounting (`RunReport::stats().memory` in `hope-runtime`) samples this
 /// aggregate; single-threaded tests wanting exact deltas should keep using
 /// the thread-local [`cow_copies`].
 pub fn cow_copies_total() -> u64 {

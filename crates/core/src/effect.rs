@@ -132,6 +132,34 @@ impl fmt::Display for Effect {
     }
 }
 
+/// Result of [`Engine::guess`](crate::Engine::guess).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GuessOutcome {
+    /// Speculation began (or, if every named AID was already affirmed and
+    /// the process was definite, an interval was created and finalized in
+    /// the same step). The guess returns `true` to the program.
+    Begun(IntervalId),
+    /// At least one named AID has been definitively denied: the guess
+    /// returns `false` immediately and definitively; no interval is created.
+    /// This is also what a re-executed guess observes after rollback.
+    AlreadyFalse(AidId),
+}
+
+impl GuessOutcome {
+    /// The boolean the `guess` primitive returns to the program.
+    pub fn value(&self) -> bool {
+        matches!(self, GuessOutcome::Begun(_))
+    }
+
+    /// The interval that was started, if any.
+    pub fn interval(&self) -> Option<IntervalId> {
+        match self {
+            GuessOutcome::Begun(a) => Some(*a),
+            GuessOutcome::AlreadyFalse(_) => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,11 +12,13 @@
 //! ## Storage
 //!
 //! §5 treats AID and interval state as global control variables, and so
-//! does the engine: one id-ordered deque of live AID records, one of live
-//! interval records, and one process table indexed by pid. Ids are dense
-//! and never reused, so a record is addressed by `id - base`, where the
-//! base is the commit horizon below which
-//! [`collect_fossils`](Engine::collect_fossils) has reclaimed storage.
+//! does the engine: one [`Store`] of live AID records and one of live
+//! interval records, each record at its id, and one process table indexed
+//! by pid. Ids are dense and never reused. A record is written once and
+//! never moved, and [`collect_fossils`](Engine::collect_fossils) frees the
+//! chunks below the commit horizon. A transition's cascade runs in a
+//! worklist the engine keeps and fills an effect list the engine lends
+//! out; [`recycle`](Engine::recycle) takes it back.
 //!
 //! The dependence relation of Lemma 5.1 (`X ∈ A.IDO ⟺ A ∈ X.DOM`) is
 //! stored **chain-compressed**, once per process instead of once per edge.
@@ -98,39 +100,12 @@ use std::collections::{BTreeSet, VecDeque};
 
 use crate::aid::{Aid, AidState, AidView};
 use crate::depset::{bit, DepSet};
-use crate::effect::Effect;
+use crate::effect::{Effect, GuessOutcome};
 use crate::error::{Error, Result};
 use crate::ids::{AidId, IntervalId, ProcessId};
 use crate::interval::{Checkpoint, Interval, IntervalStatus, IntervalView};
+use crate::store::Store;
 use crate::tag::{ReceiveOutcome, Tag};
-
-/// Result of [`Engine::guess`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GuessOutcome {
-    /// Speculation began (or, if every named AID was already affirmed and
-    /// the process was definite, an interval was created and finalized in
-    /// the same step). The guess returns `true` to the program.
-    Begun(IntervalId),
-    /// At least one named AID has been definitively denied: the guess
-    /// returns `false` immediately and definitively; no interval is created.
-    /// This is also what a re-executed guess observes after rollback.
-    AlreadyFalse(AidId),
-}
-
-impl GuessOutcome {
-    /// The boolean the `guess` primitive returns to the program.
-    pub fn value(&self) -> bool {
-        matches!(self, GuessOutcome::Begun(_))
-    }
-
-    /// The interval that was started, if any.
-    pub fn interval(&self) -> Option<IntervalId> {
-        match self {
-            GuessOutcome::Begun(a) => Some(*a),
-            GuessOutcome::AlreadyFalse(_) => None,
-        }
-    }
-}
 
 /// Counters describing an engine's activity, for benchmarks and tests.
 ///
@@ -241,13 +216,11 @@ struct Proc {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Engine {
-    /// Live AID records in id order: id `aid_base + i` is `aids[i]`. Ids
-    /// below `aid_base` were reclaimed by fossil collection (ids are never
-    /// reused; "recycling" reclaims storage, not numbers — in-flight tags
-    /// would otherwise alias). A deque, so a sweep that reclaims a prefix
-    /// does not shift the live records behind it.
-    aids: VecDeque<Aid>,
-    aid_base: u64,
+    /// Live AID records, each at its id. Ids below `aids.start()` were
+    /// reclaimed by fossil collection (ids are never reused; "recycling"
+    /// reclaims storage, not numbers — in-flight tags would otherwise
+    /// alias).
+    aids: Store<Aid>,
     /// Reclaimed AIDs that were *denied*: a late `guess` or inbound tag
     /// naming one must still answer `AlreadyFalse`/ghost exactly as an
     /// uncollected engine would. Reclaimed AIDs absent from this set were
@@ -260,10 +233,14 @@ pub struct Engine {
     affirmed: Vec<u64>,
     affirmed_from: usize,
     /// Live interval records in id order, like `aids`.
-    intervals: VecDeque<Interval>,
-    interval_base: u64,
+    intervals: Store<Interval>,
     /// Process records, indexed by pid (pids are dense).
     procs: Vec<Proc>,
+    /// The cascade worklist, empty between transitions, and the list the
+    /// next transition fills and returns ([`recycle`](Engine::recycle)
+    /// hands one back): both keep their buffers across transitions.
+    worklist: VecDeque<Task>,
+    spare: Vec<Effect>,
     stats: EngineStats,
     check_invariants: bool,
 }
@@ -276,6 +253,19 @@ enum Slot {
     Fossil,
     /// Never allocated by this engine.
     Unknown,
+}
+
+impl Slot {
+    /// Where `id` lands in the store holding records at their ids.
+    fn of<T>(id: u64, store: &Store<T>) -> Slot {
+        if id < store.start() as u64 {
+            Slot::Fossil
+        } else if id < store.end() as u64 {
+            Slot::Live
+        } else {
+            Slot::Unknown
+        }
+    }
 }
 
 impl Default for Engine {
@@ -291,14 +281,14 @@ impl Engine {
     /// default.
     pub fn new() -> Self {
         Engine {
-            aids: VecDeque::new(),
-            aid_base: 0,
+            aids: Store::new(),
             fossil_denied: BTreeSet::new(),
             affirmed: Vec::new(),
             affirmed_from: 0,
-            intervals: VecDeque::new(),
-            interval_base: 0,
+            intervals: Store::new(),
             procs: Vec::new(),
+            worklist: VecDeque::new(),
+            spare: Vec::new(),
             stats: EngineStats::default(),
             check_invariants: cfg!(debug_assertions),
         }
@@ -308,46 +298,26 @@ impl Engine {
     // live-store addressing (ids below the commit horizon are fossils)
     // ------------------------------------------------------------------
 
-    fn aid_slot(&self, x: AidId) -> Slot {
-        if x.0 < self.aid_base {
-            Slot::Fossil
-        } else if ((x.0 - self.aid_base) as usize) < self.aids.len() {
-            Slot::Live
-        } else {
-            Slot::Unknown
-        }
-    }
-
-    fn itv_slot(&self, a: IntervalId) -> Slot {
-        if a.0 < self.interval_base {
-            Slot::Fossil
-        } else if ((a.0 - self.interval_base) as usize) < self.intervals.len() {
-            Slot::Live
-        } else {
-            Slot::Unknown
-        }
-    }
-
     /// Live AID record. Panics on fossils/unknowns: internal callers only
     /// ever hold references to live AIDs (IDO members are undecided, DOM
     /// owners likewise).
     fn aid_ref(&self, x: AidId) -> &Aid {
-        &self.aids[(x.0 - self.aid_base) as usize]
+        &self.aids[x.0 as usize]
     }
 
     fn aid_mut(&mut self, x: AidId) -> &mut Aid {
-        &mut self.aids[(x.0 - self.aid_base) as usize]
+        &mut self.aids[x.0 as usize]
     }
 
     /// Live interval record. Panics on fossils/unknowns: internal callers
     /// only reach intervals above the horizon (DOM members are
     /// speculative, histories are truncated at collection time).
     fn itv_ref(&self, a: IntervalId) -> &Interval {
-        &self.intervals[(a.0 - self.interval_base) as usize]
+        &self.intervals[a.0 as usize]
     }
 
     fn itv_mut(&mut self, a: IntervalId) -> &mut Interval {
-        &mut self.intervals[(a.0 - self.interval_base) as usize]
+        &mut self.intervals[a.0 as usize]
     }
 
     fn proc_ref(&self, pid: ProcessId) -> Option<&Proc> {
@@ -386,20 +356,20 @@ impl Engine {
     /// apply primitives to the AID (§4: "Any process in the system can apply
     /// HOPE primitives to any assumption identifier").
     pub fn aid_init(&mut self, creator: ProcessId) -> AidId {
-        let id = AidId(self.aid_base + self.aids.len() as u64);
-        self.aids.push_back(Aid::new(id, creator));
+        let id = AidId(self.aids.end() as u64);
+        self.aids.push(Aid::new(id, creator));
         id
     }
 
     /// Number of AIDs created so far, including reclaimed fossils.
     pub fn aid_count(&self) -> usize {
-        (self.aid_base as usize) + self.aids.len()
+        self.aids.end()
     }
 
     /// Number of intervals created so far (live, definite, rolled back and
     /// reclaimed fossils).
     pub fn interval_count(&self) -> usize {
-        (self.interval_base as usize) + self.intervals.len()
+        self.intervals.end()
     }
 
     /// Number of AIDs currently held in live storage (above the commit
@@ -419,13 +389,13 @@ impl Engine {
     /// decided (finalized or rolled back) on every process and has been
     /// reclaimed. `0` until the first sweep reclaims something.
     pub fn interval_horizon(&self) -> u64 {
-        self.interval_base
+        self.intervals.start() as u64
     }
 
     /// The AID commit horizon: every AID with a smaller id is definitively
     /// decided and has been reclaimed.
     pub fn aid_horizon(&self) -> u64 {
-        self.aid_base
+        self.aids.start() as u64
     }
 
     /// Number of reclaimed AIDs retained as *denied* markers (the only
@@ -466,7 +436,7 @@ impl Engine {
     ///   [`collect_fossils`](Engine::collect_fossils) (use
     ///   [`aid_state`](Engine::aid_state), which answers for fossils too).
     pub fn aid(&self, x: AidId) -> Result<AidView<'_>> {
-        match self.aid_slot(x) {
+        match Slot::of(x.0, &self.aids) {
             Slot::Live => Ok(AidView {
                 engine: self,
                 inner: self.aid_ref(x),
@@ -485,7 +455,7 @@ impl Engine {
     ///
     /// [`Error::UnknownAid`] if the AID was not created by this engine.
     pub fn aid_state(&self, x: AidId) -> Result<AidState> {
-        match self.aid_slot(x) {
+        match Slot::of(x.0, &self.aids) {
             Slot::Live => Ok(self.aid_ref(x).state),
             Slot::Fossil => Ok(self.fossil_aid_state(x)),
             Slot::Unknown => Err(Error::UnknownAid(x)),
@@ -500,7 +470,7 @@ impl Engine {
     /// * [`Error::FossilInterval`] if its storage was reclaimed by
     ///   [`collect_fossils`](Engine::collect_fossils).
     pub fn interval(&self, a: IntervalId) -> Result<IntervalView<'_>> {
-        match self.itv_slot(a) {
+        match Slot::of(a.0, &self.intervals) {
             Slot::Live => Ok(IntervalView {
                 engine: self,
                 inner: self.itv_ref(a),
@@ -685,7 +655,7 @@ impl Engine {
         for x in named {
             #[cfg(test)]
             tests::CLASSIFIED.with(|n| n.set(n.get() + 1));
-            let state = match self.aid_slot(x) {
+            let state = match Slot::of(x.0, &self.aids) {
                 Slot::Live => self.aid_ref(x).state,
                 Slot::Fossil => self.fossil_aid_state(x),
                 Slot::Unknown => return Err(Error::UnknownAid(x)),
@@ -721,7 +691,7 @@ impl Engine {
         guessed: DepSet<AidId>,
         ps: Checkpoint,
     ) -> (IntervalId, Vec<Effect>) {
-        let id = IntervalId(self.interval_base + self.intervals.len() as u64);
+        let id = IntervalId(self.intervals.end() as u64);
         let p = pid.0 as usize;
         // Only what *enters* the process's dependence here is stored and
         // registered — one DOM insert per new AID. Everything inherited
@@ -735,7 +705,7 @@ impl Engine {
         let definite = proc.ido.is_empty();
         let seq = proc.collected as usize + proc.history.len();
         proc.history.push(id);
-        self.intervals.push_back(Interval {
+        self.intervals.push(Interval {
             id,
             pid,
             ps,
@@ -747,20 +717,18 @@ impl Engine {
             seq,
         });
 
-        let mut effects = vec![Effect::IntervalStarted {
-            interval: id,
-            process: pid,
-        }];
         self.stats.guesses += 1;
-
-        if definite {
+        let effects = self.cascade(|e, fx, wl| {
+            fx.push(Effect::IntervalStarted {
+                interval: id,
+                process: pid,
+            });
             // Every named AID was already affirmed and the process was
             // definite: the interval is definite from birth.
-            let mut wl = VecDeque::new();
-            self.do_finalize(id, &mut effects, &mut wl);
-            self.drain(&mut wl, &mut effects);
-        }
-        self.post_check();
+            if definite {
+                e.do_finalize(id, fx, wl);
+            }
+        });
         (id, effects)
     }
 
@@ -901,13 +869,13 @@ impl Engine {
     pub fn collect_fossils(&mut self) -> FossilSweep {
         // Interval horizon: min over processes of the first speculative
         // interval's id; a fully definite process imposes no bound.
-        let total = self.interval_base + self.intervals.len() as u64;
+        let total = self.intervals.end() as u64;
         let mut horizon = total;
         for proc in &self.procs {
             let frontier = proc.history.get(proc.first_spec).map_or(total, |a| a.0);
             horizon = horizon.min(frontier);
         }
-        let n_itv = (horizon - self.interval_base) as usize;
+        let n_itv = horizon as usize - self.intervals.start();
         if n_itv > 0 {
             for proc in &mut self.procs {
                 // History ids are strictly increasing, so the collectable
@@ -919,10 +887,10 @@ impl Engine {
             }
             debug_assert!(self
                 .intervals
-                .range(..n_itv)
+                .iter()
+                .take(n_itv)
                 .all(|i| i.status != IntervalStatus::Speculative));
-            self.intervals.drain(..n_itv);
-            self.interval_base = horizon;
+            self.intervals.drop_below(horizon as usize);
             self.stats.fossil_intervals += n_itv as u64;
         }
 
@@ -933,27 +901,26 @@ impl Engine {
             .position(|a| a.state == AidState::Undecided)
             .unwrap_or(self.aids.len());
         if n_aid > 0 {
-            for a in self.aids.drain(..n_aid) {
-                if a.state == AidState::Denied {
-                    self.fossil_denied.insert(a.id);
-                }
-            }
-            self.aid_base += n_aid as u64;
+            let denied = self.aids.iter().take(n_aid);
+            let denied = denied.filter(|a| a.state == AidState::Denied);
+            self.fossil_denied.extend(denied.map(|a| a.id));
+            let aid_base = self.aids.start() + n_aid;
+            self.aids.drop_below(aid_base);
             self.stats.fossil_aids += n_aid as u64;
-            let word = (self.aid_base / 64) as usize;
+            let word = aid_base / 64;
             let gone = (word - self.affirmed_from).min(self.affirmed.len());
             self.affirmed.drain(..gone);
             self.affirmed_from = word;
             if let Some(w) = self.affirmed.first_mut() {
-                *w &= u64::MAX << (self.aid_base % 64);
+                *w &= u64::MAX << (aid_base % 64);
             }
         }
         self.post_check();
         FossilSweep {
             intervals: n_itv as u64,
             aids: n_aid as u64,
-            interval_horizon: self.interval_base,
-            aid_horizon: self.aid_base,
+            interval_horizon: self.interval_horizon(),
+            aid_horizon: self.aid_horizon(),
         }
     }
 
@@ -964,7 +931,7 @@ impl Engine {
     /// Validate ids and enforce the one-shot rule, marking `x` consumed.
     fn consume(&mut self, pid: ProcessId, x: AidId) -> Result<()> {
         self.proc_ref(pid).ok_or(Error::UnknownProcess(pid))?;
-        let aid = match self.aid_slot(x) {
+        let aid = match Slot::of(x.0, &self.aids) {
             Slot::Live => self.aid_mut(x),
             // Fossils were decided, hence consumed: a second decider gets
             // the same error an uncollected engine would produce.
@@ -1134,16 +1101,30 @@ impl Engine {
         }
     }
 
-    /// One decision: its first step, then the cascade it queued.
+    /// One transition: its first step, then the cascade it queued, in the
+    /// engine's own buffers.
     fn cascade(
         &mut self,
         first: impl FnOnce(&mut Self, &mut Vec<Effect>, &mut VecDeque<Task>),
     ) -> Vec<Effect> {
-        let (mut effects, mut wl) = (Vec::new(), VecDeque::new());
+        let mut effects = std::mem::take(&mut self.spare);
+        let mut wl = std::mem::take(&mut self.worklist);
         first(self, &mut effects, &mut wl);
         self.drain(&mut wl, &mut effects);
+        self.worklist = wl;
         self.post_check();
         effects
+    }
+
+    /// Hand back an effect list a transition returned, so that a later one
+    /// fills it instead of allocating; dropping it costs that one
+    /// allocation.
+    #[inline]
+    pub fn recycle(&mut self, mut effects: Vec<Effect>) {
+        if effects.capacity() > self.spare.capacity() {
+            effects.clear();
+            self.spare = effects;
+        }
     }
 
     /// Process queued finalizations and rollbacks until quiescent.

@@ -80,12 +80,13 @@ pub mod depset;
 pub mod machine;
 pub mod observer;
 pub mod program;
+pub mod store;
 pub mod trace;
 
 pub use aid::{AidState, AidView};
 pub use depset::DepSet;
-pub use effect::Effect;
-pub use engine::{Engine, EngineStats, FossilSweep, GuessOutcome};
+pub use effect::{Effect, GuessOutcome};
+pub use engine::{Engine, EngineStats, FossilSweep};
 pub use error::{Error, Result};
 pub use ids::{AidId, IntervalId, ProcessId};
 pub use interval::{Checkpoint, IntervalStatus, IntervalView};

@@ -472,6 +472,7 @@ impl Machine {
         if action != Action::Compute {
             observer.observe(pid, &action, &effects);
         }
+        self.engine.recycle(effects);
         Ok(StepOutcome::Executed)
     }
 

@@ -86,6 +86,13 @@ pub enum RunEvent<'a> {
         /// The deny's effects, applied after this event.
         effects: &'a [Effect],
     },
+    /// A kill denied an assumption its victim created and left open.
+    KillDenied {
+        /// The denied assumption.
+        aid: AidId,
+        /// The deny's effects, applied after this event.
+        effects: &'a [Effect],
+    },
     /// The fault plan killed a process.
     Killed {
         /// The victim.
@@ -102,6 +109,13 @@ pub enum RunEvent<'a> {
     QuiescenceCommit {
         /// The open assumptions, each affirmed next.
         open: &'a [AidId],
+    },
+    /// The quiescence commit affirmed one open assumption.
+    QuiescenceAffirmed {
+        /// The affirmed assumption.
+        aid: AidId,
+        /// The affirm's effects, applied after this event.
+        effects: &'a [Effect],
     },
     /// A fossil-collection sweep reclaimed engine records.
     FossilSweep(FossilSweep),
@@ -186,6 +200,7 @@ impl fmt::Display for RunEvent<'_> {
             RunEvent::AckDropped(m) => write!(f, "FAULT ack for m{} dropped", m.id),
             RunEvent::Acked { aid, .. } => write!(f, "ack: delivered({aid}) affirmed"),
             RunEvent::TimedOut { aid, .. } => write!(f, "FAULT timeout: delivered({aid}) denied"),
+            RunEvent::KillDenied { aid, .. } => write!(f, "FAULT crash: {aid} denied"),
             RunEvent::Killed {
                 process,
                 restart_after,
@@ -198,6 +213,7 @@ impl fmt::Display for RunEvent<'_> {
                 "quiescence oracle affirms {} open assumption(s)",
                 open.len()
             ),
+            RunEvent::QuiescenceAffirmed { aid, .. } => write!(f, "quiescence: {aid} affirmed"),
             RunEvent::FossilSweep(s) => write!(
                 f,
                 "fossil sweep: {} interval(s) and {} aid(s) reclaimed (horizon A{}/X{})",

@@ -36,7 +36,13 @@
 //! with [`Journal::reclaim_prefix`]: live storage shrinks and `base()`
 //! rises to that snapshot, which stays the oldest resume point. A body that
 //! never checkpoints simply keeps its whole journal.
+//!
+//! The entries live in a [`Store`]: an entry is written once and never
+//! moved. Growth adds a chunk instead of copying the journal, a rollback's
+//! truncation frees the chunks it empties, and reclaiming a prefix frees
+//! the chunks below the new base without shifting the live entries.
 
+use hope_core::store::Store;
 use hope_core::{AidId, DecideKind};
 use hope_sim::VirtualDuration;
 
@@ -135,12 +141,8 @@ impl Entry {
 /// cut that index with the entries, and nothing outside mirrors or scans.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Journal {
-    entries: Vec<Entry>,
-    /// Absolute position of `entries[0]`: everything below was reclaimed by
-    /// fossil collection.
-    base: usize,
-    /// Total prefix entries reclaimed by fossil collection.
-    pub(crate) reclaimed_entries: u64,
+    /// Every entry at its absolute position; `entries.start()` is `base()`.
+    entries: Store<Entry>,
     /// `(position, aid)` of the `AidInit` entries, ascending, minus those
     /// `forget_decided_aids` dropped. Outlives prefix reclamation: a kill
     /// must still find an open AID whose entry is gone.
@@ -155,7 +157,7 @@ impl Journal {
     /// Absolute end position (total entries ever pushed and not rolled
     /// back), *including* the reclaimed prefix.
     pub(crate) fn len(&self) -> usize {
-        self.base + self.entries.len()
+        self.entries.end()
     }
 
     /// Entries currently held live (post-truncation) — what
@@ -164,14 +166,15 @@ impl Journal {
         self.entries.len()
     }
 
-    /// Absolute position of the oldest live entry.
+    /// Absolute position of the oldest live entry: every entry below it
+    /// was reclaimed by fossil collection.
     pub(crate) fn base(&self) -> usize {
-        self.base
+        self.entries.start()
     }
 
     /// Where every restart's replay begins: the newest snapshot, else `base()`.
     pub(crate) fn resume_point(&self) -> usize {
-        self.snapshots.last().copied().unwrap_or(self.base)
+        self.snapshots.last().copied().unwrap_or(self.base())
     }
 
     /// The body called `Ctx::restore`, so it has a resume entry point.
@@ -206,7 +209,7 @@ impl Journal {
     /// The entry at absolute position `i` (`None` below `base()` or past
     /// the end).
     pub(crate) fn get(&self, i: usize) -> Option<&Entry> {
-        i.checked_sub(self.base).and_then(|k| self.entries.get(k))
+        self.entries.get(i)
     }
 
     /// Truncate to absolute position `pos`, returning the discarded suffix
@@ -219,12 +222,11 @@ impl Journal {
     /// counted the reclaimed prefix.
     pub(crate) fn truncate(&mut self, pos: usize) -> Vec<Entry> {
         assert!(
-            pos >= self.base,
+            pos >= self.base(),
             "journal truncated to {pos}, below its base {}: rollback never reaches below the commit horizon",
-            self.base
+            self.base()
         );
-        let k = pos - self.base;
-        if k >= self.entries.len() {
+        if pos >= self.len() {
             return Vec::new();
         }
         // Both indexes ascend by position, so the cut is a suffix.
@@ -233,7 +235,7 @@ impl Journal {
         self.snapshots
             .truncate(self.snapshots.partition_point(|&p| p < pos));
         self.restore_at = self.restore_at.filter(|&p| p < pos);
-        self.entries.split_off(k)
+        self.entries.split_off(pos)
     }
 
     /// Fossil collection: no rollback can rewind this process below
@@ -245,11 +247,9 @@ impl Journal {
         let Some(&new_base) = self.snapshots[..kept].last() else {
             return 0;
         };
-        let n = new_base.saturating_sub(self.base).min(self.entries.len());
+        let n = new_base.saturating_sub(self.base()).min(self.entries.len());
         if n > 0 {
-            self.entries.drain(..n);
-            self.base += n;
-            self.reclaimed_entries += n as u64;
+            self.entries.drop_below(new_base);
             self.snapshots.drain(..kept - 1);
         }
         n
@@ -298,7 +298,6 @@ mod tests {
         assert_eq!(j.get(1), None, "reclaimed prefix is gone");
         assert_eq!(j.get(2), Some(&Entry::Snapshot(Value::Int(7))));
         assert_eq!(j.get(3), Some(&Entry::Rand(2)));
-        assert_eq!(j.reclaimed_entries, 2);
         // Idempotent at the same base; rollback still truncates the suffix
         // at absolute positions.
         assert_eq!(j.reclaim_prefix(3), 0);

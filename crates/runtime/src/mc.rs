@@ -1,4 +1,5 @@
-//! Exhaustive schedule checking at the [`Simulation`]/[`Ctx`] layer.
+//! Exhaustive schedule checking at the [`Simulation`]/[`Ctx`](crate::Ctx)
+//! layer.
 //!
 //! [`check_scenario`] enumerates every inequivalent dispatch order of a
 //! closure-bodied scenario and reports the set of committed outcomes it
@@ -8,15 +9,15 @@
 //! `Deliver`/`Wake`/`Ack`/`AckTimeout`/`Restart` event fires next — so
 //! `send_reliable` retransmission races, cross-link delivery orders and
 //! restart timing are all in scope, with real process bodies (closures
-//! over [`Ctx`]) executing under each schedule.
+//! over [`Ctx`](crate::Ctx)) executing under each schedule.
 //!
 //! # Search strategy
 //!
 //! Process bodies are closures whose control state cannot be forked
 //! mid-run, so the search is stateless in the
 //! CHESS style: each schedule re-executes the scenario from scratch under
-//! a [`ScheduleOracle`] that replays a recorded prefix of choices and
-//! defaults to the first alternative beyond it. After each run the driver
+//! a schedule oracle (`ScheduleOracle`) that replays a recorded prefix of
+//! choices and defaults to the first alternative beyond it. After each run the driver
 //! advances the deepest choice point with an untried sibling (an odometer
 //! over the schedule tree, i.e. iterative depth-first search). Scenarios
 //! must therefore be deterministic given the schedule: build the same

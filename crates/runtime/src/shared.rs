@@ -12,7 +12,7 @@
 //! event, and gives the baton and the state away only when `step` names
 //! someone else. States change only through [`Shared::set_state`].
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use hope_core::observer::decide;
@@ -164,9 +164,10 @@ pub(crate) struct Shared {
     pub(crate) link_last: BTreeMap<(u32, u32), VirtualTime>,
     pub(crate) next_msg_id: u64,
     pub(crate) next_mail_seq: u64,
-    /// Output buffered per speculative interval (released on finalize,
-    /// discarded on rollback).
-    pub(crate) pending_output: BTreeMap<IntervalId, Vec<OutputLine>>,
+    /// Output buffered by speculative intervals, ordered by interval and
+    /// within one interval by output order: a finalize releases an
+    /// interval's range, a rollback discards it.
+    pub(crate) pending_output: VecDeque<(IntervalId, OutputLine)>,
     pub(crate) outputs: Vec<OutputLine>,
     pub(crate) stats: RunStats,
     /// Engine process id of the environment — the quiescence commit, acks,
@@ -237,7 +238,7 @@ impl Shared {
             link_last: BTreeMap::new(),
             next_msg_id: 0,
             next_mail_seq: 0,
-            pending_output: BTreeMap::new(),
+            pending_output: VecDeque::new(),
             outputs: Vec::new(),
             stats: RunStats::default(),
             environment: None,
@@ -443,7 +444,7 @@ impl Shared {
                 (None, _) => unfinished.push(p.pid),
             }
             stats.memory.live_journal_entries += p.journal.live_len() as u64;
-            stats.memory.reclaimed_journal_entries += p.journal.reclaimed_entries;
+            stats.memory.reclaimed_journal_entries += p.journal.base() as u64;
         }
         stats.engine = self.engine.stats();
         stats.memory.live_intervals = self.engine.live_interval_count() as u64;
@@ -507,9 +508,10 @@ impl Shared {
 
     /// The one record of a live primitive of `procs[idx]`: observe,
     /// journal, apply the effects, in that order (a self-rollback truncates
-    /// the entry just pushed, and answers [`Signal::Rollback`]). Unwatched,
-    /// the observer costs one `Option` check. Always inlined: out of line,
-    /// a `checkpoint` paid ≈8 ns more.
+    /// the entry just pushed, and answers [`Signal::Rollback`]), and hand
+    /// the effect list back to the engine. Unwatched, the observer costs
+    /// one `Option` check. Always inlined: out of line, a `checkpoint` paid
+    /// ≈8 ns more.
     #[inline(always)]
     pub(crate) fn record<R>(&mut self, idx: usize, done: Done<R>) -> Hope<R> {
         if let Some(f) = self.observer.0.as_mut() {
@@ -525,6 +527,7 @@ impl Shared {
         }
         self.procs[idx].journal.push(done.entry);
         let rolled = !done.fx.is_empty() && self.apply_effects(idx, &done.fx);
+        self.engine.recycle(done.fx);
         if rolled {
             return Err(Signal::Rollback);
         }
@@ -621,7 +624,9 @@ impl Shared {
         for x in open {
             // A cascade from an earlier affirm (an IHD deny) may have
             // consumed it in the meantime.
-            any |= self.decide_as_environment(x, DecideKind::Affirm, |_, _| {});
+            any |= self.decide_as_environment(x, DecideKind::Affirm, |sh, effects| {
+                sh.emit(|| RunEvent::QuiescenceAffirmed { aid: x, effects });
+            });
         }
         any
     }
@@ -631,8 +636,8 @@ impl Shared {
     /// quiescence commit, acks, retransmission deadlines and kills. It
     /// guesses nothing, so its decisions are definite and it is never a
     /// rollback victim. `noted` runs (counters, event) with the decision's
-    /// effects before they are applied. `false`: the AID was already
-    /// consumed, and nothing happened.
+    /// effects before they are applied, and the engine gets the list back
+    /// after. `false`: the AID was already consumed, and nothing happened.
     fn decide_as_environment(
         &mut self,
         aid: AidId,
@@ -651,6 +656,7 @@ impl Shared {
         // usize::MAX can match no process index.
         let rolled = self.apply_effects(usize::MAX, &fx);
         debug_assert!(!rolled);
+        self.engine.recycle(fx);
         true
     }
 
@@ -763,9 +769,10 @@ impl Shared {
             if self.engine.aid_state(aid).ok() != Some(AidState::Undecided) {
                 continue;
             }
-            self.decide_as_environment(aid, DecideKind::Deny, |sh, _| {
+            self.decide_as_environment(aid, DecideKind::Deny, |sh, effects| {
                 sh.stats.faults.crash_denies += 1;
                 sh.fault_denied.insert(aid);
+                sh.emit(|| RunEvent::KillDenied { aid, effects });
             });
         }
         // Freeze the victim. The epoch bump invalidates any wake the deny
@@ -944,16 +951,20 @@ impl Shared {
             match e {
                 Effect::Finalized { interval, process } => {
                     self.emit(|| RunEvent::Applied(e));
-                    if let Some(mut lines) = self.pending_output.remove(interval) {
-                        self.stats.outputs_released += lines.len() as u64;
-                        for l in &mut lines {
-                            l.committed_at = self.now;
-                        }
-                        self.emit(|| RunEvent::OutputCommitted {
-                            process: *process,
-                            lines: &lines,
-                        });
-                        self.outputs.extend(lines);
+                    let range = self.buffered(*interval);
+                    if range.is_empty() {
+                        continue;
+                    }
+                    self.stats.outputs_released += range.len() as u64;
+                    let (from, now) = (self.outputs.len(), self.now);
+                    let lines = self.pending_output.drain(range);
+                    self.outputs.extend(lines.map(|(_, l)| OutputLine {
+                        committed_at: now,
+                        ..l
+                    }));
+                    if let Some(f) = self.observer.0.as_mut() {
+                        let (process, lines) = (*process, &self.outputs[from..]);
+                        f(self.now, &RunEvent::OutputCommitted { process, lines });
                     }
                 }
                 Effect::RolledBack {
@@ -965,10 +976,10 @@ impl Shared {
                     let victim = self.idx_of(*process);
                     self.emit(|| RunEvent::Applied(e));
                     // Discard speculative output of the dead intervals.
-                    for a in intervals {
-                        if let Some(lines) = self.pending_output.remove(a) {
-                            self.stats.outputs_discarded += lines.len() as u64;
-                        }
+                    for &a in intervals {
+                        let range = self.buffered(a);
+                        self.stats.outputs_discarded += range.len() as u64;
+                        self.pending_output.drain(range);
                     }
                     // Truncate the journal at the failed guess; re-enqueue
                     // messages that had been delivered in the discarded
@@ -1039,6 +1050,13 @@ impl Shared {
         self_rolled_back
     }
 
+    /// Where `interval`'s lines are in `pending_output`.
+    fn buffered(&self, interval: IntervalId) -> std::ops::Range<usize> {
+        let queue = &self.pending_output;
+        queue.partition_point(|&(a, _)| a < interval)
+            ..queue.partition_point(|&(a, _)| a <= interval)
+    }
+
     /// Buffer or emit one output line from `idx` (output commit).
     pub(crate) fn output(&mut self, idx: usize, line: String) {
         let pid = self.procs[idx].pid;
@@ -1054,7 +1072,8 @@ impl Shared {
             .expect("process is registered")
         {
             Some(interval) => {
-                self.pending_output.entry(interval).or_default().push(out);
+                let at = self.buffered(interval).end;
+                self.pending_output.insert(at, (interval, out));
             }
             None => {
                 self.stats.outputs_released += 1;

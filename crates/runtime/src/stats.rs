@@ -60,8 +60,8 @@ pub struct RunStats {
     pub outputs_discarded: u64,
     /// Engine counters (guesses, affirms, denies, finalizations, …).
     pub engine: EngineStats,
-    /// `Shared`-state lock acquisitions made by process-side [`Ctx`]
-    /// (crate::Ctx) calls over the whole run. The Ctx hot path takes the
+    /// `Shared`-state lock acquisitions made by process-side
+    /// [`Ctx`](crate::Ctx) calls over the whole run. The Ctx hot path takes the
     /// lock once per primitive (not once per sub-step); the regression
     /// suite pins that with this counter. Diagnostics only, excluded from
     /// [`RunReport::fingerprint`] like the DepSet cow/spill deltas.
@@ -145,9 +145,9 @@ pub struct FaultStats {
     pub acks: u64,
     /// Delivery acks the plan dropped on the reverse link.
     pub ack_drops: u64,
-    /// First-attempt reliable sends executed ([`Ctx::send_reliable`]
-    /// (crate::Ctx) calls, counting replays after rollback past the first
-    /// attempt). `retries / reliable_sends` is the loss/deny pressure
+    /// First-attempt reliable sends executed
+    /// ([`Ctx::send_reliable`](crate::Ctx::send_reliable) calls, counting
+    /// replays after rollback past the first attempt). `retries / reliable_sends` is the loss/deny pressure
     /// ratio the governor's deny-rate window measures per site. Counted
     /// even without a fault plan, since reliable sends run the same path
     /// on a perfect substrate.

@@ -742,17 +742,19 @@ fn trace_lines_are_pinned() {
 }
 
 /// The trace-line kinds [`trace_lines_are_pinned`] does not reach.
-const OTHER_KINDS: [&str; 13] = [
+const OTHER_KINDS: [&str; 15] = [
     "FAULT duplicate",
     "lost:",
     "dedup: reliable",
     "FAULT ack for",
     "FAULT kill",
+    "FAULT crash:",
     "FAULT restart",
     "fossil sweep:",
     "journal prefix reclaimed",
     "output line(s) committed",
     "quiescence oracle affirms",
+    "quiescence:",
     "governor holds",
     "governor converts",
     "journal limit",
@@ -794,10 +796,11 @@ fn verified_loop(cfg: SimConfig, rounds: i64, deny: fn(i64) -> bool) -> Simulati
 }
 
 /// The first line of each kind in [`OTHER_KINDS`], byte for byte, from
-/// four runs: the verified loop under a lossy, duplicating plan with a
+/// five runs: the verified loop under a lossy, duplicating plan with a
 /// crash-restart and fossil collection; the same loop governed through a
-/// deny storm; a guess nobody decides, committed at quiescence; and a body
-/// that outgrows its journal limit.
+/// deny storm; a guess nobody decides, committed at quiescence; a body
+/// that outgrows its journal limit; and a body killed while its own guess
+/// is open.
 #[test]
 fn every_other_trace_line_kind_is_pinned() {
     let plan = FaultPlan::new(5)
@@ -826,6 +829,13 @@ fn every_other_trace_line_kind_is_pinned() {
     overflowing.spawn("hoarder", |ctx| loop {
         ctx.random_u64()?;
     });
+    let plan = FaultPlan::new(5).kill(0, 2, None);
+    let mut killed = Simulation::new(SimConfig::with_seed(2).with_faults(plan));
+    killed.spawn("victim", |ctx| {
+        let x = ctx.aid_init()?;
+        ctx.guess(x)?;
+        ctx.compute(ms(5))
+    });
     let runs = [
         verified_loop(faulty, 120, |i| i % 5 == 3),
         verified_loop(governed, 60, |i| {
@@ -833,6 +843,7 @@ fn every_other_trace_line_kind_is_pinned() {
         }),
         quiescent,
         overflowing,
+        killed,
     ];
     let lines: Vec<String> = runs.into_iter().flat_map(|sim| run_traced(sim).1).collect();
     let firsts: Vec<&str> = OTHER_KINDS
@@ -848,11 +859,13 @@ fn every_other_trace_line_kind_is_pinned() {
         "[t=100.000µs] dedup: reliable m0 P0 -> P1 suppressed",
         "[t=400.000µs] FAULT ack for m2 dropped",
         "[t=2.000ms] FAULT kill P1 (restart after Some(VirtualDuration(3000000)))",
+        "[t=5.000ms] FAULT crash: X0 denied",
         "[t=5.000ms] FAULT restart P1: recovering from journal prefix",
         "[t=13.900ms] fossil sweep: 14 interval(s) and 14 aid(s) reclaimed (horizon A14/X14)",
         "[t=13.900ms] P0: journal prefix reclaimed (64 entries, base now 64)",
         "[t=200.000µs] P0: 1 output line(s) committed",
         "[t=0ns] quiescence oracle affirms 1 open assumption(s)",
+        "[t=0ns] quiescence: X0 affirmed",
         "[t=5.100ms] P0: governor holds guess(X44)",
         "[t=250.000µs] P0: governor converts guess(X2) to a wait",
         "[t=0ns] P0: journal limit (8 live entries) exceeded",

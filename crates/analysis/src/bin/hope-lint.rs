@@ -1,4 +1,6 @@
-//! `hope-lint`: run the static speculation-flow lints over a HOPE program.
+//! `hope-lint`: the command line over HOPE programs — the static
+//! speculation-flow lints, the rollback-cost ranking, and (`--mc`) the
+//! schedule-space model checker's report.
 //!
 //! See [`HELP`] for the full option and exit-status contract.
 
@@ -8,7 +10,7 @@ use std::process::ExitCode;
 use hope_analysis::cost::{self, CostWeights};
 use hope_analysis::{render_json, render_text, Analyzer, Severity, DEFAULT_CASCADE_THRESHOLD};
 use hope_core::program::Program;
-use hope_mc::{check, Completeness, McConfig, McReport};
+use hope_mc::{check, BudgetReason, Completeness, McConfig, McReport};
 
 const USAGE: &str = "usage: hope-lint [--json] [--print] [--rank | --cost] [--mc] \
                      [--mc-states N] [--cascade-threshold N] \
@@ -21,10 +23,11 @@ hope-lint — static speculation-flow analysis for HOPE programs
 
 usage: hope-lint [OPTIONS] <FILE | - | --generate SEED,PROCS,LEN,AIDS>
 
-Program sources (exactly one):
+Program sources (exactly one; a second is a usage error):
   FILE                     a program in Program's display syntax
   -                        read the program from stdin
-  --generate S,P,L,A       analyze Program::generate(S, P, L, A) instead
+  --generate S,P,L,A       analyze Program::generate(S, P, L, A) instead;
+                           spaces around a number are ignored
 
 Options:
   --json                   emit the output as JSON instead of text
@@ -34,19 +37,22 @@ Options:
                            damage (highest first) instead of diagnostics
   --cost                   like --rank, but in program order and without
                            rank numbers
-  --mc                     also model-check the full schedule space
-                           (hope-mc) and report whether it confirms the
-                           static verdict; skipped, with a line saying so,
-                           for a program naming an undeclared process or
-                           AID (an invalid-target error: exit 1); cannot
-                           combine with --rank/--cost
-  --mc-states N            state budget for --mc (default 200000)
+  --mc                     also model-check the full schedule space and
+                           print the checker's report (verdict, counts,
+                           terminals, pristine witness) and whether it
+                           confirms the static verdict; skipped, with a
+                           line saying so, for a program naming an
+                           undeclared process or AID (an invalid-target
+                           error: exit 1); cannot combine with --rank/--cost
+  --mc-states N            state budget for --mc (default 200000); implies
+                           --mc
   -h, --help               show this help and exit 0
 
 Exit status:
   0  the program was analyzed and no error-severity diagnostic fired;
      warnings do not change the exit status, and neither do --rank/--cost
-     (they swap the *output*, not the verdict — the lints still run)
+     (they swap the *output*, not the verdict — the lints still run) or
+     an --mc budget running out (the check is then unverified)
   1  at least one error-severity diagnostic fired: no schedule lets the
      program run to full finalization
   2  usage error, unreadable input, or program parse failure — or, under
@@ -74,12 +80,8 @@ struct Options {
 enum Source {
     File(String),
     Stdin,
-    Generate {
-        seed: u64,
-        procs: usize,
-        len: usize,
-        aids: usize,
-    },
+    /// `Program::generate`'s seed, processes, length and AIDs.
+    Generate(u64, usize, usize, usize),
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -94,14 +96,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match arg.as_str() {
             "--json" => json = true,
             "--print" => print = true,
-            "--mc" => mc = Some(mc.unwrap_or_default()),
+            "--mc" => _ = mc.get_or_insert_with(McConfig::default),
             "--mc-states" => {
                 let value = it.next().ok_or("--mc-states needs a value")?;
-                let max_states = value
+                mc.get_or_insert_with(McConfig::default).max_states = value
                     .parse()
                     .map_err(|_| format!("bad --mc-states value `{value}`"))?;
-                let cfg = mc.get_or_insert_with(McConfig::default);
-                cfg.max_states = max_states;
             }
             "--rank" | "--cost" => {
                 let wanted = if arg == "--rank" {
@@ -122,29 +122,12 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--generate" => {
                 let spec = it.next().ok_or("--generate needs SEED,PROCS,LEN,AIDS")?;
-                let parts: Vec<&str> = spec.split(',').collect();
-                let [seed, procs, len, aids] = parts.as_slice() else {
-                    return Err(format!(
-                        "--generate wants 4 comma-separated numbers, got `{spec}`"
-                    ));
-                };
-                let bad = |field: &str| format!("bad --generate field `{field}` in `{spec}`");
-                source = Some(Source::Generate {
-                    seed: seed.parse().map_err(|_| bad(seed))?,
-                    procs: procs.parse().map_err(|_| bad(procs))?,
-                    len: len.parse().map_err(|_| bad(len))?,
-                    aids: aids.parse().map_err(|_| bad(aids))?,
-                });
+                set_source(&mut source, parse_generate(spec)?)?;
             }
             "-h" | "--help" => return Err(String::new()),
-            "-" => source = Some(Source::Stdin),
+            "-" => set_source(&mut source, Source::Stdin)?,
             other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
-            path => {
-                if source.is_some() {
-                    return Err("more than one program source given".into());
-                }
-                source = Some(Source::File(path.to_string()));
-            }
+            path => set_source(&mut source, Source::File(path.to_string()))?,
         }
     }
     if mc.is_some() && mode != Mode::Lint {
@@ -158,6 +141,51 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         mc,
         source: source.ok_or("no program source given")?,
     })
+}
+
+/// Fill the one program source; a second of any kind is a usage error.
+fn set_source(slot: &mut Option<Source>, source: Source) -> Result<(), String> {
+    match slot.replace(source) {
+        None => Ok(()),
+        Some(_) => Err("more than one program source given".into()),
+    }
+}
+
+/// `--generate SEED,PROCS,LEN,AIDS`: four comma-separated numbers, each
+/// trimmed of surrounding whitespace.
+fn parse_generate(spec: &str) -> Result<Source, String> {
+    let fields: Vec<&str> = spec.split(',').map(str::trim).collect();
+    let [seed, procs, len, aids] = fields.as_slice() else {
+        return Err(format!(
+            "--generate wants 4 comma-separated numbers, got `{spec}`"
+        ));
+    };
+    let bad = |field: &str| format!("bad --generate field `{field}` in `{spec}`");
+    Ok(Source::Generate(
+        seed.parse().map_err(|_| bad(seed))?,
+        procs.parse().map_err(|_| bad(procs))?,
+        len.parse().map_err(|_| bad(len))?,
+        aids.parse().map_err(|_| bad(aids))?,
+    ))
+}
+
+fn load(source: Source) -> Result<Program, String> {
+    let text = match source {
+        Source::Generate(seed, procs, len, aids) => {
+            return Ok(Program::generate(seed, procs, len, aids))
+        }
+        Source::File(path) => {
+            std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?
+        }
+        Source::Stdin => {
+            let mut buf = String::new();
+            std::io::stdin()
+                .read_to_string(&mut buf)
+                .map_err(|e| format!("cannot read stdin: {e}"))?;
+            buf
+        }
+    };
+    text.parse::<Program>().map_err(|e| e.to_string())
 }
 
 /// How the model-checking run relates to the static verdict.
@@ -182,108 +210,124 @@ fn mc_agreement(report: &McReport, has_error: bool) -> McAgreement {
     }
 }
 
-fn render_mc_json(report: &McReport, agreement: McAgreement) -> String {
-    let verdict = match report.completeness {
-        Completeness::Exhausted => "exhausted",
-        Completeness::BudgetExceeded(_) => "budget-exceeded",
-    };
-    // One program per invocation, so the counts are 0/1 summing to 1 —
-    // emitted as counts anyway so scripts aggregating many runs can add
-    // the fields without re-deriving them from `agreement`.
-    let (confirmed, unverified, refuted) = match agreement {
-        McAgreement::Confirmed => (1, 0, 0),
-        McAgreement::Unverified => (0, 1, 0),
-        McAgreement::Refuted => (0, 0, 1),
-    };
-    let agreement = match agreement {
-        McAgreement::Confirmed => "confirmed",
-        McAgreement::Unverified => "unverified",
-        McAgreement::Refuted => "refuted",
-    };
-    format!(
-        "{{\"verdict\":\"{verdict}\",\"states\":{},\"transitions\":{},\
-         \"cache_hits\":{},\"sleep_pruned\":{},\
-         \"explored_fraction\":{:.4},\
-         \"pristine_schedule_exists\":{},\"proves_no_pristine_schedule\":{},\
-         \"agreement\":\"{agreement}\",\
-         \"confirmed\":{confirmed},\"unverified\":{unverified},\"refuted\":{refuted}}}",
-        report.states,
-        report.transitions,
-        report.cache_hits,
-        report.sleep_pruned,
-        report.explored_fraction(),
-        report.pristine_witness.is_some(),
-        report.proves_no_pristine_schedule(),
-    )
-}
-
-fn render_mc_text(report: &McReport, agreement: McAgreement, has_error: bool) -> String {
-    let mut out = String::new();
-    let verdict = match report.completeness {
-        Completeness::Exhausted => "exhausted the schedule space",
-        Completeness::BudgetExceeded(_) => "budget exceeded (incomplete)",
-    };
-    out.push_str(&format!(
-        "mc: {verdict} — {} states, {} transitions ({} cache hits, {} sleep-pruned)\n",
-        report.states, report.transitions, report.cache_hits, report.sleep_pruned
-    ));
-    out.push_str(&match agreement {
-        McAgreement::Unverified => format!(
-            "mc: unverified — budget exceeded at {:.1}% of the reduced space; \
-             raise --mc-states for a proof\n",
-            report.explored_fraction() * 100.0
-        ),
-        other => render_mc_agreement_text(other, report, has_error).to_string(),
-    });
-    out
-}
-
-fn render_mc_agreement_text(
-    agreement: McAgreement,
-    report: &McReport,
+/// One model-checking run: the checker's report and how it relates to the
+/// static verdict. Its two renderers, [`McRun::json`] and [`McRun::text`],
+/// print the same fields.
+struct McRun {
+    report: McReport,
     has_error: bool,
-) -> &'static str {
-    match agreement {
-        McAgreement::Refuted => {
-            "mc: REFUTED — a pristine schedule exists despite an error diagnostic \
-             (analyzer soundness bug)\n"
-        }
-        McAgreement::Unverified => unreachable!("handled by the caller"),
-        McAgreement::Confirmed if has_error => {
-            "mc: confirmed — no schedule finalizes pristinely, proven over the \
-             full reduced interleaving space\n"
-        }
-        McAgreement::Confirmed if report.pristine_witness.is_some() => {
-            "mc: confirmed — a pristine schedule exists, consistent with the \
-             clean verdict\n"
-        }
-        McAgreement::Confirmed => {
-            "mc: confirmed — no pristine schedule, but no error claimed one \
-             (warnings do not promise finalization)\n"
+}
+
+impl McRun {
+    fn agreement(&self) -> McAgreement {
+        mc_agreement(&self.report, self.has_error)
+    }
+
+    fn verdict(&self) -> &'static str {
+        match self.report.completeness {
+            Completeness::Exhausted => "exhausted",
+            Completeness::BudgetExceeded(BudgetReason::MaxStates) => "budget-exceeded:states",
+            Completeness::BudgetExceeded(BudgetReason::MaxDepth) => "budget-exceeded:depth",
         }
     }
-}
 
-fn load(source: &Source) -> Result<Program, String> {
-    let text = match source {
-        Source::Generate {
-            seed,
-            procs,
-            len,
-            aids,
-        } => return Ok(Program::generate(*seed, *procs, *len, *aids)),
-        Source::File(path) => {
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?
+    fn agreement_name(&self) -> &'static str {
+        match self.agreement() {
+            McAgreement::Confirmed => "confirmed",
+            McAgreement::Unverified => "unverified",
+            McAgreement::Refuted => "refuted",
         }
-        Source::Stdin => {
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("cannot read stdin: {e}"))?;
-            buf
+    }
+
+    /// One object. The agreement is also given as 0/1 counts of
+    /// `confirmed`, `unverified` and `refuted`, so scripts aggregating many
+    /// runs can add the fields without re-deriving them from `agreement`.
+    fn json(&self) -> String {
+        let r = &self.report;
+        let schedule = match &r.pristine_witness {
+            Some(w) => {
+                let steps: Vec<String> = w.iter().map(usize::to_string).collect();
+                format!("[{}]", steps.join(","))
+            }
+            None => "null".to_string(),
+        };
+        let count = |a: McAgreement| u8::from(self.agreement() == a);
+        format!(
+            "{{\"verdict\":\"{}\",\"states\":{},\"transitions\":{},\"cache_hits\":{},\
+             \"sleep_pruned\":{},\"singleton_states\":{},\"frontier_remaining\":{},\
+             \"explored_fraction\":{:.4},\"completed_terminals\":{},\
+             \"deadlock_terminals\":{},\"distinct_outputs\":{},\
+             \"pristine_schedule\":{schedule},\"proves_no_pristine_schedule\":{},\
+             \"agreement\":\"{}\",\"confirmed\":{},\"unverified\":{},\"refuted\":{}}}",
+            self.verdict(),
+            r.states,
+            r.transitions,
+            r.cache_hits,
+            r.sleep_pruned,
+            r.singleton_states,
+            r.frontier_remaining,
+            r.explored_fraction(),
+            r.completed_terminals,
+            r.deadlock_terminals,
+            r.distinct_outputs(),
+            r.proves_no_pristine_schedule(),
+            self.agreement_name(),
+            count(McAgreement::Confirmed),
+            count(McAgreement::Unverified),
+            count(McAgreement::Refuted),
+        )
+    }
+
+    /// `mc:` lines: the verdict with the search's counts, the terminals,
+    /// the pristine witness if one was found, and the agreement.
+    fn text(&self) -> String {
+        let r = &self.report;
+        let frontier = if r.completeness.is_exhausted() {
+            String::new()
+        } else {
+            format!(", {} frontier states left", r.frontier_remaining)
+        };
+        let mut out = format!(
+            "mc: {} — {} states, {} transitions ({} cache hits, {} sleep-pruned, \
+             {} singleton states{frontier})\n\
+             mc: terminals — {} completed, {} deadlocked; {} distinct committed outcome(s)\n",
+            self.verdict(),
+            r.states,
+            r.transitions,
+            r.cache_hits,
+            r.sleep_pruned,
+            r.singleton_states,
+            r.completed_terminals,
+            r.deadlock_terminals,
+            r.distinct_outputs(),
+        );
+        if let Some(w) = &r.pristine_witness {
+            let steps: Vec<String> = w.iter().map(|p| format!("P{p}")).collect();
+            out.push_str(&format!("mc: witness — {}\n", steps.join(" ")));
         }
-    };
-    text.parse::<Program>().map_err(|e| e.to_string())
+        let agreement = match self.agreement() {
+            McAgreement::Unverified => format!(
+                "unverified — budget exceeded at {:.1}% of the reduced space; \
+                 raise --mc-states for a proof",
+                r.explored_fraction() * 100.0
+            ),
+            McAgreement::Refuted => "REFUTED — a pristine schedule exists despite an error \
+                                     diagnostic (analyzer soundness bug)"
+                .into(),
+            McAgreement::Confirmed if self.has_error => "confirmed — no schedule finalizes \
+                                                         pristinely, proven over the full \
+                                                         reduced interleaving space"
+                .into(),
+            McAgreement::Confirmed if r.pristine_witness.is_some() => {
+                "confirmed — a pristine schedule exists, consistent with the clean verdict".into()
+            }
+            McAgreement::Confirmed => "confirmed — no pristine schedule, but no error claimed \
+                                       one (warnings do not promise finalization)"
+                .into(),
+        };
+        out.push_str(&format!("mc: {agreement}\n"));
+        out
+    }
 }
 
 /// Write to stdout, treating a broken pipe (`hope-lint ... | head`) as a
@@ -313,7 +357,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let program = match load(&options.source) {
+    let program = match load(options.source) {
         Ok(p) => p,
         Err(msg) => {
             eprintln!("hope-lint: {msg}");
@@ -330,32 +374,31 @@ fn main() -> ExitCode {
     let has_error = diagnostics.iter().any(|d| d.severity == Severity::Error);
     // The explorer indexes its tables by process and AID: a program naming
     // an undeclared one (an `invalid-target` error) is not explored.
-    let mc_outcome = options.mc.as_ref().map(|cfg| {
-        program.check_bounds().map(|()| {
-            let report = check(&program, cfg);
-            let agreement = mc_agreement(&report, has_error);
-            (report, agreement)
+    let mc_run = options.mc.as_ref().map(|cfg| {
+        program.check_bounds().map(|()| McRun {
+            report: check(&program, cfg),
+            has_error,
         })
     });
     let rendered = match options.mode {
-        Mode::Lint if options.json => match &mc_outcome {
-            Some(outcome) => format!(
+        Mode::Lint if options.json => match &mc_run {
+            Some(run) => format!(
                 "{{\"diagnostics\":{},\n \"mc\":{}}}\n",
                 render_json(&diagnostics).trim_end(),
-                match outcome {
-                    Ok((report, agreement)) => render_mc_json(report, *agreement),
+                match run {
+                    Ok(run) => run.json(),
                     // `Stmt`'s display holds no character JSON escapes.
                     Err(e) => format!("{{\"verdict\":\"skipped\",\"reason\":\"{e}\"}}"),
                 }
             ),
             None => render_json(&diagnostics),
         },
-        Mode::Lint => match &mc_outcome {
-            Some(outcome) => format!(
+        Mode::Lint => match &mc_run {
+            Some(run) => format!(
                 "{}{}",
                 render_text(&diagnostics),
-                match outcome {
-                    Ok((report, agreement)) => render_mc_text(report, *agreement, has_error),
+                match run {
+                    Ok(run) => run.text(),
                     Err(e) =>
                         format!("mc: skipped — {e}, and the explorer needs every name declared\n"),
                 }
@@ -381,7 +424,7 @@ fn main() -> ExitCode {
     if let Err(code) = emit(&rendered) {
         return code;
     }
-    let refuted = matches!(mc_outcome, Some(Ok((_, McAgreement::Refuted))));
+    let refuted = matches!(&mc_run, Some(Ok(run)) if run.agreement() == McAgreement::Refuted);
     if refuted {
         eprintln!(
             "hope-lint: model checker refutes the static verdict — \

@@ -86,9 +86,8 @@ pub enum Severity {
     Warning,
     /// Statically doomed: **no** schedule lets the program run to full
     /// finalization (completion with every process definite and no
-    /// rollback, ghost, or skipped primitive). Error diagnostics make
-    /// [`Analyzer`](crate::Analyzer) reject the program as a
-    /// [`ProgramValidator`](hope_core::machine::ProgramValidator).
+    /// rollback, ghost, or skipped primitive). These are what
+    /// [`Analyzer::errors`](crate::Analyzer::errors) returns.
     Error,
 }
 

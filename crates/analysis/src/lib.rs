@@ -24,26 +24,26 @@
 //!   race detector whose reports the agreement suite checks against the
 //!   static warnings.
 //!
-//! The [`Analyzer`] bundles the passes; it also implements
-//! [`hope_core::machine::ProgramValidator`], so statically-doomed programs
-//! can be rejected at machine construction:
+//! The [`Analyzer`] bundles the passes. [`Analyzer::errors`] is the check
+//! to run before a machine: a program it flags cannot finalize on any
+//! schedule.
 //!
 //! ```
-//! use hope_analysis::Analyzer;
+//! use hope_analysis::{Analyzer, Lint};
 //! use hope_core::machine::Machine;
 //! use hope_core::program::{Program, Stmt};
 //!
 //! // guess(x0) … free_of(x0): Equation 19 dooms this on every schedule.
 //! let doomed = Program::new(vec![vec![Stmt::Guess(0), Stmt::FreeOf(0)]]);
-//! let err = Machine::new_validated(doomed, &Analyzer::default()).unwrap_err();
-//! assert!(matches!(err, hope_core::Error::ProgramRejected { .. }));
+//! let errors = Analyzer::default().errors(&doomed);
+//! assert_eq!(errors[0].lint, Lint::DoomedFreeOf);
 //!
 //! let fine = Program::new(vec![
 //!     vec![Stmt::Guess(0), Stmt::Compute],
 //!     vec![Stmt::Affirm(0)],
 //! ]);
-//! let mut machine = Machine::new_validated(fine, &Analyzer::default()).unwrap();
-//! assert!(machine.run(100).completed);
+//! assert!(Analyzer::default().errors(&fine).is_empty());
+//! assert!(Machine::new(fine).run(100).completed);
 //! ```
 //!
 //! The `hope-lint` binary exposes the same analysis on the command line.
@@ -63,7 +63,6 @@ pub use diagnostics::{render_json, render_text, Diagnostic, Lint, Severity};
 pub use dynamic::{covered_by, RaceDetector, RaceKind, RaceReport};
 pub use flow::{analyze as analyze_flow, DeciderKind, Flow};
 
-use hope_core::machine::ProgramValidator;
 use hope_core::program::Program;
 
 /// Default [`Analyzer::cascade_threshold`]: warn when a single deny may
@@ -134,19 +133,6 @@ impl Analyzer {
     }
 }
 
-impl ProgramValidator for Analyzer {
-    /// Reject `program` when any error-severity lint fires; warnings do not
-    /// block execution.
-    fn validate(&self, program: &Program) -> Result<(), Vec<String>> {
-        let errors = self.errors(program);
-        if errors.is_empty() {
-            Ok(())
-        } else {
-            Err(errors.into_iter().map(|d| d.to_string()).collect())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,17 +157,17 @@ mod tests {
 
     #[test]
     fn validator_passes_warnings_blocks_errors() {
-        // Self-send is only a warning: must validate.
+        // Self-send is only a warning: no error.
         let warn_only = Program::new(vec![vec![Stmt::Send { to: 0 }, Stmt::Recv]]);
-        assert!(Analyzer::new().validate(&warn_only).is_ok());
+        assert!(Analyzer::new().errors(&warn_only).is_empty());
 
         let doomed = Program::new(vec![vec![Stmt::Guess(0)]]);
-        let reasons = Analyzer::new().validate(&doomed).unwrap_err();
-        assert_eq!(reasons.len(), 1);
+        let errors = Analyzer::new().errors(&doomed);
+        assert_eq!(errors.len(), 1);
+        let reason = errors[0].to_string();
         assert!(
-            reasons[0].starts_with("error[leaked-speculation] P0:0:"),
-            "{}",
-            reasons[0]
+            reason.starts_with("error[leaked-speculation] P0:0:"),
+            "{reason}"
         );
     }
 

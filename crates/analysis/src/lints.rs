@@ -51,40 +51,41 @@ fn may_deny(flow: &Flow, x: usize, site: (usize, usize, DeciderKind)) -> bool {
 
 /// `invalid-target`: statements naming undeclared processes/AIDs (error;
 /// the machine would panic) and self-sends (warning).
+///
+/// The undeclared names are [`Program::out_of_bounds`], the rule the
+/// machine and the model checker refuse a program by.
 pub fn invalid_target(program: &Program, _flow: &Flow) -> Vec<Diagnostic> {
-    let procs = program.process_count();
-    let aids = program.aid_count;
-    let mut out = Vec::new();
-    for (p, stmts) in program.code.iter().enumerate() {
-        for (i, s) in stmts.iter().enumerate() {
-            match *s {
-                Stmt::Send { to } if to >= procs => out.push(Diagnostic::error(
-                    Lint::InvalidTarget,
-                    p,
-                    i,
-                    format!("send targets P{to} but the program has only {procs} processes"),
-                )),
-                Stmt::Send { to } if to == p => out.push(Diagnostic::warning(
+    let undeclared = program.out_of_bounds().map(|o| {
+        let message = match o.stmt {
+            Stmt::Send { to } => format!(
+                "send targets P{to} but the program has only {} processes",
+                o.declared
+            ),
+            Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x) => format!(
+                "statement names x{x} but the program declares only {} AIDs",
+                o.declared
+            ),
+            Stmt::Compute | Stmt::Recv => unreachable!("`{}` names no process or AID", o.stmt),
+        };
+        Diagnostic::error(Lint::InvalidTarget, o.proc, o.index, message)
+    });
+    let self_sends = program.code.iter().enumerate().flat_map(|(p, stmts)| {
+        stmts
+            .iter()
+            .enumerate()
+            .filter(move |&(_, s)| *s == Stmt::Send { to: p })
+            .map(move |(i, _)| {
+                Diagnostic::warning(
                     Lint::InvalidTarget,
                     p,
                     i,
                     format!(
                         "process P{p} sends to itself; the message only re-enters its own mailbox"
                     ),
-                )),
-                Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x) if x >= aids => {
-                    out.push(Diagnostic::error(
-                        Lint::InvalidTarget,
-                        p,
-                        i,
-                        format!("statement names x{x} but the program declares only {aids} AIDs"),
-                    ));
-                }
-                _ => {}
-            }
-        }
-    }
-    out
+                )
+            })
+    });
+    undeclared.chain(self_sends).collect()
 }
 
 /// `leaked-speculation`: an AID is guessed somewhere but no decider of it

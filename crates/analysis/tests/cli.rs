@@ -211,7 +211,7 @@ fn mc_json_emits_agreement_counts_and_fraction() {
     // refuted as 0/1 *counts* (so multi-run scripts can sum fields) plus
     // the explored fraction of the reduced schedule space.
     let out = run_on_stdin(
-        &["--json", "--mc", "-"],
+        &["--json", "--mc"],
         "process P0:\n  guess(x0)\nprocess P1:\n  affirm(x0)\n",
     );
     assert_eq!(out.status.code(), Some(0));
@@ -230,13 +230,14 @@ fn mc_budget_fallback_logs_explored_fraction() {
     // space it covered before giving up — in text and in JSON — and an
     // unverified run must not change the lint exit code.
     let program = "process P0:\n  guess(x0)\nprocess P1:\n  affirm(x0)\n";
-    let out = run_on_stdin(&["--mc", "--mc-states", "1", "-"], program);
+    let out = run_on_stdin(&["--mc", "--mc-states", "1"], program);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("mc: budget-exceeded:states — "), "{stdout}");
     assert!(stdout.contains("mc: unverified"), "{stdout}");
     assert!(stdout.contains("% of the reduced space"), "{stdout}");
 
-    let out = run_on_stdin(&["--json", "--mc", "--mc-states", "1", "-"], program);
+    let out = run_on_stdin(&["--json", "--mc", "--mc-states", "1"], program);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(
@@ -244,6 +245,11 @@ fn mc_budget_fallback_logs_explored_fraction() {
         "{stdout}"
     );
     assert!(!stdout.contains("\"explored_fraction\":1.0000"), "{stdout}");
+    // The verdict names the budget that ran out.
+    assert!(
+        stdout.contains("\"verdict\":\"budget-exceeded:states\""),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -325,4 +331,116 @@ fn mc_skips_a_generated_program_without_aids() {
         "{stdout}"
     );
     assert!(stdout.contains("mc: skipped"), "{stdout}");
+}
+
+/// `--mc` prints the checker's whole report and the agreement: as `mc:`
+/// lines, and under `--json` as exactly these keys in this order.
+#[test]
+fn mc_report_has_every_field() {
+    let out = hope_lint()
+        .args(["--mc", "--generate", "3,2,3,2"])
+        .output()
+        .expect("run hope-lint");
+    assert_eq!(out.status.code(), Some(1), "the program has an error lint");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let mc: Vec<&str> = stdout.lines().filter(|l| l.starts_with("mc:")).collect();
+    assert_eq!(
+        mc,
+        [
+            "mc: exhausted — 16 states, 15 transitions (0 cache hits, 1 sleep-pruned, \
+             5 singleton states)",
+            "mc: terminals — 4 completed, 0 deadlocked; 2 distinct committed outcome(s)",
+            "mc: confirmed — no schedule finalizes pristinely, proven over the full reduced \
+             interleaving space",
+        ],
+        "{stdout}"
+    );
+    let out = run_on_stdin(&["--mc"], "process P0:\n  guess(x0)\n  affirm(x0)\n");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    assert!(stdout.contains("\nmc: witness — P0 P0\n"), "{stdout}");
+
+    let out = hope_lint()
+        .args(["--json", "--mc", "--generate", "3,2,3,2"])
+        .output()
+        .expect("run hope-lint");
+    assert_eq!(out.status.code(), Some(1), "the program has an error lint");
+    let stdout = String::from_utf8(out.stdout).expect("utf8");
+    let mc = &stdout[stdout.find("\"mc\":").expect("an mc object")..];
+    // Every quoted string of the object: its keys in order, plus the two
+    // string values.
+    let quoted: Vec<&str> = mc.split('"').skip(1).step_by(2).collect();
+    assert_eq!(
+        quoted,
+        [
+            "mc",
+            "verdict",
+            "exhausted",
+            "states",
+            "transitions",
+            "cache_hits",
+            "sleep_pruned",
+            "singleton_states",
+            "frontier_remaining",
+            "explored_fraction",
+            "completed_terminals",
+            "deadlock_terminals",
+            "distinct_outputs",
+            "pristine_schedule",
+            "proves_no_pristine_schedule",
+            "agreement",
+            "confirmed",
+            "confirmed",
+            "unverified",
+            "refuted",
+        ],
+        "{stdout}"
+    );
+    assert!(mc.contains("\"pristine_schedule\":null"), "{stdout}");
+}
+
+/// A program comes from exactly one source: a second of any kind is a
+/// usage error, not a silent override of the first.
+#[test]
+fn a_second_program_source_exits_two() {
+    let file = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("two_sources.hope");
+    std::fs::write(&file, "process P0:\n  guess(x0)\n  affirm(x0)\n").expect("write program");
+    let file = file.to_str().expect("utf8 path");
+    for args in [
+        vec![file, file],
+        vec![file, "-"],
+        vec![file, "--generate", "1,2,3,2"],
+        vec!["--generate", "1,2,3,2", "--generate", "3,2,3,2"],
+    ] {
+        let out = hope_lint()
+            .args(&args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run hope-lint");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf8");
+        assert!(
+            stderr.contains("more than one program source given"),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+/// Spaces around a `--generate` number are ignored; anything else that is
+/// not four numbers is a usage error.
+#[test]
+fn generate_spec_ignores_spaces_around_numbers() {
+    let run = |spec: &str| {
+        hope_lint()
+            .args(["--print", "--generate", spec])
+            .output()
+            .expect("run hope-lint")
+    };
+    let plain = run("7,3,20,4");
+    let spaced = run(" 7, 3 ,20 ,4 ");
+    assert_eq!(spaced.status.code(), plain.status.code());
+    assert_eq!(spaced.stdout, plain.stdout);
+    for bad in ["7,3,20", "7,3,20,4,5", "7,3 2,20,4", "7,x,20,4"] {
+        assert_eq!(run(bad).status.code(), Some(2), "{bad:?}");
+    }
 }

@@ -255,19 +255,15 @@ fn six_original_lints_on_one_program_with_golden_json() {
 #[test]
 fn validator_rejects_triggers_and_admits_near_misses() {
     let doomed = Program::new(vec![vec![Stmt::Guess(0), Stmt::FreeOf(0)]]);
-    let err = Machine::new_validated(doomed, &Analyzer::default()).unwrap_err();
-    match err {
-        hope_core::Error::ProgramRejected { reasons } => {
-            assert_eq!(reasons.len(), 1);
-            assert!(reasons[0].contains("doomed-free-of"));
-        }
-        other => panic!("expected ProgramRejected, got {other:?}"),
-    }
+    let errors = Analyzer::default().errors(&doomed);
+    assert_eq!(errors.len(), 1);
+    assert!(errors[0].to_string().contains("doomed-free-of"));
 
     let fine = Program::new(vec![
         vec![Stmt::Guess(0), Stmt::Compute],
         vec![Stmt::Affirm(0)],
     ]);
-    let mut machine = Machine::new_validated(fine, &Analyzer::default()).unwrap();
+    assert!(Analyzer::default().errors(&fine).is_empty());
+    let mut machine = Machine::new(fine);
     assert!(machine.run(1_000).completed);
 }

@@ -56,14 +56,6 @@ pub enum Error {
     /// [`IntervalView`](crate::IntervalView) debugging surface and the
     /// low-level `finalize` entry point observe this error.
     FossilInterval(IntervalId),
-    /// A program was rejected before execution by a
-    /// [`ProgramValidator`](crate::machine::ProgramValidator).
-    ///
-    /// Carries one human-readable reason per static diagnostic.
-    ProgramRejected {
-        /// Why the validator refused the program.
-        reasons: Vec<String>,
-    },
 }
 
 impl fmt::Display for Error {
@@ -86,16 +78,6 @@ impl fmt::Display for Error {
             ),
             Error::FossilInterval(a) => {
                 write!(f, "interval {a} was reclaimed by fossil collection")
-            }
-            Error::ProgramRejected { reasons } => {
-                write!(f, "program rejected by static validation: ")?;
-                for (i, r) in reasons.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, "; ")?;
-                    }
-                    write!(f, "{r}")?;
-                }
-                Ok(())
             }
         }
     }
@@ -121,15 +103,20 @@ mod tests {
             Error::FinalizePrecondition(IntervalId(5)).to_string(),
             Error::FossilAid(AidId(6)).to_string(),
             Error::FossilInterval(IntervalId(7)).to_string(),
-            Error::ProgramRejected {
-                reasons: vec!["first reason".into(), "second reason".into()],
-            }
-            .to_string(),
         ];
         for m in msgs {
             assert!(!m.ends_with('.'), "no trailing punctuation: {m}");
             assert!(m.chars().next().unwrap().is_lowercase(), "lowercase: {m}");
         }
+    }
+
+    #[test]
+    fn an_error_is_sixteen_bytes() {
+        // Every variant holds at most one id, so the error carries no heap
+        // field, and the engine's effect-returning primitives return it in
+        // a word less than before.
+        assert_eq!(std::mem::size_of::<Error>(), 16);
+        assert_eq!(std::mem::size_of::<Result<Vec<crate::Effect>>>(), 24);
     }
 
     #[test]

@@ -109,34 +109,6 @@ pub struct RunReport {
     pub deadlocked: bool,
 }
 
-/// A pre-run static check over a [`Program`].
-///
-/// `hope-core` cannot depend on the `hope-analysis` crate (the dependency
-/// points the other way), so this trait inverts the direction: an embedding
-/// passes any validator — typically `hope_analysis::Analyzer` — to
-/// [`Machine::new_validated`], and statically doomed programs are rejected
-/// with [`Error::ProgramRejected`](crate::Error::ProgramRejected) before a
-/// single statement runs.
-pub trait ProgramValidator {
-    /// Check `program`; return every reason it must not run (empty result
-    /// means the program is admissible).
-    ///
-    /// # Errors
-    ///
-    /// One human-readable reason per fatal static diagnostic.
-    fn validate(&self, program: &Program) -> std::result::Result<(), Vec<String>>;
-}
-
-/// A validator accepting every program (useful as a default / in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AcceptAll;
-
-impl ProgramValidator for AcceptAll {
-    fn validate(&self, _program: &Program) -> std::result::Result<(), Vec<String>> {
-        Ok(())
-    }
-}
-
 #[derive(Debug, Clone)]
 struct MProc {
     pid: ProcessId,
@@ -210,19 +182,6 @@ impl Machine {
             aids,
             procs,
             next_msg: 0,
-        }
-    }
-
-    /// Build a machine for `program` only if `validator` admits it.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ProgramRejected`](crate::Error::ProgramRejected) carrying
-    /// the validator's reasons when the program is statically doomed.
-    pub fn new_validated(program: Program, validator: &dyn ProgramValidator) -> Result<Self> {
-        match validator.validate(&program) {
-            Ok(()) => Ok(Machine::new(program)),
-            Err(reasons) => Err(crate::Error::ProgramRejected { reasons }),
         }
     }
 
@@ -794,43 +753,6 @@ mod tests {
             rolled_back += fates.rolled_back.len();
         }
         assert!(rolled_back > 0, "no run rolled an interval back");
-    }
-
-    #[test]
-    fn validated_construction_accepts_and_rejects() {
-        struct NoDenies;
-        impl ProgramValidator for NoDenies {
-            fn validate(&self, program: &Program) -> std::result::Result<(), Vec<String>> {
-                let denies: Vec<String> = program
-                    .code
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(p, stmts)| {
-                        stmts.iter().filter_map(move |s| match s {
-                            Stmt::Deny(x) => Some(format!("P{p} denies x{x}")),
-                            _ => None,
-                        })
-                    })
-                    .collect();
-                if denies.is_empty() {
-                    Ok(())
-                } else {
-                    Err(denies)
-                }
-            }
-        }
-
-        let clean = Program::new(vec![vec![Stmt::Guess(0), Stmt::Affirm(0)]]);
-        assert!(Machine::new_validated(clean.clone(), &NoDenies).is_ok());
-        assert!(Machine::new_validated(clean, &AcceptAll).is_ok());
-
-        let doomed = Program::new(vec![vec![Stmt::Guess(0), Stmt::Deny(0)]]);
-        match Machine::new_validated(doomed, &NoDenies) {
-            Err(crate::Error::ProgramRejected { reasons }) => {
-                assert_eq!(reasons, vec!["P0 denies x0".to_string()]);
-            }
-            other => panic!("expected rejection, got {other:?}"),
-        }
     }
 
     /// What a history records is what the observer was handed: on every

@@ -107,31 +107,36 @@ impl Program {
         self.len() == 0
     }
 
-    /// Check that every statement names a declared process and AID. The
-    /// [machine](crate::machine) indexes its tables by them, so a program
-    /// that fails this must not be run; the error names the first offender.
-    pub fn check_bounds(&self) -> Result<(), OutOfBounds> {
+    /// Every statement naming a process or AID the program does not
+    /// declare, in program order. The [machine](crate::machine) indexes its
+    /// tables by them, so a program with any must not be run.
+    pub fn out_of_bounds(&self) -> impl Iterator<Item = OutOfBounds> + '_ {
         let (procs, aids) = (self.process_count(), self.aid_count);
-        for (proc, stmts) in self.code.iter().enumerate() {
-            for (index, &stmt) in stmts.iter().enumerate() {
+        self.code.iter().enumerate().flat_map(move |(proc, stmts)| {
+            stmts.iter().enumerate().filter_map(move |(index, &stmt)| {
                 let declared = match stmt {
-                    Stmt::Send { to } if to >= procs => format!("only {procs} processes"),
+                    Stmt::Send { to } if to >= procs => procs,
                     Stmt::Guess(x) | Stmt::Affirm(x) | Stmt::Deny(x) | Stmt::FreeOf(x)
                         if x >= aids =>
                     {
-                        format!("only {aids} AIDs")
+                        aids
                     }
-                    _ => continue,
+                    _ => return None,
                 };
-                return Err(OutOfBounds {
+                Some(OutOfBounds {
                     proc,
                     index,
                     stmt,
                     declared,
-                });
-            }
-        }
-        Ok(())
+                })
+            })
+        })
+    }
+
+    /// Check that every statement names a declared process and AID; the
+    /// error is the first of [`Program::out_of_bounds`].
+    pub fn check_bounds(&self) -> Result<(), OutOfBounds> {
+        self.out_of_bounds().next().map_or(Ok(()), Err)
     }
 
     /// Generate a random program with `procs` processes of `len` statements
@@ -188,7 +193,7 @@ impl fmt::Display for Program {
 }
 
 /// A statement naming a process or AID its program does not declare (see
-/// [`Program::check_bounds`]).
+/// [`Program::out_of_bounds`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutOfBounds {
     /// The process the statement belongs to.
@@ -197,15 +202,20 @@ pub struct OutOfBounds {
     pub index: usize,
     /// The statement itself.
     pub stmt: Stmt,
-    /// What the program declares instead, e.g. `only 2 processes`.
-    pub declared: String,
+    /// How many processes (for a `send`) or AIDs (for a primitive) the
+    /// program declares.
+    pub declared: usize,
 }
 
 impl fmt::Display for OutOfBounds {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.stmt {
+            Stmt::Send { .. } => "processes",
+            _ => "AIDs",
+        };
         write!(
             f,
-            "P{}:{} `{}`: the program declares {}",
+            "P{}:{} `{}`: the program declares only {} {kind}",
             self.proc, self.index, self.stmt, self.declared
         )
     }
@@ -406,6 +416,26 @@ mod tests {
         assert_eq!(
             no_aids.check_bounds().unwrap_err().to_string(),
             "P1:0 `deny(x0)`: the program declares only 0 AIDs"
+        );
+        // Every offender, in program order; the check reports the first.
+        let both: Program = "process P0:\n  send(P7)\n  guess(x0)\nprocess P1:\n  send(P0)\n"
+            .parse()
+            .unwrap();
+        let both = Program {
+            aid_count: 0,
+            ..both
+        };
+        let all: Vec<String> = both.out_of_bounds().map(|o| o.to_string()).collect();
+        assert_eq!(
+            all,
+            [
+                "P0:0 `send(P7)`: the program declares only 2 processes",
+                "P0:1 `guess(x0)`: the program declares only 0 AIDs",
+            ]
+        );
+        assert_eq!(
+            both.check_bounds(),
+            Err(both.out_of_bounds().next().unwrap())
         );
     }
 

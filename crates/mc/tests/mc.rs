@@ -371,84 +371,3 @@ fn ids_past_63_agree_with_the_naive_search() {
         "naive search over 12 programs with ids past 63"
     );
 }
-
-fn hope_mc(args: &[&str]) -> std::process::Output {
-    std::process::Command::new(env!("CARGO_BIN_EXE_hope-mc"))
-        .args(args)
-        .output()
-        .expect("hope-mc runs")
-}
-
-/// The `hope-mc` binary has one reduced mode and its `--naive` oracle: the
-/// flags of the removed modes are usage errors, and the JSON report names
-/// the mode it ran under exactly these keys.
-#[test]
-fn cli_rejects_removed_mode_flags() {
-    for flag in ["--stateful", "--sleepset", "--dpor"] {
-        let out = hope_mc(&[flag, "--generate", "3,2,3,2"]);
-        assert_eq!(out.status.code(), Some(2), "{flag}");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
-        assert!(err.contains("[--naive] [--max-states N]"), "{err}");
-    }
-    for (extra, mode) in [(None, "reduced"), (Some("--naive"), "naive")] {
-        let mut args = vec!["--json", "--generate", "3,2,3,2"];
-        args.extend(extra);
-        let out = hope_mc(&args);
-        assert_eq!(out.status.code(), Some(0));
-        let json = String::from_utf8_lossy(&out.stdout);
-        // Every quoted string of the report: its keys in order, plus the
-        // two string values.
-        let quoted: Vec<&str> = json.split('"').skip(1).step_by(2).collect();
-        assert_eq!(
-            quoted,
-            [
-                "verdict",
-                "exhausted",
-                "mode",
-                mode,
-                "states",
-                "transitions",
-                "cache_hits",
-                "sleep_pruned",
-                "singleton_states",
-                "frontier_remaining",
-                "explored_fraction",
-                "completed_terminals",
-                "deadlock_terminals",
-                "distinct_outputs",
-                "pristine_schedule",
-                "proves_no_pristine_schedule",
-            ],
-            "{json}"
-        );
-    }
-}
-
-/// A send to an undeclared process is a usage error naming the statement,
-/// not an out-of-bounds panic in the explorer.
-#[test]
-fn cli_rejects_a_send_to_an_undeclared_process() {
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("send_to_p5.hope");
-    std::fs::write(&path, "process P0:\n  send(P5)\nprocess P1:\n  recv\n").unwrap();
-    let out = hope_mc(&[path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("P0:0 `send(P5)`: the program declares only 2 processes"),
-        "{err}"
-    );
-}
-
-/// `--generate` over zero AIDs still emits statements on `x0`: a usage
-/// error naming the first, not a panic.
-#[test]
-fn cli_rejects_a_generated_program_without_aids() {
-    let out = hope_mc(&["--generate", "1,2,3,0"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("(x0)`: the program declares only 0 AIDs"),
-        "{err}"
-    );
-}

@@ -28,8 +28,9 @@
 //!   lints over machine programs, plus the `hope-lint` binary; statically
 //!   doomed programs can be rejected before they run.
 //! * [`mc`] (`hope-mc`) — a reduced exhaustive scheduler over the abstract
-//!   machine, plus the `hope-mc` binary: verdicts over *every*
-//!   inequivalent schedule of a small program, not a sampled handful.
+//!   machine, run from the command line as `hope-lint --mc`: verdicts over
+//!   *every* inequivalent schedule of a small program, not a sampled
+//!   handful.
 //! * [`sim`] (`hope-sim`) — the deterministic distributed-system substrate
 //!   (virtual time, latency models, topologies, seeded RNG).
 //! * [`runtime`] (`hope-runtime`) — processes as plain closures with the

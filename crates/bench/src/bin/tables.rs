@@ -3,20 +3,21 @@
 //! ```text
 //! cargo run -p hope-bench --release --bin tables            # all
 //! cargo run -p hope-bench --release --bin tables -- e1 e6   # selected
-//! cargo run -p hope-bench --release --bin tables -- --json out.json e16
+//! cargo run -p hope-bench --release --bin tables -- --json BENCH_tables.json
 //! ```
 //!
 //! `--json <path>` additionally writes the selected tables as a JSON
-//! array of experiment objects (see [`hope_bench::tables_to_json`]) —
-//! the format of the checked-in `BENCH_e16.json`, `BENCH_e19.json` and
-//! `BENCH_e21.json`.
+//! array of experiment objects (see [`hope_bench::tables_to_json`]). Run
+//! over every experiment, it writes the checked-in `BENCH_tables.json`,
+//! which `tests/golden_tables.rs` compares byte for byte; the last command
+//! above re-records it. An unknown experiment id exits 2.
 
-use hope_bench::{table_for, tables_to_json, EXPERIMENT_IDS};
+use hope_bench::{tables_to_json, Experiment, EXPERIMENTS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut json_path: Option<String> = None;
-    let mut ids: Vec<&str> = Vec::new();
+    let mut selected: Vec<Experiment> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         if arg == "--json" {
@@ -28,22 +29,23 @@ fn main() {
                 }
             }
         } else {
-            ids.push(arg.as_str());
+            match EXPERIMENTS.iter().find(|(id, _)| id == arg) {
+                Some(&experiment) => selected.push(experiment),
+                None => {
+                    let known: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+                    eprintln!("unknown experiment {arg:?}; known: {known:?}");
+                    std::process::exit(2);
+                }
+            }
         }
     }
-    if ids.is_empty() {
-        ids = EXPERIMENT_IDS.to_vec();
-    }
-    for id in &ids {
-        if !EXPERIMENT_IDS.contains(id) {
-            eprintln!("unknown experiment {id:?}; known: {EXPERIMENT_IDS:?}");
-            std::process::exit(2);
-        }
+    if selected.is_empty() {
+        selected = EXPERIMENTS.to_vec();
     }
     println!("# HOPE reproduction — experiment tables\n");
     let mut computed = Vec::new();
-    for id in ids {
-        let table = table_for(id);
+    for (id, build) in selected {
+        let table = build();
         println!("{table}");
         computed.push((id, table));
     }

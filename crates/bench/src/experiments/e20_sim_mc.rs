@@ -11,8 +11,6 @@
 //! the DPOR and symmetry modes were removed; E17 is the machine-program
 //! reduction table.
 
-use std::time::Instant;
-
 use hope_runtime::mc::{check_scenario, SimMcConfig, SimMcReport};
 use hope_runtime::{ProcessId, SimConfig, Simulation, Value};
 use hope_sim::VirtualTime;
@@ -97,22 +95,20 @@ pub fn sim_reliable_retransmit() -> Simulation {
 
 /// Exhaustively check one simulation scenario, panicking unless the whole
 /// reduced schedule space was covered.
-pub fn exhaust_scenario(name: &str, build: impl Fn() -> Simulation) -> (SimMcReport, f64) {
-    let start = Instant::now();
+pub fn exhaust_scenario(name: &str, build: impl Fn() -> Simulation) -> SimMcReport {
     let report = check_scenario(&SimMcConfig::default(), build);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert!(
         report.completeness.is_exhausted(),
         "scenario {name:?} not exhausted: {report:?}"
     );
-    (report, wall_ms)
+    report
 }
 
-fn push_sim_row(t: &mut Table, name: &str, report: &SimMcReport, wall_ms: f64) {
+fn push_sim_row(t: &mut Table, name: &str, report: &SimMcReport) {
     t.push(vec![
         format!("sim: {name}"),
         format!("{} schedules", report.schedules),
-        format!("{} choice pts ({wall_ms:.0}ms)", report.choice_points),
+        format!("{} choice pts", report.choice_points),
         format!(
             "exhausted, {} outcome(s){}",
             report.outcomes.len(),
@@ -131,15 +127,15 @@ pub fn table() -> Table {
         "E20: exhaustive Simulation-layer schedule checking",
         &["scenario", "schedules", "choice points", "verdict"],
     );
-    let (race, race_ms) = exhaust_scenario("two-sender race", sim_two_sender_race);
+    let race = exhaust_scenario("two-sender race", sim_two_sender_race);
     assert_eq!(race.outcomes.len(), 2, "both receive orders: {race:?}");
-    let (fig2, fig2_ms) = exhaust_scenario("guess/affirm (Fig. 2)", sim_guess_affirm);
+    let fig2 = exhaust_scenario("guess/affirm (Fig. 2)", sim_guess_affirm);
     assert!(fig2.agreed(), "Fig. 2 must be schedule-invariant: {fig2:?}");
-    let (rel, rel_ms) = exhaust_scenario("send_reliable retransmit", sim_reliable_retransmit);
+    let rel = exhaust_scenario("send_reliable retransmit", sim_reliable_retransmit);
     assert!(rel.schedules >= 2, "ack/deadline race must branch: {rel:?}");
-    push_sim_row(&mut t, "two-sender race", &race, race_ms);
-    push_sim_row(&mut t, "guess/affirm (Fig. 2)", &fig2, fig2_ms);
-    push_sim_row(&mut t, "send_reliable retransmit", &rel, rel_ms);
+    push_sim_row(&mut t, "two-sender race", &race);
+    push_sim_row(&mut t, "guess/affirm (Fig. 2)", &fig2);
+    push_sim_row(&mut t, "send_reliable retransmit", &rel);
 
     t.note(
         "sim rows: closure-bodied scenarios exhaustively schedule-checked at the Ctx layer via \
@@ -156,11 +152,11 @@ mod tests {
 
     #[test]
     fn all_three_sim_scenarios_exhaust() {
-        let (race, _) = exhaust_scenario("race", sim_two_sender_race);
+        let race = exhaust_scenario("race", sim_two_sender_race);
         assert_eq!(race.outcomes.len(), 2);
-        let (fig2, _) = exhaust_scenario("fig2", sim_guess_affirm);
+        let fig2 = exhaust_scenario("fig2", sim_guess_affirm);
         assert!(fig2.agreed());
-        let (rel, _) = exhaust_scenario("rel", sim_reliable_retransmit);
+        let rel = exhaust_scenario("rel", sim_reliable_retransmit);
         assert!(rel.schedules >= 2);
     }
 }

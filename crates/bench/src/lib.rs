@@ -30,8 +30,11 @@
 //! `benchmark/` package.)
 //!
 //! Run `cargo run -p hope-bench --release --bin tables` to print all
-//! tables, or pass experiment ids (`e1 e6 …`) to select. Host-time costs
-//! are E22's to measure.
+//! tables, or pass experiment ids (`e1 e6 …`) to select. Every table is
+//! recorded in `BENCH_tables.json` at the workspace root and checked
+//! byte for byte by `tests/golden_tables.rs`; re-record it with
+//! `cargo run -p hope-bench --release --bin tables -- --json BENCH_tables.json`.
+//! No table reads the host clock: host-time costs are E22's to measure.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -42,40 +45,34 @@ mod table;
 
 pub use table::{fmt_ms, fmt_pct, tables_to_json, Table};
 
-/// All experiment ids known to the `tables` binary, in order.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e10", "e11", "e12", "e13", "e14", "e16",
-    "e17", "e19", "e20", "e21",
-];
+/// One experiment: its id (what the `tables` binary takes on its command
+/// line and what [`tables_to_json`] writes as `"experiment"`) and the
+/// function building its table.
+pub type Experiment = (&'static str, fn() -> Table);
 
-/// Produce the table for one experiment id.
-///
-/// # Panics
-///
-/// Panics on an unknown id (the binary validates first).
-pub fn table_for(id: &str) -> Table {
-    match id {
-        "e1" => experiments::e1_callstream::table(),
-        "e2" => experiments::e2_chain::table(),
-        "e3" => experiments::e3_arithmetic::table(),
-        "e4" => experiments::e4_accuracy::table(),
-        "e5" => experiments::e5_cascade::table(),
-        "e6" => experiments::e6_timewarp::table(),
-        "e7" => experiments::e7_replication::table(),
-        "e8" => experiments::e8_ablation::table(),
-        "e10" => experiments::e10_recovery::table(),
-        "e11" => experiments::e11_numeric::table(),
-        "e12" => experiments::e12_tms::table(),
-        "e13" => experiments::e13_coedit::table(),
-        "e14" => experiments::e14_costmodel::table(),
-        "e16" => experiments::e16_chaos::table(),
-        "e17" => experiments::e17_mc::table(),
-        "e19" => experiments::e19_memory::table(),
-        "e20" => experiments::e20_sim_mc::table(),
-        "e21" => experiments::e21_governor::table(),
-        other => panic!("unknown experiment id {other:?} (known: {EXPERIMENT_IDS:?})"),
-    }
-}
+/// Every experiment the harness regenerates, in order. The `tables`
+/// binary and the golden test over `BENCH_tables.json` both iterate this
+/// one list.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("e1", experiments::e1_callstream::table),
+    ("e2", experiments::e2_chain::table),
+    ("e3", experiments::e3_arithmetic::table),
+    ("e4", experiments::e4_accuracy::table),
+    ("e5", experiments::e5_cascade::table),
+    ("e6", experiments::e6_timewarp::table),
+    ("e7", experiments::e7_replication::table),
+    ("e8", experiments::e8_ablation::table),
+    ("e10", experiments::e10_recovery::table),
+    ("e11", experiments::e11_numeric::table),
+    ("e12", experiments::e12_tms::table),
+    ("e13", experiments::e13_coedit::table),
+    ("e14", experiments::e14_costmodel::table),
+    ("e16", experiments::e16_chaos::table),
+    ("e17", experiments::e17_mc::table),
+    ("e19", experiments::e19_memory::table),
+    ("e20", experiments::e20_sim_mc::table),
+    ("e21", experiments::e21_governor::table),
+];
 
 #[cfg(test)]
 mod tests {
@@ -83,15 +80,15 @@ mod tests {
 
     #[test]
     fn every_listed_experiment_produces_a_table() {
-        // e3 is instant; the others are exercised by their own tests. Here
-        // we only check the dispatch covers the cheap one and rejects junk.
-        let t = table_for("e3");
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown experiment id")]
-    fn unknown_id_panics() {
-        table_for("e99");
+        // Ids are unique; e3 is instant, so it stands in for building one.
+        // Every table is built and compared by `tests/golden_tables.rs`.
+        for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+            assert!(
+                EXPERIMENTS[..i].iter().all(|(other, _)| other != id),
+                "duplicate experiment id {id:?}"
+            );
+        }
+        let (_, e3) = EXPERIMENTS.iter().find(|(id, _)| *id == "e3").unwrap();
+        assert!(!e3().is_empty());
     }
 }

@@ -7,8 +7,10 @@
 use std::io::{ErrorKind, Read, Write};
 use std::process::ExitCode;
 
-use hope_analysis::cost::{self, CostWeights};
-use hope_analysis::{render_json, render_text, Analyzer, Severity, DEFAULT_CASCADE_THRESHOLD};
+use hope_analysis::cost::{self, CostWeights, Order};
+use hope_analysis::{
+    json, render_json, render_text, Analyzer, Severity, DEFAULT_CASCADE_THRESHOLD,
+};
 use hope_core::program::Program;
 use hope_mc::{check, BudgetReason, Completeness, McConfig, McReport};
 
@@ -64,8 +66,8 @@ Exit status:
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Lint,
-    Rank,
-    Cost,
+    /// `--rank` or `--cost`: the guess sites' costs instead of diagnostics.
+    Costs(Order),
 }
 
 struct Options {
@@ -104,11 +106,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .map_err(|_| format!("bad --mc-states value `{value}`"))?;
             }
             "--rank" | "--cost" => {
-                let wanted = if arg == "--rank" {
-                    Mode::Rank
+                let wanted = Mode::Costs(if arg == "--rank" {
+                    Order::Damage
                 } else {
-                    Mode::Cost
-                };
+                    Order::Site
+                });
                 if mode != Mode::Lint && mode != wanted {
                     return Err("--rank and --cost cannot be combined".into());
                 }
@@ -244,38 +246,31 @@ impl McRun {
     /// runs can add the fields without re-deriving them from `agreement`.
     fn json(&self) -> String {
         let r = &self.report;
-        let schedule = match &r.pristine_witness {
-            Some(w) => {
-                let steps: Vec<String> = w.iter().map(usize::to_string).collect();
-                format!("[{}]", steps.join(","))
-            }
-            None => "null".to_string(),
-        };
-        let count = |a: McAgreement| u8::from(self.agreement() == a);
-        format!(
-            "{{\"verdict\":\"{}\",\"states\":{},\"transitions\":{},\"cache_hits\":{},\
-             \"sleep_pruned\":{},\"singleton_states\":{},\"frontier_remaining\":{},\
-             \"explored_fraction\":{:.4},\"completed_terminals\":{},\
-             \"deadlock_terminals\":{},\"distinct_outputs\":{},\
-             \"pristine_schedule\":{schedule},\"proves_no_pristine_schedule\":{},\
-             \"agreement\":\"{}\",\"confirmed\":{},\"unverified\":{},\"refuted\":{}}}",
-            self.verdict(),
-            r.states,
-            r.transitions,
-            r.cache_hits,
-            r.sleep_pruned,
-            r.singleton_states,
-            r.frontier_remaining,
-            r.explored_fraction(),
-            r.completed_terminals,
-            r.deadlock_terminals,
-            r.distinct_outputs(),
-            r.proves_no_pristine_schedule(),
-            self.agreement_name(),
-            count(McAgreement::Confirmed),
-            count(McAgreement::Unverified),
-            count(McAgreement::Refuted),
-        )
+        let schedule = r.pristine_witness.as_ref().map_or_else(
+            || "null".into(),
+            |w| json::array(w.iter().map(usize::to_string)),
+        );
+        let count = |a: McAgreement| u8::from(self.agreement() == a).to_string();
+        let no_pristine = r.proves_no_pristine_schedule();
+        json::object([
+            ("verdict", json::string(self.verdict())),
+            ("states", r.states.to_string()),
+            ("transitions", r.transitions.to_string()),
+            ("cache_hits", r.cache_hits.to_string()),
+            ("sleep_pruned", r.sleep_pruned.to_string()),
+            ("singleton_states", r.singleton_states.to_string()),
+            ("frontier_remaining", r.frontier_remaining.to_string()),
+            ("explored_fraction", format!("{:.4}", r.explored_fraction())),
+            ("completed_terminals", r.completed_terminals.to_string()),
+            ("deadlock_terminals", r.deadlock_terminals.to_string()),
+            ("distinct_outputs", r.distinct_outputs().to_string()),
+            ("pristine_schedule", schedule),
+            ("proves_no_pristine_schedule", no_pristine.to_string()),
+            ("agreement", json::string(self.agreement_name())),
+            ("confirmed", count(McAgreement::Confirmed)),
+            ("unverified", count(McAgreement::Unverified)),
+            ("refuted", count(McAgreement::Refuted)),
+        ])
     }
 
     /// `mc:` lines: the verdict with the search's counts, the terminals,
@@ -382,15 +377,19 @@ fn main() -> ExitCode {
     });
     let rendered = match options.mode {
         Mode::Lint if options.json => match &mc_run {
-            Some(run) => format!(
-                "{{\"diagnostics\":{},\n \"mc\":{}}}\n",
-                render_json(&diagnostics).trim_end(),
-                match run {
+            Some(run) => {
+                let mc = match run {
                     Ok(run) => run.json(),
-                    // `Stmt`'s display holds no character JSON escapes.
-                    Err(e) => format!("{{\"verdict\":\"skipped\",\"reason\":\"{e}\"}}"),
-                }
-            ),
+                    Err(e) => json::object([
+                        ("verdict", json::string("skipped")),
+                        ("reason", json::string(&e.to_string())),
+                    ]),
+                };
+                json::object_lines([
+                    ("diagnostics", render_json(&diagnostics).trim_end().into()),
+                    ("mc", mc),
+                ]) + "\n"
+            }
             None => render_json(&diagnostics),
         },
         Mode::Lint => match &mc_run {
@@ -405,19 +404,12 @@ fn main() -> ExitCode {
             ),
             None => render_text(&diagnostics),
         },
-        Mode::Rank | Mode::Cost => {
-            let mut costs = cost::rank_with(&program, &flow, &CostWeights::default());
-            if options.mode == Mode::Cost {
-                costs.sort_by_key(|c| (c.proc, c.stmt_idx, c.aid));
-                if options.json {
-                    cost::render_cost_json(&costs)
-                } else {
-                    cost::render_cost_text(&costs)
-                }
-            } else if options.json {
-                cost::render_rank_json(&costs)
+        Mode::Costs(order) => {
+            let costs = cost::rank_with(&program, &flow, &CostWeights::default());
+            if options.json {
+                cost::render_json(&costs, order)
             } else {
-                cost::render_rank_text(&costs)
+                cost::render_text(&costs, order)
             }
         }
     };

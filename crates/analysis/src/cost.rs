@@ -26,6 +26,7 @@
 use hope_core::program::{Program, Stmt};
 
 use crate::flow::Flow;
+use crate::json;
 
 /// Relative weights of the three damage components.
 ///
@@ -139,97 +140,69 @@ pub fn rank_with(program: &Program, flow: &Flow, weights: &CostWeights) -> Vec<S
     out
 }
 
-/// Render a ranking as one line per speculation plus a summary line.
-pub fn render_rank_text(costs: &[SpeculationCost]) -> String {
-    let mut out = String::new();
-    for (n, c) in costs.iter().enumerate() {
-        out.push_str(&format!(
-            "#{} P{}:{} guess(x{}): damage {} (reexec {}, checkpoint {}, messages {})\n",
-            n + 1,
-            c.proc,
-            c.stmt_idx,
-            c.aid,
-            c.damage,
-            c.reexec,
-            c.checkpoint,
-            c.messages,
-        ));
-    }
-    out.push_str(&format!(
-        "{} speculation{} ranked\n",
-        costs.len(),
-        if costs.len() == 1 { "" } else { "s" },
-    ));
-    out
+/// The order of a cost listing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Order {
+    /// By damage, as [`rank`] returns the sites, each numbered from 1
+    /// (`hope-lint --rank`).
+    Damage,
+    /// In program order, `(proc, stmt_idx, aid)` ascending, without rank
+    /// numbers (`hope-lint --cost`).
+    Site,
 }
 
-/// Render costs one line per site without rank numbers (for program-order
-/// listings), plus a summary line.
-pub fn render_cost_text(costs: &[SpeculationCost]) -> String {
+/// `costs` (as [`rank`] returns them) in `order`.
+fn listed(costs: &[SpeculationCost], order: Order) -> Vec<SpeculationCost> {
+    let mut sites = costs.to_vec();
+    if order == Order::Site {
+        sites.sort_by_key(|c| (c.proc, c.stmt_idx, c.aid));
+    }
+    sites
+}
+
+/// Render costs one line per site in `order` (`#1 ` before each line of a
+/// damage ranking), plus a summary line.
+pub fn render_text(costs: &[SpeculationCost], order: Order) -> String {
     let mut out = String::new();
-    for c in costs {
+    for (n, c) in listed(costs, order).iter().enumerate() {
+        if order == Order::Damage {
+            out.push_str(&format!("#{} ", n + 1));
+        }
         out.push_str(&format!(
             "P{}:{} guess(x{}): damage {} (reexec {}, checkpoint {}, messages {})\n",
             c.proc, c.stmt_idx, c.aid, c.damage, c.reexec, c.checkpoint, c.messages,
         ));
     }
+    let verb = if order == Order::Damage {
+        "ranked"
+    } else {
+        "costed"
+    };
     out.push_str(&format!(
-        "{} speculation{} costed\n",
+        "{} speculation{} {verb}\n",
         costs.len(),
         if costs.len() == 1 { "" } else { "s" },
     ));
     out
 }
 
-/// Render costs as a JSON array with keys `proc`, `stmt`, `aid`, `damage`,
-/// `reexec`, `checkpoint`, and `messages` (no `rank` — the order is the
-/// caller's). Hand-rolled — the analyzer has no serde dependency.
-pub fn render_cost_json(costs: &[SpeculationCost]) -> String {
-    let mut out = String::from("[");
-    for (n, c) in costs.iter().enumerate() {
-        if n > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"proc\":{},\"stmt\":{},\"aid\":{},\"damage\":{},\"reexec\":{},\
-             \"checkpoint\":{},\"messages\":{}}}",
-            c.proc, c.stmt_idx, c.aid, c.damage, c.reexec, c.checkpoint, c.messages,
-        ));
-    }
-    if !costs.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Render a ranking as a JSON array of objects with keys `rank`, `proc`,
-/// `stmt`, `aid`, `damage`, `reexec`, `checkpoint`, and `messages`.
-/// Hand-rolled — the analyzer has no serde dependency.
-pub fn render_rank_json(costs: &[SpeculationCost]) -> String {
-    let mut out = String::from("[");
-    for (n, c) in costs.iter().enumerate() {
-        if n > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rank\":{},\"proc\":{},\"stmt\":{},\"aid\":{},\"damage\":{},\"reexec\":{},\
-             \"checkpoint\":{},\"messages\":{}}}",
-            n + 1,
-            c.proc,
-            c.stmt_idx,
-            c.aid,
-            c.damage,
-            c.reexec,
-            c.checkpoint,
-            c.messages,
-        ));
-    }
-    if !costs.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+/// Render costs as a JSON array in `order`, one object per line, with keys
+/// `rank` (a damage ranking only), `proc`, `stmt`, `aid`, `damage`,
+/// `reexec`, `checkpoint`, and `messages`.
+pub fn render_json(costs: &[SpeculationCost], order: Order) -> String {
+    json::array_lines(listed(costs, order).iter().enumerate().map(|(n, c)| {
+        let rank = (order == Order::Damage).then(|| ("rank", (n + 1).to_string()));
+        let fields = [
+            ("proc", c.proc.to_string()),
+            ("stmt", c.stmt_idx.to_string()),
+            ("aid", c.aid.to_string()),
+            ("damage", c.damage.to_string()),
+            ("reexec", c.reexec.to_string()),
+            ("checkpoint", c.checkpoint.to_string()),
+            ("messages", c.messages.to_string()),
+        ];
+        json::object(rank.into_iter().chain(fields))
+    })) + "\n"
 }
 
 #[cfg(test)]
@@ -299,33 +272,48 @@ mod tests {
     }
 
     #[test]
-    fn renderers_agree_on_order_and_handle_empty() {
+    fn renderers_list_both_orders_and_handle_empty() {
+        // x1's guess sits behind a compute: it outranks x0 but comes after
+        // it in program order.
         let program = Program::new(vec![
             vec![Stmt::Guess(0), Stmt::Affirm(0)],
-            vec![Stmt::Guess(1), Stmt::Affirm(1)],
+            vec![Stmt::Compute, Stmt::Guess(1), Stmt::Affirm(1)],
         ]);
         let costs = rank(&program);
-        let text = render_rank_text(&costs);
-        assert!(text.starts_with("#1 P0:0 guess(x0):"), "{text}");
+        assert_eq!((costs[0].aid, costs[1].aid), (1, 0));
+
+        let text = render_text(&costs, Order::Damage);
+        assert!(text.starts_with("#1 P1:1 guess(x1): damage "), "{text}");
+        assert!(text.contains("\n#2 P0:0 guess(x0): damage "), "{text}");
         assert!(text.ends_with("2 speculations ranked\n"), "{text}");
-        let json = render_rank_json(&costs);
-        assert!(json.starts_with("[\n  {\"rank\":1,\"proc\":0,"), "{json}");
+        let json = render_json(&costs, Order::Damage);
+        assert!(
+            json.starts_with("[\n  {\"rank\": 1, \"proc\": 1, \"stmt\": 1,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\n  {\"rank\": 2, \"proc\": 0, \"stmt\": 0,"),
+            "{json}"
+        );
 
-        assert_eq!(render_rank_text(&[]), "0 speculations ranked\n");
-        assert_eq!(render_rank_json(&[]), "[]\n");
-    }
-
-    #[test]
-    fn cost_renderers_omit_rank_numbers() {
-        let program = Program::new(vec![vec![Stmt::Guess(0), Stmt::Affirm(0)]]);
-        let costs = rank(&program);
-        let text = render_cost_text(&costs);
+        let text = render_text(&costs, Order::Site);
         assert!(text.starts_with("P0:0 guess(x0): damage "), "{text}");
-        assert!(text.ends_with("1 speculation costed\n"), "{text}");
-        let json = render_cost_json(&costs);
-        assert!(json.starts_with("[\n  {\"proc\":0,\"stmt\":0,"), "{json}");
+        assert!(text.contains("\nP1:1 guess(x1): damage "), "{text}");
+        assert!(text.ends_with("2 speculations costed\n"), "{text}");
+        let json = render_json(&costs, Order::Site);
+        assert!(
+            json.starts_with("[\n  {\"proc\": 0, \"stmt\": 0,"),
+            "{json}"
+        );
+        assert!(json.contains("\n  {\"proc\": 1, \"stmt\": 1,"), "{json}");
         assert!(!json.contains("\"rank\""), "{json}");
-        assert_eq!(render_cost_text(&[]), "0 speculations costed\n");
-        assert_eq!(render_cost_json(&[]), "[]\n");
+
+        let one = &costs[..1];
+        assert!(render_text(one, Order::Damage).ends_with("\n1 speculation ranked\n"));
+        assert!(render_text(one, Order::Site).ends_with("\n1 speculation costed\n"));
+        assert_eq!(render_text(&[], Order::Damage), "0 speculations ranked\n");
+        assert_eq!(render_text(&[], Order::Site), "0 speculations costed\n");
+        assert_eq!(render_json(&[], Order::Damage), "[]\n");
+        assert_eq!(render_json(&[], Order::Site), "[]\n");
     }
 }

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::json;
+
 /// The static checks `hope-analysis` performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
@@ -193,50 +195,20 @@ pub fn render_text(diagnostics: &[Diagnostic]) -> String {
     out
 }
 
-/// Render diagnostics as a JSON array of objects with keys `lint`,
-/// `severity`, `proc`, `stmt`, and `message` (`proc`/`stmt` are `null` for
-/// program-level findings). Hand-rolled — the analyzer has no serde
-/// dependency.
+/// Render diagnostics as a JSON array, one object per line, with keys
+/// `lint`, `severity`, `proc`, `stmt`, and `message` (`proc`/`stmt` are
+/// `null` for program-level findings).
 pub fn render_json(diagnostics: &[Diagnostic]) -> String {
-    fn esc(s: &str, out: &mut String) {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-    }
-    fn opt(n: Option<usize>) -> String {
-        n.map_or_else(|| "null".to_string(), |v| v.to_string())
-    }
-
-    let mut out = String::from("[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {\"lint\":\"");
-        esc(d.lint.name(), &mut out);
-        out.push_str("\",\"severity\":\"");
-        esc(d.severity.name(), &mut out);
-        out.push_str("\",\"proc\":");
-        out.push_str(&opt(d.proc));
-        out.push_str(",\"stmt\":");
-        out.push_str(&opt(d.stmt_idx));
-        out.push_str(",\"message\":\"");
-        esc(&d.message, &mut out);
-        out.push_str("\"}");
-    }
-    if !diagnostics.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
+    let or_null = |n: Option<usize>| n.map_or_else(|| "null".into(), |n| n.to_string());
+    json::array_lines(diagnostics.iter().map(|d| {
+        json::object([
+            ("lint", json::string(d.lint.name())),
+            ("severity", json::string(d.severity.name())),
+            ("proc", or_null(d.proc)),
+            ("stmt", or_null(d.stmt_idx)),
+            ("message", json::string(&d.message)),
+        ])
+    })) + "\n"
 }
 
 #[cfg(test)]
@@ -274,21 +246,17 @@ mod tests {
     }
 
     #[test]
-    fn json_renderer_escapes_and_nulls() {
+    fn json_renderer_nulls_missing_sites() {
         let ds = vec![Diagnostic {
             lint: Lint::InvalidTarget,
             severity: Severity::Warning,
             proc: Some(2),
             stmt_idx: None,
             aid: None,
-            message: "quote \" backslash \\ newline \n".into(),
+            message: "m".into(),
         }];
         let json = render_json(&ds);
-        assert!(json.contains("\"proc\":2,\"stmt\":null"), "{json}");
-        assert!(
-            json.contains("quote \\\" backslash \\\\ newline \\n"),
-            "{json}"
-        );
+        assert!(json.contains("\"proc\": 2, \"stmt\": null"), "{json}");
         assert_eq!(render_json(&[]), "[]\n");
     }
 }

@@ -20,6 +20,8 @@
 //!   (re-execution, checkpoint, and ghost-message components weighed over
 //!   the may-IDO fixpoint).
 //! * [`diagnostics`] renders findings as one-line text or JSON.
+//! * [`json`] is the workspace's one JSON writer: `hope-lint --json` and
+//!   the bench harness's `tables --json` both write through it.
 //! * [`dynamic`] is the runtime side: a [`hope_core::RuntimeObserver`]
 //!   race detector whose reports the agreement suite checks against the
 //!   static warnings.
@@ -56,6 +58,7 @@ pub mod cost;
 pub mod diagnostics;
 pub mod dynamic;
 pub mod flow;
+pub mod json;
 pub mod lints;
 
 pub use cost::{rank, rank_with, CostWeights, SpeculationCost};

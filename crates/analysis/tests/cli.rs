@@ -63,8 +63,11 @@ fn json_output_is_emitted() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(stdout.starts_with("[\n"), "{stdout}");
-    assert!(stdout.contains("\"lint\":\"unreachable-recv\""), "{stdout}");
-    assert!(stdout.contains("\"severity\":\"error\""), "{stdout}");
+    assert!(
+        stdout.contains("\"lint\": \"unreachable-recv\""),
+        "{stdout}"
+    );
+    assert!(stdout.contains("\"severity\": \"error\""), "{stdout}");
 }
 
 #[test]
@@ -169,14 +172,14 @@ fn cost_mode_lists_sites_in_program_order() {
     let out = run_on_stdin(&["--cost", "--json"], two);
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(
-        stdout.starts_with("[\n  {\"proc\":0,\"stmt\":1,"),
+        stdout.starts_with("[\n  {\"proc\": 0, \"stmt\": 1,"),
         "{stdout}"
     );
     assert!(stdout.contains("\"damage\":"), "{stdout}");
 
     let out = run_on_stdin(&["--rank", "--json"], two);
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("\"rank\":1"), "{stdout}");
+    assert!(stdout.contains("\"rank\": 1"), "{stdout}");
 }
 
 #[test]
@@ -216,12 +219,12 @@ fn mc_json_emits_agreement_counts_and_fraction() {
     );
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("\"agreement\":\"confirmed\""), "{stdout}");
+    assert!(stdout.contains("\"agreement\": \"confirmed\""), "{stdout}");
     assert!(
-        stdout.contains("\"confirmed\":1,\"unverified\":0,\"refuted\":0"),
+        stdout.contains("\"confirmed\": 1, \"unverified\": 0, \"refuted\": 0"),
         "{stdout}"
     );
-    assert!(stdout.contains("\"explored_fraction\":1.0000"), "{stdout}");
+    assert!(stdout.contains("\"explored_fraction\": 1.0000"), "{stdout}");
 }
 
 #[test]
@@ -241,13 +244,16 @@ fn mc_budget_fallback_logs_explored_fraction() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
     assert!(
-        stdout.contains("\"confirmed\":0,\"unverified\":1,\"refuted\":0"),
+        stdout.contains("\"confirmed\": 0, \"unverified\": 1, \"refuted\": 0"),
         "{stdout}"
     );
-    assert!(!stdout.contains("\"explored_fraction\":1.0000"), "{stdout}");
+    assert!(
+        !stdout.contains("\"explored_fraction\": 1.0000"),
+        "{stdout}"
+    );
     // The verdict names the budget that ran out.
     assert!(
-        stdout.contains("\"verdict\":\"budget-exceeded:states\""),
+        stdout.contains("\"verdict\": \"budget-exceeded:states\""),
         "{stdout}"
     );
 }
@@ -311,8 +317,8 @@ fn mc_skips_a_program_sending_to_an_undeclared_process() {
     let out = run_on_stdin(&["--json", "--mc"], program);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).expect("utf8");
-    assert!(stdout.contains("\"lint\":\"invalid-target\""), "{stdout}");
-    assert!(stdout.contains("\"verdict\":\"skipped\""), "{stdout}");
+    assert!(stdout.contains("\"lint\": \"invalid-target\""), "{stdout}");
+    assert!(stdout.contains("\"verdict\": \"skipped\""), "{stdout}");
 }
 
 /// `--generate` over zero AIDs still emits statements on `x0`: under
@@ -395,7 +401,7 @@ fn mc_report_has_every_field() {
         ],
         "{stdout}"
     );
-    assert!(mc.contains("\"pristine_schedule\":null"), "{stdout}");
+    assert!(mc.contains("\"pristine_schedule\": null"), "{stdout}");
 }
 
 /// A program comes from exactly one source: a second of any kind is a

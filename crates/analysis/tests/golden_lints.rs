@@ -240,13 +240,13 @@ fn six_original_lints_on_one_program_with_golden_json() {
     let json = render_json(&ds);
     // Diagnostics are sorted by (proc, stmt, lint).
     let expected = r#"[
-  {"lint":"leaked-speculation","severity":"error","proc":0,"stmt":1,"message":"x1 is guessed here but no affirm/deny/free_of of x1 exists anywhere; the guessing process can never become definite"},
-  {"lint":"doomed-free-of","severity":"error","proc":0,"stmt":2,"message":"free_of(x0) follows guess(x0) at P0:0: the asserter depends on x0, so this is a self-deny (Equation 19) or a skipped re-use on every schedule"},
-  {"lint":"invalid-target","severity":"warning","proc":0,"stmt":3,"message":"process P0 sends to itself; the message only re-enters its own mailbox"},
-  {"lint":"consumed-reassertion","severity":"error","proc":1,"stmt":1,"message":"x2 is decided 2 times (affirm(x2) at P1:0, deny(x2) at P1:1); affirm/deny/free_of are one-shot, so all but one use is skipped or undone on every schedule"},
-  {"lint":"invalid-target","severity":"error","proc":1,"stmt":2,"message":"send targets P9 but the program has only 4 processes"},
-  {"lint":"unreachable-recv","severity":"error","proc":1,"stmt":3,"message":"process P1 executes 1 recv but the whole program sends it at most 0 messages; this recv can never be satisfied"},
-  {"lint":"cascade-depth","severity":"warning","proc":2,"stmt":0,"message":"a deny of x3 may cascade a rollback across 2 processes (P2, P3); consider affirming earlier or narrowing the speculation"}
+  {"lint": "leaked-speculation", "severity": "error", "proc": 0, "stmt": 1, "message": "x1 is guessed here but no affirm/deny/free_of of x1 exists anywhere; the guessing process can never become definite"},
+  {"lint": "doomed-free-of", "severity": "error", "proc": 0, "stmt": 2, "message": "free_of(x0) follows guess(x0) at P0:0: the asserter depends on x0, so this is a self-deny (Equation 19) or a skipped re-use on every schedule"},
+  {"lint": "invalid-target", "severity": "warning", "proc": 0, "stmt": 3, "message": "process P0 sends to itself; the message only re-enters its own mailbox"},
+  {"lint": "consumed-reassertion", "severity": "error", "proc": 1, "stmt": 1, "message": "x2 is decided 2 times (affirm(x2) at P1:0, deny(x2) at P1:1); affirm/deny/free_of are one-shot, so all but one use is skipped or undone on every schedule"},
+  {"lint": "invalid-target", "severity": "error", "proc": 1, "stmt": 2, "message": "send targets P9 but the program has only 4 processes"},
+  {"lint": "unreachable-recv", "severity": "error", "proc": 1, "stmt": 3, "message": "process P1 executes 1 recv but the whole program sends it at most 0 messages; this recv can never be satisfied"},
+  {"lint": "cascade-depth", "severity": "warning", "proc": 2, "stmt": 0, "message": "a deny of x3 may cascade a rollback across 2 processes (P2, P3); consider affirming earlier or narrowing the speculation"}
 ]
 "#;
     assert_eq!(json, expected);

@@ -1,7 +1,7 @@
 //! Golden tests for the cascade cost model: pinned text and JSON output,
 //! and deterministic tie-breaking.
 
-use hope_analysis::cost::{self, rank, rank_with, render_rank_json, render_rank_text, CostWeights};
+use hope_analysis::cost::{rank, rank_with, render_json, render_text, CostWeights, Order};
 use hope_core::program::{Program, Stmt};
 
 /// The bench-suite chain shape: an origin guesses and fans out through a
@@ -29,7 +29,7 @@ fn chain() -> Program {
 #[test]
 fn chain_rank_text_is_pinned() {
     let costs = rank(&chain());
-    let text = render_rank_text(&costs);
+    let text = render_text(&costs, Order::Damage);
     // x0's cascade reaches every process (12 statements may re-run, three
     // tagged sends may ghost); x1 never leaves P0, but its guess sits
     // behind three statements of checkpointed state.
@@ -44,10 +44,10 @@ fn chain_rank_text_is_pinned() {
 #[test]
 fn chain_rank_json_is_pinned() {
     let costs = rank(&chain());
-    let json = render_rank_json(&costs);
+    let json = render_json(&costs, Order::Damage);
     let expected = r#"[
-  {"rank":1,"proc":0,"stmt":0,"aid":0,"damage":21,"reexec":12,"checkpoint":0,"messages":3},
-  {"rank":2,"proc":0,"stmt":3,"aid":1,"damage":4,"reexec":1,"checkpoint":3,"messages":0}
+  {"rank": 1, "proc": 0, "stmt": 0, "aid": 0, "damage": 21, "reexec": 12, "checkpoint": 0, "messages": 3},
+  {"rank": 2, "proc": 0, "stmt": 3, "aid": 1, "damage": 4, "reexec": 1, "checkpoint": 3, "messages": 0}
 ]
 "#;
     assert_eq!(json, expected);
@@ -55,9 +55,8 @@ fn chain_rank_json_is_pinned() {
 
 #[test]
 fn cost_listing_is_site_ordered_and_unnumbered() {
-    let mut costs = rank(&chain());
-    costs.sort_by_key(|c| (c.proc, c.stmt_idx, c.aid));
-    let text = cost::render_cost_text(&costs);
+    let costs = rank(&chain());
+    let text = render_text(&costs, Order::Site);
     let expected = "\
 P0:0 guess(x0): damage 21 (reexec 12, checkpoint 0, messages 3)
 P0:3 guess(x1): damage 4 (reexec 1, checkpoint 3, messages 0)

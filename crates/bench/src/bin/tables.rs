@@ -10,9 +10,27 @@
 //! array of experiment objects (see [`hope_bench::tables_to_json`]). Run
 //! over every experiment, it writes the checked-in `BENCH_tables.json`,
 //! which `tests/golden_tables.rs` compares byte for byte; the last command
-//! above re-records it. An unknown experiment id exits 2.
+//! above re-records it. An unknown experiment id exits 2. A closed stdout
+//! (`tables | head`) ends the printing: without `--json` the program exits
+//! 0 there, with it the remaining tables are still built for the file.
+
+use std::io::{ErrorKind, StdoutLock, Write};
 
 use hope_bench::{tables_to_json, Experiment, EXPERIMENTS};
+
+/// Write `text` to stdout while it is open. A broken pipe closes it
+/// (`None`); any other error exits 1.
+fn print(stdout: &mut Option<StdoutLock<'_>>, text: &str) {
+    let Some(out) = stdout else { return };
+    match out.write_all(text.as_bytes()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => *stdout = None,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,11 +60,15 @@ fn main() {
     if selected.is_empty() {
         selected = EXPERIMENTS.to_vec();
     }
-    println!("# HOPE reproduction — experiment tables\n");
+    let mut stdout = Some(std::io::stdout().lock());
+    print(&mut stdout, "# HOPE reproduction — experiment tables\n\n");
     let mut computed = Vec::new();
     for (id, build) in selected {
+        if stdout.is_none() && json_path.is_none() {
+            return;
+        }
         let table = build();
-        println!("{table}");
+        print(&mut stdout, &format!("{table}\n"));
         computed.push((id, table));
     }
     if let Some(path) = json_path {

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use hope_analysis::json;
+
 /// An aligned, markdown-compatible results table.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -80,53 +82,21 @@ impl Table {
 /// Render experiment tables as JSON: an array of experiment objects, each
 /// with its `experiment` id, `title`, `headers`, `notes`, and `rows` —
 /// every row an object keyed by the column headers, all values strings.
-/// Hand-rolled; the workspace deliberately carries no serde.
 pub fn tables_to_json(tables: &[(&str, Table)]) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    fn str_array(items: &[String]) -> String {
-        let quoted: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
-        format!("[{}]", quoted.join(", "))
-    }
-    let mut out = String::from("[\n");
-    for (i, (id, t)) in tables.iter().enumerate() {
-        out.push_str("  {\n");
-        out.push_str(&format!("    \"experiment\": \"{}\",\n", esc(id)));
-        out.push_str(&format!("    \"title\": \"{}\",\n", esc(t.title())));
-        out.push_str(&format!("    \"headers\": {},\n", str_array(t.headers())));
-        out.push_str(&format!("    \"notes\": {},\n", str_array(t.notes())));
-        out.push_str("    \"rows\": [\n");
-        for (j, row) in t.rows().iter().enumerate() {
-            let fields: Vec<String> = t
-                .headers()
-                .iter()
-                .zip(row)
-                .map(|(h, cell)| format!("\"{}\": \"{}\"", esc(h), esc(cell)))
-                .collect();
-            out.push_str(&format!("      {{{}}}", fields.join(", ")));
-            out.push_str(if j + 1 < t.rows().len() { ",\n" } else { "\n" });
-        }
-        out.push_str("    ]\n");
-        out.push_str(if i + 1 < tables.len() {
-            "  },\n"
-        } else {
-            "  }\n"
+    let strings = |items: &[String]| json::array(items.iter().map(|s| json::string(s)));
+    json::array_lines(tables.iter().map(|(id, t)| {
+        let rows = t.rows().iter().map(|row| {
+            let cells = t.headers().iter().zip(row);
+            json::object(cells.map(|(h, cell)| (h.as_str(), json::string(cell))))
         });
-    }
-    out.push_str("]\n");
-    out
+        json::object_lines([
+            ("experiment", json::string(id)),
+            ("title", json::string(t.title())),
+            ("headers", strings(t.headers())),
+            ("notes", strings(t.notes())),
+            ("rows", json::array_lines(rows)),
+        ])
+    })) + "\n"
 }
 
 impl fmt::Display for Table {
@@ -207,19 +177,20 @@ mod tests {
 
     #[test]
     fn json_schema_has_ids_headers_notes_and_keyed_rows() {
-        let mut t = Table::new("Demo \"quoted\"", &["param", "value"]);
+        let mut t = Table::new("Demo", &["param", "value"]);
         t.push(vec!["rtt".into(), "30ms".into()]);
-        t.push(vec!["back\\slash".into(), "1".into()]);
+        t.push(vec!["loss".into(), "1".into()]);
         t.note("a note");
         let json = tables_to_json(&[("e99", t)]);
-        assert!(json.starts_with("[\n"));
-        assert!(json.ends_with("]\n"));
-        assert!(json.contains("\"experiment\": \"e99\""));
-        assert!(json.contains("\"title\": \"Demo \\\"quoted\\\"\""));
-        assert!(json.contains("\"headers\": [\"param\", \"value\"]"));
-        assert!(json.contains("\"notes\": [\"a note\"]"));
-        assert!(json.contains("{\"param\": \"rtt\", \"value\": \"30ms\"},"));
-        assert!(json.contains("{\"param\": \"back\\\\slash\", \"value\": \"1\"}"));
+        assert!(json.starts_with("[\n  {\n"));
+        assert!(json.ends_with("\n  }\n]\n"));
+        assert!(json.contains("\n    \"experiment\": \"e99\",\n"));
+        assert!(json.contains("\n    \"title\": \"Demo\",\n"));
+        assert!(json.contains("\n    \"headers\": [\"param\", \"value\"],\n"));
+        assert!(json.contains("\n    \"notes\": [\"a note\"],\n"));
+        assert!(json.contains("\n    \"rows\": [\n"));
+        assert!(json.contains("\n      {\"param\": \"rtt\", \"value\": \"30ms\"},\n"));
+        assert!(json.contains("\n      {\"param\": \"loss\", \"value\": \"1\"}\n    ]\n"));
         // Balanced brackets — a cheap well-formedness check without a
         // JSON parser in the workspace.
         assert_eq!(

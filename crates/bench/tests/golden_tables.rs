@@ -14,6 +14,13 @@
 //! the experiment it belongs to. If the change is meant, re-record the file
 //! with the command the failure prints and name the changed rows in the
 //! change's notes.
+//!
+//! What the pin cannot see: it compares rendered strings, so a change below
+//! a cell's print precision passes. [`hope_bench::fmt_ms`] prints whole
+//! milliseconds from 100 ms up and 10 µs steps from 1 ms up, and
+//! [`hope_bench::fmt_pct`] 0.1% steps. Raising callstream's server compute
+//! by a tenth (100 → 110 µs) fails E1's 1–30 ms rows but leaves its 100 ms
+//! row (`200ms`, `100ms`) as recorded.
 
 use hope_bench::{tables_to_json, Table, EXPERIMENTS};
 

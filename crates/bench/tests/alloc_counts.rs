@@ -364,7 +364,7 @@ fn allocations_per_shape_are_pinned() {
         measure(
             "mc_exhaust",
             0,
-            (328_720, 56_559_450),
+            (132_462, 43_513_612),
             || mc_exhaust(&corpus),
             |&t| t,
         ),

@@ -168,7 +168,7 @@ enum Task {
 }
 
 /// Per-process interval bookkeeping (the paper's per-process history).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Proc {
     /// Live intervals, chronological. Rollback truncates a suffix; fossil
     /// collection truncates a definite prefix.
@@ -214,7 +214,7 @@ struct Proc {
 /// assert!(!outcome.value());
 /// # Ok::<(), hope_core::Error>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Engine {
     /// Live AID records, each at its id. Ids below `aids.start()` were
     /// reclaimed by fossil collection (ids are never reused; "recycling"
@@ -265,6 +265,66 @@ impl Slot {
         } else {
             Slot::Unknown
         }
+    }
+}
+
+impl Clone for Proc {
+    fn clone(&self) -> Self {
+        let mut proc = Proc::default();
+        proc.clone_from(self);
+        proc
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Proc {
+            history,
+            first_spec,
+            ido,
+            discarded,
+            collected,
+        } = self;
+        history.clone_from(&source.history);
+        *first_spec = source.first_spec;
+        ido.clone_from(&source.ido);
+        *discarded = source.discarded;
+        *collected = source.collected;
+    }
+}
+
+/// A clone holds every record and counter of its original. The worklist
+/// and the spare effect list are scratch, empty between transitions, so a
+/// clone starts without them and [`Clone::clone_from`] keeps the
+/// destination's; every other field is copied into the buffers the
+/// destination already holds.
+impl Clone for Engine {
+    fn clone(&self) -> Self {
+        let mut engine = Engine::new();
+        engine.clone_from(self);
+        engine
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Engine {
+            aids,
+            fossil_denied,
+            affirmed,
+            affirmed_from,
+            intervals,
+            procs,
+            worklist,
+            spare: _,
+            stats,
+            check_invariants,
+        } = self;
+        debug_assert!(worklist.is_empty() && source.worklist.is_empty());
+        aids.clone_from(&source.aids);
+        fossil_denied.clone_from(&source.fossil_denied);
+        affirmed.clone_from(&source.affirmed);
+        *affirmed_from = source.affirmed_from;
+        intervals.clone_from(&source.intervals);
+        procs.clone_from(&source.procs);
+        *stats = source.stats;
+        *check_invariants = source.check_invariants;
     }
 }
 

@@ -62,11 +62,28 @@ pub struct StateRecord {
 }
 
 /// The execution history `H_P` of one process (Definition 4.1).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct History {
     states: Vec<StateRecord>,
     /// Count of `Del` truncations applied (rollbacks observed).
     truncations: u64,
+}
+
+impl Clone for History {
+    fn clone(&self) -> Self {
+        let mut history = History::default();
+        history.clone_from(self);
+        history
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let History {
+            states,
+            truncations,
+        } = self;
+        states.clone_from(&source.states);
+        *truncations = source.truncations;
+    }
 }
 
 impl History {
@@ -109,7 +126,7 @@ pub struct RunReport {
     pub deadlocked: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MProc {
     pid: ProcessId,
     pc: usize,
@@ -118,6 +135,35 @@ struct MProc {
     /// rollback).
     delivered: Vec<Msg>,
     history: History,
+}
+
+impl Clone for MProc {
+    fn clone(&self) -> Self {
+        let mut proc = MProc {
+            pid: self.pid,
+            pc: 0,
+            mailbox: VecDeque::new(),
+            delivered: Vec::new(),
+            history: History::default(),
+        };
+        proc.clone_from(self);
+        proc
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let MProc {
+            pid,
+            pc,
+            mailbox,
+            delivered,
+            history,
+        } = self;
+        *pid = source.pid;
+        *pc = source.pc;
+        mailbox.clone_from(&source.mailbox);
+        delivered.clone_from(&source.delivered);
+        history.clone_from(&source.history);
+    }
 }
 
 /// Interpreter for straight-line HOPE programs over an [`Engine`].
@@ -141,7 +187,7 @@ struct MProc {
 /// assert!(report.completed);
 /// assert_eq!(m.engine().stats().finalized, 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Machine {
     engine: Engine,
     /// Shared, not copied, by [`Clone`]: a model checker clones a machine
@@ -150,6 +196,40 @@ pub struct Machine {
     aids: Vec<AidId>,
     procs: Vec<MProc>,
     next_msg: u64,
+}
+
+/// A clone is the same state as its original. [`Clone::clone_from`]
+/// copies each field into the buffers the destination already holds (its
+/// engine's stores, and per process its mailbox, delivered list and
+/// history), so a model checker that starts a branch in the machine of a
+/// finished one allocates only where the new state outgrows it.
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        Machine {
+            engine: self.engine.clone(),
+            program: Arc::clone(&self.program),
+            aids: self.aids.clone(),
+            procs: self.procs.clone(),
+            next_msg: self.next_msg,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Machine {
+            engine,
+            program,
+            aids,
+            procs,
+            next_msg,
+        } = self;
+        engine.clone_from(&source.engine);
+        if !Arc::ptr_eq(program, &source.program) {
+            *program = Arc::clone(&source.program);
+        }
+        aids.clone_from(&source.aids);
+        procs.clone_from(&source.procs);
+        *next_msg = source.next_msg;
+    }
 }
 
 impl Machine {
@@ -809,6 +889,215 @@ mod tests {
                     assert_eq!(m.engine().interval(a).unwrap().process(), m.pid(p));
                 }
             }
+        }
+    }
+
+    /// Everything the engine's views show: the counters and horizons, each
+    /// live AID and interval record, and each process's chain.
+    fn engine_state(e: &Engine, processes: usize) -> String {
+        use std::fmt::Write;
+        let mut s = format!(
+            "{:?} aids {}..{} intervals {}..{} fossil denies {}\n",
+            e.stats(),
+            e.aid_horizon(),
+            e.aid_count(),
+            e.interval_horizon(),
+            e.interval_count(),
+            e.fossil_denied_count()
+        );
+        for i in e.aid_horizon()..e.aid_count() as u64 {
+            let x = AidId::from_index(i);
+            let v = e.aid(x).expect("a live aid");
+            let (by_affirm, by_deny) = (v.speculatively_affirmed_by(), v.speculatively_denied_by());
+            writeln!(
+                s,
+                "{x} {} {:?} {} {:?} {by_affirm:?} {by_deny:?} {:?}",
+                v.creator(),
+                v.state(),
+                v.is_consumed(),
+                v.dom(),
+                e.aid_state(x)
+            )
+            .unwrap();
+        }
+        for i in e.interval_horizon()..e.interval_count() as u64 {
+            let v = e
+                .interval(IntervalId::from_index(i))
+                .expect("a live interval");
+            writeln!(
+                s,
+                "{} {} {:?} {:?} {} ido {:?} entered {:?} ihd {:?} iha {:?} guessed {:?}",
+                v.id(),
+                v.process(),
+                v.status(),
+                v.checkpoint(),
+                v.seq(),
+                v.ido(),
+                v.entered(),
+                v.ihd(),
+                v.iha(),
+                v.guessed()
+            )
+            .unwrap();
+        }
+        for p in 0..processes as u32 {
+            let pid = ProcessId(p);
+            writeln!(
+                s,
+                "{pid} {:?} {:?} {:?} {:?}",
+                e.history(pid),
+                e.current_interval(pid),
+                e.is_speculative(pid),
+                e.dependence_tag(pid)
+            )
+            .unwrap();
+        }
+        s
+    }
+
+    /// Everything a machine shows: its program and AIDs, its engine, and
+    /// per process the pc, history, mailbox and delivered list.
+    fn machine_state(m: &Machine) -> String {
+        let mut s = format!("{:?} {:?}\n", m.program(), m.aids());
+        s += &engine_state(m.engine(), m.process_count());
+        for p in 0..m.process_count() {
+            let h = m.history(p);
+            s += &format!(
+                "P{p} pc {} {:?} {:?} truncations {} mailbox {:?} delivered {:?}\n",
+                m.pc(p),
+                m.poll(p),
+                h.states(),
+                h.truncations(),
+                m.mailbox(p).collect::<Vec<_>>(),
+                m.delivered(p)
+            );
+        }
+        s
+    }
+
+    /// A machine of a generated program after `steps` seeded random steps.
+    fn machine_after(rng: &mut hope_sim::SimRng, steps: usize) -> Machine {
+        let (procs, len) = (1 + rng.index(4), 1 + rng.index(6));
+        let program = Program::generate(rng.next_u64(), procs, len, 1 + rng.index(4));
+        let mut m = Machine::new(program);
+        m.run_with(steps as u64, Some(rng.next_u64()), &mut NullObserver);
+        m
+    }
+
+    /// Step `m` along a seeded random schedule of enabled processes.
+    fn step_along(m: &mut Machine, schedule: &[usize]) -> Vec<String> {
+        let mut states = Vec::new();
+        for &pick in schedule {
+            let enabled: Vec<usize> = (0..m.process_count())
+                .filter(|&p| m.poll(p) == StepOutcome::Executed)
+                .collect();
+            if enabled.is_empty() {
+                break;
+            }
+            m.step(enabled[pick % enabled.len()]).unwrap();
+            states.push(machine_state(m));
+        }
+        states
+    }
+
+    /// `b.clone_from(&a)` is `a.clone()`: over generated programs and
+    /// random schedules, into a machine of another program or state, with
+    /// fewer or more processes, records and messages than `a`. The copy
+    /// passes the invariant check and steps like the original.
+    #[test]
+    fn clone_from_is_clone() {
+        let mut rng = hope_sim::SimRng::new(0xC10E_F604);
+        let (mut smaller, mut larger) = (0, 0);
+        for case in 0..400 {
+            let steps = rng.index(30);
+            let a = machine_after(&mut rng, steps);
+            let steps = rng.index(30);
+            let mut b = machine_after(&mut rng, steps);
+            let before = |m: &Machine| {
+                (0..m.process_count())
+                    .map(|p| m.history(p).states().len())
+                    .sum::<usize>()
+            };
+            match before(&b).cmp(&before(&a)) {
+                std::cmp::Ordering::Less => smaller += 1,
+                std::cmp::Ordering::Greater => larger += 1,
+                std::cmp::Ordering::Equal => {}
+            }
+            b.clone_from(&a);
+            let mut c = a.clone();
+            let want = machine_state(&a);
+            assert_eq!(machine_state(&c), want, "case {case}: clone");
+            assert_eq!(machine_state(&b), want, "case {case}: clone_from");
+            b.engine()
+                .verify_invariants()
+                .expect("clone_from keeps the invariants");
+            let schedule: Vec<usize> = (0..40).map(|_| rng.index(64)).collect();
+            assert_eq!(
+                step_along(&mut b, &schedule),
+                step_along(&mut c, &schedule),
+                "case {case}: the copies step apart"
+            );
+        }
+        assert!(
+            smaller > 50 && larger > 50,
+            "{smaller} smaller, {larger} larger"
+        );
+    }
+
+    /// The same for a bare engine whose fossil sweeps dropped a prefix of
+    /// several chunks of records, some of them denied.
+    #[test]
+    fn engine_clone_from_is_clone_past_the_horizon() {
+        let mut rng = hope_sim::SimRng::new(0x00E4_C10E);
+        let window = |rng: &mut hope_sim::SimRng, cycles: usize| {
+            let mut e = Engine::new();
+            e.set_invariant_checking(false);
+            let (guesser, decider) = (e.register_process(), e.register_process());
+            let mut open = VecDeque::new();
+            for i in 0..cycles {
+                let x = e.aid_init(guesser);
+                let (_, fx) = e.guess(guesser, &[x], Checkpoint(i as u64)).unwrap();
+                e.recycle(fx);
+                open.push_back(x);
+                if open.len() > rng.index(8) {
+                    let oldest = open.pop_front().unwrap();
+                    let fx = if rng.chance(0.1) {
+                        open.clear(); // a deny rolls the newer guesses back
+                        e.deny(decider, oldest)
+                    } else {
+                        e.affirm(decider, oldest)
+                    };
+                    e.recycle(fx.unwrap());
+                }
+                if i % 97 == 0 {
+                    e.collect_fossils();
+                }
+            }
+            e
+        };
+        for case in 0..12 {
+            let cycles = 200 + rng.index(1_200);
+            let a = window(&mut rng, cycles);
+            let cycles = rng.index(1_400);
+            let mut b = window(&mut rng, cycles);
+            assert!(a.interval_horizon() > 0, "case {case}: nothing swept");
+            b.clone_from(&a);
+            let mut c = a.clone();
+            let want = engine_state(&a, 2);
+            assert_eq!(engine_state(&c, 2), want, "case {case}: clone");
+            assert_eq!(engine_state(&b, 2), want, "case {case}: clone_from");
+            b.verify_invariants()
+                .expect("clone_from keeps the invariants");
+            for e in [&mut b, &mut c] {
+                let x = e.aid_init(ProcessId(0));
+                let (_, fx) = e.guess(ProcessId(0), &[x], Checkpoint(0)).unwrap();
+                e.recycle(fx);
+                let fx = e.deny(ProcessId(1), x).unwrap();
+                e.recycle(fx);
+                e.collect_fossils();
+            }
+            let (b, c) = (engine_state(&b, 2), engine_state(&c, 2));
+            assert_eq!(b, c, "case {case}: the copies step apart");
         }
     }
 

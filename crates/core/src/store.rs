@@ -19,8 +19,9 @@
 //! ring, reuses the slots a dropped prefix freed, so a store whose live
 //! window stays under one chunk allocates nothing once warm. A second chunk
 //! starts only when the first is full, and every chunk after the first is
-//! allocated at 256 records and never grows. Cloning a one-chunk
-//! store allocates once.
+//! allocated at 256 records and never grows, in a clone too. Cloning a
+//! one-chunk store allocates once, and [`Clone::clone_from`] copies into
+//! the chunks the destination already holds.
 
 use std::collections::vec_deque::{self, VecDeque};
 use std::iter::{Chain, Flatten};
@@ -32,7 +33,7 @@ const CHUNK: usize = 256;
 
 /// An append-only deque of records in fixed-capacity chunks. See the
 /// module documentation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Store<T> {
     /// The oldest chunk, the one a prefix is dropped from. The only one
     /// while the store fits in a chunk, when it grows geometrically like a
@@ -46,6 +47,37 @@ pub struct Store<T> {
     start: usize,
     /// Records held.
     len: usize,
+}
+
+impl<T: Clone> Clone for Store<T> {
+    fn clone(&self) -> Self {
+        let mut store = Store::new();
+        store.clone_from(self);
+        store
+    }
+
+    /// Copies `source` into the chunks `self` already holds, and starts
+    /// every later chunk it lacks at `CHUNK` records.
+    fn clone_from(&mut self, source: &Self) {
+        let Store {
+            head,
+            rest,
+            start,
+            len,
+        } = self;
+        head.clone_from(&source.head);
+        rest.truncate(source.rest.len());
+        for (chunk, from) in rest.iter_mut().zip(&source.rest) {
+            chunk.clone_from(from);
+        }
+        for from in source.rest.range(rest.len()..) {
+            let mut chunk = VecDeque::with_capacity(CHUNK);
+            chunk.extend(from.iter().cloned());
+            rest.push_back(chunk);
+        }
+        *start = source.start;
+        *len = source.len;
+    }
 }
 
 impl<T> Default for Store<T> {
@@ -339,20 +371,64 @@ mod tests {
 
     #[test]
     fn a_clone_and_its_original_grow_apart() {
-        let (mut a, mut ma) = filled(CHUNK - 1);
-        let (mut b, mut mb) = (a.clone(), ma.clone());
-        for v in 0..CHUNK as u64 {
-            a.push(1000 + v);
-            ma.recs.push_back(1000 + v);
-            b.push(2000 + v);
-            mb.recs.push_back(2000 + v);
+        // One chunk, and three with a dropped prefix and a last chunk of
+        // 100 records: a clone's later chunks are allocated at `CHUNK`, so
+        // its next pushes fill them without growing them.
+        for (n, dropped) in [(CHUNK - 1, 0), (3 * CHUNK + 100, CHUNK + 7)] {
+            let (mut a, mut ma) = filled(n);
+            a.drop_below(dropped);
+            ma.drop_below(dropped);
+            let (mut b, mut mb) = (a.clone(), ma.clone());
+            check(&b, &mb);
+            let caps: Vec<usize> = b.rest.iter().map(VecDeque::capacity).collect();
+            for v in 0..CHUNK as u64 {
+                a.push(1000 + v);
+                ma.recs.push_back(1000 + v);
+                b.push(2000 + v);
+                mb.recs.push_back(2000 + v);
+            }
+            check(&a, &ma);
+            check(&b, &mb);
+            for (c, &cap) in caps.iter().enumerate() {
+                assert_eq!(b.rest[c].capacity(), cap, "chunk {c} of the clone grew");
+            }
+            a.drop_below(dropped + CHUNK + 3);
+            ma.drop_below(dropped + CHUNK + 3);
+            check(&a, &ma);
+            check(&b, &mb);
         }
-        check(&a, &ma);
-        check(&b, &mb);
-        a.drop_below(CHUNK + 3);
-        ma.drop_below(CHUNK + 3);
-        check(&a, &ma);
-        check(&b, &mb);
+    }
+
+    /// `clone_from` into a store of another shape, smaller and larger,
+    /// holds what `clone` holds and keeps the chunk rule.
+    #[test]
+    fn clone_from_any_store_is_a_clone() {
+        let shapes = [
+            (0, 0),
+            (5, 0),
+            (CHUNK - 1, 3),
+            (CHUNK + 1, 0),
+            (3 * CHUNK + 100, CHUNK + 7),
+            (5 * CHUNK, 2 * CHUNK),
+        ];
+        for &(n, dropped) in &shapes {
+            let (mut src, mut m) = filled(n);
+            src.drop_below(dropped);
+            m.drop_below(dropped);
+            for &(k, cut) in &shapes {
+                let (mut dst, _) = filled(k);
+                dst.drop_below(cut);
+                dst.clone_from(&src);
+                check(&dst, &m);
+                let clone = src.clone();
+                assert!(dst.iter().eq(clone.iter()), "{n}/{dropped} into {k}/{cut}");
+                assert_eq!((dst.start(), dst.len()), (clone.start(), clone.len()));
+                dst.push(7);
+                let mut grown = m.clone();
+                grown.recs.push_back(7);
+                check(&dst, &grown);
+            }
+        }
     }
 
     /// Random push / index / drop-below / split-off / iterate sequences

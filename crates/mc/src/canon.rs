@@ -35,10 +35,11 @@
 //! through the AIDs' states and ties, the entered sets are its increments
 //! and `X.DOM` the suffixes they head.
 //!
-//! The encoding itself — not a hash of it — is used as the cache key: a
-//! 64-bit hash collision would silently merge distinct states and make the
-//! checker unsound, while full keys only cost memory the state budget
-//! already bounds. [`state_key`] writes integers as LEB128 varints (59.3
+//! The encoding itself — not a hash of it — is the cache key: a hash of
+//! it only picks the visited table's chain, and a key is found by
+//! comparing all of its bytes. A 64-bit hash collision used as identity
+//! would silently merge distinct states and make the checker unsound,
+//! while full keys only cost memory the state budget already bounds. [`state_key`] writes integers as LEB128 varints (59.3
 //! bytes a distinct state on the E22 corpus at seed 22; 73.8 while it also
 //! wrote the entered sets, `IHD`, `IHA`, resume marks, ties and interval
 //! names, 79.3 with full `IDO`/`DOM` sets on top); reports keep
@@ -53,14 +54,14 @@ fn process_name(pid: ProcessId) -> u64 {
     u64::from(pid.0)
 }
 
-/// Byte sink; integers are LEB128 varints if `VARINT`, else 8-byte
-/// little-endian words. Unambiguous because every field is written in a
-/// fixed order with explicit length prefixes for sequences, and both
-/// integer forms are self-delimiting (varints are prefix-free).
-#[derive(Default)]
-struct Enc<const VARINT: bool>(Vec<u8>);
+/// Byte sink appending to a caller's buffer; integers are LEB128 varints
+/// if `VARINT`, else 8-byte little-endian words. Unambiguous because every
+/// field is written in a fixed order with explicit length prefixes for
+/// sequences, and both integer forms are self-delimiting (varints are
+/// prefix-free).
+struct Enc<'b, const VARINT: bool>(&'b mut Vec<u8>);
 
-impl<const VARINT: bool> Enc<VARINT> {
+impl<const VARINT: bool> Enc<'_, VARINT> {
     fn u(&mut self, mut v: u64) {
         if !VARINT {
             return self.0.extend_from_slice(&v.to_le_bytes());
@@ -157,7 +158,7 @@ fn aid_state_tag(s: AidState) -> u8 {
     }
 }
 
-fn encode_histories(e: &mut Enc<true>, m: &Machine) {
+fn encode_histories(e: &mut Enc<'_, true>, m: &Machine) {
     for p in 0..m.process_count() {
         let h = m.history(p);
         e.u(h.states().len() as u64);
@@ -177,7 +178,7 @@ fn encode_histories(e: &mut Enc<true>, m: &Machine) {
 }
 
 /// Each AID's decision state and consumption flag.
-fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine) {
+fn encode_aids<const V: bool>(e: &mut Enc<'_, V>, m: &Machine) {
     let engine = m.engine();
     e.u(engine.aid_count() as u64);
     for i in 0..engine.aid_count() {
@@ -193,12 +194,22 @@ fn encode_aids<const V: bool>(e: &mut Enc<V>, m: &Machine) {
 /// visited-cache key: two states with equal keys have identical futures
 /// and identical verdict-relevant pasts (rollback/ghost/skip sins).
 pub fn state_key(m: &Machine) -> Vec<u8> {
+    let mut key = Vec::new();
+    state_key_into(m, &mut key);
+    key
+}
+
+/// [`state_key`], written over `key`'s bytes: the explorer keeps one
+/// buffer for every key it writes.
+pub(crate) fn state_key_into(m: &Machine, key: &mut Vec<u8>) {
     let engine = m.engine();
     // Sized up front: no key the generated corpora reach (E22's and the
     // tests') needs more than 8 bytes per history record, AID and process.
     let n = m.process_count();
     let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
-    let mut e = Enc::<true>(Vec::with_capacity(8 * (records + engine.aid_count() + n)));
+    key.clear();
+    key.reserve(8 * (records + engine.aid_count() + n));
+    let mut e = Enc::<true>(key);
     e.u(n as u64);
     encode_aids(&mut e, m);
     for p in 0..n {
@@ -239,7 +250,6 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
     let stats = engine.stats();
     e.flag(stats.rollback_events > 0);
     e.flag(stats.ghosts > 0);
-    e.0
 }
 
 /// Canonical encoding of a run's *committed outcome*: final AID decisions
@@ -259,12 +269,21 @@ pub fn state_key(m: &Machine) -> Vec<u8> {
 /// Integers are fixed-width words: these are the bytes
 /// [`McReport::outputs`](crate::McReport::outputs) holds.
 pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
+    let mut fingerprint = Vec::new();
+    commit_fingerprint_into(m, &mut fingerprint);
+    fingerprint
+}
+
+/// [`commit_fingerprint`], written over `fingerprint`'s bytes: the
+/// explorer keeps one buffer for every terminal it fingerprints.
+pub(crate) fn commit_fingerprint_into(m: &Machine, fingerprint: &mut Vec<u8>) {
     let n = m.process_count();
     let records: usize = (0..n).map(|p| m.history(p).states().len()).sum();
     // At most 19 bytes a history record (its delivery's sender included),
     // 17 a process and 2 an AID, so the bytes are written without a copy.
-    let cap = 16 + 19 * records + 17 * n + 2 * m.engine().aid_count();
-    let mut e = Enc::<false>(Vec::with_capacity(cap));
+    fingerprint.clear();
+    fingerprint.reserve(16 + 19 * records + 17 * n + 2 * m.engine().aid_count());
+    let mut e = Enc::<false>(fingerprint);
     e.u(n as u64);
     encode_aids(&mut e, m);
     let visible = |rec: &&StateRecord| {
@@ -319,14 +338,15 @@ pub fn commit_fingerprint(m: &Machine) -> Vec<u8> {
             e.u(process_name(msg.from));
         }
     }
-    e.0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hope_core::machine::StepOutcome;
+    use hope_core::observer::NullObserver;
     use hope_core::program::Program;
+    use hope_sim::SimRng;
     use std::collections::{HashMap, HashSet};
 
     fn machine_after(program: &Program, schedule: &[usize]) -> Machine {
@@ -335,6 +355,56 @@ mod tests {
             m.step(p).expect("machine-built programs cannot err");
         }
         m
+    }
+
+    /// A machine of a generated program after seeded random steps.
+    fn random_machine(rng: &mut SimRng) -> Machine {
+        let (procs, len, aids) = (1 + rng.index(4), 1 + rng.index(5), 1 + rng.index(4));
+        let mut m = Machine::new(Program::generate(rng.next_u64(), procs, len, aids));
+        let steps = rng.index(25) as u64;
+        m.run_with(steps, Some(rng.next_u64()), &mut NullObserver);
+        m
+    }
+
+    #[test]
+    fn clone_from_writes_the_keys_of_a_clone() {
+        // A machine written over one of another program or state (fewer or
+        // more processes, records and messages) by `clone_from` has the
+        // original's key and fingerprint, and keeps them step for step
+        // along one schedule. The keys go through the explorer's reused
+        // buffers, which hold the previous key's bytes when written.
+        let mut rng = SimRng::new(0xC10E_F60B);
+        let (mut key, mut fingerprint) = (Vec::new(), Vec::new());
+        for case in 0..400 {
+            let a = random_machine(&mut rng);
+            let mut b = random_machine(&mut rng);
+            b.clone_from(&a);
+            let mut c = a.clone();
+            let (want_key, want_fp) = (state_key(&a), commit_fingerprint(&a));
+            for m in [&b, &c] {
+                state_key_into(m, &mut key);
+                commit_fingerprint_into(m, &mut fingerprint);
+                assert_eq!(key, want_key, "case {case}");
+                assert_eq!(fingerprint, want_fp, "case {case}");
+            }
+            for _ in 0..30 {
+                let enabled: Vec<usize> = (0..c.process_count())
+                    .filter(|&p| c.poll(p) == StepOutcome::Executed)
+                    .collect();
+                if enabled.is_empty() {
+                    break;
+                }
+                let p = enabled[rng.index(enabled.len())];
+                b.step(p).expect("machine-built programs cannot err");
+                c.step(p).expect("machine-built programs cannot err");
+                assert_eq!(state_key(&b), state_key(&c), "case {case}: after P{p}");
+                assert_eq!(
+                    commit_fingerprint(&b),
+                    commit_fingerprint(&c),
+                    "case {case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -49,8 +49,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use hope_core::machine::{Machine, StepOutcome};
 use hope_core::observer::RuntimeObserver;
@@ -263,13 +262,108 @@ pub fn is_pristine(m: &Machine) -> bool {
         })
 }
 
+/// States every check's tables are allocated for: seven in eight
+/// generated 3×3 programs (the E22 corpus) reach fewer, so their tables
+/// never grow.
+const PRESIZED_STATES: usize = 64;
+/// Key bytes the visited table is allocated for: 64 a state, where the
+/// E22 corpus averages 59.
+const PRESIZED_KEY_BYTES: usize = 64 * PRESIZED_STATES;
+
+/// The visited states' keys, back to back in one byte arena. A key's hash
+/// only picks the chain searched; a key is found by comparing all of its
+/// bytes, so no hash collision can merge two states.
+struct Visited {
+    /// Every key's bytes, in the order the keys were stored.
+    bytes: Vec<u8>,
+    /// Key `i` ends at `ends[i]` and starts where key `i - 1` ends.
+    ends: Vec<usize>,
+    /// Per chain, one more than its newest key's index (0: empty). Its
+    /// length is a power of two, at least the number of keys.
+    heads: Vec<u32>,
+    /// Per key, one more than the index of the next key in its chain.
+    next: Vec<u32>,
+}
+
+impl Visited {
+    fn with_capacity(keys: usize, bytes: usize) -> Self {
+        Visited {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(keys),
+            heads: vec![0; keys.next_power_of_two()],
+            next: Vec::with_capacity(keys),
+        }
+    }
+
+    fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// The chain `key` belongs in: a word-at-a-time multiplicative hash,
+    /// mixed down so that every byte reaches the low bits.
+    fn chain(&self, key: &[u8]) -> usize {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut h = key.len() as u64;
+        let mut words = key.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("an 8-byte chunk"));
+            h = (h.rotate_left(5) ^ w).wrapping_mul(K);
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h = (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h as usize & (self.heads.len() - 1)
+    }
+
+    /// `Ok` with the index of `key` if it is stored, else `Err` with the
+    /// index it is stored at now. Indices count up from 0 in the order
+    /// keys are stored.
+    fn find_or_insert(&mut self, key: &[u8]) -> Result<usize, usize> {
+        let chain = self.chain(key);
+        let mut at = self.heads[chain];
+        while let Some(i) = (at as usize).checked_sub(1) {
+            if self.key(i) == key {
+                return Ok(i);
+            }
+            at = self.next[i];
+        }
+        let i = self.ends.len();
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+        self.next.push(self.heads[chain]);
+        self.heads[chain] = u32::try_from(i + 1).expect("fewer than 2^32 states");
+        if self.ends.len() > self.heads.len() {
+            self.rechain();
+        }
+        Err(i)
+    }
+
+    /// Double the chains and relink every key.
+    #[cold]
+    fn rechain(&mut self) {
+        let chains = 2 * self.heads.len();
+        self.heads.clear();
+        self.heads.resize(chains, 0);
+        for i in 0..self.ends.len() {
+            let chain = self.chain(self.key(i));
+            self.next[i] = self.heads[chain];
+            self.heads[chain] = (i + 1) as u32;
+        }
+    }
+}
+
 struct Explorer {
     cfg: McConfig,
     /// `cfg.mode == Mode::SleepSet`: cache states, prune with sleep sets
     /// and persistent singletons. `false` is the naive oracle.
     reduce: bool,
-    /// Each visited state's key, stored once, to its index in `explored`.
-    visited: BTreeMap<Vec<u8>, usize>,
+    /// Each visited state's key, stored once; its index is the state's
+    /// index in `explored`.
+    visited: Visited,
     /// Per visited state: the steps from it explored or being explored.
     explored: Vec<IdSet<usize>>,
     /// Empty per-state footprint tables, reused: an expanded state takes
@@ -277,12 +371,35 @@ struct Explorer {
     spare_footprints: Vec<Vec<Option<indep::Footprint>>>,
     /// The singleton prover's memo, reused from state to state.
     reaches: indep::Reaches,
+    /// Machines of branches whose subtrees are done. A branch starts in
+    /// one of them through `clone_from`, which reuses its buffers.
+    spare_machines: Vec<Machine>,
+    /// The state key and the commit fingerprint are written here.
+    key: Vec<u8>,
+    fingerprint: Vec<u8>,
     path: Vec<usize>,
     report: McReport,
     stopped: bool,
 }
 
 impl Explorer {
+    fn new(cfg: &McConfig) -> Self {
+        Explorer {
+            cfg: cfg.clone(),
+            reduce: cfg.mode == Mode::SleepSet,
+            visited: Visited::with_capacity(PRESIZED_STATES, PRESIZED_KEY_BYTES),
+            explored: Vec::with_capacity(PRESIZED_STATES),
+            spare_footprints: Vec::new(),
+            reaches: indep::Reaches::default(),
+            spare_machines: Vec::new(),
+            key: Vec::new(),
+            fingerprint: Vec::new(),
+            path: Vec::new(),
+            report: McReport::empty(),
+            stopped: false,
+        }
+    }
+
     fn budget_left(&mut self) -> bool {
         if self.report.states >= self.cfg.max_states {
             self.report.completeness = Completeness::BudgetExceeded(BudgetReason::MaxStates);
@@ -296,7 +413,10 @@ impl Explorer {
         let pristine = completed && is_pristine(m);
         if completed {
             self.report.completed_terminals += 1;
-            self.report.outputs.insert(canon::commit_fingerprint(m));
+            canon::commit_fingerprint_into(m, &mut self.fingerprint);
+            if !self.report.outputs.contains(&self.fingerprint) {
+                self.report.outputs.insert(self.fingerprint.clone());
+            }
         } else {
             self.report.deadlock_terminals += 1;
         }
@@ -312,7 +432,18 @@ impl Explorer {
         }
     }
 
-    fn explore(&mut self, m: Machine, sleep: IdSet<usize>, depth: usize) {
+    /// Step `m` by process `p` and explore the state it reaches.
+    fn descend(&mut self, m: &mut Machine, p: usize, sleep: IdSet<usize>, depth: usize) {
+        m.step(p).expect("machine-built programs cannot err");
+        self.report.transitions += 1;
+        self.path.push(p);
+        self.explore(m, sleep, depth);
+        self.path.pop();
+    }
+
+    /// Explore from `m`. Its last child steps `m` itself, so the caller
+    /// may not read `m` afterwards.
+    fn explore(&mut self, m: &mut Machine, sleep: IdSet<usize>, depth: usize) {
         if !self.budget_left() {
             return;
         }
@@ -325,18 +456,19 @@ impl Explorer {
         // inequivalent terminal is counted and recorded exactly once.
         let mut slot = None;
         let explored_before: IdSet<usize> = if self.reduce {
-            match self.visited.entry(canon::state_key(&m)) {
-                Entry::Occupied(e) => {
+            canon::state_key_into(m, &mut self.key);
+            match self.visited.find_or_insert(&self.key) {
+                Ok(i) => {
                     self.report.cache_hits += 1;
                     if enabled.is_empty() {
                         return; // terminal already recorded
                     }
-                    slot = Some(*e.get());
-                    self.explored[*e.get()].clone()
+                    slot = Some(i);
+                    self.explored[i].clone()
                 }
-                Entry::Vacant(e) => {
+                Err(i) => {
                     self.report.states += 1;
-                    slot = Some(*e.insert(self.explored.len()));
+                    slot = Some(i);
                     self.explored.push(IdSet::default());
                     IdSet::default()
                 }
@@ -347,7 +479,7 @@ impl Explorer {
         };
 
         if enabled.is_empty() {
-            self.terminal(&m);
+            self.terminal(m);
             return;
         }
         if depth >= self.cfg.max_depth {
@@ -363,7 +495,7 @@ impl Explorer {
         let allowed = if self.reduce {
             // Persistent singleton: a provably invisible step needs no
             // branching — and by persistence, no sibling either.
-            let pick = invisible_singleton(&m, &enabled, &mut footprints, &mut self.reaches);
+            let pick = invisible_singleton(m, &enabled, &mut footprints, &mut self.reaches);
             let candidates = match pick {
                 Some(p) => {
                     self.report.singleton_states += 1;
@@ -376,7 +508,7 @@ impl Explorer {
             let kept: IdSet<usize> = candidates.iter().filter(|&p| !sleep.contains(p)).collect();
             self.report.sleep_pruned += candidates.len() - kept.len();
             for p in kept.iter().chain(sleep.iter()) {
-                footprints[p].get_or_insert_with(|| indep::footprint(&m, p));
+                footprints[p].get_or_insert_with(|| indep::footprint(m, p));
             }
             kept
         } else {
@@ -388,7 +520,6 @@ impl Explorer {
             .filter(|&p| !explored_before.contains(p))
             .collect();
         let todo_len = todo.len();
-        let mut parent = Some(m);
         let mut taken: IdSet<usize> = IdSet::default();
         for (i, p) in todo.iter().enumerate() {
             if let Some(s) = slot {
@@ -399,13 +530,6 @@ impl Explorer {
                 self.report.frontier_remaining += todo_len - i;
                 break;
             }
-            // The last child steps the parent itself, which nothing reads
-            // afterwards: the footprints are owned and the key is stored.
-            let last = i + 1 == todo_len;
-            let child = if last { parent.take() } else { parent.clone() };
-            let mut child = child.expect("the parent outlives all but its last child");
-            child.step(p).expect("machine-built programs cannot err");
-            self.report.transitions += 1;
             let child_sleep: IdSet<usize> = if self.reduce {
                 let fp = |q: usize| footprints[q].as_ref().expect("computed above");
                 sleep
@@ -416,9 +540,25 @@ impl Explorer {
             } else {
                 IdSet::default()
             };
-            self.path.push(p);
-            self.explore(child, child_sleep, depth + 1);
-            self.path.pop();
+            if i + 1 == todo_len {
+                // The last child steps the parent itself, which nothing
+                // reads afterwards: the footprints are owned and the key
+                // is stored.
+                self.descend(m, p, child_sleep, depth + 1);
+            } else {
+                // Every other child starts in a finished branch's machine,
+                // whose buffers `clone_from` reuses, and is one itself
+                // when its subtree is done.
+                let mut child = match self.spare_machines.pop() {
+                    Some(mut spare) => {
+                        spare.clone_from(m);
+                        spare
+                    }
+                    None => m.clone(),
+                };
+                self.descend(&mut child, p, child_sleep, depth + 1);
+                self.spare_machines.push(child);
+            }
             if self.reduce {
                 taken.insert(p);
             }
@@ -430,25 +570,16 @@ impl Explorer {
 
 /// Explore the schedule space of `program` under `cfg`.
 ///
-/// Clones the machine at every branch point but the last, whose step
-/// advances the parent itself (snapshot-based exploration; `Machine` is a
-/// pure value). The returned [`McReport`] carries the verdict, the
-/// exploration counters the E17 experiment records, a pristine witness
-/// schedule if one exists, and the set of committed outcomes across all
-/// completed terminals.
+/// Snapshot-based exploration (`Machine` is a pure value): the last child
+/// of a branch point steps the parent itself, and every other child is a
+/// copy of it, written by `clone_from` into the machine of a branch whose
+/// subtree is done and cloned only when no such machine is left. The returned
+/// [`McReport`] carries the verdict, the exploration counters the E17
+/// experiment records, a pristine witness schedule if one exists, and the
+/// set of committed outcomes across all completed terminals.
 pub fn check(program: &Program, cfg: &McConfig) -> McReport {
-    let mut explorer = Explorer {
-        cfg: cfg.clone(),
-        reduce: cfg.mode == Mode::SleepSet,
-        visited: BTreeMap::new(),
-        explored: Vec::new(),
-        spare_footprints: Vec::new(),
-        reaches: indep::Reaches::default(),
-        path: Vec::new(),
-        report: McReport::empty(),
-        stopped: false,
-    };
-    explorer.explore(Machine::new(program.clone()), IdSet::default(), 0);
+    let mut explorer = Explorer::new(cfg);
+    explorer.explore(&mut Machine::new(program.clone()), IdSet::default(), 0);
     explorer.report
 }
 
@@ -480,6 +611,36 @@ mod tests {
 
     fn parse(src: &str) -> Program {
         src.parse().unwrap()
+    }
+
+    #[test]
+    fn the_visited_table_finds_keys_by_their_bytes() {
+        // Keys of every length from 0 to 40, prefixes of one another and
+        // differing in one byte, stored from a table of one chain that
+        // doubles as keys arrive. Each is stored once, at the next index,
+        // and found again, also in a chain it shares with other keys.
+        let mut visited = Visited::with_capacity(1, 0);
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for len in 0..=40u8 {
+            keys.push((0..len).collect());
+            keys.push((0..len).map(|b| b ^ 0x80).collect());
+            keys.push((0..len).rev().collect());
+        }
+        keys.sort();
+        keys.dedup();
+        for (i, key) in keys.iter().enumerate() {
+            assert_eq!(visited.find_or_insert(key), Err(i), "{key:?}");
+            assert_eq!(visited.find_or_insert(key), Ok(i), "{key:?}");
+        }
+        for (i, key) in keys.iter().enumerate().rev() {
+            assert_eq!(visited.find_or_insert(key), Ok(i), "{key:?}");
+            assert_eq!(visited.key(i), &key[..]);
+        }
+        assert!(visited.heads.len() >= keys.len() && visited.heads.len().is_power_of_two());
+        let mut chains: Vec<usize> = keys.iter().map(|k| visited.chain(k)).collect();
+        chains.sort_unstable();
+        chains.dedup();
+        assert!(chains.len() < keys.len(), "no two keys share a chain");
     }
 
     #[test]

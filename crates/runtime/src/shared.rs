@@ -1050,11 +1050,32 @@ impl Shared {
         self_rolled_back
     }
 
-    /// Where `interval`'s lines are in `pending_output`.
+    /// Where `interval`'s lines are in `pending_output`. Lines finalize
+    /// oldest first and the newest interval writes them, so the ends of
+    /// the queue are looked at before it is searched.
     fn buffered(&self, interval: IntervalId) -> std::ops::Range<usize> {
         let queue = &self.pending_output;
-        queue.partition_point(|&(a, _)| a < interval)
-            ..queue.partition_point(|&(a, _)| a <= interval)
+        let (Some(&(first, _)), Some(&(last, _))) = (queue.front(), queue.back()) else {
+            return 0..0;
+        };
+        let len = queue.len();
+        if interval < first {
+            return 0..0;
+        }
+        if interval > last {
+            return len..len;
+        }
+        let start = if interval == first {
+            0
+        } else {
+            queue.partition_point(|&(a, _)| a < interval)
+        };
+        let end = if interval == last {
+            len
+        } else {
+            queue.partition_point(|&(a, _)| a <= interval)
+        };
+        start..end
     }
 
     /// Buffer or emit one output line from `idx` (output commit).
@@ -1166,6 +1187,37 @@ mod tests {
         s.schedule_wake(0, VirtualTime::ZERO);
         assert_eq!(s.procs[0].wake_epoch, 2);
         assert_eq!(s.queue.len(), 2);
+    }
+
+    #[test]
+    fn buffered_finds_the_range_the_two_searches_find() {
+        // Queues of 0–12 lines over intervals 3–8, some holding none; every
+        // interval from 1 to 10 asked for, the queue's ends included.
+        let mut rng = hope_sim::SimRng::new(0xB0FF_E4ED);
+        let mut s = shared_with_procs(1);
+        for case in 0..300 {
+            let mut ids: Vec<u64> = (0..rng.index(13))
+                .map(|_| 3 + rng.index(6) as u64)
+                .collect();
+            ids.sort_unstable();
+            s.pending_output = ids
+                .iter()
+                .map(|&a| {
+                    let line = OutputLine {
+                        time: T0,
+                        committed_at: T0,
+                        process: ProcessId(0),
+                        line: String::new(),
+                    };
+                    (IntervalId::from_index(a), line)
+                })
+                .collect();
+            for a in (1..=10).map(IntervalId::from_index) {
+                let q = &s.pending_output;
+                let want = q.partition_point(|&(b, _)| b < a)..q.partition_point(|&(b, _)| b <= a);
+                assert_eq!(s.buffered(a), want, "case {case}: {a} in {ids:?}");
+            }
+        }
     }
 
     #[test]
